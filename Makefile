@@ -1,9 +1,10 @@
 # Tier-1 verification and developer targets for the Mether reproduction.
 #
 #   make ci            - everything the tier-1 gate runs: format check, vet,
-#                        tests, race tests, smoke sweep, a bench smoke pass
-#                        and a 16-host cluster smoke sweep (which also gates
-#                        the engine on an allocs/event ceiling of 0.1).
+#                        tests, race tests, smoke sweep, a bench smoke pass,
+#                        a 16-host cluster smoke sweep (which also gates
+#                        the engine on an allocs/event ceiling of 0.1) and
+#                        the nested bench/ module's own vet and short tests.
 #                        Each stage ends with a machine-readable
 #                        "CI-STAGE <name>: PASS|FAIL" line so the GitHub
 #                        Actions log is scannable at a glance.
@@ -21,9 +22,15 @@
 #                        replica materialization and fan-in-sized rx
 #                        rings; writes cluster-xl.json so the nightly
 #                        workflow can upload the report
+#   make bench-module  - vet and short-test the nested bench/ module, which
+#                        the root module's ./... patterns cannot see: an
+#                        internal/... API change that breaks the benchmark
+#                        fails here instead of at the next benchmark run
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
-#                        the 4096-deep timer population, host sleep/wake and
-#                        quantum rotation, bus broadcast, full counter runs)
+#                        the 4096-deep timer population, process steps with
+#                        zero and one goroutine switch, park/wake, host
+#                        sleep/wake and quantum rotation, bus broadcast, full
+#                        counter runs)
 #                        plus the figure benchmarks at reduced scale
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
 #   make bench-record  - regenerate BENCH_sweep.json, the engine-throughput
@@ -45,13 +52,13 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race smoke cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
+.PHONY: ci ci-stage fmt-check vet test race smoke bench-module cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
-CI_STAGES = fmt-check vet test race smoke bench-smoke cluster-smoke
+CI_STAGES = fmt-check vet test race smoke bench-smoke cluster-smoke bench-module
 
 ci:
 	@for s in $(CI_STAGES); do \
@@ -86,6 +93,12 @@ smoke:
 
 cluster-smoke:
 	$(GO) run ./cmd/methersweep -grid cluster -hosts 16 -alloc-ceiling 0.1 -format summary
+
+# bench/ is a module of its own (mether/bench, replace mether => ../),
+# so nothing above compiles it. -short skips the one test that builds
+# and runs the benchmark binary.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 cluster-large:
 	$(GO) run ./cmd/methersweep -grid cluster -hosts 1024 -format summary

@@ -200,7 +200,7 @@ type Proc struct {
 }
 
 // Spawn creates a process and makes it runnable. fn runs under the
-// simulation's handoff discipline and should express all CPU consumption
+// simulation's baton discipline and should express all CPU consumption
 // through Use/UseUser/UseSys and all blocking through the Sleep methods.
 func (h *Host) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{h: h, name: name, state: stateRunnable}

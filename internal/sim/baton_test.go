@@ -1,0 +1,623 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// Tests for baton-passing dispatch: the goroutine that pops an event is
+// whichever one held the baton, so everything here checks that this is
+// invisible — same log, same clock, same Dispatched() — and that every
+// goroutine is reaped whatever state its process was left in.
+
+// TestRunUntilNeverMovesClockBack: a deadline behind the clock used to
+// set Now() to the deadline, below the wheel cursor.
+func TestRunUntilNeverMovesClockBack(t *testing.T) {
+	k := New(1)
+	k.At(30*time.Millisecond, "late", func() {})
+	if end := k.RunUntil(20 * time.Millisecond); end != 20*time.Millisecond {
+		t.Fatalf("RunUntil(20ms) = %v", end)
+	}
+	if end := k.RunUntil(5 * time.Millisecond); end != 20*time.Millisecond {
+		t.Errorf("RunUntil(5ms) after 20ms returned %v, want 20ms", end)
+	}
+	if k.Now() != 20*time.Millisecond {
+		t.Errorf("Now() = %v after a past deadline, want 20ms", k.Now())
+	}
+	var at time.Duration = -1
+	k.After(0, "now", func() { at = k.Now() })
+	// The same-instant event is due at 20ms: a deadline before that must
+	// leave it queued, a later one must run it at 20ms.
+	k.RunUntil(10 * time.Millisecond)
+	if at != -1 {
+		t.Fatalf("After(0) ran at %v under a deadline behind the clock", at)
+	}
+	k.RunUntil(25 * time.Millisecond)
+	if at != 20*time.Millisecond {
+		t.Errorf("After(0) ran at %v, want 20ms", at)
+	}
+	if end := k.Run(); end != 30*time.Millisecond {
+		t.Errorf("Run = %v, want 30ms", end)
+	}
+}
+
+// onRootStack reports whether the caller is running on the goroutine
+// that called RunUntil, as opposed to a process goroutine dispatching.
+func onRootStack() bool {
+	buf := make([]byte, 8192)
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*Kernel).RunUntil")
+}
+
+// TestSplitDeadlineWhileProcHoldsBaton: RunUntil(d1); RunUntil(d2) must
+// equal RunUntil(d2) when d1 expires on a process goroutine.
+func TestSplitDeadlineWhileProcHoldsBaton(t *testing.T) {
+	run := func(deadlines ...time.Duration) (log []string, disp uint64, now time.Duration) {
+		k := New(1)
+		note := func(s string) { log = append(log, fmt.Sprintf("%v %s", k.Now(), s)) }
+		var b *Proc
+		k.Spawn("a", func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				p.Sleep(10 * time.Millisecond)
+				note("a")
+				b.Wake()
+			}
+		})
+		b = k.Spawn("b", func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				p.Park("b")
+				note("b")
+			}
+		})
+		for i := 1; i <= 12; i++ {
+			k.At(time.Duration(i)*5*time.Millisecond+time.Millisecond, "cb", func() {
+				if k.Now() == 21*time.Millisecond && onRootStack() {
+					t.Error("the last callback before d1 ran on the root goroutine; the test no longer covers a process holding the baton at the deadline")
+				}
+				note("cb")
+			})
+		}
+		for _, d := range deadlines {
+			now = k.RunUntil(d)
+			note("deadline")
+		}
+		disp = k.Dispatched()
+		k.Shutdown()
+		return
+	}
+	const d1, d2 = 23 * time.Millisecond, 70 * time.Millisecond
+	wantLog, wantDisp, wantNow := run(d2)
+	gotLog, gotDisp, gotNow := run(d1, d2)
+	// The split run logs one extra line, at d1.
+	var merged []string
+	for _, l := range gotLog {
+		if l != fmt.Sprintf("%v deadline", d1) {
+			merged = append(merged, l)
+		}
+	}
+	if strings.Join(merged, "\n") != strings.Join(wantLog, "\n") {
+		t.Errorf("split run diverged:\n%v\nwant\n%v", merged, wantLog)
+	}
+	if gotDisp != wantDisp || gotNow != wantNow {
+		t.Errorf("split run: dispatched %d now %v, want %d %v", gotDisp, gotNow, wantDisp, wantNow)
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back to want: a
+// reaped goroutine hands the baton back a few instructions before it
+// actually exits.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 2000; i++ {
+		if runtime.NumGoroutine() <= want {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("%d goroutines alive, want %d", runtime.NumGoroutine(), want)
+}
+
+// TestShutdownReapsEveryState: processes never started, sleeping,
+// parked and dead all give their goroutine back.
+func TestShutdownReapsEveryState(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New(1)
+	for i := 0; i < 3; i++ {
+		k.Spawn("dead", func(p *Proc) { p.Sleep(time.Millisecond) })
+		k.Spawn("sleeping", func(p *Proc) { p.Sleep(time.Hour) })
+		k.Spawn("parked", func(p *Proc) { p.Park("forever") })
+	}
+	k.At(5*time.Millisecond, "late spawn", func() {
+		// Spawned by the last event before the deadline: its start event
+		// is queued but never dispatched.
+		for i := 0; i < 3; i++ {
+			k.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+		}
+		k.Stop()
+	})
+	k.RunUntil(10 * time.Millisecond)
+	k.Shutdown()
+	waitGoroutines(t, before)
+	if idle := k.Idle(); len(idle) != 0 {
+		t.Errorf("still parked after Shutdown: %v", idle)
+	}
+	// A kernel that never ran at all.
+	k = New(2)
+	k.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	k.Shutdown()
+	waitGoroutines(t, before)
+}
+
+// TestPanicResurfacesFromRunUntil: whichever goroutine was dispatching,
+// a panic in a callback or a process body comes out of Run on the
+// caller's goroutine with its original value, and Shutdown still reaps.
+func TestPanicResurfacesFromRunUntil(t *testing.T) {
+	type boom struct{ why string }
+	cases := []struct {
+		name  string
+		build func(k *Kernel, v any)
+	}{
+		{"callback on root", func(k *Kernel, v any) {
+			k.At(time.Millisecond, "boom", func() { panic(v) })
+		}},
+		{"callback on a parked process", func(k *Kernel, v any) {
+			k.Spawn("holder", func(p *Proc) { p.Park("holds the baton") })
+			k.At(time.Millisecond, "boom", func() {
+				if onRootStack() {
+					t.Error("callback ran on the root goroutine")
+				}
+				panic(v)
+			})
+		}},
+		{"callback on an exited process", func(k *Kernel, v any) {
+			k.Spawn("gone", func(p *Proc) {})
+			k.At(time.Millisecond, "boom", func() {
+				if onRootStack() {
+					t.Error("callback ran on the root goroutine")
+				}
+				panic(v)
+			})
+		}},
+		{"process body", func(k *Kernel, v any) {
+			k.Spawn("bystander", func(p *Proc) { p.Park("bystander") })
+			k.Spawn("bomber", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				panic(v)
+			})
+		}},
+		{"process body before its first block", func(k *Kernel, v any) {
+			k.Spawn("bomber", func(p *Proc) { panic(v) })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := New(1)
+			want := &boom{c.name}
+			c.build(k, want)
+			k.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			if got != any(want) {
+				t.Errorf("recovered %v, want the original %v", got, want)
+			}
+			k.Shutdown()
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// ---- differential test against a goroutine-free reference ----
+//
+// A script is a set of straight-line programs. The same script is run
+// by real processes on the kernel and by refMachine, a single-threaded
+// interpreter that keeps processes as program counters and events in a
+// plain list; the (time, label) logs, the clock, Idle() and
+// Dispatched() must agree after every RunUntil.
+
+type opKind uint8
+
+const (
+	opSleep opKind = iota
+	opPark
+	opWake      // Wake(arg)
+	opSpawn     // start program arg
+	opAfter     // After(d) running callback cb; the op index names the timer
+	opCoalesced // AfterCoalesced(d) running callback cb
+	opCancel    // cancel the timer armed by op arg of this program, if live
+	opStop
+)
+
+type scriptOp struct {
+	kind opKind
+	d    time.Duration
+	arg  int
+	cb   callback
+}
+
+// callback is what a scheduled event does besides logging.
+type callback struct {
+	wake  int           // Wake(wake) if >= 0
+	spawn int           // start program spawn if >= 0
+	chain time.Duration // After(chain) a bare logging callback if >= 0
+	stop  bool
+}
+
+// machine is what a script needs from a kernel; the real Kernel and
+// refMachine both provide it.
+type machine interface {
+	Now() time.Duration
+	after(d time.Duration, fn func()) (cancel func())
+	afterCoalesced(d time.Duration, fn func())
+	stop()
+	wake(pid int)
+	spawn(pid int)
+}
+
+// scriptRun is the per-execution state of a script: the log and the
+// bookkeeping that keeps the script inside the kernel's contract (spawn
+// a program once, cancel a timer once and only before it fires).
+type scriptRun struct {
+	progs   [][]scriptOp
+	m       machine
+	log     []string
+	spawned []bool
+	live    map[[2]int]func() // armed, unfired timers -> cancel
+}
+
+func newScriptRun(progs [][]scriptOp, m machine) *scriptRun {
+	return &scriptRun{progs: progs, m: m, spawned: make([]bool, len(progs)), live: map[[2]int]func(){}}
+}
+
+func (r *scriptRun) note(label string) {
+	r.log = append(r.log, fmt.Sprintf("%d %s", r.m.Now(), label))
+}
+
+func (r *scriptRun) start(pid int) {
+	if !r.spawned[pid] {
+		r.spawned[pid] = true
+		r.m.spawn(pid)
+	}
+}
+
+func (r *scriptRun) fire(label string, cb callback) {
+	r.note(label)
+	if cb.wake >= 0 && r.spawned[cb.wake] {
+		r.m.wake(cb.wake)
+	}
+	if cb.spawn >= 0 {
+		r.start(cb.spawn)
+	}
+	if cb.chain >= 0 {
+		r.m.after(cb.chain, func() { r.note(label + "+") })
+	}
+	if cb.stop {
+		r.m.stop()
+	}
+}
+
+// opLabel names op pc of program pid in the log, once the op is done.
+func opLabel(pid, pc int) string { return fmt.Sprintf("p%d.%d", pid, pc) }
+
+// exec runs one non-blocking op of program pid.
+func (r *scriptRun) exec(pid, pc int, o scriptOp) {
+	label := opLabel(pid, pc)
+	switch o.kind {
+	case opWake:
+		if o.arg != pid && r.spawned[o.arg] {
+			r.m.wake(o.arg)
+		}
+	case opSpawn:
+		r.start(o.arg)
+	case opAfter:
+		key := [2]int{pid, pc}
+		r.live[key] = r.m.after(o.d, func() {
+			delete(r.live, key)
+			r.fire("cb "+label, o.cb)
+		})
+	case opCoalesced:
+		r.m.afterCoalesced(o.d, func() { r.fire("co "+label, o.cb) })
+	case opCancel:
+		key := [2]int{pid, o.arg}
+		if cancel := r.live[key]; cancel != nil {
+			delete(r.live, key)
+			cancel()
+		}
+	case opStop:
+		r.m.stop()
+	}
+	r.note(label)
+}
+
+// realMachine runs programs as processes of a real Kernel.
+type realMachine struct {
+	*Kernel
+	r     *scriptRun
+	procs []*Proc
+}
+
+func (m *realMachine) after(d time.Duration, fn func()) func() { return m.After(d, "t", fn).Cancel }
+func (m *realMachine) afterCoalesced(d time.Duration, fn func()) {
+	m.AfterCoalesced(d, "c", fn)
+}
+func (m *realMachine) stop()        { m.Stop() }
+func (m *realMachine) wake(pid int) { m.procs[pid].Wake() }
+func (m *realMachine) spawn(pid int) {
+	m.procs[pid] = m.Spawn(fmt.Sprintf("p%d", pid), func(p *Proc) {
+		for pc, o := range m.r.progs[pid] {
+			switch o.kind {
+			case opSleep:
+				p.Sleep(o.d)
+				m.r.note(opLabel(pid, pc))
+			case opPark:
+				p.Park(nil)
+				m.r.note(opLabel(pid, pc))
+			default:
+				m.r.exec(pid, pc, o)
+			}
+		}
+	})
+}
+
+// refMachine is the reference: no goroutines, no wheel, no run queue,
+// no coalescing. Events sit in a slice and the next one is the minimum
+// (at, seq); a process is a program counter plus the kernel's state
+// machine, stepped from its resume event until it blocks.
+type refMachine struct {
+	r          *scriptRun
+	now        time.Duration
+	seq        uint64
+	dispatched uint64
+	stopped    bool
+	events     []refEv
+	procs      []*refProc // by pid
+	order      []int      // pids in spawn order, for Idle()
+}
+
+type refEv struct {
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	proc int // resume event if >= 0
+}
+
+type refProc struct {
+	pc          int
+	state       procState
+	wakePending bool
+}
+
+func (m *refMachine) Now() time.Duration { return m.now }
+
+func (m *refMachine) schedule(d time.Duration, fn func(), proc int) uint64 {
+	m.seq++
+	m.events = append(m.events, refEv{m.now + d, m.seq, fn, proc})
+	return m.seq
+}
+
+func (m *refMachine) after(d time.Duration, fn func()) func() {
+	seq := m.schedule(d, fn, -1)
+	return func() {
+		for i, e := range m.events {
+			if e.seq == seq {
+				m.events = append(m.events[:i], m.events[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+// An uncoalesced event owns the (time, seq) slot the batch would have
+// run the callback in, and counts one dispatch like a batched callback.
+func (m *refMachine) afterCoalesced(d time.Duration, fn func()) { m.schedule(d, fn, -1) }
+func (m *refMachine) stop()                                     { m.stopped = true }
+
+func (m *refMachine) spawn(pid int) {
+	m.procs[pid] = &refProc{state: procNew}
+	m.order = append(m.order, pid)
+	m.schedule(0, nil, pid)
+}
+
+func (m *refMachine) wake(pid int) {
+	switch p := m.procs[pid]; p.state {
+	case procDead:
+	case procParked:
+		p.state = procWaiting
+		m.schedule(0, nil, pid)
+	default:
+		p.wakePending = true
+	}
+}
+
+// step runs process pid from its resume event until it blocks or exits.
+func (m *refMachine) step(pid int) {
+	p, prog := m.procs[pid], m.r.progs[pid]
+	if p.state != procNew {
+		// Returning from the Sleep or Park at pc-1.
+		m.r.note(opLabel(pid, p.pc-1))
+	}
+	p.state = procRunning
+	for p.pc < len(prog) {
+		o := prog[p.pc]
+		p.pc++
+		switch o.kind {
+		case opSleep:
+			p.state = procWaiting
+			m.schedule(o.d, nil, pid)
+			return
+		case opPark:
+			if p.wakePending {
+				p.wakePending = false
+				m.r.note(opLabel(pid, p.pc-1))
+				continue
+			}
+			p.state = procParked
+			return
+		default:
+			m.r.exec(pid, p.pc-1, o)
+		}
+	}
+	p.state = procDead
+}
+
+func (m *refMachine) RunUntil(deadline time.Duration) time.Duration {
+	for !m.stopped {
+		if len(m.events) == 0 {
+			break
+		}
+		first := 0
+		for i, e := range m.events {
+			if b := m.events[first]; e.at < b.at || e.at == b.at && e.seq < b.seq {
+				first = i
+			}
+		}
+		e := m.events[first]
+		if e.at > deadline {
+			if deadline > m.now {
+				m.now = deadline
+			}
+			break
+		}
+		m.events = append(m.events[:first], m.events[first+1:]...)
+		m.now = e.at
+		m.dispatched++
+		if e.proc >= 0 {
+			m.step(e.proc)
+		} else {
+			e.fn()
+		}
+	}
+	return m.now
+}
+
+func (m *refMachine) idle() []string {
+	var out []string
+	for _, pid := range m.order {
+		if m.procs[pid].state == procParked {
+			out = append(out, fmt.Sprintf("p%d", pid))
+		}
+	}
+	return out
+}
+
+// scriptDelay draws from a small palette so that ties, same-instant
+// events and wheel-level boundaries are all common.
+func scriptDelay(rng *rand.Rand) time.Duration {
+	palette := []time.Duration{0, 0, 1, 2, 255, 256, 257, 1000, 1000, 65536, 70000, 1 << 20}
+	return palette[rng.Intn(len(palette))]
+}
+
+func randomScript(rng *rand.Rand) [][]scriptOp {
+	nprog := 3 + rng.Intn(6)
+	randCB := func() callback {
+		cb := callback{wake: -1, spawn: -1, chain: -1}
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			cb.wake = rng.Intn(nprog)
+		case 3:
+			cb.spawn = rng.Intn(nprog)
+		case 4:
+			cb.chain = scriptDelay(rng)
+		case 5:
+			cb.wake, cb.chain = rng.Intn(nprog), 0
+		}
+		return cb
+	}
+	progs := make([][]scriptOp, nprog)
+	for pid := range progs {
+		var timers []int
+		for pc, n := 0, 4+rng.Intn(24); pc < n; pc++ {
+			o := scriptOp{d: scriptDelay(rng), arg: rng.Intn(nprog), cb: randCB()}
+			switch x := rng.Intn(100); {
+			case x < 30:
+				o.kind = opSleep
+			case x < 42:
+				o.kind = opPark
+			case x < 60:
+				o.kind = opWake
+			case x < 66:
+				o.kind = opSpawn
+			case x < 80:
+				o.kind = opAfter
+				timers = append(timers, pc)
+			case x < 90:
+				o.kind = opCoalesced
+			case x < 99 && len(timers) > 0:
+				o.kind = opCancel
+				o.arg = timers[rng.Intn(len(timers))]
+			default:
+				o.kind = opWake
+			}
+			progs[pid] = append(progs[pid], o)
+		}
+	}
+	// One script in four stops itself, from a body or from a callback.
+	if rng.Intn(4) == 0 {
+		p := progs[rng.Intn(nprog)]
+		if o := &p[len(p)/2+rng.Intn(len(p)-len(p)/2)]; rng.Intn(2) == 0 || o.kind != opAfter && o.kind != opCoalesced {
+			o.kind = opStop
+		} else {
+			o.cb.stop = true
+		}
+	}
+	return progs
+}
+
+func TestBatonMatchesGoroutineFreeReference(t *testing.T) {
+	rounds := 400
+	if testing.Short() {
+		rounds = 60
+	}
+	before := runtime.NumGoroutine()
+	for seed := int64(1); seed <= int64(rounds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		progs := randomScript(rng)
+		roots := 1 + rng.Intn(len(progs))
+		// Deadlines: increasing, one step back behind the clock, then
+		// run to exhaustion.
+		var deadlines []time.Duration
+		d := time.Duration(0)
+		for i, n := 0, 2+rng.Intn(5); i < n; i++ {
+			d += scriptDelay(rng) + time.Duration(rng.Intn(3000))
+			deadlines = append(deadlines, d)
+		}
+		deadlines = append(deadlines, d/2, 1<<63-1)
+
+		k := New(seed)
+		km := &realMachine{Kernel: k, procs: make([]*Proc, len(progs))}
+		km.r = newScriptRun(progs, km)
+		ref := &refMachine{procs: make([]*refProc, len(progs))}
+		ref.r = newScriptRun(progs, ref)
+		for pid := 0; pid < roots; pid++ {
+			km.r.start(pid)
+			ref.r.start(pid)
+		}
+		for _, dl := range deadlines {
+			gotNow, wantNow := k.RunUntil(dl), ref.RunUntil(dl)
+			got, want := strings.Join(km.r.log, "\n"), strings.Join(ref.r.log, "\n")
+			if got != want {
+				t.Fatalf("seed %d deadline %d: logs diverge\nkernel:\n%s\nreference:\n%s", seed, dl, got, want)
+			}
+			if gotNow != wantNow || k.Now() != wantNow {
+				t.Fatalf("seed %d deadline %d: clock %d (returned %d), reference %d", seed, dl, k.Now(), gotNow, wantNow)
+			}
+			if k.Dispatched() != ref.dispatched {
+				t.Fatalf("seed %d deadline %d: Dispatched() = %d, reference %d", seed, dl, k.Dispatched(), ref.dispatched)
+			}
+			if got, want := fmt.Sprint(k.Idle()), fmt.Sprint(ref.idle()); got != want {
+				t.Fatalf("seed %d deadline %d: Idle() = %s, reference %s", seed, dl, got, want)
+			}
+			if k.Stopped() != ref.stopped {
+				t.Fatalf("seed %d deadline %d: Stopped() = %v, reference %v", seed, dl, k.Stopped(), ref.stopped)
+			}
+		}
+		k.Shutdown()
+	}
+	waitGoroutines(t, before)
+}

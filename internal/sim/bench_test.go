@@ -87,3 +87,64 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 	k.After(time.Microsecond, "tick", tick)
 	k.Run()
 }
+
+// BenchmarkProcSleepSolo measures a process step with no goroutine
+// switch: a lone sleeper holds the baton, pops its own resume event and
+// returns from Sleep on the same goroutine.
+func BenchmarkProcSleepSolo(b *testing.B) {
+	k := New(1)
+	k.Spawn("solo", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcPingPong measures a process step with exactly one
+// goroutine switch: two sleepers on offset schedules, so each always
+// pops the other's resume event and hands the baton straight across.
+func BenchmarkProcPingPong(b *testing.B) {
+	k := New(1)
+	for i := 0; i < 2; i++ {
+		offset := time.Duration(i) * time.Microsecond
+		k.Spawn("pingpong", func(p *Proc) {
+			p.Sleep(offset)
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(2 * time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcParkWake measures Park plus the Wake that resumes it,
+// the wake coming from a timer callback — the sleeper/interrupt shape of
+// the host layer. The parked process dispatches the timer itself, so
+// after the first round the wake is a self-resume.
+func BenchmarkProcParkWake(b *testing.B) {
+	k := New(1)
+	p := k.Spawn("parker", func(p *Proc) {
+		for {
+			p.Park("bench")
+		}
+	})
+	n := 0
+	var tick func()
+	tick = func() {
+		p.Wake()
+		if n++; n < b.N {
+			k.After(time.Microsecond, "tick", tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.After(time.Microsecond, "tick", tick)
+	k.Run()
+	b.StopTimer()
+	k.Shutdown()
+}

@@ -20,6 +20,10 @@ const (
 // called from within the process's own goroutine (i.e. from the function
 // passed to Spawn). Wake must be called from kernel context — an event
 // callback or another running process.
+//
+// A process blocked in Sleep or Park may still hold the baton (see
+// Kernel.run): unrelated callbacks then run on its stack, below the
+// blocked frame.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -30,37 +34,42 @@ type Proc struct {
 	wakePending bool
 	parkReason  any
 	aborting    bool
-	// runFn and wakeName are precomputed once so the park/wake hot path
-	// schedules events without allocating a closure or a name string.
-	runFn    func()
+	// wakeName is precomputed once so the park/wake hot path schedules
+	// resume events without building a name string.
 	wakeName string
 }
 
 // Spawn creates a process and schedules it to start at the current
-// virtual time. fn runs on its own goroutine under the kernel's handoff
-// discipline and must use only this package's blocking primitives.
+// virtual time. fn runs on its own goroutine while that goroutine holds
+// the kernel's baton and must use only this package's blocking
+// primitives; after fn returns the goroutine dispatches until it can
+// pass the baton on, then exits. A panic in fn, or in a callback the
+// goroutine dispatches, is re-raised by RunUntil on its caller.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	p.runFn = func() { k.runProc(p) }
-	p.wakeName = "wake " + name
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), wakeName: "wake " + name}
 	k.procs = append(k.procs, p)
 	go func() {
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSignal); !ok {
-					panic(r)
-				}
+			// A normal exit passed the baton on in run; a panic still
+			// holds it and returns it to the root, with the value unless
+			// it is Shutdown's unwinding.
+			r := recover()
+			if r == nil {
+				return
 			}
 			p.state = procDead
-			k.handoff <- struct{}{}
+			if _, abort := r.(abortSignal); !abort {
+				k.panicVal = r
+			}
+			k.root.resume <- struct{}{}
 		}()
 		<-p.resume
-		if p.aborting {
-			panic(abortSignal{})
-		}
+		p.resumed()
 		fn(p)
+		p.state = procDead
+		k.run(p)
 	}()
-	k.After(0, "spawn "+name, p.runFn)
+	k.After(0, "spawn "+name, nil).proc = p
 	return p
 }
 
@@ -73,10 +82,16 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// park returns control to the kernel and blocks until resumed.
+// park blocks until the process's resume event is dispatched. The
+// goroutine keeps the baton and dispatches events itself until then.
 func (p *Proc) park() {
-	p.k.handoff <- struct{}{}
-	<-p.resume
+	p.k.run(p)
+	p.resumed()
+}
+
+// resumed marks the process running, or unwinds it if the baton came
+// from Shutdown.
+func (p *Proc) resumed() {
 	if p.aborting {
 		panic(abortSignal{})
 	}
@@ -91,7 +106,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.state = procWaiting
-	p.k.After(d, p.wakeName, p.runFn)
+	p.k.After(d, p.wakeName, nil).proc = p
 	p.park()
 }
 
@@ -121,7 +136,7 @@ func (p *Proc) Wake() {
 	case procDead:
 	case procParked:
 		p.state = procWaiting // resume already scheduled below
-		p.k.After(0, p.wakeName, p.runFn)
+		p.k.After(0, p.wakeName, nil).proc = p
 	default:
 		p.wakePending = true
 	}

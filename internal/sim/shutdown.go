@@ -5,9 +5,10 @@ package sim
 type abortSignal struct{}
 
 // Shutdown terminates all blocked processes so their goroutines exit.
-// It must be called after Run/RunUntil has returned, never from inside
-// an event or process. Worlds that create many kernels (tests, sweeps)
-// should call Shutdown to avoid accumulating parked goroutines.
+// It must be called after Run/RunUntil has returned (or panicked), never
+// from inside an event or process. Worlds that create many kernels
+// (tests, sweeps) should call Shutdown to avoid accumulating parked
+// goroutines.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
@@ -15,12 +16,10 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		p.aborting = true
-		// Resume the goroutine directly; its park() will observe
-		// aborting and panic with abortSignal, which the Spawn
-		// wrapper recovers.
-		k.running = p
+		// Hand the goroutine the baton directly, whether it has never
+		// started, sleeps or is parked: it observes aborting and panics
+		// with abortSignal, and the Spawn wrapper hands the baton back.
 		p.resume <- struct{}{}
-		<-k.handoff
-		k.running = nil
+		<-k.root.resume
 	}
 }

@@ -2,11 +2,19 @@
 //
 // The kernel maintains a virtual clock and dispatches events in exact
 // (time, insertion sequence) order. Simulated processes are goroutines
-// that run under a strict single-runner handoff discipline: at any
-// instant at most one process goroutine executes, and control passes
-// back to the kernel whenever the process blocks (Sleep, Park) or
-// exits. Together with a seeded random source this makes every
-// simulation bit-reproducible.
+// that run one at a time by passing a baton: only its holder — the
+// goroutine inside RunUntil, or one process — runs simulation code, and
+// there is no kernel goroutine. A process that blocks (Sleep, Park) or
+// exits keeps the baton and dispatches events itself: callbacks run
+// inline on its stack, its own resume event just returns from the
+// blocking call (no goroutine switch), another process's resume event
+// hands the baton straight across (one switch), and the end of the run
+// (Stop, drained queue, deadline) hands it back to RunUntil's caller.
+// Which goroutine pops an event is thus an accident of history —
+// callbacks and process bodies must never rely on goroutine identity or
+// stack depth — but what is popped, and in what (time, seq) order, is
+// not, which with a seeded random source makes every simulation
+// bit-reproducible.
 //
 // The package is intentionally free of real-time dependencies: virtual
 // time is a time.Duration measured from the start of the run, and nothing
@@ -58,7 +66,6 @@ type Kernel struct {
 	free       []*Event
 	rng        *rand.Rand
 	procs      []*Proc
-	running    *Proc
 	dispatched uint64
 	// Coalescing state (see AfterCoalesced): the open batch, its absolute
 	// deadline, and the value of seq immediately after the batch's last
@@ -68,18 +75,22 @@ type Kernel struct {
 	coalAt    time.Duration
 	coalSeq   uint64
 	freeBatch []*batch
-	// handoff is signalled by a process goroutine when it parks or exits,
-	// returning control to the kernel loop.
-	handoff chan struct{}
-	stopped bool
+	// root stands for the goroutine inside RunUntil or Shutdown, so the
+	// baton returns to it through root.resume as to any process.
+	root Proc
+	// deadline is the current RunUntil's, shared by every dispatcher.
+	deadline time.Duration
+	// panicVal carries a panic from a process goroutine to RunUntil.
+	panicVal any
+	stopped  bool
 }
 
 // New returns a Kernel whose random source is seeded with seed.
 // Equal seeds produce identical runs.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
-		handoff: make(chan struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		root: Proc{resume: make(chan struct{})},
 	}
 }
 
@@ -246,23 +257,59 @@ func (k *Kernel) Run() time.Duration {
 
 // RunUntil executes events with timestamps no later than deadline, then
 // advances the clock to min(deadline, time of last event) and returns it.
-// If the queue drains earlier, the clock is left at the last event time.
+// If the queue drains earlier, the clock is left at the last event time;
+// a deadline already in the past runs nothing and leaves the clock alone.
+// A panic raised by an event callback or a process body resurfaces here,
+// on the caller's goroutine, with its original value.
 func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
+	k.deadline = deadline
+	k.run(&k.root)
+	if r := k.panicVal; r != nil {
+		k.panicVal = nil
+		panic(r)
+	}
+	return k.now
+}
+
+// run is called by the baton holder with nothing of its own to do: the
+// root in RunUntil, a process in Sleep or Park, or one that just exited.
+// It dispatches on the calling goroutine until the baton is someone
+// else's, hands it over and blocks until it comes back (an exited
+// process never waits again). If the baton stays with self — its own
+// resume event came up, or the run ended on the root — nothing switches.
+func (k *Kernel) run(self *Proc) {
+	next := k.dispatch()
+	if next == self {
+		return
+	}
+	// Once the baton is gone self is the next holder's to touch (Wake
+	// writes its state), so everything is read before the send.
+	exited := self.state == procDead
+	next.resume <- struct{}{}
+	if !exited {
+		<-self.resume
+	}
+}
+
+// dispatch executes events with timestamps no later than k.deadline, in
+// (time, seq) order, until one of them resumes a process or the run ends
+// (Stop, drained queue, deadline), and returns the goroutine the baton
+// belongs to next: that process, or the root.
+func (k *Kernel) dispatch() *Proc {
+	deadline := k.deadline
 	for !k.stopped {
 		var ev *Event
 		switch {
 		case k.dueHead < len(k.due):
 			ev = k.due[k.dueHead]
 			if ev.at > deadline {
-				k.now = deadline
-				return k.now
+				return k.expire()
 			}
 			k.due[k.dueHead] = nil
 			k.dueHead++
 		case k.runq.n > 0:
 			if k.runq.first().at > deadline {
-				k.now = deadline
-				return k.now
+				return k.expire()
 			}
 			ev = k.runq.pop()
 		default:
@@ -270,10 +317,9 @@ func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 			k.dueHead = 0
 			switch k.advance(int64(deadline)) {
 			case advEmpty:
-				return k.now
+				return &k.root
 			case advDeadline:
-				k.now = deadline
-				return k.now
+				return k.expire()
 			}
 			continue
 		}
@@ -283,12 +329,30 @@ func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 		}
 		k.now = ev.at
 		k.dispatched++
+		if p := ev.proc; p != nil {
+			// Resume event: internal, so recycled before the process runs.
+			// Only a panic that unwound p mid-park leaves one for the dead.
+			k.release(ev)
+			if p.state != procDead {
+				return p
+			}
+			continue
+		}
 		fn := ev.fn
 		ev.fn = nil
 		fn()
 		k.release(ev)
 	}
-	return k.now
+	return &k.root
+}
+
+// expire ends the run at the deadline: the clock moves up to it, never
+// back below the wheel cursor when the deadline is already behind it.
+func (k *Kernel) expire() *Proc {
+	if k.deadline > k.now {
+		k.now = k.deadline
+	}
+	return &k.root
 }
 
 // Idle reports the names of processes that are parked (blocked waiting for
@@ -316,19 +380,6 @@ func (k *Kernel) PendingEvents() int {
 // records.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// runProc transfers control to p until it parks or exits.
-func (k *Kernel) runProc(p *Proc) {
-	if p.state == procDead {
-		return
-	}
-	prev := k.running
-	k.running = p
-	p.state = procRunning
-	p.resume <- struct{}{}
-	<-k.handoff
-	k.running = prev
-}
-
 // Event is a scheduled callback. The zero value is not useful; events are
 // created by Kernel.At and Kernel.After. After the callback has run the
 // kernel resets and recycles the Event; callers that keep a *Event to
@@ -340,10 +391,14 @@ type Event struct {
 	fn        func()
 	k         *Kernel
 	cancelled bool
-	// Wheel linkage: doubly-linked bucket list plus the packed
-	// (level, bucket) position, posNone when not wheel-resident.
-	next, prev *Event
+	// Wheel linkage: packed (level, bucket) position, posNone when not
+	// wheel-resident, plus the doubly-linked bucket list. pos shares a
+	// word with cancelled so that proc fits in the 80-byte size class.
 	pos        int32
+	next, prev *Event
+	// proc, when set, makes this a resume event: instead of calling fn
+	// the dispatcher passes the baton to proc (see Kernel.run).
+	proc *Proc
 }
 
 // Cancel prevents the event from running. A wheel-resident event is
