@@ -3,8 +3,9 @@
 #   make ci            - everything the tier-1 gate runs: format check, vet,
 #                        tests, race tests, smoke sweep, a bench smoke pass,
 #                        a 16-host cluster smoke sweep (which also gates
-#                        the engine on an allocs/event ceiling of 0.1) and
-#                        the nested bench/ module's own vet and short tests.
+#                        the engine on an allocs/event ceiling of 0.1),
+#                        the nested bench/ module's own vet and short tests
+#                        and the committed-report comparison (golden).
 #                        Each stage ends with a machine-readable
 #                        "CI-STAGE <name>: PASS|FAIL" line so the GitHub
 #                        Actions log is scannable at a glance.
@@ -26,6 +27,12 @@
 #                        the root module's ./... patterns cannot see: an
 #                        internal/... API change that breaks the benchmark
 #                        fails here instead of at the next benchmark run
+#   make golden        - "byte-identical report" is the repo's contract, so
+#                        compare some: the smoke grid as JSON and CSV, the
+#                        16-host cluster grid as JSON and metherbench -md,
+#                        each cmp'd against the file committed under
+#                        testdata/golden/ (EXPERIMENTS.md for the last)
+#   make golden-update - regenerate those files after an intended change
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
 #                        the 4096-deep timer population, process steps with
 #                        zero and one goroutine switch, park/wake, host
@@ -54,11 +61,11 @@ GO ?= go
 
 MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race smoke bench-module cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
+.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
-CI_STAGES = fmt-check vet test race smoke bench-smoke cluster-smoke bench-module
+CI_STAGES = fmt-check vet test race smoke bench-smoke cluster-smoke bench-module golden
 
 ci:
 	@for s in $(CI_STAGES); do \
@@ -99,6 +106,31 @@ cluster-smoke:
 # and runs the benchmark binary.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# The pinned reports, written into OUT. All four are deterministic: no
+# real-time value enters a report, and metherbench -md prints none.
+GOLDEN_DIR = testdata/golden
+
+golden-write:
+	$(GO) run ./cmd/methersweep -q -grid smoke -format json -o $(OUT)/smoke.json
+	$(GO) run ./cmd/methersweep -q -grid smoke -format csv -o $(OUT)/smoke.csv
+	$(GO) run ./cmd/methersweep -q -grid cluster -hosts 16 -format json -o $(OUT)/cluster-h16.json
+	$(GO) run ./cmd/metherbench -md > $(OUT)/EXPERIMENTS.md
+
+# Rendered into a git-ignored scratch directory, removed again whether
+# the comparison passes or not.
+GOLDEN_OUT ?= .golden-out
+
+golden:
+	@rm -rf $(GOLDEN_OUT) && mkdir -p $(GOLDEN_OUT) && trap 'rm -rf $(GOLDEN_OUT)' EXIT && \
+	$(MAKE) --no-print-directory golden-write OUT=$(GOLDEN_OUT) && \
+	for f in smoke.json smoke.csv cluster-h16.json; do \
+		cmp $(GOLDEN_DIR)/$$f $(GOLDEN_OUT)/$$f || exit 1; done && \
+	cmp EXPERIMENTS.md $(GOLDEN_OUT)/EXPERIMENTS.md
+
+golden-update:
+	$(MAKE) --no-print-directory golden-write OUT=$(GOLDEN_DIR)
+	mv $(GOLDEN_DIR)/EXPERIMENTS.md EXPERIMENTS.md
 
 cluster-large:
 	$(GO) run ./cmd/methersweep -grid cluster -hosts 1024 -format summary

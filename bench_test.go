@@ -22,7 +22,6 @@ import (
 
 	"mether"
 	"mether/internal/core"
-	"mether/internal/ethernet"
 	"mether/internal/host"
 	"mether/internal/memnet"
 	"mether/internal/proto"
@@ -45,7 +44,7 @@ func reportCounter(b *testing.B, r protocols.Report) {
 		b.ReportMetric(r.CtxPerAdd, "ctx/add")
 	}
 	b.ReportMetric(r.LossWin, "loss/win")
-	b.ReportMetric(float64(r.AvgLatency.Microseconds())/1000, "lat-ms")
+	b.ReportMetric(float64(r.LatMean.Microseconds())/1000, "lat-ms")
 	b.ReportMetric(r.NetBytesPerSec, "net-B/s")
 }
 
@@ -65,13 +64,13 @@ func runProtocolBench(b *testing.B, cfg protocols.Config) {
 // BenchmarkBaselineSingle reproduces the Section-4 text: one process
 // counting alone (~50 µs per increment on the era hardware).
 func BenchmarkBaselineSingle(b *testing.B) {
-	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineSingle, Target: 1024, Seed: 1})
+	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineSingle, Target: 1024, Options: workload.Options{Seed: 1}})
 }
 
 // BenchmarkBaselineLocalPair reproduces the 81 s / 37 s CPU two-process
 // local baseline (quantum thrashing).
 func BenchmarkBaselineLocalPair(b *testing.B) {
-	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineLocalPair, Target: benchTarget, Seed: 1})
+	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineLocalPair, Target: benchTarget, Options: workload.Options{Seed: 1}})
 }
 
 // BenchmarkFigures regenerates Figures 4-9 from the sweep engine's
@@ -210,7 +209,7 @@ func BenchmarkAblationWakeBoost(b *testing.B) {
 			hp.WakeBoostDelay = boost
 			runProtocolBench(b, protocols.Config{
 				Protocol: protocols.P2ShortPage, Target: benchTarget,
-				Seed: 1, HostParams: hp,
+				Options: workload.Options{Seed: 1, HostParams: hp},
 			})
 		})
 	}
@@ -250,13 +249,9 @@ func BenchmarkSweepEngine(b *testing.B) {
 func BenchmarkAblationRetryTimeout(b *testing.B) {
 	for _, rt := range []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, time.Second} {
 		b.Run(fmt.Sprintf("timeout=%v", rt), func(b *testing.B) {
-			np := ethernet.DefaultParams()
-			np.LossRate = 0.01
-			cc := core.DefaultConfig(8)
-			cc.RetryTimeout = rt
 			runProtocolBench(b, protocols.Config{
 				Protocol: protocols.P2ShortPage, Target: benchTarget,
-				Seed: 1, NetParams: np, Core: cc,
+				Options: workload.Options{Seed: 1, LossRate: 0.01, RetryTimeout: rt},
 			})
 		})
 	}

@@ -17,6 +17,7 @@ import (
 	"mether/internal/protocols"
 	"mether/internal/solver"
 	"mether/internal/sweep"
+	"mether/internal/workload"
 )
 
 var (
@@ -82,7 +83,7 @@ func runKernelServerAblation(w *writer, target uint32) {
 	for _, sc := range sweep.KernelAblation(sweep.Options{Target: target, Seed: *flagSeed}) {
 		r := mustRun(sc.CounterConfig())
 		rows = append(rows, []string{
-			sc.Name, fmtDur(r.Wall), fmtDur(r.AvgLatency),
+			sc.Name, fmtDur(r.Wall), fmtDur(r.LatMean),
 			fmt.Sprintf("%.1f", r.LossWin), fmtDur(r.SysTotal()),
 		})
 	}
@@ -235,8 +236,8 @@ var figures = []figSpec{
 
 func runBaselines(w *writer, target uint32) {
 	w.section(fmt.Sprintf("Section 4 baselines (target %d)", target))
-	single := mustRun(protocols.Config{Protocol: protocols.BaselineSingle, Target: target, Seed: *flagSeed})
-	local := mustRun(protocols.Config{Protocol: protocols.BaselineLocalPair, Target: target, Seed: *flagSeed})
+	single := mustRun(protocols.Config{Protocol: protocols.BaselineSingle, Target: target, Options: workload.Options{Seed: *flagSeed}})
+	local := mustRun(protocols.Config{Protocol: protocols.BaselineLocalPair, Target: target, Options: workload.Options{Seed: *flagSeed}})
 	s := scale(target)
 	w.table(
 		[]string{"baseline", "paper (1024)", "measured", "scaled to 1024"},
@@ -268,7 +269,7 @@ func runFigures(w *writer, target uint32) {
 			{"Network Load", f.paper["net"], fmt.Sprintf("%.1f kB/s", r.NetBytesPerSec/1000), fmt.Sprintf("%.1f kB/s", r.NetBytesPerSec/1000)},
 			{"Context Switches", f.paper["ctx"], fmt.Sprintf("%.1f /add", r.CtxPerAdd), fmt.Sprintf("%.1f /add", r.CtxPerAdd)},
 			{"Space", f.paper["space"], fmt.Sprintf("%d page(s) (%d bytes)", r.SpacePages, r.SpaceBytes), ""},
-			{"Average Latency", f.paper["lat"], fmtDur(r.AvgLatency), fmtDur(r.AvgLatency)},
+			{"Average Latency", f.paper["lat"], fmtDur(r.LatMean), fmtDur(r.LatMean)},
 			{"Losses/Wins", f.paper["losswin"], fmt.Sprintf("%.1f", r.LossWin), fmt.Sprintf("%.1f", r.LossWin)},
 		}
 		w.table([]string{"metric", "paper", "measured", "scaled/rate"}, rows)

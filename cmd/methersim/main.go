@@ -9,8 +9,8 @@ import (
 	"os"
 	"time"
 
-	"mether/internal/core"
 	"mether/internal/protocols"
+	"mether/internal/workload"
 )
 
 func main() {
@@ -54,16 +54,12 @@ func main() {
 
 	for _, p := range list {
 		start := time.Now()
-		cc := core.DefaultConfig(8)
-		cc.KernelServer = *kernel
 		r, err := protocols.Run(protocols.Config{
 			Protocol:    p,
 			Target:      uint32(*target),
-			Cap:         *capS,
 			HysteresisN: *hystN,
-			Seed:        *seed,
 			TraceLimit:  *trace,
-			Core:        cc,
+			Options:     workload.Options{Seed: *seed, Cap: *capS, KernelServer: *kernel},
 		})
 		if err != nil {
 			fmt.Printf("%-22s ERR %v\n", p, err)
@@ -72,7 +68,7 @@ func main() {
 		fmt.Printf("%-22s dnf=%-5v adds=%-5d wall=%-12v user=%-10v sys=%-10v net=%-9.0fB/s pkts=%-6d ctx/add=%-5.1f lat=%-12v loss/win=%-9.1f [real %v]\n",
 			p, r.DNF, r.Additions, r.Wall.Round(time.Millisecond), r.User.Round(time.Millisecond),
 			r.SysTotal().Round(time.Millisecond), r.NetBytesPerSec, r.Packets, r.CtxPerAdd,
-			r.AvgLatency.Round(100*time.Microsecond), r.LossWin, time.Since(start).Round(time.Millisecond))
+			r.LatMean.Round(100*time.Microsecond), r.LossWin, time.Since(start).Round(time.Millisecond))
 		if r.Trace != "" {
 			fmt.Print(r.Trace)
 		}

@@ -10,12 +10,13 @@ import (
 	"time"
 
 	"mether/internal/protocols"
+	"mether/internal/workload"
 )
 
 func main() {
 	const target = 512
 	for _, p := range []protocols.Protocol{protocols.P1FullPage, protocols.P5Final} {
-		r, err := protocols.Run(protocols.Config{Protocol: p, Target: target, Seed: 1})
+		r, err := protocols.Run(protocols.Config{Protocol: p, Target: target, Options: workload.Options{Seed: 1}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -26,7 +27,7 @@ func main() {
 		fmt.Printf("  network load     %.1f kB/s (%d packets)\n", r.NetBytesPerSec/1000, r.Packets)
 		fmt.Printf("  ctx switches     %.1f per addition\n", r.CtxPerAdd)
 		fmt.Printf("  space            %d page(s)\n", r.SpacePages)
-		fmt.Printf("  fault latency    %v\n", r.AvgLatency.Round(100*time.Microsecond))
+		fmt.Printf("  fault latency    %v\n", r.LatMean.Round(100*time.Microsecond))
 		fmt.Printf("  losses/wins      %.1f\n", r.LossWin)
 	}
 	fmt.Println("\nThe final protocol trades one extra page for an order of magnitude")

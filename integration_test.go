@@ -169,7 +169,8 @@ func TestFourHostMixedWorkload(t *testing.T) {
 func TestMixedWorkloadUnderLossStillConverges(t *testing.T) {
 	np := ethernet.DefaultParams()
 	np.LossRate = 0.01
-	w := mether.NewWorld(mether.Config{Hosts: 3, Pages: 16, Seed: 5, NetParams: np})
+	w := mether.NewWorld(mether.Config{Hosts: 3, Pages: 16, Seed: 5,
+		Medium: mether.MediumConfig{Ethernet: np}})
 	defer w.Shutdown()
 
 	seg, err := w.CreateSegment("shared", 1, 0)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mether/internal/protocols"
+	"mether/internal/workload"
 )
 
 // Band is an acceptable measured/paper ratio range for one metric cell.
@@ -51,7 +52,7 @@ func Figures() []Figure {
 	wall := func(r protocols.Report) float64 { return seconds(r.Wall) }
 	user := func(r protocols.Report) float64 { return seconds(r.User) }
 	sys := func(r protocols.Report) float64 { return seconds(r.SysTotal()) }
-	lat := func(r protocols.Report) float64 { return seconds(r.AvgLatency) }
+	lat := func(r protocols.Report) float64 { return seconds(r.LatMean) }
 	lossWin := func(r protocols.Report) float64 { return r.LossWin }
 	ctx := func(r protocols.Report) float64 { return r.CtxPerAdd }
 
@@ -124,7 +125,7 @@ func (d Deviation) String() string {
 // Check runs a figure's protocol at full paper scale and returns any
 // out-of-band cells.
 func Check(f Figure, seed int64) ([]Deviation, error) {
-	r, err := protocols.Run(protocols.Config{Protocol: f.Protocol, Target: 1024, Seed: seed})
+	r, err := protocols.Run(protocols.Config{Protocol: f.Protocol, Target: 1024, Options: workload.Options{Seed: seed}})
 	if err != nil {
 		return nil, err
 	}

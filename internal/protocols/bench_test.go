@@ -3,6 +3,8 @@ package protocols
 import (
 	"runtime"
 	"testing"
+
+	"mether/internal/workload"
 )
 
 // benchCounterRun runs one full counter experiment per iteration — the
@@ -39,11 +41,11 @@ func benchCounterRun(b *testing.B, cfg Config) {
 // BenchmarkCounterRun is the P5 (final protocol) run: stationary pages,
 // one purge broadcast per increment.
 func BenchmarkCounterRun(b *testing.B) {
-	benchCounterRun(b, Config{Protocol: P5Final, Target: 128, Seed: 1})
+	benchCounterRun(b, Config{Protocol: P5Final, Target: 128, Options: workload.Options{Seed: 1}})
 }
 
 // BenchmarkCounterRunShortPage is the P2 short-page run: every fault
 // moves ownership (the request/grant shape rather than P5's broadcasts).
 func BenchmarkCounterRunShortPage(b *testing.B) {
-	benchCounterRun(b, Config{Protocol: P2ShortPage, Target: 128, Seed: 1})
+	benchCounterRun(b, Config{Protocol: P2ShortPage, Target: 128, Options: workload.Options{Seed: 1}})
 }

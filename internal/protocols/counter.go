@@ -11,6 +11,17 @@ import (
 
 // Run executes one counter experiment and returns its report.
 func Run(cfg Config) (Report, error) {
+	r, w, err := run(cfg)
+	if w != nil {
+		w.Shutdown()
+	}
+	return r, err
+}
+
+// run is Run handing back the finished world still open (nil if it was
+// never built), so a test can hold the report against the world's own
+// accessors.
+func run(cfg Config) (Report, *mether.World, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Protocol {
 	case BaselineSingle:
@@ -20,43 +31,8 @@ func Run(cfg Config) (Report, error) {
 	case P1FullPage, P2ShortPage, P3DisjointRO, P3Hysteresis, P4DataDriven, P5Final:
 		return runCounter(cfg, false)
 	default:
-		return Report{}, fmt.Errorf("protocols: unknown protocol %d", cfg.Protocol)
+		return Report{}, nil, fmt.Errorf("protocols: unknown protocol %d", cfg.Protocol)
 	}
-}
-
-// worldConfig assembles the mether.Config for a run.
-func worldConfig(cfg Config) mether.Config {
-	return mether.Config{
-		Hosts:      2,
-		Pages:      8,
-		Seed:       cfg.Seed,
-		HostParams: cfg.HostParams,
-		NetParams:  cfg.NetParams,
-		Core:       cfg.Core,
-		Trunks:     cfg.Trunks,
-		Medium: mether.MediumConfig{
-			Kind:     cfg.Medium,
-			Ethernet: cfg.NetParams,
-			Fabric:   fabricFrom(cfg.Medium, cfg.NetParams),
-			Topology: cfg.Topology,
-		},
-	}
-}
-
-// fabricFrom maps the scenario's shared network axes (loss rate, ring
-// capacity) onto the fabric model when the fabric medium is selected, so
-// a medium sweep varies the wire, not the loss or buffering axes riding
-// along. Zero (deferring to world defaults) otherwise.
-func fabricFrom(kind string, np mether.EthernetParams) mether.FabricParams {
-	if kind != mether.MediumFabric {
-		return mether.FabricParams{}
-	}
-	fp := mether.DefaultFabricParams()
-	fp.LossRate = np.LossRate
-	if np.RxRing > 0 {
-		fp.RxRing = np.RxRing
-	}
-	return fp
 }
 
 // clientState tracks one client's protocol-level counters.
@@ -69,15 +45,19 @@ type clientState struct {
 }
 
 // runBaselineSingle counts alone on one host: pure increment cost.
-func runBaselineSingle(cfg Config) (Report, error) {
-	w := mether.NewWorld(worldConfig(cfg))
-	defer w.Shutdown()
-	tap := maybeTap(w, cfg)
-	seg, err := w.CreateSegment("counter", 1, 0)
+func runBaselineSingle(cfg Config) (Report, *mether.World, error) {
+	var capRW mether.Capability
+	w, err := cfg.World(2, 8, func(w *mether.World) error {
+		seg, err := w.CreateSegment("counter", 1, 0)
+		if err == nil {
+			capRW = seg.CapRW()
+		}
+		return err
+	})
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
-	capRW := seg.CapRW()
+	tap := maybeTap(w, cfg)
 	var st clientState
 	w.Spawn(0, "solo", func(env *mether.Env) {
 		m, err := env.Attach(capRW, mether.RW)
@@ -97,15 +77,15 @@ func runBaselineSingle(cfg Config) (Report, error) {
 		st.done = true
 		st.finishAt = env.Now()
 	})
-	w.RunUntil(cfg.Cap)
+	w.RunUntil(cfg.RunCap())
 	if st.err != nil {
-		return Report{}, st.err
+		return Report{}, w, st.err
 	}
 	r := harvest(cfg, w, []*clientState{&st}, 1)
 	if tap != nil {
 		r.Trace = tap.String()
 	}
-	return r, nil
+	return r, w, nil
 }
 
 // maybeTap attaches the protocol analyzer when tracing is requested.
@@ -119,15 +99,17 @@ func maybeTap(w *mether.World, cfg Config) *trace.Log {
 // runCounter executes the two-process protocols. When local is true both
 // processes share host 0 (the local-pair baseline); otherwise they run on
 // hosts 0 and 1 with the configured protocol.
-func runCounter(cfg Config, local bool) (Report, error) {
-	w := mether.NewWorld(worldConfig(cfg))
-	defer w.Shutdown()
-	tap := maybeTap(w, cfg)
-
-	cap, spacePages, err := createCounterSegments(w, cfg)
+func runCounter(cfg Config, local bool) (Report, *mether.World, error) {
+	var cap mether.Capability
+	var spacePages int
+	w, err := cfg.World(2, 8, func(w *mether.World) (err error) {
+		cap, spacePages, err = createCounterSegments(w, cfg)
+		return err
+	})
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
+	tap := maybeTap(w, cfg)
 
 	states := []*clientState{{}, {}}
 	for i := 0; i < 2; i++ {
@@ -140,12 +122,12 @@ func runCounter(cfg Config, local bool) (Report, error) {
 			runClient(env, cfg, cap, uint32(i), states[i])
 		})
 	}
-	w.RunUntil(cfg.Cap)
+	w.RunUntil(cfg.RunCap())
 	r := harvest(cfg, w, states, spacePages)
 	if tap != nil {
 		r.Trace = tap.String()
 	}
-	return r, nil
+	return r, w, nil
 }
 
 // createCounterSegments lays out the pages each protocol needs and mints
@@ -412,7 +394,7 @@ func harvest(cfg Config, w *mether.World, states []*clientState, spacePages int)
 	if r.DNF {
 		wallEnd = w.Now()
 	}
-	r.Wall = wallEnd
+	r.Harvest = w.Harvest(wallEnd)
 	r.Additions = uint32(r.Wins)
 	r.LossWin = stats.Ratio(r.Losses, r.Wins)
 
@@ -426,51 +408,8 @@ func harvest(cfg Config, w *mether.World, states []*clientState, spacePages int)
 			r.Sys += p.Sys()
 		}
 	}
-
-	ns := w.NetStats()
-	r.NetBytes = ns.WireBytes
-	r.Packets = ns.Frames
-	r.RingDrops = ns.RingDrops
-	r.RingHighWater = ns.RingHighWater
-	r.MemBytes = w.MemFootprint()
-	r.TxSuppressed = ns.TxSuppressed
-	r.FanoutFrames = ns.FanoutFrames
-	r.LinkOverflows = ns.LinkOverflows
-	r.LinkMaxQueued = ns.LinkMaxQueued
-	r.Events = w.EventsDispatched()
-	r.TrunkUtil, r.TrunkFrames = w.TrunkUtilization(r.Wall)
-	if r.Wall > 0 {
-		r.NetBytesPerSec = stats.BytesPerSec(r.NetBytes, r.Wall)
-	}
-	bs := w.BridgeStats()
-	r.BridgeForwarded = bs.Forwarded
-	r.BridgePortDrops = bs.PortDrops
-	r.BridgeMaxQueued = bs.MaxQueued
-	for i := 0; i < w.NumHosts(); i++ {
-		r.CtxSwitches += w.ContextSwitches(i)
-		m := w.Driver(i).Metrics()
-		r.Retries += m.Retries
-		r.DataFallbacks += m.DataFallbacks
-		r.StaleDrops += m.StaleDrops
-		r.CrossTrunkStale += m.CrossTrunkStale
-		r.RedundantServes += m.RedundantServes
-		r.RedundantSuppressed += m.RedundantSuppressed
-		r.LateDrops += m.LateGrantDrops
-	}
 	if r.Additions > 0 {
 		r.CtxPerAdd = float64(r.CtxSwitches) / float64(r.Additions)
 	}
-
-	var lat stats.Histogram
-	for i := 0; i < w.NumHosts(); i++ {
-		lat.Merge(&w.Driver(i).Metrics().FaultLatency)
-	}
-	r.AvgLatency = lat.Mean()
-	r.LatP50 = lat.Quantile(0.5)
-	r.LatP90 = lat.Quantile(0.9)
-	r.LatP99 = lat.Quantile(0.99)
-	r.LatP999 = lat.Quantile(0.999)
-	r.LatMax = lat.Max()
-	r.LatCount = lat.Count()
 	return r
 }

@@ -11,9 +11,8 @@ import (
 	"fmt"
 	"time"
 
-	"mether/internal/core"
-	"mether/internal/ethernet"
-	"mether/internal/host"
+	"mether"
+	"mether/internal/workload"
 )
 
 // Protocol selects which user protocol drives the counter.
@@ -88,34 +87,18 @@ type Config struct {
 	// SpinBeforeBlock is how many losses P5 tolerates on the resident
 	// copy before purging and blocking data-driven (default 2).
 	SpinBeforeBlock int
-	// Cap bounds the simulated run; a run that does not finish reports
-	// DNF like the paper's "Never finished" row (default 600 s).
-	Cap time.Duration
 	// CheckCost and IncCost are the application's per-check and
 	// per-increment CPU costs (default 50 µs each, the paper's measured
 	// per-iteration cost).
 	CheckCost time.Duration
 	IncCost   time.Duration
-	Seed      int64
 
-	// HostParams, NetParams and Core override the default cost models
-	// when non-zero (calibration and ablation sweeps).
-	HostParams host.Params
-	NetParams  ethernet.Params
-	Core       core.Config
-
-	// Trunks splits the two hosts across bridged Ethernet trunks (0/1 =
-	// the classic single bus; 2 puts the counting peers on opposite
-	// trunks so every packet pays the bridge's store-and-forward hop).
-	// Topology parameterizes the bridges.
-	Trunks   int
-	Topology ethernet.TopologyConfig
-
-	// Medium selects the interconnect backend (mether.MediumEthernet
-	// when empty, or mether.MediumFabric for the RDMA-like
-	// point-to-point medium, where every broadcast is a sender-paid
-	// fan-out). Incompatible with Trunks > 1.
-	Medium string
+	// Options is the two-host cluster the run is built on: seed, cap (a
+	// run that does not finish reports DNF like the paper's "Never
+	// finished" row), medium, loss, server placement and the rest of the
+	// shared axes. With Trunks 2 the counting peers sit on opposite
+	// trunks, so every packet pays the bridge's store-and-forward hop.
+	workload.Options
 
 	// TraceLimit, when positive, records the first N datagrams of the
 	// run with the protocol analyzer; the rendered trace is returned in
@@ -133,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.SpinBeforeBlock == 0 {
 		c.SpinBeforeBlock = 2
 	}
-	if c.Cap == 0 {
-		c.Cap = 600 * time.Second
-	}
 	if c.CheckCost == 0 {
 		c.CheckCost = 50 * time.Microsecond
 	}
@@ -152,7 +132,12 @@ type Report struct {
 	Additions uint32 // counter value reached (== Target unless DNF)
 	DNF       bool   // did not finish within Cap (paper: "Never finished")
 
-	Wall time.Duration
+	// Harvest is the world-level measurement set: wall time, network
+	// load, context switches, the full fault-latency distribution (the
+	// sweep engine aggregates the tail quantiles, not just LatMean — they
+	// are what the redundancy axis is measured by) and every topology,
+	// fabric, redundancy and fault-plane counter.
+	mether.Harvest
 	// User and Sys are host 0's client-process times; SysServer is host
 	// 0's Mether server CPU, which the figures' "Sys Time" row includes
 	// (in real Mether most of that work ran in kernel context charged to
@@ -161,79 +146,12 @@ type Report struct {
 	Sys       time.Duration
 	SysServer time.Duration
 
-	NetBytes       uint64
-	NetBytesPerSec float64
-	Packets        uint64
-	CtxSwitches    uint64
-	CtxPerAdd      float64
-	SpacePages     int
-	SpaceBytes     int
-	AvgLatency     time.Duration
-	// LatP50/P90/P99/P999/Max and LatCount describe the full
-	// fault-latency distribution (the sweep engine aggregates these,
-	// not just the mean); the tail quantiles are what the redundancy
-	// axis is measured by.
-	LatP50   time.Duration
-	LatP90   time.Duration
-	LatP99   time.Duration
-	LatP999  time.Duration
-	LatMax   time.Duration
-	LatCount uint64
-	Losses   uint64
-	Wins     uint64
-	LossWin  float64
-
-	// Extras for analysis.
-	Retries       uint64
-	DataFallbacks uint64
-	RingDrops     uint64
-	// RingHighWater is the deepest any NIC receive ring got (max over
-	// hosts, never summed): the measured fan-in bound that justifies a
-	// configured ring capacity.
-	RingHighWater int
-	// MemBytes is the world's structural memory footprint (see
-	// World.MemFootprint): deterministic, unlike runtime heap stats.
-	MemBytes uint64
-	// TxSuppressed counts sends swallowed because the transmitting NIC
-	// was down. Down-NIC scenarios used to lose these without a trace —
-	// the driver's send counters advanced while the wire counters did
-	// not, with nothing explaining the gap.
-	TxSuppressed uint64
-	// Topology extras, zero by construction on a single trunk: the
-	// bridges' forwarded/occupancy/loss counters and CrossTrunkStale —
-	// broadcasts whose bridge-queue reordering delivered them after a
-	// newer copy had already landed.
-	BridgeForwarded uint64
-	BridgePortDrops uint64
-	BridgeMaxQueued int
-	CrossTrunkStale uint64
-	// StaleDrops totals every generation-regressed broadcast, bridged
-	// or not (single-trunk host-queue races produce them too);
-	// CrossTrunkStale is its cross-trunk subset.
-	StaleDrops uint64
-	// Redundant-fetch counters (zero at the classic k=1): replica
-	// answers sent on behalf of owners, replica answers suppressed
-	// because the winner's reply landed first, and late/duplicate
-	// grants dropped by explicit generation comparison.
-	RedundantServes     uint64
-	RedundantSuppressed uint64
-	LateDrops           uint64
-	// TrunkUtil and TrunkFrames are each trunk's own wire utilization
-	// and frame count in trunk order (nil on a single trunk): the summed
-	// NetBytes cannot show which trunk saturates.
-	TrunkUtil   []float64
-	TrunkFrames []uint64
-	// Events is the number of simulation-kernel events dispatched for the
-	// run — the engine-throughput denominator (deterministic: a pure
-	// function of config and seed).
-	Events uint64
-	// Fabric counters, zero by construction on Ethernet: the unicast
-	// copies transmitted on behalf of broadcasts (the sender-paid
-	// fan-out cost a shared bus never charges), frames dropped at full
-	// per-link transmit queues, and the peak per-link queue occupancy.
-	FanoutFrames  uint64
-	LinkOverflows uint64
-	LinkMaxQueued int
+	CtxPerAdd  float64
+	SpacePages int
+	SpaceBytes int
+	Losses     uint64
+	Wins       uint64
+	LossWin    float64
 
 	// Trace holds the rendered packet trace when Config.TraceLimit > 0.
 	Trace string

@@ -4,13 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"mether/internal/ethernet"
+	"mether/internal/workload"
 )
 
 // runQuick executes a protocol at reduced target for test speed.
 func runQuick(t *testing.T, p Protocol, target uint32) Report {
 	t.Helper()
-	r, err := Run(Config{Protocol: p, Target: target, Cap: 600 * time.Second, Seed: 1})
+	r, err := Run(Config{Protocol: p, Target: target, Options: workload.Options{Cap: 600 * time.Second, Seed: 1}})
 	if err != nil {
 		t.Fatalf("%v: %v", p, err)
 	}
@@ -45,7 +45,7 @@ func TestBaselineSingleIsMicroseconds(t *testing.T) {
 	if perAdd < 30*time.Microsecond || perAdd > 200*time.Microsecond {
 		t.Errorf("per-addition cost = %v, want ~50µs", perAdd)
 	}
-	if r.NetBytes != 0 {
+	if r.WireBytes != 0 {
 		t.Error("single process used the network")
 	}
 }
@@ -58,7 +58,7 @@ func TestLocalPairThrashesQuanta(t *testing.T) {
 	if perAdd < 50*time.Millisecond || perAdd > 110*time.Millisecond {
 		t.Errorf("per-addition = %v, want ~73ms (quantum+switch)", perAdd)
 	}
-	if r.NetBytes != 0 {
+	if r.WireBytes != 0 {
 		t.Error("local pair used the network")
 	}
 	busy := r.User + r.Sys
@@ -81,11 +81,11 @@ func TestFigureShapes(t *testing.T) {
 
 	// Figure 4 vs 5: short pages slash network load by an order of
 	// magnitude or more and cut latency roughly in half.
-	if p1.NetBytes < 10*p2.NetBytes {
-		t.Errorf("net bytes: P1 %d should be >= 10x P2 %d", p1.NetBytes, p2.NetBytes)
+	if p1.WireBytes < 10*p2.WireBytes {
+		t.Errorf("net bytes: P1 %d should be >= 10x P2 %d", p1.WireBytes, p2.WireBytes)
 	}
-	if p1.AvgLatency < p2.AvgLatency*3/2 {
-		t.Errorf("latency: P1 %v should clearly exceed P2 %v", p1.AvgLatency, p2.AvgLatency)
+	if p1.LatMean < p2.LatMean*3/2 {
+		t.Errorf("latency: P1 %v should clearly exceed P2 %v", p1.LatMean, p2.LatMean)
 	}
 	if p1.Wall <= p2.Wall {
 		t.Errorf("wall: P1 %v should exceed P2 %v", p1.Wall, p2.Wall)
@@ -159,14 +159,10 @@ func TestP3DegeneratesToLivelockUnderLoss(t *testing.T) {
 	// With realistic datagram loss the spin protocol's passive update
 	// has no recovery path: one lost broadcast stalls it forever — the
 	// paper's "never finished".
-	np := ethernet.DefaultParams()
-	np.LossRate = 0.02
 	r, err := Run(Config{
-		Protocol:  P3DisjointRO,
-		Target:    256,
-		Cap:       60 * time.Second,
-		Seed:      3,
-		NetParams: np,
+		Protocol: P3DisjointRO,
+		Target:   256,
+		Options:  workload.Options{Cap: 60 * time.Second, Seed: 3, LossRate: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,15 +178,11 @@ func TestP3DegeneratesToLivelockUnderLoss(t *testing.T) {
 func TestHysteresisSurvivesLoss(t *testing.T) {
 	// The purge-based active update is the recovery mechanism: the same
 	// loss rate that livelocks P3 leaves P3h finishing fine.
-	np := ethernet.DefaultParams()
-	np.LossRate = 0.02
 	r, err := Run(Config{
 		Protocol:    P3Hysteresis,
 		Target:      256,
 		HysteresisN: 100,
-		Cap:         120 * time.Second,
-		Seed:        3,
-		NetParams:   np,
+		Options:     workload.Options{Cap: 120 * time.Second, Seed: 3, LossRate: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +197,7 @@ func TestHysteresisSweepTradeoff(t *testing.T) {
 	// eventually the degenerate regime; smaller ones mean more packets.
 	var prev Report
 	for i, n := range []int{10, 100, 1000} {
-		r, err := Run(Config{Protocol: P3Hysteresis, Target: 128, HysteresisN: n, Cap: 600 * time.Second, Seed: 1})
+		r, err := Run(Config{Protocol: P3Hysteresis, Target: 128, HysteresisN: n, Options: workload.Options{Cap: 600 * time.Second, Seed: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,8 +224,7 @@ func TestSleepHysteresisAblation(t *testing.T) {
 		Protocol:        P3Hysteresis,
 		Target:          128,
 		SleepHysteresis: 5 * time.Millisecond,
-		Cap:             600 * time.Second,
-		Seed:            1,
+		Options:         workload.Options{Cap: 600 * time.Second, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,8 +240,8 @@ func TestSleepHysteresisAblation(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	a := runQuick(t, P5Final, 128)
 	b := runQuick(t, P5Final, 128)
-	if a.Wall != b.Wall || a.Losses != b.Losses || a.NetBytes != b.NetBytes ||
-		a.CtxSwitches != b.CtxSwitches || a.AvgLatency != b.AvgLatency {
+	if a.Wall != b.Wall || a.Losses != b.Losses || a.WireBytes != b.WireBytes ||
+		a.CtxSwitches != b.CtxSwitches || a.LatMean != b.LatMean {
 		t.Errorf("identical configs diverged:\n%+v\n%+v", a, b)
 	}
 }
@@ -269,10 +260,10 @@ func TestReportRates(t *testing.T) {
 	if r.CtxPerAdd <= 0 {
 		t.Error("ctx/add not computed")
 	}
-	if r.AvgLatency <= 0 {
+	if r.LatMean <= 0 {
 		t.Error("latency not recorded")
 	}
-	wantBytes := float64(r.NetBytes) / r.Wall.Seconds()
+	wantBytes := float64(r.WireBytes) / r.Wall.Seconds()
 	if diff := r.NetBytesPerSec - wantBytes; diff > 1 || diff < -1 {
 		t.Errorf("rate %f != bytes/wall %f", r.NetBytesPerSec, wantBytes)
 	}

@@ -3,6 +3,8 @@ package protocols
 import (
 	"testing"
 	"time"
+
+	"mether/internal/workload"
 )
 
 // TestCounterAcrossBridgedTrunks runs the paper's short-page counter
@@ -11,7 +13,7 @@ import (
 // still finish, must cross the bridge, and must be slower than the
 // same run on a single trunk.
 func TestCounterAcrossBridgedTrunks(t *testing.T) {
-	bridged, err := Run(Config{Protocol: P2ShortPage, Target: 32, Seed: 9, Trunks: 2})
+	bridged, err := Run(Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9, Trunks: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +27,7 @@ func TestCounterAcrossBridgedTrunks(t *testing.T) {
 		t.Error("bridge occupancy never observed a queued frame")
 	}
 
-	single, err := Run(Config{Protocol: P2ShortPage, Target: 32, Seed: 9})
+	single, err := Run(Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}

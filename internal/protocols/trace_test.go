@@ -3,6 +3,8 @@ package protocols
 import (
 	"strings"
 	"testing"
+
+	"mether/internal/workload"
 )
 
 // TestFinalProtocolWireSignature pins the final protocol's on-wire
@@ -10,7 +12,7 @@ import (
 // exactly one short DATA broadcast — "Only one packet was ever sent per
 // increment: the PURGE packet from the host with the writeable page."
 func TestFinalProtocolWireSignature(t *testing.T) {
-	r, err := Run(Config{Protocol: P5Final, Target: 8, Seed: 1, TraceLimit: 64})
+	r, err := Run(Config{Protocol: P5Final, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestFinalProtocolWireSignature(t *testing.T) {
 // TestFullPageProtocolWireSignature pins protocol 1's pattern: each
 // addition is a request plus one full 8 KiB transfer.
 func TestFullPageProtocolWireSignature(t *testing.T) {
-	r, err := Run(Config{Protocol: P1FullPage, Target: 8, Seed: 1, TraceLimit: 64})
+	r, err := Run(Config{Protocol: P1FullPage, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,23 +27,64 @@ func (r Report) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// csvColumns is the fixed CSV column order.
-var csvColumns = []string{
-	"name", "kind", "seed", "err", "dnf",
-	"wall_ns", "ops", "ops_per_sec", "loss_win",
-	"user_ns", "sys_ns", "server_ns", "ctx_switches",
-	"wire_bytes", "packets", "net_bytes_per_sec",
-	"lat_mean_ns", "lat_p50_ns", "lat_p90_ns", "lat_p99_ns", "lat_p999_ns",
-	"lat_max_ns", "lat_count",
-	"events",
-	"mem_bytes", "bytes_per_host", "ring_high_water",
-	"bridge_forwarded", "bridge_port_drops", "bridge_max_queued", "cross_trunk_stale",
-	"fanout_frames", "link_overflows", "link_max_queued",
-	"redundant_serves", "redundant_suppressed", "late_drops",
-	"orphan_recoveries", "ghost_drops", "migrated_pages",
-	"unavail_ns", "rejoin_ns", "partition_drops", "orphaned",
-	"deviations",
+// csvColumns is the CSV report's one declaration of its fixed columns:
+// each header and how a result renders under it, in file order, so the
+// header and every row have the same arity by construction. A new
+// Result field becomes a column by adding its line here.
+var csvColumns = []struct {
+	name string
+	cell func(*Result) string
+}{
+	{"name", func(r *Result) string { return csvQuote(r.Name) }},
+	{"kind", func(r *Result) string { return string(r.Kind) }},
+	{"seed", func(r *Result) string { return fmtInt(r.Seed) }},
+	{"err", func(r *Result) string { return csvQuote(r.Err) }},
+	{"dnf", func(r *Result) string { return strconv.FormatBool(r.DNF) }},
+	{"wall_ns", func(r *Result) string { return fmtInt(r.WallNS) }},
+	{"ops", func(r *Result) string { return fmtUint(r.Ops) }},
+	{"ops_per_sec", func(r *Result) string { return fmtFloat(r.OpsPerSec) }},
+	{"loss_win", func(r *Result) string { return fmtFloat(r.LossWin) }},
+	{"user_ns", func(r *Result) string { return fmtInt(r.UserNS) }},
+	{"sys_ns", func(r *Result) string { return fmtInt(r.SysNS) }},
+	{"server_ns", func(r *Result) string { return fmtInt(r.ServerNS) }},
+	{"ctx_switches", func(r *Result) string { return fmtUint(r.CtxSwitches) }},
+	{"wire_bytes", func(r *Result) string { return fmtUint(r.WireBytes) }},
+	{"packets", func(r *Result) string { return fmtUint(r.Packets) }},
+	{"net_bytes_per_sec", func(r *Result) string { return fmtFloat(r.NetBytesPerSec) }},
+	{"lat_mean_ns", func(r *Result) string { return fmtInt(r.LatMeanNS) }},
+	{"lat_p50_ns", func(r *Result) string { return fmtInt(r.LatP50NS) }},
+	{"lat_p90_ns", func(r *Result) string { return fmtInt(r.LatP90NS) }},
+	{"lat_p99_ns", func(r *Result) string { return fmtInt(r.LatP99NS) }},
+	{"lat_p999_ns", func(r *Result) string { return fmtInt(r.LatP999NS) }},
+	{"lat_max_ns", func(r *Result) string { return fmtInt(r.LatMaxNS) }},
+	{"lat_count", func(r *Result) string { return fmtUint(r.LatCount) }},
+	{"events", func(r *Result) string { return fmtUint(r.Events) }},
+	{"mem_bytes", func(r *Result) string { return fmtUint(r.MemBytes) }},
+	{"bytes_per_host", func(r *Result) string { return fmtFloat(r.BytesPerHost) }},
+	{"ring_high_water", func(r *Result) string { return strconv.Itoa(r.RingHighWater) }},
+	{"bridge_forwarded", func(r *Result) string { return fmtUint(r.BridgeForwarded) }},
+	{"bridge_port_drops", func(r *Result) string { return fmtUint(r.BridgePortDrops) }},
+	{"bridge_max_queued", func(r *Result) string { return strconv.Itoa(r.BridgeMaxQueued) }},
+	{"cross_trunk_stale", func(r *Result) string { return fmtUint(r.CrossTrunkStale) }},
+	{"fanout_frames", func(r *Result) string { return fmtUint(r.FanoutFrames) }},
+	{"link_overflows", func(r *Result) string { return fmtUint(r.LinkOverflows) }},
+	{"link_max_queued", func(r *Result) string { return strconv.Itoa(r.LinkMaxQueued) }},
+	{"redundant_serves", func(r *Result) string { return fmtUint(r.RedundantServes) }},
+	{"redundant_suppressed", func(r *Result) string { return fmtUint(r.RedundantSuppressed) }},
+	{"late_drops", func(r *Result) string { return fmtUint(r.LateDrops) }},
+	{"orphan_recoveries", func(r *Result) string { return fmtUint(r.OrphanRecoveries) }},
+	{"ghost_drops", func(r *Result) string { return fmtUint(r.GhostDrops) }},
+	{"migrated_pages", func(r *Result) string { return fmtUint(r.MigratedPages) }},
+	{"unavail_ns", func(r *Result) string { return fmtInt(r.UnavailNS) }},
+	{"rejoin_ns", func(r *Result) string { return fmtInt(r.RejoinNS) }},
+	{"partition_drops", func(r *Result) string { return fmtUint(r.PartitionDrops) }},
+	{"orphaned", func(r *Result) string { return strconv.Itoa(r.Orphaned) }},
+	{"deviations", func(r *Result) string { return csvQuote(strings.Join(r.Deviations, "; ")) }},
 }
+
+func fmtInt(v int64) string     { return strconv.FormatInt(v, 10) }
+func fmtUint(v uint64) string   { return strconv.FormatUint(v, 10) }
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // CSV renders the report as one header row plus one row per scenario.
 // When any scenario carries per-trunk measurements, trunk_util_i and
@@ -63,64 +104,28 @@ func (r Report) CSV() []byte {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		buf.WriteString(c)
+		buf.WriteString(c.name)
 	}
 	for t := 0; t < trunks; t++ {
 		fmt.Fprintf(&buf, ",trunk_util_%d,trunk_frames_%d", t, t)
 	}
 	buf.WriteByte('\n')
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, s := range r.Scenarios {
-		row := []string{
-			csvQuote(s.Name), string(s.Kind), strconv.FormatInt(s.Seed, 10),
-			csvQuote(s.Err), strconv.FormatBool(s.DNF),
-			strconv.FormatInt(s.WallNS, 10), strconv.FormatUint(s.Ops, 10),
-			f(s.OpsPerSec), f(s.LossWin),
-			strconv.FormatInt(s.UserNS, 10), strconv.FormatInt(s.SysNS, 10),
-			strconv.FormatInt(s.ServerNS, 10), strconv.FormatUint(s.CtxSwitches, 10),
-			strconv.FormatUint(s.WireBytes, 10), strconv.FormatUint(s.Packets, 10),
-			f(s.NetBytesPerSec),
-			strconv.FormatInt(s.LatMeanNS, 10), strconv.FormatInt(s.LatP50NS, 10),
-			strconv.FormatInt(s.LatP90NS, 10), strconv.FormatInt(s.LatP99NS, 10),
-			strconv.FormatInt(s.LatP999NS, 10), strconv.FormatInt(s.LatMaxNS, 10),
-			strconv.FormatUint(s.LatCount, 10),
-			strconv.FormatUint(s.Events, 10),
-			strconv.FormatUint(s.MemBytes, 10),
-			f(s.BytesPerHost),
-			strconv.Itoa(s.RingHighWater),
-			strconv.FormatUint(s.BridgeForwarded, 10),
-			strconv.FormatUint(s.BridgePortDrops, 10),
-			strconv.Itoa(s.BridgeMaxQueued),
-			strconv.FormatUint(s.CrossTrunkStale, 10),
-			strconv.FormatUint(s.FanoutFrames, 10),
-			strconv.FormatUint(s.LinkOverflows, 10),
-			strconv.Itoa(s.LinkMaxQueued),
-			strconv.FormatUint(s.RedundantServes, 10),
-			strconv.FormatUint(s.RedundantSuppressed, 10),
-			strconv.FormatUint(s.LateDrops, 10),
-			strconv.FormatUint(s.OrphanRecoveries, 10),
-			strconv.FormatUint(s.GhostDrops, 10),
-			strconv.FormatUint(s.MigratedPages, 10),
-			strconv.FormatInt(s.UnavailNS, 10),
-			strconv.FormatInt(s.RejoinNS, 10),
-			strconv.FormatUint(s.PartitionDrops, 10),
-			strconv.Itoa(s.Orphaned),
-			csvQuote(strings.Join(s.Deviations, "; ")),
-		}
-		for i, c := range row {
+	for i := range r.Scenarios {
+		s := &r.Scenarios[i]
+		for i, c := range csvColumns {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
-			buf.WriteString(c)
+			buf.WriteString(c.cell(s))
 		}
 		for t := 0; t < trunks; t++ {
 			buf.WriteByte(',')
 			if t < len(s.TrunkUtil) {
-				buf.WriteString(f(s.TrunkUtil[t]))
+				buf.WriteString(fmtFloat(s.TrunkUtil[t]))
 			}
 			buf.WriteByte(',')
 			if t < len(s.TrunkFrames) {
-				buf.WriteString(strconv.FormatUint(s.TrunkFrames[t], 10))
+				buf.WriteString(fmtUint(s.TrunkFrames[t]))
 			}
 		}
 		buf.WriteByte('\n')

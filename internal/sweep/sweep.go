@@ -18,11 +18,12 @@ import (
 	"fmt"
 	"time"
 
+	"mether"
 	"mether/internal/analysis"
-	"mether/internal/core"
 	"mether/internal/ethernet"
 	"mether/internal/fault"
 	"mether/internal/protocols"
+	"mether/internal/stats"
 	"mether/internal/workload"
 )
 
@@ -86,10 +87,10 @@ type Scenario struct {
 	Phases    int
 	Stages    int
 	MsgSize   int
-	// MinResidency overrides the hotspot anti-thrash holdoff (zero =
-	// driver default); cluster cells scale it with host count.
+	// MinResidency overrides the driver's anti-thrash holdoff (zero =
+	// driver default); hotspot cluster cells scale it with host count.
 	MinResidency time.Duration
-	// RetryTimeout overrides the hotspot demand-retransmit interval
+	// RetryTimeout overrides the driver's demand-retransmit interval
 	// (zero = driver default); the 1024-host tier scales it with host
 	// count so redundant request re-broadcasts stay bounded.
 	RetryTimeout time.Duration
@@ -103,11 +104,12 @@ type Scenario struct {
 	// WarmStart seeds resident replicas before the run (1024-host tier:
 	// cold attach is an O(hosts³) request storm).
 	WarmStart bool
-	// The windowed-tier knobs (stationary only; the 4096/10000-host cells
-	// set all four, classic cells leave them zero): Windowed maps only
-	// each host's working set instead of the whole segment, Stagger
-	// offsets host i's start by i×Stagger so first purges don't collide
-	// at t=0, Lazy enables the driver's memory-lazy receive path
+	// The windowed-tier knobs (the 4096/10000-host cells set all four,
+	// classic cells leave them zero). Two are the stationary client's
+	// own: Windowed maps only each host's working set instead of the
+	// whole segment, and Stagger offsets host i's start by i×Stagger so
+	// first purges don't collide at t=0. Two are shared axes: Lazy
+	// enables the driver's memory-lazy receive path
 	// (core.Config.LazyReplicas), and RingSlots replaces the uniform rx
 	// ring with a small fan-in-derived constant per NIC.
 	Windowed  bool
@@ -115,13 +117,18 @@ type Scenario struct {
 	Lazy      bool
 	RingSlots int
 
-	// Shared cost-model axes. KernelServer applies to counter, hotspot,
-	// barrier and stationary scenarios.
+	// The shared axes. Scenario.cluster carries every field below except
+	// OwnerTrunk and MayDNF — and Seed, Cap, MinResidency, RetryTimeout,
+	// WarmStart, Lazy and RingSlots above — into the workload.Options
+	// that the counter, hotspot, barrier, pipeline and stationary kinds
+	// all build their world from, so each applies to every one of those
+	// kinds. (The fanout and pipe kinds run a fixed default world and
+	// take only Seed and Cap.)
 	LossRate     float64
 	KernelServer bool
-	// Topology axes (counter, hotspot, barrier, stationary). Trunks
-	// partitions the hosts across bridged Ethernet trunks (0/1 = the
-	// classic single bus); TrunkShape is "star" (default) or "linear";
+	// Topology axes. Trunks partitions the hosts across bridged Ethernet
+	// trunks (0/1 = the classic single bus; more trunks than hosts fails
+	// the cell); TrunkShape is "star" (default) or "linear";
 	// OwnerTrunk places the hotspot segment owner's trunk (hotspot
 	// only — the other kinds' page layouts are fixed by the workload);
 	// PortLoss is the per-port bridge forwarding loss probability.
@@ -142,10 +149,10 @@ type Scenario struct {
 	// drops almost all of it, so the large tier scales the ring with
 	// cluster fan-in.
 	RxRing int
-	// Redundancy is the redundant-fetch fan-out k (counter, hotspot,
-	// barrier, stationary): read faults name the k-1 nearest replicas as
-	// extra targets and the first response wins. 0/1 is the classic
-	// owner-only protocol and leaves reports byte-identical.
+	// Redundancy is the redundant-fetch fan-out k: read faults name the
+	// k-1 nearest replicas as extra targets and the first response wins.
+	// 0/1 is the classic owner-only protocol and leaves reports
+	// byte-identical.
 	Redundancy int
 	// BacklogUp / BacklogDown model asymmetric background traffic on
 	// every bridge: extra forwarding delay toward the higher- and
@@ -155,21 +162,20 @@ type Scenario struct {
 	// Faults is a deterministic fault schedule in fault.Parse syntax
 	// ("crash@150ms:h3;partition@200ms:b0;..."), kept as a string so a
 	// Scenario stays pure data. Empty means a healthy world — provably
-	// identical to a schedule-free run. Applies to hotspot and stationary
-	// kinds.
+	// identical to a schedule-free run. The hotspot, barrier, pipeline
+	// and stationary kinds also gate on the end-of-run orphan count.
 	Faults string
-	// Medium selects the interconnect backend for counter, hotspot,
-	// barrier and stationary cells: "" / "ethernet" is the paper's
-	// shared broadcast bus, "fabric" the RDMA-like point-to-point medium
-	// where a broadcast is a sender-paid unicast fan-out. Fabric cells
-	// must not combine with Trunks > 1 (no broadcast domains to bridge)
-	// or bridge-dependent axes (backlogs, partitions).
+	// Medium selects the interconnect backend: "" / "ethernet" is the
+	// paper's shared broadcast bus, "fabric" the RDMA-like point-to-point
+	// medium where a broadcast is a sender-paid unicast fan-out. Fabric
+	// cells must not combine with Trunks > 1 (no broadcast domains to
+	// bridge; the cell fails with an error) or bridge-dependent axes
+	// (backlogs, partitions).
 	Medium string
-	// ClaimRetries arms orphaned-ownership recovery (stationary only):
-	// after this many consecutive unanswered demand retries a requester
-	// claims the page itself. Zero disables claiming; partition cells
-	// must leave it zero (a claim across a partition mints a second
-	// owner).
+	// ClaimRetries arms orphaned-ownership recovery: after this many
+	// consecutive unanswered demand retries a requester claims the page
+	// itself. Zero disables claiming; partition cells must leave it zero
+	// (a claim across a partition mints a second owner).
 	ClaimRetries int
 }
 
@@ -321,123 +327,77 @@ func (s Scenario) estCost() int64 {
 	return hosts * work
 }
 
-// netParams builds the Ethernet model for a scenario's loss-rate and
-// ring-capacity axes.
-func (s Scenario) netParams() ethernet.Params {
-	np := ethernet.DefaultParams()
-	np.LossRate = s.LossRate
-	if s.RxRing > 0 {
-		np.RxRing = s.RxRing
-	}
-	return np
-}
-
-// coreConfig builds the driver model for the server-placement and
-// redundancy axes.
-func (s Scenario) coreConfig() core.Config {
-	cc := core.DefaultConfig(8)
-	cc.KernelServer = s.KernelServer
-	cc.Redundancy = s.Redundancy
-	return cc
-}
-
-// shape resolves the scenario's TrunkShape mnemonic, panicking on an
-// unknown name; Run pre-validates so sweep cells fail softly instead.
-func (s Scenario) shape() ethernet.Shape {
-	sh, err := ethernet.ShapeByName(s.TrunkShape)
+// cluster is the one place a Scenario's shared axes become the
+// workload.Options every kind's runner builds its world from; a new
+// axis is a Scenario field plus one line here. It fails on an unknown
+// TrunkShape or a malformed Faults spec.
+func (s Scenario) cluster() (workload.Options, error) {
+	shape, err := ethernet.ShapeByName(s.TrunkShape)
 	if err != nil {
-		panic(err)
+		return workload.Options{}, err
 	}
-	return sh
+	faults, err := fault.Parse(s.Faults)
+	if err != nil {
+		return workload.Options{}, err
+	}
+	return workload.Options{
+		Seed: s.Seed, Cap: s.Cap,
+		Medium: s.Medium, LossRate: s.LossRate, RxRing: s.RxRing, RingSlots: s.RingSlots,
+		Trunks: s.Trunks, TrunkShape: shape, PortLoss: s.PortLoss,
+		BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown,
+		KernelServer: s.KernelServer, Redundancy: s.Redundancy,
+		MinResidency: s.MinResidency, RetryTimeout: s.RetryTimeout,
+		ClaimRetries: s.ClaimRetries, LazyReplicas: s.Lazy,
+		WarmStart: s.WarmStart, Faults: faults,
+	}, nil
 }
 
 // CounterConfig assembles the protocols.Config a KindCounter scenario
 // runs; exported so benches and cmd/metherbench drive the exact same
-// configuration the sweep engine does. An invalid TrunkShape panics
-// (programmer error in a bench definition); sweep cells go through
-// Run, which pre-validates and fails the cell softly instead.
+// configuration the sweep engine does. An invalid TrunkShape or Faults
+// spec panics (programmer error in a bench definition); sweep cells go
+// through Run, which fails the cell softly instead.
 func (s Scenario) CounterConfig() protocols.Config {
-	return s.counterConfig(s.shape())
+	opts, err := s.cluster()
+	if err != nil {
+		panic(err)
+	}
+	return s.counterConfig(opts)
 }
 
-// counterConfig is CounterConfig with the trunk shape already resolved.
-func (s Scenario) counterConfig(shape ethernet.Shape) protocols.Config {
+// counterConfig is CounterConfig with the shared axes already resolved.
+func (s Scenario) counterConfig(opts workload.Options) protocols.Config {
 	return protocols.Config{
 		Protocol:        s.Protocol,
 		Target:          s.Target,
 		HysteresisN:     s.HysteresisN,
 		SleepHysteresis: s.SleepHyst,
-		Cap:             s.Cap,
-		Seed:            s.Seed,
-		NetParams:       s.netParams(),
-		Core:            s.coreConfig(),
-		Trunks:          s.Trunks,
-		Medium:          s.Medium,
-		Topology: ethernet.TopologyConfig{
-			Shape: shape, PortLoss: s.PortLoss,
-			BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown,
-		},
+		Options:         opts,
 	}
 }
 
 // Run executes one scenario to completion and aggregates its Result.
-// Errors are folded into Result.Err so one failing cell never aborts a
-// whole sweep.
+// Errors — a world that cannot be built included — are folded into
+// Result.Err so one failing cell never aborts a whole sweep.
 func (s Scenario) Run() Result {
 	res := Result{Name: s.Name, Kind: s.Kind, Seed: s.Seed}
-	trunkShape, err := ethernet.ShapeByName(s.TrunkShape)
+	opts, err := s.cluster()
 	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	faults, err := fault.Parse(s.Faults)
-	if err != nil {
-		res.Err = err.Error()
-		return res
+		return res.failed(err)
 	}
 	switch s.Kind {
 	case KindCounter:
-		r, err := protocols.Run(s.counterConfig(trunkShape))
+		r, err := protocols.Run(s.counterConfig(opts))
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
 		res.DNF = r.DNF
-		res.WallNS = int64(r.Wall)
 		res.Ops = uint64(r.Additions)
 		res.LossWin = r.LossWin
 		res.UserNS = int64(r.User)
 		res.SysNS = int64(r.Sys)
 		res.ServerNS = int64(r.SysServer)
-		res.CtxSwitches = r.CtxSwitches
-		res.WireBytes = r.NetBytes
-		res.Packets = r.Packets
-		res.NetBytesPerSec = r.NetBytesPerSec
-		res.LatMeanNS = int64(r.AvgLatency)
-		res.LatP50NS = int64(r.LatP50)
-		res.LatP90NS = int64(r.LatP90)
-		res.LatP99NS = int64(r.LatP99)
-		res.LatP999NS = int64(r.LatP999)
-		res.LatMaxNS = int64(r.LatMax)
-		res.LatCount = r.LatCount
-		res.Events = r.Events
-		res.MemBytes = r.MemBytes
-		res.RingHighWater = r.RingHighWater
-		res.RedundantServes = r.RedundantServes
-		res.RedundantSuppressed = r.RedundantSuppressed
-		res.LateDrops = r.LateDrops
-		res.BridgeForwarded = r.BridgeForwarded
-		res.BridgePortDrops = r.BridgePortDrops
-		res.BridgeMaxQueued = r.BridgeMaxQueued
-		res.CrossTrunkStale = r.CrossTrunkStale
-		res.TrunkUtil = r.TrunkUtil
-		res.TrunkFrames = r.TrunkFrames
-		res.FanoutFrames = r.FanoutFrames
-		res.LinkOverflows = r.LinkOverflows
-		res.LinkMaxQueued = r.LinkMaxQueued
-		if r.Wall > 0 {
-			res.OpsPerSec = float64(r.Additions) / r.Wall.Seconds()
-		}
+		res.fill(r.Harvest)
 		if s.Figure != "" && s.Target == 1024 {
 			res.Deviations = bandCheck(s.Figure, r)
 		}
@@ -447,176 +407,140 @@ func (s Scenario) Run() Result {
 			Seed: s.Seed, Cap: s.Cap,
 		})
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
 		res.WallNS = int64(r.Wall)
 		res.Ops = uint64(r.Updates)
 		res.UserNS = int64(r.WriterCPU)
 		res.WireBytes = r.NetBytes
 		res.Packets = r.Packets
-		if r.Wall > 0 {
-			res.OpsPerSec = float64(r.Updates) / r.Wall.Seconds()
-			res.NetBytesPerSec = float64(r.NetBytes) / r.Wall.Seconds()
-		}
+		res.OpsPerSec = stats.Rate(res.Ops, r.Wall)
+		res.NetBytesPerSec = stats.BytesPerSec(r.NetBytes, r.Wall)
 	case KindPipe:
 		r, err := workload.Run(workload.Config{
 			Dist: s.Dist, Messages: s.Messages, Seed: s.Seed, Cap: s.Cap,
 		})
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
 		res.WallNS = int64(r.Wall)
 		res.Ops = uint64(r.Messages)
 		res.OpsPerSec = r.MsgsPerSec
 		res.WireBytes = r.WireBytes
 		res.Packets = r.Packets
-		if r.Wall > 0 {
-			res.NetBytesPerSec = float64(r.WireBytes) / r.Wall.Seconds()
-		}
+		res.NetBytesPerSec = stats.BytesPerSec(r.WireBytes, r.Wall)
 	case KindHotspot:
 		r, err := workload.RunHotspot(workload.HotspotConfig{
 			Hosts: s.Hosts, Iters: s.Iters, ShortPage: s.ShortPage,
-			Writers: s.Writers, WarmStart: s.WarmStart,
-			MinResidency: s.MinResidency, RetryTimeout: s.RetryTimeout,
-			KernelServer: s.KernelServer,
-			Trunks:       s.Trunks, TrunkShape: trunkShape, OwnerTrunk: s.OwnerTrunk, PortLoss: s.PortLoss,
-			BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown, Redundancy: s.Redundancy,
-			Medium: s.Medium,
-			Faults: faults,
-			Seed:   s.Seed, Cap: s.Cap, NetParams: s.netParams(),
+			Writers: s.Writers, OwnerTrunk: s.OwnerTrunk, Options: opts,
 		})
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
-		res.DNF = r.DNF
-		res.Ops = r.Updates
-		res.fillCluster(r.ClusterStats, s.Hosts)
-		res.noteOrphans(s, r.Orphaned)
+		res.fillCluster(r.DNF, r.Updates, r.ClusterStats, s.Hosts)
 	case KindBarrier:
 		// HysteresisN doubles as the barrier waiter's purge hysteresis:
 		// large clusters need a high value so waiters ride the snoopy
 		// refreshes instead of flooding the wire with demand fetches.
 		r, err := workload.RunBarrier(workload.BarrierConfig{
 			Hosts: s.Hosts, Phases: s.Phases, HysteresisPurge: s.HysteresisN,
-			CheckEvery: s.CheckEvery, WarmStart: s.WarmStart,
-			KernelServer: s.KernelServer,
-			Trunks:       s.Trunks, TrunkShape: trunkShape, PortLoss: s.PortLoss,
-			BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown, Redundancy: s.Redundancy,
-			Medium: s.Medium,
-			Seed:   s.Seed, Cap: s.Cap, NetParams: s.netParams(),
+			CheckEvery: s.CheckEvery, Options: opts,
 		})
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
-		res.DNF = r.DNF
-		res.Ops = uint64(r.Phases)
-		res.fillCluster(r.ClusterStats, s.Hosts)
+		res.fillCluster(r.DNF, uint64(r.Phases), r.ClusterStats, s.Hosts)
 	case KindPipeline:
 		r, err := workload.RunPipeline(workload.PipelineConfig{
-			Stages: s.Stages, Messages: s.Messages, Size: s.MsgSize,
-			Seed: s.Seed, Cap: s.Cap, NetParams: s.netParams(),
+			Stages: s.Stages, Messages: s.Messages, Size: s.MsgSize, Options: opts,
 		})
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
-		res.DNF = r.DNF
-		res.Ops = uint64(r.Delivered)
-		res.OpsPerSec = r.MsgsPerSec
-		res.fillCluster(r.ClusterStats, r.Stages)
+		// One host per stage.
+		res.fillCluster(r.DNF, uint64(r.Delivered), r.ClusterStats, r.Stages)
 	case KindStationary:
 		r, err := workload.RunStationary(workload.StationaryConfig{
-			Hosts: s.Hosts, Iters: s.Iters, WarmStart: s.WarmStart,
-			KernelServer: s.KernelServer,
-			Trunks:       s.Trunks, TrunkShape: trunkShape, PortLoss: s.PortLoss,
-			BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown, Redundancy: s.Redundancy,
-			Medium:         s.Medium,
-			WindowedAttach: s.Windowed, StaggerStart: s.Stagger,
-			LazyReplicas: s.Lazy, RingSlots: s.RingSlots, RetryTimeout: s.RetryTimeout,
-			Faults: faults, ClaimRetries: s.ClaimRetries,
-			Seed: s.Seed, Cap: s.Cap, NetParams: s.netParams(),
+			Hosts: s.Hosts, Iters: s.Iters,
+			WindowedAttach: s.Windowed, StaggerStart: s.Stagger, Options: opts,
 		})
 		if err != nil {
-			res.Err = err.Error()
-			return res
+			return res.failed(err)
 		}
-		res.DNF = r.DNF
-		res.Ops = r.Updates
-		res.fillCluster(r.ClusterStats, s.Hosts)
-		res.noteOrphans(s, r.Orphaned)
+		res.fillCluster(r.DNF, r.Updates, r.ClusterStats, s.Hosts)
 	default:
-		res.Err = fmt.Sprintf("sweep: unknown scenario kind %q", s.Kind)
+		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind))
 	}
 	return res
 }
 
-// fillCluster copies the shared cluster measurements into the result;
-// hosts is the cluster size for the bytes-per-host division (the
-// pipeline kind passes its stage count — one host per stage).
-func (r *Result) fillCluster(cs workload.ClusterStats, hosts int) {
-	r.WallNS = int64(cs.Wall)
+// failed is the result of a cell that could not run: identity plus Err.
+func (r Result) failed(err error) Result {
+	r.Err = err.Error()
+	return r
+}
+
+// fill copies the world-level harvest into the result — the one place a
+// harvested counter becomes a report column's value — and derives the
+// op rate from r.Ops, which the caller sets first.
+func (r *Result) fill(h mether.Harvest) {
+	r.WallNS = int64(h.Wall)
+	r.CtxSwitches = h.CtxSwitches
+	r.WireBytes = h.WireBytes
+	r.Packets = h.Packets
+	r.NetBytesPerSec = h.NetBytesPerSec
+	r.LatMeanNS = int64(h.LatMean)
+	r.LatP50NS = int64(h.LatP50)
+	r.LatP90NS = int64(h.LatP90)
+	r.LatP99NS = int64(h.LatP99)
+	r.LatP999NS = int64(h.LatP999)
+	r.LatMaxNS = int64(h.LatMax)
+	r.LatCount = h.LatCount
+	r.Events = h.Events
+	r.MemBytes = h.MemBytes
+	r.RingHighWater = h.RingHighWater
+	r.FanoutFrames = h.FanoutFrames
+	r.LinkOverflows = h.LinkOverflows
+	r.LinkMaxQueued = h.LinkMaxQueued
+	r.BridgeForwarded = h.BridgeForwarded
+	r.BridgePortDrops = h.BridgePortDrops
+	r.BridgeMaxQueued = h.BridgeMaxQueued
+	r.CrossTrunkStale = h.CrossTrunkStale
+	r.TrunkUtil = h.TrunkUtil
+	r.TrunkFrames = h.TrunkFrames
+	r.RedundantServes = h.RedundantServes
+	r.RedundantSuppressed = h.RedundantSuppressed
+	r.LateDrops = h.LateDrops
+	r.OrphanRecoveries = h.OrphanRecoveries
+	r.GhostDrops = h.GhostDrops
+	r.MigratedPages = h.MigratedPages
+	r.UnavailNS = int64(h.UnavailNS)
+	r.RejoinNS = int64(h.RejoinNS)
+	r.PartitionDrops = h.BridgePartitionDrops
+	r.OpsPerSec = stats.Rate(r.Ops, h.Wall)
+}
+
+// fillCluster fills the result of a cluster-kind run: the harvest, the
+// all-host CPU split, the per-host memory headline (hosts is the
+// cluster size) and the end-of-run orphan count, which is only measured
+// (so only ever nonzero) on a faulted cell. A nonzero count becomes a
+// deviation: a fault schedule must leave every page with a live owner
+// (crashed authorities re-claimed), so an orphan surviving to the end
+// is a recovery failure, gated exactly like a paper-band violation.
+func (r *Result) fillCluster(dnf bool, ops uint64, cs workload.ClusterStats, hosts int) {
+	r.DNF = dnf
+	r.Ops = ops
 	r.UserNS = int64(cs.UserCPU)
 	r.SysNS = int64(cs.SysCPU)
 	r.ServerNS = int64(cs.ServerCPU)
-	r.CtxSwitches = cs.CtxSwitches
-	r.WireBytes = cs.WireBytes
-	r.Packets = cs.Packets
-	r.LatMeanNS = int64(cs.LatMean)
-	r.LatP50NS = int64(cs.LatP50)
-	r.LatP90NS = int64(cs.LatP90)
-	r.LatP99NS = int64(cs.LatP99)
-	r.LatP999NS = int64(cs.LatP999)
-	r.LatMaxNS = int64(cs.LatMax)
-	r.LatCount = cs.LatCount
-	r.Events = cs.Events
-	r.MemBytes = cs.MemBytes
-	r.RingHighWater = cs.RingHighWater
-	r.FanoutFrames = cs.FanoutFrames
-	r.LinkOverflows = cs.LinkOverflows
-	r.LinkMaxQueued = cs.LinkMaxQueued
+	r.fill(cs.Harvest)
 	if hosts > 0 && cs.MemBytes > 0 {
 		r.BytesPerHost = float64(cs.MemBytes) / float64(hosts)
 	}
-	r.RedundantServes = cs.RedundantServes
-	r.RedundantSuppressed = cs.RedundantSuppressed
-	r.LateDrops = cs.LateDrops
-	r.BridgeForwarded = cs.BridgeForwarded
-	r.BridgePortDrops = cs.BridgePortDrops
-	r.BridgeMaxQueued = cs.BridgeMaxQueued
-	r.CrossTrunkStale = cs.CrossTrunkStale
-	r.OrphanRecoveries = cs.OrphanRecoveries
-	r.GhostDrops = cs.GhostDrops
-	r.MigratedPages = cs.MigratedPages
-	r.UnavailNS = int64(cs.UnavailNS)
-	r.RejoinNS = int64(cs.RejoinNS)
-	r.PartitionDrops = cs.BridgePartitionDrops
-	r.TrunkUtil = cs.TrunkUtil
-	r.TrunkFrames = cs.TrunkFrames
-	if cs.Wall > 0 {
-		if r.Ops > 0 && r.OpsPerSec == 0 {
-			r.OpsPerSec = float64(r.Ops) / cs.Wall.Seconds()
-		}
-		r.NetBytesPerSec = float64(cs.WireBytes) / cs.Wall.Seconds()
-	}
-}
-
-// noteOrphans records the end-of-run orphan count on a faulted cell and
-// turns a nonzero count into a deviation: a fault schedule must leave
-// every page with a live owner (crashed authorities re-claimed), so an
-// orphan surviving to the end is a recovery failure, gated exactly like
-// a paper-band violation.
-func (r *Result) noteOrphans(s Scenario, orphaned int) {
-	if s.Faults == "" {
-		return
-	}
-	r.Orphaned = orphaned
-	if orphaned > 0 {
+	r.Orphaned = cs.Orphaned
+	if cs.Orphaned > 0 {
 		r.Deviations = append(r.Deviations,
-			fmt.Sprintf("%d page(s) still orphaned at end of run", orphaned))
+			fmt.Sprintf("%d page(s) still orphaned at end of run", cs.Orphaned))
 	}
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -83,14 +84,59 @@ func TestRunnerFoldsScenarioErrors(t *testing.T) {
 	scs := []Scenario{
 		{Name: "bad-kind", Kind: Kind("nope")},
 		{Name: "bad-hotspot", Kind: KindHotspot, Hosts: 1, Iters: 1},
+		// Worlds that cannot be built: each used to panic out of
+		// mether.NewWorld and take the sweep worker with it.
+		{Name: "fabric-trunks", Kind: KindStationary, Hosts: 4, Trunks: 2, Medium: "fabric"},
+		{Name: "bad-medium", Kind: KindStationary, Hosts: 4, Medium: "token-ring"},
+		{Name: "trunks-over-hosts", Kind: KindStationary, Hosts: 2, Trunks: 3},
+		{Name: "negative-trunks", Kind: KindBarrier, Hosts: 2, Trunks: -1},
+		{Name: "bad-medium-counter", Kind: KindCounter, Protocol: protocols.P5Final, Target: 16, Medium: "token-ring"},
+		{Name: "fault-beyond-world", Kind: KindPipeline, Stages: 2, Faults: "crash@1ms:h9"},
 		{Name: "good", Kind: KindCounter, Protocol: protocols.P5Final, Target: 16, Seed: 1},
 	}
 	rep, _ := Runner{Workers: 2}.Run("errs", scs)
-	if rep.Scenarios[0].Err == "" || rep.Scenarios[1].Err == "" {
-		t.Error("bad scenarios should carry errors")
+	good := len(scs) - 1
+	for i, r := range rep.Scenarios[:good] {
+		if r.Err == "" {
+			t.Errorf("%s should carry an error", scs[i].Name)
+		}
 	}
-	if rep.Scenarios[2].Err != "" {
-		t.Errorf("good scenario failed: %s", rep.Scenarios[2].Err)
+	if rep.Scenarios[good].Err != "" {
+		t.Errorf("good scenario failed: %s", rep.Scenarios[good].Err)
+	}
+}
+
+// TestClusterCarriesEveryAxis is the guard behind "declare an axis
+// once": a Scenario with every field set must leave no field of the
+// workload.Options it produces zero. An Options field added without its
+// line in Scenario.cluster — the bug class where one runner copied a
+// knob and another silently dropped it — fails here.
+func TestClusterCarriesEveryAxis(t *testing.T) {
+	var s Scenario
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64, reflect.Uint32:
+			f.Set(reflect.ValueOf(3).Convert(f.Type()))
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		}
+	}
+	s.Medium, s.TrunkShape, s.Faults = "fabric", "linear", "crash@1ms:h1"
+	opts, err := s.cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := reflect.ValueOf(opts)
+	for i := 0; i < o.NumField(); i++ {
+		name := o.Type().Field(i).Name
+		// HostParams is a calibration override of the workstation model;
+		// no Scenario axis maps to it.
+		if name != "HostParams" && o.Field(i).IsZero() {
+			t.Errorf("Options.%s is not set from any Scenario field", name)
+		}
 	}
 }
 
@@ -104,10 +150,10 @@ func TestCounterConfigCarriesAxes(t *testing.T) {
 	if cfg.Protocol != protocols.P2ShortPage || cfg.Target != 128 || cfg.Seed != 9 {
 		t.Errorf("basic fields lost: %+v", cfg)
 	}
-	if cfg.NetParams.LossRate != 0.01 {
-		t.Errorf("loss axis lost: %v", cfg.NetParams.LossRate)
+	if cfg.LossRate != 0.01 {
+		t.Errorf("loss axis lost: %v", cfg.LossRate)
 	}
-	if !cfg.Core.KernelServer {
+	if !cfg.KernelServer {
 		t.Error("kernel-server axis lost")
 	}
 	if cfg.HysteresisN != 7 || cfg.Cap != 3*time.Second {

@@ -1,0 +1,238 @@
+package workload
+
+import (
+	"time"
+
+	"mether"
+	"mether/internal/core"
+	"mether/internal/ethernet"
+	"mether/internal/fault"
+	"mether/internal/host"
+)
+
+// Options is everything about the cluster a run is built on — the axes
+// every scenario kind shares. Each run config embeds it, and World is
+// the only place it becomes a mether.Config, so an axis is declared
+// once here and honoured by every kind. Zero values are the classic
+// world: one shared 10 Mb/s Ethernet, user-level servers, the default
+// driver cost model, no faults.
+type Options struct {
+	Seed int64
+	// Cap bounds the simulated run (default 10 minutes); a run that has
+	// not finished by then reports DNF.
+	Cap time.Duration
+	// HostParams overrides the workstation cost model when non-zero
+	// (scheduler ablations; no sweep axis maps to it).
+	HostParams host.Params
+
+	// Medium selects the interconnect backend: mether.MediumEthernet
+	// (also when empty) or mether.MediumFabric. LossRate and RxRing (the
+	// per-NIC receive ring capacity; zero = the model's 32 frames) apply
+	// to whichever is selected, so an ethernet-vs-fabric comparison
+	// varies the wire and nothing else.
+	Medium   string
+	LossRate float64
+	RxRing   int
+	// RingSlots bounds every host's logical receive ring when positive,
+	// leaving the medium's own RxRing (which also sizes bridge ports)
+	// alone. The windowed tiers derive a small constant from the
+	// stationary fan-in model — one sampler per owner plus reply and
+	// snoop slack — instead of the 4×hosts worst case, and the reported
+	// ring high-water proves the bound out.
+	RingSlots int
+
+	// Trunks partitions the hosts across bridged Ethernet trunks (0/1 =
+	// the classic single bus; incompatible with the fabric); TrunkShape
+	// arranges them (star by default). PortLoss is the per-port bridge
+	// forwarding loss probability; BacklogUp and BacklogDown model
+	// asymmetric background traffic on every bridge as extra forwarding
+	// delay toward the higher- and lower-numbered trunk (see
+	// ethernet.TopologyConfig).
+	Trunks      int
+	TrunkShape  ethernet.Shape
+	PortLoss    float64
+	BacklogUp   time.Duration
+	BacklogDown time.Duration
+
+	// KernelServer runs protocol processing at interrupt level (the
+	// paper's proposed fix) instead of in the user-level server process.
+	KernelServer bool
+	// Redundancy is the redundant-fetch fan-out k for read faults (0/1 =
+	// the classic owner-only protocol): each demand fetch also names the
+	// k-1 nearest replicas, any of which may answer first — the
+	// tail-latency-for-wire-bytes trade.
+	Redundancy int
+	// MinResidency overrides the driver's anti-thrash holdoff when
+	// positive. At large host counts the default 10 ms window expires
+	// while the grantee's client is still waiting behind its server's
+	// broadcast-handling load, so ownership leaves before the update
+	// happens and the page thrashes; cluster cells scale it with host
+	// count.
+	MinResidency time.Duration
+	// RetryTimeout overrides the driver's demand-request retransmit
+	// interval when positive (default 250 ms). Every retry costs every
+	// host a receive, so the large tiers widen it to outlast the scaled
+	// residency window or a saturated owner's drop window.
+	RetryTimeout time.Duration
+	// ClaimRetries arms orphaned-ownership recovery: after this many
+	// consecutive unanswered demand retries a requester claims the page
+	// itself (generation-bumped, broadcast, deterministically arbitrated).
+	// Zero disables claiming — required in worlds whose schedule
+	// partitions bridges, where a claim across the partition would mint a
+	// second owner that the heal then exposes as split-brain.
+	ClaimRetries int
+	// LazyReplicas enables the driver's memory-lazy receive path
+	// (core.Config.LazyReplicas): snooped broadcasts for pages a host
+	// never touched are counted and skipped instead of materializing
+	// per-page state. Only the windowed tiers set it — the classic warm
+	// cells measure refresh effects on exactly those untouched replicas.
+	LazyReplicas bool
+
+	// WarmStart seeds resident replicas of every workload page on every
+	// host before the run (see Segment.WarmReplicas): at the 1024-host
+	// tier a cold start means every host demand-fetches every peer page
+	// at attach, an O(hosts³) request storm that swamps the workload.
+	WarmStart bool
+	// Faults is the deterministic fault schedule to execute during the
+	// run (empty = healthy world, provably identical to a schedule-free
+	// run): host crashes and recoveries, bridge partitions, owner
+	// migrations — all fired at virtual times under the seeded kernel.
+	Faults fault.Schedule
+}
+
+// World turns the options into the world a run executes in, ready to
+// spawn processes on: a validated mether.Config, the world, the
+// segments layout creates on it, warm replicas under WarmStart, and
+// the fault schedule installed. A configuration that cannot be built
+// (fabric with trunks, unknown medium, more trunks than hosts, a fault
+// naming a host the world lacks) is an error, never a panic. The
+// caller shuts the returned world down.
+func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*mether.World, error) {
+	np := mether.DefaultEthernetParams()
+	fp := mether.DefaultFabricParams()
+	np.LossRate, fp.LossRate = o.LossRate, o.LossRate
+	if o.RxRing > 0 {
+		np.RxRing, fp.RxRing = o.RxRing, o.RxRing
+	}
+	cc := core.DefaultConfig(pages)
+	cc.KernelServer = o.KernelServer
+	cc.Redundancy = o.Redundancy
+	cc.ClaimRetries = o.ClaimRetries
+	cc.LazyReplicas = o.LazyReplicas
+	if o.MinResidency > 0 {
+		cc.MinResidency = o.MinResidency
+	}
+	if o.RetryTimeout > 0 {
+		cc.RetryTimeout = o.RetryTimeout
+	}
+	cfg := mether.Config{
+		Hosts: hosts, Pages: pages, Seed: o.Seed,
+		HostParams: o.HostParams, Core: cc, Trunks: o.Trunks,
+		Medium: mether.MediumConfig{
+			Kind: o.Medium, Ethernet: np, Fabric: fp,
+			Topology: ethernet.TopologyConfig{
+				Shape: o.TrunkShape, PortLoss: o.PortLoss,
+				BacklogUp: o.BacklogUp, BacklogDown: o.BacklogDown,
+			},
+		},
+	}
+	if ring := o.RingSlots; ring > 0 {
+		cfg.Medium.RingOf = func(int) int { return ring }
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	w := mether.NewWorld(cfg)
+	err := layout(w)
+	if err == nil {
+		if o.WarmStart {
+			w.WarmReplicas()
+		}
+		err = w.InjectFaults(o.Faults)
+	}
+	if err != nil {
+		w.Shutdown()
+		return nil, err
+	}
+	return w, nil
+}
+
+// ownedPages builds the world of the stationary-owner layouts (barrier,
+// stationary): one segment of one page per host, each owned by its host.
+func (o Options) ownedPages(name string, hosts int) (*mether.World, *mether.Segment, error) {
+	pages := hosts
+	if pages < 8 {
+		pages = 8
+	}
+	var seg *mether.Segment
+	w, err := o.World(hosts, pages, func(w *mether.World) (err error) {
+		owners := make([]int, hosts)
+		for i := range owners {
+			owners[i] = i
+		}
+		seg, err = w.CreateSegmentOwners(name, owners)
+		return err
+	})
+	return w, seg, err
+}
+
+// RunCap returns the run's virtual-time bound: Cap, or its default.
+func (o Options) RunCap() time.Duration {
+	if o.Cap == 0 {
+		return 10 * time.Minute
+	}
+	return o.Cap
+}
+
+// ClusterStats is what every scenario reports about its cluster: the
+// world-level harvest plus host load summed over every host.
+type ClusterStats struct {
+	mether.Harvest
+	UserCPU time.Duration // client-process user time, all hosts
+	SysCPU  time.Duration // client-process system time, all hosts
+	// ServerCPU is the Mether servers' CPU: the user-level server
+	// processes plus interrupt-level KernelTime.
+	ServerCPU time.Duration
+	// Orphaned is the end-of-run count of pages with no consistent copy
+	// anywhere (only measured when a fault schedule ran; 0 otherwise). A
+	// crash-and-recover cell must end with zero: every authority lost to
+	// a crash has been re-claimed.
+	Orphaned int
+}
+
+// finish runs a spawned world to the cap and collects its ClusterStats.
+// It returns the first client error, if any; otherwise the stats as of
+// the last client's finish (*lastFinish, which the clients advance as
+// they complete) or, when done shows a client that never completed, as
+// of the cap, with dnf set.
+func (o Options) finish(w *mether.World, errs []error, done []bool, lastFinish *time.Duration) (cs ClusterStats, dnf bool, err error) {
+	w.RunUntil(o.RunCap())
+	for _, e := range errs {
+		if e != nil {
+			return cs, false, e
+		}
+	}
+	end := *lastFinish
+	for _, d := range done {
+		if !d {
+			dnf = true
+			end = w.Now()
+		}
+	}
+	cs.Harvest = w.Harvest(end)
+	cs.ServerCPU = cs.KernelTime
+	for i := 0; i < w.NumHosts(); i++ {
+		for _, p := range w.HostMachine(i).Procs() {
+			if p.Name() == "metherd" {
+				cs.ServerCPU += p.User() + p.Sys()
+			} else {
+				cs.UserCPU += p.User()
+				cs.SysCPU += p.Sys()
+			}
+		}
+	}
+	if !o.Faults.Empty() {
+		cs.Orphaned = w.OrphanedPages()
+	}
+	return cs, dnf, nil
+}

@@ -15,8 +15,8 @@ func TestFaultedStationaryDeterministic(t *testing.T) {
 	sched := fault.Churn(42, 8, 0.25, 50*time.Millisecond, 200*time.Millisecond, 30*time.Millisecond, 2)
 	run := func() StationaryReport {
 		r, err := RunStationary(StationaryConfig{
-			Hosts: 8, Iters: 8, Seed: 7, Cap: time.Minute,
-			Faults: sched, ClaimRetries: 4,
+			Hosts: 8, Iters: 8,
+			Options: Options{Seed: 7, Cap: time.Minute, Faults: sched, ClaimRetries: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +42,7 @@ func TestFaultedStationaryDeterministic(t *testing.T) {
 // a run that never heard of the fault plane. This is the neutrality
 // contract behind `-faults off` baseline comparisons.
 func TestEmptyFaultScheduleIsNeutral(t *testing.T) {
-	cfg := StationaryConfig{Hosts: 4, Iters: 8, Seed: 7, Cap: time.Minute}
+	cfg := StationaryConfig{Hosts: 4, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute}}
 	plain, err := RunStationary(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,8 @@ func TestEmptyFaultScheduleIsNeutral(t *testing.T) {
 // the outage visible as retry-stretched wall time against the healthy
 // run of the same seed.
 func TestHotspotPartitionHealCompletes(t *testing.T) {
-	cfg := HotspotConfig{Hosts: 8, Iters: 8, Seed: 3, Trunks: 2, OwnerTrunk: 1, Cap: time.Minute}
+	cfg := HotspotConfig{Hosts: 8, Iters: 8, OwnerTrunk: 1,
+		Options: Options{Seed: 3, Trunks: 2, Cap: time.Minute}}
 	healthy, err := RunHotspot(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,173 +11,9 @@ import (
 	"time"
 
 	"mether"
-	"mether/internal/core"
-	"mether/internal/ethernet"
-	"mether/internal/fault"
 	"mether/internal/stats"
 	"mether/pipe"
 )
-
-// ClusterStats aggregates the cluster-wide measurements every scenario
-// reports: virtual wall time, host load (CPU split and context
-// switches), network load (wire bytes and frames) and the fault-latency
-// distribution. All durations are virtual nanoseconds.
-type ClusterStats struct {
-	Wall        time.Duration
-	UserCPU     time.Duration // client-process user time, all hosts
-	SysCPU      time.Duration // client-process system time, all hosts
-	ServerCPU   time.Duration // Mether server CPU (user-level or kernel)
-	CtxSwitches uint64
-	WireBytes   uint64
-	Packets     uint64
-	// Events is the number of simulation-kernel events dispatched for
-	// the run (deterministic; the engine-throughput denominator).
-	Events   uint64
-	LatMean  time.Duration
-	LatP50   time.Duration
-	LatP90   time.Duration
-	LatP99   time.Duration
-	LatP999  time.Duration
-	LatMax   time.Duration
-	LatCount uint64
-	// Redundant-fetch counters (zero at the classic k=1): replica
-	// answers sent on behalf of owners, replica answers suppressed
-	// because the winner's reply landed first, and late/duplicate grants
-	// dropped by explicit generation comparison.
-	RedundantServes     uint64
-	RedundantSuppressed uint64
-	LateDrops           uint64
-	// Topology counters (zero on a single trunk): bridge forwarded
-	// frames, per-port drops, peak store-and-forward occupancy, and the
-	// drivers' staleness counters — StaleDrops totals every
-	// generation-regressed broadcast, CrossTrunkStale the subset that
-	// bridge queues reordered across trunks (the paper's purge-ordering
-	// hazard, measured instead of asserted in a comment).
-	BridgeForwarded uint64
-	BridgePortDrops uint64
-	BridgeMaxQueued int
-	StaleDrops      uint64
-	CrossTrunkStale uint64
-	// TrunkUtil and TrunkFrames are each trunk's own wire utilization
-	// (busy time / wall) and transmitted frame count, in trunk order —
-	// which trunk saturates is invisible in the summed NetStats. Nil on
-	// the classic single-trunk worlds.
-	TrunkUtil   []float64
-	TrunkFrames []uint64
-	// Fault-plane counters (all zero in healthy worlds, and in faulted
-	// worlds whose schedule is empty): orphaned authorities re-claimed,
-	// pre-crash grants refused by the ghost fence, authorities shipped by
-	// owner migrations, total NIC-down time, total recovery-to-first-
-	// reinstall time, and frames a partitioned bridge drained instead of
-	// replaying after its heal.
-	OrphanRecoveries     uint64
-	GhostDrops           uint64
-	MigratedPages        uint64
-	UnavailNS            time.Duration
-	RejoinNS             time.Duration
-	BridgePartitionDrops uint64
-	// Fabric counters, zero by construction on Ethernet: unicast copies
-	// transmitted on behalf of broadcasts (the sender-paid fan-out cost
-	// a shared bus never charges), frames dropped at full per-link
-	// transmit queues, and the peak per-link queue occupancy.
-	FanoutFrames  uint64
-	LinkOverflows uint64
-	LinkMaxQueued int
-	// MemBytes is the world's structural memory footprint after the run
-	// (World.MemFootprint): a deterministic walk of directory shards,
-	// frame tiers, rings and pools, not a runtime heap reading.
-	MemBytes uint64
-	// RingHighWater is the peak NIC receive-ring occupancy anywhere in
-	// the world — the measured fan-in that justifies (or indicts) the
-	// configured ring capacities.
-	RingHighWater int
-}
-
-// collectCluster harvests ClusterStats from a finished world. extra is
-// merged into the drivers' fault-latency histogram when non-nil (for
-// scenarios that measure an application-level latency instead).
-func collectCluster(w *mether.World, end time.Duration, extra *stats.Histogram) ClusterStats {
-	cs := ClusterStats{Wall: end}
-	for i := 0; i < w.NumHosts(); i++ {
-		cs.CtxSwitches += w.ContextSwitches(i)
-		cs.ServerCPU += w.Driver(i).Metrics().KernelTime
-		for _, p := range w.HostMachine(i).Procs() {
-			if p.Name() == "metherd" {
-				cs.ServerCPU += p.User() + p.Sys()
-			} else {
-				cs.UserCPU += p.User()
-				cs.SysCPU += p.Sys()
-			}
-		}
-	}
-	ns := w.NetStats()
-	cs.WireBytes = ns.WireBytes
-	cs.Packets = ns.Frames
-	cs.RingHighWater = ns.RingHighWater
-	cs.FanoutFrames = ns.FanoutFrames
-	cs.LinkOverflows = ns.LinkOverflows
-	cs.LinkMaxQueued = ns.LinkMaxQueued
-	cs.Events = w.EventsDispatched()
-	cs.MemBytes = w.MemFootprint()
-	bs := w.BridgeStats()
-	cs.BridgeForwarded = bs.Forwarded
-	cs.BridgePortDrops = bs.PortDrops
-	cs.BridgeMaxQueued = bs.MaxQueued
-	cs.BridgePartitionDrops = bs.PartitionDrops
-	for i := 0; i < w.NumHosts(); i++ {
-		// Fold still-open crash/rejoin windows into the metrics before
-		// harvesting them; a no-op on healthy hosts.
-		w.Driver(i).SettleFaults(end)
-		m := w.Driver(i).Metrics()
-		cs.StaleDrops += m.StaleDrops
-		cs.CrossTrunkStale += m.CrossTrunkStale
-		cs.RedundantServes += m.RedundantServes
-		cs.RedundantSuppressed += m.RedundantSuppressed
-		cs.LateDrops += m.LateGrantDrops
-		cs.OrphanRecoveries += m.OrphanRecoveries
-		cs.GhostDrops += m.GhostDrops
-		cs.MigratedPages += m.MigratedPages
-		cs.UnavailNS += m.UnavailNS
-		cs.RejoinNS += m.RejoinNS
-	}
-	cs.TrunkUtil, cs.TrunkFrames = w.TrunkUtilization(end)
-
-	var lat stats.Histogram
-	if extra != nil {
-		lat.Merge(extra)
-	} else {
-		for i := 0; i < w.NumHosts(); i++ {
-			lat.Merge(&w.Driver(i).Metrics().FaultLatency)
-		}
-	}
-	cs.LatMean = lat.Mean()
-	cs.LatP50 = lat.Quantile(0.5)
-	cs.LatP90 = lat.Quantile(0.9)
-	cs.LatP99 = lat.Quantile(0.99)
-	cs.LatP999 = lat.Quantile(0.999)
-	cs.LatMax = lat.Max()
-	cs.LatCount = lat.Count()
-	return cs
-}
-
-// mediumBlock assembles a world's Medium config from a scenario's
-// medium kind, Ethernet model and bridge topology. When the fabric is
-// selected, the shared network axes that ride along every scenario —
-// loss rate and receive-ring capacity — are mapped onto the fabric
-// model, so an ethernet-vs-fabric comparison varies the wire and
-// nothing else.
-func mediumBlock(kind string, np ethernet.Params, tc ethernet.TopologyConfig) mether.MediumConfig {
-	mc := mether.MediumConfig{Kind: kind, Ethernet: np, Topology: tc}
-	if kind == mether.MediumFabric {
-		fp := mether.DefaultFabricParams()
-		fp.LossRate = np.LossRate
-		if np.RxRing > 0 {
-			fp.RxRing = np.RxRing
-		}
-		mc.Fabric = fp
-	}
-	return mc
-}
 
 // HotspotConfig parameterizes a hot-page contention run: every host
 // repeatedly updates its own word of one shared consistent page, so the
@@ -199,63 +35,17 @@ type HotspotConfig struct {
 	// large cells bound the writer set to keep the cell tractable while
 	// the fan-out being measured stays at full cluster size.
 	Writers int
-	// WarmStart seeds resident replicas of the hot page on every host
-	// before the run (see Segment.WarmReplicas), removing the cold
-	// attach storm from the measurement.
-	WarmStart bool
 	// IncCost is the CPU cost per update (default 50 µs).
 	IncCost time.Duration
-	// MinResidency overrides the driver's anti-thrash holdoff when
-	// positive. At large host counts the default 10 ms window expires
-	// while the grantee's client is still waiting behind its server's
-	// broadcast-handling load, so ownership leaves before the update
-	// happens and the page thrashes; cluster cells scale this with host
-	// count.
-	MinResidency time.Duration
-	// RetryTimeout overrides the driver's demand-request retransmit
-	// interval when positive. At the 1024-host tier the default 250 ms
-	// retry is far shorter than the scaled residency window, so every
-	// waiting host re-broadcasts its request several times per ownership
-	// bounce and each retry costs every host a receive; cluster cells
-	// scale the retry with host count to keep the redundant-request storm
-	// bounded (absent loss, deferred requests are served without retries).
-	RetryTimeout time.Duration
-	// KernelServer runs protocol processing at interrupt level (the
-	// paper's proposed fix) instead of in the user-level server process.
-	KernelServer bool
-	// Trunks partitions the hosts across bridged Ethernet trunks (0/1 =
-	// the classic single bus); TrunkShape arranges them (star default).
-	Trunks     int
-	TrunkShape ethernet.Shape
 	// OwnerTrunk places the hot page's initial owner on a trunk (its
 	// first host). The owner is where the consistent copy starts — on a
 	// bridged topology, which trunk hosts it decides who pays the
 	// store-and-forward hop for the first round of steals.
 	OwnerTrunk int
-	// PortLoss is the per-port bridge forwarding loss probability.
-	PortLoss float64
-	// BacklogUp and BacklogDown model asymmetric background traffic on
-	// every bridge: extra forwarding delay toward the higher- and
-	// lower-numbered trunk respectively (see ethernet.TopologyConfig).
-	BacklogUp   time.Duration
-	BacklogDown time.Duration
-	// Redundancy is the redundant-fetch fan-out k for read faults (0/1 =
-	// the classic owner-only protocol).
-	Redundancy int
-	// Faults is the deterministic fault schedule to execute during the
-	// run (empty = healthy world, provably identical to a schedule-free
-	// run). Hotspot fault cells exercise bridge partition/heal; note that
-	// orphan re-claiming (ClaimRetries) must stay off in partitioned
-	// worlds — a claim across a partition would mint a second owner that
-	// the heal then exposes as split-brain.
-	Faults fault.Schedule
-	// Medium selects the interconnect backend (mether.MediumEthernet
-	// when empty, or mether.MediumFabric). Incompatible with Trunks > 1.
-	Medium string
-	Seed   int64
-	Cap    time.Duration
-	// NetParams overrides the Ethernet model when non-zero (loss sweeps).
-	NetParams ethernet.Params
+	// Options is the cluster the run is built on. Hotspot fault cells
+	// exercise bridge partition/heal, so they must leave ClaimRetries
+	// zero (see Options.ClaimRetries).
+	Options
 }
 
 // HotspotReport is the hotspot run's measurements.
@@ -265,9 +55,6 @@ type HotspotReport struct {
 	Short   bool
 	Updates uint64 // total updates completed
 	DNF     bool
-	// Orphaned is the end-of-run count of pages with no consistent copy
-	// anywhere (only measured when a fault schedule ran; 0 otherwise).
-	Orphaned int
 	ClusterStats
 }
 
@@ -280,9 +67,6 @@ func (c HotspotConfig) withDefaults() (HotspotConfig, error) {
 	}
 	if c.IncCost == 0 {
 		c.IncCost = 50 * time.Microsecond
-	}
-	if c.Cap == 0 {
-		c.Cap = 10 * time.Minute
 	}
 	if c.Hosts < 2 {
 		return c, fmt.Errorf("workload: hotspot needs at least 2 hosts")
@@ -308,37 +92,15 @@ func RunHotspot(cfg HotspotConfig) (HotspotReport, error) {
 	if err != nil {
 		return HotspotReport{}, err
 	}
-	wcfg := mether.Config{
-		Hosts: cfg.Hosts, Pages: 8, Seed: cfg.Seed,
-		Trunks: cfg.Trunks,
-		Medium: mediumBlock(cfg.Medium, cfg.NetParams, ethernet.TopologyConfig{
-			Shape: cfg.TrunkShape, PortLoss: cfg.PortLoss,
-			BacklogUp: cfg.BacklogUp, BacklogDown: cfg.BacklogDown,
-		}),
-	}
-	if cfg.MinResidency > 0 || cfg.RetryTimeout > 0 || cfg.KernelServer || cfg.Redundancy > 1 {
-		wcfg.Core = core.DefaultConfig(8)
-		if cfg.MinResidency > 0 {
-			wcfg.Core.MinResidency = cfg.MinResidency
-		}
-		if cfg.RetryTimeout > 0 {
-			wcfg.Core.RetryTimeout = cfg.RetryTimeout
-		}
-		wcfg.Core.KernelServer = cfg.KernelServer
-		wcfg.Core.Redundancy = cfg.Redundancy
-	}
-	w := mether.NewWorld(wcfg)
-	defer w.Shutdown()
-	seg, err := w.CreateSegmentOnTrunk("hotspot", 1, cfg.OwnerTrunk)
+	var seg *mether.Segment
+	w, err := cfg.World(cfg.Hosts, 8, func(w *mether.World) (err error) {
+		seg, err = w.CreateSegmentOnTrunk("hotspot", 1, cfg.OwnerTrunk)
+		return err
+	})
 	if err != nil {
 		return HotspotReport{}, err
 	}
-	if cfg.WarmStart {
-		seg.WarmReplicas()
-	}
-	if err := w.InjectFaults(cfg.Faults); err != nil {
-		return HotspotReport{}, err
-	}
+	defer w.Shutdown()
 	capRW := seg.CapRW()
 
 	done := make([]bool, cfg.Writers)
@@ -376,24 +138,9 @@ func RunHotspot(cfg HotspotConfig) (HotspotReport, error) {
 			}
 		})
 	}
-	w.RunUntil(cfg.Cap)
-	for _, err := range errs {
-		if err != nil {
-			return HotspotReport{}, err
-		}
-	}
-	r := HotspotReport{Hosts: cfg.Hosts, Iters: cfg.Iters, Short: cfg.ShortPage, Updates: updates}
-	for _, d := range done {
-		if !d {
-			r.DNF = true
-			lastFinish = w.Now()
-		}
-	}
-	if !cfg.Faults.Empty() {
-		r.Orphaned = w.OrphanedPages()
-	}
-	r.ClusterStats = collectCluster(w, lastFinish, nil)
-	return r, nil
+	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
+	return HotspotReport{Hosts: cfg.Hosts, Iters: cfg.Iters, Short: cfg.ShortPage,
+		Updates: updates, DNF: dnf, ClusterStats: cs}, err
 }
 
 // BarrierConfig parameterizes a bulk-synchronous run: every host
@@ -418,33 +165,11 @@ type BarrierConfig struct {
 	// events spinning against a copy that cannot change faster than the
 	// broadcast backlog drains; cluster cells scale this with host count.
 	CheckEvery time.Duration
-	// WarmStart seeds resident replicas of every barrier page on every
-	// host before the run (see Segment.WarmReplicas).
-	WarmStart bool
-	// KernelServer runs protocol processing at interrupt level.
-	KernelServer bool
-	// Trunks partitions the hosts across bridged Ethernet trunks (0/1 =
-	// single bus); TrunkShape arranges them. Every arrival broadcast
-	// must then be forwarded to every other trunk before its waiters
-	// release — the barrier is the broadcast-bound worst case for a
-	// bridged topology.
-	Trunks     int
-	TrunkShape ethernet.Shape
-	// PortLoss is the per-port bridge forwarding loss probability.
-	PortLoss float64
-	// BacklogUp and BacklogDown model asymmetric background traffic on
-	// every bridge (see ethernet.TopologyConfig).
-	BacklogUp   time.Duration
-	BacklogDown time.Duration
-	// Redundancy is the redundant-fetch fan-out k for read faults (0/1 =
-	// the classic owner-only protocol).
-	Redundancy int
-	// Medium selects the interconnect backend (mether.MediumEthernet
-	// when empty, or mether.MediumFabric). Incompatible with Trunks > 1.
-	Medium    string
-	Seed      int64
-	Cap       time.Duration
-	NetParams ethernet.Params
+	// Options is the cluster the run is built on. On bridged trunks every
+	// arrival broadcast must be forwarded to every other trunk before its
+	// waiters release — the barrier is the broadcast-bound worst case for
+	// a bridged topology.
+	Options
 }
 
 // BarrierReport is the barrier run's measurements. The latency fields of
@@ -473,9 +198,6 @@ func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
 	if c.CheckEvery == 0 {
 		c.CheckEvery = 10 * time.Microsecond
 	}
-	if c.Cap == 0 {
-		c.Cap = 10 * time.Minute
-	}
 	if c.Hosts < 2 {
 		return c, fmt.Errorf("workload: barrier needs at least 2 hosts")
 	}
@@ -489,36 +211,11 @@ func RunBarrier(cfg BarrierConfig) (BarrierReport, error) {
 	if err != nil {
 		return BarrierReport{}, err
 	}
-	pages := cfg.Hosts
-	if pages < 8 {
-		pages = 8
-	}
-	wcfg := mether.Config{
-		Hosts: cfg.Hosts, Pages: pages, Seed: cfg.Seed,
-		Trunks: cfg.Trunks,
-		Medium: mediumBlock(cfg.Medium, cfg.NetParams, ethernet.TopologyConfig{
-			Shape: cfg.TrunkShape, PortLoss: cfg.PortLoss,
-			BacklogUp: cfg.BacklogUp, BacklogDown: cfg.BacklogDown,
-		}),
-	}
-	if cfg.KernelServer || cfg.Redundancy > 1 {
-		wcfg.Core = core.DefaultConfig(pages)
-		wcfg.Core.KernelServer = cfg.KernelServer
-		wcfg.Core.Redundancy = cfg.Redundancy
-	}
-	w := mether.NewWorld(wcfg)
-	defer w.Shutdown()
-	owners := make([]int, cfg.Hosts)
-	for i := range owners {
-		owners[i] = i
-	}
-	seg, err := w.CreateSegmentOwners("barrier", owners)
+	w, seg, err := cfg.ownedPages("barrier", cfg.Hosts)
 	if err != nil {
 		return BarrierReport{}, err
 	}
-	if cfg.WarmStart {
-		seg.WarmReplicas()
-	}
+	defer w.Shutdown()
 	capRW := seg.CapRW()
 
 	// Pre-draw the per-host, per-phase work so the schedule is a pure
@@ -554,21 +251,9 @@ func RunBarrier(cfg BarrierConfig) (BarrierReport, error) {
 			}
 		})
 	}
-	w.RunUntil(cfg.Cap)
-	for _, err := range errs {
-		if err != nil {
-			return BarrierReport{}, err
-		}
-	}
-	r := BarrierReport{Hosts: cfg.Hosts, Phases: cfg.Phases}
-	for _, d := range done {
-		if !d {
-			r.DNF = true
-			lastFinish = w.Now()
-		}
-	}
-	r.ClusterStats = collectCluster(w, lastFinish, &waitHist)
-	return r, nil
+	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
+	cs.SetLatency(&waitHist)
+	return BarrierReport{Hosts: cfg.Hosts, Phases: cfg.Phases, DNF: dnf, ClusterStats: cs}, err
 }
 
 // barrierClient is one host's compute/arrive/wait loop.
@@ -638,9 +323,8 @@ type PipelineConfig struct {
 	Size int
 	// StageCost is the per-message compute at every stage (default 200 µs).
 	StageCost time.Duration
-	Seed      int64
-	Cap       time.Duration
-	NetParams ethernet.Params
+	// Options is the cluster the run is built on.
+	Options
 }
 
 // PipelineReport is the pipeline run's measurements. The latency fields
@@ -669,9 +353,6 @@ func (c PipelineConfig) withDefaults() (PipelineConfig, error) {
 	if c.StageCost == 0 {
 		c.StageCost = 200 * time.Microsecond
 	}
-	if c.Cap == 0 {
-		c.Cap = 10 * time.Minute
-	}
 	if c.Stages < 2 {
 		return c, fmt.Errorf("workload: pipeline needs at least 2 stages")
 	}
@@ -691,20 +372,25 @@ func RunPipeline(cfg PipelineConfig) (PipelineReport, error) {
 	if pages < 8 {
 		pages = 8
 	}
-	w := mether.NewWorld(mether.Config{Hosts: cfg.Stages, Pages: pages, Seed: cfg.Seed, NetParams: cfg.NetParams})
-	defer w.Shutdown()
 	caps := make([]mether.Capability, cfg.Stages-1)
-	for i := range caps {
-		caps[i], err = pipe.Create(w, fmt.Sprintf("stage%d", i), i, i+1)
-		if err != nil {
-			return PipelineReport{}, err
+	w, err := cfg.World(cfg.Stages, pages, func(w *mether.World) (err error) {
+		for i := range caps {
+			if caps[i], err = pipe.Create(w, fmt.Sprintf("stage%d", i), i, i+1); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return PipelineReport{}, err
 	}
+	defer w.Shutdown()
 
 	errs := make([]error, cfg.Stages)
 	sentAt := make([]time.Duration, cfg.Messages)
 	var lat stats.Histogram
 	delivered := 0
+	done := make([]bool, 1) // the sink received every message
 	var lastFinish time.Duration
 	payload := make([]byte, cfg.Size)
 	for i := range payload {
@@ -778,22 +464,11 @@ func RunPipeline(cfg PipelineConfig) (PipelineReport, error) {
 			delivered++
 			lastFinish = env.Now()
 		}
+		done[0] = true
 	})
 
-	w.RunUntil(cfg.Cap)
-	for _, err := range errs {
-		if err != nil {
-			return PipelineReport{}, err
-		}
-	}
-	r := PipelineReport{Stages: cfg.Stages, Messages: cfg.Messages, Size: cfg.Size, Delivered: delivered}
-	if delivered != cfg.Messages {
-		r.DNF = true
-		lastFinish = w.Now()
-	}
-	r.ClusterStats = collectCluster(w, lastFinish, &lat)
-	if lastFinish > 0 {
-		r.MsgsPerSec = stats.Rate(uint64(delivered), lastFinish)
-	}
-	return r, nil
+	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
+	cs.SetLatency(&lat)
+	return PipelineReport{Stages: cfg.Stages, Messages: cfg.Messages, Size: cfg.Size, Delivered: delivered,
+		DNF: dnf, MsgsPerSec: stats.Rate(uint64(delivered), cs.Wall), ClusterStats: cs}, err
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestHotspotCompletes(t *testing.T) {
-	r, err := RunHotspot(HotspotConfig{Hosts: 3, Iters: 8, ShortPage: true, Seed: 1})
+	r, err := RunHotspot(HotspotConfig{Hosts: 3, Iters: 8, ShortPage: true, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,11 @@ func TestHotspotCompletes(t *testing.T) {
 }
 
 func TestHotspotShortMovesFewerBytes(t *testing.T) {
-	short, err := RunHotspot(HotspotConfig{Hosts: 2, Iters: 8, ShortPage: true, Seed: 1})
+	short, err := RunHotspot(HotspotConfig{Hosts: 2, Iters: 8, ShortPage: true, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunHotspot(HotspotConfig{Hosts: 2, Iters: 8, ShortPage: false, Seed: 1})
+	full, err := RunHotspot(HotspotConfig{Hosts: 2, Iters: 8, ShortPage: false, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestHotspotRejectsBadConfig(t *testing.T) {
 }
 
 func TestBarrierCompletes(t *testing.T) {
-	r, err := RunBarrier(BarrierConfig{Hosts: 3, Phases: 4, Work: time.Millisecond, Seed: 1})
+	r, err := RunBarrier(BarrierConfig{Hosts: 3, Phases: 4, Work: time.Millisecond, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBarrierCompletes(t *testing.T) {
 }
 
 func TestPipelineDeliversInOrder(t *testing.T) {
-	r, err := RunPipeline(PipelineConfig{Stages: 3, Messages: 6, Size: 8, Seed: 1})
+	r, err := RunPipeline(PipelineConfig{Stages: 3, Messages: 6, Size: 8, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestPipelineDeliversInOrder(t *testing.T) {
 }
 
 func TestPipelineBulkUsesFullPages(t *testing.T) {
-	small, err := RunPipeline(PipelineConfig{Stages: 2, Messages: 4, Size: 8, Seed: 1})
+	small, err := RunPipeline(PipelineConfig{Stages: 2, Messages: 4, Size: 8, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk, err := RunPipeline(PipelineConfig{Stages: 2, Messages: 4, Size: pipe.ShortPayload + 100, Seed: 1})
+	bulk, err := RunPipeline(PipelineConfig{Stages: 2, Messages: 4, Size: pipe.ShortPayload + 100, Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestPipelineBulkUsesFullPages(t *testing.T) {
 }
 
 func TestScenarioDeterminism(t *testing.T) {
-	a, err := RunBarrier(BarrierConfig{Hosts: 2, Phases: 3, Seed: 7})
+	a, err := RunBarrier(BarrierConfig{Hosts: 2, Phases: 3, Options: Options{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBarrier(BarrierConfig{Hosts: 2, Phases: 3, Seed: 7})
+	b, err := RunBarrier(BarrierConfig{Hosts: 2, Phases: 3, Options: Options{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,6 @@ import (
 	"time"
 
 	"mether"
-	"mether/internal/core"
-	"mether/internal/ethernet"
-	"mether/internal/fault"
 )
 
 // StationaryConfig parameterizes the cluster-scale stationary-owner
@@ -36,38 +33,6 @@ type StationaryConfig struct {
 	SampleEvery int
 	// IncCost is the CPU cost per update (default 50 µs).
 	IncCost time.Duration
-	// WarmStart seeds resident replicas of every segment page on every
-	// host before the run (see Segment.WarmReplicas): at the 1024-host
-	// tier a cold start means every host demand-fetches every peer page
-	// at attach, an O(hosts³) request storm that swamps the workload.
-	WarmStart bool
-	// KernelServer runs protocol processing at interrupt level.
-	KernelServer bool
-	// Trunks partitions the hosts across bridged Ethernet trunks (0/1 =
-	// single bus); TrunkShape arranges them. Each host's page is owned
-	// (served) by that host, so placement follows the block partition:
-	// intra-trunk samples stay local while the border hosts' ring
-	// neighbours sit across a bridge.
-	Trunks     int
-	TrunkShape ethernet.Shape
-	// PortLoss is the per-port bridge forwarding loss probability.
-	PortLoss float64
-	// BacklogUp and BacklogDown model asymmetric background traffic on
-	// every bridge: extra forwarding delay toward the higher- and
-	// lower-numbered trunk respectively (see ethernet.TopologyConfig).
-	BacklogUp   time.Duration
-	BacklogDown time.Duration
-	// Redundancy is the redundant-fetch fan-out k for the neighbour
-	// samples' read faults (0/1 = the classic owner-only protocol): each
-	// demand fetch additionally names the k-1 nearest replicas, any of
-	// which may answer first — the tail-latency-for-wire-bytes trade.
-	Redundancy int
-	// RetryTimeout overrides the driver's demand-retransmit interval
-	// (zero = the 250 ms default). The windowed tiers widen it: with
-	// RingSlots-bounded rings a sample request can land in a saturated
-	// owner's drop window, and the retry should arrive after the burst
-	// drains, not join it.
-	RetryTimeout time.Duration
 	// WindowedAttach maps only each host's working set — its own page
 	// and its sampled neighbour's page — instead of the whole segment.
 	// The classic full attach maps hosts × pages states (quadratic) for
@@ -80,40 +45,11 @@ type StationaryConfig struct {
 	// costs no virtual time, so the stagger is pure offset, not hidden
 	// work.
 	StaggerStart time.Duration
-	// LazyReplicas enables the driver's memory-lazy receive path
-	// (core.Config.LazyReplicas): snooped broadcasts for pages a host
-	// never touched are counted and skipped instead of materializing
-	// per-page state. Only the windowed tiers set it — the classic warm
-	// cells measure refresh effects on exactly those untouched replicas.
-	LazyReplicas bool
-	// RingSlots bounds every NIC's logical receive ring when positive,
-	// replacing the uniform NetParams.RxRing. The stationary fan-in
-	// model: each host's page has exactly one sampler, so an owner must
-	// absorb that sampler's request plus its own replies — a handful of
-	// frames — and everything beyond is droppable snoop backlog. The
-	// windowed tiers derive a small constant from that model (see
-	// ClusterGrid) instead of the old 4×hosts worst case, and the
-	// reported ring high-water proves the bound out.
-	RingSlots int
-	// Faults is the deterministic fault schedule to execute during the
-	// run (empty = healthy world, provably identical to a schedule-free
-	// run): host crashes and recoveries, bridge partitions, owner
-	// migrations — all fired at virtual times under the seeded kernel.
-	Faults fault.Schedule
-	// ClaimRetries arms orphaned-ownership recovery: after this many
-	// consecutive unanswered demand retries a requester claims the page
-	// itself (generation-bumped, broadcast, deterministically arbitrated).
-	// Zero disables claiming — required in worlds whose schedule
-	// partitions bridges, where a claim across the partition would mint a
-	// second owner.
-	ClaimRetries int
-	// Medium selects the interconnect backend (mether.MediumEthernet
-	// when empty, or mether.MediumFabric). Incompatible with Trunks > 1.
-	Medium string
-	Seed   int64
-	Cap    time.Duration
-	// NetParams overrides the Ethernet model when non-zero (loss sweeps).
-	NetParams ethernet.Params
+	// Options is the cluster the run is built on. Each host's page is
+	// owned (served) by that host, so on bridged trunks placement follows
+	// the block partition: intra-trunk samples stay local while the
+	// border hosts' ring neighbours sit across a bridge.
+	Options
 }
 
 // StationaryReport is the stationary run's measurements. The latency
@@ -125,11 +61,6 @@ type StationaryReport struct {
 	Updates uint64 // total own-page updates completed
 	Samples uint64 // neighbour samples observed
 	DNF     bool
-	// Orphaned is the end-of-run count of pages with no consistent copy
-	// anywhere (only measured when a fault schedule ran; 0 otherwise). A
-	// crash-and-recover cell must end with zero: every authority lost to
-	// a crash has been re-claimed.
-	Orphaned int
 	ClusterStats
 }
 
@@ -146,9 +77,6 @@ func (c StationaryConfig) withDefaults() (StationaryConfig, error) {
 	if c.IncCost == 0 {
 		c.IncCost = 50 * time.Microsecond
 	}
-	if c.Cap == 0 {
-		c.Cap = 10 * time.Minute
-	}
 	if c.Hosts < 2 {
 		return c, fmt.Errorf("workload: stationary needs at least 2 hosts")
 	}
@@ -158,51 +86,24 @@ func (c StationaryConfig) withDefaults() (StationaryConfig, error) {
 // RunStationary measures N hosts each updating a stationary owned page
 // and passively observing a neighbour.
 func RunStationary(cfg StationaryConfig) (StationaryReport, error) {
+	r, w, err := runStationary(cfg)
+	if w != nil {
+		w.Shutdown()
+	}
+	return r, err
+}
+
+// runStationary is RunStationary handing back the finished world still
+// open (nil if it was never built), so a test can hold the report
+// against the world's own accessors.
+func runStationary(cfg StationaryConfig) (StationaryReport, *mether.World, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return StationaryReport{}, err
+		return StationaryReport{}, nil, err
 	}
-	pages := cfg.Hosts
-	if pages < 8 {
-		pages = 8
-	}
-	wcfg := mether.Config{
-		Hosts: cfg.Hosts, Pages: pages, Seed: cfg.Seed,
-		Trunks: cfg.Trunks,
-		Medium: mediumBlock(cfg.Medium, cfg.NetParams, ethernet.TopologyConfig{
-			Shape: cfg.TrunkShape, PortLoss: cfg.PortLoss,
-			BacklogUp: cfg.BacklogUp, BacklogDown: cfg.BacklogDown,
-		}),
-	}
-	if cfg.KernelServer || cfg.Redundancy > 1 || cfg.LazyReplicas || cfg.RetryTimeout > 0 || cfg.ClaimRetries > 0 {
-		wcfg.Core = core.DefaultConfig(pages)
-		wcfg.Core.KernelServer = cfg.KernelServer
-		wcfg.Core.Redundancy = cfg.Redundancy
-		wcfg.Core.LazyReplicas = cfg.LazyReplicas
-		if cfg.RetryTimeout > 0 {
-			wcfg.Core.RetryTimeout = cfg.RetryTimeout
-		}
-		wcfg.Core.ClaimRetries = cfg.ClaimRetries
-	}
-	if cfg.RingSlots > 0 {
-		ring := cfg.RingSlots
-		wcfg.Medium.RingOf = func(int) int { return ring }
-	}
-	w := mether.NewWorld(wcfg)
-	defer w.Shutdown()
-	owners := make([]int, cfg.Hosts)
-	for i := range owners {
-		owners[i] = i
-	}
-	seg, err := w.CreateSegmentOwners("stationary", owners)
+	w, seg, err := cfg.ownedPages("stationary", cfg.Hosts)
 	if err != nil {
-		return StationaryReport{}, err
-	}
-	if cfg.WarmStart {
-		seg.WarmReplicas()
-	}
-	if err := w.InjectFaults(cfg.Faults); err != nil {
-		return StationaryReport{}, err
+		return StationaryReport{}, nil, err
 	}
 	capRW := seg.CapRW()
 
@@ -277,22 +178,7 @@ func RunStationary(cfg StationaryConfig) (StationaryReport, error) {
 			}
 		})
 	}
-	w.RunUntil(cfg.Cap)
-	for _, err := range errs {
-		if err != nil {
-			return StationaryReport{}, err
-		}
-	}
-	r := StationaryReport{Hosts: cfg.Hosts, Iters: cfg.Iters, Updates: updates, Samples: samples}
-	for _, d := range done {
-		if !d {
-			r.DNF = true
-			lastFinish = w.Now()
-		}
-	}
-	if !cfg.Faults.Empty() {
-		r.Orphaned = w.OrphanedPages()
-	}
-	r.ClusterStats = collectCluster(w, lastFinish, nil)
-	return r, nil
+	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
+	return StationaryReport{Hosts: cfg.Hosts, Iters: cfg.Iters, Updates: updates, Samples: samples,
+		DNF: dnf, ClusterStats: cs}, w, err
 }

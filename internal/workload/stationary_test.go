@@ -11,7 +11,7 @@ import (
 // updates add up, and the sampling path observed the neighbours.
 func TestStationaryCompletes(t *testing.T) {
 	for _, hosts := range []int{2, 4, 16} {
-		r, err := RunStationary(StationaryConfig{Hosts: hosts, Iters: 8, Seed: 1})
+		r, err := RunStationary(StationaryConfig{Hosts: hosts, Iters: 8, Options: Options{Seed: 1}})
 		if err != nil {
 			t.Fatalf("hosts=%d: %v", hosts, err)
 		}
@@ -36,7 +36,7 @@ func TestStationaryCompletes(t *testing.T) {
 // broadcast per update).
 func TestStationaryNetworkLoadScalesLinearly(t *testing.T) {
 	perUpdate := func(hosts int) float64 {
-		r, err := RunStationary(StationaryConfig{Hosts: hosts, Iters: 16, Seed: 1})
+		r, err := RunStationary(StationaryConfig{Hosts: hosts, Iters: 16, Options: Options{Seed: 1}})
 		if err != nil || r.DNF {
 			t.Fatalf("hosts=%d: err=%v dnf=%v", hosts, err, r.DNF)
 		}
@@ -58,7 +58,7 @@ func TestStationaryRejectsBadConfig(t *testing.T) {
 // TestStationaryDeterministic: equal seeds, equal reports.
 func TestStationaryDeterministic(t *testing.T) {
 	run := func() StationaryReport {
-		r, err := RunStationary(StationaryConfig{Hosts: 4, Iters: 8, Seed: 7, Cap: time.Minute})
+		r, err := RunStationary(StationaryConfig{Hosts: 4, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,6 +132,15 @@ func (s *Segment) WarmReplicas() {
 	}
 }
 
+// WarmReplicas warms every segment created so far (Segment.WarmReplicas
+// over the whole allocated page range) — the cluster recipes' WarmStart,
+// which holds for whatever segments a workload laid out.
+func (w *World) WarmReplicas() {
+	for _, d := range w.drivers {
+		d.SeedReplicaRange(0, w.nextPage)
+	}
+}
+
 // Pages returns the segment length in pages.
 func (s *Segment) Pages() int { return s.pages }
 

@@ -61,7 +61,7 @@ func TestTrunkPartitionAndPlacement(t *testing.T) {
 func TestCrossTrunkPurgeOrderingDisagrees(t *testing.T) {
 	w := mether.NewWorld(mether.Config{
 		Hosts: 4, Pages: 8, Seed: 11, Trunks: 2,
-		Topology: ethernet.TopologyConfig{BridgeDelay: 20 * time.Millisecond},
+		Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{BridgeDelay: 20 * time.Millisecond}},
 	})
 	defer w.Shutdown()
 	segA, err := w.CreateSegment("a", 1, 0) // owner host 0, trunk 0
@@ -162,5 +162,35 @@ func TestCrossTrunkPurgeOrderingDisagrees(t *testing.T) {
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestConfigValidate covers the one rule set for configurations no
+// world can be built from: Validate returns each as an error, and
+// NewWorld — for callers that skipped it — panics with the same message.
+func TestConfigValidate(t *testing.T) {
+	if err := (mether.Config{}).Validate(); err != nil {
+		t.Errorf("zero Config: %v", err)
+	}
+	for name, cfg := range map[string]mether.Config{
+		"unknown medium":       {Medium: mether.MediumConfig{Kind: "token-ring"}},
+		"trunks over hosts":    {Hosts: 2, Trunks: 3},
+		"negative trunks":      {Hosts: 2, Trunks: -1},
+		"trunks on a fabric":   {Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Kind: mether.MediumFabric}},
+		"TrunkOf out of range": {Hosts: 4, Trunks: 2, TrunkOf: func(int) int { return 2 }},
+	} {
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+			continue
+		}
+		func() {
+			defer func() {
+				if got := recover(); got != err.Error() {
+					t.Errorf("%s: NewWorld panicked with %v, Validate said %q", name, got, err)
+				}
+			}()
+			mether.NewWorld(cfg).Shutdown()
+		}()
 	}
 }

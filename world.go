@@ -31,6 +31,7 @@
 package mether
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -151,25 +152,6 @@ type Config struct {
 	// drivers (core.Config.TrunkOf); there is no second copy to keep in
 	// sync.
 	TrunkOf func(host int) int
-
-	// Deprecated knobs, kept so pre-MediumConfig callers build
-	// unchanged. Each folds into the Medium block in withDefaults, and
-	// only when the corresponding Medium field was left zero:
-	//
-	//	NetParams → Medium.Ethernet
-	//	Topology  → Medium.Topology
-	//	RingOf    → Medium.RingOf
-	//
-	// New code should set the Medium block directly.
-	NetParams ethernet.Params
-	// Topology parameterizes multi-trunk bridges.
-	//
-	// Deprecated: set Medium.Topology.
-	Topology ethernet.TopologyConfig
-	// RingOf sizes per-host receive rings.
-	//
-	// Deprecated: set Medium.RingOf.
-	RingOf func(host int) int
 }
 
 func (c Config) withDefaults() Config {
@@ -182,24 +164,8 @@ func (c Config) withDefaults() Config {
 	if c.HostParams.Quantum == 0 {
 		c.HostParams = host.DefaultParams()
 	}
-	// Fold the deprecated medium-scoped knobs into the Medium block
-	// (documented mapping on Config); explicit Medium fields win.
-	if c.Medium.Ethernet.BandwidthBps == 0 {
-		c.Medium.Ethernet = c.NetParams
-	}
-	if c.Medium.Topology == (ethernet.TopologyConfig{}) {
-		c.Medium.Topology = c.Topology
-	}
-	if c.Medium.RingOf == nil {
-		c.Medium.RingOf = c.RingOf
-	}
-	switch c.Medium.Kind {
-	case "":
+	if c.Medium.Kind == "" {
 		c.Medium.Kind = MediumEthernet
-	case MediumEthernet, MediumFabric:
-	default:
-		panic(fmt.Sprintf("mether: unknown medium kind %q (want %q or %q)",
-			c.Medium.Kind, MediumEthernet, MediumFabric))
 	}
 	if c.Medium.Ethernet.BandwidthBps == 0 {
 		c.Medium.Ethernet = ethernet.DefaultParams()
@@ -214,13 +180,35 @@ func (c Config) withDefaults() Config {
 	if c.Trunks == 0 {
 		c.Trunks = 1
 	}
+	return c
+}
+
+// Validate reports a configuration NewWorld cannot build: an unknown
+// medium kind, a trunk count outside 1..Hosts, trunks on a fabric, or a
+// TrunkOf placement naming a trunk that does not exist. Zero-valued
+// fields are judged after defaulting, so the zero Config is valid.
+// NewWorld panics with the same message; callers holding configuration
+// from outside the program (sweep cells, flags) call Validate first.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.Medium.Kind != MediumEthernet && c.Medium.Kind != MediumFabric {
+		return fmt.Errorf("mether: unknown medium kind %q (want %q or %q)",
+			c.Medium.Kind, MediumEthernet, MediumFabric)
+	}
 	if c.Trunks < 1 || c.Trunks > c.Hosts {
-		panic(fmt.Sprintf("mether: %d trunks for %d hosts", c.Trunks, c.Hosts))
+		return fmt.Errorf("mether: %d trunks for %d hosts", c.Trunks, c.Hosts)
 	}
 	if c.Medium.Kind == MediumFabric && c.Trunks > 1 {
-		panic("mether: trunks are an Ethernet concept; a fabric has no broadcast domains to bridge")
+		return errors.New("mether: trunks are an Ethernet concept; a fabric has no broadcast domains to bridge")
 	}
-	return c
+	if c.Trunks > 1 && c.TrunkOf != nil {
+		for i := 0; i < c.Hosts; i++ {
+			if t := c.TrunkOf(i); t < 0 || t >= c.Trunks {
+				return fmt.Errorf("mether: TrunkOf(%d) = %d outside 0..%d", i, t, c.Trunks-1)
+			}
+		}
+	}
+	return nil
 }
 
 // World is one simulated Mether cluster.
@@ -244,6 +232,9 @@ type World struct {
 
 // NewWorld builds a cluster and starts the Mether server on every host.
 func NewWorld(cfg Config) *World {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.withDefaults()
 	w := &World{
 		cfg:  cfg,
@@ -287,9 +278,6 @@ func NewWorld(cfg Config) *World {
 			t := i * cfg.Trunks / cfg.Hosts
 			if cfg.TrunkOf != nil {
 				t = cfg.TrunkOf(i)
-			}
-			if t < 0 || t >= cfg.Trunks {
-				panic(fmt.Sprintf("mether: TrunkOf(%d) = %d outside 0..%d", i, t, cfg.Trunks-1))
 			}
 			w.trunkOf[i] = t
 		}
