@@ -35,7 +35,8 @@
 #   make golden-update - regenerate those files after an intended change
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
 #                        the 4096-deep timer population, process steps with
-#                        zero and one goroutine switch, park/wake, host
+#                        no hand-off, one between two processes and one
+#                        round a fan of 96, park/wake, host
 #                        sleep/wake and quantum rotation, bus broadcast, full
 #                        counter runs)
 #                        plus the figure benchmarks at reduced scale
@@ -59,7 +60,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
 
 .PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
 

@@ -123,17 +123,16 @@ type Host struct {
 	// sleep/wake cycle on a recurring key never reallocates; the map is
 	// bounded by the world's distinct key population (pages × 2 + hosts).
 	sleepers map[any][]*Proc
-	procs    []*Proc
-	busy     time.Duration // total CPU busy time
+	// asleep counts the processes queued in sleepers, over all keys: a
+	// Wakeup nobody waits for (most snooped transits) skips the probe.
+	asleep int
+	procs  []*Proc
+	busy   time.Duration // total CPU busy time
 
 	// boostFree recycles wake-boost timers: each carries a prebuilt
 	// closure, so arming a boost on the wake hot path allocates nothing
 	// in steady state.
 	boostFree []*boostTimer
-
-	// Precomputed event names (hot paths must not concatenate strings).
-	boostName string
-	intrName  string
 }
 
 // New creates a host scheduled by kernel k.
@@ -141,12 +140,7 @@ func New(k *sim.Kernel, id int, name string, pr Params) *Host {
 	if pr.Quantum <= 0 {
 		panic("host: Quantum must be positive")
 	}
-	return &Host{
-		k: k, id: id, name: name, pr: pr,
-		sleepers:  make(map[any][]*Proc),
-		boostName: "wake boost " + name,
-		intrName:  "interrupt " + name,
-	}
+	return &Host{k: k, id: id, name: name, pr: pr, sleepers: make(map[any][]*Proc)}
 }
 
 // Kernel returns the simulation kernel driving this host.
@@ -191,12 +185,10 @@ type Proc struct {
 	// blocked bookkeeping
 	sleepKey any
 
-	// Precomputed event names and closures so the dispatch/sleep hot
-	// paths schedule kernel events without per-call allocations.
-	dispatchName string
-	dispatchFn   func()
-	timerName    string
-	timerFn      func()
+	// Closures built once so the dispatch/sleep hot paths schedule kernel
+	// events without allocating; timerFn on the first SleepFor.
+	dispatchFn func()
+	timerFn    func()
 }
 
 // Spawn creates a process and makes it runnable. fn runs under the
@@ -204,12 +196,9 @@ type Proc struct {
 // through Use/UseUser/UseSys and all blocking through the Sleep methods.
 func (h *Host) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{h: h, name: name, state: stateRunnable}
-	p.dispatchName = "dispatch " + name
 	p.dispatchFn = func() { h.finishDispatch(p) }
-	p.timerName = "timer " + name
-	p.timerFn = func() { h.timerFire(p) }
 	h.procs = append(h.procs, p)
-	p.sp = h.k.Spawn(fmt.Sprintf("%s/%s", h.name, name), func(sp *sim.Proc) {
+	p.sp = h.k.Spawn(h.name+"/"+name, func(sp *sim.Proc) {
 		// Wait to be dispatched for the first time.
 		p.acquireCPU()
 		fn(p)
@@ -281,7 +270,7 @@ func (h *Host) maybeDispatch() {
 	next.inRunq = false
 	h.ctxSwitches++
 	delay := h.pr.CtxSwitch + h.pr.DispatchLatency
-	h.k.After(delay, next.dispatchName, next.dispatchFn)
+	h.k.After(delay, "dispatch", next.dispatchFn)
 }
 
 // finishDispatch completes a context switch armed by maybeDispatch.
@@ -389,6 +378,7 @@ func (p *Proc) SleepOn(key any) {
 	p.state = stateBlocked
 	p.sleepKey = key
 	h.sleepers[key] = append(h.sleepers[key], p)
+	h.asleep++
 	p.releaseCPU()
 	for p.state == stateBlocked {
 		// The key is already boxed, so parking on it costs nothing and
@@ -404,7 +394,10 @@ func (p *Proc) SleepFor(d time.Duration) {
 	h := p.h
 	p.state = stateBlocked
 	p.releaseCPU()
-	h.k.After(d, p.timerName, p.timerFn)
+	if p.timerFn == nil {
+		p.timerFn = func() { h.timerFire(p) }
+	}
+	h.k.After(d, "timer", p.timerFn)
 	for p.state == stateBlocked {
 		p.sp.Park("timed sleep")
 	}
@@ -429,10 +422,14 @@ func (h *Host) timerFire(p *Proc) {
 // from kernel event context (e.g. a NIC interrupt) or from another
 // process.
 func (h *Host) Wakeup(key any) {
+	if h.asleep == 0 {
+		return
+	}
 	ps := h.sleepers[key]
 	if len(ps) == 0 {
 		return
 	}
+	h.asleep -= len(ps)
 	// Retain the entry with its capacity; ps stays a stable snapshot
 	// because no process can re-sleep on the key until this event
 	// callback has returned control to the kernel.
@@ -506,7 +503,7 @@ func (h *Host) armWakeBoost(woken *Proc) {
 	// discarded — otherwise it would preempt whoever runs later (often
 	// the server) in favour of a process that already had its turn.
 	bt.epoch = woken.dispatchSeq
-	h.k.After(h.pr.WakeBoostDelay, h.boostName, bt.fn)
+	h.k.After(h.pr.WakeBoostDelay, "wake boost", bt.fn)
 }
 
 // Interrupt models a hardware interrupt: after the configured interrupt
@@ -517,7 +514,7 @@ func (h *Host) armWakeBoost(woken *Proc) {
 // only when dispatch order is provably unaffected; interrupt handlers
 // cannot be cancelled, so nothing is lost by not getting an Event back.
 func (h *Host) Interrupt(fn func()) {
-	h.k.AfterCoalesced(h.pr.InterruptCost, h.intrName, fn)
+	h.k.AfterCoalesced(h.pr.InterruptCost, "interrupt", fn)
 }
 
 // Sleeping reports how many processes are blocked on key.

@@ -621,3 +621,167 @@ func TestBatonMatchesGoroutineFreeReference(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 }
+
+// ---- coroutine hand-off: panics, Goexit and Shutdown by iter.Pull's rules ----
+
+// midYield spawns n processes that each start, block for an hour and so
+// hand the baton on through RunUntil: from then on they sit suspended
+// inside yield. started counts the ones that got that far, unwound the
+// ones whose deferred calls Shutdown has run.
+func midYield(k *Kernel, n int, started, unwound *int) {
+	for i := 0; i < n; i++ {
+		k.Spawn("bystander", func(p *Proc) {
+			defer func() { *unwound++ }()
+			*started++
+			p.Sleep(time.Hour)
+		})
+	}
+}
+
+// TestPanicWhileOthersSitMidYield: the panic leaves RunUntil while
+// other coroutines are suspended; Shutdown still unwinds each of them
+// once and the runtime gets every goroutine back.
+func TestPanicWhileOthersSitMidYield(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(k *Kernel, v any)
+	}{
+		{"process body", func(k *Kernel, v any) {
+			k.Spawn("bomber", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				panic(v)
+			})
+		}},
+		{"callback on a suspended process's stack", func(k *Kernel, v any) {
+			k.Spawn("holder", func(p *Proc) { p.Park("holds the baton") })
+			k.At(time.Millisecond, "boom", func() {
+				if onRootStack() {
+					t.Error("callback ran on the root goroutine")
+				}
+				panic(v)
+			})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := New(1)
+			var started, unwound int
+			midYield(k, 3, &started, &unwound)
+			want := &struct{ why string }{c.name}
+			c.build(k, want)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			if got != any(want) {
+				t.Errorf("recovered %v, want the original %v", got, want)
+			}
+			if started != 3 || unwound != 0 {
+				t.Fatalf("at the panic %d bystanders had started and %d unwound, want 3 and 0", started, unwound)
+			}
+			k.Shutdown()
+			if unwound != 3 {
+				t.Errorf("Shutdown unwound %d bystanders, want 3", unwound)
+			}
+			waitGoroutines(t, before)
+
+			// Nothing of the wreck outlives it: a fresh kernel runs.
+			k = New(2)
+			var woke time.Duration
+			k.Spawn("fresh", func(p *Proc) {
+				p.Sleep(time.Second)
+				woke = p.Now()
+			})
+			if end := k.RunUntil(time.Minute); end != time.Second || woke != time.Second {
+				t.Errorf("fresh kernel: RunUntil = %v, process woke at %v, want 1s both", end, woke)
+			}
+			k.Shutdown()
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// TestShutdownTwiceAndBeforeAnyRun: stop() before a coroutine's first
+// next() never runs the body, and a second Shutdown finds nothing to do.
+func TestShutdownTwiceAndBeforeAnyRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New(1)
+	for i := 0; i < 4; i++ {
+		k.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	}
+	k.Shutdown()
+	k.Shutdown()
+	waitGoroutines(t, before)
+	if end := k.Run(); end != 0 || k.Dispatched() != 0 {
+		t.Errorf("a shut-down kernel ran: now %v, %d events", end, k.Dispatched())
+	}
+
+	k = New(2)
+	var started, unwound int
+	midYield(k, 3, &started, &unwound)
+	k.Spawn("parked", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Park("forever")
+	})
+	k.RunUntil(time.Minute)
+	k.Shutdown()
+	k.Shutdown()
+	if started != 3 || unwound != 4 {
+		t.Errorf("%d bystanders started, %d processes unwound by two Shutdowns, want 3 and 4", started, unwound)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestGoexitInProcessEndsTheCaller: t.FailNow (runtime.Goexit) in a
+// process body used to strand the baton and deadlock RunUntil; now it
+// ends the goroutine that called RunUntil, like a t.FailNow there.
+func TestGoexitInProcessEndsTheCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New(1)
+	var started, unwound int
+	midYield(k, 2, &started, &unwound)
+	k.Spawn("quitter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunUntil still blocked 10s after a Goexit in a process body")
+	}
+	if returned {
+		t.Error("RunUntil returned normally after a Goexit in a process body")
+	}
+	k.Shutdown()
+	if started != 2 || unwound != 2 {
+		t.Errorf("%d bystanders started, %d unwound, want 2 and 2", started, unwound)
+	}
+	waitGoroutines(t, before)
+}
+
+// spawnAllocCeiling is what one Spawn may allocate: the Proc, the body
+// closure and iter.Pull's own (its captured variables, its closures, the
+// coro) as of go1.24. Event slabs, k.procs and the run queue grow by
+// doubling and amortise to less than one. A toolchain whose iter.Pull
+// costs more, or a diagnostic name built per process again, fails here
+// rather than in a benchmark's allocs_per_event.
+const spawnAllocCeiling = 13
+
+func TestSpawnAllocations(t *testing.T) {
+	k := New(1)
+	body := func(p *Proc) {}
+	got := testing.AllocsPerRun(200, func() { k.Spawn("p", body) })
+	k.Shutdown()
+	if got > spawnAllocCeiling {
+		t.Errorf("Kernel.Spawn allocates %v objects, ceiling %d", got, spawnAllocCeiling)
+	}
+}

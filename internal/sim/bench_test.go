@@ -88,9 +88,9 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSleepSolo measures a process step with no goroutine
-// switch: a lone sleeper holds the baton, pops its own resume event and
-// returns from Sleep on the same goroutine.
+// BenchmarkProcSleepSolo measures a process step with no switch: a lone
+// sleeper holds the baton, pops its own resume event and returns from
+// Sleep on the same stack.
 func BenchmarkProcSleepSolo(b *testing.B) {
 	k := New(1)
 	k.Spawn("solo", func(p *Proc) {
@@ -104,8 +104,8 @@ func BenchmarkProcSleepSolo(b *testing.B) {
 }
 
 // BenchmarkProcPingPong measures a process step with exactly one
-// goroutine switch: two sleepers on offset schedules, so each always
-// pops the other's resume event and hands the baton straight across.
+// hand-off: two sleepers on offset schedules, so each always pops the
+// other's resume event and yields to RunUntil, which switches across.
 func BenchmarkProcPingPong(b *testing.B) {
 	k := New(1)
 	for i := 0; i < 2; i++ {
@@ -114,6 +114,25 @@ func BenchmarkProcPingPong(b *testing.B) {
 			p.Sleep(offset)
 			for i := 0; i < b.N/2; i++ {
 				p.Sleep(2 * time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcFanResume measures the hand-off in the shape of a snooped
+// broadcast: 96 processes sleep the same duration in a loop, so every
+// resume crosses processes and each stack has gone cold by the time its
+// turn comes round again — two-process PingPong keeps both in cache.
+func BenchmarkProcFanResume(b *testing.B) {
+	const procs = 96
+	k := New(1)
+	for i := 0; i < procs; i++ {
+		k.Spawn("fan", func(p *Proc) {
+			for i := 0; i < b.N/procs; i++ {
+				p.Sleep(time.Microsecond)
 			}
 		})
 	}

@@ -1,7 +1,13 @@
+//go:build go1.23
+
+// The tag is for iter.Pull: go.mod stays at go 1.21 (the nested bench
+// module replaces this one), so an older toolchain must fail here.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -15,61 +21,53 @@ const (
 	procDead
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // deterministically by the Kernel. All Proc methods except Wake must be
-// called from within the process's own goroutine (i.e. from the function
-// passed to Spawn). Wake must be called from kernel context — an event
-// callback or another running process.
+// called from within the process itself (i.e. from the function passed
+// to Spawn). Wake must be called from kernel context — an event callback
+// or another running process.
 //
 // A process blocked in Sleep or Park may still hold the baton (see
-// Kernel.run): unrelated callbacks then run on its stack, below the
+// Proc.park): unrelated callbacks then run on its stack, below the
 // blocked frame.
 type Proc struct {
-	k      *Kernel
-	name   string
-	state  procState
-	resume chan struct{}
+	k     *Kernel
+	name  string
+	state procState
 	// wakePending coalesces Wake calls that arrive while the process is
 	// not parked; the next Park returns immediately.
 	wakePending bool
 	parkReason  any
-	aborting    bool
-	// wakeName is precomputed once so the park/wake hot path schedules
-	// resume events without building a name string.
-	wakeName string
+	// The coroutine, from iter.Pull: RunUntil switches to the process with
+	// next, the process switches back with yield (false once stopped).
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Spawn creates a process and schedules it to start at the current
-// virtual time. fn runs on its own goroutine while that goroutine holds
-// the kernel's baton and must use only this package's blocking
-// primitives; after fn returns the goroutine dispatches until it can
-// pass the baton on, then exits. A panic in fn, or in a callback the
-// goroutine dispatches, is re-raised by RunUntil on its caller.
+// virtual time. fn runs on a coroutine of its own while that coroutine
+// holds the kernel's baton and must use only this package's blocking
+// primitives; after fn returns the coroutine dispatches until the baton
+// is someone else's, then ends. A panic or runtime.Goexit in fn, or in a
+// callback the coroutine dispatches, comes out of RunUntil.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), wakeName: "wake " + name}
+	p := &Proc{k: k, name: name}
 	k.procs = append(k.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		// Shutdown's unwinding ends here; iter.Pull carries the rest.
 		defer func() {
-			// A normal exit passed the baton on in run; a panic still
-			// holds it and returns it to the root, with the value unless
-			// it is Shutdown's unwinding.
-			r := recover()
-			if r == nil {
-				return
+			if r := recover(); r != nil && r != (abortSignal{}) {
+				panic(r)
 			}
-			p.state = procDead
-			if _, abort := r.(abortSignal); !abort {
-				k.panicVal = r
-			}
-			k.root.resume <- struct{}{}
 		}()
-		<-p.resume
-		p.resumed()
+		p.yield = yield
+		p.state = procRunning
 		fn(p)
 		p.state = procDead
-		k.run(p)
-	}()
-	k.After(0, "spawn "+name, nil).proc = p
+		p.k.handoff = p.k.dispatch()
+	})
+	k.After(0, "spawn", nil).proc = p
 	return p
 }
 
@@ -83,17 +81,16 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 func (p *Proc) Kernel() *Kernel { return p.k }
 
 // park blocks until the process's resume event is dispatched. The
-// goroutine keeps the baton and dispatches events itself until then.
+// process keeps the baton and dispatches on its own stack; if the next
+// holder is someone else it names them in k.handoff and yields to
+// RunUntil until a later dispatcher pops its resume event.
 func (p *Proc) park() {
-	p.k.run(p)
-	p.resumed()
-}
-
-// resumed marks the process running, or unwinds it if the baton came
-// from Shutdown.
-func (p *Proc) resumed() {
-	if p.aborting {
-		panic(abortSignal{})
+	k := p.k
+	if next := k.dispatch(); next != p {
+		k.handoff = next
+		if !p.yield(struct{}{}) {
+			panic(abortSignal{})
+		}
 	}
 	p.state = procRunning
 }
@@ -106,7 +103,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.state = procWaiting
-	p.k.After(d, p.wakeName, nil).proc = p
+	p.k.After(d, "wake", nil).proc = p
 	p.park()
 }
 
@@ -136,7 +133,7 @@ func (p *Proc) Wake() {
 	case procDead:
 	case procParked:
 		p.state = procWaiting // resume already scheduled below
-		p.k.After(0, p.wakeName, nil).proc = p
+		p.k.After(0, "wake", nil).proc = p
 	default:
 		p.wakePending = true
 	}

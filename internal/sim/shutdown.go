@@ -1,25 +1,19 @@
 package sim
 
-// abortSignal is panicked inside a process goroutine when the kernel is
-// shut down, unwinding the process function so the goroutine can exit.
+// abortSignal is panicked inside a process when the kernel is shut down,
+// unwinding the process function so its coroutine can end.
 type abortSignal struct{}
 
-// Shutdown terminates all blocked processes so their goroutines exit.
-// It must be called after Run/RunUntil has returned (or panicked), never
-// from inside an event or process. Worlds that create many kernels
-// (tests, sweeps) should call Shutdown to avoid accumulating parked
-// goroutines.
+// Shutdown ends all processes so their coroutines (parked goroutines,
+// to the runtime) are freed: a suspended one unwinds through its
+// deferred calls, one that never started never runs. It must be called
+// after Run/RunUntil has returned (or panicked), never from inside an
+// event or process; a second call does nothing. Worlds that create many
+// kernels (tests, sweeps) should call it to avoid accumulating them.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
-		if p.state == procDead || p.state == procRunning {
-			continue
-		}
-		p.aborting = true
-		// Hand the goroutine the baton directly, whether it has never
-		// started, sleeps or is parked: it observes aborting and panics
-		// with abortSignal, and the Spawn wrapper hands the baton back.
-		p.resume <- struct{}{}
-		<-k.root.resume
+		p.stop()
+		p.state = procDead
 	}
 }

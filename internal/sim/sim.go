@@ -1,20 +1,22 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel maintains a virtual clock and dispatches events in exact
-// (time, insertion sequence) order. Simulated processes are goroutines
-// that run one at a time by passing a baton: only its holder — the
-// goroutine inside RunUntil, or one process — runs simulation code, and
-// there is no kernel goroutine. A process that blocks (Sleep, Park) or
-// exits keeps the baton and dispatches events itself: callbacks run
-// inline on its stack, its own resume event just returns from the
-// blocking call (no goroutine switch), another process's resume event
-// hands the baton straight across (one switch), and the end of the run
-// (Stop, drained queue, deadline) hands it back to RunUntil's caller.
-// Which goroutine pops an event is thus an accident of history —
-// callbacks and process bodies must never rely on goroutine identity or
-// stack depth — but what is popped, and in what (time, seq) order, is
-// not, which with a seeded random source makes every simulation
-// bit-reproducible.
+// (time, insertion sequence) order. Simulated processes are runtime
+// coroutines (iter.Pull) that run one at a time by passing a baton: only
+// its holder — the goroutine inside RunUntil, or one process — runs
+// simulation code, and nothing is ever scheduled by the Go scheduler. A
+// process that blocks (Sleep, Park) or exits keeps the baton and
+// dispatches events itself: callbacks run inline on its stack and its
+// own resume event just returns from the blocking call (no switch).
+// Another process's resume event, or the end of the run (Stop, drained
+// queue, deadline), makes it yield to RunUntil's goroutine, the one
+// trampoline, which switches to the process the dispatcher named: a
+// cross-process resume is two direct coroutine switches, no channel and
+// no scheduler pass. Which stack pops an event is thus an accident of
+// history — callbacks and process bodies must never rely on goroutine
+// identity or stack depth — but what is popped, and in what (time, seq)
+// order, is not, which with a seeded random source makes every
+// simulation bit-reproducible.
 //
 // The package is intentionally free of real-time dependencies: virtual
 // time is a time.Duration measured from the start of the run, and nothing
@@ -42,9 +44,9 @@ import (
 )
 
 // Kernel is a discrete-event simulation engine. Create one with New.
-// A Kernel must only be used from event callbacks and from process
-// goroutines it manages; it is not safe for concurrent use from outside
-// the simulation.
+// A Kernel must only be used from event callbacks and from the processes
+// it manages; it is not safe for concurrent use from outside the
+// simulation.
 type Kernel struct {
 	now   time.Duration
 	seq   uint64
@@ -63,7 +65,11 @@ type Kernel struct {
 	// free recycles fired and cancelled events. Events are reset before
 	// reuse; holding a *Event after its callback has run (or after
 	// cancelling it) is a caller bug.
-	free       []*Event
+	free []*Event
+	// slab is where alloc cuts new events from when free is empty, and
+	// slabs counts the slabs made so far (see slabSizes).
+	slab       []Event
+	slabs      int
 	rng        *rand.Rand
 	procs      []*Proc
 	dispatched uint64
@@ -75,23 +81,20 @@ type Kernel struct {
 	coalAt    time.Duration
 	coalSeq   uint64
 	freeBatch []*batch
-	// root stands for the goroutine inside RunUntil or Shutdown, so the
-	// baton returns to it through root.resume as to any process.
+	// root stands for the goroutine inside RunUntil: dispatch returns it
+	// when the run has ended.
 	root Proc
+	// handoff is the next baton holder, left by a process that yields.
+	handoff *Proc
 	// deadline is the current RunUntil's, shared by every dispatcher.
 	deadline time.Duration
-	// panicVal carries a panic from a process goroutine to RunUntil.
-	panicVal any
 	stopped  bool
 }
 
 // New returns a Kernel whose random source is seeded with seed.
 // Equal seeds produce identical runs.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		rng:  rand.New(rand.NewSource(seed)),
-		root: Proc{resume: make(chan struct{})},
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -106,7 +109,15 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // never pays the ring-doubling copy.
 func (k *Kernel) ReserveRunq(n int) { k.runq.reserve(n) }
 
-// alloc takes an event from the freelist or the heap.
+// slabSizes are the event counts of a kernel's successive slabs, the last
+// one repeating. A two-host world keeps eight to twelve events in flight,
+// hence the small start; each count of 80-byte events (plus the
+// allocator's 8-byte header above 512 bytes) fills a size class — 320,
+// 1024, 2048, 4096 — to within 56 bytes, where 16, 32 or 64 events would
+// round up by 5 to 10 %: more bytes than allocating them one by one.
+var slabSizes = [...]int{4, 4, 4, 12, 25, 51}
+
+// alloc takes an event from the freelist or the current slab.
 func (k *Kernel) alloc() *Event {
 	if n := len(k.free); n > 0 {
 		ev := k.free[n-1]
@@ -114,7 +125,13 @@ func (k *Kernel) alloc() *Event {
 		k.free = k.free[:n-1]
 		return ev
 	}
-	return &Event{pos: posNone}
+	if len(k.slab) == 0 {
+		k.slab = make([]Event, slabSizes[min(k.slabs, len(slabSizes)-1)])
+		k.slabs++
+	}
+	ev := &k.slab[0]
+	k.slab = k.slab[1:]
+	return ev
 }
 
 // release resets a popped event and returns it to the freelist. The
@@ -259,42 +276,23 @@ func (k *Kernel) Run() time.Duration {
 // advances the clock to min(deadline, time of last event) and returns it.
 // If the queue drains earlier, the clock is left at the last event time;
 // a deadline already in the past runs nothing and leaves the clock alone.
-// A panic raised by an event callback or a process body resurfaces here,
-// on the caller's goroutine, with its original value.
+// The caller's goroutine is the trampoline of every hand-off between
+// processes, so by iter.Pull's rules a panic raised by an event callback
+// or a process body resurfaces here with its original value, whichever
+// stack it was raised on, and a runtime.Goexit there ends this goroutine.
 func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 	k.deadline = deadline
-	k.run(&k.root)
-	if r := k.panicVal; r != nil {
-		k.panicVal = nil
-		panic(r)
+	for next := k.dispatch(); next != &k.root; next = k.handoff {
+		next.next()
 	}
 	return k.now
 }
 
-// run is called by the baton holder with nothing of its own to do: the
-// root in RunUntil, a process in Sleep or Park, or one that just exited.
-// It dispatches on the calling goroutine until the baton is someone
-// else's, hands it over and blocks until it comes back (an exited
-// process never waits again). If the baton stays with self — its own
-// resume event came up, or the run ended on the root — nothing switches.
-func (k *Kernel) run(self *Proc) {
-	next := k.dispatch()
-	if next == self {
-		return
-	}
-	// Once the baton is gone self is the next holder's to touch (Wake
-	// writes its state), so everything is read before the send.
-	exited := self.state == procDead
-	next.resume <- struct{}{}
-	if !exited {
-		<-self.resume
-	}
-}
-
 // dispatch executes events with timestamps no later than k.deadline, in
 // (time, seq) order, until one of them resumes a process or the run ends
-// (Stop, drained queue, deadline), and returns the goroutine the baton
-// belongs to next: that process, or the root.
+// (Stop, drained queue, deadline), and returns whom the baton belongs to
+// next: that process, or the root. The caller is the baton holder:
+// RunUntil, a process in Sleep or Park, or one that just exited.
 func (k *Kernel) dispatch() *Proc {
 	deadline := k.deadline
 	for !k.stopped {
@@ -397,7 +395,7 @@ type Event struct {
 	pos        int32
 	next, prev *Event
 	// proc, when set, makes this a resume event: instead of calling fn
-	// the dispatcher passes the baton to proc (see Kernel.run).
+	// the dispatcher passes the baton to proc (see Kernel.dispatch).
 	proc *Proc
 }
 
@@ -423,8 +421,13 @@ func (e *Event) Time() time.Duration { return e.at }
 // Name returns the diagnostic name given at scheduling time.
 func (e *Event) Name() string { return e.name }
 
+// String names the event and, for a resume event, its process.
 func (e *Event) String() string {
-	return fmt.Sprintf("event %q @%v", e.name, e.at)
+	name := e.name
+	if e.proc != nil {
+		name += " " + e.proc.name
+	}
+	return fmt.Sprintf("event %q @%v", name, e.at)
 }
 
 // fifo is a growable power-of-two ring buffer of events, indexed with
