@@ -41,17 +41,12 @@
 #                        counter runs)
 #                        plus the figure benchmarks at reduced scale
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
-#   make bench-record  - regenerate BENCH_sweep.json, the engine-throughput
-#                        trajectory record (worlds/sec, events/sec, allocs/event)
-#   make bench-check   - the nightly bench-drift gate: regenerate the cluster
-#                        record into $(BENCH_NIGHTLY) (kept on disk so the
-#                        nightly workflow can upload it as an artifact) and
-#                        fail if events/sec regressed >15% or allocs/event
-#                        grew >10% against the committed BENCH_sweep.json.
-#                        The events/sec floor is real-time: the committed
-#                        record must come from the same machine class that
-#                        runs the gate (regenerate it there when the classes
-#                        diverge; allocs/event is machine-independent)
+#   make bench-record  - regenerate BENCH_sweep.json: full-grid wall-clock,
+#                        same-work paired only (worlds/sec, events/sec,
+#                        allocs/event over a 37-cell mix; compare it with
+#                        a same-hour run of the parent, never across days
+#                        or machines — nothing gates on it; claims are
+#                        carried by bench/ pairs)
 #   make profile       - run one named cell (CELL=<name substring>, any cell
 #                        of GRID, default the bridged 256-host hotspot) under CPU and
 #                        heap profiling, then print `go tool pprof -top` for
@@ -62,7 +57,7 @@ GO ?= go
 
 MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-check profile
+.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -161,16 +156,6 @@ bench-smoke:
 
 bench-record:
 	$(GO) run ./cmd/methersweep -grid cluster -bench-out BENCH_sweep.json -format summary
-
-# The regenerated record is kept (not a temp file) so the nightly
-# workflow can attach it as a build artifact: when the gate trips, the
-# numbers that tripped it are one download away, and when it passes the
-# trajectory point is preserved without committing it.
-BENCH_NIGHTLY ?= bench-nightly.json
-
-bench-check:
-	$(GO) run ./cmd/methersweep -grid cluster -bench-out $(BENCH_NIGHTLY) \
-		-bench-baseline BENCH_sweep.json -format summary
 
 # Profile one cell: make profile CELL=cluster/barrier/h16 narrows GRID
 # to the scenarios whose name CONTAINS CELL (methersweep -only, a

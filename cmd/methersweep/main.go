@@ -54,26 +54,8 @@ var (
 	flagQuiet     = flag.Bool("q", false, "suppress the timing summary on stderr")
 	flagCPUProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	flagMemProf   = flag.String("memprofile", "", "write a heap profile (post-sweep) to this file")
-	flagBenchOut  = flag.String("bench-out", "", "write an engine-throughput record (worlds/sec, events/sec, allocs/event) to this JSON file")
-	flagBenchBase = flag.String("bench-baseline", "", "committed bench record to gate against: fail if events/sec regresses beyond 15% or allocs/event grows beyond 10%")
+	flagBenchOut  = flag.String("bench-out", "", "write a full-grid wall-clock record (worlds/sec, events/sec, allocs/event; same-work paired comparisons only) to this JSON file")
 	flagAllocCeil = flag.Float64("alloc-ceiling", 0, "fail if the sweep allocates more than this per dispatched event (0 = no gate)")
-)
-
-// Bench-drift tolerances for -bench-baseline. Events/sec is a real-time
-// measurement, so its band is generous (nightly CI runs on one machine
-// class but still jitters); allocs/event is near-deterministic, so its
-// band is tight, with a small absolute epsilon so a zero-alloc baseline
-// does not make any nonzero measurement an automatic failure.
-const (
-	benchEventsTol   = 0.15
-	benchAllocsTol   = 0.10
-	benchAllocsEpsil = 0.001
-	// benchMemTol gates bytes/host of the grid's biggest world: the
-	// measurement is deterministic, but per-host footprint legitimately
-	// moves with struct layout and directory shape, so the band is a
-	// growth ratchet, not an equality check. Records predating the field
-	// (BytesPerHost 0) skip the gate.
-	benchMemTol = 0.25
 )
 
 // benchRecord is the engine-throughput trajectory point -bench-out
@@ -202,20 +184,9 @@ func main() {
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 
-	benchFailure := false
-	if *flagBenchOut != "" || *flagBenchBase != "" {
-		rec := buildBenchRecord(report, timing, msBefore, msAfter)
-		if *flagBenchOut != "" {
-			if err := writeBenchRecord(*flagBenchOut, rec); err != nil {
-				fatal(err)
-			}
-		}
-		if *flagBenchBase != "" {
-			ok, err := checkBenchBaseline(*flagBenchBase, rec)
-			if err != nil {
-				fatal(err)
-			}
-			benchFailure = !ok
+	if *flagBenchOut != "" {
+		if err := writeBenchRecord(*flagBenchOut, buildBenchRecord(report, timing, msBefore, msAfter)); err != nil {
+			fatal(err)
 		}
 	}
 	// The allocs/event ceiling is a regression gate on the engine's
@@ -282,9 +253,6 @@ func main() {
 	// outside them must flip the exit code.
 	failures := 0
 	if allocFailure {
-		failures++
-	}
-	if benchFailure {
 		failures++
 	}
 	for i, r := range report.Scenarios {
@@ -371,56 +339,6 @@ func writeBenchRecord(path string, rec benchRecord) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// checkBenchBaseline is the nightly bench-drift gate: compare this run's
-// engine throughput against the committed record. Events/sec may not
-// regress beyond benchEventsTol; allocs/event may not grow beyond
-// benchAllocsTol (plus a small absolute epsilon). Improvements never
-// fail — commit a fresh record to ratchet them in.
-func checkBenchBaseline(path string, rec benchRecord) (bool, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	var base benchRecord
-	if err := json.Unmarshal(b, &base); err != nil {
-		return false, fmt.Errorf("bad bench baseline %s: %w", path, err)
-	}
-	if base.Grid != rec.Grid || base.Scenarios != rec.Scenarios {
-		return false, fmt.Errorf("bench baseline %s covers grid %q (%d scenarios), this run is %q (%d): regenerate the record",
-			path, base.Grid, base.Scenarios, rec.Grid, rec.Scenarios)
-	}
-	// Events/sec is only comparable at equal parallelism: a record made
-	// serially would let a parallel run hide a multi-x regression (and a
-	// parallel record would flake a narrower machine every night).
-	if base.Workers != rec.Workers || base.GoMaxProcs != rec.GoMaxProcs {
-		return false, fmt.Errorf("bench baseline %s was recorded with %d workers / GOMAXPROCS %d, this run has %d / %d: regenerate the record on this machine class",
-			path, base.Workers, base.GoMaxProcs, rec.Workers, rec.GoMaxProcs)
-	}
-	ok := true
-	if floor := base.EventsPerSec * (1 - benchEventsTol); rec.EventsPerSec < floor {
-		fmt.Fprintf(os.Stderr, "bench gate: events/sec %.3g below %.3g (baseline %.3g -%d%%)\n",
-			rec.EventsPerSec, floor, base.EventsPerSec, int(benchEventsTol*100))
-		ok = false
-	}
-	if ceil := base.AllocsPerEvent*(1+benchAllocsTol) + benchAllocsEpsil; rec.AllocsPerEvent > ceil {
-		fmt.Fprintf(os.Stderr, "bench gate: allocs/event %.4f above %.4f (baseline %.4f +%d%%)\n",
-			rec.AllocsPerEvent, ceil, base.AllocsPerEvent, int(benchAllocsTol*100))
-		ok = false
-	}
-	if base.BytesPerHost > 0 {
-		if ceil := base.BytesPerHost * (1 + benchMemTol); rec.BytesPerHost > ceil {
-			fmt.Fprintf(os.Stderr, "bench gate: bytes/host %.0f above %.0f (baseline %.0f +%d%%)\n",
-				rec.BytesPerHost, ceil, base.BytesPerHost, int(benchMemTol*100))
-			ok = false
-		}
-	}
-	if ok {
-		fmt.Fprintf(os.Stderr, "bench gate: events/sec %.3g (baseline %.3g), allocs/event %.4f (baseline %.4f) within tolerance\n",
-			rec.EventsPerSec, base.EventsPerSec, rec.AllocsPerEvent, base.AllocsPerEvent)
-	}
-	return ok, nil
 }
 
 // exit finalizes any in-flight CPU profile (StopCPUProfile is a no-op

@@ -3,6 +3,7 @@ package mether
 import (
 	"fmt"
 
+	"mether/internal/ethernet"
 	"mether/internal/fault"
 	"mether/internal/vm"
 )
@@ -32,11 +33,7 @@ func (w *World) InjectFaults(s FaultSchedule) error {
 	if s.Empty() {
 		return nil
 	}
-	bridges := 0
-	if w.topo != nil {
-		bridges = len(w.topo.Bridges())
-	}
-	if err := s.Validate(len(w.hosts), bridges); err != nil {
+	if err := s.Validate(len(w.hosts), len(w.bridges())); err != nil {
 		return err
 	}
 	for _, e := range s.Sorted() {
@@ -52,10 +49,11 @@ func (w *World) applyFault(e fault.Event) {
 		w.CrashHost(e.Host)
 	case fault.Recover:
 		w.RecoverHost(e.Host)
+	// InjectFaults validated the bridge numbers, so these cannot fail.
 	case fault.Partition:
-		w.PartitionBridge(e.Bridge)
+		_ = w.PartitionBridge(e.Bridge)
 	case fault.Heal:
-		w.HealBridge(e.Bridge)
+		_ = w.HealBridge(e.Bridge)
 	case fault.Migrate:
 		w.MigrateHost(e.Host, e.Dest)
 	}
@@ -70,22 +68,31 @@ func (w *World) CrashHost(hostIdx int) { w.drivers[hostIdx].Crash() }
 // lazy directory attach path. A no-op if the host is up.
 func (w *World) RecoverHost(hostIdx int) { w.drivers[hostIdx].Recover() }
 
-// PartitionBridge takes one of the topology's bridges down, splitting
-// the extended LAN; buffered and in-flight bridge frames are dropped
-// (BridgeStats.PartitionDrops), never replayed after a heal.
-func (w *World) PartitionBridge(bridge int) {
+// bridges returns the world's bridges: none on a single trunk or a
+// fabric.
+func (w *World) bridges() []*ethernet.Bridge {
 	if w.topo == nil {
-		panic(fmt.Sprintf("mether: partition of bridge %d in a single-trunk world", bridge))
+		return nil
 	}
-	w.topo.Bridges()[bridge].SetPartitioned(true)
+	return w.topo.Bridges()
 }
 
+// PartitionBridge takes one of the topology's bridges down, splitting
+// the extended LAN; buffered and in-flight bridge frames are dropped
+// (BridgeStats.PartitionDrops), never replayed after a heal. It returns
+// an error for a bridge the world does not have.
+func (w *World) PartitionBridge(bridge int) error { return w.setPartitioned(bridge, true) }
+
 // HealBridge brings a partitioned bridge back up.
-func (w *World) HealBridge(bridge int) {
-	if w.topo == nil {
-		panic(fmt.Sprintf("mether: heal of bridge %d in a single-trunk world", bridge))
+func (w *World) HealBridge(bridge int) error { return w.setPartitioned(bridge, false) }
+
+func (w *World) setPartitioned(bridge int, down bool) error {
+	brs := w.bridges()
+	if bridge < 0 || bridge >= len(brs) {
+		return fmt.Errorf("mether: bridge %d out of range (world has %d)", bridge, len(brs))
 	}
-	w.topo.Bridges()[bridge].SetPartitioned(false)
+	brs[bridge].SetPartitioned(down)
+	return nil
 }
 
 // MigrateHost re-homes every page authority resident on src to dst,

@@ -178,6 +178,72 @@ func lazyDiffState(t *testing.T, c *testCluster, pages int) string {
 	return out
 }
 
+// TestLazyReplicasUntouchedSeedSeesZeros writes down the one observable
+// on which the lazy receive path differs from the eager one — the reason
+// LazyReplicas is a trade, not a twin that could replace it (and why the
+// differential test below leaves Refreshes/Installs/StaleDrops out). The
+// owner stores and purges; a seeded host that has never mapped the page
+// then maps it read-only and loads. Eager: the purge broadcast refreshed
+// the materialized seed replica, so the load reads the new value without
+// a fault. Lazy: the broadcast was only noted as a transit, the first
+// touch materializes the seed-time zeros, and the host reads 0 until it
+// purges its stale copy and demand-fetches.
+func TestLazyReplicasUntouchedSeedSeesZeros(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		cfg := fastConfig(4)
+		cfg.LazyReplicas = lazy
+		c := newTestCluster(t, 2, ethernet.DefaultParams(), cfg)
+		c.drivers[0].CreatePage(0)
+		for _, d := range c.drivers {
+			d.SeedReplicaRange(0, 4)
+		}
+		addr := NewAddr(0, 0).Short()
+		var first, afterPurge uint64
+		var err error
+		c.spawn(0, "owner", func(p *host.Proc) {
+			d := c.drivers[0]
+			if err = d.MapIn(p, RW, 0); err == nil {
+				if err = d.Store(p, RW, addr, 4, 42); err == nil {
+					err = d.Purge(p, RW, addr)
+				}
+			}
+		})
+		var faultsAtFirst uint64
+		c.spawn(1, "late-reader", func(p *host.Proc) {
+			d := c.drivers[1]
+			p.SleepFor(100 * time.Millisecond) // the purge broadcast has long landed
+			if e := d.MapIn(p, RO, 0); e != nil {
+				err = e
+				return
+			}
+			first, _ = d.Load(p, RO, addr, 4)
+			faultsAtFirst = d.Metrics().DemandFaults
+			if e := d.Purge(p, RO, addr); e != nil {
+				err = e
+				return
+			}
+			afterPurge, _ = d.Load(p, RO, addr, 4)
+		})
+		c.run(t, time.Minute)
+		if err != nil {
+			t.Fatalf("lazy=%v: %v", lazy, err)
+		}
+		m := c.drivers[1].Metrics()
+		wantFirst, wantRefreshes := uint64(42), uint64(1)
+		if lazy {
+			wantFirst, wantRefreshes = 0, 0
+		}
+		if first != wantFirst || faultsAtFirst != 0 || m.Refreshes != wantRefreshes {
+			t.Errorf("lazy=%v: first load %d after %d demand faults, %d refreshes; want %d, 0, %d",
+				lazy, first, faultsAtFirst, m.Refreshes, wantFirst, wantRefreshes)
+		}
+		if afterPurge != 42 || m.DemandFaults != 1 {
+			t.Errorf("lazy=%v: load after own purge %d with %d demand faults; want 42 and 1", lazy, afterPurge, m.DemandFaults)
+		}
+		c.checkInvariants(t)
+	}
+}
+
 // TestLazyReplicasDifferential is the gated receive path's proof
 // obligation, in the style of ethernet/differential_test.go: on a
 // windowed workload — every host maps only the pages it touches, which

@@ -96,8 +96,9 @@ type Config struct {
 	// (handling cost is still charged — the skip is memory-only). The
 	// trade is that an untouched seeded replica no longer tracks refresh
 	// broadcasts, so its first materialized read sees the seed-time zeros
-	// rather than the latest transit, and redundant-fetch targets without
-	// state never answer. The classic grids leave this off (their warm
+	// rather than the latest transit (pinned by
+	// TestLazyReplicasUntouchedSeedSeesZeros), and redundant-fetch targets
+	// without state never answer. The classic grids leave this off (their warm
 	// multi-trunk and k>1 cells measure exactly those refresh effects);
 	// the 4096/10000-host tiers turn it on, where hosts touch O(1) of the
 	// page space and per-host state must track the working set.

@@ -59,25 +59,10 @@ func (d *Driver) kernelKick(after time.Duration) {
 // kernelStep processes one pending item and reschedules itself.
 func (d *Driver) kernelStep() {
 	var kw kernelWorker
-	if !d.drainFrame(&kw) {
-		if w, ok := d.dequeueWork(); ok {
-			d.handleWork(&kw, w)
-		} else {
-			d.kDraining = false
-			return
-		}
+	if d.drain(&kw, 1) == 0 {
+		d.kDraining = false
+		return
 	}
 	d.m.KernelTime += kw.used
 	d.h.Kernel().After(kw.used, "mether kernel next", d.stepFn)
-}
-
-// drainFrame handles one received frame if available.
-func (d *Driver) drainFrame(kw *kernelWorker) bool {
-	f, ok := d.nic.Recv()
-	if !ok {
-		return false
-	}
-	d.handleFrame(kw, f)
-	d.nic.Release(f)
-	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"mether/internal/host"
@@ -27,19 +28,38 @@ func (d *Driver) Server() *host.Proc { return d.server }
 
 func (d *Driver) serve(p *host.Proc) {
 	for !d.stopped {
+		d.drain(p, math.MaxInt)
+		if !d.stopped {
+			p.SleepOn(d.serverKey)
+		}
+	}
+}
+
+// drain is the server loop, charged to s: one received frame if any,
+// else one driver work item, repeated until both queues are empty, the
+// driver is stopped or max items are done; it returns the items done.
+// The user-level server and the kernel server are this loop under two
+// charging policies: the process drains without bound, paying as it
+// goes, and sleeps; the kernel does one item per event and delays the
+// next by what the item cost. The loop lives here rather than in a
+// per-item helper under serve because a resumed server returns through
+// every frame between its charge point and its loop: one more frame
+// there measured +4.6 % wall on snoop-eth-96 (0 of 10 pairs ahead).
+func (d *Driver) drain(s cpuSink, max int) int {
+	n := 0
+	for ; n < max && !d.stopped; n++ {
 		if f, ok := d.nic.Recv(); ok {
-			d.handleFrame(p, f)
+			d.handleFrame(s, f)
 			// Everything needed from the frame has been copied into
 			// page frames, so the wire buffer can be recycled.
 			d.nic.Release(f)
-			continue
+		} else if w, ok := d.dequeueWork(); ok {
+			d.handleWork(s, w)
+		} else {
+			break
 		}
-		if w, ok := d.dequeueWork(); ok {
-			d.handleWork(p, w)
-			continue
-		}
-		p.SleepOn(d.serverKey)
 	}
+	return n
 }
 
 // Stop makes the server exit at its next scheduling point.

@@ -3,6 +3,7 @@ package ethernet
 import (
 	"testing"
 
+	"mether/internal/medium"
 	"mether/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func benchBroadcast(b *testing.B, nics, payload int) {
 	// Pace sends at the wire's drain rate so in-flight frames stay
 	// bounded and the pool reaches steady state (a faster pump would
 	// measure queue growth, not the data path).
-	pace := bus.txTime(bus.wireBytes(payload)) + bus.p.InterFrameGap + bus.p.PropDelay
+	pace := medium.TxTime(medium.WireBytes(payload, bus.p.FrameOverhead, bus.p.MinFrameBytes), bus.p.BandwidthBps) + bus.p.InterFrameGap + bus.p.PropDelay
 	sent := 0
 	var pump func()
 	pump = func() {

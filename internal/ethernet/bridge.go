@@ -3,6 +3,7 @@ package ethernet
 import (
 	"time"
 
+	"mether/internal/medium"
 	"mether/internal/sim"
 )
 
@@ -37,7 +38,7 @@ type Bridge struct {
 	// freeFwd pools in-flight forward records (frame + prebuilt closure)
 	// so steady-state store-and-forward traffic does not allocate, like
 	// the Bus delivery pool.
-	freeFwd []*bridgeFwd
+	freeFwd medium.Freelist[bridgeFwd]
 }
 
 // bridgeFwd is one pooled store-and-forward in flight.
@@ -174,10 +175,7 @@ func (br *Bridge) pump(from, to *NIC, backlog *time.Duration, loss *float64) {
 // acquireFwd takes a forward record (with its prebuilt closure) from the
 // pool.
 func (br *Bridge) acquireFwd() *bridgeFwd {
-	if l := len(br.freeFwd); l > 0 {
-		fw := br.freeFwd[l-1]
-		br.freeFwd[l-1] = nil
-		br.freeFwd = br.freeFwd[:l-1]
+	if fw := br.freeFwd.Get(); fw != nil {
 		return fw
 	}
 	fw := &bridgeFwd{br: br}
@@ -201,15 +199,11 @@ func (fw *bridgeFwd) run() {
 		// store-and-forward delay: drop it like the drained ring frames,
 		// so nothing transmitted before the partition crosses after it.
 		br.stats.PartitionDrops++
-		fw.from.Release(fw.f)
-		fw.f = Frame{}
-		fw.from, fw.to = nil, nil
-		br.freeFwd = append(br.freeFwd, fw)
-		return
+	} else {
+		fw.to.Send(fw.f.Dst, fw.f.Payload)
 	}
-	fw.to.Send(fw.f.Dst, fw.f.Payload)
 	fw.from.Release(fw.f)
 	fw.f = Frame{}
 	fw.from, fw.to = nil, nil
-	br.freeFwd = append(br.freeFwd, fw)
+	br.freeFwd.Put(fw)
 }

@@ -11,6 +11,12 @@
 // sensitive to bandwidth, per-packet cost, broadcast fan-out and loss,
 // not to collision micro-behaviour.
 //
+// This package owns only the transmit model: one serialized wire, FIFO
+// behind busyUntil, a single loss roll and one delivery event per
+// frame. The receive side — ring, drop and suppression counters, down
+// flag, interrupt — is medium.Station, embedded by NIC and shared with
+// the fabric.
+//
 // The data path is pooled: payload buffers are refcounted and recycled
 // through a per-bus freelist (medium.Pool), and each NIC's receive ring
 // is a bounded circular buffer (medium.Ring), so steady-state traffic
@@ -106,8 +112,8 @@ type Bus struct {
 	nics      []*NIC
 	busyUntil time.Duration
 	stats     wireStats
-	pool      medium.Pool // shared payload buffers (refcounted, recycled)
-	freeDeliv []*delivery // delivery-event pool
+	pool      medium.Pool               // shared payload buffers (refcounted, recycled)
+	freeDeliv medium.Freelist[delivery] // delivery-event pool
 }
 
 // Bus and NIC implement the medium contract.
@@ -157,11 +163,7 @@ func (b *Bus) Stats() Stats {
 		BusyTime:      b.stats.BusyTime,
 	}
 	for _, n := range b.nics {
-		s.RingDrops += n.drops
-		s.TxSuppressed += n.txSuppressed
-		if hw := n.rx.HighWater(); hw > s.RingHighWater {
-			s.RingHighWater = hw
-		}
+		s.AddStation(&n.Station)
 	}
 	return s
 }
@@ -185,8 +187,7 @@ func (b *Bus) MemFootprint() uint64 {
 		m += uint64(unsafe.Sizeof(n)) + n.MemFootprint()
 	}
 	m += b.pool.MemFootprint()
-	m += uint64(cap(b.freeDeliv)) * uint64(unsafe.Sizeof((*delivery)(nil)))
-	m += uint64(len(b.freeDeliv)) * uint64(unsafe.Sizeof(delivery{}))
+	m += b.freeDeliv.MemFootprint()
 	return m
 }
 
@@ -218,7 +219,7 @@ func (b *Bus) Attach(name string, intr func()) *NIC {
 // role keeps a world's ring memory proportional to its real fan-in
 // instead of hosts × uniform-worst-case.
 func (b *Bus) AttachWithRing(name string, intr func(), ringCap int) *NIC {
-	n := &NIC{bus: b, id: len(b.nics), name: name, intr: intr, rx: medium.NewRing(ringCap)}
+	n := &NIC{bus: b, Station: medium.NewStation(len(b.nics), name, intr, ringCap)}
 	b.nics = append(b.nics, n)
 	return n
 }
@@ -236,69 +237,19 @@ func (b *Bus) AttachPortWithRing(name string, intr func(), ringCap int) medium.P
 	return b.AttachWithRing(name, intr, ringCap)
 }
 
-// NIC is one station on the segment; it implements medium.Port. Its
-// receive ring is bounded by a logical slot count with lazily grown
-// physical storage (medium.Ring).
+// NIC is one station on the segment; it implements medium.Port. The
+// receive side is the embedded medium.Station; the NIC adds the wire it
+// transmits on.
 type NIC struct {
-	bus   *Bus
-	id    int
-	name  string
-	rx    medium.Ring
-	intr  func()
-	drops uint64
-	// txSuppressed counts Send calls swallowed because the station was
-	// down. Before the counter existed these vanished without a trace,
-	// which made down-NIC scenarios undebuggable: the sender's protocol
-	// counters said a request went out, the wire counters said nothing
-	// did, and no counter explained the difference.
-	txSuppressed uint64
-	down         bool
+	bus *Bus
+	medium.Station
 }
-
-// SetDown takes the station off the wire (or back on): while down it
-// neither receives nor transmits, modelling the paper's "hosts may
-// become unreachable for a period of time and yet still have a copy of
-// the page". State held in the host is untouched.
-func (n *NIC) SetDown(down bool) { n.down = down }
-
-// Down reports whether the station is off the wire.
-func (n *NIC) Down() bool { return n.down }
-
-// ID returns the NIC's address on the segment.
-func (n *NIC) ID() int { return n.id }
-
-// Name returns the diagnostic name given at Attach.
-func (n *NIC) Name() string { return n.name }
-
-// Drops returns the number of frames dropped because this NIC's receive
-// ring was full.
-func (n *NIC) Drops() uint64 { return n.drops }
-
-// TxSuppressed returns the number of Send calls swallowed because this
-// NIC was down at the time.
-func (n *NIC) TxSuppressed() uint64 { return n.txSuppressed }
-
-// Pending returns the number of frames waiting in the receive ring.
-func (n *NIC) Pending() int { return n.rx.Pending() }
-
-// RingHighWater returns the peak receive-ring occupancy this NIC ever
-// reached.
-func (n *NIC) RingHighWater() int { return n.rx.HighWater() }
-
-// RingCap returns the logical receive-ring capacity (the drop bound).
-func (n *NIC) RingCap() int { return n.rx.Bound() }
 
 // MemFootprint returns the NIC's structural memory footprint in bytes
 // (the physically allocated ring slots — the lazily grown array, not
 // the logical bound).
 func (n *NIC) MemFootprint() uint64 {
-	return uint64(unsafe.Sizeof(*n)) + n.rx.MemFootprint()
-}
-
-// Recv dequeues the oldest received frame, reporting false if the ring
-// is empty. The frame's payload remains valid until Release.
-func (n *NIC) Recv() (Frame, bool) {
-	return n.rx.Pop()
+	return uint64(unsafe.Sizeof(*n)) + n.RingFootprint()
 }
 
 // Release returns a received frame's payload buffer to the segment's
@@ -312,30 +263,13 @@ func (n *NIC) Release(f Frame) {
 	n.bus.pool.Release(f.Buf)
 }
 
-// wireBytes returns the on-wire size of a payload.
-func (b *Bus) wireBytes(payload int) int {
-	w := payload + b.p.FrameOverhead
-	if w < b.p.MinFrameBytes {
-		w = b.p.MinFrameBytes
-	}
-	return w
-}
-
-// txTime returns the serialization delay for one frame of the given
-// on-wire size.
-func (b *Bus) txTime(wire int) time.Duration {
-	bits := int64(wire) * 8
-	return time.Duration(bits * int64(time.Second) / b.p.BandwidthBps)
-}
-
 // Send transmits payload from this NIC to dst (a NIC id or Broadcast).
 // The call returns immediately; delivery happens after the medium frees
 // up, serialization and propagation. The payload is copied into a pooled
 // buffer shared by all receivers. A send from a down station is
 // suppressed (nothing reaches the wire) and counted in TxSuppressed.
 func (n *NIC) Send(dst int, payload []byte) {
-	if n.down {
-		n.txSuppressed++
+	if n.Suppress() {
 		return
 	}
 	b := n.bus
@@ -346,14 +280,14 @@ func (n *NIC) Send(dst int, payload []byte) {
 	// drains and releases mid-fan-out cannot recycle the buffer under
 	// the remaining receivers.
 	fb.Refs = 1
-	f := Frame{Src: n.id, Dst: dst, Payload: fb.Data, Buf: fb}
+	f := Frame{Src: n.ID(), Dst: dst, Payload: fb.Data, Buf: fb}
 
-	wire := b.wireBytes(len(payload))
+	wire := medium.WireBytes(len(payload), b.p.FrameOverhead, b.p.MinFrameBytes)
 	start := b.k.Now()
 	if b.busyUntil > start {
 		start = b.busyUntil
 	}
-	dur := b.txTime(wire)
+	dur := medium.TxTime(wire, b.p.BandwidthBps)
 	b.busyUntil = start + dur + b.p.InterFrameGap
 
 	b.stats.Frames++
@@ -374,10 +308,7 @@ func (n *NIC) Send(dst int, payload []byte) {
 // acquireDeliv takes a delivery record (with its prebuilt closures) from
 // the pool.
 func (b *Bus) acquireDeliv() *delivery {
-	if l := len(b.freeDeliv); l > 0 {
-		d := b.freeDeliv[l-1]
-		b.freeDeliv[l-1] = nil
-		b.freeDeliv = b.freeDeliv[:l-1]
+	if d := b.freeDeliv.Get(); d != nil {
 		return d
 	}
 	d := &delivery{b: b}
@@ -395,7 +326,7 @@ func (d *delivery) runUnicast() {
 	if d.lost {
 		b.stats.WireLost++
 	} else if dst := d.f.Dst; dst >= 0 && dst < len(b.nics) && dst != d.f.Src {
-		b.nics[dst].deliver(d.f)
+		b.nics[dst].Deliver(d.f)
 	}
 	d.finish()
 }
@@ -408,8 +339,8 @@ func (d *delivery) runBroadcast() {
 		b.stats.WireLost++
 	} else {
 		for _, rx := range b.nics {
-			if rx.id != d.f.Src {
-				rx.deliver(d.f)
+			if rx.ID() != d.f.Src {
+				rx.Deliver(d.f)
 			}
 		}
 	}
@@ -423,27 +354,9 @@ func (d *delivery) finish() {
 	b.pool.Release(d.f.Buf) // drop the in-flight reference
 	d.f = Frame{}
 	d.lost = false
-	b.freeDeliv = append(b.freeDeliv, d)
-}
-
-// deliver queues a frame into the receive ring, dropping on overflow.
-// The drop decision is made against the logical capacity, so lazy
-// physical growth is invisible to the protocol: the same frames are
-// dropped as with an eagerly allocated ring of ringCap slots.
-func (rx *NIC) deliver(f Frame) {
-	if rx.down {
-		return
-	}
-	if !rx.rx.Push(f) {
-		rx.drops++
-		return
-	}
-	f.Buf.Refs++
-	if rx.intr != nil {
-		rx.intr()
-	}
+	b.freeDeliv.Put(d)
 }
 
 func (n *NIC) String() string {
-	return fmt.Sprintf("nic %d (%s)", n.id, n.name)
+	return fmt.Sprintf("nic %d (%s)", n.ID(), n.Name())
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mether/internal/medium"
 	"mether/internal/sim"
 )
 
@@ -86,7 +87,7 @@ func TestBackToBackFramesSerialize(t *testing.T) {
 	if len(arrivals) != 2 {
 		t.Fatalf("got %d arrivals, want 2", len(arrivals))
 	}
-	per := b.txTime(b.wireBytes(1000))
+	per := medium.TxTime(medium.WireBytes(1000, p.FrameOverhead, p.MinFrameBytes), p.BandwidthBps)
 	if arrivals[0] != per {
 		t.Errorf("first arrival %v, want %v", arrivals[0], per)
 	}

@@ -7,6 +7,10 @@ import (
 	"mether/internal/sim"
 )
 
+// The ring, drop, down-station and high-water contract is pinned once,
+// on medium.Station (internal/medium/station_test.go); the cases here
+// go end to end through the bus's own Send, bridge and pool.
+
 // fill sends count minimal frames from tx and runs the kernel so they
 // all arrive.
 func fill(k *sim.Kernel, tx *NIC, count int) {
@@ -14,57 +18,6 @@ func fill(k *sim.Kernel, tx *NIC, count int) {
 		tx.Send(Broadcast, []byte{byte(i)})
 	}
 	k.Run()
-}
-
-// TestRxRingDropsAtExactCapacity pins the overrun boundary: a ring of
-// capacity C accepts exactly C frames; frame C+1 is dropped, the drop
-// counter increments, and nothing past the ring is ever delivered.
-func TestRxRingDropsAtExactCapacity(t *testing.T) {
-	p := DefaultParams()
-	p.RxRing = 4
-	k := sim.New(1)
-	bus := NewBus(k, p)
-	rx := bus.Attach("rx", nil) // no interrupt: nothing drains the ring
-	tx := bus.Attach("tx", nil)
-
-	fill(k, tx, p.RxRing)
-	if got := rx.Pending(); got != p.RxRing {
-		t.Fatalf("ring holds %d frames at capacity, want %d", got, p.RxRing)
-	}
-	if rx.Drops() != 0 {
-		t.Fatalf("drops = %d before overrun, want 0", rx.Drops())
-	}
-
-	// One past capacity: dropped, counted, not delivered.
-	fill(k, tx, 1)
-	if got := rx.Pending(); got != p.RxRing {
-		t.Errorf("ring grew past capacity: %d frames", got)
-	}
-	if rx.Drops() != 1 {
-		t.Errorf("drops = %d after one overrun, want 1", rx.Drops())
-	}
-
-	// A burst far past capacity: every excess frame is one drop.
-	fill(k, tx, 10)
-	if rx.Drops() != 11 {
-		t.Errorf("drops = %d after burst, want 11", rx.Drops())
-	}
-
-	// The ring's contents are the first C frames, in order; the dropped
-	// ones left no trace.
-	for i := 0; i < p.RxRing; i++ {
-		f, ok := rx.Recv()
-		if !ok {
-			t.Fatalf("ring empty after %d frames, want %d", i, p.RxRing)
-		}
-		if f.Payload[0] != byte(i) {
-			t.Errorf("frame %d payload = %d, want %d (FIFO violated)", i, f.Payload[0], i)
-		}
-		rx.Release(f)
-	}
-	if _, ok := rx.Recv(); ok {
-		t.Error("frame delivered past ring capacity")
-	}
 }
 
 // TestRxRingDrainReopensRing proves the ring is circular, not one-shot:
@@ -107,20 +60,6 @@ func TestRxRingDrainReopensRing(t *testing.T) {
 			t.Errorf("frame %d payload = %d, want %d", i, f.Payload[0], w)
 		}
 		rx.Release(f)
-	}
-}
-
-// TestRxRingZeroCapacityDropsEverything covers the degenerate ring.
-func TestRxRingZeroCapacityDropsEverything(t *testing.T) {
-	p := DefaultParams()
-	p.RxRing = 0
-	k := sim.New(1)
-	bus := NewBus(k, p)
-	rx := bus.Attach("rx", nil)
-	tx := bus.Attach("tx", nil)
-	fill(k, tx, 3)
-	if rx.Pending() != 0 || rx.Drops() != 3 {
-		t.Errorf("pending=%d drops=%d, want 0 and 3", rx.Pending(), rx.Drops())
 	}
 }
 
@@ -277,88 +216,6 @@ func TestLazyRingGrowsOnDemand(t *testing.T) {
 			t.Fatalf("frame %d payload = %d, want %d (FIFO broken by growth)", i, f.Payload[0], i)
 		}
 		rx.Release(f)
-	}
-}
-
-// TestLazyRingGrowthUnwrapsWrappedFIFO drives the nastiest growth case:
-// the ring grows while its contents wrap around the physical array, so
-// the copy must unwrap head..tail into the new array in order.
-func TestLazyRingGrowthUnwrapsWrappedFIFO(t *testing.T) {
-	p := DefaultParams()
-	k := sim.New(1)
-	bus := NewBus(k, p)
-	rx := bus.AttachWithRing("rx", nil, 64)
-	tx := bus.Attach("tx", nil)
-
-	// Fill to the initial physical size (8), drain a few so head > 0,
-	// refill so the occupancy wraps, then overflow the physical array.
-	fill(k, tx, 8)
-	for i := 0; i < 5; i++ {
-		f, ok := rx.Recv()
-		if !ok || f.Payload[0] != byte(i) {
-			t.Fatalf("prefill drain %d: ok=%v", i, ok)
-		}
-		rx.Release(f)
-	}
-	fill(k, tx, 20) // wraps within 8 slots, then forces growth mid-wrap
-	// Expected FIFO: the three survivors of the first burst (5, 6, 7),
-	// then the second burst's 0..19 in send order.
-	want := []byte{5, 6, 7}
-	for i := byte(0); i < 20; i++ {
-		want = append(want, i)
-	}
-	for i, w := range want {
-		f, ok := rx.Recv()
-		if !ok {
-			t.Fatalf("ring underflow at %d", i)
-		}
-		if f.Payload[0] != w {
-			t.Fatalf("frame %d payload = %d, want %d (unwrap order broken)", i, f.Payload[0], w)
-		}
-		rx.Release(f)
-	}
-	if rx.Pending() != 0 {
-		t.Errorf("ring holds %d leftovers", rx.Pending())
-	}
-}
-
-// TestRingHighWaterTracksPeakOccupancy pins the fan-in measurement the
-// windowed tiers size their rings by: high water is the peak pending
-// count, monotone, capped by the logical capacity, and surfaced through
-// Bus.Stats as a max across NICs (never a sum).
-func TestRingHighWaterTracksPeakOccupancy(t *testing.T) {
-	p := DefaultParams()
-	k := sim.New(1)
-	bus := NewBus(k, p)
-	rx := bus.AttachWithRing("rx", nil, 16)
-	quiet := bus.AttachWithRing("quiet", nil, 16)
-	tx := bus.Attach("tx", nil)
-
-	fill(k, tx, 10)
-	if hw := rx.RingHighWater(); hw != 10 {
-		t.Errorf("high water = %d after 10 queued, want 10", hw)
-	}
-	// Draining must not lower it; modest refills must not raise it.
-	for rx.Pending() > 0 {
-		f, _ := rx.Recv()
-		rx.Release(f)
-	}
-	for quiet.Pending() > 0 {
-		f, _ := quiet.Recv()
-		quiet.Release(f)
-	}
-	fill(k, tx, 3)
-	if hw := rx.RingHighWater(); hw != 10 {
-		t.Errorf("high water = %d after drain+3, want 10 (monotone peak)", hw)
-	}
-	// Overflow: occupancy can never exceed the bound, so neither can the
-	// peak.
-	fill(k, tx, 40)
-	if hw := rx.RingHighWater(); hw != 16 {
-		t.Errorf("high water = %d after overflow, want cap 16", hw)
-	}
-	if got := bus.Stats().RingHighWater; got != 16 {
-		t.Errorf("Stats().RingHighWater = %d, want max 16, not a sum", got)
 	}
 }
 

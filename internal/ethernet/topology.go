@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"mether/internal/medium"
 	"mether/internal/sim"
 )
 
@@ -80,12 +81,22 @@ func (tc TopologyConfig) withDefaults() TopologyConfig {
 }
 
 // Topology is a set of trunks (buses) joined by bridges into a loop-free
-// tree. Attach NICs to individual trunks with Bus(i).Attach.
+// tree. It is the Ethernet world's medium.Medium: the n-th port attached
+// through it lands on the trunk Place assigned to station n. Tests that
+// want a NIC on a specific trunk use Bus(i).Attach.
 type Topology struct {
 	shape   Shape
 	buses   []*Bus
 	bridges []*Bridge
+	// place is the station→trunk placement for ports attached through
+	// the Medium surface, in attach order; stations beyond it (and all
+	// of them when it is nil) sit on trunk 0, the backbone — which is
+	// where a tap attached after the hosts should listen.
+	place    []int
+	attached int
 }
+
+var _ medium.Medium = (*Topology)(nil)
 
 // NewTopology builds trunks buses with the shared segment parameters p,
 // joined per tc. trunks must be at least 1; a single trunk builds no
@@ -105,19 +116,41 @@ func NewTopology(k *sim.Kernel, trunks int, p Params, tc TopologyConfig) *Topolo
 		br.SetPortLoss(tc.PortLoss, tc.PortLoss)
 		t.bridges = append(t.bridges, br)
 	}
-	switch tc.Shape {
-	case Star:
-		for i := 1; i < trunks; i++ {
+	// One bridge per trunk beyond the first; a single trunk builds none
+	// (and never looks at the shape).
+	for i := 1; i < trunks; i++ {
+		switch tc.Shape {
+		case Star:
 			link(0, i)
+		case Linear:
+			link(i-1, i)
+		default:
+			panic(fmt.Sprintf("ethernet: unknown topology shape %d", tc.Shape))
 		}
-	case Linear:
-		for i := 0; i < trunks-1; i++ {
-			link(i, i+1)
-		}
-	default:
-		panic(fmt.Sprintf("ethernet: unknown topology shape %d", tc.Shape))
 	}
 	return t
+}
+
+// Place sets the station→trunk placement for AttachPort and
+// AttachPortWithRing: the n-th port attached through the topology joins
+// trunk trunkOf[n]. Call before attaching.
+func (t *Topology) Place(trunkOf []int) { t.place = trunkOf }
+
+// AttachPort adds the next station, on its placed trunk, with the
+// segment-default ring capacity.
+func (t *Topology) AttachPort(name string, intr func()) medium.Port {
+	return t.AttachPortWithRing(name, intr, t.buses[0].p.RxRing)
+}
+
+// AttachPortWithRing adds the next station, on its placed trunk, with an
+// explicit receive-ring bound.
+func (t *Topology) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
+	trunk := 0
+	if t.attached < len(t.place) {
+		trunk = t.place[t.attached]
+	}
+	t.attached++
+	return t.buses[trunk].AttachWithRing(name, intr, ringCap)
 }
 
 // Trunks returns the number of buses.
@@ -159,19 +192,36 @@ func (t *Topology) Hops(a, b int) int {
 func (t *Topology) Stats() Stats {
 	var s Stats
 	for _, b := range t.buses {
-		bs := b.Stats()
-		s.Frames += bs.Frames
-		s.WireBytes += bs.WireBytes
-		s.PayloadBytes += bs.PayloadBytes
-		s.WireLost += bs.WireLost
-		s.RingDrops += bs.RingDrops
-		s.TxSuppressed += bs.TxSuppressed
-		if bs.RingHighWater > s.RingHighWater {
-			s.RingHighWater = bs.RingHighWater
-		}
-		s.BusyTime += bs.BusyTime
+		s.Add(b.Stats())
 	}
 	return s
+}
+
+// Utilization sums every trunk's busy time as a fraction of wall time;
+// independent trunks transmit in parallel, so the value may exceed 1.
+func (t *Topology) Utilization(wall time.Duration) float64 {
+	var u float64
+	for _, b := range t.buses {
+		u += b.Utilization(wall)
+	}
+	return u
+}
+
+// PoolStats sums the trunks' payload-buffer pools: buffers ever
+// allocated and buffers currently free.
+func (t *Topology) PoolStats() (allocated, free int) {
+	for _, b := range t.buses {
+		a, f := b.PoolStats()
+		allocated, free = allocated+a, free+f
+	}
+	return allocated, free
+}
+
+// OnViewDrop registers the decode-once view recycler on every trunk.
+func (t *Topology) OnViewDrop(fn func(any)) {
+	for _, b := range t.buses {
+		b.OnViewDrop(fn)
+	}
 }
 
 // MemFootprint sums the structural memory footprint of every trunk.

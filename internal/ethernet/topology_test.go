@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mether/internal/medium"
 	"mether/internal/sim"
 )
 
@@ -187,5 +188,50 @@ func TestShapeByName(t *testing.T) {
 		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
 			t.Errorf("ShapeByName(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// TestTopologyIsAMediumWithPlacement: ports attached through the
+// Medium surface land on their placed trunk in attach order, a station
+// attached after the placed ones (a tap) joins the backbone, and the
+// pool and utilization readings sum over trunks.
+func TestTopologyIsAMediumWithPlacement(t *testing.T) {
+	k := sim.New(1)
+	topo := NewTopology(k, 3, DefaultParams(), TopologyConfig{})
+	topo.Place([]int{2, 0, 2, 1})
+	var m medium.Medium = topo
+	ports := make([]medium.Port, 5)
+	for i := range ports {
+		ports[i] = m.AttachPortWithRing("h", nil, 8)
+	}
+	// Ids are per trunk, after that trunk's bridge ports (star: trunk 0
+	// carries two bridge ports, the others one each).
+	for i, want := range []int{1, 2, 2, 1, 3} {
+		if got := ports[i].ID(); got != want {
+			t.Errorf("station %d has id %d on its trunk, want %d", i, got, want)
+		}
+	}
+	if n := len(topo.Bus(2).nics); n != 3 {
+		t.Errorf("trunk 2 holds %d NICs, want its bridge port and stations 0 and 2", n)
+	}
+	if tap := m.AttachPort("tap", nil); tap.RingCap() != DefaultParams().RxRing || len(topo.Bus(0).nics) != 5 {
+		t.Errorf("unplaced station: ring %d, trunk 0 holds %d NICs; want the default ring on the backbone",
+			tap.RingCap(), len(topo.Bus(0).nics))
+	}
+
+	ports[0].Send(Broadcast, []byte("x")) // trunk 2 -> 0 -> 1: three wires
+	end := k.Run()
+	if s := m.Stats(); s.Frames != 3 {
+		t.Errorf("frames = %d, want one per trunk crossed", s.Frames)
+	}
+	var util float64
+	for i := 0; i < 3; i++ {
+		util += topo.Bus(i).Utilization(end)
+	}
+	if got := m.Utilization(end); got != util || got == 0 {
+		t.Errorf("utilization %v, want the trunks' sum %v", got, util)
+	}
+	if alloc, _ := m.PoolStats(); alloc != 3 {
+		t.Errorf("pool reports %d buffers, want one per trunk", alloc)
 	}
 }

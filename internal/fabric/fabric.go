@@ -20,6 +20,12 @@
 // sweep can tell sender-side from receiver-side loss. Peak per-link
 // occupancy is reported as Stats.LinkMaxQueued.
 //
+// This package owns only the transmit model — the link table, the
+// per-link serialization horizon and queue bound, the fan-out loop. The
+// receive side (ring, drop and suppression counters, down flag,
+// interrupt) is medium.Station, embedded by Port and shared with the
+// Ethernet NIC.
+//
 // The data path reuses the shared pooled machinery: refcounted payload
 // buffers with the decode-once view cache (a fan-out's copies share one
 // buffer and one decoded view), pooled delivery records with prebuilt
@@ -112,8 +118,8 @@ type Fabric struct {
 	linkOverflows uint64
 	linkMaxQueued int
 
-	pool      medium.Pool // shared payload buffers (refcounted, recycled)
-	freeDeliv []*delivery // delivery-event pool
+	pool      medium.Pool               // shared payload buffers (refcounted, recycled)
+	freeDeliv medium.Freelist[delivery] // delivery-event pool
 }
 
 var (
@@ -148,16 +154,12 @@ func (fb *Fabric) Params() Params { return fb.p }
 
 // AttachPort adds a port with the fabric-default receive-ring capacity.
 func (fb *Fabric) AttachPort(name string, intr func()) medium.Port {
-	return fb.attach(name, intr, fb.p.RxRing)
+	return fb.AttachPortWithRing(name, intr, fb.p.RxRing)
 }
 
 // AttachPortWithRing adds a port with an explicit receive-ring bound.
 func (fb *Fabric) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
-	return fb.attach(name, intr, ringCap)
-}
-
-func (fb *Fabric) attach(name string, intr func(), ringCap int) *Port {
-	p := &Port{fab: fb, id: len(fb.ports), name: name, intr: intr, rx: medium.NewRing(ringCap)}
+	p := &Port{fab: fb, Station: medium.NewStation(len(fb.ports), name, intr, ringCap)}
 	fb.ports = append(fb.ports, p)
 	fb.links = append(fb.links, nil)
 	return p
@@ -199,11 +201,7 @@ func (fb *Fabric) Stats() medium.Stats {
 		LinkMaxQueued: fb.linkMaxQueued,
 	}
 	for _, p := range fb.ports {
-		s.RingDrops += p.drops
-		s.TxSuppressed += p.txSuppressed
-		if hw := p.rx.HighWater(); hw > s.RingHighWater {
-			s.RingHighWater = hw
-		}
+		s.AddStation(&p.Station)
 	}
 	return s
 }
@@ -236,8 +234,7 @@ func (fb *Fabric) MemFootprint() uint64 {
 		}
 	}
 	m += fb.pool.MemFootprint()
-	m += uint64(cap(fb.freeDeliv)) * uint64(unsafe.Sizeof((*delivery)(nil)))
-	m += uint64(len(fb.freeDeliv)) * uint64(unsafe.Sizeof(delivery{}))
+	m += fb.freeDeliv.MemFootprint()
 	return m
 }
 
@@ -247,72 +244,18 @@ func (fb *Fabric) PoolStats() (allocated, free int) { return fb.pool.Stats() }
 // OnViewDrop registers the decode-once view recycler.
 func (fb *Fabric) OnViewDrop(fn func(any)) { fb.pool.OnViewDrop(fn) }
 
-// wireBytesFor returns the on-wire size of a payload.
-func (fb *Fabric) wireBytesFor(payload int) int {
-	w := payload + fb.p.FrameOverhead
-	if w < fb.p.MinFrameBytes {
-		w = fb.p.MinFrameBytes
-	}
-	return w
-}
-
-// txTime returns the serialization delay for one frame of the given
-// on-wire size on one link.
-func (fb *Fabric) txTime(wire int) time.Duration {
-	bits := int64(wire) * 8
-	return time.Duration(bits * int64(time.Second) / fb.p.BandwidthBps)
-}
-
-// Port is one station on the fabric; it implements medium.Port.
+// Port is one station on the fabric; it implements medium.Port. The
+// receive side is the embedded medium.Station; the port adds the fabric
+// whose links it transmits on.
 type Port struct {
-	fab   *Fabric
-	id    int
-	name  string
-	rx    medium.Ring
-	intr  func()
-	drops uint64
-	// txSuppressed counts Send calls swallowed because the port was
-	// down, mirroring the Ethernet NIC's fault-plane accounting.
-	txSuppressed uint64
-	down         bool
+	fab *Fabric
+	medium.Station
 }
-
-// ID returns the port's address on the fabric.
-func (p *Port) ID() int { return p.id }
-
-// Name returns the diagnostic name given at attach.
-func (p *Port) Name() string { return p.name }
-
-// SetDown takes the port off the fabric (or back on): while down it
-// neither receives nor transmits. Host state is untouched.
-func (p *Port) SetDown(down bool) { p.down = down }
-
-// Down reports whether the port is off the fabric.
-func (p *Port) Down() bool { return p.down }
-
-// Drops returns frames dropped because this port's receive ring was full.
-func (p *Port) Drops() uint64 { return p.drops }
-
-// TxSuppressed returns Send calls swallowed while this port was down.
-func (p *Port) TxSuppressed() uint64 { return p.txSuppressed }
-
-// Pending returns the number of frames waiting in the receive ring.
-func (p *Port) Pending() int { return p.rx.Pending() }
-
-// RingHighWater returns the peak receive-ring occupancy reached.
-func (p *Port) RingHighWater() int { return p.rx.HighWater() }
-
-// RingCap returns the logical receive-ring bound.
-func (p *Port) RingCap() int { return p.rx.Bound() }
 
 // MemFootprint returns the port's structural footprint in bytes.
 func (p *Port) MemFootprint() uint64 {
-	return uint64(unsafe.Sizeof(*p)) + p.rx.MemFootprint()
+	return uint64(unsafe.Sizeof(*p)) + p.RingFootprint()
 }
-
-// Recv dequeues the oldest received frame, reporting false if the ring
-// is empty.
-func (p *Port) Recv() (medium.Frame, bool) { return p.rx.Pop() }
 
 // Release returns a received frame's payload buffer to the fabric's pool.
 func (p *Port) Release(f medium.Frame) { p.fab.pool.Release(f.Buf) }
@@ -328,20 +271,19 @@ func (p *Port) Release(f medium.Frame) { p.fab.pool.Release(f.Buf) }
 // sender itself reaches no one and costs nothing, exactly as on the
 // shared bus.
 func (p *Port) Send(dst int, payload []byte) {
-	if p.down {
-		p.txSuppressed++
+	if p.Suppress() {
 		return
 	}
-	fb := p.fab
+	fb, src := p.fab, p.ID()
 	if dst != medium.Broadcast {
-		if dst < 0 || dst >= len(fb.ports) || dst == p.id {
+		if dst < 0 || dst >= len(fb.ports) || dst == src {
 			return
 		}
 		buf := fb.pool.Acquire(len(payload))
 		copy(buf.Data, payload)
 		// One in-flight reference, dropped when the delivery completes.
 		buf.Refs = 1
-		fb.transmit(p.id, dst, buf)
+		fb.transmit(src, dst, buf)
 		return
 	}
 	if len(fb.ports) <= 1 {
@@ -357,11 +299,11 @@ func (p *Port) Send(dst int, payload []byte) {
 	// while later copies still transmit it.
 	buf.Refs = 1
 	for dst := 0; dst < len(fb.ports); dst++ {
-		if dst == p.id {
+		if dst == src {
 			continue
 		}
 		buf.Refs++
-		if fb.transmit(p.id, dst, buf) {
+		if fb.transmit(src, dst, buf) {
 			fb.fanoutFrames++
 		}
 	}
@@ -384,12 +326,12 @@ func (fb *Fabric) transmit(src, dst int, buf *medium.Buf) bool {
 		fb.linkMaxQueued = l.pending
 	}
 
-	wire := fb.wireBytesFor(len(buf.Data))
+	wire := medium.WireBytes(len(buf.Data), fb.p.FrameOverhead, fb.p.MinFrameBytes)
 	start := fb.k.Now()
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	dur := fb.txTime(wire)
+	dur := medium.TxTime(wire, fb.p.BandwidthBps)
 	l.busyUntil = start + dur
 
 	fb.frames++
@@ -408,10 +350,7 @@ func (fb *Fabric) transmit(src, dst int, buf *medium.Buf) bool {
 // acquireDeliv takes a delivery record (with its prebuilt closure) from
 // the pool.
 func (fb *Fabric) acquireDeliv() *delivery {
-	if l := len(fb.freeDeliv); l > 0 {
-		d := fb.freeDeliv[l-1]
-		fb.freeDeliv[l-1] = nil
-		fb.freeDeliv = fb.freeDeliv[:l-1]
+	if d := fb.freeDeliv.Get(); d != nil {
 		return d
 	}
 	d := &delivery{fb: fb}
@@ -421,40 +360,25 @@ func (fb *Fabric) acquireDeliv() *delivery {
 
 // run completes one link delivery: the frame leaves the link's transmit
 // queue, then lands in the destination ring (or is lost, or dropped).
+// Unlike the broadcast bus, it arrives stamped with its actual
+// destination id, not medium.Broadcast — on a fabric every frame is
+// somebody's unicast.
 func (d *delivery) run() {
 	fb := d.fb
 	d.l.pending--
 	if d.lost {
 		fb.wireLost++
 	} else {
-		fb.ports[d.f.Dst].deliver(d.f)
+		fb.ports[d.f.Dst].Deliver(d.f)
 	}
 	// Drop this copy's in-flight reference and recycle the record.
 	fb.pool.Release(d.f.Buf)
 	d.f = medium.Frame{}
 	d.l = nil
 	d.lost = false
-	fb.freeDeliv = append(fb.freeDeliv, d)
-}
-
-// deliver queues a frame into the receive ring, dropping on overflow.
-// Unlike the broadcast bus, the frame arrives stamped with its actual
-// destination id, not medium.Broadcast — on a fabric every frame is
-// somebody's unicast.
-func (p *Port) deliver(f medium.Frame) {
-	if p.down {
-		return
-	}
-	if !p.rx.Push(f) {
-		p.drops++
-		return
-	}
-	f.Buf.Refs++
-	if p.intr != nil {
-		p.intr()
-	}
+	fb.freeDeliv.Put(d)
 }
 
 func (p *Port) String() string {
-	return fmt.Sprintf("port %d (%s)", p.id, p.name)
+	return fmt.Sprintf("port %d (%s)", p.ID(), p.Name())
 }

@@ -13,12 +13,16 @@
 // (core.Driver and up) run unchanged over either; which 1990 conclusions
 // survive the modern medium is a sweep axis, not a rewrite.
 //
-// The shared data path lives here too: Frame, the refcounted payload
-// Buf with its decode-once view slot, the buffer Pool, and the bounded
-// receive Ring. They were extracted verbatim from the ethernet package
-// (PR 5's decode-once / refcounted-buffer layer was already
-// medium-agnostic), so both backends get the allocation-free
-// steady-state path and the view cache for free.
+// Everything the two backends would otherwise write twice lives here:
+// Frame, the refcounted payload Buf with its decode-once view slot, the
+// buffer Pool, the bounded receive Ring — and Station, the whole
+// receive side of a port (ring, drop and suppressed-send counters, down
+// flag, interrupt, and the one Deliver that enqueues, refcounts and
+// interrupts), which ethernet.NIC and fabric.Port embed. So do the
+// wire-cost pair (WireBytes, TxTime), the Stats folds and the record
+// Freelist. A backend owns its transmit model and nothing else; a
+// receive-side change (a trace stamp at ring enqueue, a conformance
+// rule for drops or down ports) has one site.
 package medium
 
 import "time"
@@ -134,4 +138,52 @@ type Stats struct {
 	// LinkMaxQueued is the peak per-link transmit-queue occupancy over
 	// all links (point-to-point media only; aggregated by max).
 	LinkMaxQueued int
+}
+
+// AddStation folds one station's receive-side counters into the
+// medium-wide snapshot: drops and suppressed sends summed, ring high
+// water by max.
+func (s *Stats) AddStation(p *Station) {
+	s.RingDrops += p.drops
+	s.TxSuppressed += p.txSuppressed
+	if hw := p.rx.HighWater(); hw > s.RingHighWater {
+		s.RingHighWater = hw
+	}
+}
+
+// Add folds another segment's snapshot into s (multi-trunk
+// aggregation): counters and busy time summed, the two occupancy peaks
+// by max.
+func (s *Stats) Add(o Stats) {
+	s.Frames += o.Frames
+	s.WireBytes += o.WireBytes
+	s.PayloadBytes += o.PayloadBytes
+	s.WireLost += o.WireLost
+	s.RingDrops += o.RingDrops
+	s.TxSuppressed += o.TxSuppressed
+	if o.RingHighWater > s.RingHighWater {
+		s.RingHighWater = o.RingHighWater
+	}
+	s.BusyTime += o.BusyTime
+	s.FanoutFrames += o.FanoutFrames
+	s.LinkOverflows += o.LinkOverflows
+	if o.LinkMaxQueued > s.LinkMaxQueued {
+		s.LinkMaxQueued = o.LinkMaxQueued
+	}
+}
+
+// WireBytes returns the on-wire size of a payload: framing overhead
+// added, short frames padded to the medium's minimum.
+func WireBytes(payload, overhead, minFrame int) int {
+	w := payload + overhead
+	if w < minFrame {
+		w = minFrame
+	}
+	return w
+}
+
+// TxTime returns the serialization delay of one frame of the given
+// on-wire size at the given signalling rate.
+func TxTime(wire int, bandwidthBps int64) time.Duration {
+	return time.Duration(int64(wire) * 8 * int64(time.Second) / bandwidthBps)
 }

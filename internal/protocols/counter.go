@@ -399,11 +399,13 @@ func harvest(cfg Config, w *mether.World, states []*clientState, spacePages int)
 	r.LossWin = stats.Ratio(r.Losses, r.Wins)
 
 	// Host 0's client and server times (the runs are symmetric).
+	// The server is identified by process, not by name: a client may be
+	// spawned under any name (nil in kernel-server mode matches nothing).
+	server := w.Driver(0).Server()
 	for _, p := range w.HostMachine(0).Procs() {
-		switch p.Name() {
-		case "metherd":
+		if p == server {
 			r.SysServer += p.Sys() + p.User()
-		default:
+		} else {
 			r.User += p.User()
 			r.Sys += p.Sys()
 		}

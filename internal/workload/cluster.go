@@ -222,8 +222,12 @@ func (o Options) finish(w *mether.World, errs []error, done []bool, lastFinish *
 	cs.Harvest = w.Harvest(end)
 	cs.ServerCPU = cs.KernelTime
 	for i := 0; i < w.NumHosts(); i++ {
+		// The server is identified by process, not by name: a client may
+		// be spawned under any name (nil in kernel-server mode matches
+		// nothing).
+		server := w.Driver(i).Server()
 		for _, p := range w.HostMachine(i).Procs() {
-			if p.Name() == "metherd" {
+			if p == server {
 				cs.ServerCPU += p.User() + p.Sys()
 			} else {
 				cs.UserCPU += p.User()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mether"
 	"mether/internal/fault"
 )
 
@@ -54,6 +55,36 @@ func TestEmptyFaultScheduleIsNeutral(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, empty) {
 		t.Errorf("empty schedule perturbed the run:\nplain %+v\nempty %+v", plain, empty)
+	}
+}
+
+// Partitioning or healing a bridge the world does not have is an error,
+// never a panic or an index out of range — on a single trunk, on a
+// fabric, and past either end of a real topology's bridge list.
+func TestPartitionOfMissingBridgeIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		bridge int
+		ok     bool
+	}{
+		{"single trunk", Options{}, 0, false},
+		{"fabric", Options{Medium: mether.MediumFabric}, 0, false},
+		{"two trunks, the bridge", Options{Trunks: 2}, 0, true},
+		{"two trunks, one past", Options{Trunks: 2}, 1, false},
+		{"two trunks, negative", Options{Trunks: 2}, -1, false},
+	} {
+		w, err := tc.opts.World(4, 1, func(*mether.World) error { return nil })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := w.PartitionBridge(tc.bridge); (err == nil) != tc.ok {
+			t.Errorf("%s: PartitionBridge(%d) = %v, want ok=%v", tc.name, tc.bridge, err, tc.ok)
+		}
+		if err := w.HealBridge(tc.bridge); (err == nil) != tc.ok {
+			t.Errorf("%s: HealBridge(%d) = %v, want ok=%v", tc.name, tc.bridge, err, tc.ok)
+		}
+		w.Shutdown()
 	}
 }
 

@@ -95,4 +95,18 @@ func TestStationaryReportsWhatTheWorldCounted(t *testing.T) {
 	if fab.FanoutFrames == 0 || fab.LinkMaxQueued == 0 {
 		t.Errorf("fabric world reports no fan-out: %+v", fab.Harvest)
 	}
+
+	// Server CPU is the server process's, not that of whatever shares
+	// its name.
+	nw, err := Options{}.World(1, 1, func(*mether.World) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	nw.Spawn(0, "metherd", func(env *mether.Env) { env.Compute(time.Millisecond) })
+	cs, _, _ := Options{}.finish(nw, nil, nil, new(time.Duration))
+	if srv := nw.Driver(0).Server(); cs.UserCPU != time.Millisecond || cs.ServerCPU != srv.User()+srv.Sys() {
+		t.Errorf("client named metherd: user %v server %v, want 1ms and the server's own %v",
+			cs.UserCPU, cs.ServerCPU, srv.User()+srv.Sys())
+	}
 }

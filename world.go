@@ -215,13 +215,11 @@ func (c Config) Validate() error {
 type World struct {
 	cfg Config
 	k   *sim.Kernel
-	// med is the interconnect the cluster's reporting surface talks to:
-	// the fabric, the single bus, or trunk 0 of a multi-trunk topology
-	// (so taps keep listening on the backbone).
+	// med is the interconnect: the fabric, or the Ethernet topology (one
+	// trunk is the classic single bus). Hosts attach through it, counters
+	// and footprint come out of it, taps listen on it.
 	med      medium.Medium
-	bus      *ethernet.Bus      // trunk 0; nil on a fabric world
-	topo     *ethernet.Topology // nil unless multi-trunk Ethernet
-	fab      *fabric.Fabric     // nil unless MediumFabric
+	topo     *ethernet.Topology // med's concrete type on Ethernet; nil on a fabric
 	trunkOf  []int              // host index -> trunk (nil for single trunk)
 	hosts    []*host.Host
 	drivers  []*core.Driver
@@ -266,13 +264,15 @@ func NewWorld(cfg Config) *World {
 	// world), so the world-level and core-level configs cannot disagree.
 	coreCfg.TrunkOf = nil
 	coreCfg.TrunkHops = nil
-	switch {
-	case cfg.Medium.Kind == MediumFabric:
-		w.fab = fabric.New(w.k, cfg.Medium.Fabric)
-		w.med = w.fab
-		w.fab.OnViewDrop(views.Recycle)
-	case cfg.Trunks > 1:
+	defaultRing := cfg.Medium.Ethernet.RxRing
+	if cfg.Medium.Kind == MediumFabric {
+		w.med = fabric.New(w.k, cfg.Medium.Fabric)
+		defaultRing = cfg.Medium.Fabric.RxRing
+	} else {
 		w.topo = ethernet.NewTopology(w.k, cfg.Trunks, cfg.Medium.Ethernet, cfg.Medium.Topology)
+		w.med = w.topo
+	}
+	if cfg.Trunks > 1 {
 		w.trunkOf = make([]int, cfg.Hosts)
 		for i := range w.trunkOf {
 			t := i * cfg.Trunks / cfg.Hosts
@@ -281,8 +281,7 @@ func NewWorld(cfg Config) *World {
 			}
 			w.trunkOf[i] = t
 		}
-		w.bus = w.topo.Bus(0)
-		w.med = w.bus
+		w.topo.Place(w.trunkOf)
 		// The drivers learn the trunk map so cross-trunk protocol hazards
 		// (stale refreshes arriving after newer ones reordered by bridge
 		// queues) are counted, not just possible.
@@ -290,30 +289,16 @@ func NewWorld(cfg Config) *World {
 		// Bridge-hop distances feed the redundant-fetch nearest-first
 		// target ordering (same trunk beats one hop beats two).
 		coreCfg.TrunkHops = w.topo.Hops
-		for i := 0; i < w.topo.Trunks(); i++ {
-			w.topo.Bus(i).OnViewDrop(views.Recycle)
-		}
-	default:
-		w.bus = ethernet.NewBus(w.k, cfg.Medium.Ethernet)
-		w.med = w.bus
-		w.bus.OnViewDrop(views.Recycle)
 	}
-	defaultRing := cfg.Medium.Ethernet.RxRing
-	if cfg.Medium.Kind == MediumFabric {
-		defaultRing = cfg.Medium.Fabric.RxRing
-	}
+	w.med.OnViewDrop(views.Recycle)
 	for i := 0; i < cfg.Hosts; i++ {
 		h := host.New(w.k, i, fmt.Sprintf("host%d", i), cfg.HostParams)
 		var d *core.Driver
-		m := w.med
-		if w.topo != nil {
-			m = w.topo.Bus(w.trunkOf[i])
-		}
 		ring := defaultRing
 		if cfg.Medium.RingOf != nil {
 			ring = cfg.Medium.RingOf(i)
 		}
-		port := m.AttachPortWithRing(h.Name(), func() { d.FrameArrived() }, ring)
+		port := w.med.AttachPortWithRing(h.Name(), func() { d.FrameArrived() }, ring)
 		d = core.New(h, port, coreCfg)
 		d.StartServer()
 		w.hosts = append(w.hosts, h)
@@ -405,46 +390,23 @@ func (w *World) HostMachine(hostIdx int) *host.Host { return w.hosts[hostIdx] }
 // occupy every wire they transit. On a fabric the fan-out/link-queue
 // fields (FanoutFrames, LinkOverflows, LinkMaxQueued) are populated;
 // on Ethernet they are always zero.
-func (w *World) NetStats() ethernet.Stats {
-	if w.topo != nil {
-		return w.topo.Stats()
-	}
-	return w.med.Stats()
-}
+func (w *World) NetStats() ethernet.Stats { return w.med.Stats() }
 
-// TrunkStats returns every trunk's own segment counters in trunk order
-// (a one-element slice for a single-bus or fabric world). Unlike
-// NetStats, nothing is summed: multi-trunk reports use this to show
-// which trunk's wire saturates.
-func (w *World) TrunkStats() []ethernet.Stats {
-	if w.topo == nil {
-		return []ethernet.Stats{w.med.Stats()}
-	}
-	out := make([]ethernet.Stats, w.topo.Trunks())
-	for i := range out {
-		out[i] = w.topo.Bus(i).Stats()
-	}
-	return out
-}
-
-// TrunkUtilization returns each trunk's wire utilization (busy time as
-// a fraction of the given wall time) and transmitted frame count, in
-// trunk order — the report-ready form of TrunkStats. Nils for the
-// classic single-bus world, so report fields fed from it stay omitted
-// there.
+// TrunkUtilization returns each trunk's own wire utilization (busy time
+// as a fraction of the given wall time) and transmitted frame count, in
+// trunk order. Unlike NetStats nothing is summed: multi-trunk reports
+// use it to show which trunk's wire saturates. Nils for a single-bus or
+// fabric world, so report fields fed from it stay omitted there.
 func (w *World) TrunkUtilization(wall time.Duration) ([]float64, []uint64) {
-	if w.topo == nil {
+	if w.Trunks() == 1 {
 		return nil, nil
 	}
-	util := make([]float64, 0, w.topo.Trunks())
-	frames := make([]uint64, 0, w.topo.Trunks())
-	for _, ts := range w.TrunkStats() {
-		u := 0.0
-		if wall > 0 {
-			u = float64(ts.BusyTime) / float64(wall)
-		}
-		util = append(util, u)
-		frames = append(frames, ts.Frames)
+	util := make([]float64, w.Trunks())
+	frames := make([]uint64, w.Trunks())
+	for i := range util {
+		bus := w.topo.Bus(i)
+		util[i] = bus.Utilization(wall)
+		frames[i] = bus.Stats().Frames
 	}
 	return util, frames
 }
@@ -463,11 +425,7 @@ func (w *World) MemFootprint() uint64 {
 	for _, d := range w.drivers {
 		b += d.MemFootprint()
 	}
-	if w.topo != nil {
-		b += w.topo.MemFootprint()
-	} else {
-		b += w.med.MemFootprint()
-	}
+	b += w.med.MemFootprint()
 	b += uint64(len(w.trunkOf)) * 8
 	return b
 }
@@ -488,7 +446,8 @@ func (w *World) CheckInvariants() error { return core.CheckInvariants(w.drivers.
 // interconnect and returns its log (the simulation's tcpdump). max
 // bounds retained entries; 0 keeps everything. Attach taps before
 // running. On a multi-trunk world the tap listens on trunk 0 (the
-// backbone), like a real analyzer plugged into one segment. On a fabric
-// there is no promiscuous mode: the tap sees only broadcast fan-out
-// copies addressed to it, never host-to-host unicasts.
+// backbone, where ethernet.Topology puts every station attached after
+// the placed hosts), like a real analyzer plugged into one segment. On
+// a fabric there is no promiscuous mode: the tap sees only broadcast
+// fan-out copies addressed to it, never host-to-host unicasts.
 func (w *World) AttachTap(max int) *trace.Log { return trace.Tap(w.k, w.med, max) }
