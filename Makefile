@@ -47,6 +47,10 @@
 #                        a same-hour run of the parent, never across days
 #                        or machines — nothing gates on it; claims are
 #                        carried by bench/ pairs)
+#   make loc           - non-test Go lines outside bench/ (tracked files
+#                        only), per directory and in total: the one
+#                        number simplicity PRs report, computed one way
+#                        (13 910 at PR 16)
 #   make profile       - run one named cell (CELL=<name substring>, any cell
 #                        of GRID, default the bridged 256-host hotspot) under CPU and
 #                        heap profiling, then print `go tool pprof -top` for
@@ -57,7 +61,7 @@ GO ?= go
 
 MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record profile
+.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -156,6 +160,13 @@ bench-smoke:
 
 bench-record:
 	$(GO) run ./cmd/methersweep -grid cluster -bench-out BENCH_sweep.json -format summary
+
+# Raw lines (comments and blanks included) of tracked, non-test Go files
+# outside the frozen bench/ module, summed per directory.
+loc:
+	@git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # Profile one cell: make profile CELL=cluster/barrier/h16 narrows GRID
 # to the scenarios whose name CONTAINS CELL (methersweep -only, a

@@ -30,15 +30,13 @@ import (
 	"strings"
 	"time"
 
-	"mether/internal/proto"
 	"mether/internal/sweep"
 )
 
 var (
 	flagGrid      = flag.String("grid", "smoke", "named grid to run (see -list)")
 	flagList      = flag.Bool("list", false, "list available grids and exit")
-	flagWorkers   = flag.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS)")
-	flagSerial    = flag.Bool("serial", false, "force one worker (baseline for speedup measurement)")
+	flagWorkers   = flag.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS; 1 is the serial baseline for speedup measurement)")
 	flagTarget    = flag.Uint("target", 1024, "counter target for protocol scenarios")
 	flagSeed      = flag.Int64("seed", 1, "simulation seed for every scenario")
 	flagHosts     = flag.Int("hosts", 0, "restrict host-count grids (cluster) to one size (0 = all)")
@@ -102,39 +100,8 @@ func main() {
 	if *flagTarget > math.MaxUint32 {
 		fatal(fmt.Errorf("-target %d exceeds the 32-bit counter", *flagTarget))
 	}
-	// Reject before running: host ids must fit the wire format's 16-bit
-	// field, and a bad flag must not cost (or panic) a sweep.
-	if *flagHosts < 0 || *flagHosts > proto.MaxHostID {
-		fatal(fmt.Errorf("-hosts %d out of range (0..%d)", *flagHosts, proto.MaxHostID))
-	}
-	// The smallest default cluster size is 16 hosts; a trunk count that
-	// exceeds the smallest cell's host count must fail here as a flag
-	// error, not panic a worker goroutine mid-sweep.
-	minHosts := *flagHosts
-	if minHosts == 0 {
-		minHosts = 16
-	}
-	if *flagTrunks < 0 || *flagTrunks > minHosts {
-		fatal(fmt.Errorf("-trunks %d out of range for %d hosts", *flagTrunks, minHosts))
-	}
-	// A fetch names at most MaxRedundantTargets-1 extra holders beyond
-	// the owner; reject out-of-range fan-outs as flag errors, not
-	// mid-sweep truncation surprises.
-	if *flagRedund < 0 || *flagRedund > proto.MaxRedundantTargets+1 {
-		fatal(fmt.Errorf("-redundancy %d out of range (0..%d)", *flagRedund, proto.MaxRedundantTargets+1))
-	}
-	switch *flagMedium {
-	case "", "ethernet", "fabric":
-	default:
-		fatal(fmt.Errorf("unknown -medium %q (want ethernet or fabric)", *flagMedium))
-	}
-	// Trunks bridge Ethernet segments; the fabric has no broadcast
-	// domains to bridge. Reject the cross as a flag error rather than
-	// handing the grid builder a combination it would silently drop
-	// every cell of.
-	if *flagMedium == "fabric" && *flagTrunks > 1 {
-		fatal(fmt.Errorf("-medium fabric is incompatible with -trunks %d: trunks are an Ethernet bridging concept", *flagTrunks))
-	}
+	// The axis values are the grid's to judge: sweep.Grid rejects a bad
+	// one here, before any scenario runs.
 	scs, err := sweep.Grid(*flagGrid, sweep.Options{Target: uint32(*flagTarget), Seed: *flagSeed, Hosts: *flagHosts, Trunks: *flagTrunks, Redundancy: *flagRedund, Faults: *flagFaults, Medium: *flagMedium})
 	if err != nil {
 		fatal(err)
@@ -153,10 +120,6 @@ func main() {
 			fatal(fmt.Errorf("-only %q matches no scenario in grid %q", *flagOnly, *flagGrid))
 		}
 		scs = kept
-	}
-	workers := *flagWorkers
-	if *flagSerial {
-		workers = 1
 	}
 
 	// Every exit below goes through fatal() or exit(), both of which
@@ -177,7 +140,7 @@ func main() {
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 
-	report, timing := sweep.Runner{Workers: workers}.Run(*flagGrid, scs)
+	report, timing := sweep.Runner{Workers: *flagWorkers}.Run(*flagGrid, scs)
 	// One post-sweep MemStats snapshot serves both the bench record and
 	// the alloc gate, taken before anything else (bench-out marshalling,
 	// file writes) can allocate against the sweep's budget.
@@ -284,7 +247,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		deltas := sweep.Compare(baseRep, report, *flagTolerance)
+		// -only narrowed the run; narrow the baseline the same way, or
+		// every cell left out would read as missing from the report.
+		deltas := sweep.Compare(baseRep.Only(*flagOnly), report, *flagTolerance)
 		if len(deltas) == 0 {
 			fmt.Fprintf(os.Stderr, "baseline %s: no deltas beyond tolerance %.3g\n", *flagBaseline, *flagTolerance)
 		}

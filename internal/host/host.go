@@ -50,11 +50,6 @@ type Params struct {
 	// InterruptCost is the delay between a NIC receive and the wakeup of
 	// the process sleeping on it (interrupt + protocol input processing).
 	InterruptCost time.Duration
-	// PreemptOnWake, when true, lets a woken process preempt the current
-	// one at once instead of waiting for quantum expiry. SunOS 4.0 did
-	// not do this for compute-bound timesharing processes; the flag
-	// exists for ablation experiments.
-	PreemptOnWake bool
 	// WakeBoostDelay models the SunOS wakeup priority boost: a process
 	// woken from a sleep preempts a CPU-bound process after roughly this
 	// delay (priority recomputation at clock ticks), rather than waiting
@@ -361,14 +356,6 @@ func (p *Proc) quantumExpire() {
 	p.acquireCPU()
 }
 
-// Preempt forces the current process off the CPU at its next scheduling
-// point by exhausting its quantum. Used with Params.PreemptOnWake.
-func (h *Host) preemptCurrent() {
-	if h.cur != nil {
-		h.cur.quantumUsed = h.pr.Quantum
-	}
-}
-
 // SleepOn blocks the process until Host.Wakeup is called with the same
 // key, giving up the CPU. Spurious wakeups do not occur at this layer:
 // the process returns only after a matching Wakeup (callers that share a
@@ -410,9 +397,6 @@ func (h *Host) timerFire(p *Proc) {
 		p.state = stateRunnable
 		h.enqueue(p)
 		h.maybeDispatch()
-		if h.pr.PreemptOnWake {
-			h.preemptCurrent()
-		}
 		h.armWakeBoost(p)
 		p.sp.Wake()
 	}
@@ -444,9 +428,6 @@ func (h *Host) Wakeup(key any) {
 		p.sp.Wake()
 	}
 	h.maybeDispatch()
-	if h.pr.PreemptOnWake {
-		h.preemptCurrent()
-	}
 	for _, p := range ps {
 		h.armWakeBoost(p)
 	}

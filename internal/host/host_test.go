@@ -216,30 +216,6 @@ func TestInterruptDelaysHandler(t *testing.T) {
 	}
 }
 
-func TestPreemptOnWake(t *testing.T) {
-	k := sim.New(1)
-	p := testParams()
-	p.PreemptOnWake = true
-	h := New(k, 0, "a", p)
-	var served time.Duration
-	h.Spawn("server", func(p *Proc) {
-		p.SleepOn("work")
-		served = p.Now()
-	})
-	h.Spawn("spinner", func(p *Proc) {
-		for p.Now() < 30*time.Millisecond {
-			p.UseUser(50 * time.Microsecond)
-		}
-	})
-	k.At(4*time.Millisecond, "wake", func() { h.Wakeup("work") })
-	k.Run()
-	// With the boost the server preempts the spinner almost immediately
-	// rather than waiting ~11ms for quantum end.
-	if served > 7*time.Millisecond {
-		t.Errorf("served at %v; want fast preemption with PreemptOnWake", served)
-	}
-}
-
 func TestTwoHostsAreIndependent(t *testing.T) {
 	k := sim.New(1)
 	h0 := New(k, 0, "a", testParams())

@@ -67,7 +67,7 @@ func runBaselineSingle(cfg Config) (Report, *mether.World, error) {
 		}
 		a := m.Addr(0, 0).Short()
 		for v := uint32(0); v < cfg.Target; v++ {
-			env.Compute(cfg.IncCost)
+			env.Compute(incCost)
 			if err := m.Store32(a, v+1); err != nil {
 				st.err = err
 				return
@@ -195,7 +195,7 @@ func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, s
 		a = a.Short()
 	}
 	for {
-		env.Compute(cfg.CheckCost)
+		env.Compute(checkCost)
 		v, err := m.Load32(a)
 		if err != nil {
 			return err
@@ -204,7 +204,7 @@ func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, s
 			return nil
 		}
 		if v%2 == id {
-			env.Compute(cfg.IncCost)
+			env.Compute(incCost)
 			if err := m.Store32(a, v+1); err != nil {
 				return err
 			}
@@ -229,7 +229,7 @@ func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap me
 	sincePurge := 0
 	myVal := uint32(0)
 	for {
-		env.Compute(cfg.CheckCost)
+		env.Compute(checkCost)
 		v, err := peerMap.Load32(peerAddr)
 		if err != nil {
 			return err
@@ -238,7 +238,7 @@ func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap me
 		case v >= cfg.Target || myVal >= cfg.Target:
 			return nil
 		case v%2 == id && v+1 > myVal:
-			env.Compute(cfg.IncCost)
+			env.Compute(incCost)
 			myVal = v + 1
 			if err := own.Store32(ownAddr, myVal); err != nil {
 				return err
@@ -279,7 +279,7 @@ func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether
 	aW := rw.Addr(0, 0).Short()
 	aD := ro.Addr(0, 0).Short().DataDriven()
 	for {
-		env.Compute(cfg.CheckCost)
+		env.Compute(checkCost)
 		v, err := ro.Load32(aD)
 		if err != nil {
 			return err
@@ -288,7 +288,7 @@ func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether
 			return nil
 		}
 		if v%2 == id {
-			env.Compute(cfg.IncCost)
+			env.Compute(incCost)
 			if err := rw.Store32(aW, v+1); err != nil {
 				return err
 			}
@@ -318,7 +318,7 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 	spins := 0
 	myVal := uint32(0)
 	for {
-		env.Compute(cfg.CheckCost)
+		env.Compute(checkCost)
 		v, err := peerMap.Load32(peerAddr)
 		if err != nil {
 			return err
@@ -327,7 +327,7 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 		case v >= cfg.Target || myVal >= cfg.Target:
 			return nil
 		case v%2 == id && v+1 > myVal:
-			env.Compute(cfg.IncCost)
+			env.Compute(incCost)
 			myVal = v + 1
 			if err := own.Store32(ownAddr, myVal); err != nil {
 				return err
@@ -343,7 +343,7 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 		default:
 			st.losses++
 			spins++
-			if spins >= cfg.SpinBeforeBlock {
+			if spins >= spinBeforeBlock {
 				spins = 0
 				if err := peerMap.Purge(peerAddr); err != nil {
 					return err

@@ -72,6 +72,16 @@ func (p Protocol) String() string {
 	}
 }
 
+const (
+	// spinBeforeBlock is how many losses P5 tolerates on the resident
+	// copy before purging and blocking data-driven.
+	spinBeforeBlock = 2
+	// checkCost and incCost are the application's per-check and
+	// per-increment CPU costs (the paper's measured per-iteration cost).
+	checkCost = 50 * time.Microsecond
+	incCost   = 50 * time.Microsecond
+)
+
 // Config parameterizes one counter run.
 type Config struct {
 	Protocol Protocol
@@ -84,14 +94,6 @@ type Config struct {
 	// with a fixed delay after each loss — the paper's first (rejected)
 	// fix ("it was difficult to get consistent timing delays").
 	SleepHysteresis time.Duration
-	// SpinBeforeBlock is how many losses P5 tolerates on the resident
-	// copy before purging and blocking data-driven (default 2).
-	SpinBeforeBlock int
-	// CheckCost and IncCost are the application's per-check and
-	// per-increment CPU costs (default 50 µs each, the paper's measured
-	// per-iteration cost).
-	CheckCost time.Duration
-	IncCost   time.Duration
 
 	// Options is the two-host cluster the run is built on: seed, cap (a
 	// run that does not finish reports DNF like the paper's "Never
@@ -112,15 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HysteresisN == 0 {
 		c.HysteresisN = 100
-	}
-	if c.SpinBeforeBlock == 0 {
-		c.SpinBeforeBlock = 2
-	}
-	if c.CheckCost == 0 {
-		c.CheckCost = 50 * time.Microsecond
-	}
-	if c.IncCost == 0 {
-		c.IncCost = 50 * time.Microsecond
 	}
 	return c
 }

@@ -3,30 +3,67 @@ package sweep
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 )
 
-// runSmokeBytes runs the smoke grid with the given worker count and
-// returns the marshalled JSON report.
-func runSmokeBytes(t *testing.T, workers int) []byte {
-	t.Helper()
-	scs, err := Grid("smoke", Options{Seed: 42})
+// smokeSeed is the seed the determinism tests run the smoke grid under.
+const smokeSeed = 42
+
+// smoke is the smoke grid under seed, and mustJSON a report's bytes;
+// neither can fail on the values the tests below hand them.
+func smoke(seed int64) []Scenario {
+	scs, err := Grid("smoke", Options{Seed: seed})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	rep, _ := Runner{Workers: workers}.Run("smoke", scs)
+	return scs
+}
+
+func mustJSON(rep Report) []byte {
 	b, err := rep.JSON()
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return b
 }
 
+// runSmokeBytes runs the smoke grid on a pool of the given size and
+// returns the marshalled JSON report.
+func runSmokeBytes(seed int64, workers int) []byte {
+	rep, _ := Runner{Workers: workers}.Run("smoke", smoke(seed))
+	return mustJSON(rep)
+}
+
+// serialSmoke is the reference every determinism test below compares
+// its own run against: the smoke grid through a plain unordered serial
+// loop — no Runner, no pool, no largest-first ordering — computed once.
+// Two runs that each equal the reference equal each other, so every
+// property is still asserted while each test pays for its own side only
+// (the grid's 4096-host cell makes a smoke run seconds, not
+// milliseconds).
+var serialSmoke = sync.OnceValue(func() []byte {
+	scs := smoke(smokeSeed)
+	rep := Report{Grid: "smoke", Scenarios: make([]Result, len(scs))}
+	for i, s := range scs {
+		rep.Scenarios[i] = s.Run()
+	}
+	return mustJSON(rep)
+})
+
+// pooledSmoke is one Runner run of the smoke grid on four workers,
+// shared by the test of its bytes (TestOrderedPoolMatchesUnorderedSerial)
+// and the test of its results and timing (TestRunnerRunsAllScenarios).
+var pooledSmoke = sync.OnceValues(func() (Report, Timing) {
+	return Runner{Workers: 4}.Run("smoke", smoke(smokeSeed))
+})
+
 // TestReportDeterministicAcrossRuns proves the same grid and seed yield
-// byte-identical reports on repeated runs.
+// byte-identical reports on repeated runs: a second execution against
+// the reference one.
 func TestReportDeterministicAcrossRuns(t *testing.T) {
-	a := runSmokeBytes(t, 2)
-	b := runSmokeBytes(t, 2)
+	a := serialSmoke()
+	b := runSmokeBytes(smokeSeed, 2)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two identical sweeps produced different reports:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
@@ -35,10 +72,11 @@ func TestReportDeterministicAcrossRuns(t *testing.T) {
 // TestReportDeterministicAcrossWorkerCounts proves pool scheduling never
 // leaks into results: one worker and many workers agree byte-for-byte.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial := runSmokeBytes(t, 1)
-	parallel := runSmokeBytes(t, 8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("worker count changed the report:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	want := serialSmoke()
+	for _, workers := range []int{1, 8} {
+		if got := runSmokeBytes(smokeSeed, workers); !bytes.Equal(want, got) {
+			t.Fatalf("%d workers changed the report:\n--- reference ---\n%s\n--- %d workers ---\n%s", workers, want, workers, got)
+		}
 	}
 }
 
@@ -46,15 +84,16 @@ func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 // never leaks real-scheduler nondeterminism into a simulated World:
 // GOMAXPROCS=1 and GOMAXPROCS=NumCPU produce byte-identical reports.
 func TestReportDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	want := serialSmoke()
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 
-	runtime.GOMAXPROCS(1)
-	single := runSmokeBytes(t, 0) // 0 = one worker per GOMAXPROCS
-	runtime.GOMAXPROCS(runtime.NumCPU())
-	multi := runSmokeBytes(t, 0)
-	if !bytes.Equal(single, multi) {
-		t.Fatalf("GOMAXPROCS changed the report:\n--- 1 ---\n%s\n--- NumCPU ---\n%s", single, multi)
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		runtime.GOMAXPROCS(procs)
+		// 0 = one worker per GOMAXPROCS
+		if got := runSmokeBytes(smokeSeed, 0); !bytes.Equal(want, got) {
+			t.Fatalf("GOMAXPROCS=%d changed the report:\n--- reference ---\n%s\n--- GOMAXPROCS=%d ---\n%s", procs, want, procs, got)
+		}
 	}
 }
 
@@ -64,20 +103,9 @@ func TestReportDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // stay byte-identical to a plain unordered serial loop over the grid
 // (no Runner involved at all).
 func TestOrderedPoolMatchesUnorderedSerial(t *testing.T) {
-	scs, err := Grid("smoke", Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := Report{Grid: "smoke", Scenarios: make([]Result, len(scs))}
-	for i, s := range scs {
-		serial.Scenarios[i] = s.Run()
-	}
-	want, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runSmokeBytes(t, 4)
-	if !bytes.Equal(want, got) {
+	want := serialSmoke()
+	pooled, _ := pooledSmoke()
+	if got := mustJSON(pooled); !bytes.Equal(want, got) {
 		t.Fatalf("largest-first pool changed the report:\n--- unordered serial ---\n%s\n--- ordered pool ---\n%s", want, got)
 	}
 }
@@ -164,25 +192,7 @@ func TestBridgedLossReportDeterministic(t *testing.T) {
 // different seeds produced identical reports the determinism tests above
 // would be vacuous.
 func TestSeedChangesReport(t *testing.T) {
-	scs1, err := Grid("smoke", Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scs2, err := Grid("smoke", Options{Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := Runner{Workers: 2}.Run("smoke", scs1)
-	r2, _ := Runner{Workers: 2}.Run("smoke", scs2)
-	b1, err := r1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := r2.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(b1, b2) {
+	if bytes.Equal(serialSmoke(), runSmokeBytes(99, 2)) {
 		t.Error("different seeds produced byte-identical reports; seeds are not reaching the worlds")
 	}
 }

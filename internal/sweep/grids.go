@@ -2,11 +2,14 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"mether"
 	"mether/internal/fault"
+	"mether/internal/proto"
 	"mether/internal/protocols"
 	"mether/internal/workload"
 )
@@ -64,6 +67,59 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// defaultClusterSizes are the cluster grid's rungs when Options.Hosts
+// names none. The 1024-host tier (`make cluster-large`) and the windowed
+// 4096/10000-host tier (`make cluster-xl`) are reached through
+// Options.Hosts only, so `make cluster` and bench records stay
+// comparable across PRs.
+var defaultClusterSizes = []int{16, 64, 256}
+
+// clusterSizes is the cluster grid's host-count axis under o.
+func (o Options) clusterSizes() []int {
+	if o.Hosts != 0 {
+		return []int{o.Hosts}
+	}
+	return defaultClusterSizes
+}
+
+// faultCells reports whether the built-in fault cells are in the grid;
+// customFaults returns the fault.Parse spec of the custom cell, if any.
+func (o Options) faultCells() bool { return o.Faults == "" || o.Faults == "on" }
+
+func (o Options) customFaults() string {
+	if o.faultCells() || o.Faults == "off" {
+		return ""
+	}
+	return o.Faults
+}
+
+// validate holds the axis rules. Host ids must fit the wire format's
+// 16-bit field. The smallest cell's world must be buildable under the
+// forced axes; mether.Config.Validate owns those rules (the medium
+// names, a trunk count the hosts can be partitioned into, no trunks on
+// the fabric — a cross that would silently drop every cell). A fetch
+// names at most MaxRedundantTargets extra holders beyond the owner. A
+// custom fault schedule must parse and fit the cell it runs on
+// (single-trunk, so no bridges).
+func (o Options) validate() error {
+	if o.Hosts < 0 || o.Hosts > proto.MaxHostID {
+		return fmt.Errorf("sweep: hosts %d out of range (0..%d)", o.Hosts, proto.MaxHostID)
+	}
+	smallest := o.clusterSizes()[0]
+	cfg := mether.Config{Hosts: smallest, Trunks: o.Trunks, Medium: mether.MediumConfig{Kind: o.Medium}}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("sweep: smallest cell (%d hosts): %w", smallest, err)
+	}
+	if o.Redundancy < 0 || o.Redundancy > proto.MaxRedundantTargets+1 {
+		return fmt.Errorf("sweep: redundancy %d out of range (0..%d)", o.Redundancy, proto.MaxRedundantTargets+1)
+	}
+	sched, err := fault.Parse(o.customFaults())
+	if err == nil {
+		err = sched.Validate(smallest, 0)
+	}
+	return err
+}
+
 // FigureScenarios returns the paper's Figure 4-9 configurations as
 // sweep scenarios, in figure order. At Target 1024 the four figures
 // with published agreement bands carry band checks.
@@ -95,16 +151,9 @@ func KernelAblation(o Options) []Scenario {
 	o = o.withDefaults()
 	var out []Scenario
 	for _, p := range []protocols.Protocol{protocols.P2ShortPage, protocols.P5Final} {
-		for _, kernel := range []bool{false, true} {
-			mode := "user"
-			if kernel {
-				mode = "kernel"
-			}
-			out = append(out, Scenario{
-				Name: fmt.Sprintf("kernel/%v/%s", p, mode), Kind: KindCounter,
-				Protocol: p, Target: o.Target, Seed: o.Seed, KernelServer: kernel,
-			})
-		}
+		base := Scenario{Name: fmt.Sprintf("kernel/%v", p), Kind: KindCounter,
+			Protocol: p, Target: o.Target, Seed: o.Seed}
+		out = append(out, base.variant("/user"), base.variant("/kernel", inKernel))
 	}
 	return out
 }
@@ -175,16 +224,9 @@ func HotspotGrid(o Options) []Scenario {
 	o = o.withDefaults()
 	var out []Scenario
 	for _, hosts := range []int{2, 4, 8} {
-		for _, short := range []bool{true, false} {
-			mode := "full"
-			if short {
-				mode = "short"
-			}
-			out = append(out, Scenario{
-				Name: fmt.Sprintf("hotspot/h%d/%s", hosts, mode), Kind: KindHotspot,
-				Hosts: hosts, Iters: 32, ShortPage: short, Seed: o.Seed,
-			})
-		}
+		base := Scenario{Name: fmt.Sprintf("hotspot/h%d", hosts), Kind: KindHotspot,
+			Hosts: hosts, Iters: 32, Seed: o.Seed}
+		out = append(out, base.variant("/short", func(s *Scenario) { s.ShortPage = true }), base.variant("/full"))
 	}
 	return out
 }
@@ -194,17 +236,14 @@ func HotspotGrid(o Options) []Scenario {
 func BarrierGrid(o Options) []Scenario {
 	o = o.withDefaults()
 	var out []Scenario
-	for _, hosts := range []int{2, 4, 8} {
-		out = append(out, Scenario{
-			Name: fmt.Sprintf("barrier/h%d", hosts), Kind: KindBarrier,
-			Hosts: hosts, Phases: 8, Seed: o.Seed,
-		})
+	cell := func(hosts int) Scenario {
+		return Scenario{Name: fmt.Sprintf("barrier/h%d", hosts), Kind: KindBarrier,
+			Hosts: hosts, Phases: 8, Seed: o.Seed}
 	}
-	out = append(out, Scenario{
-		Name: "barrier/h4/loss-0.2%", Kind: KindBarrier,
-		Hosts: 4, Phases: 8, Seed: o.Seed, LossRate: 0.002,
-	})
-	return out
+	for _, hosts := range []int{2, 4, 8} {
+		out = append(out, cell(hosts))
+	}
+	return append(out, cell(4).variant("/loss-0.2%", lossy))
 }
 
 // PipelineGrid crosses chain depth with the message-size axis on the
@@ -258,150 +297,156 @@ func FanoutGrid(o Options) []Scenario {
 	return out
 }
 
+// clusterRung returns a cluster size's three base cells — the
+// stationary-owner counter, barrier phases and hotspot contention — and
+// is the one place a host count becomes knobs; every other cell of the
+// rung is a variant of one of the three and inherits them.
+//
+// The calibration argument: work per host shrinks as the cluster grows
+// so every cell stays tractable and totals stay comparable across
+// cells; what the grid measures is how load and latency scale with
+// fan-out, not raw op counts. Barrier waiters at scale must ride snoopy
+// refreshes rather than purge-flood the wire, so the purge hysteresis
+// grows with the host count (see Scenario.HysteresisN reuse). The
+// hotspot anti-thrash residency scales with fan-out: every grant
+// broadcast costs each receiving server per-byte handling time, and the
+// grantee's client must outlive that backlog.
+//
+// The 1024-host tier scales the knobs that would otherwise swamp the
+// simulation with redundant events, the same way the smaller rungs
+// scale residency and hysteresis: the hotspot demand retry must outlast
+// the residency window (deferred requests are served without retries
+// when nothing is lost), barrier waiters must not poll faster than the
+// arrival-broadcast backlog can drain, worlds start with warm resident
+// replicas (a cold attach is an O(hosts³) request storm that would be
+// the entire measurement), and the hotspot bounds its active writer set
+// — every broadcast still fans out to all 1024 hosts, which is the load
+// being measured. The rx ring widens to 4×hosts: a phase burst is one
+// broadcast per host arriving at wire speed and draining at server
+// speed, and the era 32-slot ring would drop nearly all of it. (The
+// ring also sizes the bridge ports' rings — a cross-trunk phase burst
+// lands on the bridge at wire speed and drains at the 1 ms
+// store-and-forward rate.)
+func clusterRung(h int, seed int64) (stationary, barrier, hotspot Scenario) {
+	iters, phases := 16, 4
+	switch {
+	case h >= 1024:
+		iters, phases = 1, 1
+	case h >= 256:
+		iters, phases = 4, 1
+	case h >= 64:
+		iters, phases = 8, 2
+	}
+	res := time.Duration(h) * 500 * time.Microsecond
+	if res < 10*time.Millisecond {
+		res = 10 * time.Millisecond
+	}
+	cell := func(kind Kind) Scenario {
+		return Scenario{Name: fmt.Sprintf("cluster/%s/h%d", kind, h), Kind: kind, Hosts: h, Seed: seed}
+	}
+	stationary, barrier, hotspot = cell(KindStationary), cell(KindBarrier), cell(KindHotspot)
+	stationary.Iters = iters * 2
+	barrier.Phases, barrier.HysteresisN = phases, 16*h
+	hotspot.Iters, hotspot.MinResidency = iters, res
+	if h >= 1024 {
+		for _, s := range []*Scenario{&stationary, &barrier, &hotspot} {
+			s.WarmStart, s.RxRing = true, 4*h
+		}
+		barrier.CheckEvery = time.Duration(h) * 2 * time.Microsecond
+		hotspot.Iters, hotspot.Writers = 4, 64
+		hotspot.RetryTimeout = time.Duration(h) * 2 * time.Millisecond
+	}
+	return stationary, barrier, hotspot
+}
+
+// windowedStationary is the ≥ 4096-host recipe. Past ~4k hosts only the
+// stationary workload's linear wire load stays tractable, and only with
+// the flyweight knobs stacked: windowed working-set attach, lazy replica
+// materialization, warm seeding, a staggered start so the first purges
+// don't collide at t=0, and rx rings sized from the real fan-in (one
+// sampler per owner plus reply and snoop slack — 64 slots, not 4×hosts).
+// The 500 ms retry lets a sample request dropped in a saturated owner's
+// ring retry after the burst drains rather than the h-scaled formula's
+// 20 s wait.
+func windowedStationary(name string, hosts, iters int, seed int64) Scenario {
+	return Scenario{Name: name, Kind: KindStationary, Hosts: hosts, Iters: iters, Seed: seed,
+		WarmStart: true, Windowed: true, Lazy: true, Stagger: 200 * time.Microsecond,
+		RingSlots: 64, RetryTimeout: 500 * time.Millisecond}
+}
+
+// variant derives a cell from s: the name gains suffix and each mod
+// edits the copy, so a variant keeps every knob of its rung's base cell.
+func (s Scenario) variant(suffix string, mods ...func(*Scenario)) Scenario {
+	s.Name += suffix
+	for _, mod := range mods {
+		mod(&s)
+	}
+	return s
+}
+
+// force applies one variant to every cell: the forced axes.
+func force(cells []Scenario, suffix string, mod func(*Scenario)) {
+	for i, s := range cells {
+		cells[i] = s.variant(suffix, mod)
+	}
+}
+
+// The axes a cluster variant moves along.
+func lossy(s *Scenario)    { s.LossRate = 0.002 }
+func inKernel(s *Scenario) { s.KernelServer = true }
+func onFabric(s *Scenario) { s.Medium = "fabric" }
+
+// farOwner homes the hotspot segment on trunk 1, so trunk 0's writers
+// steal it across the bridge first and every grant pays the hop.
+func farOwner(s *Scenario) { s.OwnerTrunk = 1 }
+
+func trunks(n int) func(*Scenario)     { return func(s *Scenario) { s.Trunks = n } }
+func redundancy(k int) func(*Scenario) { return func(s *Scenario) { s.Redundancy = k } }
+
 // ClusterGrid scales the three cluster workloads — hotspot contention
 // (worst case: one page bouncing between every host), barrier phases
 // (all-to-all synchronization) and the stationary-owner counter (the
 // paper's P5 discipline, the linear-load baseline) — to 16, 64 and 256
-// hosts by default. Work per host shrinks as the cluster grows so every
-// cell stays tractable; what the grid measures is how load and latency
-// scale with fan-out, not raw op counts. At 256 hosts and beyond the
-// grid adds the loss-rate and kernel-server axes: datagram loss tests
-// the retry path at scale (on the broadcast-bound barrier and hotspot
-// kinds as well as the linear stationary baseline), and interrupt-level
-// protocol processing (the paper's proposed fix) is exactly the
-// placement whose payoff grows with broadcast fan-in. At 64 and 256
-// hosts the grid adds the topology axis: 2-trunk star, 4-trunk star and
-// 4-trunk linear-chain cells split the cluster across bridged Ethernet
-// trunks (the paper's real network), and the 2-trunk hotspot cell
-// additionally homes the hot segment on the far trunk. Options.Hosts
-// restricts the grid to one size: the CI smoke cell runs -hosts 16, and
-// `make cluster-large` runs the 1024-host tier via -hosts 1024 (kept
-// out of the default sizes so `make cluster` and bench records stay
-// comparable across PRs). Options.Trunks restricts the topology axis —
-// see its doc. At 64 and 256 hosts the grid also adds the medium axis:
-// the /fab cells rerun the three base workloads over the point-to-point
-// fabric, where broadcast is a sender-paid unicast fan-out; see
-// Options.Medium.
+// hosts by default; clusterRung holds the per-size calibration. At 256
+// hosts and beyond the grid adds the loss-rate and kernel-server axes:
+// datagram loss tests the retry path at scale (on the broadcast-bound
+// barrier and hotspot kinds as well as the linear stationary baseline),
+// and interrupt-level protocol processing (the paper's proposed fix) is
+// exactly the placement whose payoff grows with broadcast fan-in. At 64
+// and 256 hosts the grid adds the topology axis: 2-trunk star, 4-trunk
+// star and 4-trunk linear-chain cells split the cluster across bridged
+// Ethernet trunks (the paper's real network), and the 2-trunk hotspot
+// cell additionally homes the hot segment on the far trunk.
+// Options.Hosts restricts the grid to one size: the CI smoke cell runs
+// -hosts 16, and `make cluster-large` runs the 1024-host tier via -hosts
+// 1024. Options.Trunks restricts the topology axis — see its doc. At 64
+// and 256 hosts the grid also adds the medium axis: the /fab cells rerun
+// the three base workloads over the point-to-point fabric, where
+// broadcast is a sender-paid unicast fan-out; see Options.Medium.
 func ClusterGrid(o Options) []Scenario {
 	o = o.withDefaults()
-	sizes := []int{16, 64, 256}
-	if o.Hosts != 0 {
-		sizes = []int{o.Hosts}
-	}
-	// -trunks N forces every base cell onto N star-joined trunks instead
-	// of adding the explicit topology cells.
-	forcedTrunks, suffix := 0, ""
-	if o.Trunks > 1 {
-		forcedTrunks = o.Trunks
-		suffix = fmt.Sprintf("/t%d-star", o.Trunks)
-	}
 	var out []Scenario
-	for _, h := range sizes {
-		// The 4096/10000-host windowed tier (reached via -hosts, e.g.
-		// `make cluster-xl`; never part of the default sizes, so bench
-		// records and -baseline grids stay comparable). Past ~4k hosts
-		// only the stationary workload's linear wire load stays tractable,
-		// and only with the flyweight knobs stacked: windowed working-set
-		// attach, lazy replica materialization, warm seeding, a staggered
-		// start so the first purges don't collide at t=0, and rx rings
-		// sized from the real fan-in (one sampler per owner plus reply and
-		// snoop slack — 64 slots, not 4×hosts). Iters=4 gives each host
-		// one forced neighbour sample (n%SampleEvery==SampleEvery-1 at
-		// n=3); the 500 ms retry lets a sample request dropped in a
-		// saturated owner's ring retry after the burst drains rather than
-		// the h-scaled formula's 20 s wait.
+	for _, h := range o.clusterSizes() {
+		// The 4096/10000-host windowed tier: Iters=4 gives each host one
+		// forced neighbour sample (n%sampleEvery==sampleEvery-1 at n=3).
 		if h >= 4096 {
-			out = append(out, Scenario{
-				Name: "cluster/stationary/h" + fmt.Sprint(h) + suffix, Kind: KindStationary,
-				Hosts: h, Iters: 4, WarmStart: true, Windowed: true, Lazy: true,
-				Stagger: 200 * time.Microsecond, RingSlots: 64,
-				RetryTimeout: 500 * time.Millisecond,
-				Trunks:       forcedTrunks, Seed: o.Seed,
-			})
+			out = append(out, windowedStationary(fmt.Sprintf("cluster/stationary/h%d", h), h, 4, o.Seed))
 			continue
 		}
-		// Per-host work scales down with cluster size; totals stay
-		// comparable across cells.
-		iters, phases := 16, 4
-		switch {
-		case h >= 1024:
-			iters, phases = 1, 1
-		case h >= 256:
-			iters, phases = 4, 1
-		case h >= 64:
-			iters, phases = 8, 2
-		}
-		// Barrier waiters at scale must ride snoopy refreshes rather
-		// than purge-flood the wire; see Scenario.HysteresisN reuse.
-		hyst := 16 * h
-		// The hotspot anti-thrash residency scales with fan-out: every
-		// grant broadcast costs each receiving server per-byte handling
-		// time, and the grantee's client must outlive that backlog.
-		res := time.Duration(h) * 500 * time.Microsecond
-		if res < 10*time.Millisecond {
-			res = 10 * time.Millisecond
-		}
-		// The 1024-host tier scales the knobs that would otherwise swamp
-		// the simulation with redundant events, the same way the smaller
-		// rungs scale residency and hysteresis: the hotspot demand retry
-		// must outlast the residency window (deferred requests are
-		// served without retries when nothing is lost), barrier waiters
-		// must not poll faster than the arrival-broadcast backlog can
-		// drain, worlds start with warm resident replicas (a cold attach
-		// is an O(hosts³) request storm that would be the entire
-		// measurement), and the hotspot bounds its active writer set —
-		// every broadcast still fans out to all 1024 hosts, which is the
-		// load being measured.
-		var retry, check time.Duration
-		warm := false
-		hotIters, writers, ring := iters, 0, 0
-		if h >= 1024 {
-			retry = time.Duration(h) * 2 * time.Millisecond
-			check = time.Duration(h) * 2 * time.Microsecond
-			warm = true
-			hotIters, writers = 4, 64
-			// A phase burst is one broadcast per host arriving at wire
-			// speed and draining at server speed; the era 32-slot ring
-			// would drop nearly all of it.
-			ring = 4 * h
-		}
-		out = append(out,
-			Scenario{Name: "cluster/stationary/h" + fmt.Sprint(h) + suffix, Kind: KindStationary,
-				Hosts: h, Iters: iters * 2, WarmStart: warm, RxRing: ring,
-				Trunks: forcedTrunks, Seed: o.Seed},
-			Scenario{Name: "cluster/barrier/h" + fmt.Sprint(h) + suffix, Kind: KindBarrier,
-				Hosts: h, Phases: phases, HysteresisN: hyst, CheckEvery: check,
-				WarmStart: warm, RxRing: ring, Trunks: forcedTrunks, Seed: o.Seed},
-			Scenario{Name: "cluster/hotspot/h" + fmt.Sprint(h) + suffix, Kind: KindHotspot,
-				Hosts: h, Iters: hotIters, Writers: writers, MinResidency: res,
-				RetryTimeout: retry, WarmStart: warm, RxRing: ring,
-				Trunks: forcedTrunks, Seed: o.Seed},
-		)
+		st, ba, hot := clusterRung(h, o.Seed)
+		out = append(out, st, ba, hot)
 		if h >= 256 {
 			out = append(out,
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/loss-0.2%%", h) + suffix, Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, LossRate: 0.002, WarmStart: warm, RxRing: ring,
-					Trunks: forcedTrunks, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/kernel", h) + suffix, Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, KernelServer: true, WarmStart: warm, RxRing: ring,
-					Trunks: forcedTrunks, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/hotspot/h%d/kernel", h) + suffix, Kind: KindHotspot,
-					Hosts: h, Iters: hotIters, Writers: writers, MinResidency: res,
-					RetryTimeout: retry, KernelServer: true, WarmStart: warm, RxRing: ring,
-					Trunks: forcedTrunks, Seed: o.Seed},
-			)
+				st.variant("/loss-0.2%", lossy),
+				st.variant("/kernel", inKernel),
+				hot.variant("/kernel", inKernel))
 		}
-		if forcedTrunks != 0 || o.Trunks == 1 {
+		// The explicit topology, fault, medium and redundancy cells below
+		// belong to the default grid only: -trunks 1 stops here, and
+		// -trunks N forces the cells above onto N trunks instead.
+		if o.Trunks > 0 {
 			continue
 		}
-		// The topology axis (default grid only): split the 64- and
-		// 256-host clusters across bridged trunks. The stationary cells
-		// measure the linear-load baseline under both shapes (a 4-trunk
-		// linear chain is the worst case: end-to-end frames cross every
-		// bridge); the barrier cell makes every arrival broadcast pay the
-		// forwarding hop before its cross-trunk waiters release; the
-		// hotspot cell additionally homes the hot segment on trunk 1, so
-		// trunk 0's writers steal it across the bridge first.
 		// The fault-injection cells (dropped by -faults off, which
 		// restores the exact healthy grid). Crash-owner kills one
 		// stationary owner mid-run and recovers it 4 s later: its page is
@@ -412,48 +457,41 @@ func ClusterGrid(o Options) []Scenario {
 		// 5 s mid-contention: far-trunk steals retry across the outage and
 		// drain after the heal — ClaimRetries stays 0, since a claim
 		// across a partition would mint a second owner. Churn (at the
-		// 1024-host rung below) crashes a random 1% of hosts per round.
-		if h == 256 && (o.Faults == "" || o.Faults == "on") {
+		// 1024-host rung) crashes a random 1% of hosts per round.
+		if h == 256 && o.faultCells() {
 			out = append(out,
 				// ClaimRetries is calibrated above the healthy cell's
 				// longest consecutive-retry streak (the h256 broadcast
 				// backlog can stall a live owner's answer past 1 s), so
 				// the only claim fired is the recovered host re-claiming
 				// its own orphaned page.
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/crash-owner", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Seed: o.Seed,
-					Faults: "crash@8s:h17;recover@12s:h17", ClaimRetries: 8},
-				Scenario{Name: fmt.Sprintf("cluster/hotspot/h%d/t2-star/partition-heal", h), Kind: KindHotspot,
-					Hosts: h, Iters: hotIters, MinResidency: res,
-					Trunks: 2, OwnerTrunk: 1, Seed: o.Seed,
-					Faults: "partition@20s:b0;heal@25s:b0"},
-			)
+				st.variant("/crash-owner", func(s *Scenario) { s.Faults, s.ClaimRetries = "crash@8s:h17;recover@12s:h17", 8 }),
+				hot.variant("/t2-star/partition-heal", trunks(2), farOwner,
+					func(s *Scenario) { s.Faults = "partition@20s:b0;heal@25s:b0" }))
 		}
-		if h >= 1024 && (o.Faults == "" || o.Faults == "on") {
+		if h >= 1024 && o.faultCells() {
 			// 1% of hosts crash per round, three rounds, each victim down
 			// 200 ms. Iters is raised above the tier's 2 so every client
 			// is still mid-run through the churn window — a finished
 			// client would leave its crashed page orphaned with no demand
 			// traffic left to trigger a re-claim.
-			out = append(out, Scenario{
-				Name: fmt.Sprintf("cluster/stationary/h%d/churn-1%%", h), Kind: KindStationary,
-				Hosts: h, Iters: 8, WarmStart: warm, RxRing: ring, Seed: o.Seed,
-				Faults: fault.Churn(o.Seed, h, 0.01, time.Second,
-					1500*time.Millisecond, 200*time.Millisecond, 3).String(),
-				ClaimRetries: 8})
+			churn := fault.Churn(o.Seed, h, 0.01, time.Second, 1500*time.Millisecond, 200*time.Millisecond, 3)
+			out = append(out, st.variant("/churn-1%",
+				func(s *Scenario) { s.Iters, s.Faults, s.ClaimRetries = 8, churn.String(), 8 }))
 		}
+		// The topology axis: split the 64- and 256-host clusters across
+		// bridged trunks. The stationary cells measure the linear-load
+		// baseline under both shapes (a 4-trunk linear chain is the worst
+		// case: end-to-end frames cross every bridge); the barrier cell
+		// makes every arrival broadcast pay the forwarding hop before its
+		// cross-trunk waiters release; the hotspot cell additionally homes
+		// the hot segment on the far trunk.
 		if h == 64 || h == 256 {
 			out = append(out,
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/t2-star", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 2, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/t4-linear", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 4, TrunkShape: "linear", Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/barrier/h%d/t2-star", h), Kind: KindBarrier,
-					Hosts: h, Phases: phases, HysteresisN: hyst, Trunks: 2, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/hotspot/h%d/t2-star", h), Kind: KindHotspot,
-					Hosts: h, Iters: hotIters, MinResidency: res,
-					Trunks: 2, OwnerTrunk: 1, Seed: o.Seed},
-			)
+				st.variant("/t2-star", trunks(2)),
+				st.variant("/t4-linear", trunks(4), func(s *Scenario) { s.TrunkShape = "linear" }),
+				ba.variant("/t2-star", trunks(2)),
+				hot.variant("/t2-star", trunks(2), farOwner))
 			// The medium axis (dropped by -medium ethernet, which restores
 			// the exact pre-fabric grid): the three base workloads over the
 			// point-to-point fabric, where every broadcast is a sender-paid
@@ -465,27 +503,18 @@ func ClusterGrid(o Options) []Scenario {
 			// grant broadcasts — the paper's invalidate traffic — on the
 			// per-link meter.
 			if o.Medium == "" {
-				out = append(out,
-					Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/fab", h), Kind: KindStationary,
-						Hosts: h, Iters: iters * 2, Medium: "fabric", Seed: o.Seed},
-					Scenario{Name: fmt.Sprintf("cluster/barrier/h%d/fab", h), Kind: KindBarrier,
-						Hosts: h, Phases: phases, HysteresisN: hyst, Medium: "fabric", Seed: o.Seed},
-					Scenario{Name: fmt.Sprintf("cluster/hotspot/h%d/fab", h), Kind: KindHotspot,
-						Hosts: h, Iters: hotIters, MinResidency: res, Medium: "fabric", Seed: o.Seed},
-				)
+				out = append(out, st.variant("/fab", onFabric), ba.variant("/fab", onFabric), hot.variant("/fab", onFabric))
 			}
 		}
 		// The redundancy axis (k > 1 read faults ask the owner plus the
 		// k-1 nearest replicas; first response wins) on the two cells
-		// where a replica answer should pay: the cross-trunk stationary
-		// cell, where the border hosts' ring samples otherwise wait out a
-		// bridge round trip the same-trunk replica skips.
+		// where a replica answer should pay. First the cross-trunk
+		// stationary cell, where the border hosts' ring samples otherwise
+		// wait out a bridge round trip the same-trunk replica skips.
 		if h == 64 && o.Redundancy == 0 {
-			for _, k := range []int{2, 3} {
-				out = append(out, Scenario{
-					Name: fmt.Sprintf("cluster/stationary/h%d/t2-star/k%d", h, k), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 2, Redundancy: k, Seed: o.Seed})
-			}
+			out = append(out,
+				st.variant("/t2-star/k2", trunks(2), redundancy(2)),
+				st.variant("/t2-star/k3", trunks(2), redundancy(3)))
 		}
 		// The asymmetric-backlog cells drive Bridge.SetBacklog: the same
 		// 2-trunk stationary split with 5 ms of background traffic queued
@@ -493,94 +522,70 @@ func ClusterGrid(o Options) []Scenario {
 		// trunk 1) vs a roomy downlink, and the mirror image.
 		if h == 64 {
 			out = append(out,
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/t2-star/backlog-up", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 2, BacklogUp: 5 * time.Millisecond, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/t2-star/backlog-down", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 2, BacklogDown: 5 * time.Millisecond, Seed: o.Seed},
-			)
+				st.variant("/t2-star/backlog-up", trunks(2), func(s *Scenario) { s.BacklogUp = 5 * time.Millisecond }),
+				st.variant("/t2-star/backlog-down", trunks(2), func(s *Scenario) { s.BacklogDown = 5 * time.Millisecond }))
 		}
 		// The 1024-host topology rung (make cluster-large): the tier that
 		// used to be intractable when every frame cost an O(hosts)
 		// receiver scan and every broadcast was parsed per receiver. The
-		// knobs extend the tier's existing scaling to the ~ms bridge
-		// latencies at this fan-in: warm replicas, the widened rx ring
-		// (which also sizes the bridge ports' rings — a cross-trunk phase
-		// burst lands on the bridge at wire speed and drains at the 1 ms
-		// store-and-forward rate), the host-count-scaled retry/residency
-		// windows, and for the hotspot the far-trunk owner placement so
+		// rung's knobs extend to the ~ms bridge latencies at this fan-in,
+		// and the hotspot sits behind the far-trunk owner placement so
 		// every steal and every grant pays the bridge hop being measured.
 		if h >= 1024 {
 			out = append(out,
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/t2-star", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 2, WarmStart: warm, RxRing: ring, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/hotspot/h%d/t4-star", h), Kind: KindHotspot,
-					Hosts: h, Iters: hotIters, Writers: writers, MinResidency: res,
-					RetryTimeout: retry, Trunks: 4, OwnerTrunk: 1, WarmStart: warm,
-					RxRing: ring, Seed: o.Seed},
-			)
+				st.variant("/t2-star", trunks(2)),
+				hot.variant("/t4-star", trunks(4), farOwner))
 		}
 		if h == 256 {
 			out = append(out,
-				Scenario{Name: fmt.Sprintf("cluster/stationary/h%d/t4-star", h), Kind: KindStationary,
-					Hosts: h, Iters: iters * 2, Trunks: 4, Seed: o.Seed},
+				st.variant("/t4-star", trunks(4)),
 				// The loss axis on the broadcast-bound kinds: the
 				// stationary baseline had a loss cell from PR 2; these
 				// stress the retry/hysteresis recovery paths where every
 				// op is a cluster-wide broadcast.
-				Scenario{Name: fmt.Sprintf("cluster/barrier/h%d/loss-0.2%%", h), Kind: KindBarrier,
-					Hosts: h, Phases: phases, HysteresisN: hyst, LossRate: 0.002, Seed: o.Seed},
-				Scenario{Name: fmt.Sprintf("cluster/hotspot/h%d/loss-0.2%%", h), Kind: KindHotspot,
-					Hosts: h, Iters: hotIters, MinResidency: res, LossRate: 0.002, Seed: o.Seed},
-			)
+				ba.variant("/loss-0.2%", lossy),
+				hot.variant("/loss-0.2%", lossy))
 			// The redundancy axis crossed with loss: when the owner's
 			// answer is the datagram that got dropped, any replica's copy
 			// beats the 250 ms demand retry — the tail-latency cells.
 			if o.Redundancy == 0 {
-				for _, k := range []int{2, 3} {
-					out = append(out, Scenario{
-						Name: fmt.Sprintf("cluster/stationary/h%d/loss-0.2%%/k%d", h, k), Kind: KindStationary,
-						Hosts: h, Iters: iters * 2, LossRate: 0.002, Redundancy: k, Seed: o.Seed})
-				}
+				out = append(out,
+					st.variant("/loss-0.2%/k2", lossy, redundancy(2)),
+					st.variant("/loss-0.2%/k3", lossy, redundancy(3)))
 			}
 		}
 	}
-	// -redundancy N forces the fan-out onto every cell instead of adding
-	// the explicit k cells, mirroring the forced-trunks axis.
+	// The forced axes: -trunks N puts every cell on N star-joined trunks
+	// and -redundancy N gives every cell the fan-out, each instead of the
+	// explicit cells of its axis.
+	if o.Trunks > 1 {
+		force(out, fmt.Sprintf("/t%d-star", o.Trunks), trunks(o.Trunks))
+	}
 	if o.Redundancy > 1 {
-		for i := range out {
-			out[i].Redundancy = o.Redundancy
-			out[i].Name += fmt.Sprintf("/k%d", o.Redundancy)
-		}
+		force(out, fmt.Sprintf("/k%d", o.Redundancy), redundancy(o.Redundancy))
 	}
 	// A custom -faults spec replaces the built-in fault cells with one
 	// extra stationary cell running the given schedule (on the smallest
-	// grid size, or the -hosts restriction).
-	if o.Faults != "" && o.Faults != "on" && o.Faults != "off" {
-		h := sizes[0]
+	// grid size, or the -hosts restriction). It is a plain cell, not a
+	// variant of its rung: the schedule is the user's, so no size-derived
+	// knob is presumed to suit it.
+	if spec := o.customFaults(); spec != "" {
+		h := o.clusterSizes()[0]
 		out = append(out, Scenario{
 			Name: fmt.Sprintf("cluster/stationary/h%d/faults-custom", h), Kind: KindStationary,
-			Hosts: h, Iters: 16, Seed: o.Seed, Faults: o.Faults, ClaimRetries: 3})
+			Hosts: h, Iters: 16, Seed: o.Seed, Faults: spec, ClaimRetries: 3})
 	}
 	// -medium fabric forces the point-to-point fabric onto every
-	// compatible cell (suffixing names with /fab), mirroring the
-	// forced-trunks axis. Cells that exercise bridge machinery — trunk
+	// compatible cell. Cells that exercise bridge machinery — trunk
 	// topologies, asymmetric bridge backlog, bridge partitions — have no
 	// fabric analogue and are dropped rather than silently run on the
 	// wrong wire.
 	if o.Medium == "fabric" {
-		kept := out[:0]
-		for _, s := range out {
-			if s.Trunks > 1 || s.BacklogUp != 0 || s.BacklogDown != 0 ||
-				strings.Contains(s.Faults, "partition@") {
-				continue
-			}
-			if s.Medium == "" {
-				s.Medium = "fabric"
-				s.Name += "/fab"
-			}
-			kept = append(kept, s)
-		}
-		out = kept
+		out = slices.DeleteFunc(out, func(s Scenario) bool {
+			return s.Trunks > 1 || s.BacklogUp != 0 || s.BacklogDown != 0 ||
+				strings.Contains(s.Faults, "partition@")
+		})
+		force(out, "/fab", onFabric)
 	}
 	return out
 }
@@ -617,9 +622,7 @@ func SmokeGrid(o Options) []Scenario {
 		// forced samples), proving the sharded-directory + lazy-replica +
 		// windowed-attach path builds and runs a 4096-host world on every
 		// push. Same knobs as the cluster-xl tier, minus the work.
-		{Name: "smoke/stationary-h4096", Kind: KindStationary, Hosts: 4096, Iters: 1,
-			WarmStart: true, Windowed: true, Lazy: true, Stagger: 200 * time.Microsecond,
-			RingSlots: 64, RetryTimeout: 500 * time.Millisecond, Seed: o.Seed},
+		windowedStationary("smoke/stationary-h4096", 4096, 1, o.Seed),
 		// The fault-plane smoke cell: crash one stationary owner early,
 		// recover it 1 ms later, and require the orphaned page to be
 		// re-claimed (fillCluster's orphan gate) on every push. Small enough
@@ -629,6 +632,23 @@ func SmokeGrid(o Options) []Scenario {
 			Faults: "crash@1ms:h1;recover@2ms:h1", ClaimRetries: 2, Seed: o.Seed},
 	}
 }
+
+// union is the grid that runs each of the given grids in turn.
+func union(builders ...func(Options) []Scenario) func(Options) []Scenario {
+	return func(o Options) []Scenario {
+		var out []Scenario
+		for _, build := range builders {
+			out = append(out, build(o)...)
+		}
+		return out
+	}
+}
+
+var (
+	ablation  = union(KernelAblation, LossAblation, HysteresisSweep)
+	paper     = union(FigureScenarios, ablation, FanoutGrid)
+	workloads = union(HotspotGrid, BarrierGrid, PipelineGrid, PipeMixGrid)
+)
 
 // grids maps every named grid to its builder.
 var grids = map[string]func(Options) []Scenario{
@@ -643,29 +663,10 @@ var grids = map[string]func(Options) []Scenario{
 	"fanout":     FanoutGrid,
 	"cluster":    ClusterGrid,
 	"smoke":      SmokeGrid,
-	"ablation": func(o Options) []Scenario {
-		return concat(KernelAblation(o), LossAblation(o), HysteresisSweep(o))
-	},
-	"paper": func(o Options) []Scenario {
-		return concat(FigureScenarios(o), KernelAblation(o), LossAblation(o), HysteresisSweep(o), FanoutGrid(o))
-	},
-	"workloads": func(o Options) []Scenario {
-		return concat(HotspotGrid(o), BarrierGrid(o), PipelineGrid(o), PipeMixGrid(o))
-	},
-	"all": func(o Options) []Scenario {
-		return concat(
-			FigureScenarios(o), KernelAblation(o), LossAblation(o), HysteresisSweep(o),
-			FanoutGrid(o), HotspotGrid(o), BarrierGrid(o), PipelineGrid(o), PipeMixGrid(o),
-		)
-	},
-}
-
-func concat(lists ...[]Scenario) []Scenario {
-	var out []Scenario
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	return out
+	"ablation":   ablation,
+	"paper":      paper,
+	"workloads":  workloads,
+	"all":        union(paper, workloads),
 }
 
 // GridNames lists every named grid, sorted.
@@ -678,11 +679,16 @@ func GridNames() []string {
 	return names
 }
 
-// Grid builds a named grid. Unknown names list the alternatives.
+// Grid builds a named grid. Unknown names list the alternatives, and an
+// axis value no cell could run with is an error here — before any
+// scenario runs — rather than a failed or panicking cell mid-sweep.
 func Grid(name string, o Options) ([]Scenario, error) {
 	build, ok := grids[name]
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown grid %q (have %v)", name, GridNames())
+	}
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	return build(o), nil
 }

@@ -151,6 +151,20 @@ func ParseJSON(b []byte) (Report, error) {
 	return r, nil
 }
 
+// Only returns the report narrowed to the scenarios whose name contains
+// substr, in order: methersweep's -only selection applied to a saved
+// baseline, so a run of one cell is compared with that cell of a full
+// report instead of finding every other cell missing.
+func (r Report) Only(substr string) Report {
+	out := Report{Grid: r.Grid}
+	for _, s := range r.Scenarios {
+		if strings.Contains(s.Name, substr) {
+			out.Scenarios = append(out.Scenarios, s)
+		}
+	}
+	return out
+}
+
 // Delta is one metric's change against a baseline report.
 type Delta struct {
 	Name   string

@@ -53,11 +53,8 @@ func TestPaperGridIsLargeEnough(t *testing.T) {
 }
 
 func TestRunnerRunsAllScenarios(t *testing.T) {
-	scs, err := Grid("smoke", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, tm := Runner{Workers: 4}.Run("smoke", scs)
+	scs := smoke(smokeSeed)
+	rep, tm := pooledSmoke()
 	if len(rep.Scenarios) != len(scs) {
 		t.Fatalf("got %d results for %d scenarios", len(rep.Scenarios), len(scs))
 	}
@@ -264,6 +261,28 @@ func TestCompare(t *testing.T) {
 	// Within tolerance: the 1.5x wall change is suppressed at 60%.
 	if ds := Compare(base, cur, 0.6); len(ds) != 2 {
 		t.Errorf("tolerant compare = %v, want only the missing pair", ds)
+	}
+}
+
+// TestOnlyNarrowsBaseline pins the -only/-baseline fix: a run narrowed
+// to one cell, compared with a full report narrowed the same way, has
+// no deltas; against the full report every other cell read as missing.
+func TestOnlyNarrowsBaseline(t *testing.T) {
+	full := Report{Grid: "g", Scenarios: []Result{
+		{Name: "g/hotspot", WallNS: 1}, {Name: "g/barrier", WallNS: 2}, {Name: "g/hotspot-kernel", WallNS: 3},
+	}}
+	narrowed := Report{Grid: "g", Scenarios: []Result{full.Scenarios[0], full.Scenarios[2]}}
+	if got := full.Only("hotspot"); !reflect.DeepEqual(got, narrowed) {
+		t.Errorf("Only(hotspot) = %+v, want %+v", got, narrowed)
+	}
+	if ds := Compare(full.Only("hotspot"), narrowed, 0); len(ds) != 0 {
+		t.Errorf("narrowed baseline vs narrowed run: %v, want no deltas", ds)
+	}
+	if ds := Compare(full, narrowed, 0); len(ds) != 1 || ds[0].Metric != "missing-in-report" {
+		t.Errorf("full baseline vs narrowed run: %v, want the one missing cell", ds)
+	}
+	if got := full.Only(""); !reflect.DeepEqual(got, full) {
+		t.Errorf("Only(\"\") = %+v, want the report unchanged", got)
 	}
 }
 

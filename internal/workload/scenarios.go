@@ -15,6 +15,14 @@ import (
 	"mether/pipe"
 )
 
+const (
+	// incCost is the CPU cost per update of the hotspot and stationary
+	// clients (the counter protocols' per-increment cost).
+	incCost = 50 * time.Microsecond
+	// stageCost is the per-message compute at every pipeline stage.
+	stageCost = 200 * time.Microsecond
+)
+
 // HotspotConfig parameterizes a hot-page contention run: every host
 // repeatedly updates its own word of one shared consistent page, so the
 // single consistent copy bounces between all hosts.
@@ -35,8 +43,6 @@ type HotspotConfig struct {
 	// large cells bound the writer set to keep the cell tractable while
 	// the fan-out being measured stays at full cluster size.
 	Writers int
-	// IncCost is the CPU cost per update (default 50 µs).
-	IncCost time.Duration
 	// OwnerTrunk places the hot page's initial owner on a trunk (its
 	// first host). The owner is where the consistent copy starts — on a
 	// bridged topology, which trunk hosts it decides who pays the
@@ -64,9 +70,6 @@ func (c HotspotConfig) withDefaults() (HotspotConfig, error) {
 	}
 	if c.Iters == 0 {
 		c.Iters = 32
-	}
-	if c.IncCost == 0 {
-		c.IncCost = 50 * time.Microsecond
 	}
 	if c.Hosts < 2 {
 		return c, fmt.Errorf("workload: hotspot needs at least 2 hosts")
@@ -120,7 +123,7 @@ func RunHotspot(cfg HotspotConfig) (HotspotReport, error) {
 				a = a.Short()
 			}
 			for n := 0; n < cfg.Iters; n++ {
-				env.Compute(cfg.IncCost)
+				env.Compute(incCost)
 				v, err := m.Load32(a)
 				if err != nil {
 					errs[i] = err
@@ -312,7 +315,7 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 
 // PipelineConfig parameterizes a producer-consumer pipeline: Stages
 // hosts connected by Mether pipes, messages flowing from stage 0 through
-// every stage to the sink, each stage spending StageCost per message.
+// every stage to the sink, each stage spending stageCost per message.
 type PipelineConfig struct {
 	// Stages is the number of hosts in the chain (default 3, min 2).
 	Stages int
@@ -321,8 +324,6 @@ type PipelineConfig struct {
 	// Size is the payload size in bytes (default 8, the control-message
 	// fast path; sizes above pipe.ShortPayload exercise full pages).
 	Size int
-	// StageCost is the per-message compute at every stage (default 200 µs).
-	StageCost time.Duration
 	// Options is the cluster the run is built on.
 	Options
 }
@@ -349,9 +350,6 @@ func (c PipelineConfig) withDefaults() (PipelineConfig, error) {
 	}
 	if c.Size == 0 {
 		c.Size = 8
-	}
-	if c.StageCost == 0 {
-		c.StageCost = 200 * time.Microsecond
 	}
 	if c.Stages < 2 {
 		return c, fmt.Errorf("workload: pipeline needs at least 2 stages")
@@ -405,7 +403,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineReport, error) {
 			return
 		}
 		for m := 0; m < cfg.Messages; m++ {
-			env.Compute(cfg.StageCost)
+			env.Compute(stageCost)
 			sentAt[m] = env.Now()
 			if err := p.Send(uint32(m), payload); err != nil {
 				errs[0] = err
@@ -433,7 +431,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineReport, error) {
 					errs[s] = err
 					return
 				}
-				env.Compute(cfg.StageCost)
+				env.Compute(stageCost)
 				if err := out.Send(msg.Tag, msg.Data); err != nil {
 					errs[s] = err
 					return
@@ -459,7 +457,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineReport, error) {
 				errs[sink] = fmt.Errorf("workload: pipeline message %d arrived as tag %d, %d bytes", m, msg.Tag, len(msg.Data))
 				return
 			}
-			env.Compute(cfg.StageCost)
+			env.Compute(stageCost)
 			lat.Observe(env.Now() - sentAt[m])
 			delivered++
 			lastFinish = env.Now()

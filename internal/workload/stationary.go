@@ -16,6 +16,15 @@ import (
 	"mether"
 )
 
+// sampleEvery makes each host sample its ring neighbour's counter (purge
+// the local replica, then demand-fetch a fresh copy) every this many of
+// its own updates. Demand sampling is used rather than a data-driven
+// block because a neighbour that has finished its run produces no
+// further transits — at 256 hosts the startup skew makes that strand
+// passive waiters, where a demand request is always answered by the
+// stationary owner.
+const sampleEvery = 4
+
 // StationaryConfig parameterizes the cluster-scale stationary-owner
 // counter run.
 type StationaryConfig struct {
@@ -23,16 +32,6 @@ type StationaryConfig struct {
 	Hosts int
 	// Iters is the per-host update count (default 32).
 	Iters int
-	// SampleEvery makes each host sample its ring neighbour's counter
-	// (purge the local replica, then demand-fetch a fresh copy) every
-	// this many of its own updates (default 4). Demand sampling is used
-	// rather than a data-driven block because a neighbour that has
-	// finished its run produces no further transits — at 256 hosts the
-	// startup skew makes that strand passive waiters, where a demand
-	// request is always answered by the stationary owner.
-	SampleEvery int
-	// IncCost is the CPU cost per update (default 50 µs).
-	IncCost time.Duration
 	// WindowedAttach maps only each host's working set — its own page
 	// and its sampled neighbour's page — instead of the whole segment.
 	// The classic full attach maps hosts × pages states (quadratic) for
@@ -70,12 +69,6 @@ func (c StationaryConfig) withDefaults() (StationaryConfig, error) {
 	}
 	if c.Iters == 0 {
 		c.Iters = 32
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 4
-	}
-	if c.IncCost == 0 {
-		c.IncCost = 50 * time.Microsecond
 	}
 	if c.Hosts < 2 {
 		return c, fmt.Errorf("workload: stationary needs at least 2 hosts")
@@ -139,7 +132,7 @@ func runStationary(cfg StationaryConfig) (StationaryReport, *mether.World, error
 			ownAddr := own.Addr(i, 0).Short()
 			peerAddr := peers.Addr((i+1)%cfg.Hosts, 0).Short()
 			for n := 0; n < cfg.Iters; n++ {
-				env.Compute(cfg.IncCost)
+				env.Compute(incCost)
 				v, err := own.Load32(ownAddr)
 				if err != nil {
 					errs[i] = err
@@ -160,7 +153,7 @@ func runStationary(cfg StationaryConfig) (StationaryReport, *mether.World, error
 				// demand-fetch the neighbour's current value from its
 				// stationary owner. Between samples the replica rides
 				// the neighbour's purge broadcasts for free.
-				if cfg.SampleEvery > 0 && n%cfg.SampleEvery == cfg.SampleEvery-1 {
+				if n%sampleEvery == sampleEvery-1 {
 					if err := peers.Purge(peerAddr); err != nil {
 						errs[i] = err
 						return

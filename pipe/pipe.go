@@ -84,16 +84,13 @@ type Pipe struct {
 
 	ownPage  int
 	peerPage int
-
-	// checkCost models the application's generation-compare instruction
-	// cost, charged as user CPU per check.
-	checkCost time.Duration
 }
 
-// defaultCheckCost is ~50µs: a handful of loads, compares and loop
-// overhead on a Sun-3/50-class machine (the paper's single-process
-// increment costs ~50µs with loop overhead).
-const defaultCheckCost = 50 * time.Microsecond
+// checkCost models the application's generation-compare instruction
+// cost, charged as user CPU per check. ~50µs: a handful of loads,
+// compares and loop overhead on a Sun-3/50-class machine (the paper's
+// single-process increment costs ~50µs with loop overhead).
+const checkCost = 50 * time.Microsecond
 
 // Open attaches a pipe endpoint. side is 0 or 1 and must differ between
 // the two endpoints; cap must come from Create.
@@ -110,12 +107,11 @@ func Open(env *mether.Env, cap mether.Capability, side int) (*Pipe, error) {
 		return nil, fmt.Errorf("pipe: attach read-only: %w", err)
 	}
 	p := &Pipe{
-		env:       env,
-		own:       own,
-		peer:      peer,
-		ownPage:   side,
-		peerPage:  1 - side,
-		checkCost: defaultCheckCost,
+		env:      env,
+		own:      own,
+		peer:     peer,
+		ownPage:  side,
+		peerPage: 1 - side,
 	}
 	// Deal Me In: purge the attach-time inconsistent copy of the peer
 	// page so the first check fetches a current one.
@@ -132,11 +128,7 @@ func (p *Pipe) ownAddr(off int) mether.Addr { return p.own.Addr(p.ownPage, off) 
 func (p *Pipe) peerAddr(off int) mether.Addr { return p.peer.Addr(p.peerPage, off) }
 
 // compute charges one generation-check's worth of user CPU.
-func (p *Pipe) compute() { p.env.Compute(p.checkCost) }
-
-// SetCheckCost overrides the modelled per-check CPU cost (tests and
-// calibration sweeps).
-func (p *Pipe) SetCheckCost(d time.Duration) { p.checkCost = d }
+func (p *Pipe) compute() { p.env.Compute(checkCost) }
 
 // Send transmits one message, blocking until the peer has consumed the
 // previous one (the pipe is one message deep, like a synchronous csend).
