@@ -37,8 +37,9 @@
 #                        the 4096-deep timer population, process steps with
 #                        no hand-off, one between two processes and one
 #                        round a fan of 96, park/wake, host
-#                        sleep/wake and quantum rotation, bus broadcast, full
-#                        counter runs)
+#                        sleep/wake and quantum rotation, the same for a
+#                        host task, bus broadcast, the server's snoop of
+#                        one broadcast, full counter runs)
 #                        plus the figure benchmarks at reduced scale
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
 #   make bench-record  - regenerate BENCH_sweep.json: full-grid wall-clock,
@@ -47,10 +48,19 @@
 #                        a same-hour run of the parent, never across days
 #                        or machines — nothing gates on it; claims are
 #                        carried by bench/ pairs)
+#   make bench-pair    - PARENT=<checkout of the parent commit> [PAIRS=10]
+#                        [SECONDS=16] [SEED0=n] [WORKLOADS="w ..."]: the paired
+#                        measurement a perf claim is made with. Builds bench/
+#                        in both trees, alternates the two binaries in the
+#                        driver's form on seeds it prints, and reports per
+#                        workload and end-to-end metric the parent's median
+#                        [q1, q3] -> the change's, per cent, pairs ahead;
+#                        fails when a run failed or events_total, the
+#                        digest or a sim_* metric differs within a pair
 #   make loc           - non-test Go lines outside bench/ (tracked files
 #                        only), per directory and in total: the one
 #                        number simplicity PRs report, computed one way
-#                        (13 910 at PR 16)
+#                        (13 910 at PR 16, 13 749 at PR 17)
 #   make profile       - run one named cell (CELL=<name substring>, any cell
 #                        of GRID, default the bridged 256-host hotspot) under CPU and
 #                        heap profiling, then print `go tool pprof -top` for
@@ -59,9 +69,9 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkBusBroadcast|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record loc profile
+.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -152,14 +162,22 @@ cluster:
 	$(GO) run ./cmd/methersweep -grid cluster -format summary
 
 bench:
-	$(GO) test -run - -bench '$(MICROBENCH)' ./internal/sim ./internal/host ./internal/ethernet ./internal/protocols
+	$(GO) test -run - -bench '$(MICROBENCH)' ./internal/sim ./internal/host ./internal/ethernet ./internal/core ./internal/protocols
 	$(GO) test -run - -bench BenchmarkFigures -benchtime 1x .
 
 bench-smoke:
-	$(GO) test -run - -bench '$(MICROBENCH)' -benchtime 1x ./internal/sim ./internal/host ./internal/ethernet ./internal/protocols
+	$(GO) test -run - -bench '$(MICROBENCH)' -benchtime 1x ./internal/sim ./internal/host ./internal/ethernet ./internal/core ./internal/protocols
 
 bench-record:
 	$(GO) run ./cmd/methersweep -grid cluster -bench-out BENCH_sweep.json -format summary
+
+# SEED0 empty lets the script take its first seed from the clock.
+PAIRS ?= 10
+SECONDS ?= 16
+SEED0 ?=
+
+bench-pair:
+	@sh scripts/bench-pair.sh '$(PARENT)' '$(PAIRS)' '$(SECONDS)' '$(SEED0)' $(WORKLOADS)
 
 # Raw lines (comments and blanks included) of tracked, non-test Go files
 # outside the frozen bench/ module, summed per directory.

@@ -207,8 +207,12 @@ func main() {
 	}
 
 	if !*flagQuiet {
-		fmt.Fprintf(os.Stderr, "sweep %s: %d scenarios, %d workers, elapsed %v, serial-equivalent %v, speedup %.2fx\n",
-			*flagGrid, len(scs), timing.Workers, timing.Elapsed.Round(time.Millisecond), timing.Serial.Round(time.Millisecond), timing.Speedup)
+		var events uint64
+		for _, s := range report.Scenarios {
+			events += s.Events
+		}
+		fmt.Fprintf(os.Stderr, "sweep %s: %d scenarios, %d workers, elapsed %v, serial-equivalent %v, speedup %.2fx, %d events of which %d coroutine resumes\n",
+			*flagGrid, len(scs), timing.Workers, timing.Elapsed.Round(time.Millisecond), timing.Serial.Round(time.Millisecond), timing.Speedup, events, timing.Resumes)
 	}
 
 	// A scenario error or an out-of-band paper check is a gate failure:

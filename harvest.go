@@ -82,9 +82,11 @@ type Harvest struct {
 	LatCount uint64
 	// Events is the number of simulation-kernel events dispatched — a
 	// pure function of config and seed, the engine-throughput
-	// denominator. MemBytes is World.MemFootprint after the run.
+	// denominator. MemBytes is World.MemFootprint after the run. Resumes
+	// is World.Resumes: engine cost, printed beside timings, in no report.
 	Events   uint64
 	MemBytes uint64
+	Resumes  uint64
 }
 
 // Harvest reads every world-level counter of a run that ended at
@@ -112,6 +114,7 @@ func (w *World) Harvest(end time.Duration) Harvest {
 
 		Events:   w.EventsDispatched(),
 		MemBytes: w.MemFootprint(),
+		Resumes:  w.Resumes(),
 	}
 	h.TrunkUtil, h.TrunkFrames = w.TrunkUtilization(end)
 	var lat stats.Histogram

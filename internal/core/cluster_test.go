@@ -39,7 +39,7 @@ func fastConfig(pages int) Config {
 	}
 }
 
-func newTestCluster(t *testing.T, n int, ep ethernet.Params, cfg Config) *testCluster {
+func newTestCluster(t testing.TB, n int, ep ethernet.Params, cfg Config) *testCluster {
 	t.Helper()
 	c := &testCluster{k: sim.New(42)}
 	c.bus = ethernet.NewBus(c.k, ep)

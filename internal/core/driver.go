@@ -118,8 +118,8 @@ func DefaultConfig(numPages int) Config {
 
 // Driver is one host's Mether kernel driver plus the state shared with
 // its user-level server. All client-facing methods must be called from a
-// process goroutine on the same host (they may block the caller); the
-// server runs as its own process started by StartServer.
+// coroutine process on the same host (they may block the caller); the
+// server runs as its own process, a host task started by StartServer.
 type Driver struct {
 	h     *host.Host
 	nic   medium.Port
@@ -140,10 +140,12 @@ type Driver struct {
 	transits []uint64
 	// workq is drained via workHead instead of re-slicing so the backing
 	// array is reused once the queue empties.
-	workq     []workItem
-	workHead  int
-	stopped   bool
-	server    *host.Proc
+	workq    []workItem
+	workHead int
+	stopped  bool
+	// server is the server loop's continuation, for either server: a
+	// pointer, so that what the loop remembers costs Driver nothing.
+	server    *server
 	kDraining bool
 	m         Metrics
 	// txBuf is the reusable packet-encode scratch buffer: transmit
@@ -213,6 +215,7 @@ func New(h *host.Host, n medium.Port, cfg Config) *Driver {
 		cfg:    cfg,
 		id:     int16(h.ID()),
 		shards: make([]*pageShard, (cfg.NumPages+shardSize-1)>>shardBits),
+		server: new(server),
 	}
 	if cfg.TrunkOf != nil {
 		d.trunk = cfg.TrunkOf[h.ID()]

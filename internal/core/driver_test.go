@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
@@ -798,4 +799,18 @@ func TestWriteBytesAcrossShortBoundaryNeedsFullView(t *testing.T) {
 		}
 	})
 	c.run(t, time.Second)
+}
+
+// TestDriverSizePinned keeps the server loop's continuation out of
+// Driver. The struct's size is not an implementation detail here: it is
+// the first term of MemFootprint, which is mem_bytes in every report.
+func TestDriverSizePinned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Driver{}); got != 1176 {
+		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1176: Driver.MemFootprint starts from it, so this moves "+
+			"mem_bytes and bytes_per_host in every report and fails make golden; per-server state belongs behind "+
+			"Driver.server (an intended change regenerates the goldens and this number together)", got)
+	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"mether/internal/host"
-)
+import "time"
 
 // Kernel-server mode implements the paper's stated future work: "At this
 // point we have hit a threshold in which the major bottleneck is now the
@@ -20,25 +16,16 @@ import (
 // contend with application processes for the CPU. The ablation benches
 // (BenchmarkAblationKernelServer) quantify how much of the figures'
 // latency this removes.
-
-// kernelWorker satisfies the handlers' CPU-charging interface by
-// accumulating cost instead of consuming scheduled CPU time.
-type kernelWorker struct {
-	used time.Duration
-}
-
-func (k *kernelWorker) UseSys(d time.Duration) { k.used += d }
-
-// cpuSink abstracts "who pays for server work": a schedulable process
-// (user-level server) or the kernel cursor (kernel server).
-type cpuSink interface {
-	UseSys(d time.Duration)
-}
-
-var (
-	_ cpuSink = (*host.Proc)(nil)
-	_ cpuSink = (*kernelWorker)(nil)
-)
+//
+// It is the user-level server's loop under another charging policy, not
+// a second server. Driver.advance (server.go) hands back one cost per
+// charge point; the user-level server, a host task, gives each to the
+// host scheduler at the instant it falls due, while kernelStep adds up
+// one item's costs, does the item in one event and holds the next item
+// back by the sum. That is also why handlers take no CPU sink to charge:
+// a sink that is a process blocks in mid-handler, and a task has no
+// stack to block on, so handlers charge nothing and leave a send's cost,
+// and what they do once it is sent, to the loop.
 
 // kernelKick schedules a drain step if one is not already pending. Work
 // items are processed one per step; each step is delayed by the previous
@@ -58,11 +45,15 @@ func (d *Driver) kernelKick(after time.Duration) {
 
 // kernelStep processes one pending item and reschedules itself.
 func (d *Driver) kernelStep() {
-	var kw kernelWorker
-	if d.drain(&kw, 1) == 0 {
+	used, ok := d.advance()
+	if !ok {
 		d.kDraining = false
 		return
 	}
-	d.m.KernelTime += kw.used
-	d.h.Kernel().After(kw.used, "mether kernel next", d.stepFn)
+	for d.server.phase != phaseIdle {
+		cost, _ := d.advance()
+		used += cost
+	}
+	d.m.KernelTime += used
+	d.h.Kernel().After(used, "mether kernel next", d.stepFn)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"mether/internal/host"
@@ -9,57 +8,179 @@ import (
 	"mether/internal/proto"
 )
 
-// StartServer spawns the host's user-level Mether server process (a
-// no-op in kernel-server mode, where FrameArrived and enqueueWork drive
-// interrupt-level processing directly). The
-// server is an ordinary timesharing process — which is the point: it
-// competes for the CPU with the application, and a spinning client
-// starves it. It drains the NIC receive ring and the driver work queue,
-// sleeping when both are empty.
+// server is the continuation of the one server loop (advance): where the
+// loop stands between two charge points, the item in hand and the send
+// it queued. It lives behind Driver.server rather than in Driver, whose
+// size is a report byte (MemFootprint).
+type server struct {
+	// proc is the user-level server, a host task; nil in kernel-server
+	// mode and before StartServer.
+	proc  *host.Proc
+	phase phase
+	// The received frame in hand, if the item is one: held until the item
+	// ends, because pkt and everything installed from it alias its bytes.
+	held  bool
+	frame medium.Frame
+	pkt   proto.Packet // its parse; Type 0 for a corrupt datagram
+	st    *pageState   // the item's page; nil for a frame lazily skipped
+	// The send the item queued (transmit), encoded in txBuf[:sendLen]:
+	// its CPU cost, and what the handler does once it is on the wire.
+	sendLen  int
+	sendCost time.Duration
+	then     afterSend
+	to       int16 // its OwnerTo: whom thenOwnerLeaves, thenRestLeaves granted
+	short    bool  // its Short: thenOwnerLeaves keeps the rest authority
+}
+
+// phase is the charge point the server loop is at.
+type phase uint8
+
+const (
+	phaseIdle  phase = iota // between items
+	phaseFrame              // paying for a received frame's handling
+	phaseSend               // paying for the item's send
+)
+
+// afterSend names what a handler does after its packet is on the wire.
+// A handler cannot simply continue past transmit, since the send's cost
+// is charged between the encode and the wire, so it leaves its epilogue
+// here by name (a closure would allocate per send).
+type afterSend uint8
+
+const (
+	thenNothing     afterSend = iota
+	thenClaimed               // serveClaim
+	thenArmRetry              // sendRequest
+	thenDoPurge               // servePurge
+	thenOwnerLeaves           // serveRequest granting the consistent copy
+	thenRestLeaves            // serveRestRequest granting the remainder
+)
+
+// StartServer spawns the host's user-level Mether server (a no-op in
+// kernel-server mode, where FrameArrived and enqueueWork drive
+// interrupt-level processing directly). The server is an ordinary
+// timesharing process — which is the point: it competes for the CPU
+// with the application, and a spinning client starves it. It drains the
+// NIC receive ring and the driver work queue, sleeping when both are
+// empty. It is a host task, not a coroutine: it wakes once per snooped
+// frame, and a task takes the same CPU at the same instants without a
+// coroutine switch per wake (the simulator's own share of the paper's
+// "context switches required to receive a new page", kernel.go).
 func (d *Driver) StartServer() {
 	if d.cfg.KernelServer {
 		return
 	}
-	d.server = d.h.Spawn("metherd", d.serve)
-}
-
-// Server returns the server process (nil before StartServer).
-func (d *Driver) Server() *host.Proc { return d.server }
-
-func (d *Driver) serve(p *host.Proc) {
-	for !d.stopped {
-		d.drain(p, math.MaxInt)
-		if !d.stopped {
-			p.SleepOn(d.serverKey)
+	d.server.proc = d.h.SpawnTask("metherd", func() host.Want {
+		if cost, ok := d.advance(); ok {
+			return host.UseCPU(cost, host.CPUSys)
 		}
-	}
+		if d.stopped {
+			return host.Want{}
+		}
+		return host.SleepOnKey(d.serverKey)
+	})
 }
 
-// drain is the server loop, charged to s: one received frame if any,
-// else one driver work item, repeated until both queues are empty, the
-// driver is stopped or max items are done; it returns the items done.
-// The user-level server and the kernel server are this loop under two
-// charging policies: the process drains without bound, paying as it
-// goes, and sleeps; the kernel does one item per event and delays the
-// next by what the item cost. The loop lives here rather than in a
-// per-item helper under serve because a resumed server returns through
-// every frame between its charge point and its loop: one more frame
-// there measured +4.6 % wall on snoop-eth-96 (0 of 10 pairs ahead).
-func (d *Driver) drain(s cpuSink, max int) int {
-	n := 0
-	for ; n < max && !d.stopped; n++ {
+// Server returns the server process (nil before StartServer, and in
+// kernel-server mode).
+func (d *Driver) Server() *host.Proc { return d.server.proc }
+
+// advance is the server loop, one transition per call: it runs the
+// server to its next charge point and returns the CPU to charge there;
+// ok is false when there is none because both queues are empty or the
+// driver stopped. An item is one received frame if any, else one driver
+// work item, and passes through up to three phases: idle, the frame's
+// handling cost, the cost of the one send it may make. A transition that
+// ends an item returns a zero cost. The user-level server and the
+// kernel server are this loop under two charging policies: the task
+// hands each cost to the host scheduler and comes back when it has had
+// that much CPU; the kernel (kernelStep) sums one item's costs and
+// delays the next item by them. Either way each effect keeps its place
+// relative to the charges: the parse before the receive charge and the
+// page lookup after it, the encode before the send charge and the wire
+// and the handler's epilogue after it, the frame released last; stopped
+// is looked at between items only, and a Crash during a charge finds the
+// item in hand finished against the wiped state.
+func (d *Driver) advance() (cost time.Duration, ok bool) {
+	s := d.server
+	switch s.phase {
+	case phaseIdle:
+		if d.stopped {
+			return 0, false
+		}
 		if f, ok := d.nic.Recv(); ok {
-			d.handleFrame(s, f)
-			// Everything needed from the frame has been copied into
-			// page frames, so the wire buffer can be recycled.
-			d.nic.Release(f)
-		} else if w, ok := d.dequeueWork(); ok {
-			d.handleWork(s, w)
-		} else {
-			break
+			// The parse goes through the decode-once view cache (view.go):
+			// for a broadcast, only the first of the N receiving servers
+			// actually parses the header, but every receiver still pays its
+			// own simulated handling cost. A corrupt datagram is charged
+			// minimal handling and dropped.
+			pkt, err := d.decodeFrame(f)
+			if err != nil {
+				pkt = proto.Packet{}
+			}
+			s.frame, s.held, s.pkt, s.phase = f, true, pkt, phaseFrame
+			return d.cfg.PacketCost + time.Duration(len(pkt.Data))*d.cfg.ByteCost, true
 		}
+		w, ok := d.dequeueWork()
+		if !ok {
+			return 0, false
+		}
+		d.handleWork(w)
+	case phaseFrame:
+		if s.pkt.Type != 0 {
+			d.handleFrame(s.pkt)
+		}
+	case phaseSend:
+		d.nic.Send(medium.Broadcast, d.txBuf[:s.sendLen])
+		s.sendLen = 0
+		d.sent()
 	}
-	return n
+	if s.sendLen > 0 {
+		s.phase = phaseSend
+		return s.sendCost, true
+	}
+	if s.held {
+		if s.pkt.Type == proto.TypeRequest && s.st != nil {
+			d.queueRedundant(s.st, s.pkt)
+		}
+		// Everything needed from the frame has been copied into page
+		// frames, so the wire buffer can be recycled.
+		d.nic.Release(s.frame)
+		s.frame, s.held = medium.Frame{}, false
+	}
+	s.st, s.phase = nil, phaseIdle
+	return 0, true
+}
+
+// sent is the second half of the handler whose packet just went out.
+func (d *Driver) sent() {
+	s := d.server
+	st := s.st
+	switch s.then {
+	case thenClaimed:
+		d.clearRetryIfDone(st)
+		d.h.Wakeup(st.waitK)
+	case thenArmRetry:
+		d.armRetry(st)
+	case thenDoPurge:
+		// DO-PURGE: clear purge pending and wake the waiting process.
+		st.purgePending = false
+		d.flushDeferred(st)
+		d.h.Wakeup(st.purgeK)
+	case thenOwnerLeaves:
+		// The consistent copy leaves; our bytes stay resident as an
+		// inconsistent copy (writable mappings will fault from now on).
+		st.owner = false
+		st.grantedTo = s.to
+		if !s.short {
+			st.restOwner = false
+			st.grantedRestTo = s.to
+		}
+	case thenRestLeaves:
+		st.restOwner = false
+		st.grantedRestTo = s.to
+	}
+	s.then = thenNothing
 }
 
 // Stop makes the server exit at its next scheduling point.
@@ -69,23 +190,24 @@ func (d *Driver) Stop() {
 }
 
 // handleWork processes one driver-originated work item.
-func (d *Driver) handleWork(p cpuSink, w workItem) {
+func (d *Driver) handleWork(w workItem) {
 	st := d.page(w.page)
+	d.server.st = st
 	switch w.kind {
 	case workSendReq:
-		d.sendRequest(p, st)
+		d.sendRequest(st)
 	case workPurge:
-		d.servePurge(p, st)
+		d.servePurge(st)
 	case workRedeliver:
 		if w.req.rest {
-			d.serveRestRequest(p, st, w.req.from, w.req.reqID)
+			d.serveRestRequest(st, w.req.from, w.req.reqID)
 		} else {
-			d.serveRequest(p, st, w.req)
+			d.serveRequest(st, w.req)
 		}
 	case workRedundant:
-		d.serveRedundant(p, st, w.req, w.seq)
+		d.serveRedundant(st, w.req, w.seq)
 	case workClaim:
-		d.serveClaim(p, st)
+		d.serveClaim(st)
 	}
 }
 
@@ -101,7 +223,7 @@ func (d *Driver) handleWork(p cpuSink, w workItem) {
 // arbitrate deterministically in handleData. Everything is re-checked
 // first: data or a migration may have landed between the retry timer
 // and this work item.
-func (d *Driver) serveClaim(p cpuSink, st *pageState) {
+func (d *Driver) serveClaim(st *pageState) {
 	st.claimTries = 0
 	if d.cfg.ClaimRetries <= 0 || !st.wantsAnything() {
 		return
@@ -146,14 +268,12 @@ func (d *Driver) serveClaim(p cpuSink, st *pageState) {
 		Data:       st.frame.Region(true),
 	}
 	d.m.DataSent++
-	d.transmit(p, pkt)
-	d.clearRetryIfDone(st)
-	d.h.Wakeup(st.waitK)
+	d.transmit(pkt, thenClaimed)
 }
 
 // sendRequest transmits the demand request implied by the page's want
 // bits and arms the retransmit timer.
-func (d *Driver) sendRequest(p cpuSink, st *pageState) {
+func (d *Driver) sendRequest(st *pageState) {
 	if !st.wantsAnything() {
 		st.reqInFlight = false
 		return
@@ -189,8 +309,7 @@ func (d *Driver) sendRequest(p cpuSink, st *pageState) {
 	}
 	st.reqID++
 	d.m.RequestsSent++
-	d.transmit(p, pkt)
-	d.armRetry(st)
+	d.transmit(pkt, thenArmRetry)
 }
 
 // armRetry schedules a retransmit if the wants are still outstanding
@@ -261,20 +380,16 @@ func (d *Driver) clearRetryIfDone(st *pageState) {
 
 // servePurge broadcasts a read-only copy of a purge-pending page and
 // issues DO-PURGE, waking the blocked purger.
-func (d *Driver) servePurge(p cpuSink, st *pageState) {
+func (d *Driver) servePurge(st *pageState) {
 	if !st.purgePending {
 		return
 	}
 	d.m.PurgeSends++
-	d.sendData(p, st, st.purgeShort, proto.NoOwner)
-	// DO-PURGE: clear purge pending and wake the waiting process.
-	st.purgePending = false
-	d.flushDeferred(st)
-	d.h.Wakeup(st.purgeK)
+	d.sendData(st, st.purgeShort, proto.NoOwner, thenDoPurge)
 }
 
 // serveRequest answers a remote demand request if this host can.
-func (d *Driver) serveRequest(p cpuSink, st *pageState, r deferredReq) {
+func (d *Driver) serveRequest(st *pageState, r deferredReq) {
 	if !st.owner {
 		// Ownership-grant retransmit: if we granted the consistent copy
 		// to this very requester and it is still asking, the grant was
@@ -283,7 +398,7 @@ func (d *Driver) serveRequest(p cpuSink, st *pageState, r deferredReq) {
 		// host; otherwise resend the short grant alone.
 		if r.cons && st.grantedTo == r.from && st.shortPresent {
 			short := r.short || !st.restPresent || st.grantedRestTo != r.from
-			d.sendData(p, st, short, int(r.from))
+			d.sendData(st, short, int(r.from), thenNothing)
 		}
 		return
 	}
@@ -317,21 +432,12 @@ func (d *Driver) serveRequest(p cpuSink, st *pageState, r deferredReq) {
 		// short region only.
 		short = true
 	}
-	ownerTo := proto.NoOwner
+	ownerTo, then := proto.NoOwner, thenNothing
 	if r.cons {
-		ownerTo = int(r.from)
+		// Once the grant is on the wire the consistent copy leaves (sent).
+		ownerTo, then = int(r.from), thenOwnerLeaves
 	}
-	d.sendData(p, st, short, ownerTo)
-	if r.cons {
-		// The consistent copy leaves; our bytes stay resident as an
-		// inconsistent copy (writable mappings will fault from now on).
-		st.owner = false
-		st.grantedTo = r.from
-		if !short {
-			st.restOwner = false
-			st.grantedRestTo = r.from
-		}
-	}
+	d.sendData(st, short, ownerTo, then)
 }
 
 // serveRedundant answers a redundant fetch that named this replica as
@@ -343,7 +449,7 @@ func (d *Driver) serveRequest(p cpuSink, st *pageState, r deferredReq) {
 // sends a plain refresh (no ownership), so even a stale-but-resident
 // copy can only ever be dropped by the requester's generation check,
 // never regress a fresher winner.
-func (d *Driver) serveRedundant(p cpuSink, st *pageState, r deferredReq, seq uint64) {
+func (d *Driver) serveRedundant(st *pageState, r deferredReq, seq uint64) {
 	if st.transitSeq != seq {
 		d.m.RedundantSuppressed++
 		return
@@ -356,14 +462,14 @@ func (d *Driver) serveRedundant(p cpuSink, st *pageState, r deferredReq, seq uin
 		return
 	}
 	d.m.RedundantServes++
-	d.sendData(p, st, r.short, proto.NoOwner)
+	d.sendData(st, r.short, proto.NoOwner, thenNothing)
 }
 
 // sendData broadcasts page bytes (the only way data ever moves). Every
 // TypeData transit refreshes all resident copies cluster-wide. The
 // payload aliases the page frame (no snapshot copy): transmit encodes
 // it into the scratch buffer before anything else can run.
-func (d *Driver) sendData(p cpuSink, st *pageState, short bool, ownerTo int) {
+func (d *Driver) sendData(st *pageState, short bool, ownerTo int, then afterSend) {
 	pkt := proto.Packet{
 		Type:    proto.TypeData,
 		Page:    st.page,
@@ -374,35 +480,28 @@ func (d *Driver) sendData(p cpuSink, st *pageState, short bool, ownerTo int) {
 		Data:    st.frame.Region(short),
 	}
 	d.m.DataSent++
-	d.transmit(p, pkt)
+	d.transmit(pkt, then)
 }
 
-// transmit encodes and sends one packet, charging the server's CPU cost.
-// Encoding reuses the driver's scratch buffer; the NIC copies the bytes
-// into its pooled wire buffer, so the scratch is free for the next send
-// as soon as Send returns.
-func (d *Driver) transmit(p cpuSink, pkt proto.Packet) {
+// transmit encodes one packet and queues its send: advance charges the
+// server's CPU cost for it, then puts it on the wire and runs then (see
+// sent). An item sends at most once. Encoding reuses the driver's
+// scratch buffer; the NIC copies the bytes into its pooled wire buffer,
+// so the scratch is free for the next send as soon as Send returns.
+func (d *Driver) transmit(pkt proto.Packet, then afterSend) {
 	buf, err := proto.AppendEncode(d.txBuf[:0], pkt)
 	if err != nil {
 		panic("core: internal packet encode failure: " + err.Error())
 	}
 	d.txBuf = buf[:0]
-	p.UseSys(d.cfg.PacketCost + time.Duration(len(pkt.Data))*d.cfg.ByteCost)
-	d.nic.Send(medium.Broadcast, buf)
+	s := d.server
+	s.sendLen, s.then, s.to, s.short = len(buf), then, pkt.OwnerTo, pkt.Short
+	s.sendCost = d.cfg.PacketCost + time.Duration(len(pkt.Data))*d.cfg.ByteCost
 }
 
-// handleFrame processes one received datagram. The parse goes through
-// the decode-once view cache (view.go): for a broadcast, only the first
-// of the N receiving servers actually parses the header, but every
-// receiver still pays its own simulated handling cost.
-func (d *Driver) handleFrame(p cpuSink, f medium.Frame) {
-	pkt, err := d.decodeFrame(f)
-	if err != nil {
-		// Corrupt datagram: charge minimal handling and drop.
-		p.UseSys(d.cfg.PacketCost)
-		return
-	}
-	p.UseSys(d.cfg.PacketCost + time.Duration(len(pkt.Data))*d.cfg.ByteCost)
+// handleFrame processes one received, well-formed datagram whose
+// handling cost has been charged.
+func (d *Driver) handleFrame(pkt proto.Packet) {
 	var st *pageState
 	if d.cfg.LazyReplicas {
 		if st = d.lazyLookup(pkt); st == nil {
@@ -411,26 +510,36 @@ func (d *Driver) handleFrame(p cpuSink, f medium.Frame) {
 	} else {
 		st = d.page(pkt.Page)
 	}
+	d.server.st = st
 	switch pkt.Type {
 	case proto.TypeRequest:
-		r := deferredReq{from: pkt.From, short: pkt.Short, cons: pkt.Consistent, reqID: pkt.ReqID}
-		d.serveRequest(p, st, r)
-		// A redundant fetch that names this replica as an extra target:
-		// queue the answer with a transit-count snapshot so it can be
-		// suppressed if the owner's (or another replica's) reply covers
-		// the page first. The owner path above already answered, so a
-		// targeted owner adds nothing.
-		if len(pkt.Data) > 0 && !pkt.Consistent && !st.owner &&
-			pkt.From != d.id && proto.HasTarget(pkt.Data, d.id) {
-			d.enqueueWork(workItem{kind: workRedundant, page: st.page, req: r, seq: st.transitSeq})
-		}
+		// The redundant-target check (queueRedundant) follows at the end
+		// of the item, after the answer serveRequest may queue is sent.
+		d.serveRequest(st, requestOf(pkt))
 	case proto.TypeData:
 		d.handleData(st, pkt)
 	case proto.TypeRestRequest:
-		d.serveRestRequest(p, st, pkt.From, pkt.ReqID)
+		d.serveRestRequest(st, pkt.From, pkt.ReqID)
 	case proto.TypeRestData:
 		d.handleRestData(st, pkt)
 	}
+}
+
+// queueRedundant ends the handling of a request frame. A redundant fetch
+// that names this replica as an extra target: queue the answer with a
+// transit-count snapshot so it can be suppressed if the owner's (or
+// another replica's) reply covers the page first. The owner path
+// (serveRequest) already answered, so a targeted owner adds nothing.
+func (d *Driver) queueRedundant(st *pageState, pkt proto.Packet) {
+	if len(pkt.Data) > 0 && !pkt.Consistent && !st.owner &&
+		pkt.From != d.id && proto.HasTarget(pkt.Data, d.id) {
+		d.enqueueWork(workItem{kind: workRedundant, page: st.page, req: requestOf(pkt), seq: st.transitSeq})
+	}
+}
+
+// requestOf is what a request frame asks, in the form it is deferred in.
+func requestOf(pkt proto.Packet) deferredReq {
+	return deferredReq{from: pkt.From, short: pkt.Short, cons: pkt.Consistent, reqID: pkt.ReqID}
 }
 
 // lazyLookup resolves a received packet's page state without
@@ -602,11 +711,11 @@ func (d *Driver) noteCrossTrunkStale(from int16) {
 }
 
 // serveRestRequest answers a remainder fetch if we hold the authority.
-func (d *Driver) serveRestRequest(p cpuSink, st *pageState, from int16, reqID uint16) {
+func (d *Driver) serveRestRequest(st *pageState, from int16, reqID uint16) {
 	if !st.restOwner {
 		if st.grantedRestTo == from && st.restPresent {
 			// Lost rest-grant retransmit.
-			d.sendRestData(p, st, from)
+			d.sendRestData(st, from, thenNothing)
 		}
 		return
 	}
@@ -615,12 +724,10 @@ func (d *Driver) serveRestRequest(p cpuSink, st *pageState, from int16, reqID ui
 		st.deferred = append(st.deferred, deferredReq{from: from, rest: true, reqID: reqID})
 		return
 	}
-	d.sendRestData(p, st, from)
-	st.restOwner = false
-	st.grantedRestTo = from
+	d.sendRestData(st, from, thenRestLeaves)
 }
 
-func (d *Driver) sendRestData(p cpuSink, st *pageState, to int16) {
+func (d *Driver) sendRestData(st *pageState, to int16, then afterSend) {
 	out := proto.Packet{
 		Type:    proto.TypeRestData,
 		Page:    st.page,
@@ -630,7 +737,7 @@ func (d *Driver) sendRestData(p cpuSink, st *pageState, to int16) {
 		Data:    st.frame.RestRegion(),
 	}
 	d.m.RestSent++
-	d.transmit(p, out)
+	d.transmit(out, then)
 }
 
 // handleRestData installs or refreshes the superset remainder.

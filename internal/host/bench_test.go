@@ -14,6 +14,34 @@ import (
 // allocate: the wait key is boxed once, the sleeper slice keeps its
 // capacity across cycles, and boost timers are pooled.
 func BenchmarkHostSleepWake(b *testing.B) {
+	benchSleepWake(b, func(h *Host, key any, n *int) {
+		h.Spawn("sleeper", func(p *Proc) {
+			for *n < b.N {
+				*n++
+				p.SleepOn(key)
+			}
+		})
+	})
+}
+
+// BenchmarkHostTaskSleepWake is the same with the sleeper a task: the
+// same kernel events (wake, dispatch, wake) with a callback where the
+// coroutine sleeper costs a switch in and a switch out.
+func BenchmarkHostTaskSleepWake(b *testing.B) {
+	benchSleepWake(b, func(h *Host, key any, n *int) {
+		h.SpawnTask("sleeper", func() Want {
+			if *n >= b.N {
+				return Want{}
+			}
+			*n++
+			return SleepOnKey(key)
+		})
+	})
+}
+
+// benchSleepWake runs a sleeper that counts its b.N sleeps in n against
+// a waker firing every 50 µs.
+func benchSleepWake(b *testing.B, spawn func(h *Host, key any, n *int)) {
 	k := sim.New(1)
 	h := New(k, 0, "bench", DefaultParams())
 	var key any = "benchkey"
@@ -25,12 +53,7 @@ func BenchmarkHostSleepWake(b *testing.B) {
 			k.After(50*time.Microsecond, "waker", wake)
 		}
 	}
-	h.Spawn("sleeper", func(p *Proc) {
-		for n < b.N {
-			n++
-			p.SleepOn(key)
-		}
-	})
+	spawn(h, key, &n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.After(50*time.Microsecond, "waker", wake)
@@ -55,4 +78,23 @@ func BenchmarkHostQuantumRotation(b *testing.B) {
 	k.Run()
 	b.StopTimer()
 	k.Shutdown()
+}
+
+// BenchmarkHostTaskUse measures one step of a task that computes — the
+// server's charge for a snooped frame: one timed kernel event whose
+// callback accounts the slice and asks the step for the next.
+func BenchmarkHostTaskUse(b *testing.B) {
+	k := sim.New(1)
+	h := New(k, 0, "bench", DefaultParams())
+	n := 0
+	h.SpawnTask("worker", func() Want {
+		if n >= b.N {
+			return Want{}
+		}
+		n++
+		return UseCPU(50*time.Microsecond, CPUSys)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
 }

@@ -8,8 +8,15 @@
 // runnable server must wait for the spinner's quantum to expire, which is
 // what stretches page-fault latencies to tens of milliseconds and what the
 // later protocols avoid by blocking instead of spinning. Processes here
-// are preempted only at quantum expiry (no wakeup priority boost), which
-// matches the behaviour the paper observed for compute-bound processes.
+// are preempted only at quantum expiry, or sooner for a process woken
+// from a sleep (Params.WakeBoostDelay), which matches the behaviour the
+// paper observed for compute-bound processes.
+//
+// A process is a sim coroutine running a function (Spawn) or a task, a
+// step function called from kernel events (SpawnTask, task.go). The
+// scheduler treats both alike and each schedules the same kernel events
+// in the other's place; a task is the cheaper to resume, so code that
+// wakes once per network frame — the Mether server — is one.
 package host
 
 import (
@@ -159,12 +166,16 @@ func (h *Host) BusyTime() time.Duration { return h.busy }
 // Procs returns all processes ever spawned on this host.
 func (h *Host) Procs() []*Proc { return h.procs }
 
-// Proc is a simulated OS process. Methods other than accessors must be
-// called only from the process's own goroutine (inside its Spawn
-// function); Wakeup-style operations go through the Host.
+// Proc is a simulated OS process, in one of two forms the scheduler does
+// not tell apart: a coroutine running the function given to Spawn, or a
+// task (SpawnTask, task.go) whose step function runs to completion in
+// kernel event context. Methods other than accessors must be called only
+// from the process's own coroutine (inside its Spawn function) and never
+// on a task; Wakeup-style operations go through the Host.
 type Proc struct {
 	h     *Host
-	sp    *sim.Proc
+	sp    *sim.Proc // the coroutine; nil for a task
+	t     *task     // the task's continuation; nil for a coroutine
 	name  string
 	state procState
 
@@ -186,8 +197,8 @@ type Proc struct {
 	timerFn    func()
 }
 
-// Spawn creates a process and makes it runnable. fn runs under the
-// simulation's baton discipline and should express all CPU consumption
+// Spawn creates a coroutine process and makes it runnable. fn runs under
+// the simulation's baton discipline and should express all CPU consumption
 // through Use/UseUser/UseSys and all blocking through the Sleep methods.
 func (h *Host) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{h: h, name: name, state: stateRunnable}
@@ -197,11 +208,7 @@ func (h *Host) Spawn(name string, fn func(p *Proc)) *Proc {
 		// Wait to be dispatched for the first time.
 		p.acquireCPU()
 		fn(p)
-		p.state = stateDead
-		if h.cur == p {
-			h.cur = nil
-			h.maybeDispatch()
-		}
+		p.exit()
 	})
 	h.enqueue(p)
 	h.maybeDispatch()
@@ -284,7 +291,7 @@ func (h *Host) finishDispatch(next *Proc) {
 	if Trace != nil {
 		tracef("%v %s: dispatch %s", h.k.Now(), h.name, next.name)
 	}
-	next.sp.Wake()
+	next.wake()
 }
 
 // acquireCPU blocks until this process is the one running on the CPU.
@@ -300,6 +307,12 @@ func (p *Proc) releaseCPU() {
 		p.h.cur = nil
 		p.h.maybeDispatch()
 	}
+}
+
+// exit ends the process: its function returned, or its step asked to.
+func (p *Proc) exit() {
+	p.state = stateDead
+	p.releaseCPU()
 }
 
 // Use consumes d of CPU time charged to the given bucket, yielding the
@@ -320,6 +333,7 @@ func (p *Proc) Use(d time.Duration, kind CPUKind) {
 		}
 		if p.quantumUsed >= p.h.pr.Quantum {
 			p.quantumExpire()
+			p.acquireCPU()
 		}
 	}
 }
@@ -340,7 +354,8 @@ func (p *Proc) charge(d time.Duration, kind CPUKind) {
 	p.h.busy += d
 }
 
-// quantumExpire rotates the CPU to the next runnable process, if any.
+// quantumExpire rotates the CPU to the next runnable process, if any;
+// the caller then waits to be dispatched again.
 func (p *Proc) quantumExpire() {
 	h := p.h
 	if h.runnable() == 0 {
@@ -353,7 +368,6 @@ func (p *Proc) quantumExpire() {
 	h.cur = nil
 	h.enqueue(p)
 	h.maybeDispatch()
-	p.acquireCPU()
 }
 
 // SleepOn blocks the process until Host.Wakeup is called with the same
@@ -361,18 +375,24 @@ func (p *Proc) quantumExpire() {
 // the process returns only after a matching Wakeup (callers that share a
 // key among conditions should still re-check them).
 func (p *Proc) SleepOn(key any) {
-	h := p.h
-	p.state = stateBlocked
-	p.sleepKey = key
-	h.sleepers[key] = append(h.sleepers[key], p)
-	h.asleep++
-	p.releaseCPU()
+	p.block(key)
 	for p.state == stateBlocked {
 		// The key is already boxed, so parking on it costs nothing and
 		// keeps the blocked-on condition inspectable in a debugger.
 		p.sp.Park(key)
 	}
 	p.acquireCPU()
+}
+
+// block queues the process on key's sleepers and gives up the CPU: the
+// half of SleepOn that comes before the wait.
+func (p *Proc) block(key any) {
+	h := p.h
+	p.state = stateBlocked
+	p.sleepKey = key
+	h.sleepers[key] = append(h.sleepers[key], p)
+	h.asleep++
+	p.releaseCPU()
 }
 
 // SleepFor blocks the process for virtual duration d (a timed kernel
@@ -398,7 +418,7 @@ func (h *Host) timerFire(p *Proc) {
 		h.enqueue(p)
 		h.maybeDispatch()
 		h.armWakeBoost(p)
-		p.sp.Wake()
+		p.wake()
 	}
 }
 
@@ -416,7 +436,9 @@ func (h *Host) Wakeup(key any) {
 	h.asleep -= len(ps)
 	// Retain the entry with its capacity; ps stays a stable snapshot
 	// because no process can re-sleep on the key until this event
-	// callback has returned control to the kernel.
+	// callback has returned control to the kernel — which holds for a
+	// task only because wake resumes it through an event, never inline
+	// from here or from finishDispatch.
 	h.sleepers[key] = ps[:0]
 	for _, p := range ps {
 		if p.state != stateBlocked {
@@ -425,7 +447,7 @@ func (h *Host) Wakeup(key any) {
 		p.state = stateRunnable
 		p.sleepKey = nil
 		h.enqueue(p)
-		p.sp.Wake()
+		p.wake()
 	}
 	h.maybeDispatch()
 	for _, p := range ps {

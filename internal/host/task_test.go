@@ -1,0 +1,250 @@
+package host
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"mether/internal/sim"
+)
+
+// taskOp is one line of the subject's script: Use(d, kind), or SleepOn(key)
+// when kind is zero.
+type taskOp struct {
+	d    time.Duration
+	kind CPUKind
+	key  any
+}
+
+// taskWorld is everything one seed decides, drawn before anything runs so
+// that both executions see the same world whatever order they run it in.
+type taskWorld struct {
+	pr     Params
+	script []taskOp
+	// rivals are coroutine competitors: each op is a UseUser (d > 0), a
+	// SleepFor (d < 0) or a Wakeup of key.
+	rivals [][]taskOp
+	// wakers fire at their times; every second one goes through Interrupt.
+	wakers []struct {
+		at  time.Duration
+		key any
+	}
+	period time.Duration
+}
+
+var taskKeys = []any{"k0", "k1", "k2"}
+
+func drawTaskWorld(seed int64) taskWorld {
+	r := rand.New(rand.NewSource(seed))
+	// Everything is a multiple of one unit, and the quantum a small
+	// multiple, so that Uses ending exactly on a quantum boundary — with a
+	// rival runnable — are common rather than measure-zero.
+	const unit = 100 * time.Microsecond
+	w := taskWorld{pr: Params{
+		Quantum:         time.Duration(4+r.Intn(8)) * unit,
+		CtxSwitch:       time.Duration(r.Intn(3)) * unit,
+		DispatchLatency: time.Duration(r.Intn(2)) * unit / 2,
+		InterruptCost:   time.Duration(r.Intn(3)) * unit,
+		WakeBoostDelay:  time.Duration(1+r.Intn(6)) * unit,
+	}}
+	if seed%4 == 0 {
+		w.pr.WakeBoostDelay = 0
+	}
+	if seed%5 == 0 {
+		w.pr.CtxSwitch, w.pr.DispatchLatency = 0, 0
+	}
+	q := int(w.pr.Quantum / unit)
+	use := func() time.Duration {
+		switch r.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return time.Duration(q*(3+r.Intn(6))+r.Intn(q)) * unit // ≫ quantum
+		case 2:
+			return w.pr.Quantum
+		default:
+			return time.Duration(1+r.Intn(q)) * unit
+		}
+	}
+	for i, n := 0, 40+r.Intn(40); i < n; i++ {
+		if r.Intn(3) == 0 {
+			w.script = append(w.script, taskOp{key: taskKeys[r.Intn(len(taskKeys))]})
+		} else {
+			w.script = append(w.script, taskOp{d: use(), kind: CPUKind(1 + r.Intn(2))})
+		}
+	}
+	w.rivals = make([][]taskOp, r.Intn(3))
+	for i := range w.rivals {
+		for j, n := 0, 60+r.Intn(60); j < n; j++ {
+			switch r.Intn(4) {
+			case 0:
+				w.rivals[i] = append(w.rivals[i], taskOp{d: -time.Duration(1+r.Intn(2*q)) * unit})
+			case 1:
+				w.rivals[i] = append(w.rivals[i], taskOp{key: taskKeys[r.Intn(len(taskKeys))]})
+			default:
+				w.rivals[i] = append(w.rivals[i], taskOp{d: max(use(), unit)})
+			}
+		}
+	}
+	w.wakers = make([]struct {
+		at  time.Duration
+		key any
+	}, 400)
+	for i := range w.wakers {
+		w.wakers[i].at = time.Duration(r.Intn(4000)) * unit / 4
+		w.wakers[i].key = taskKeys[r.Intn(len(taskKeys))]
+	}
+	w.period = time.Duration(5+r.Intn(20)) * unit
+	return w
+}
+
+// run executes the world with the subject as a task or as a coroutine
+// process and returns everything observable about the execution.
+func (w taskWorld) run(asTask bool) (log []string, finished bool) {
+	Trace = func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	defer func() { Trace = nil }()
+	k := sim.New(1)
+	defer k.Shutdown()
+	h := New(k, 0, "h", w.pr)
+	steps := 0
+	stepped := func() {
+		log = append(log, fmt.Sprintf("%v step %d", k.Now(), steps))
+		steps++
+	}
+	if asTask {
+		h.SpawnTask("subject", func() Want {
+			stepped()
+			if steps > len(w.script) {
+				return Want{}
+			}
+			if op := w.script[steps-1]; op.kind != 0 {
+				return UseCPU(op.d, op.kind)
+			} else {
+				return SleepOnKey(op.key)
+			}
+		})
+	} else {
+		h.Spawn("subject", func(p *Proc) {
+			for _, op := range w.script {
+				stepped()
+				if op.kind != 0 {
+					p.Use(op.d, op.kind)
+				} else {
+					p.SleepOn(op.key)
+				}
+			}
+			stepped()
+		})
+	}
+	for i, ops := range w.rivals {
+		ops := ops // go.mod is go 1.21: one variable per loop
+		h.Spawn(fmt.Sprintf("rival%d", i), func(p *Proc) {
+			for _, op := range ops {
+				switch {
+				case op.key != nil:
+					h.Wakeup(op.key)
+				case op.d < 0:
+					p.SleepFor(-op.d)
+				default:
+					p.UseUser(op.d)
+				}
+			}
+		})
+	}
+	for i, wk := range w.wakers {
+		wk := wk
+		fn := func() { h.Wakeup(wk.key) }
+		if i%2 == 0 {
+			k.At(wk.at, "waker", fn)
+		} else {
+			k.At(wk.at, "waker", func() { h.Interrupt(fn) })
+		}
+	}
+	var tick func()
+	tick = func() {
+		for _, key := range taskKeys {
+			h.Wakeup(key)
+		}
+		k.After(w.period, "tick", tick)
+	}
+	k.After(w.period, "tick", tick)
+	k.RunUntil(2 * time.Second)
+	log = append(log, fmt.Sprintf("steps %d dispatched %d pending %d ctx %d busy %v",
+		steps, k.Dispatched(), k.PendingEvents(), h.ContextSwitches(), h.BusyTime()))
+	for _, p := range h.Procs() {
+		log = append(log, fmt.Sprintf("%s user %v sys %v", p.Name(), p.User(), p.Sys()))
+	}
+	return log, steps == len(w.script)+1
+}
+
+// TestTaskMatchesProcess is the contract of SpawnTask: a task is
+// indistinguishable from a coroutine process running the same script —
+// same scheduler trace, same step instants, same kernel events
+// dispatched and left pending, same accounting — over seeded worlds
+// with coroutine rivals, random wakers (half through Interrupt, so the
+// coalescing that depends on an untouched event sequence is in play), a
+// zero wake boost in a quarter of them and free dispatches in a fifth.
+//
+// Two mutations of Proc.run it must catch, and does (each was applied and
+// seen to fail, at seed 1 and seed 0): the step after a Use whose last
+// slice ended on a quantum expiry asked for without waiting for the CPU
+// again (the `h.cur != p` wait skipped once when the slice was all that
+// was owed), and a zero-cost Use read as exit (`w.d > 0` for
+// `w.kind != 0`).
+func TestTaskMatchesProcess(t *testing.T) {
+	seeds := 480
+	if testing.Short() {
+		seeds = 400
+	}
+	finished, rivalled := 0, 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		w := drawTaskWorld(seed)
+		proc, done := w.run(false)
+		task, _ := w.run(true)
+		if !slices.Equal(proc, task) {
+			i := 0
+			for i < len(proc) && i < len(task) && proc[i] == task[i] {
+				i++
+			}
+			t.Fatalf("seed %d: task diverges from process at line %d of %d/%d:\nprocess: %s\ntask:    %s",
+				seed, i, len(proc), len(task), line(proc, i), line(task, i))
+		}
+		if done {
+			finished++
+		}
+		if len(w.rivals) > 0 {
+			rivalled++
+		}
+	}
+	// The comparison is only as good as the ground it covers.
+	if finished < seeds*9/10 || rivalled < seeds/2 {
+		t.Errorf("of %d worlds the script ran to its end in %d and %d had rivals", seeds, finished, rivalled)
+	}
+}
+
+func line(log []string, i int) string {
+	if i < len(log) {
+		return log[i]
+	}
+	return "<end of log>"
+}
+
+// A Want is decoded by its zero fields, so the two that would read as
+// exit must fail where they are built, not end the process silently.
+func TestWantRejectsZeroKindAndNilKey(t *testing.T) {
+	for name, build := range map[string]func(){
+		"UseCPU(d, 0)":    func() { UseCPU(time.Millisecond, 0) },
+		"SleepOnKey(nil)": func() { SleepOnKey(nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}

@@ -73,6 +73,7 @@ type Kernel struct {
 	rng        *rand.Rand
 	procs      []*Proc
 	dispatched uint64
+	resumes    uint64
 	// Coalescing state (see AfterCoalesced): the open batch, its absolute
 	// deadline, and the value of seq immediately after the batch's last
 	// append — if seq has moved since, another event was scheduled in
@@ -283,6 +284,7 @@ func (k *Kernel) Run() time.Duration {
 func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 	k.deadline = deadline
 	for next := k.dispatch(); next != &k.root; next = k.handoff {
+		k.resumes++
 		next.next()
 	}
 	return k.now
@@ -377,6 +379,12 @@ func (k *Kernel) PendingEvents() int {
 // seeds report equal counts; sweeps use it for events/sec throughput
 // records.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+
+// Resumes returns the number of hand-offs through RunUntil's trampoline:
+// the events whose dispatch switched to another process's coroutine, at
+// two coroutine switches each. A process resuming itself, a callback and
+// a host task's step are not among them. Deterministic, like Dispatched.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // Event is a scheduled callback. The zero value is not useful; events are
 // created by Kernel.At and Kernel.After. After the callback has run the

@@ -28,6 +28,10 @@ type Timing struct {
 	Speedup float64
 	// PerScenario holds each scenario's real run time, in grid order.
 	PerScenario []time.Duration
+	// Resumes is how many of the sweep's events switched coroutines
+	// (World.Resumes, summed over the scenarios): the engine's dearest
+	// kind of event, so a cost like the times above and in no Report.
+	Resumes uint64
 }
 
 // Run executes every scenario and returns the deterministic Report
@@ -55,6 +59,7 @@ func (r Runner) Run(grid string, scs []Scenario) (Report, Timing) {
 
 	results := make([]Result, len(scs))
 	times := make([]time.Duration, len(scs))
+	resumes := make([]uint64, len(scs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -64,7 +69,7 @@ func (r Runner) Run(grid string, scs []Scenario) (Report, Timing) {
 			defer wg.Done()
 			for i := range idx {
 				t0 := time.Now()
-				results[i] = scs[i].Run()
+				results[i], resumes[i] = scs[i].run()
 				times[i] = time.Since(t0)
 			}
 		}()
@@ -83,8 +88,9 @@ func (r Runner) Run(grid string, scs []Scenario) (Report, Timing) {
 	wg.Wait()
 
 	tm := Timing{Workers: workers, Elapsed: time.Since(start), PerScenario: times}
-	for _, d := range times {
+	for i, d := range times {
 		tm.Serial += d
+		tm.Resumes += resumes[i]
 	}
 	if tm.Elapsed > 0 {
 		tm.Speedup = tm.Serial.Seconds() / tm.Elapsed.Seconds()

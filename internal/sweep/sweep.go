@@ -380,16 +380,24 @@ func (s Scenario) counterConfig(opts workload.Options) protocols.Config {
 // Errors — a world that cannot be built included — are folded into
 // Result.Err so one failing cell never aborts a whole sweep.
 func (s Scenario) Run() Result {
-	res := Result{Name: s.Name, Kind: s.Kind, Seed: s.Seed}
+	res, _ := s.run()
+	return res
+}
+
+// run is Run plus the world's coroutine resumes (Harvest.Resumes): they
+// measure the engine, as real time does, so the Runner sums them into
+// Timing and no Result field, hence no report, carries them.
+func (s Scenario) run() (res Result, resumes uint64) {
+	res = Result{Name: s.Name, Kind: s.Kind, Seed: s.Seed}
 	opts, err := s.cluster()
 	if err != nil {
-		return res.failed(err)
+		return res.failed(err), 0
 	}
 	switch s.Kind {
 	case KindCounter:
 		r, err := protocols.Run(s.counterConfig(opts))
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		res.DNF = r.DNF
 		res.Ops = uint64(r.Additions)
@@ -398,6 +406,7 @@ func (s Scenario) Run() Result {
 		res.SysNS = int64(r.Sys)
 		res.ServerNS = int64(r.SysServer)
 		res.fill(r.Harvest)
+		resumes = r.Resumes
 		if s.Figure != "" && s.Target == 1024 {
 			res.Deviations = bandCheck(s.Figure, r)
 		}
@@ -407,7 +416,7 @@ func (s Scenario) Run() Result {
 			Seed: s.Seed, Cap: s.Cap,
 		})
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		res.WallNS = int64(r.Wall)
 		res.Ops = uint64(r.Updates)
@@ -421,7 +430,7 @@ func (s Scenario) Run() Result {
 			Dist: s.Dist, Messages: s.Messages, Seed: s.Seed, Cap: s.Cap,
 		})
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		res.WallNS = int64(r.Wall)
 		res.Ops = uint64(r.Messages)
@@ -435,9 +444,10 @@ func (s Scenario) Run() Result {
 			Writers: s.Writers, OwnerTrunk: s.OwnerTrunk, Options: opts,
 		})
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		res.fillCluster(r.DNF, r.Updates, r.ClusterStats, s.Hosts)
+		resumes = r.Resumes
 	case KindBarrier:
 		// HysteresisN doubles as the barrier waiter's purge hysteresis:
 		// large clusters need a high value so waiters ride the snoopy
@@ -447,31 +457,34 @@ func (s Scenario) Run() Result {
 			CheckEvery: s.CheckEvery, Options: opts,
 		})
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		res.fillCluster(r.DNF, uint64(r.Phases), r.ClusterStats, s.Hosts)
+		resumes = r.Resumes
 	case KindPipeline:
 		r, err := workload.RunPipeline(workload.PipelineConfig{
 			Stages: s.Stages, Messages: s.Messages, Size: s.MsgSize, Options: opts,
 		})
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		// One host per stage.
 		res.fillCluster(r.DNF, uint64(r.Delivered), r.ClusterStats, r.Stages)
+		resumes = r.Resumes
 	case KindStationary:
 		r, err := workload.RunStationary(workload.StationaryConfig{
 			Hosts: s.Hosts, Iters: s.Iters,
 			WindowedAttach: s.Windowed, StaggerStart: s.Stagger, Options: opts,
 		})
 		if err != nil {
-			return res.failed(err)
+			return res.failed(err), 0
 		}
 		res.fillCluster(r.DNF, r.Updates, r.ClusterStats, s.Hosts)
+		resumes = r.Resumes
 	default:
-		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind))
+		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind)), 0
 	}
-	return res
+	return res, resumes
 }
 
 // failed is the result of a cell that could not run: identity plus Err.

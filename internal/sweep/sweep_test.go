@@ -72,6 +72,15 @@ func TestRunnerRunsAllScenarios(t *testing.T) {
 	if tm.Workers < 1 || tm.Elapsed <= 0 || tm.Serial <= 0 {
 		t.Errorf("implausible timing %+v", tm)
 	}
+	var events uint64
+	for _, r := range rep.Scenarios {
+		events += r.Events
+	}
+	// Clients are coroutines and servers are not: some events resume
+	// one, most do not.
+	if tm.Resumes == 0 || tm.Resumes >= events {
+		t.Errorf("timing counts %d coroutine resumes among %d events", tm.Resumes, events)
+	}
 	if len(tm.PerScenario) != len(scs) {
 		t.Errorf("timing has %d per-scenario entries, want %d", len(tm.PerScenario), len(scs))
 	}

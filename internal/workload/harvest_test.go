@@ -53,6 +53,7 @@ func checkHarvest(t *testing.T, h mether.Harvest, w *mether.World) {
 		"LatMean": lat.Mean(), "LatP50": lat.Quantile(0.5), "LatP90": lat.Quantile(0.9),
 		"LatP99": lat.Quantile(0.99), "LatP999": lat.Quantile(0.999), "LatMax": lat.Max(), "LatCount": lat.Count(),
 		"Events": w.EventsDispatched(), "MemBytes": w.MemFootprint(),
+		"Resumes": w.Resumes(),
 	}
 	v := reflect.ValueOf(h)
 	for i := 0; i < v.NumField(); i++ {

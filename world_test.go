@@ -2,6 +2,8 @@ package mether
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -310,5 +312,58 @@ func TestAttachTapSeesProtocolTraffic(t *testing.T) {
 	}
 	if len(tap.PageHistory(0)) == 0 {
 		t.Error("page 0 has no wire history")
+	}
+}
+
+// TestServerIsAHostTask pins what the rest of the tree relies on about
+// the user-level server now that it has no coroutine: it is still a
+// process of its host (the runners classify CPU by walking Procs), it is
+// charged for what it handles, and a quiesced world parks client
+// coroutines only. Kernel-server worlds have no server process at all.
+func TestServerIsAHostTask(t *testing.T) {
+	w := fastWorld(t, 4)
+	seg, err := w.CreateSegment("shared", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capRW := seg.CapRW()
+	w.Spawn(0, "writer", func(env *Env) {
+		m, _ := env.Attach(capRW, RW)
+		_ = m.Store32(m.Addr(0, 0).Short(), 7)
+		_ = m.Purge(m.Addr(0, 0).Short())
+	})
+	for i := 1; i < 4; i++ {
+		w.Spawn(i, "reader", func(env *Env) {
+			m, _ := env.Attach(capRW.ReadOnly(), RO)
+			_, _ = m.Load32(m.Addr(0, 0).Short())
+		})
+	}
+	w.Run()
+	for _, name := range w.Kernel().Idle() {
+		if strings.Contains(name, "metherd") {
+			t.Errorf("a quiesced world has a parked coroutine named %q: the server is a task", name)
+		}
+	}
+	if w.Resumes() == 0 || w.Resumes() >= w.EventsDispatched() {
+		t.Errorf("%d resumes of %d events: the clients are coroutines, the servers are not", w.Resumes(), w.EventsDispatched())
+	}
+	for i := 0; i < 4; i++ {
+		srv := w.Driver(i).Server()
+		if srv == nil || !slices.Contains(w.HostMachine(i).Procs(), srv) {
+			t.Fatalf("host %d: server %v is not one of the host's processes", i, srv)
+		}
+		if srv.Name() != "metherd" || srv.Sys() == 0 {
+			t.Errorf("host %d: server %q was charged %v sys for the frames it snooped", i, srv.Name(), srv.Sys())
+		}
+	}
+
+	cfg := Config{Hosts: 2, Pages: 16, Seed: 7}.withDefaults()
+	cfg.Core.KernelServer = true
+	kw := NewWorld(cfg)
+	defer kw.Shutdown()
+	for i := 0; i < 2; i++ {
+		if srv := kw.Driver(i).Server(); srv != nil || len(kw.HostMachine(i).Procs()) != 0 {
+			t.Errorf("kernel-server host %d has a server process %v", i, srv)
+		}
 	}
 }
