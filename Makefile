@@ -38,9 +38,16 @@
 #                        no hand-off, one between two processes and one
 #                        round a fan of 96, park/wake, host
 #                        sleep/wake and quantum rotation, the same for a
-#                        host task, bus broadcast, the server's snoop of
-#                        one broadcast, full counter runs)
+#                        host task, a scheduler-run poll on a bare host and
+#                        through the driver, bus broadcast, the server's
+#                        snoop of one broadcast, full counter runs)
 #                        plus the figure benchmarks at reduced scale
+#   make fuzz          - [FUZZTIME=10s] run each native fuzz target (proto's
+#                        FuzzDecode, fault's FuzzParse) for FUZZTIME. Not a
+#                        ci stage: `go test` already runs every target's
+#                        seed corpus, this mutates it. A failure leaves its
+#                        input under the package's testdata/fuzz/, to be
+#                        fixed and committed as a regression seed
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
 #   make bench-record  - regenerate BENCH_sweep.json: full-grid wall-clock,
 #                        same-work paired only (worlds/sec, events/sec,
@@ -60,7 +67,7 @@
 #   make loc           - non-test Go lines outside bench/ (tracked files
 #                        only), per directory and in total: the one
 #                        number simplicity PRs report, computed one way
-#                        (13 910 at PR 16, 13 749 at PR 17)
+#                        (13 910 at PR 16, 13 749 at PR 17, 14 046 at PR 19)
 #   make profile       - run one named cell (CELL=<name substring>, any cell
 #                        of GRID, default the bridged 256-host hotspot) under CPU and
 #                        heap profiling, then print `go tool pprof -top` for
@@ -69,9 +76,9 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair loc profile
+.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -104,6 +111,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/fault
 
 smoke:
 	$(GO) run ./cmd/methersweep -grid smoke -format summary

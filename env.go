@@ -18,6 +18,7 @@ type Env struct {
 	host int
 	p    *host.Proc
 	d    *core.Driver
+	poll core.Poll // Mapping.Spin32's state
 }
 
 // HostID returns the host this process runs on.
@@ -118,6 +119,18 @@ func (m *Mapping) Addr(page, off int) Addr {
 func (m *Mapping) Load32(a Addr) (uint32, error) {
 	v, err := m.env.d.Load(m.env.p, m.mode, a, 4)
 	return uint32(v), err
+}
+
+// Spin32 is `for { env.Compute(every); v, err := m.Load32(a); if err !=
+// nil || !again(v) { return v, err } }` in every virtual-time respect and
+// at a fraction of the engine's cost: while the page stays resident the
+// scheduler makes the looks and the process is resumed once, when again
+// says no (or for a look that faults). The rule that buys this: again
+// runs in kernel event context, possibly on another process's stack — it
+// may read and count but must not block (no Compute, sleep, Load, Store,
+// Purge) and should not allocate: build it once, outside the loop.
+func (m *Mapping) Spin32(a Addr, every time.Duration, again func(uint32) bool) (uint32, error) {
+	return m.env.d.Spin32(m.env.p, &m.env.poll, m.mode, a, every, again)
 }
 
 // Store32 writes a 32-bit word through the mapping.

@@ -7,6 +7,8 @@ import (
 
 	"mether"
 	"mether/internal/ethernet"
+	"mether/internal/protocols"
+	"mether/internal/workload"
 	"mether/pipe"
 	"mether/registry"
 )
@@ -238,5 +240,29 @@ func TestWorldDeterminismAcrossSubsystems(t *testing.T) {
 	e2, b2 := run()
 	if e1 != e2 || b1 != b2 {
 		t.Errorf("nondeterministic: (%v,%d) vs (%v,%d)", e1, b1, e2, b2)
+	}
+}
+
+// TestPollersAreSchedulerRun pins what TestServerIsAHostTask pins for the
+// server, for the clients that spin: in the two kinds of cell that used to
+// resume a coroutine per look — a barrier's waiters and Figure 6's two
+// mutual spinners — the looks are kernel callbacks (Mapping.Spin32) and
+// a coroutine is switched to only when a process has something to do.
+// With a resume per look the shares were 43 % and 58 % (the cluster
+// grid's 16-host barrier cell, whose knobs these are, and the Figure 6
+// cell at target 64).
+func TestPollersAreSchedulerRun(t *testing.T) {
+	barrier, err := workload.RunBarrier(workload.BarrierConfig{Hosts: 16, Phases: 4, HysteresisPurge: 16 * 16})
+	if err != nil || barrier.DNF {
+		t.Fatalf("barrier: err %v, DNF %v", err, barrier.DNF)
+	}
+	fig6, err := protocols.Run(protocols.Config{Protocol: protocols.P3DisjointRO, Target: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]mether.Harvest{"16-host barrier": barrier.Harvest, "figure 6": fig6.Harvest} {
+		if h.Events < 10000 || h.Resumes*20 >= h.Events {
+			t.Errorf("%s: %d coroutine resumes in %d events, want under 5 %%", name, h.Resumes, h.Events)
+		}
 	}
 }

@@ -50,3 +50,38 @@ func BenchmarkServerSnoop(b *testing.B) {
 		b.Fatalf("%d refreshes for %d purges on %d receivers: the broadcasts were not snooped", refreshes, purges, hosts-1)
 	}
 }
+
+// BenchmarkSpin32 measures one resident look of a Spin on a two-host
+// world — the waiter's poll of the barrier and counter cells: the end of
+// a CPU slice, the access check, the load and the predicate, all inside
+// one kernel callback. The reader's coroutine is switched to twice in
+// the whole run, so ns/op is the engine's cost per poll and allocs/op
+// must stay zero.
+func BenchmarkSpin32(b *testing.B) {
+	c := newTestCluster(b, 2, ethernet.DefaultParams(), fastConfig(4))
+	c.drivers[0].CreatePage(0)
+	addr := NewAddr(0, 0).Short()
+	d := c.drivers[1]
+	looks := 0
+	var poll Poll
+	var err error
+	c.spawn(1, "reader", func(p *host.Proc) {
+		if err = d.MapIn(p, RO, 0); err == nil {
+			_, err = d.Spin32(p, &poll, RO, addr, 50*time.Microsecond, func(uint32) bool {
+				looks++
+				return looks < b.N
+			})
+		}
+	})
+	c.k.RunUntil(time.Second) // the map-in fault and the first looks
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.k.Run()
+	b.StopTimer()
+	if err != nil || looks < b.N {
+		b.Fatalf("%d looks of %d, err %v", looks, b.N, err)
+	}
+	if r := c.k.Resumes(); r > 8 {
+		b.Fatalf("%d coroutine resumes for %d looks: the poll is back on the coroutine", r, looks)
+	}
+}

@@ -499,6 +499,63 @@ func (d *Driver) Load(p *host.Proc, mode Mode, a Addr, size int) (uint64, error)
 	return v, err
 }
 
+// Poll is the state of a Spin32 in progress. It is the spinning process's
+// (one each, reused by every spin it makes), not the driver's or the
+// page's: a spin allocates nothing, and Driver and pageState, whose
+// sizes are in a report, do not grow.
+type Poll struct {
+	d     *Driver
+	mode  Mode
+	a     Addr
+	again func(uint32) bool
+	v     uint64
+	slow  bool        // the last look needs the coroutine: a fault, an error
+	look  func() bool // s.resident, boxed once
+}
+
+// Spin32 is `for { p.UseUser(every); v, err := d.Load(p, mode, a, 4); if
+// err != nil || !again(uint32(v)) { return v, err } }` event for event,
+// with the looks that find the page resident — which touch no metric and
+// cannot block — made by the scheduler (host.Proc.UseWhile) while the
+// calling coroutine sleeps. A look that would fault or fail ends the poll
+// and the coroutine makes it, as the blocking Load; again is asked about
+// that value too, so it sees every loaded value exactly once. again runs
+// in kernel event context and must not block.
+func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Duration, again func(uint32) bool) (uint32, error) {
+	if every <= 0 {
+		return 0, fmt.Errorf("core: spin every %v: a look must cost CPU time", every)
+	}
+	if s.look == nil {
+		s.look = s.resident
+	}
+	s.d, s.mode, s.a, s.again = d, mode, a, again
+	for {
+		s.slow = false
+		p.UseWhile(every, host.CPUUser, s.look)
+		if !s.slow {
+			return uint32(s.v), nil
+		}
+		v, err := d.Load(p, mode, a, 4)
+		if err != nil || !again(uint32(v)) {
+			return uint32(v), err
+		}
+	}
+}
+
+// resident is one look of a Spin32: Load's checks and, when they pass
+// without a fault, its read and the verdict of again. The access is
+// checked at every look: a crash wipes the directory between two.
+func (s *Poll) resident() bool {
+	st, err := s.d.checkAccess(s.mode, s.a, 4, false)
+	if err == nil && st.satisfied(accessNeeds(s.mode, s.a, 4)) {
+		if s.v, err = st.frame.Load(s.a.Offset(), 4); err == nil {
+			return s.again(uint32(s.v))
+		}
+	}
+	s.slow = true
+	return false
+}
+
 // Store writes an integer of size 1, 2, 4 or 8 bytes through the given
 // mapping and address, faulting in the consistent copy as needed.
 func (d *Driver) Store(p *host.Proc, mode Mode, a Addr, size int, v uint64) error {

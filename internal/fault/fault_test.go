@@ -24,14 +24,17 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// badSpecs breaks the grammar one rule at a time.
+var badSpecs = []string{
+	"crash:h3", "crash@150ms", "crash@nope:h3", "crash@1s:b0",
+	"partition@1s:h0", "migrate@1s:h1", "explode@1s:h1",
+}
+
 func TestParseEmptyAndErrors(t *testing.T) {
 	if s, err := Parse(""); err != nil || !s.Empty() {
 		t.Errorf("Parse(\"\") = %v, %v; want empty schedule", s, err)
 	}
-	for _, bad := range []string{
-		"crash:h3", "crash@150ms", "crash@nope:h3", "crash@1s:b0",
-		"partition@1s:h0", "migrate@1s:h1", "explode@1s:h1",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
@@ -103,4 +106,33 @@ func TestChurnDeterministicAndPaired(t *testing.T) {
 	if err := a.Validate(64, 0); err != nil {
 		t.Errorf("churn schedule invalid: %v", err)
 	}
+}
+
+// FuzzParse: a -faults spec is input from outside the program. Parse
+// returns a schedule or an error and never panics, and an accepted
+// schedule's String() parses back to the same schedule — what
+// methersweep prints is what it would accept. Range checks are
+// Validate's, against a world, so negative indices and times parse. The
+// corpus is the grammar's good and bad examples from the tests above;
+// `go test` runs those, `make fuzz` mutates them.
+func FuzzParse(f *testing.F) {
+	f.Add("crash@150ms:h3;recover@400ms:h3;partition@200ms:b0;heal@350ms:b0;migrate@100ms:h3>h5")
+	f.Add(" crash@1h2m3.5s:h0 ; ;heal@-1ns:b-7;")
+	f.Add("")
+	for _, bad := range badSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not parse: %v", spec, s, err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("Parse(%q): String/Parse round trip changed the schedule: %q vs %q", spec, s, again)
+		}
+	})
 }

@@ -39,6 +39,28 @@ func BenchmarkHostTaskSleepWake(b *testing.B) {
 	})
 }
 
+// BenchmarkHostUseWhile measures one look of a poll run by the scheduler:
+// the timed event that ends a 50 µs slice, its accounting and the
+// predicate, all in one kernel callback with the polling coroutine
+// asleep throughout. It is what a spinning client costs the engine per
+// look, against a coroutine resume per look before UseWhile.
+func BenchmarkHostUseWhile(b *testing.B) {
+	k := sim.New(1)
+	h := New(k, 0, "bench", DefaultParams())
+	n := 0
+	h.Spawn("poller", func(p *Proc) {
+		p.UseWhile(50*time.Microsecond, CPUUser, func() bool {
+			n++
+			return n < b.N
+		})
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.StopTimer()
+	k.Shutdown()
+}
+
 // benchSleepWake runs a sleeper that counts its b.N sleeps in n against
 // a waker firing every 50 µs.
 func benchSleepWake(b *testing.B, spawn func(h *Host, key any, n *int)) {

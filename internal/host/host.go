@@ -13,10 +13,11 @@
 // paper observed for compute-bound processes.
 //
 // A process is a sim coroutine running a function (Spawn) or a task, a
-// step function called from kernel events (SpawnTask, task.go). The
-// scheduler treats both alike and each schedules the same kernel events
-// in the other's place; a task is the cheaper to resume, so code that
-// wakes once per network frame — the Mether server — is one.
+// step function called from kernel events (SpawnTask, task.go): one state
+// machine (Proc.advance) schedules both, through the same kernel events.
+// A task is the cheaper to resume, so the Mether server, which wakes once
+// per network frame, is one; and a coroutine that spins hands its loop to
+// the scheduler (UseWhile) and sleeps until the spin has an outcome.
 package host
 
 import (
@@ -93,17 +94,10 @@ const (
 
 // Trace, when set, receives one line per scheduling event (dispatches,
 // quantum expiries, boost preemptions). Intended for debugging and tests;
-// nil disables tracing. Call sites guard with `if Trace != nil` before
-// invoking tracef: a bare variadic call boxes its arguments even when
-// tracing is off, which was the host layer's last per-dispatch
-// allocation.
+// nil disables tracing. Call sites guard with `if Trace != nil`: a bare
+// variadic call boxes its arguments even when tracing is off, which was
+// the host layer's last per-dispatch allocation.
 var Trace func(format string, args ...any)
-
-func tracef(format string, args ...any) {
-	if Trace != nil {
-		Trace(format, args...)
-	}
-}
 
 // Host is one simulated workstation.
 type Host struct {
@@ -116,9 +110,11 @@ type Host struct {
 	// runq is drained via runqHead instead of re-slicing so the backing
 	// array is reused once the queue empties (an advancing-front slice
 	// sheds capacity and reallocates on every wrap).
-	runq        []*Proc
-	runqHead    int
-	dispatching bool
+	runq     []*Proc
+	runqHead int
+	// The context switch in progress (one at a time) and its event callback.
+	next        *Proc
+	dispatchFn  func()
 	ctxSwitches uint64
 	// sleepers keys wait slices by the caller's wait key. Emptied slices
 	// keep their entry (and backing array) instead of being deleted, so a
@@ -142,7 +138,9 @@ func New(k *sim.Kernel, id int, name string, pr Params) *Host {
 	if pr.Quantum <= 0 {
 		panic("host: Quantum must be positive")
 	}
-	return &Host{k: k, id: id, name: name, pr: pr, sleepers: make(map[any][]*Proc)}
+	h := &Host{k: k, id: id, name: name, pr: pr, sleepers: make(map[any][]*Proc)}
+	h.dispatchFn = h.finishDispatch
+	return h
 }
 
 // Kernel returns the simulation kernel driving this host.
@@ -169,13 +167,14 @@ func (h *Host) Procs() []*Proc { return h.procs }
 // Proc is a simulated OS process, in one of two forms the scheduler does
 // not tell apart: a coroutine running the function given to Spawn, or a
 // task (SpawnTask, task.go) whose step function runs to completion in
-// kernel event context. Methods other than accessors must be called only
-// from the process's own coroutine (inside its Spawn function) and never
-// on a task; Wakeup-style operations go through the Host.
+// kernel event context. One state machine (advance) schedules both, asked
+// for CPU and sleeps by the coroutine's calls of Use, UseWhile, SleepOn
+// and SleepFor (made inside its Spawn function, never on a task) or by
+// what the task's step returns. Wakeup-style operations go through the Host.
 type Proc struct {
 	h     *Host
-	sp    *sim.Proc // the coroutine; nil for a task
-	t     *task     // the task's continuation; nil for a coroutine
+	sp    *sim.Proc   // the coroutine; nil for a task
+	step  func() Want // the task's body; nil for a coroutine
 	name  string
 	state procState
 
@@ -188,25 +187,36 @@ type Proc struct {
 	// detect staleness.
 	dispatchSeq uint64
 
-	// blocked bookkeeping
-	sleepKey any
+	// parked and wakePending are sim.Proc's Park/Wake protocol, flag for
+	// flag: a wake finds the process parked and schedules its resume
+	// event, or is remembered and swallows the next park. One pair per
+	// process, whatever it was doing (a Use, a poll, a sleep) when woken.
+	parked      bool
+	wakePending bool
+	// The Use in progress: CPU still owed, its bucket, and the slice of
+	// it now elapsing (zero when none is: the process waits for the CPU).
+	need  time.Duration
+	slice time.Duration
+	kind  CPUKind
+	// The UseWhile in progress: again says if another every is owed.
+	again func() bool
+	every time.Duration
 
-	// Closures built once so the dispatch/sleep hot paths schedule kernel
+	// Closures built once so the resume/sleep hot paths schedule kernel
 	// events without allocating; timerFn on the first SleepFor.
-	dispatchFn func()
-	timerFn    func()
+	resumeFn func()
+	timerFn  func()
 }
 
 // Spawn creates a coroutine process and makes it runnable. fn runs under
 // the simulation's baton discipline and should express all CPU consumption
-// through Use/UseUser/UseSys and all blocking through the Sleep methods.
+// through the Use methods and all blocking through the Sleep methods.
 func (h *Host) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{h: h, name: name, state: stateRunnable}
-	p.dispatchFn = func() { h.finishDispatch(p) }
+	p.resumeFn = p.resume
 	h.procs = append(h.procs, p)
-	p.sp = h.k.Spawn(h.name+"/"+name, func(sp *sim.Proc) {
-		// Wait to be dispatched for the first time.
-		p.acquireCPU()
+	p.sp = h.k.Spawn(h.name+"/"+name, func(*sim.Proc) {
+		p.await("cpu wait", nil) // for the first dispatch
 		fn(p)
 		p.exit()
 	})
@@ -258,11 +268,11 @@ func (h *Host) runnable() int { return len(h.runq) - h.runqHead }
 // maybeDispatch starts a context switch to the head of the run queue if
 // the CPU is idle. Safe to call from kernel event context.
 func (h *Host) maybeDispatch() {
-	if h.cur != nil || h.dispatching || h.runnable() == 0 {
+	if h.cur != nil || h.next != nil || h.runnable() == 0 {
 		return
 	}
-	h.dispatching = true
 	next := h.runq[h.runqHead]
+	h.next = next
 	h.runq[h.runqHead] = nil
 	h.runqHead++
 	if h.runqHead == len(h.runq) {
@@ -272,12 +282,13 @@ func (h *Host) maybeDispatch() {
 	next.inRunq = false
 	h.ctxSwitches++
 	delay := h.pr.CtxSwitch + h.pr.DispatchLatency
-	h.k.After(delay, "dispatch", next.dispatchFn)
+	h.k.After(delay, "dispatch", h.dispatchFn)
 }
 
 // finishDispatch completes a context switch armed by maybeDispatch.
-func (h *Host) finishDispatch(next *Proc) {
-	h.dispatching = false
+func (h *Host) finishDispatch() {
+	next := h.next
+	h.next = nil
 	if next.state == stateDead {
 		h.maybeDispatch()
 		return
@@ -289,16 +300,9 @@ func (h *Host) finishDispatch(next *Proc) {
 	next.sys += h.pr.CtxSwitch
 	h.busy += h.pr.CtxSwitch
 	if Trace != nil {
-		tracef("%v %s: dispatch %s", h.k.Now(), h.name, next.name)
+		Trace("%v %s: dispatch %s", h.k.Now(), h.name, next.name)
 	}
 	next.wake()
-}
-
-// acquireCPU blocks until this process is the one running on the CPU.
-func (p *Proc) acquireCPU() {
-	for p.h.cur != p {
-		p.sp.Park("cpu wait")
-	}
 }
 
 // releaseCPU gives up the CPU voluntarily (block or exit path).
@@ -315,27 +319,129 @@ func (p *Proc) exit() {
 	p.releaseCPU()
 }
 
-// Use consumes d of CPU time charged to the given bucket, yielding the
-// CPU at quantum boundaries if other processes are runnable. It is the
-// only way simulated computation passes time.
-func (p *Proc) Use(d time.Duration, kind CPUKind) {
-	for d > 0 {
-		p.acquireCPU()
-		slice := d
-		if rem := p.h.pr.Quantum - p.quantumUsed; slice > rem {
-			slice = rem
+// wake is the one way the scheduler resumes a process, always through an
+// event and never inline: Wakeup and finishDispatch rely on the woken
+// process not running before they return.
+func (p *Proc) wake() {
+	if p.parked {
+		p.parked = false
+		p.h.k.After(0, "wake", p.resumeFn)
+	} else if p.state != stateDead {
+		p.wakePending = true
+	}
+}
+
+// advance runs the scheduler's state machine for p until the process
+// must wait for an event (false: a wake or the end of a slice will call
+// resume) or is on the CPU with nothing owed (true).
+func (p *Proc) advance() bool {
+	h := p.h
+	if p.slice > 0 {
+		// Nothing wakes a process in mid-slice, so this is the slice's end.
+		if p.kind == CPUSys {
+			p.sys += p.slice
+		} else {
+			p.user += p.slice
 		}
-		if slice > 0 {
-			p.sp.Sleep(slice)
-			p.charge(slice, kind)
-			p.quantumUsed += slice
-			d -= slice
-		}
-		if p.quantumUsed >= p.h.pr.Quantum {
+		h.busy += p.slice
+		p.quantumUsed += p.slice
+		p.need -= p.slice
+		p.slice = 0
+		if p.quantumUsed >= h.pr.Quantum {
 			p.quantumExpire()
-			p.acquireCPU()
 		}
 	}
+	for {
+		// The CPU comes first, also when nothing is owed: a Use that ended
+		// exactly at a quantum expiry is over only once the process has been
+		// dispatched again. A blocked process is never on the CPU, so this is
+		// the wait for its Wakeup or timer as well. A wake that came before
+		// the wait is consumed instead.
+		if h.cur != p {
+			if !p.wakePending {
+				p.parked = true
+				return false
+			}
+			p.wakePending = false
+			continue
+		}
+		if p.need <= 0 {
+			return true
+		}
+		if p.slice = min(p.need, h.pr.Quantum-p.quantumUsed); p.slice > 0 {
+			h.k.After(p.slice, "wake", p.resumeFn)
+			return false
+		}
+		// The quantum was spent before the Use began (a boost).
+		p.quantumExpire()
+	}
+}
+
+// resume is the callback of every resume event of every process: with
+// the process on the CPU and nothing owed it asks the task's step or the
+// poll's again what comes next, or hands the coroutine the baton back.
+func (p *Proc) resume() {
+	for p.advance() {
+		switch {
+		case p.step != nil:
+			switch w := p.step(); {
+			case w.kind != 0:
+				p.need, p.kind = w.d, w.kind
+			case w.key != nil:
+				p.block(w.key)
+			default:
+				p.exit()
+				return
+			}
+		case p.again != nil && p.again():
+			p.need = p.every
+		default:
+			p.again = nil
+			p.sp.Resume()
+			return
+		}
+	}
+}
+
+// await is where a coroutine waits out what it has just asked of the
+// scheduler (again: the predicate, if it asked for a poll). The machine
+// runs as far as it can on the coroutine's own stack; resume events run
+// the rest and the last hands the baton back — unless nothing was left:
+// then no Resume is coming and the coroutine must not Await. reason is
+// for Kernel.Idle, nil for a Use: computing is not idle.
+func (p *Proc) await(reason any, again func() bool) {
+	if p.again != nil {
+		panic("host: " + p.name + " blocks inside its UseWhile predicate, which runs in kernel event context")
+	}
+	p.again = again
+	if !p.advance() {
+		p.sp.Await(reason)
+	}
+}
+
+// Use consumes d of CPU time charged to the given bucket, yielding the
+// CPU at quantum boundaries if other processes are runnable. It is the
+// only way simulated computation passes time; d <= 0 is a no-op.
+func (p *Proc) Use(d time.Duration, kind CPUKind) {
+	if d > 0 {
+		p.UseWhile(d, kind, nil)
+	}
+}
+
+// UseWhile is `for { p.Use(d, kind); if !again() { return } }` with the
+// loop run by the scheduler: again is called at exactly the instants Use
+// would have returned (on the CPU, nothing owed, after any quantum
+// rotation) and the coroutine is resumed once, in the event where again
+// says no (nil: at once, a plain Use) — a kernel callback per look, not a
+// coroutine switch. again runs in kernel event context, possibly on
+// another process's stack: it must not block (Use and the sleeps panic)
+// and should not allocate. d must be positive, or the poll would not end.
+func (p *Proc) UseWhile(d time.Duration, kind CPUKind, again func() bool) {
+	if d <= 0 {
+		panic("host: UseWhile needs a positive d")
+	}
+	p.need, p.every, p.kind = d, d, kind
+	p.await(nil, again)
 }
 
 // UseUser charges d as user time.
@@ -343,16 +449,6 @@ func (p *Proc) UseUser(d time.Duration) { p.Use(d, CPUUser) }
 
 // UseSys charges d as system time.
 func (p *Proc) UseSys(d time.Duration) { p.Use(d, CPUSys) }
-
-func (p *Proc) charge(d time.Duration, kind CPUKind) {
-	switch kind {
-	case CPUSys:
-		p.sys += d
-	default:
-		p.user += d
-	}
-	p.h.busy += d
-}
 
 // quantumExpire rotates the CPU to the next runnable process, if any;
 // the caller then waits to be dispatched again.
@@ -363,7 +459,7 @@ func (p *Proc) quantumExpire() {
 		return
 	}
 	if Trace != nil {
-		tracef("%v %s: quantum expire %s (runq %d)", h.k.Now(), h.name, p.name, h.runnable())
+		Trace("%v %s: quantum expire %s (runq %d)", h.k.Now(), h.name, p.name, h.runnable())
 	}
 	h.cur = nil
 	h.enqueue(p)
@@ -376,12 +472,8 @@ func (p *Proc) quantumExpire() {
 // key among conditions should still re-check them).
 func (p *Proc) SleepOn(key any) {
 	p.block(key)
-	for p.state == stateBlocked {
-		// The key is already boxed, so parking on it costs nothing and
-		// keeps the blocked-on condition inspectable in a debugger.
-		p.sp.Park(key)
-	}
-	p.acquireCPU()
+	// The key, already boxed, is the reason Kernel.Idle and a debugger show.
+	p.await(key, nil)
 }
 
 // block queues the process on key's sleepers and gives up the CPU: the
@@ -389,7 +481,6 @@ func (p *Proc) SleepOn(key any) {
 func (p *Proc) block(key any) {
 	h := p.h
 	p.state = stateBlocked
-	p.sleepKey = key
 	h.sleepers[key] = append(h.sleepers[key], p)
 	h.asleep++
 	p.releaseCPU()
@@ -405,10 +496,7 @@ func (p *Proc) SleepFor(d time.Duration) {
 		p.timerFn = func() { h.timerFire(p) }
 	}
 	h.k.After(d, "timer", p.timerFn)
-	for p.state == stateBlocked {
-		p.sp.Park("timed sleep")
-	}
-	p.acquireCPU()
+	p.await("timed sleep", nil)
 }
 
 // timerFire completes a SleepFor armed on p.
@@ -436,16 +524,15 @@ func (h *Host) Wakeup(key any) {
 	h.asleep -= len(ps)
 	// Retain the entry with its capacity; ps stays a stable snapshot
 	// because no process can re-sleep on the key until this event
-	// callback has returned control to the kernel — which holds for a
-	// task only because wake resumes it through an event, never inline
-	// from here or from finishDispatch.
+	// callback has returned control to the kernel — which holds because
+	// wake resumes a process through an event, never inline from here or
+	// from finishDispatch.
 	h.sleepers[key] = ps[:0]
 	for _, p := range ps {
 		if p.state != stateBlocked {
 			continue
 		}
 		p.state = stateRunnable
-		p.sleepKey = nil
 		h.enqueue(p)
 		p.wake()
 	}
@@ -471,7 +558,7 @@ func (bt *boostTimer) fire() {
 	h, woken := bt.h, bt.woken
 	if woken.dispatchSeq == bt.epoch && woken.state == stateRunnable && woken.inRunq && h.cur != nil {
 		if Trace != nil {
-			tracef("%v %s: boost preempts %s for %s", h.k.Now(), h.name, h.cur.name, woken.name)
+			Trace("%v %s: boost preempts %s for %s", h.k.Now(), h.name, h.cur.name, woken.name)
 		}
 		h.cur.quantumUsed = h.pr.Quantum
 	}

@@ -329,10 +329,64 @@ func TestAsleepCountMatchesSleepers(t *testing.T) {
 	k.Shutdown()
 }
 
+// TestUseWhileEdges pins the rules around a poll: a Use of nothing is no
+// scheduling point (no event, no rotation even with the quantum spent),
+// UseWhile refuses a poll that costs nothing, a poll ends in the event
+// where again says no and reports state as the written loop would, and
+// again, which runs where there is no coroutine to block, may not block.
+func TestUseWhileEdges(t *testing.T) {
+	mustPanic := func(name string, run func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		run()
+	}
+	k := sim.New(1)
+	defer k.Shutdown()
+	h := New(k, 0, "a", testParams())
+	looks := 0
+	h.Spawn("poller", func(p *Proc) {
+		events := k.Dispatched()
+		p.Use(0, CPUUser)
+		p.Use(-time.Second, CPUSys)
+		if k.Dispatched() != events || k.PendingEvents() != 0 {
+			t.Errorf("Use(d <= 0) dispatched %d events and left %d pending", k.Dispatched()-events, k.PendingEvents())
+		}
+		mustPanic("UseWhile(0)", func() { p.UseWhile(0, CPUUser, func() bool { return false }) })
+		start, resumes := p.Now(), k.Resumes()
+		p.UseWhile(time.Millisecond, CPUUser, func() bool {
+			looks++
+			return looks < 25 // across two quantum boundaries, alone on the CPU
+		})
+		if got := p.Now() - start; got != 25*time.Millisecond || p.User() != 25*time.Millisecond {
+			t.Errorf("25 looks of 1ms took %v and were charged %v", got, p.User())
+		}
+		if k.Resumes() != resumes {
+			t.Errorf("a poll on an otherwise idle kernel cost %d coroutine resumes", k.Resumes()-resumes)
+		}
+		// Alone in the kernel, the poller dispatches its own resume events,
+		// so the predicate's panic unwinds through this very stack.
+		mustPanic("Use from again", func() {
+			p.UseWhile(time.Millisecond, CPUUser, func() bool {
+				p.UseSys(time.Millisecond)
+				return false
+			})
+		})
+	})
+	k.Run()
+	if looks != 25 {
+		t.Errorf("again was asked %d times, want 25", looks)
+	}
+}
+
 // hostSpawnAllocCeiling is what one Host.Spawn may allocate: the Proc,
-// its dispatch closure, the "host/name" string, the body closure and
-// sim.Kernel.Spawn's 13 (see its own test). The per-process event names
-// and the SleepFor timer closure used to be built here too.
+// its resume closure (the dispatch closure is the host's now), the
+// "host/name" string, the body closure and sim.Kernel.Spawn's 13 (see its
+// own test). The per-process event names and the SleepFor timer closure
+// used to be built here too.
 const hostSpawnAllocCeiling = 17
 
 func TestHostSpawnAllocations(t *testing.T) {

@@ -23,6 +23,9 @@ type taskOp struct {
 type taskWorld struct {
 	pr     Params
 	script []taskOp
+	// reps is, per script line, how often TestUseWhileMatchesLoop repeats a
+	// positive Use (1-7 times).
+	reps []int
 	// rivals are coroutine competitors: each op is a UseUser (d > 0), a
 	// SleepFor (d < 0) or a Wakeup of key.
 	rivals [][]taskOp
@@ -97,12 +100,27 @@ func drawTaskWorld(seed int64) taskWorld {
 		w.wakers[i].key = taskKeys[r.Intn(len(taskKeys))]
 	}
 	w.period = time.Duration(5+r.Intn(20)) * unit
+	// Drawn last: the worlds of TestTaskMatchesProcess are older than this.
+	w.reps = make([]int, len(w.script))
+	for i := range w.reps {
+		w.reps[i] = 1 + r.Intn(7)
+	}
 	return w
 }
 
-// run executes the world with the subject as a task or as a coroutine
-// process and returns everything observable about the execution.
-func (w taskWorld) run(asTask bool) (log []string, finished bool) {
+// subject says what runs the script.
+type subject uint8
+
+const (
+	asProcess  subject = iota // a coroutine: Use and SleepOn, line by line
+	asTask                    // a task returning UseCPU and SleepOnKey
+	asLoop                    // a coroutine repeating each positive Use reps times in a written loop
+	asUseWhile                // the same repeats made by UseWhile
+)
+
+// run executes the world with the given subject and returns everything
+// observable about the execution.
+func (w taskWorld) run(as subject) (log []string, finished bool) {
 	Trace = func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
 	defer func() { Trace = nil }()
 	k := sim.New(1)
@@ -113,7 +131,8 @@ func (w taskWorld) run(asTask bool) (log []string, finished bool) {
 		log = append(log, fmt.Sprintf("%v step %d", k.Now(), steps))
 		steps++
 	}
-	if asTask {
+	switch as {
+	case asTask:
 		h.SpawnTask("subject", func() Want {
 			stepped()
 			if steps > len(w.script) {
@@ -125,7 +144,7 @@ func (w taskWorld) run(asTask bool) (log []string, finished bool) {
 				return SleepOnKey(op.key)
 			}
 		})
-	} else {
+	case asProcess:
 		h.Spawn("subject", func(p *Proc) {
 			for _, op := range w.script {
 				stepped()
@@ -133,6 +152,34 @@ func (w taskWorld) run(asTask bool) (log []string, finished bool) {
 					p.Use(op.d, op.kind)
 				} else {
 					p.SleepOn(op.key)
+				}
+			}
+			stepped()
+		})
+	default:
+		h.Spawn("subject", func(p *Proc) {
+			left := 0
+			again := func() bool {
+				log = append(log, fmt.Sprintf("%v again, %d left", k.Now(), left))
+				left--
+				return left > 0
+			}
+			for i, op := range w.script {
+				stepped()
+				switch left = w.reps[i]; {
+				case op.kind == 0:
+					p.SleepOn(op.key)
+				case op.d <= 0:
+					p.Use(op.d, op.kind)
+				case as == asUseWhile:
+					p.UseWhile(op.d, op.kind, again)
+				default:
+					for {
+						p.Use(op.d, op.kind)
+						if !again() {
+							break
+						}
+					}
 				}
 			}
 			stepped()
@@ -187,13 +234,42 @@ func (w taskWorld) run(asTask bool) (log []string, finished bool) {
 // coalescing that depends on an untouched event sequence is in play), a
 // zero wake boost in a quarter of them and free dispatches in a fifth.
 //
-// Two mutations of Proc.run it must catch, and does (each was applied and
-// seen to fail, at seed 1 and seed 0): the step after a Use whose last
-// slice ended on a quantum expiry asked for without waiting for the CPU
-// again (the `h.cur != p` wait skipped once when the slice was all that
-// was owed), and a zero-cost Use read as exit (`w.d > 0` for
-// `w.kind != 0`).
+// Both kinds run on one state machine (Proc.advance), so what this pins
+// is its two ends: the task's step called from the resume event against
+// the coroutine handed the baton back in that same event
+// (sim.Proc.Resume).
+//
+// Three mutations it must catch, and does (each was applied and seen to
+// fail, at seed 0, 1 and 0): the hand-back made through a fresh After(0)
+// event instead of Resume (Dispatched() differs); the process taken to be
+// back on the CPU, without the `h.cur != p` wait, when the slice that
+// ended on a quantum expiry was all that was owed; and a zero-cost Use
+// read as exit (`w.d > 0` for `w.kind != 0`).
 func TestTaskMatchesProcess(t *testing.T) {
+	matchSubjects(t, asProcess, asTask)
+}
+
+// TestUseWhileMatchesLoop is the contract of UseWhile: it is the written
+// loop `for { p.Use(d, kind); if !again() { break } }`, instant for
+// instant and event for event — same scheduler trace, again called at
+// the same instants with the same state, same kernel events dispatched
+// and left pending, same accounting — over the same seeded worlds, every
+// positive Use of the script repeated 1-7 times.
+//
+// Two mutations it must catch, and does (each was applied and seen to
+// fail, at seed 0 and seed 1): the hand-back made through a fresh
+// After(0) event instead of sim.Proc.Resume (Dispatched() differs), and
+// again called before the CPU is re-acquired when a poll's slice ended
+// exactly on a quantum expiry (`if p.need <= 0 && p.again != nil { return
+// true }` ahead of advance's loop: again runs 50 µs before the rival's
+// dispatch instead of after the subject's own).
+func TestUseWhileMatchesLoop(t *testing.T) {
+	matchSubjects(t, asLoop, asUseWhile)
+}
+
+// matchSubjects runs every seeded world under both subjects and wants
+// the two executions indistinguishable.
+func matchSubjects(t *testing.T, ref, sub subject) {
 	seeds := 480
 	if testing.Short() {
 		seeds = 400
@@ -201,15 +277,15 @@ func TestTaskMatchesProcess(t *testing.T) {
 	finished, rivalled := 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		w := drawTaskWorld(seed)
-		proc, done := w.run(false)
-		task, _ := w.run(true)
+		proc, done := w.run(ref)
+		task, _ := w.run(sub)
 		if !slices.Equal(proc, task) {
 			i := 0
 			for i < len(proc) && i < len(task) && proc[i] == task[i] {
 				i++
 			}
-			t.Fatalf("seed %d: task diverges from process at line %d of %d/%d:\nprocess: %s\ntask:    %s",
-				seed, i, len(proc), len(task), line(proc, i), line(task, i))
+			t.Fatalf("seed %d: subject %d diverges from subject %d at line %d of %d/%d:\nreference: %s\nsubject:   %s",
+				seed, sub, ref, i, len(proc), len(task), line(proc, i), line(task, i))
 		}
 		if done {
 			finished++

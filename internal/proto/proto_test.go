@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -188,27 +189,46 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 // reason each should fail: bad magic, wrong version, unknown type,
 // truncated header, and payload length mismatches for every packet type.
 func TestDecodeMalformedTable(t *testing.T) {
-	goodShort, err := Encode(Packet{Type: TypeData, Short: true, OwnerTo: NoOwner, Data: make([]byte, vm.ShortSize)})
-	if err != nil {
+	for _, tt := range malformedTable(t) {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := Decode(tt.b); !errors.Is(err, ErrMalformed) {
+				t.Errorf("Decode(%q) err = %v, want ErrMalformed", tt.name, err)
+			}
+		})
+	}
+}
+
+type namedDatagram struct {
+	name string
+	b    []byte
+}
+
+// wellFormed is one valid datagram of each shape the servers send.
+func wellFormed(t testing.TB) (short, req, rest []byte) {
+	t.Helper()
+	var err error
+	if short, err = Encode(Packet{Type: TypeData, Short: true, OwnerTo: NoOwner, Data: make([]byte, vm.ShortSize)}); err != nil {
 		t.Fatal(err)
 	}
-	goodReq, err := Encode(Packet{Type: TypeRequest, OwnerTo: NoOwner})
-	if err != nil {
+	if req, err = Encode(Packet{Type: TypeRequest, OwnerTo: NoOwner}); err != nil {
 		t.Fatal(err)
 	}
-	goodRest, err := Encode(Packet{Type: TypeRestData, OwnerTo: NoOwner, Data: make([]byte, RestLen)})
-	if err != nil {
+	if rest, err = Encode(Packet{Type: TypeRestData, OwnerTo: NoOwner, Data: make([]byte, RestLen)}); err != nil {
 		t.Fatal(err)
 	}
+	return short, req, rest
+}
+
+// malformedTable is every malformed-input class, for the table test and
+// as FuzzDecode's seed corpus.
+func malformedTable(t testing.TB) []namedDatagram {
+	goodShort, goodReq, goodRest := wellFormed(t)
 	corrupt := func(b []byte, off int, v byte) []byte {
 		out := append([]byte(nil), b...)
 		out[off] = v
 		return out
 	}
-	tests := []struct {
-		name string
-		b    []byte
-	}{
+	return []namedDatagram{
 		{"empty", nil},
 		{"one byte", []byte{magic}},
 		{"bad magic", corrupt(goodReq, 0, 0x00)},
@@ -222,13 +242,51 @@ func TestDecodeMalformedTable(t *testing.T) {
 		{"rest data truncated", goodRest[:len(goodRest)-7]},
 		{"rest request with payload", corrupt(goodRest, 2, byte(TypeRestRequest))},
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(tt.b); !errors.Is(err, ErrMalformed) {
-				t.Errorf("Decode(%q) err = %v, want ErrMalformed", tt.name, err)
-			}
-		})
+}
+
+// FuzzDecode: wire bytes are input from outside the program. Whatever
+// they are, Decode returns a packet or ErrMalformed and never panics,
+// and a datagram that decodes is one the encoder accepts and reproduces:
+// it passes Validate and comes back unchanged from AppendEncode then
+// Decode. The corpus is the malformed table, every truncation of a
+// header and one well-formed datagram of each shape (a request with
+// redundant-fetch targets among them); `go test` runs those, `make
+// fuzz` mutates them.
+func FuzzDecode(f *testing.F) {
+	for _, tt := range malformedTable(f) {
+		f.Add(tt.b)
 	}
+	short, req, rest := wellFormed(f)
+	for n := 0; n < HeaderLen; n++ {
+		f.Add(short[:n])
+	}
+	f.Add(short)
+	f.Add(rest)
+	f.Add(AppendTargets(req, []int16{1, 2, MaxHostID}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Decode(b)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("Decode error %v is not ErrMalformed", err)
+			}
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("decoded packet %+v fails Validate: %v", p, err)
+		}
+		enc, err := AppendEncode(nil, p)
+		if err != nil {
+			t.Fatalf("decoded packet %+v does not encode: %v", p, err)
+		}
+		q, err := Decode(enc)
+		if err != nil || !bytes.Equal(q.Data, p.Data) {
+			t.Fatalf("re-decode of %+v: %+v, err %v", p, q, err)
+		}
+		p.Data, q.Data = nil, nil
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the header: %+v -> %+v", p, q)
+		}
+	})
 }
 
 // TestDecodeTruncatedHeaderEveryLength rejects every sub-header prefix

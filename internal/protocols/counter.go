@@ -187,33 +187,48 @@ func runClient(env *mether.Env, cfg Config, cap mether.Capability, id uint32, st
 	st.finishAt = env.Now()
 }
 
+// The client loops spin with Mapping.Spin32, a look every checkCost until
+// the word asks for what only the process can do (an increment, a purge,
+// a sleep). The predicate, built once, sees every loaded value and so
+// keeps the per-look counts; it runs in kernel event context, so
+// whatever blocks stays in the loop.
+
+// lossCounter is the predicate of the one-page protocols: a look loses,
+// and the spin goes on, while the word is the peer's to increment.
+func lossCounter(cfg Config, id uint32, st *clientState) func(uint32) bool {
+	return func(v uint32) bool {
+		if v >= cfg.Target || v%2 == id {
+			return false
+		}
+		st.losses++
+		return true
+	}
+}
+
 // sharedPageLoop implements protocols 1 and 2 (and the local pair): both
-// processes increment one word on a single shared consistent page.
+// processes increment one word on a single shared consistent page (the
+// spin is through that view: it ends, in a fault, when the peer takes it).
 func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, st *clientState, short bool) error {
 	a := m.Addr(0, 0)
 	if short {
 		a = a.Short()
 	}
+	lost := lossCounter(cfg, id, st)
 	for {
-		env.Compute(checkCost)
-		v, err := m.Load32(a)
+		v, err := m.Spin32(a, checkCost, lost)
 		if err != nil {
 			return err
 		}
 		if v >= cfg.Target {
 			return nil
 		}
-		if v%2 == id {
-			env.Compute(incCost)
-			if err := m.Store32(a, v+1); err != nil {
-				return err
-			}
-			st.wins++
-			if v+1 >= cfg.Target {
-				return nil
-			}
-		} else {
-			st.losses++
+		env.Compute(incCost)
+		if err := m.Store32(a, v+1); err != nil {
+			return err
+		}
+		st.wins++
+		if v+1 >= cfg.Target {
+			return nil
 		}
 	}
 }
@@ -228,9 +243,17 @@ func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap me
 	}
 	sincePurge := 0
 	myVal := uint32(0)
+	// The loss that purges ends the spin; under the ablation, every loss.
+	lost := func(v uint32) bool {
+		if v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal {
+			return false
+		}
+		st.losses++
+		sincePurge++
+		return cfg.SleepHysteresis <= 0 && sincePurge < cfg.HysteresisN
+	}
 	for {
-		env.Compute(checkCost)
-		v, err := peerMap.Load32(peerAddr)
+		v, err := peerMap.Spin32(peerAddr, checkCost, lost)
 		if err != nil {
 			return err
 		}
@@ -251,17 +274,13 @@ func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap me
 				return nil
 			}
 			sincePurge = 0
+		case cfg.SleepHysteresis > 0:
+			// Ablation: the paper's first fix — a fixed delay.
+			env.SleepFor(cfg.SleepHysteresis)
 		default:
-			st.losses++
-			sincePurge++
-			if cfg.SleepHysteresis > 0 {
-				// Ablation: the paper's first fix — a fixed delay.
-				env.SleepFor(cfg.SleepHysteresis)
-			} else if sincePurge >= cfg.HysteresisN {
-				sincePurge = 0
-				if err := peerMap.Purge(peerAddr); err != nil {
-					return err
-				}
+			sincePurge = 0
+			if err := peerMap.Purge(peerAddr); err != nil {
+				return err
 			}
 		}
 	}
@@ -278,29 +297,25 @@ func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether
 	}
 	aW := rw.Addr(0, 0).Short()
 	aD := ro.Addr(0, 0).Short().DataDriven()
+	lost := lossCounter(cfg, id, st)
 	for {
-		env.Compute(checkCost)
-		v, err := ro.Load32(aD)
+		v, err := ro.Spin32(aD, checkCost, lost)
 		if err != nil {
 			return err
 		}
 		if v >= cfg.Target {
 			return nil
 		}
-		if v%2 == id {
-			env.Compute(incCost)
-			if err := rw.Store32(aW, v+1); err != nil {
-				return err
-			}
-			st.wins++
-			if err := rw.Purge(aW); err != nil {
-				return err
-			}
-			if v+1 >= cfg.Target {
-				return nil
-			}
-		} else {
-			st.losses++
+		env.Compute(incCost)
+		if err := rw.Store32(aW, v+1); err != nil {
+			return err
+		}
+		st.wins++
+		if err := rw.Purge(aW); err != nil {
+			return err
+		}
+		if v+1 >= cfg.Target {
+			return nil
 		}
 	}
 }
@@ -317,9 +332,17 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 	peerData := peerAddr.DataDriven()
 	spins := 0
 	myVal := uint32(0)
+	// The spin ends on the loss after which the waiter blocks.
+	lost := func(v uint32) bool {
+		if v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal {
+			return false
+		}
+		st.losses++
+		spins++
+		return spins < spinBeforeBlock
+	}
 	for {
-		env.Compute(checkCost)
-		v, err := peerMap.Load32(peerAddr)
+		v, err := peerMap.Spin32(peerAddr, checkCost, lost)
 		if err != nil {
 			return err
 		}
@@ -341,17 +364,13 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 			}
 			spins = 0
 		default:
-			st.losses++
-			spins++
-			if spins >= spinBeforeBlock {
-				spins = 0
-				if err := peerMap.Purge(peerAddr); err != nil {
-					return err
-				}
-				// Touch the data-driven view: sleeps until a transit.
-				if _, err := peerMap.Load32(peerData); err != nil {
-					return err
-				}
+			spins = 0
+			if err := peerMap.Purge(peerAddr); err != nil {
+				return err
+			}
+			// Touch the data-driven view: sleeps until a transit.
+			if _, err := peerMap.Load32(peerData); err != nil {
+				return err
 			}
 		}
 	}

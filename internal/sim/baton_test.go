@@ -226,6 +226,7 @@ type opKind uint8
 const (
 	opSleep opKind = iota
 	opPark
+	opAwait     // Await(a reason on odd pcs), until a callback's Resume
 	opWake      // Wake(arg)
 	opSpawn     // start program arg
 	opAfter     // After(d) running callback cb; the op index names the timer
@@ -244,6 +245,7 @@ type scriptOp struct {
 // callback is what a scheduled event does besides logging.
 type callback struct {
 	wake  int           // Wake(wake) if >= 0
+	hand  int           // Resume(hand) if >= 0, it is in Await and the event is the callback's own
 	spawn int           // start program spawn if >= 0
 	chain time.Duration // After(chain) a bare logging callback if >= 0
 	stop  bool
@@ -257,22 +259,35 @@ type machine interface {
 	afterCoalesced(d time.Duration, fn func())
 	stop()
 	wake(pid int)
+	resume(pid int)
 	spawn(pid int)
 }
 
 // scriptRun is the per-execution state of a script: the log and the
 // bookkeeping that keeps the script inside the kernel's contract (spawn
-// a program once, cancel a timer once and only before it fires).
+// a program once, cancel a timer once and only before it fires, Resume
+// a process once per Await and never from a coalesced callback).
 type scriptRun struct {
-	progs   [][]scriptOp
-	m       machine
-	log     []string
-	spawned []bool
-	live    map[[2]int]func() // armed, unfired timers -> cancel
+	progs    [][]scriptOp
+	m        machine
+	log      []string
+	spawned  []bool
+	awaiting []bool            // in Await, no Resume issued yet
+	hands    int               // Resumes issued
+	live     map[[2]int]func() // armed, unfired timers -> cancel
 }
 
 func newScriptRun(progs [][]scriptOp, m machine) *scriptRun {
-	return &scriptRun{progs: progs, m: m, spawned: make([]bool, len(progs)), live: map[[2]int]func(){}}
+	return &scriptRun{progs: progs, m: m, spawned: make([]bool, len(progs)),
+		awaiting: make([]bool, len(progs)), live: map[[2]int]func(){}}
+}
+
+// awaitReason is what op pc gives Await: odd pcs are listed by Idle.
+func awaitReason(pc int) any {
+	if pc%2 == 1 {
+		return "await"
+	}
+	return nil
 }
 
 func (r *scriptRun) note(label string) {
@@ -286,10 +301,13 @@ func (r *scriptRun) start(pid int) {
 	}
 }
 
-func (r *scriptRun) fire(label string, cb callback) {
+func (r *scriptRun) fire(label string, cb callback, own bool) {
 	r.note(label)
 	if cb.wake >= 0 && r.spawned[cb.wake] {
 		r.m.wake(cb.wake)
+	}
+	if own && cb.hand >= 0 {
+		r.hand(cb.hand)
 	}
 	if cb.spawn >= 0 {
 		r.start(cb.spawn)
@@ -299,6 +317,29 @@ func (r *scriptRun) fire(label string, cb callback) {
 	}
 	if cb.stop {
 		r.m.stop()
+	}
+}
+
+// hand Resumes pid if it is in Await and nobody has yet.
+func (r *scriptRun) hand(pid int) {
+	if r.awaiting[pid] {
+		r.awaiting[pid] = false
+		r.hands++
+		r.m.resume(pid)
+	}
+}
+
+// await is what program pid does before it blocks in the Await of op pc:
+// half the time it arms the event that will resume it, as a host process
+// schedules the end of its slice; otherwise it is at the mercy of the
+// script's callbacks.
+func (r *scriptRun) await(pid, pc int, o scriptOp) {
+	r.awaiting[pid] = true
+	if o.arg%2 == 0 {
+		r.m.after(o.d, func() {
+			r.note("alarm " + opLabel(pid, pc))
+			r.hand(pid)
+		})
 	}
 }
 
@@ -319,10 +360,10 @@ func (r *scriptRun) exec(pid, pc int, o scriptOp) {
 		key := [2]int{pid, pc}
 		r.live[key] = r.m.after(o.d, func() {
 			delete(r.live, key)
-			r.fire("cb "+label, o.cb)
+			r.fire("cb "+label, o.cb, true)
 		})
 	case opCoalesced:
-		r.m.afterCoalesced(o.d, func() { r.fire("co "+label, o.cb) })
+		r.m.afterCoalesced(o.d, func() { r.fire("co "+label, o.cb, false) })
 	case opCancel:
 		key := [2]int{pid, o.arg}
 		if cancel := r.live[key]; cancel != nil {
@@ -346,8 +387,9 @@ func (m *realMachine) after(d time.Duration, fn func()) func() { return m.After(
 func (m *realMachine) afterCoalesced(d time.Duration, fn func()) {
 	m.AfterCoalesced(d, "c", fn)
 }
-func (m *realMachine) stop()        { m.Stop() }
-func (m *realMachine) wake(pid int) { m.procs[pid].Wake() }
+func (m *realMachine) stop()          { m.Stop() }
+func (m *realMachine) wake(pid int)   { m.procs[pid].Wake() }
+func (m *realMachine) resume(pid int) { m.procs[pid].Resume() }
 func (m *realMachine) spawn(pid int) {
 	m.procs[pid] = m.Spawn(fmt.Sprintf("p%d", pid), func(p *Proc) {
 		for pc, o := range m.r.progs[pid] {
@@ -357,6 +399,10 @@ func (m *realMachine) spawn(pid int) {
 				m.r.note(opLabel(pid, pc))
 			case opPark:
 				p.Park(nil)
+				m.r.note(opLabel(pid, pc))
+			case opAwait:
+				m.r.await(pid, pc, o)
+				p.Await(awaitReason(pc))
 				m.r.note(opLabel(pid, pc))
 			default:
 				m.r.exec(pid, pc, o)
@@ -375,6 +421,7 @@ type refMachine struct {
 	seq        uint64
 	dispatched uint64
 	stopped    bool
+	handback   int // the process the running callback resumed, or -1
 	events     []refEv
 	procs      []*refProc // by pid
 	order      []int      // pids in spawn order, for Idle()
@@ -417,6 +464,7 @@ func (m *refMachine) after(d time.Duration, fn func()) func() {
 // run the callback in, and counts one dispatch like a batched callback.
 func (m *refMachine) afterCoalesced(d time.Duration, fn func()) { m.schedule(d, fn, -1) }
 func (m *refMachine) stop()                                     { m.stopped = true }
+func (m *refMachine) resume(pid int)                            { m.handback = pid }
 
 func (m *refMachine) spawn(pid int) {
 	m.procs[pid] = &refProc{state: procNew}
@@ -439,7 +487,7 @@ func (m *refMachine) wake(pid int) {
 func (m *refMachine) step(pid int) {
 	p, prog := m.procs[pid], m.r.progs[pid]
 	if p.state != procNew {
-		// Returning from the Sleep or Park at pc-1.
+		// Returning from the Sleep, Park or Await at pc-1.
 		m.r.note(opLabel(pid, p.pc-1))
 	}
 	p.state = procRunning
@@ -458,6 +506,10 @@ func (m *refMachine) step(pid int) {
 				continue
 			}
 			p.state = procParked
+			return
+		case opAwait:
+			p.state = procAwaiting
+			m.r.await(pid, p.pc-1, o)
 			return
 		default:
 			m.r.exec(pid, p.pc-1, o)
@@ -491,6 +543,12 @@ func (m *refMachine) RunUntil(deadline time.Duration) time.Duration {
 			m.step(e.proc)
 		} else {
 			e.fn()
+			// A hand-back belongs to the callback's event: the process
+			// continues before anything else, a Stop included.
+			if pid := m.handback; pid >= 0 {
+				m.handback = -1
+				m.step(pid)
+			}
 		}
 	}
 	return m.now
@@ -499,7 +557,8 @@ func (m *refMachine) RunUntil(deadline time.Duration) time.Duration {
 func (m *refMachine) idle() []string {
 	var out []string
 	for _, pid := range m.order {
-		if m.procs[pid].state == procParked {
+		p := m.procs[pid]
+		if p.state == procParked || p.state == procAwaiting && awaitReason(p.pc-1) != nil {
 			out = append(out, fmt.Sprintf("p%d", pid))
 		}
 	}
@@ -516,7 +575,7 @@ func scriptDelay(rng *rand.Rand) time.Duration {
 func randomScript(rng *rand.Rand) [][]scriptOp {
 	nprog := 3 + rng.Intn(6)
 	randCB := func() callback {
-		cb := callback{wake: -1, spawn: -1, chain: -1}
+		cb := callback{wake: -1, hand: rng.Intn(nprog), spawn: -1, chain: -1}
 		switch rng.Intn(8) {
 		case 0, 1, 2:
 			cb.wake = rng.Intn(nprog)
@@ -535,10 +594,12 @@ func randomScript(rng *rand.Rand) [][]scriptOp {
 		for pc, n := 0, 4+rng.Intn(24); pc < n; pc++ {
 			o := scriptOp{d: scriptDelay(rng), arg: rng.Intn(nprog), cb: randCB()}
 			switch x := rng.Intn(100); {
-			case x < 30:
+			case x < 26:
 				o.kind = opSleep
-			case x < 42:
+			case x < 34:
 				o.kind = opPark
+			case x < 42:
+				o.kind = opAwait
 			case x < 60:
 				o.kind = opWake
 			case x < 66:
@@ -575,6 +636,7 @@ func TestBatonMatchesGoroutineFreeReference(t *testing.T) {
 		rounds = 60
 	}
 	before := runtime.NumGoroutine()
+	hands := 0
 	for seed := int64(1); seed <= int64(rounds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		progs := randomScript(rng)
@@ -592,7 +654,7 @@ func TestBatonMatchesGoroutineFreeReference(t *testing.T) {
 		k := New(seed)
 		km := &realMachine{Kernel: k, procs: make([]*Proc, len(progs))}
 		km.r = newScriptRun(progs, km)
-		ref := &refMachine{procs: make([]*refProc, len(progs))}
+		ref := &refMachine{procs: make([]*refProc, len(progs)), handback: -1}
 		ref.r = newScriptRun(progs, ref)
 		for pid := 0; pid < roots; pid++ {
 			km.r.start(pid)
@@ -617,9 +679,160 @@ func TestBatonMatchesGoroutineFreeReference(t *testing.T) {
 				t.Fatalf("seed %d deadline %d: Stopped() = %v, reference %v", seed, dl, k.Stopped(), ref.stopped)
 			}
 		}
+		hands += km.r.hands
 		k.Shutdown()
 	}
+	// The comparison is only as good as the ground it covers.
+	if hands < 2*rounds {
+		t.Errorf("%d hand-backs in %d scripts", hands, rounds)
+	}
 	waitGoroutines(t, before)
+}
+
+// ---- Await and Resume: the same-event hand-back ----
+
+// TestResumeCostsAHandOffOnlyAcrossStacks: a process Resumed by a
+// callback it dispatched itself continues inline, as on its own wake
+// event; Resumed from another holder's stack it costs exactly one
+// hand-off. Either way no event is scheduled for it.
+func TestResumeCostsAHandOffOnlyAcrossStacks(t *testing.T) {
+	k := New(1)
+	defer k.Shutdown()
+	var log []string
+	var a *Proc
+	a = k.Spawn("a", func(p *Proc) {
+		// The only process: it holds the baton through every Await.
+		for i := 0; i < 3; i++ {
+			k.After(time.Millisecond, "alarm", a.Resume)
+			before, events := k.Resumes(), k.Dispatched()
+			p.Await(nil)
+			if k.Resumes() != before || k.Dispatched() != events+1 {
+				t.Errorf("own hand-back %d: %d resumes and %d events, want 0 and 1", i, k.Resumes()-before, k.Dispatched()-events)
+			}
+		}
+		log = append(log, fmt.Sprint(k.Now(), " a done"))
+	})
+	k.Run()
+	if k.Resumes() != 1 { // a's start
+		t.Errorf("Resumes() = %d after a solo run, want 1", k.Resumes())
+	}
+
+	// Now b blocks last and so dispatches a2's alarm on its own stack.
+	a = k.Spawn("a2", func(p *Proc) {
+		k.After(2*time.Millisecond, "alarm", a.Resume)
+		p.Await(nil)
+		log = append(log, fmt.Sprint(k.Now(), " a2 resumed"))
+	})
+	k.Spawn("b", func(p *Proc) {
+		p.Await("never resumed")
+	})
+	before, events := k.Resumes(), k.Dispatched()
+	k.Run()
+	// Two starts and the one hand-off from b's stack to a2; three events.
+	if got := k.Resumes() - before; got != 3 {
+		t.Errorf("%d resumes for two starts and one cross-stack hand-back, want 3", got)
+	}
+	if got := k.Dispatched() - events; got != 3 {
+		t.Errorf("%d events for two starts and one alarm, want 3: a hand-back schedules nothing", got)
+	}
+	if fmt.Sprint(k.Idle()) != "[b]" {
+		t.Errorf("Idle() = %v, want [b]: an Await with a reason is listed, a finished process is not", k.Idle())
+	}
+	if want := "[3ms a done 5ms a2 resumed]"; fmt.Sprint(log) != want {
+		t.Errorf("log %v, want %v", log, want)
+	}
+}
+
+// TestResumeOfDeadProcessIsIgnored: naming a process that has exited
+// leaves no hand-back for the next callback to trip over.
+func TestResumeOfDeadProcessIsIgnored(t *testing.T) {
+	k := New(1)
+	defer k.Shutdown()
+	gone := k.Spawn("gone", func(p *Proc) {})
+	ran := false
+	k.After(time.Millisecond, "late", gone.Resume)
+	k.After(2*time.Millisecond, "after", func() { ran = true })
+	k.Run()
+	if !gone.Dead() || !ran || k.Resumes() != 1 {
+		t.Errorf("dead %v, later callback ran %v, %d resumes; want true, true, 1", gone.Dead(), ran, k.Resumes())
+	}
+}
+
+// TestStopDoesNotCancelHandBack: the continuation belongs to the event,
+// as it does to a process's own wake event; Stop takes effect when the
+// process next blocks.
+func TestStopDoesNotCancelHandBack(t *testing.T) {
+	k := New(1)
+	defer k.Shutdown()
+	var log []string
+	var a *Proc
+	a = k.Spawn("a", func(p *Proc) {
+		k.After(time.Millisecond, "alarm", func() {
+			a.Resume()
+			k.Stop()
+		})
+		k.After(time.Millisecond, "same instant, later seq", func() { log = append(log, "later") })
+		p.Await(nil)
+		log = append(log, "resumed")
+		p.Sleep(time.Millisecond)
+		log = append(log, "slept")
+	})
+	if end := k.Run(); end != time.Millisecond || fmt.Sprint(log) != "[resumed]" {
+		t.Errorf("run ended at %v with log %v, want 1ms and [resumed]", end, log)
+	}
+}
+
+// TestShutdownUnwindsAwait: a coroutine suspended in Await is unwound
+// through its deferred calls like one in Sleep or Park.
+func TestShutdownUnwindsAwait(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New(1)
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		k.Spawn("awaiting", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Await("forever")
+			t.Error("an Await nobody Resumed returned")
+		})
+	}
+	k.Run()
+	if len(k.Idle()) != 3 {
+		t.Errorf("Idle() = %v, want all three", k.Idle())
+	}
+	k.Shutdown()
+	if unwound != 3 || len(k.Idle()) != 0 {
+		t.Errorf("Shutdown unwound %d of 3, Idle() = %v", unwound, k.Idle())
+	}
+	waitGoroutines(t, before)
+}
+
+// TestResumeMisuseFailsLoudly: a hand-back from a coalesced callback
+// would be honoured after the rest of its batch — later than the
+// uncoalesced kernel would — and one for a process that is not in Await
+// (a process naming itself from its own stack) would be taken by the
+// next unrelated callback. Both are bugs in the caller and panic where
+// they are made.
+func TestResumeMisuseFailsLoudly(t *testing.T) {
+	mustPanic := func(name string, run func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		run()
+	}
+	k := New(1)
+	a := k.Spawn("a", func(p *Proc) { p.Await(nil) })
+	k.AfterCoalesced(time.Millisecond, "irq", func() {})
+	k.AfterCoalesced(time.Millisecond, "irq", a.Resume)
+	mustPanic("Resume from a coalesced callback", func() { k.Run() })
+	k.Shutdown()
+
+	k = New(2)
+	k.Spawn("self", func(p *Proc) { p.Resume() })
+	mustPanic("Resume of a running process", func() { k.Run() })
+	k.Shutdown()
 }
 
 // ---- coroutine hand-off: panics, Goexit and Shutdown by iter.Pull's rules ----

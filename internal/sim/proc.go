@@ -16,18 +16,19 @@ type procState uint8
 const (
 	procNew procState = iota
 	procRunning
-	procParked  // blocked in Park, waiting for Wake
-	procWaiting // blocked in Sleep, timed resume scheduled
+	procParked   // blocked in Park, waiting for Wake
+	procWaiting  // blocked in Sleep, timed resume scheduled
+	procAwaiting // blocked in Await, waiting for a callback's Resume
 	procDead
 )
 
 // Proc is a simulated process: a coroutine whose execution is interleaved
-// deterministically by the Kernel. All Proc methods except Wake must be
-// called from within the process itself (i.e. from the function passed
-// to Spawn). Wake must be called from kernel context — an event callback
-// or another running process.
+// deterministically by the Kernel. All Proc methods except Wake and
+// Resume must be called from within the process itself (i.e. from the
+// function passed to Spawn). Wake must be called from kernel context — an
+// event callback or another running process — and Resume from a callback.
 //
-// A process blocked in Sleep or Park may still hold the baton (see
+// A process blocked in Sleep, Park or Await may still hold the baton (see
 // Proc.park): unrelated callbacks then run on its stack, below the
 // blocked frame.
 type Proc struct {
@@ -121,6 +122,35 @@ func (p *Proc) Park(reason any) {
 	p.parkReason = reason
 	p.state = procParked
 	p.park()
+}
+
+// Await blocks until the callback of some event calls Resume. Like Sleep
+// and Park it keeps the baton and dispatches on the process's own stack,
+// but it schedules nothing: the caller has arranged for that event. A
+// non-nil reason lists the process in Idle, as Park's does; one whose
+// wait a timed event bounds passes nil. Wake does not end an Await.
+func (p *Proc) Await(reason any) {
+	p.parkReason = reason
+	p.state = procAwaiting
+	p.park()
+}
+
+// Resume, called from an event's own callback, ends p's Await in that
+// same event: once the callback has returned and its event is released,
+// p holds the baton — a plain return when the dispatcher is p itself, as
+// for its own wake event, otherwise one hand-off. No event is scheduled,
+// so the dispatch count, the sequence counter and every AfterCoalesced
+// merge stay where a callback doing p's work itself would leave them. A
+// dead p is ignored; one not in Await, or a second Resume in one
+// callback, is the caller's bug.
+func (p *Proc) Resume() {
+	switch {
+	case p.state == procDead:
+	case p.state != procAwaiting || p.k.handback != nil:
+		panic(fmt.Sprintf("sim: Resume of %v, which is not in Await, or second Resume in one callback", p))
+	default:
+		p.k.handback = p
+	}
 }
 
 // Wake makes a parked process runnable at the current virtual time. If

@@ -5,14 +5,17 @@
 // coroutines (iter.Pull) that run one at a time by passing a baton: only
 // its holder — the goroutine inside RunUntil, or one process — runs
 // simulation code, and nothing is ever scheduled by the Go scheduler. A
-// process that blocks (Sleep, Park) or exits keeps the baton and
+// process that blocks (Sleep, Park, Await) or exits keeps the baton and
 // dispatches events itself: callbacks run inline on its stack and its
 // own resume event just returns from the blocking call (no switch).
 // Another process's resume event, or the end of the run (Stop, drained
 // queue, deadline), makes it yield to RunUntil's goroutine, the one
 // trampoline, which switches to the process the dispatcher named: a
 // cross-process resume is two direct coroutine switches, no channel and
-// no scheduler pass. Which stack pops an event is thus an accident of
+// no scheduler pass. A callback can also continue in a process with no
+// event between them (Proc.Resume ends an Await in the callback's own
+// event), which is how a scheduler built on callbacks hands a coroutine
+// its result. Which stack pops an event is thus an accident of
 // history — callbacks and process bodies must never rely on goroutine
 // identity or stack depth — but what is popped, and in what (time, seq)
 // order, is not, which with a seeded random source makes every
@@ -87,6 +90,8 @@ type Kernel struct {
 	root Proc
 	// handoff is the next baton holder, left by a process that yields.
 	handoff *Proc
+	// handback is whom the running callback named with Proc.Resume.
+	handback *Proc
 	// deadline is the current RunUntil's, shared by every dispatcher.
 	deadline time.Duration
 	stopped  bool
@@ -256,6 +261,10 @@ func (b *batch) run() {
 			k.dispatched++
 		}
 		fn()
+		if k.handback != nil {
+			// Honoured after the batch, it would come later than uncoalesced.
+			panic("sim: Proc.Resume from a coalesced callback")
+		}
 	}
 	b.fns = b.fns[:0]
 	k.freeBatch = append(k.freeBatch, b)
@@ -342,6 +351,12 @@ func (k *Kernel) dispatch() *Proc {
 		ev.fn = nil
 		fn()
 		k.release(ev)
+		if p := k.handback; p != nil {
+			// The callback continues in p (Proc.Resume), as a process's own
+			// wake event continues in the process: not even Stop comes between.
+			k.handback = nil
+			return p
+		}
 	}
 	return &k.root
 }
@@ -356,11 +371,12 @@ func (k *Kernel) expire() *Proc {
 }
 
 // Idle reports the names of processes that are parked (blocked waiting for
-// an explicit wake). It is intended for tests and deadlock diagnostics.
+// an explicit wake, or in an Await that gave a reason). It is intended
+// for tests and deadlock diagnostics.
 func (k *Kernel) Idle() []string {
 	var out []string
 	for _, p := range k.procs {
-		if p.state == procParked {
+		if p.state == procParked || p.state == procAwaiting && p.parkReason != nil {
 			out = append(out, p.name)
 		}
 	}

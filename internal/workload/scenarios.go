@@ -270,9 +270,20 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 		return err
 	}
 	ownAddr := own.Addr(id, 0).Short()
+	// The waiter's Spin32 predicate, built once: a peer still behind is a
+	// stale read, and the one that exhausts the hysteresis ends the spin.
+	var want uint32
+	stale := 0
+	behind := func(v uint32) bool {
+		if v >= want {
+			return false
+		}
+		stale++
+		return stale < cfg.HysteresisPurge
+	}
 	for phase := 0; phase < cfg.Phases; phase++ {
 		env.Compute(work[phase])
-		want := uint32(phase + 1)
+		want = uint32(phase + 1)
 		if err := own.Store32(ownAddr, want); err != nil {
 			return err
 		}
@@ -286,25 +297,21 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 				continue
 			}
 			pa := peers.Addr(j, 0).Short()
-			stale := 0
+			stale = 0
 			for {
-				env.Compute(cfg.CheckEvery)
-				v, err := peers.Load32(pa)
+				v, err := peers.Spin32(pa, cfg.CheckEvery, behind)
 				if err != nil {
 					return err
 				}
 				if v >= want {
 					break
 				}
-				stale++
-				if stale >= cfg.HysteresisPurge {
-					stale = 0
-					// Force a fresh demand fetch from the owner; unlike a
-					// data-driven block this cannot miss a broadcast that
-					// already transited.
-					if err := peers.Purge(pa); err != nil {
-						return err
-					}
+				stale = 0
+				// Force a fresh demand fetch from the owner; unlike a
+				// data-driven block this cannot miss a broadcast that
+				// already transited.
+				if err := peers.Purge(pa); err != nil {
+					return err
 				}
 			}
 		}
