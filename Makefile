@@ -37,7 +37,8 @@
 #                        the 4096-deep timer population, process steps with
 #                        no hand-off, one between two processes and one
 #                        round a fan of 96, park/wake, host
-#                        sleep/wake and quantum rotation, the same for a
+#                        sleep/wake, the wake of an empty queue and
+#                        quantum rotation, sleep/wake and a charge for a
 #                        host task, a scheduler-run poll on a bare host and
 #                        through the driver, bus broadcast, the server's
 #                        snoop of one broadcast, full counter runs)
@@ -76,7 +77,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
 
 .PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair loc profile
 

@@ -39,7 +39,8 @@ func (e *Env) Compute(d time.Duration) { e.p.UseUser(d) }
 func (e *Env) SleepFor(d time.Duration) { e.p.SleepFor(d) }
 
 // SleepOn blocks until another process on the same host calls WakeUp
-// with the same key (local condition synchronization).
+// with the same key (local condition synchronization). Any comparable
+// value is a key: the host keeps one wait queue per key slept on.
 func (e *Env) SleepOn(key any) { e.p.SleepOn(key) }
 
 // WakeUp wakes processes on this host sleeping on key.

@@ -48,8 +48,6 @@ func (d *Driver) page(id vm.PageID) *pageState {
 		st.page = id
 		st.grantedTo = proto.NoOwner
 		st.grantedRestTo = proto.NoOwner
-		st.waitK = waitKey{id}
-		st.purgeK = purgeKey{id}
 		if d.seedCovers(id) {
 			applySeed(st)
 		}

@@ -152,12 +152,12 @@ type Driver struct {
 	// encodes into it and the NIC copies it onto the (pooled) wire
 	// buffer, so steady-state sends do not allocate.
 	txBuf []byte
-	// serverKey, intrFn and stepFn are the pre-boxed wakeup key and the
-	// prebuilt closures for the frame-arrival and kernel-server drain
-	// paths.
-	serverKey any
-	intrFn    func()
-	stepFn    func()
+	// serverQ is where the user-level server sleeps between frames;
+	// intrFn and stepFn are the prebuilt closures for the frame-arrival
+	// and kernel-server drain paths.
+	serverQ host.WaitQ
+	intrFn  func()
+	stepFn  func()
 	// Fault-plane state (world.CrashHost / RecoverHost). down mirrors the
 	// NIC; everCrashed stays set forever after the first crash and gates
 	// the ghost fence (a host that never crashed keeps PR 6's exact
@@ -220,8 +220,7 @@ func New(h *host.Host, n medium.Port, cfg Config) *Driver {
 	if cfg.TrunkOf != nil {
 		d.trunk = cfg.TrunkOf[h.ID()]
 	}
-	d.serverKey = serverKey{h.ID()}
-	d.intrFn = func() { d.h.Wakeup(d.serverKey) }
+	d.intrFn = func() { d.h.WakeupQ(&d.serverQ) }
 	if cfg.KernelServer {
 		// stepFn only drives the interrupt-level drain loop; user-level
 		// server worlds never call it, so don't box a closure per driver.
@@ -422,7 +421,7 @@ func (d *Driver) demandFault(p *host.Proc, st *pageState, needs needSet) error {
 		st.wantRest = true
 	}
 	d.queueRequest(st)
-	p.SleepOn(st.waitK)
+	p.SleepOnQ(&st.waitQ)
 	return nil
 }
 
@@ -442,11 +441,11 @@ func (d *Driver) dataFault(p *host.Proc, st *pageState) error {
 		d.m.DataFallbacks++
 		st.wantShort = true
 		d.queueRequest(st)
-		p.SleepOn(st.waitK)
+		p.SleepOnQ(&st.waitQ)
 		return nil
 	}
 	st.dataWaiters++
-	p.SleepOn(st.waitK)
+	p.SleepOnQ(&st.waitQ)
 	st.dataWaiters--
 	return nil
 }
@@ -468,7 +467,7 @@ func (d *Driver) enqueueWork(w workItem) {
 		d.kernelKick(0)
 		return
 	}
-	d.h.Wakeup(d.serverKey)
+	d.h.WakeupQ(&d.serverQ)
 }
 
 // dequeueWork pops the oldest pending work item. The backing array is
@@ -604,7 +603,7 @@ func (d *Driver) Purge(p *host.Proc, mode Mode, a Addr) error {
 		st.purgeShort = a.IsShort()
 		d.enqueueWork(workItem{kind: workPurge, page: st.page})
 		for st.purgePending {
-			p.SleepOn(st.purgeK)
+			p.SleepOnQ(&st.purgeQ)
 		}
 		return nil
 	}

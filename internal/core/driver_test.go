@@ -802,15 +802,41 @@ func TestWriteBytesAcrossShortBoundaryNeedsFullView(t *testing.T) {
 }
 
 // TestDriverSizePinned keeps the server loop's continuation out of
-// Driver. The struct's size is not an implementation detail here: it is
-// the first term of MemFootprint, which is mem_bytes in every report.
+// Driver, and the wait queues of a driver and a page at the two words
+// each that the boxed wait keys they replaced took. The structs' sizes
+// are not an implementation detail here: they are the terms of
+// MemFootprint, which is mem_bytes in every report.
 func TestDriverSizePinned(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("pinned for 64-bit targets")
 	}
+	const moves = "this moves mem_bytes and bytes_per_host in every report and fails make golden " +
+		"(an intended change regenerates the goldens and this number together)"
 	if got := unsafe.Sizeof(Driver{}); got != 1176 {
-		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1176: Driver.MemFootprint starts from it, so this moves "+
-			"mem_bytes and bytes_per_host in every report and fails make golden; per-server state belongs behind "+
-			"Driver.server (an intended change regenerates the goldens and this number together)", got)
+		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1176: Driver.MemFootprint starts from it, so %s; "+
+			"per-server state belongs behind Driver.server", got, moves)
+	}
+	if got := unsafe.Sizeof(pageState{}); got != 168 {
+		t.Errorf("unsafe.Sizeof(pageState{}) = %d, want 168: MemFootprint counts 64 of them per shard, so %s", got, moves)
+	}
+	if got := unsafe.Sizeof(host.WaitQ{}); got != 2*unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("unsafe.Sizeof(host.WaitQ{}) = %d, want two words: there is one in Driver and two in pageState, so %s", got, moves)
+	}
+}
+
+// Materialising a page in a shard that exists fills in an entry and
+// allocates nothing. It used to box two wait keys per page, which the
+// runtime serves from a static table for ids below 256: only worlds with
+// more pages than that (windowed-1024) ever paid.
+func TestPageMaterialisesWithoutAllocating(t *testing.T) {
+	c := newTestCluster(t, 1, ethernet.DefaultParams(), fastConfig(1024))
+	d := c.drivers[0]
+	id := vm.PageID(256)
+	d.page(id) // the shard of pages 256-319
+	if got := testing.AllocsPerRun(50, func() { id++; d.page(id) }); got != 0 {
+		t.Errorf("materialising a page in an existing shard allocates %v objects, want 0", got)
+	}
+	if id>>shardBits != 256>>shardBits || !d.peek(id).inited {
+		t.Fatalf("the runs reached page %d, outside the shard they were to stay in", id)
 	}
 }

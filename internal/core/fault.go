@@ -61,6 +61,9 @@ func (d *Driver) Crash() {
 				st.retry.Cancel()
 				st.retry = nil
 			}
+			// Field by field, never `*st = pageState{...}`: waitQ and
+			// purgeQ are in there with local processes asleep on them, and
+			// zeroing a queue strands its sleepers. They are woken below.
 			st.frame = vm.Frame{}
 			st.shortPresent, st.restPresent = false, false
 			st.owner, st.restOwner = false, false
@@ -72,11 +75,11 @@ func (d *Driver) Crash() {
 			st.backoff, st.claimTries = 0, 0
 			st.installedAt = 0
 			st.fullUnmapped, st.fullUnmappedByLock = false, false
-			d.h.Wakeup(st.waitK)
-			d.h.Wakeup(st.purgeK)
+			d.h.WakeupQ(&st.waitQ)
+			d.h.WakeupQ(&st.purgeQ)
 		}
 	}
-	d.h.Wakeup(d.serverKey)
+	d.h.WakeupQ(&d.serverQ)
 }
 
 // Recover brings a crashed host back on the wire. The driver state
@@ -194,7 +197,7 @@ func (d *Driver) MigrateTo(dst *Driver) int {
 			}
 			dst.m.MigratedPages++
 			dst.clearRetryIfDone(dstSt)
-			dst.h.Wakeup(dstSt.waitK)
+			dst.h.WakeupQ(&dstSt.waitQ)
 			moved++
 		}
 	}

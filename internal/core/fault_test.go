@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -189,4 +190,62 @@ func TestGhostFenceRefusesUnwantedGrant(t *testing.T) {
 	if d1.Metrics().GhostDrops == 0 {
 		t.Error("GhostDrops = 0, want the fence to count the refused grant")
 	}
+}
+
+// Crash wipes every materialised page and then wakes the page's two wait
+// queues, which live inside the state being wiped: a client asleep in a
+// demand fault and one asleep in a writable PURGE must both run again —
+// the purge returns, the fault is re-sent after Recover and completes —
+// instead of being stranded on a queue the wipe forgot.
+func TestCrashWakesFaultAndPurgeSleepers(t *testing.T) {
+	c := newTestCluster(t, 2, ethernet.DefaultParams(), fastConfig(4))
+	d0, d1 := c.drivers[0], c.drivers[1]
+	d0.CreatePage(0)
+	d1.CreatePage(1)
+
+	var ferr, perr error
+	faulted, purged := false, false
+	c.spawn(1, "faulter", func(p *host.Proc) {
+		if ferr = d1.MapIn(p, RO, 0); ferr == nil {
+			_, ferr = d1.Load(p, RO, NewAddr(0, 0).Short(), 4)
+		}
+		faulted = true
+	})
+	c.spawn(1, "purger", func(p *host.Proc) {
+		addr := NewAddr(1, 0).Short()
+		if perr = d1.MapIn(p, RW, 1); perr == nil {
+			if perr = d1.Store(p, RW, addr, 4, 7); perr == nil {
+				perr = d1.Purge(p, RW, addr)
+			}
+		}
+		purged = true
+	})
+	// Crash at the first instant both are asleep: the request for page 0
+	// and the purge broadcast of page 1 wait for the server's turn.
+	crashed := false
+	var watch func()
+	watch = func() {
+		if d1.page(0).waitQ != (host.WaitQ{}) && d1.page(1).purgeQ != (host.WaitQ{}) {
+			crashed = true
+			d1.Crash()
+			c.k.After(100*time.Millisecond, "recover", d1.Recover)
+			return
+		}
+		if c.k.Now() < 50*time.Millisecond {
+			c.k.After(10*time.Microsecond, "watch", watch)
+		}
+	}
+	c.k.After(0, "watch", watch)
+	c.run(t, 5*time.Second)
+
+	if !crashed {
+		t.Fatal("the two clients were never asleep together")
+	}
+	if !faulted || !purged || ferr != nil || perr != nil {
+		t.Errorf("faulter returned %v (err %v), purger returned %v (err %v); want both back without error", faulted, ferr, purged, perr)
+	}
+	if idle := c.k.Idle(); slices.Contains(idle, "h1/faulter") || slices.Contains(idle, "h1/purger") {
+		t.Errorf("Idle() = %v: a crash left a client asleep", idle)
+	}
+	c.checkInvariants(t)
 }

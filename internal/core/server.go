@@ -77,7 +77,7 @@ func (d *Driver) StartServer() {
 		if d.stopped {
 			return host.Want{}
 		}
-		return host.SleepOnKey(d.serverKey)
+		return host.WaitOn(&d.serverQ)
 	})
 }
 
@@ -159,14 +159,14 @@ func (d *Driver) sent() {
 	switch s.then {
 	case thenClaimed:
 		d.clearRetryIfDone(st)
-		d.h.Wakeup(st.waitK)
+		d.h.WakeupQ(&st.waitQ)
 	case thenArmRetry:
 		d.armRetry(st)
 	case thenDoPurge:
 		// DO-PURGE: clear purge pending and wake the waiting process.
 		st.purgePending = false
 		d.flushDeferred(st)
-		d.h.Wakeup(st.purgeK)
+		d.h.WakeupQ(&st.purgeQ)
 	case thenOwnerLeaves:
 		// The consistent copy leaves; our bytes stay resident as an
 		// inconsistent copy (writable mappings will fault from now on).
@@ -186,7 +186,7 @@ func (d *Driver) sent() {
 // Stop makes the server exit at its next scheduling point.
 func (d *Driver) Stop() {
 	d.stopped = true
-	d.h.Wakeup(d.serverKey)
+	d.h.WakeupQ(&d.serverQ)
 }
 
 // handleWork processes one driver-originated work item.
@@ -242,7 +242,7 @@ func (d *Driver) serveClaim(st *pageState) {
 			d.m.OrphanRecoveries++
 			d.noteRejoin()
 			d.clearRetryIfDone(st)
-			d.h.Wakeup(st.waitK)
+			d.h.WakeupQ(&st.waitQ)
 		}
 		return
 	}
@@ -692,7 +692,7 @@ func (d *Driver) handleData(st *pageState, pkt proto.Packet) {
 	// Every transit wakes the page's waiters: data-driven sleepers must
 	// observe every passing copy (they compare generations themselves),
 	// and demand waiters re-check their needs.
-	d.h.Wakeup(st.waitK)
+	d.h.WakeupQ(&st.waitQ)
 }
 
 // noteCrossTrunkStale counts a generation-regressed broadcast whose
@@ -749,7 +749,7 @@ func (d *Driver) handleRestData(st *pageState, pkt proto.Packet) {
 			// wreckage, and the authority it carries has been re-minted
 			// by a claim since. See handleData's fence.
 			d.m.GhostDrops++
-			d.h.Wakeup(st.waitK)
+			d.h.WakeupQ(&st.waitQ)
 			return
 		}
 		if !st.wantRest && st.restOwner {
@@ -762,7 +762,7 @@ func (d *Driver) handleRestData(st *pageState, pkt proto.Packet) {
 			// flight, where dropping would lose the authority the
 			// granter has already released.
 			d.m.LateGrantDrops++
-			d.h.Wakeup(st.waitK)
+			d.h.WakeupQ(&st.waitQ)
 			return
 		}
 		if st.frame.InstallRest(pkt.Data) != nil {
@@ -781,5 +781,5 @@ func (d *Driver) handleRestData(st *pageState, pkt proto.Packet) {
 		}
 		d.m.Refreshes++
 	}
-	d.h.Wakeup(st.waitK)
+	d.h.WakeupQ(&st.waitQ)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mether/internal/host"
 	"mether/internal/sim"
 	"mether/internal/stats"
 	"mether/internal/vm"
@@ -95,11 +96,14 @@ type pageState struct {
 	// deferred requests received while the page was locked or mid-purge.
 	deferred []deferredReq
 
-	// waitK and purgeK are the page's sleep keys boxed once at pageState
-	// creation: SleepOn/Wakeup take `any`, and converting a struct key at
-	// every fault or transit would allocate on the hottest paths.
-	waitK  any
-	purgeK any
+	// waitQ holds the local processes blocked on the page (demand and
+	// data-driven waiters alike; they re-check their condition on wake),
+	// purgeQ the one blocked in a writable PURGE awaiting the server's
+	// DO-PURGE. Every transit wakes waitQ, so the queues live here, where
+	// the receive path already is, and an empty one costs a compare. With
+	// sleepers inside it a pageState must never be overwritten whole.
+	waitQ  host.WaitQ
+	purgeQ host.WaitQ
 }
 
 type deferredReq struct {
@@ -128,23 +132,6 @@ func (st *pageState) reqCoversWants() bool {
 		return false
 	}
 	return true
-}
-
-// waitKey is the sleep channel for processes blocked on a page (demand
-// and data-driven waiters alike; they re-check their condition on wake).
-type waitKey struct {
-	page vm.PageID
-}
-
-// purgeKey is the sleep channel for a process blocked in a writable
-// PURGE awaiting the server's DO-PURGE.
-type purgeKey struct {
-	page vm.PageID
-}
-
-// serverKey is the sleep channel of the host's user-level server.
-type serverKey struct {
-	host int
 }
 
 // Metrics aggregates one host's driver/server counters. Latency is

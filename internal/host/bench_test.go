@@ -9,16 +9,16 @@ import (
 
 // BenchmarkHostSleepWake measures the sleep/wake round trip — the shape
 // of every fault wait and server doze in the Mether protocols: a
-// process blocks on a wait key, a kernel event wakes it, the scheduler
+// process blocks on a wait queue, a kernel event wakes it, the scheduler
 // dispatches it with a wake boost armed. Steady state must not
-// allocate: the wait key is boxed once, the sleeper slice keeps its
-// capacity across cycles, and boost timers are pooled.
+// allocate: the queue is linked through the sleeper, and boost timers
+// are pooled.
 func BenchmarkHostSleepWake(b *testing.B) {
-	benchSleepWake(b, func(h *Host, key any, n *int) {
+	benchSleepWake(b, func(h *Host, q *WaitQ, n *int) {
 		h.Spawn("sleeper", func(p *Proc) {
 			for *n < b.N {
 				*n++
-				p.SleepOn(key)
+				p.SleepOnQ(q)
 			}
 		})
 	})
@@ -28,15 +28,35 @@ func BenchmarkHostSleepWake(b *testing.B) {
 // same kernel events (wake, dispatch, wake) with a callback where the
 // coroutine sleeper costs a switch in and a switch out.
 func BenchmarkHostTaskSleepWake(b *testing.B) {
-	benchSleepWake(b, func(h *Host, key any, n *int) {
+	benchSleepWake(b, func(h *Host, q *WaitQ, n *int) {
 		h.SpawnTask("sleeper", func() Want {
 			if *n >= b.N {
 				return Want{}
 			}
 			*n++
-			return SleepOnKey(key)
+			return WaitOn(q)
 		})
 	})
+}
+
+// BenchmarkHostWakeupMiss measures the wake nobody waits for while the
+// host does have a sleeper elsewhere — a snooped transit of one page
+// with the application asleep in a fault on another, twice per frame on
+// the receive path. It is an inlined load and compare; it was a map
+// probe with interface hashing.
+func BenchmarkHostWakeupMiss(b *testing.B) {
+	k := sim.New(1)
+	h := New(k, 0, "bench", DefaultParams())
+	var qa, qb WaitQ
+	h.Spawn("sleeper", func(p *Proc) { p.SleepOnQ(&qa) })
+	k.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.WakeupQ(&qb)
+	}
+	b.StopTimer()
+	k.Shutdown()
 }
 
 // BenchmarkHostUseWhile measures one look of a poll run by the scheduler:
@@ -63,19 +83,19 @@ func BenchmarkHostUseWhile(b *testing.B) {
 
 // benchSleepWake runs a sleeper that counts its b.N sleeps in n against
 // a waker firing every 50 µs.
-func benchSleepWake(b *testing.B, spawn func(h *Host, key any, n *int)) {
+func benchSleepWake(b *testing.B, spawn func(h *Host, q *WaitQ, n *int)) {
 	k := sim.New(1)
 	h := New(k, 0, "bench", DefaultParams())
-	var key any = "benchkey"
+	var q WaitQ
 	n := 0
 	var wake func()
 	wake = func() {
-		h.Wakeup(key)
+		h.WakeupQ(&q)
 		if n < b.N {
 			k.After(50*time.Microsecond, "waker", wake)
 		}
 	}
-	spawn(h, key, &n)
+	spawn(h, &q, &n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.After(50*time.Microsecond, "waker", wake)

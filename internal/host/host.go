@@ -116,16 +116,12 @@ type Host struct {
 	next        *Proc
 	dispatchFn  func()
 	ctxSwitches uint64
-	// sleepers keys wait slices by the caller's wait key. Emptied slices
-	// keep their entry (and backing array) instead of being deleted, so a
-	// sleep/wake cycle on a recurring key never reallocates; the map is
-	// bounded by the world's distinct key population (pages × 2 + hosts).
-	sleepers map[any][]*Proc
-	// asleep counts the processes queued in sleepers, over all keys: a
-	// Wakeup nobody waits for (most snooped transits) skips the probe.
-	asleep int
-	procs  []*Proc
-	busy   time.Duration // total CPU busy time
+	// keyed is the directory behind SleepOn/Wakeup's keys: one wait queue
+	// per key ever slept on. Made by the first SleepOn, so a host whose
+	// waiters name their queues (the Mether driver's all do) has none.
+	keyed map[any]*WaitQ
+	procs []*Proc
+	busy  time.Duration // total CPU busy time
 
 	// boostFree recycles wake-boost timers: each carries a prebuilt
 	// closure, so arming a boost on the wake hot path allocates nothing
@@ -138,7 +134,7 @@ func New(k *sim.Kernel, id int, name string, pr Params) *Host {
 	if pr.Quantum <= 0 {
 		panic("host: Quantum must be positive")
 	}
-	h := &Host{k: k, id: id, name: name, pr: pr, sleepers: make(map[any][]*Proc)}
+	h := &Host{k: k, id: id, name: name, pr: pr}
 	h.dispatchFn = h.finishDispatch
 	return h
 }
@@ -168,7 +164,7 @@ func (h *Host) Procs() []*Proc { return h.procs }
 // not tell apart: a coroutine running the function given to Spawn, or a
 // task (SpawnTask, task.go) whose step function runs to completion in
 // kernel event context. One state machine (advance) schedules both, asked
-// for CPU and sleeps by the coroutine's calls of Use, UseWhile, SleepOn
+// for CPU and sleeps by the coroutine's calls of Use, UseWhile, SleepOnQ
 // and SleepFor (made inside its Spawn function, never on a task) or by
 // what the task's step returns. Wakeup-style operations go through the Host.
 type Proc struct {
@@ -183,6 +179,9 @@ type Proc struct {
 
 	quantumUsed time.Duration
 	inRunq      bool
+	// waitNext links the sleepers of one WaitQ, nil on the last and on a
+	// process that is on none.
+	waitNext *Proc
 	// dispatchSeq counts dispatches; wake-boost events capture it to
 	// detect staleness.
 	dispatchSeq uint64
@@ -320,7 +319,7 @@ func (p *Proc) exit() {
 }
 
 // wake is the one way the scheduler resumes a process, always through an
-// event and never inline: Wakeup and finishDispatch rely on the woken
+// event and never inline: wakeAll and finishDispatch rely on the woken
 // process not running before they return.
 func (p *Proc) wake() {
 	if p.parked {
@@ -387,8 +386,8 @@ func (p *Proc) resume() {
 			switch w := p.step(); {
 			case w.kind != 0:
 				p.need, p.kind = w.d, w.kind
-			case w.key != nil:
-				p.block(w.key)
+			case w.q != nil:
+				p.block(w.q)
 			default:
 				p.exit()
 				return
@@ -466,23 +465,38 @@ func (p *Proc) quantumExpire() {
 	h.maybeDispatch()
 }
 
-// SleepOn blocks the process until Host.Wakeup is called with the same
-// key, giving up the CPU. Spurious wakeups do not occur at this layer:
-// the process returns only after a matching Wakeup (callers that share a
-// key among conditions should still re-check them).
-func (p *Proc) SleepOn(key any) {
-	p.block(key)
-	// The key, already boxed, is the reason Kernel.Idle and a debugger show.
-	p.await(key, nil)
+// WaitQ is the processes of one host asleep on one condition, in the
+// order they went to sleep. It lives in whatever they wait for (a page's
+// state, a driver) as two words linked through the sleepers themselves, so
+// a wake nobody waits for is a load and a compare; the zero value is an
+// empty queue. It must not be copied or overwritten while anyone sleeps on
+// it: the sleepers would never wake.
+type WaitQ struct{ head, tail *Proc }
+
+// SleepOnQ blocks the process until Host.WakeupQ is called on q, giving
+// up the CPU. Spurious wakeups do not occur at this layer: the process
+// returns only after a WakeupQ of its queue (callers that share a queue
+// among conditions should still re-check them).
+func (p *Proc) SleepOnQ(q *WaitQ) {
+	p.block(q)
+	// The queue is the reason Kernel.Idle and a debugger show: a pointer
+	// in an interface does not allocate.
+	p.await(q, nil)
 }
 
-// block queues the process on key's sleepers and gives up the CPU: the
-// half of SleepOn that comes before the wait.
-func (p *Proc) block(key any) {
-	h := p.h
+// block appends the process to q and gives up the CPU: the half of
+// SleepOnQ that comes before the wait.
+func (p *Proc) block(q *WaitQ) {
+	if p.waitNext != nil || q.tail == p {
+		panic("host: " + p.name + " sleeps while still on a wait queue")
+	}
 	p.state = stateBlocked
-	h.sleepers[key] = append(h.sleepers[key], p)
-	h.asleep++
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.waitNext = p
+	}
+	q.tail = p
 	p.releaseCPU()
 }
 
@@ -510,25 +524,26 @@ func (h *Host) timerFire(p *Proc) {
 	}
 }
 
-// Wakeup makes every process sleeping on key runnable. It may be called
-// from kernel event context (e.g. a NIC interrupt) or from another
-// process.
-func (h *Host) Wakeup(key any) {
-	if h.asleep == 0 {
-		return
+// WakeupQ makes every process sleeping on q runnable, in the order they
+// went to sleep. It may be called from kernel event context (e.g. a NIC
+// interrupt) or from another process. Most wakes find nobody (a snooped
+// transit of a page no local process waits for), so that case is all
+// there is to inline.
+func (h *Host) WakeupQ(q *WaitQ) {
+	if q.head != nil {
+		h.wakeAll(q)
 	}
-	ps := h.sleepers[key]
-	if len(ps) == 0 {
-		return
-	}
-	h.asleep -= len(ps)
-	// Retain the entry with its capacity; ps stays a stable snapshot
-	// because no process can re-sleep on the key until this event
-	// callback has returned control to the kernel — which holds because
-	// wake resumes a process through an event, never inline from here or
-	// from finishDispatch.
-	h.sleepers[key] = ps[:0]
-	for _, p := range ps {
+}
+
+// wakeAll is WakeupQ with sleepers. The queue is emptied first and the
+// detached list stays a stable snapshot: no process can sleep again until
+// this event callback has returned control to the kernel, because wake
+// resumes a process through an event, never inline from here or from
+// finishDispatch.
+func (h *Host) wakeAll(q *WaitQ) {
+	first := q.head
+	*q = WaitQ{}
+	for p := first; p != nil; p = p.waitNext {
 		if p.state != stateBlocked {
 			continue
 		}
@@ -537,8 +552,35 @@ func (h *Host) Wakeup(key any) {
 		p.wake()
 	}
 	h.maybeDispatch()
-	for _, p := range ps {
+	// Boosts are armed after the dispatch, in the same order, and the
+	// links go as they are walked: a sleeper takes none to its next queue.
+	for p := first; p != nil; {
+		next := p.waitNext
+		p.waitNext = nil
 		h.armWakeBoost(p)
+		p = next
+	}
+}
+
+// SleepOn is SleepOnQ on the queue the host keeps for key, for waiters
+// with nowhere to put a WaitQ of their own; it pays a map probe.
+func (p *Proc) SleepOn(key any) {
+	h := p.h
+	q := h.keyed[key]
+	if q == nil {
+		if h.keyed == nil {
+			h.keyed = make(map[any]*WaitQ)
+		}
+		q = new(WaitQ)
+		h.keyed[key] = q
+	}
+	p.SleepOnQ(q)
+}
+
+// Wakeup is WakeupQ on the queue the host keeps for key.
+func (h *Host) Wakeup(key any) {
+	if q := h.keyed[key]; q != nil {
+		h.WakeupQ(q)
 	}
 }
 
@@ -606,8 +648,5 @@ func (h *Host) armWakeBoost(woken *Proc) {
 func (h *Host) Interrupt(fn func()) {
 	h.k.AfterCoalesced(h.pr.InterruptCost, "interrupt", fn)
 }
-
-// Sleeping reports how many processes are blocked on key.
-func (h *Host) Sleeping(key any) int { return len(h.sleepers[key]) }
 
 func (h *Host) String() string { return fmt.Sprintf("host %d (%s)", h.id, h.name) }

@@ -189,8 +189,8 @@ func TestSleepersCountAndMultipleWake(t *testing.T) {
 		})
 	}
 	k.At(5*time.Millisecond, "check", func() {
-		if n := h.Sleeping("gate"); n != 4 {
-			t.Errorf("Sleeping = %d, want 4", n)
+		if n := h.keyed["gate"].len(); n != 4 {
+			t.Errorf("%d asleep on the key, want 4", n)
 		}
 		h.Wakeup("gate")
 	})
@@ -198,7 +198,7 @@ func TestSleepersCountAndMultipleWake(t *testing.T) {
 	if woken != 4 {
 		t.Errorf("woken = %d, want 4", woken)
 	}
-	if h.Sleeping("gate") != 0 {
+	if h.keyed["gate"].len() != 0 {
 		t.Error("sleepers not cleared after wakeup")
 	}
 }
@@ -271,62 +271,6 @@ func TestProcDeathReleasesCPU(t *testing.T) {
 	if second != 4*time.Millisecond {
 		t.Errorf("second proc ran at %v, want 4ms", second)
 	}
-}
-
-// TestAsleepCountMatchesSleepers: Wakeup's early return trusts h.asleep
-// to be the number of processes queued in h.sleepers over all keys.
-// Sleepers on three keys are woken by a seeded schedule of Wakeups (hits,
-// misses and repeats) and go back to sleep on another key; after every
-// kernel event the count must equal the map's, and Sleeping must agree
-// per key.
-func TestAsleepCountMatchesSleepers(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	keys := []any{"k0", "k1", "k2", "nobody"}
-	const procs, rounds = 6, 40
-	wakes := 0
-	for i := 0; i < procs; i++ {
-		i := i
-		h.Spawn("s", func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				p.SleepOn(keys[(i+r)%3])
-				wakes++
-				p.UseUser(time.Duration(i) * 100 * time.Microsecond)
-			}
-		})
-	}
-	check := func() {
-		queued := 0
-		for key, ps := range h.sleepers {
-			queued += len(ps)
-			if h.Sleeping(key) != len(ps) {
-				t.Fatalf("%v: Sleeping(%v) = %d, map holds %d", k.Now(), key, h.Sleeping(key), len(ps))
-			}
-		}
-		if h.asleep != queued {
-			t.Fatalf("%v: asleep = %d, sleepers hold %d", k.Now(), h.asleep, queued)
-		}
-	}
-	rng := k.Rand()
-	var tick func()
-	tick = func() {
-		check()
-		h.Wakeup(keys[rng.Intn(len(keys))])
-		check()
-		if wakes < procs*rounds {
-			k.After(time.Duration(1+rng.Intn(3))*time.Millisecond, "tick", tick)
-		}
-	}
-	k.After(0, "tick", tick)
-	k.Run()
-	if wakes != procs*rounds {
-		t.Fatalf("%d wakes, want %d", wakes, procs*rounds)
-	}
-	check()
-	if h.asleep != 0 || h.Sleeping("nobody") != 0 {
-		t.Errorf("asleep = %d, Sleeping(nobody) = %d after everyone finished", h.asleep, h.Sleeping("nobody"))
-	}
-	k.Shutdown()
 }
 
 // TestUseWhileEdges pins the rules around a poll: a Use of nothing is no

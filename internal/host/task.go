@@ -3,11 +3,11 @@ package host
 import "time"
 
 // Want is what a task's step asks of the scheduler next: CPU of a kind
-// (UseCPU), a sleep on a wait key (SleepOnKey) or, the zero value, exit.
+// (UseCPU), a sleep on a wait queue (WaitOn) or, the zero value, exit.
 type Want struct {
 	d    time.Duration
 	kind CPUKind
-	key  any
+	q    *WaitQ
 }
 
 // UseCPU asks for d of CPU charged to kind, as Proc.Use would consume
@@ -19,12 +19,12 @@ func UseCPU(d time.Duration, kind CPUKind) Want {
 	return Want{d: d, kind: kind}
 }
 
-// SleepOnKey asks to block until Host.Wakeup(key), as Proc.SleepOn does.
-func SleepOnKey(key any) Want {
-	if key == nil {
-		panic("host: SleepOnKey(nil) would read as exit")
+// WaitOn asks to block until Host.WakeupQ(q), as Proc.SleepOnQ does.
+func WaitOn(q *WaitQ) Want {
+	if q == nil {
+		panic("host: WaitOn(nil) would read as exit")
 	}
-	return Want{key: key}
+	return Want{q: q}
 }
 
 // SpawnTask creates a process without a coroutine and makes it runnable.
@@ -33,7 +33,7 @@ func SleepOnKey(key any) Want {
 // the task does next. To the scheduler a task is a Proc like any other
 // — queued, dispatched, charged, rotated at quantum expiry, wake-boosted
 // and listed in Procs — and it passes through the same instants as a
-// coroutine looping `switch step()` over Use and SleepOn would, but a
+// coroutine looping `switch step()` over Use and SleepOnQ would, but a
 // resume costs a callback instead of two coroutine switches. step must
 // not block: the Proc's own Use and Sleep methods are not for tasks.
 func (h *Host) SpawnTask(name string, step func() Want) *Proc {

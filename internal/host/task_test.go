@@ -10,12 +10,12 @@ import (
 	"mether/internal/sim"
 )
 
-// taskOp is one line of the subject's script: Use(d, kind), or SleepOn(key)
-// when kind is zero.
+// taskOp is one line of the subject's script: Use(d, kind), or a sleep on
+// the world's wait queue q-1 when kind is zero.
 type taskOp struct {
 	d    time.Duration
 	kind CPUKind
-	key  any
+	q    int
 }
 
 // taskWorld is everything one seed decides, drawn before anything runs so
@@ -27,17 +27,37 @@ type taskWorld struct {
 	// positive Use (1-7 times).
 	reps []int
 	// rivals are coroutine competitors: each op is a UseUser (d > 0), a
-	// SleepFor (d < 0) or a Wakeup of key.
+	// SleepFor (d < 0) or a wake of queue q-1.
 	rivals [][]taskOp
-	// wakers fire at their times; every second one goes through Interrupt.
+	// wakers fire at their times and wake queue q; every second one goes
+	// through Interrupt.
 	wakers []struct {
-		at  time.Duration
-		key any
+		at time.Duration
+		q  int
 	}
 	period time.Duration
 }
 
-var taskKeys = []any{"k0", "k1", "k2"}
+// taskQueues is how many wait queues a world has.
+const taskQueues = 3
+
+// waits is how a world's processes sleep and are woken, queues numbered
+// from zero: on WaitQs (queues), or on the slice-per-key reference of
+// TestWaitQMatchesKeyedReference.
+type waits interface {
+	sleep(p *Proc, q int)     // from a coroutine
+	want(p *Proc, q int) Want // from a task's step
+	wakeup(q int)
+}
+
+type queues struct {
+	h *Host
+	q [taskQueues]WaitQ
+}
+
+func (w *queues) sleep(p *Proc, q int)     { p.SleepOnQ(&w.q[q]) }
+func (w *queues) want(_ *Proc, q int) Want { return WaitOn(&w.q[q]) }
+func (w *queues) wakeup(q int)             { w.h.WakeupQ(&w.q[q]) }
 
 func drawTaskWorld(seed int64) taskWorld {
 	r := rand.New(rand.NewSource(seed))
@@ -73,7 +93,7 @@ func drawTaskWorld(seed int64) taskWorld {
 	}
 	for i, n := 0, 40+r.Intn(40); i < n; i++ {
 		if r.Intn(3) == 0 {
-			w.script = append(w.script, taskOp{key: taskKeys[r.Intn(len(taskKeys))]})
+			w.script = append(w.script, taskOp{q: 1 + r.Intn(taskQueues)})
 		} else {
 			w.script = append(w.script, taskOp{d: use(), kind: CPUKind(1 + r.Intn(2))})
 		}
@@ -85,19 +105,19 @@ func drawTaskWorld(seed int64) taskWorld {
 			case 0:
 				w.rivals[i] = append(w.rivals[i], taskOp{d: -time.Duration(1+r.Intn(2*q)) * unit})
 			case 1:
-				w.rivals[i] = append(w.rivals[i], taskOp{key: taskKeys[r.Intn(len(taskKeys))]})
+				w.rivals[i] = append(w.rivals[i], taskOp{q: 1 + r.Intn(taskQueues)})
 			default:
 				w.rivals[i] = append(w.rivals[i], taskOp{d: max(use(), unit)})
 			}
 		}
 	}
 	w.wakers = make([]struct {
-		at  time.Duration
-		key any
+		at time.Duration
+		q  int
 	}, 400)
 	for i := range w.wakers {
 		w.wakers[i].at = time.Duration(r.Intn(4000)) * unit / 4
-		w.wakers[i].key = taskKeys[r.Intn(len(taskKeys))]
+		w.wakers[i].q = r.Intn(taskQueues)
 	}
 	w.period = time.Duration(5+r.Intn(20)) * unit
 	// Drawn last: the worlds of TestTaskMatchesProcess are older than this.
@@ -112,8 +132,8 @@ func drawTaskWorld(seed int64) taskWorld {
 type subject uint8
 
 const (
-	asProcess  subject = iota // a coroutine: Use and SleepOn, line by line
-	asTask                    // a task returning UseCPU and SleepOnKey
+	asProcess  subject = iota // a coroutine: Use and SleepOnQ, line by line
+	asTask                    // a task returning UseCPU and WaitOn
 	asLoop                    // a coroutine repeating each positive Use reps times in a written loop
 	asUseWhile                // the same repeats made by UseWhile
 )
@@ -121,77 +141,95 @@ const (
 // run executes the world with the given subject and returns everything
 // observable about the execution.
 func (w taskWorld) run(as subject) (log []string, finished bool) {
-	Trace = func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	steps := 0
+	log = w.exec(false, func(k *sim.Kernel, h *Host, wt waits, logf func(string, ...any)) {
+		stepped := func() {
+			logf("%v step %d", k.Now(), steps)
+			steps++
+		}
+		switch as {
+		case asTask:
+			h.SpawnTask("subject", func() Want {
+				stepped()
+				if steps > len(w.script) {
+					return Want{}
+				}
+				if op := w.script[steps-1]; op.kind != 0 {
+					return UseCPU(op.d, op.kind)
+				} else {
+					return wt.want(nil, op.q-1)
+				}
+			})
+		case asProcess:
+			h.Spawn("subject", func(p *Proc) {
+				for _, op := range w.script {
+					stepped()
+					if op.kind != 0 {
+						p.Use(op.d, op.kind)
+					} else {
+						wt.sleep(p, op.q-1)
+					}
+				}
+				stepped()
+			})
+		default:
+			h.Spawn("subject", func(p *Proc) {
+				left := 0
+				again := func() bool {
+					logf("%v again, %d left", k.Now(), left)
+					left--
+					return left > 0
+				}
+				for i, op := range w.script {
+					stepped()
+					switch left = w.reps[i]; {
+					case op.kind == 0:
+						wt.sleep(p, op.q-1)
+					case op.d <= 0:
+						p.Use(op.d, op.kind)
+					case as == asUseWhile:
+						p.UseWhile(op.d, op.kind, again)
+					default:
+						for {
+							p.Use(op.d, op.kind)
+							if !again() {
+								break
+							}
+						}
+					}
+				}
+				stepped()
+			})
+		}
+	})
+	return append(log, fmt.Sprintf("steps %d", steps)), steps == len(w.script)+1
+}
+
+// exec runs the world for two virtual seconds: the processes spawn
+// starts, then the rivals, the wakers and the tick that wakes every
+// queue, all sleeping and waking on the world's WaitQs or, if ref, on
+// the keyed reference (waitq_test.go). The log is the scheduler's trace, what spawn's
+// processes say through logf, the kernel's and the host's totals and
+// every process's accounting.
+func (w taskWorld) exec(ref bool, spawn func(k *sim.Kernel, h *Host, wt waits, logf func(string, ...any))) (log []string) {
+	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	Trace = logf
 	defer func() { Trace = nil }()
 	k := sim.New(1)
 	defer k.Shutdown()
 	h := New(k, 0, "h", w.pr)
-	steps := 0
-	stepped := func() {
-		log = append(log, fmt.Sprintf("%v step %d", k.Now(), steps))
-		steps++
+	var wt waits = &queues{h: h}
+	if ref {
+		wt = &keyedRef{h: h}
 	}
-	switch as {
-	case asTask:
-		h.SpawnTask("subject", func() Want {
-			stepped()
-			if steps > len(w.script) {
-				return Want{}
-			}
-			if op := w.script[steps-1]; op.kind != 0 {
-				return UseCPU(op.d, op.kind)
-			} else {
-				return SleepOnKey(op.key)
-			}
-		})
-	case asProcess:
-		h.Spawn("subject", func(p *Proc) {
-			for _, op := range w.script {
-				stepped()
-				if op.kind != 0 {
-					p.Use(op.d, op.kind)
-				} else {
-					p.SleepOn(op.key)
-				}
-			}
-			stepped()
-		})
-	default:
-		h.Spawn("subject", func(p *Proc) {
-			left := 0
-			again := func() bool {
-				log = append(log, fmt.Sprintf("%v again, %d left", k.Now(), left))
-				left--
-				return left > 0
-			}
-			for i, op := range w.script {
-				stepped()
-				switch left = w.reps[i]; {
-				case op.kind == 0:
-					p.SleepOn(op.key)
-				case op.d <= 0:
-					p.Use(op.d, op.kind)
-				case as == asUseWhile:
-					p.UseWhile(op.d, op.kind, again)
-				default:
-					for {
-						p.Use(op.d, op.kind)
-						if !again() {
-							break
-						}
-					}
-				}
-			}
-			stepped()
-		})
-	}
+	spawn(k, h, wt, logf)
 	for i, ops := range w.rivals {
 		ops := ops // go.mod is go 1.21: one variable per loop
 		h.Spawn(fmt.Sprintf("rival%d", i), func(p *Proc) {
 			for _, op := range ops {
 				switch {
-				case op.key != nil:
-					h.Wakeup(op.key)
+				case op.q != 0:
+					wt.wakeup(op.q - 1)
 				case op.d < 0:
 					p.SleepFor(-op.d)
 				default:
@@ -202,7 +240,7 @@ func (w taskWorld) run(as subject) (log []string, finished bool) {
 	}
 	for i, wk := range w.wakers {
 		wk := wk
-		fn := func() { h.Wakeup(wk.key) }
+		fn := func() { wt.wakeup(wk.q) }
 		if i%2 == 0 {
 			k.At(wk.at, "waker", fn)
 		} else {
@@ -211,19 +249,18 @@ func (w taskWorld) run(as subject) (log []string, finished bool) {
 	}
 	var tick func()
 	tick = func() {
-		for _, key := range taskKeys {
-			h.Wakeup(key)
+		for q := 0; q < taskQueues; q++ {
+			wt.wakeup(q)
 		}
 		k.After(w.period, "tick", tick)
 	}
 	k.After(w.period, "tick", tick)
 	k.RunUntil(2 * time.Second)
-	log = append(log, fmt.Sprintf("steps %d dispatched %d pending %d ctx %d busy %v",
-		steps, k.Dispatched(), k.PendingEvents(), h.ContextSwitches(), h.BusyTime()))
+	logf("dispatched %d pending %d ctx %d busy %v", k.Dispatched(), k.PendingEvents(), h.ContextSwitches(), h.BusyTime())
 	for _, p := range h.Procs() {
-		log = append(log, fmt.Sprintf("%s user %v sys %v", p.Name(), p.User(), p.Sys()))
+		logf("%s user %v sys %v", p.Name(), p.User(), p.Sys())
 	}
-	return log, steps == len(w.script)+1
+	return log
 }
 
 // TestTaskMatchesProcess is the contract of SpawnTask: a task is
@@ -311,8 +348,8 @@ func line(log []string, i int) string {
 // exit must fail where they are built, not end the process silently.
 func TestWantRejectsZeroKindAndNilKey(t *testing.T) {
 	for name, build := range map[string]func(){
-		"UseCPU(d, 0)":    func() { UseCPU(time.Millisecond, 0) },
-		"SleepOnKey(nil)": func() { SleepOnKey(nil) },
+		"UseCPU(d, 0)": func() { UseCPU(time.Millisecond, 0) },
+		"WaitOn(nil)":  func() { WaitOn(nil) },
 	} {
 		func() {
 			defer func() {
