@@ -34,7 +34,8 @@
 #                        testdata/golden/ (EXPERIMENTS.md for the last)
 #   make golden-update - regenerate those files after an intended change
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
-#                        the 4096-deep timer population, process steps with
+#                        the 4096-deep timer population, three timers far
+#                        apart and a 96-timer burst, process steps with
 #                        no hand-off, one between two processes and one
 #                        round a fan of 96, park/wake, host
 #                        sleep/wake, the wake of an empty queue and
@@ -77,7 +78,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
 
 .PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair loc profile
 

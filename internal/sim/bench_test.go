@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// BenchmarkKernelDispatch measures heap-path event throughput: every
-// event is scheduled a nonzero delay ahead, so each one transits the
-// (time, seq) priority queue. This is the simulator's base speed limit.
+// BenchmarkKernelDispatch measures timed-event throughput: every event
+// is scheduled a nonzero delay ahead, so each one is filed in the timing
+// wheel and found again by the cursor. With one event pending this is
+// the simulator's base speed limit.
 func BenchmarkKernelDispatch(b *testing.B) {
 	k := New(1)
 	n := 0
@@ -25,9 +26,9 @@ func BenchmarkKernelDispatch(b *testing.B) {
 }
 
 // BenchmarkKernelDispatchImmediate measures the After(0) fast path:
-// same-instant events that (post-refactor) bypass the heap through the
-// FIFO run queue — the shape of wakeups, interrupts and work handoffs,
-// the dominant event class in protocol-heavy runs.
+// same-instant events that bypass the wheel through the FIFO run
+// queue — the shape of wakeups, interrupts and work handoffs, the
+// dominant event class in protocol-heavy runs.
 func BenchmarkKernelDispatchImmediate(b *testing.B) {
 	k := New(1)
 	n := 0
@@ -64,6 +65,64 @@ func BenchmarkKernelDispatchDeep(b *testing.B) {
 	for i := 1; i <= depth; i++ {
 		k.After(time.Duration(i)*time.Microsecond, "tick", tick)
 	}
+	k.Run()
+}
+
+// armTimers arms count self-re-arming timers on k, timer i first due at
+// first(i) and from then on every period(i), which stop re-arming once n
+// events have fired among them. The caller runs the kernel.
+func armTimers(k *Kernel, n, count int, first, period func(i int) time.Duration) {
+	fired := 0
+	for i := 0; i < count; i++ {
+		d := period(i)
+		var tick func()
+		tick = func() {
+			if fired++; fired+count <= n {
+				k.After(d, "tick", tick)
+			}
+		}
+		k.After(first(i), "tick", tick)
+	}
+}
+
+// spreadTimers is the two-workstation shape: three timers pending, on
+// periods (a poll, a quantum slice, a retry) that carry most delays
+// across a 2^16 ns boundary, so each is filed two or three levels up and
+// almost always alone in its bucket.
+func spreadTimers(k *Kernel, n int) {
+	periods := [...]time.Duration{37 * time.Microsecond, 113 * time.Microsecond, time.Millisecond}
+	period := func(i int) time.Duration { return periods[i] }
+	armTimers(k, n, len(periods), period, period)
+}
+
+// burstTimers is the snooped-broadcast shape: 96 timers on one 100 us
+// period at the given number of phases 1 us apart, so the whole burst
+// shares a level-2 bucket and the timers of one phase share an instant.
+func burstTimers(k *Kernel, n, phases int) {
+	armTimers(k, n, 96,
+		func(i int) time.Duration { return 100*time.Microsecond + time.Duration(i%phases)*time.Microsecond },
+		func(int) time.Duration { return 100 * time.Microsecond })
+}
+
+// BenchmarkKernelDispatchSpread measures dispatch of the few, far-apart
+// timers of a two-host world (see spreadTimers): the cost of finding the
+// one occupied bucket and jumping the cursor to its event.
+func BenchmarkKernelDispatchSpread(b *testing.B) {
+	k := New(1)
+	spreadTimers(k, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkKernelDispatchBurst measures dispatch of 96 timers that share
+// a coarse bucket at eight instants (see burstTimers): one walk for the
+// minimum, one phase staged, the other seven filed again once.
+func BenchmarkKernelDispatchBurst(b *testing.B) {
+	k := New(1)
+	burstTimers(k, b.N, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
 	k.Run()
 }
 

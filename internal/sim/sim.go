@@ -30,7 +30,9 @@
 // hierarchical timing wheel (eight levels of 256 power-of-two buckets;
 // see wheel.go for the structure and the determinism argument), giving
 // O(1) schedule and cancel where a binary heap pays O(log n) sift work
-// per event. Same-instant events — the After(0) wakeup/interrupt/handoff
+// per event; the cursor jumps straight to the earliest pending
+// timestamp, found in two bit scans, so an event is usually filed once.
+// Same-instant events — the After(0) wakeup/interrupt/handoff
 // shape that dominates protocol-heavy runs — bypass the wheel entirely
 // through a FIFO run queue, the wheel's de facto level zero. Fired
 // events are recycled through a freelist and cancellation unlinks the
@@ -77,6 +79,7 @@ type Kernel struct {
 	procs      []*Proc
 	dispatched uint64
 	resumes    uint64
+	refiles    uint64
 	// Coalescing state (see AfterCoalesced): the open batch, its absolute
 	// deadline, and the value of seq immediately after the batch's last
 	// append — if seq has moved since, another event was scheduled in
@@ -401,6 +404,12 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 // two coroutine switches each. A process resuming itself, a callback and
 // a host task's step are not among them. Deterministic, like Dispatched.
 func (k *Kernel) Resumes() uint64 { return k.resumes }
+
+// Refiles returns the number of times the wheel filed a resident event
+// again: the events that shared the earliest event's bucket but not its
+// instant when the cursor jumped there (see advance). Every event costs
+// one schedule plus its refiles. Deterministic, like Dispatched.
+func (k *Kernel) Refiles() uint64 { return k.refiles }
 
 // Event is a scheduled callback. The zero value is not useful; events are
 // created by Kernel.At and Kernel.After. After the callback has run the

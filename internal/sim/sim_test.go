@@ -253,9 +253,9 @@ func TestSpuriousWakeToleratedByConditionLoop(t *testing.T) {
 	}
 }
 
-// TestEventHeapOrderProperty checks with random timestamp sets that the
+// TestEventOrderProperty checks with random timestamp sets that the
 // kernel always dispatches in nondecreasing time order.
-func TestEventHeapOrderProperty(t *testing.T) {
+func TestEventOrderProperty(t *testing.T) {
 	prop := func(offsets []uint16) bool {
 		k := New(1)
 		var fired []time.Duration

@@ -12,37 +12,49 @@ import "math/bits"
 // in which its timestamp differs from the wheel cursor, in the bucket
 // indexed by that byte of the timestamp. Because the event shares every
 // byte above that level with the cursor, its bucket lies within the
-// level's current window and bucket positions never wrap — the cursor
-// can jump straight to the next occupied bucket (found by per-level
-// occupancy bitmaps) instead of ticking through empty slots.
+// level's current window and bucket positions never wrap.
+//
+// Cursor jump: an event at level L shares the cursor's bytes above L and
+// exceeds it in byte L, so the first occupied bucket of the lowest
+// occupied level holds the earliest pending event. advance finds that
+// bucket in two bit scans, walks its list once for the minimum
+// timestamp m, moves the cursor straight to m (not to the bucket's
+// start), stages the events of instant m and files the rest of the
+// bucket again, relative to m. A bucket of one event, or of many events
+// of one instant — every level-0 bucket, which spans one nanosecond —
+// is emptied without a single refile.
+//
+// Invariant: no occupied bucket lies behind the cursor, and the cursor
+// lies inside no occupied bucket's span; so every resident event sits
+// where the placement rule would put it now, and find-first reads the
+// bitmaps from bit zero without consulting the cursor. The cursor moves
+// only forward and never past a pending timestamp: it either stops
+// short of the first bucket's start, where every placement stands, or
+// enters that bucket's span and empties the bucket in the same step.
 //
 // Determinism argument (why the wheel dispatches in exact (time, seq)
-// order, making the refactor virtual-time-neutral):
+// order, as a priority queue would):
 //
-//  1. A level-0 bucket spans a single nanosecond, so every event in it
-//     carries the same timestamp; draining it in list order is (time,
-//     seq) order provided the list is seq-sorted.
+//  1. The events staged in one step carry one timestamp; draining them
+//     in list order is (time, seq) order provided the list is
+//     seq-sorted.
 //  2. Every bucket list is seq-sorted at all times: direct schedules
-//     append events with strictly increasing seq; a cascade moves a
-//     whole bucket in traversal order, preserving relative seq order;
-//     and a cascade into a bucket always happens at the instant the
-//     cursor enters the enclosing window — before any direct schedule
-//     into that window is possible (a direct schedule requires the
-//     cursor to already share the window prefix), so cascaded
-//     lower-seq events land ahead of later direct higher-seq ones.
-//  3. The cursor only moves to a proven-empty boundary or to the exact
-//     time of the earliest pending event: the bottom-up scan stops at
-//     the first level with an occupied bucket, and any occupied bucket
-//     at a higher level starts at or beyond the end of that level's
-//     window, so the first hit is the global minimum.
+//     append events with strictly increasing seq, and a refile happens
+//     only when every lower level is empty, so the refiled events land
+//     in empty buckets, in traversal (= seq) order, and every later
+//     direct insert into those buckets follows them with a higher seq.
+//  3. The cursor stops only at the exact time of the earliest pending
+//     event or, at a deadline before it, at the deadline.
 //
 // Scheduling and cancellation are O(1) (bucket append / doubly-linked
-// unlink); an event is touched again only when its bucket cascades —
-// at most once per level — so dispatch cost is bounded by a constant
-// regardless of how many events are pending. The randomized
+// unlink); an event is touched again only when its bucket is refiled —
+// strictly downward, so at most once per level, and far less for the
+// sparse and the lock-step populations the models produce
+// (Kernel.Refiles counts them) — so dispatch cost is bounded by a
+// constant regardless of how many events are pending. The randomized
 // differential test in wheel_test.go runs the wheel against a
 // reference priority list under adversarial schedule/cancel/RunUntil
-// interleavings to enforce all of the above.
+// interleavings, checking the invariant after every operation.
 
 const (
 	wheelLevels = 8
@@ -60,38 +72,36 @@ type wbucket struct {
 }
 
 // wheelLevel is one resolution tier: 256 buckets plus an occupancy
-// bitmap so the next non-empty bucket is found with four word scans.
+// bitmap of four words.
 type wheelLevel struct {
 	occ  [wheelSlots / 64]uint64
 	slot [wheelSlots]wbucket
 }
 
-func (lv *wheelLevel) setOcc(i int)   { lv.occ[i>>6] |= 1 << (i & 63) }
-func (lv *wheelLevel) clearOcc(i int) { lv.occ[i>>6] &^= 1 << (i & 63) }
-
-// nextOcc returns the first occupied bucket index >= from, if any.
-func (lv *wheelLevel) nextOcc(from int) (int, bool) {
-	w := from >> 6
-	word := lv.occ[w] & (^uint64(0) << (from & 63))
-	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word), true
-		}
-		w++
-		if w == len(lv.occ) {
-			return 0, false
-		}
-		word = lv.occ[w]
-	}
-}
-
 // wheel is the pending-event store. cur is the cursor: a virtual time
 // <= the kernel clock and < every resident event's timestamp, used as
-// the reference point for placement. cnt counts resident events.
+// the reference point for placement. cnt counts resident events. words
+// summarises the occupancy bitmaps: bit 4L+i is set iff word i of level
+// L's bitmap is non-zero, so the first occupied bucket of the lowest
+// occupied level is two bit scans away.
 type wheel struct {
-	cur int64
-	cnt int
-	lvl [wheelLevels]wheelLevel
+	cur   int64
+	cnt   int
+	words uint32
+	lvl   [wheelLevels]wheelLevel
+}
+
+func (w *wheel) setOcc(level, idx int) {
+	w.lvl[level].occ[idx>>6] |= 1 << (idx & 63)
+	w.words |= 1 << (level<<2 | idx>>6)
+}
+
+func (w *wheel) clearOcc(level, idx int) {
+	occ := &w.lvl[level].occ[idx>>6]
+	*occ &^= 1 << (idx & 63)
+	if *occ == 0 {
+		w.words &^= 1 << (level<<2 | idx>>6)
+	}
 }
 
 // schedule links ev into the bucket given by the placement rule.
@@ -101,13 +111,12 @@ func (w *wheel) schedule(ev *Event) {
 	d := uint64(ev.at) ^ uint64(w.cur)
 	level := (bits.Len64(d) - 1) >> 3
 	idx := int(uint64(ev.at)>>(level*wheelBits)) & (wheelSlots - 1)
-	lv := &w.lvl[level]
-	b := &lv.slot[idx]
+	b := &w.lvl[level].slot[idx]
 	ev.next = nil
 	ev.prev = b.tail
 	if b.tail == nil {
 		b.head = ev
-		lv.setOcc(idx)
+		w.setOcc(level, idx)
 	} else {
 		b.tail.next = ev
 	}
@@ -133,7 +142,7 @@ func (w *wheel) unlink(ev *Event) {
 		b.tail = ev.prev
 	}
 	if b.head == nil {
-		w.lvl[level].clearOcc(idx)
+		w.clearOcc(level, idx)
 	}
 	ev.next, ev.prev = nil, nil
 	ev.pos = posNone
@@ -147,76 +156,63 @@ const (
 	advStaged          // k.due now holds the next instant's events
 )
 
-// advance walks the cursor to the next pending event time no later than
-// deadline, cascading coarse buckets down as boundaries are crossed,
-// and stages that instant's events onto k.due in (time, seq) order.
-// On advDeadline the cursor has been moved up to the deadline (never
-// backward), which is safe because the scan proved no event lives in
-// between; the clock itself is the caller's to set.
+// advance moves the cursor to the earliest pending event time m, if no
+// later than deadline, and stages that instant's events onto k.due in
+// (time, seq) order; the rest of their bucket is filed again relative
+// to m. Beyond the deadline the cursor moves up to the deadline instead
+// (never backward): a deadline before the first bucket's start moves
+// nothing else, one inside its span refiles the bucket relative to the
+// deadline, because a cursor left inside an occupied bucket's span
+// would place later inserts below the bucket and let them overtake it.
+// advance assigns no seq and counts no dispatch; the clock itself is
+// the caller's to set.
 func (k *Kernel) advance(deadline int64) int {
 	w := &k.wheel
-	for {
-		if w.cnt == 0 {
-			return advEmpty
-		}
-		level, idx := -1, 0
-		var s int64
-		for L := 0; L < wheelLevels; L++ {
-			iL := int(uint64(w.cur)>>(L*wheelBits)) & (wheelSlots - 1)
-			if j, ok := w.lvl[L].nextOcc(iL); ok {
-				// Window prefix above level L, then bucket j. The level-7
-				// mask wraps to zero in uint64, clearing the whole prefix,
-				// which is exactly right.
-				prefix := uint64(w.cur) &^ (uint64(wheelSlots)<<(L*wheelBits) - 1)
-				level, idx = L, j
-				s = int64(prefix | uint64(j)<<(L*wheelBits))
-				break
-			}
-		}
-		if level < 0 {
-			return advEmpty
-		}
-		if s > deadline {
-			if deadline > w.cur {
-				w.cur = deadline
-			}
-			return advDeadline
-		}
-		w.cur = s
-		lv := &w.lvl[level]
-		b := &lv.slot[idx]
-		head := b.head
-		b.head, b.tail = nil, nil
-		lv.clearOcc(idx)
-		if level == 0 {
-			// Exact instant: the whole bucket shares timestamp s; move it
-			// to the due stage in list (= seq) order.
-			for ev := head; ev != nil; {
-				next := ev.next
-				ev.next, ev.prev = nil, nil
-				ev.pos = posNone
-				k.due = append(k.due, ev)
-				w.cnt--
-				ev = next
-			}
-			return advStaged
-		}
-		// Cascade: refile the bucket at finer resolution. Events landing
-		// exactly on the new cursor are due now and skip the wheel.
-		for ev := head; ev != nil; {
-			next := ev.next
-			ev.next, ev.prev = nil, nil
-			w.cnt--
-			if int64(ev.at) == w.cur {
-				ev.pos = posNone
-				k.due = append(k.due, ev)
-			} else {
-				w.schedule(ev)
-			}
-			ev = next
-		}
-		if k.dueHead < len(k.due) {
-			return advStaged
+	if w.words == 0 {
+		return advEmpty
+	}
+	word := bits.TrailingZeros32(w.words)
+	level := word >> 2
+	idx := word&3<<6 | bits.TrailingZeros64(w.lvl[level].occ[word&3])
+	b := &w.lvl[level].slot[idx]
+	head := b.head
+	// The head is the lowest seq, not the earliest time. A level-0 bucket
+	// is one instant.
+	m := int64(head.at)
+	if level > 0 {
+		for ev := head.next; ev != nil; ev = ev.next {
+			m = min(m, int64(ev.at))
 		}
 	}
+	c := m
+	if m > deadline {
+		if deadline <= w.cur {
+			return advDeadline
+		}
+		if start := m &^ (1<<(level*wheelBits) - 1); deadline < start {
+			w.cur = deadline
+			return advDeadline
+		}
+		c = deadline
+	}
+	w.cur = c
+	b.head, b.tail = nil, nil
+	w.clearOcc(level, idx)
+	for ev := head; ev != nil; {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
+		w.cnt--
+		if int64(ev.at) == c {
+			ev.pos = posNone
+			k.due = append(k.due, ev)
+		} else {
+			w.schedule(ev)
+			k.refiles++
+		}
+		ev = next
+	}
+	if c < m {
+		return advDeadline
+	}
+	return advStaged
 }
