@@ -38,7 +38,7 @@ func (w *World) InjectFaults(s FaultSchedule) error {
 	}
 	for _, e := range s.Sorted() {
 		ev := e
-		w.k.At(ev.At, "fault "+ev.Kind.String(), func() { w.applyFault(ev) })
+		w.k.AfterCoalesced(ev.At-w.k.Now(), "fault "+ev.Kind.String(), func() { w.applyFault(ev) })
 	}
 	return nil
 }

@@ -32,9 +32,9 @@ import "time"
 // item's accumulated handler cost, serializing the kernel path the way
 // interrupt-level processing serializes on a uniprocessor. Kicks are
 // coalesced like NIC interrupts: a broadcast delivery kicking every
-// kernel-server host schedules one kernel event, not one per host (the
-// drain steps themselves stay individually scheduled, as their delays
-// depend on per-host handler cost).
+// kernel-server host schedules one kernel event, not one per host; so
+// are the drain steps, whenever hosts that handled equal items in one
+// event reschedule back to back at one deadline.
 func (d *Driver) kernelKick(after time.Duration) {
 	if d.kDraining {
 		return
@@ -55,5 +55,5 @@ func (d *Driver) kernelStep() {
 		used += cost
 	}
 	d.m.KernelTime += used
-	d.h.Kernel().After(used, "mether kernel next", d.stepFn)
+	d.h.Kernel().AfterCoalesced(used, "mether kernel next", d.stepFn)
 }

@@ -413,7 +413,7 @@ func (d *Driver) serveRequest(st *pageState, r deferredReq) {
 		if held := d.h.Kernel().Now() - st.installedAt; held < d.cfg.MinResidency {
 			d.m.HoldOffs++
 			rr := r
-			d.h.Kernel().After(d.cfg.MinResidency-held, "mether holdoff", func() {
+			d.h.Kernel().AfterCoalesced(d.cfg.MinResidency-held, "mether holdoff", func() {
 				d.enqueueWork(workItem{kind: workRedeliver, page: st.page, req: rr})
 			})
 			return

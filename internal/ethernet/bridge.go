@@ -168,7 +168,7 @@ func (br *Bridge) pump(from, to *NIC, backlog *time.Duration, loss *float64) {
 		}
 		fw := br.acquireFwd()
 		fw.from, fw.to, fw.f = from, to, f
-		br.k.After(br.delay+*backlog, "bridge forward", fw.fn)
+		br.k.AfterCoalesced(br.delay+*backlog, "bridge forward", fw.fn)
 	}
 }
 

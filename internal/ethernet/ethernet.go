@@ -302,7 +302,7 @@ func (n *NIC) Send(dst int, payload []byte) {
 	if dst == Broadcast {
 		fn = d.fnB
 	}
-	b.k.At(start+dur+b.p.PropDelay, "eth deliver", fn)
+	b.k.AfterCoalesced(start+dur+b.p.PropDelay-b.k.Now(), "eth deliver", fn)
 }
 
 // acquireDeliv takes a delivery record (with its prebuilt closures) from

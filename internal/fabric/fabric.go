@@ -30,7 +30,10 @@
 // buffers with the decode-once view cache (a fan-out's copies share one
 // buffer and one decoded view), pooled delivery records with prebuilt
 // closures, and lazily grown bounded receive rings. Steady-state traffic
-// does not allocate, on either medium.
+// does not allocate, on either medium. The N-1 copies of a broadcast over
+// idle links land at one instant and are filed back to back with
+// sim.Kernel.AfterCoalesced, so the simulator pops one kernel event for
+// them where the modelled sender still pays N-1 transmissions.
 package fabric
 
 import (
@@ -343,7 +346,7 @@ func (fb *Fabric) transmit(src, dst int, buf *medium.Buf) bool {
 	d.f = medium.Frame{Src: src, Dst: dst, Payload: buf.Data, Buf: buf}
 	d.l = l
 	d.lost = fb.p.LossRate > 0 && fb.k.Rand().Float64() < fb.p.LossRate
-	fb.k.At(start+dur+fb.p.LinkLatency, "fabric deliver", d.fn)
+	fb.k.AfterCoalesced(start+dur+fb.p.LinkLatency-fb.k.Now(), "fabric deliver", d.fn)
 	return true
 }
 

@@ -281,7 +281,7 @@ func (h *Host) maybeDispatch() {
 	next.inRunq = false
 	h.ctxSwitches++
 	delay := h.pr.CtxSwitch + h.pr.DispatchLatency
-	h.k.After(delay, "dispatch", h.dispatchFn)
+	h.k.AfterCoalesced(delay, "dispatch", h.dispatchFn)
 }
 
 // finishDispatch completes a context switch armed by maybeDispatch.
@@ -324,7 +324,7 @@ func (p *Proc) exit() {
 func (p *Proc) wake() {
 	if p.parked {
 		p.parked = false
-		p.h.k.After(0, "wake", p.resumeFn)
+		p.h.k.AfterCoalesced(0, "wake", p.resumeFn)
 	} else if p.state != stateDead {
 		p.wakePending = true
 	}
@@ -368,7 +368,7 @@ func (p *Proc) advance() bool {
 			return true
 		}
 		if p.slice = min(p.need, h.pr.Quantum-p.quantumUsed); p.slice > 0 {
-			h.k.After(p.slice, "wake", p.resumeFn)
+			h.k.AfterCoalesced(p.slice, "wake", p.resumeFn)
 			return false
 		}
 		// The quantum was spent before the Use began (a boost).
@@ -509,7 +509,7 @@ func (p *Proc) SleepFor(d time.Duration) {
 	if p.timerFn == nil {
 		p.timerFn = func() { h.timerFire(p) }
 	}
-	h.k.After(d, "timer", p.timerFn)
+	h.k.AfterCoalesced(d, "timer", p.timerFn)
 	p.await("timed sleep", nil)
 }
 
@@ -635,16 +635,17 @@ func (h *Host) armWakeBoost(woken *Proc) {
 	// discarded — otherwise it would preempt whoever runs later (often
 	// the server) in favour of a process that already had its turn.
 	bt.epoch = woken.dispatchSeq
-	h.k.After(h.pr.WakeBoostDelay, "wake boost", bt.fn)
+	h.k.AfterCoalesced(h.pr.WakeBoostDelay, "wake boost", bt.fn)
 }
 
 // Interrupt models a hardware interrupt: after the configured interrupt
-// cost, fn runs in kernel event context (typically a Wakeup). Interrupts
-// raised back-to-back by one cause — a broadcast delivery raising the
-// same fixed-latency interrupt on every receiving host — are coalesced
-// into a single kernel event (sim.Kernel.AfterCoalesced), which merges
-// only when dispatch order is provably unaffected; interrupt handlers
-// cannot be cancelled, so nothing is lost by not getting an Event back.
+// cost, fn runs in kernel event context (typically a Wakeup). Like every
+// event the scheduler files, it goes through sim.Kernel.AfterCoalesced:
+// interrupts raised back to back by one cause — a broadcast's deliveries
+// raising the same fixed-latency interrupt on every receiving host — are
+// one kernel event, merged only when dispatch order is provably
+// unaffected; nothing cancels an interrupt, so nothing is lost by not
+// getting an Event back.
 func (h *Host) Interrupt(fn func()) {
 	h.k.AfterCoalesced(h.pr.InterruptCost, "interrupt", fn)
 }

@@ -40,7 +40,7 @@ func (h *Host) SpawnTask(name string, step func() Want) *Proc {
 	p := &Proc{h: h, name: name, state: stateRunnable, step: step}
 	p.resumeFn = p.resume
 	h.procs = append(h.procs, p)
-	h.k.After(0, "spawn", p.resumeFn)
+	h.k.AfterCoalesced(0, "spawn", p.resumeFn)
 	h.enqueue(p)
 	h.maybeDispatch()
 	return p

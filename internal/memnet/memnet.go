@@ -196,7 +196,7 @@ func (p *Proc) Store32(id ChunkID, off int, v uint32) {
 	p.r.stats.Updates += uint64(len(c.watchers))
 	watchers := c.watchers
 	c.watchers = nil
-	p.r.k.After(circ, "memnet update", func() {
+	p.r.k.AfterCoalesced(circ, "memnet update", func() {
 		for _, w := range watchers {
 			w.Wake()
 		}

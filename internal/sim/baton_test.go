@@ -245,7 +245,7 @@ type scriptOp struct {
 // callback is what a scheduled event does besides logging.
 type callback struct {
 	wake  int           // Wake(wake) if >= 0
-	hand  int           // Resume(hand) if >= 0, it is in Await and the event is the callback's own
+	hand  int           // Resume(hand) if >= 0 and it is in Await
 	spawn int           // start program spawn if >= 0
 	chain time.Duration // After(chain) a bare logging callback if >= 0
 	stop  bool
@@ -266,7 +266,7 @@ type machine interface {
 // scriptRun is the per-execution state of a script: the log and the
 // bookkeeping that keeps the script inside the kernel's contract (spawn
 // a program once, cancel a timer once and only before it fires, Resume
-// a process once per Await and never from a coalesced callback).
+// a process once per Await).
 type scriptRun struct {
 	progs    [][]scriptOp
 	m        machine
@@ -301,12 +301,12 @@ func (r *scriptRun) start(pid int) {
 	}
 }
 
-func (r *scriptRun) fire(label string, cb callback, own bool) {
+func (r *scriptRun) fire(label string, cb callback) {
 	r.note(label)
 	if cb.wake >= 0 && r.spawned[cb.wake] {
 		r.m.wake(cb.wake)
 	}
-	if own && cb.hand >= 0 {
+	if cb.hand >= 0 {
 		r.hand(cb.hand)
 	}
 	if cb.spawn >= 0 {
@@ -360,10 +360,10 @@ func (r *scriptRun) exec(pid, pc int, o scriptOp) {
 		key := [2]int{pid, pc}
 		r.live[key] = r.m.after(o.d, func() {
 			delete(r.live, key)
-			r.fire("cb "+label, o.cb, true)
+			r.fire("cb "+label, o.cb)
 		})
 	case opCoalesced:
-		r.m.afterCoalesced(o.d, func() { r.fire("co "+label, o.cb, false) })
+		r.m.afterCoalesced(o.d, func() { r.fire("co "+label, o.cb) })
 	case opCancel:
 		key := [2]int{pid, o.arg}
 		if cancel := r.live[key]; cancel != nil {
@@ -461,7 +461,9 @@ func (m *refMachine) after(d time.Duration, fn func()) func() {
 }
 
 // An uncoalesced event owns the (time, seq) slot the batch would have
-// run the callback in, and counts one dispatch like a batched callback.
+// run the callback in, and counts one dispatch like a batched callback;
+// a Resume from it is an ordinary hand-back, after which the next event
+// is the one the batch's next callback would have been.
 func (m *refMachine) afterCoalesced(d time.Duration, fn func()) { m.schedule(d, fn, -1) }
 func (m *refMachine) stop()                                     { m.stopped = true }
 func (m *refMachine) resume(pid int)                            { m.handback = pid }
@@ -806,33 +808,98 @@ func TestShutdownUnwindsAwait(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestResumeMisuseFailsLoudly: a hand-back from a coalesced callback
-// would be honoured after the rest of its batch — later than the
-// uncoalesced kernel would — and one for a process that is not in Await
-// (a process naming itself from its own stack) would be taken by the
-// next unrelated callback. Both are bugs in the caller and panic where
-// they are made.
+// TestResumeMisuseFailsLoudly: a hand-back for a process that is not in
+// Await (a process naming itself from its own stack) would be taken by
+// the next unrelated callback. It is a bug in the caller and panics
+// where it is made.
 func TestResumeMisuseFailsLoudly(t *testing.T) {
-	mustPanic := func(name string, run func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		run()
-	}
-	k := New(1)
-	a := k.Spawn("a", func(p *Proc) { p.Await(nil) })
-	k.AfterCoalesced(time.Millisecond, "irq", func() {})
-	k.AfterCoalesced(time.Millisecond, "irq", a.Resume)
-	mustPanic("Resume from a coalesced callback", func() { k.Run() })
-	k.Shutdown()
-
-	k = New(2)
+	k := New(2)
 	k.Spawn("self", func(p *Proc) { p.Resume() })
-	mustPanic("Resume of a running process", func() { k.Run() })
-	k.Shutdown()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Resume of a running process did not panic")
+		}
+		k.Shutdown()
+	}()
+	k.Run()
+}
+
+// TestResumeFromCoalescedCallback: the second of three callbacks merged
+// into one event Resumes a process. The process runs where it would if
+// each callback were its own event — after the second, before the third
+// — and what it schedules for the same instant runs after the third,
+// which runs as soon as the process blocks. Whether the process holds
+// the baton itself or another one dispatches the batch, each callback
+// counts one dispatch, the continuation none.
+func TestResumeFromCoalescedCallback(t *testing.T) {
+	for _, holder := range []bool{false, true} {
+		k := New(1)
+		var log []string
+		note := func(s string) { log = append(log, fmt.Sprintf("%v %s %d", k.Now(), s, k.Dispatched())) }
+		var a *Proc
+		a = k.Spawn("a", func(p *Proc) {
+			p.Await(nil)
+			note("proc")
+			k.After(0, "after0", func() { note("after0") })
+			k.AfterCoalesced(0, "coalesced0", func() { note("coalesced0") })
+		})
+		spawns := 1
+		if holder {
+			// Blocks last, so the batch runs on its stack.
+			k.Spawn("b", func(p *Proc) { p.Await("never resumed") })
+			spawns++
+		}
+		k.AfterCoalesced(time.Millisecond, "irq", func() { note("cb1") })
+		k.AfterCoalesced(time.Millisecond, "irq", func() { note("cb2"); a.Resume() })
+		k.AfterCoalesced(time.Millisecond, "irq", func() { note("cb3") })
+		if got := k.PendingEvents(); got != spawns+1 {
+			t.Errorf("holder %v: %d events pending, want %d spawns and one batch", holder, got, spawns)
+		}
+		k.Run()
+		// Dispatched() after the spawns: the continuation adds none.
+		n := spawns
+		want := fmt.Sprintf("1ms cb1 %d, 1ms cb2 %d, 1ms proc %d, 1ms cb3 %d, 1ms after0 %d, 1ms coalesced0 %d",
+			n+1, n+2, n+2, n+3, n+4, n+5)
+		if got := strings.Join(log, ", "); got != want {
+			t.Errorf("holder %v: ran\n%s\nwant\n%s", holder, got, want)
+		}
+		if pops := k.Pops(); pops != uint64(spawns+3) {
+			t.Errorf("holder %v: %d kernel events popped, want %d spawns, the batch, after0 and coalesced0", holder, pops, spawns)
+		}
+		k.Shutdown()
+	}
+}
+
+// TestCoalescedBatchNotReusedAfterResume: the trap of an interrupted
+// batch. Resume ends its event, which is released, and the process that
+// runs next files a coalesced event of its own that reuses the very
+// Event. A merge into that event must start a new batch, not append to
+// the interrupted one that still waits to finish its instant — that
+// would run the merged callback at the old instant, before its peer.
+func TestCoalescedBatchNotReusedAfterResume(t *testing.T) {
+	k := New(1)
+	defer k.Shutdown()
+	var log []string
+	note := func(s string) func() { return func() { log = append(log, fmt.Sprint(k.Now(), " ", s)) } }
+	var a *Proc
+	var batchEv *Event
+	a = k.Spawn("a", func(p *Proc) {
+		p.Await(nil)
+		note("proc")()
+		k.AfterCoalesced(time.Millisecond, "x", note("x1"))
+		if k.coalEv != batchEv {
+			t.Error("the process's coalesced event is not the interrupted batch's recycled Event: the test no longer covers the trap")
+		}
+		k.AfterCoalesced(time.Millisecond, "x", note("x2"))
+	})
+	k.AfterCoalesced(time.Millisecond, "irq", func() { note("c1")(); a.Resume() })
+	batchEv = k.coalEv
+	k.AfterCoalesced(time.Millisecond, "irq", note("c2"))
+	k.AfterCoalesced(time.Millisecond, "irq", note("c3"))
+	k.Run()
+	if got, want := strings.Join(log, ", "), "1ms c1, 1ms proc, 1ms c2, 1ms c3, 2ms x1, 2ms x2"; got != want {
+		t.Errorf("ran %s\nwant %s", got, want)
+	}
 }
 
 // ---- coroutine hand-off: panics, Goexit and Shutdown by iter.Pull's rules ----

@@ -126,6 +126,49 @@ func BenchmarkKernelDispatchBurst(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkKernelCoalescedFanout measures a lock-step instant, per
+// callback: 95 adjacent AfterCoalesced calls at one deadline — a
+// broadcast's deliveries on a 96-port fabric — run as one kernel event,
+// the last callback filing the next fan-out.
+func BenchmarkKernelCoalescedFanout(b *testing.B) {
+	const fanout = 95
+	k := New(1)
+	n := 0
+	var cb func()
+	fan := func() {
+		for i := 0; i < fanout; i++ {
+			k.AfterCoalesced(time.Microsecond, "deliver", cb)
+		}
+	}
+	cb = func() {
+		if n++; n%fanout == 0 && n < b.N {
+			fan()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	fan()
+	k.Run()
+}
+
+// BenchmarkKernelCoalescedMiss measures AfterCoalesced when nothing
+// merges: every call has a deadline of its own, so each files a plain
+// event — BenchmarkKernelDispatch through the coalescing check.
+func BenchmarkKernelCoalescedMiss(b *testing.B) {
+	k := New(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < b.N {
+			k.AfterCoalesced(time.Microsecond, "tick", tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.AfterCoalesced(time.Microsecond, "tick", tick)
+	k.Run()
+}
+
 // BenchmarkKernelScheduleCancel measures the schedule-then-cancel churn
 // of retry timers: the event never fires but must be queued, cancelled
 // (dropping its closure immediately) and reclaimed on pop.

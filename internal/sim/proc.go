@@ -141,8 +141,10 @@ func (p *Proc) Await(reason any) {
 // for its own wake event, otherwise one hand-off. No event is scheduled,
 // so the dispatch count, the sequence counter and every AfterCoalesced
 // merge stay where a callback doing p's work itself would leave them. A
-// dead p is ignored; one not in Await, or a second Resume in one
-// callback, is the caller's bug.
+// callback inside a coalesced event may Resume too: the callbacks after
+// it run when p next blocks, before any other event. A dead p is
+// ignored; one not in Await, or a second Resume in one callback, is the
+// caller's bug.
 func (p *Proc) Resume() {
 	switch {
 	case p.state == procDead:

@@ -40,6 +40,21 @@
 // queue until its timestamp comes up. None of this is observable:
 // events still execute in exact (time, sequence) order, proven by the
 // randomized differential test against a reference priority list.
+//
+// Lock-step instants are one kernel event. Every event nobody cancels is
+// scheduled with AfterCoalesced, which merges a call into the open
+// coalesced event when nothing has been scheduled since that event was
+// filed (the sequence counter has not moved), the deadline is the same
+// and its callback has not started: exactly when the call's own event
+// would have run next with nothing in between. A broadcast's N-1
+// deliveries, the interrupts they raise and the equal slices of the
+// servers they wake thus cost one pop each, not N-1. A lone call files a
+// plain Event; the first merge makes it a batch, whose callbacks live in
+// fixed 64-slot chunks from one kernel freelist. A batched callback may
+// hand the baton to a process (Proc.Resume): the batch stops there, the
+// process runs, and the rest of the batch runs first at the next entry
+// to the dispatcher, ahead of everything still queued — where the
+// uncoalesced events would have run.
 package sim
 
 import (
@@ -73,21 +88,28 @@ type Kernel struct {
 	free []*Event
 	// slab is where alloc cuts new events from when free is empty, and
 	// slabs counts the slabs made so far (see slabSizes).
-	slab       []Event
-	slabs      int
-	rng        *rand.Rand
-	procs      []*Proc
-	dispatched uint64
-	resumes    uint64
-	refiles    uint64
-	// Coalescing state (see AfterCoalesced): the open batch, its absolute
-	// deadline, and the value of seq immediately after the batch's last
-	// append — if seq has moved since, another event was scheduled in
-	// between and the batch is no longer adjacent.
-	coalB     *batch
-	coalAt    time.Duration
-	coalSeq   uint64
-	freeBatch []*batch
+	slab  []Event
+	slabs int
+	rng   *rand.Rand
+	procs []*Proc
+	// pops counts the kernel events dispatched, batched the callbacks run
+	// inside a batch after its first; Dispatched is their sum.
+	pops    uint64
+	batched uint64
+	resumes uint64
+	refiles uint64
+	// Coalescing state (see AfterCoalesced): the open coalesced event, the
+	// value of seq when it was filed — if seq has moved since, another
+	// event was scheduled in between and it is no longer adjacent — and
+	// its batch, nil while it carries one callback.
+	coalEv  *Event
+	coalSeq uint64
+	coalB   *batch
+	// freeBatch is the chunk freelist, linked through batch.next.
+	freeBatch *batch
+	// rest is a batch that a callback's Proc.Resume interrupted: the next
+	// dispatch runs the rest of it before anything else.
+	rest *batch
 	// root stands for the goroutine inside RunUntil: dispatch returns it
 	// when the run has ended.
 	root Proc
@@ -103,7 +125,8 @@ type Kernel struct {
 // New returns a Kernel whose random source is seeded with seed.
 // Equal seeds produce identical runs.
 func New(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	// No coalesced event is open: seq never reaches coalSeq.
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), coalSeq: ^uint64(0)}
 }
 
 // Now returns the current virtual time.
@@ -182,95 +205,116 @@ func (k *Kernel) After(d time.Duration, name string, fn func()) *Event {
 	return k.At(k.now+d, name, fn)
 }
 
-// AfterCoalesced schedules fn to run d from now, like After, but merges
-// the call into the immediately preceding AfterCoalesced event when the
-// merge is provably invisible to dispatch order: the deadlines are equal
-// and no event of any kind has been scheduled since that call (the
-// kernel's sequence counter is unchanged). Under exactly those
-// conditions fn's own event would have been assigned the very next
-// sequence number at the same timestamp, so it would have dispatched
-// immediately after the batch's previous callback with nothing able to
-// run in between — executing it from the same kernel event is
-// observably identical, and the per-event schedule/dispatch cost is
-// saved. This is the broadcast fan-out shape: one Ethernet delivery
-// raising the same fixed-latency interrupt on every receiving host
-// collapses from N kernel events into one.
-//
-// Dispatched() counts every batched callback individually, so event
-// counts (and events/sec records) remain comparable with an uncoalesced
-// execution. Batched callbacks cannot be cancelled — no Event is
-// returned — so the mechanism suits fire-and-forget wakeups like NIC
-// interrupts, not timers.
+// AfterCoalesced schedules fn to run d from now, like After, and is the
+// call for every event nobody cancels (no Event is returned; timers a
+// caller may Cancel use After or At). It merges the call into the open
+// coalesced event — the last one AfterCoalesced filed — when that is
+// provably invisible to dispatch order: nothing has been scheduled since
+// the event was filed (seq has not moved; merges consume none), the
+// deadlines are equal and its callback has not started (dispatch takes
+// ev.fn before calling it). Then fn's own event would have had the next
+// seq at the same instant and run right after the event's last callback
+// with nothing in between, so running it from that event changes nothing
+// but the schedule/dispatch cost saved. A lone call files a plain Event
+// (the miss path is one compare in front of At); the first merge makes
+// it a batch. Dispatched() counts every callback, Pops() kernel events.
 func (k *Kernel) AfterCoalesced(d time.Duration, name string, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	t := k.now + d
-	if b := k.coalB; b != nil && k.coalAt == t && k.coalSeq == k.seq {
-		b.fns = append(b.fns, fn)
+	t := k.now + max(d, 0)
+	if ev := k.coalEv; k.coalSeq == k.seq && ev.fn != nil && ev.at == t {
+		b := k.coalB
+		if b == nil {
+			// The first merge: the lone callback becomes the batch's first.
+			b = k.allocBatch()
+			b.fns[0], b.n = ev.fn, 1
+			ev.fn = b.fn
+			k.coalB = b
+		}
+		j := b.n % chunkSlots
+		if j == 0 {
+			c := k.allocBatch()
+			b.tail.next = c
+			b.tail = c
+		}
+		b.tail.fns[j] = fn
+		b.n++
 		return
 	}
-	b := k.allocBatch()
-	b.fns = append(b.fns, fn)
-	k.coalB = b
-	k.coalAt = t
-	k.At(t, name, b.fn)
+	k.coalEv = k.At(t, name, fn)
 	k.coalSeq = k.seq
+	// The new event may be a recycled interrupted batch's: it starts alone.
+	k.coalB = nil
 }
 
-// batch is one coalesced event: the callbacks of several logically
-// distinct events that provably occupy one contiguous (time, seq) run.
-// The closure is built once so re-arming from the pool is
-// allocation-free, like the Event freelist.
+// chunkSlots is the callback capacity of one batch chunk.
+const chunkSlots = 64
+
+// batch holds a coalesced event's callbacks once it has two, in append
+// (= would-be seq) order, in fixed chunks of chunkSlots from one kernel
+// freelist — never a growing slice, which a 3 072-wide interrupt fan-out
+// and the two-wide batches around it would keep regrowing for each
+// other. The head chunk carries the batch's state; each chunk's fn is
+// built once, so re-arming from the freelist allocates nothing.
 type batch struct {
-	k   *Kernel
-	fns []func()
-	fn  func()
+	fns  [chunkSlots]func()
+	next *batch // the batch's next chunk, or the freelist's
+	k    *Kernel
+	fn   func() // drain
+	// Head chunk only: the chunks appended to and run from, callbacks
+	// appended and run.
+	tail, cur *batch
+	n, i      int
 }
 
-// allocBatch takes a batch (with its prebuilt closure) from the pool.
+// allocBatch takes a chunk from the freelist, as an empty batch.
 func (k *Kernel) allocBatch() *batch {
-	if n := len(k.freeBatch); n > 0 {
-		b := k.freeBatch[n-1]
-		k.freeBatch[n-1] = nil
-		k.freeBatch = k.freeBatch[:n-1]
-		return b
+	b := k.freeBatch
+	if b == nil {
+		b = &batch{k: k}
+		b.fn = b.drain
+	} else {
+		k.freeBatch = b.next
+		b.next = nil
 	}
-	b := &batch{k: k}
-	b.fn = b.run
+	b.tail, b.cur = b, b
+	b.n, b.i = 0, 0
 	return b
 }
 
-// run fires the batch: close it to further appends, execute every
-// callback in append (= would-be seq) order, then recycle. The event pop
-// already counted one dispatch; each further callback counts its own, at
-// the same point relative to its execution as an uncoalesced event's.
-// Stop() is honoured between callbacks exactly where the uncoalesced
-// kernel would check it — before dispatching the next event — so a
-// callback that stops the kernel suppresses the rest of the batch (they
-// are dropped, matching the fate of events left queued at Stop: a
-// stopped kernel never runs again).
-func (b *batch) run() {
-	k := b.k
-	if k.coalB == b {
-		k.coalB = nil
-	}
-	for i, fn := range b.fns {
-		b.fns[i] = nil
+// drain runs the batch's callbacks from where it stands, then frees its
+// chunks. The event's pop counted the first callback; each later one
+// counts its own just before it runs, as its own event's pop would.
+// Stop is honoured between callbacks, where the uncoalesced kernel
+// checks it before the next event: the rest is dropped, like the events
+// a stopped kernel leaves queued. A callback's Proc.Resume ends its
+// event, as it would uncoalesced: the rest waits in k.rest for the
+// dispatcher's next entry, which comes when that process blocks, before
+// anything else runs.
+func (b *batch) drain() {
+	// No call appends to a batch once it runs, so n stays put.
+	k, c, n := b.k, b.cur, b.n
+	for i := b.i; i < n; {
+		if k.stopped {
+			return
+		}
+		j := i % chunkSlots
 		if i > 0 {
-			if k.stopped {
-				continue
+			k.batched++
+			if j == 0 {
+				c = c.next
 			}
-			k.dispatched++
 		}
+		fn := c.fns[j]
+		c.fns[j] = nil
+		i++
 		fn()
-		if k.handback != nil {
-			// Honoured after the batch, it would come later than uncoalesced.
-			panic("sim: Proc.Resume from a coalesced callback")
+		if k.handback != nil && i < n {
+			b.cur, b.i = c, i
+			k.rest = b
+			return
 		}
 	}
-	b.fns = b.fns[:0]
-	k.freeBatch = append(k.freeBatch, b)
+	b.tail.next = k.freeBatch
+	k.freeBatch = b
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -308,6 +352,16 @@ func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 // next: that process, or the root. The caller is the baton holder:
 // RunUntil, a process in Sleep or Park, or one that just exited.
 func (k *Kernel) dispatch() *Proc {
+	// Only a hand-back leaves a rest, and a hand-back always returns from
+	// dispatch: once per entry is often enough to look.
+	if b := k.rest; b != nil {
+		k.rest = nil
+		b.drain()
+		if p := k.handback; p != nil {
+			k.handback = nil
+			return p
+		}
+	}
 	deadline := k.deadline
 	for !k.stopped {
 		var ev *Event
@@ -340,7 +394,7 @@ func (k *Kernel) dispatch() *Proc {
 			continue
 		}
 		k.now = ev.at
-		k.dispatched++
+		k.pops++
 		if p := ev.proc; p != nil {
 			// Resume event: internal, so recycled before the process runs.
 			// Only a panic that unwound p mid-park leaves one for the dead.
@@ -386,18 +440,19 @@ func (k *Kernel) Idle() []string {
 	return out
 }
 
-// PendingEvents returns the number of events waiting to run. Cancelled
-// events are unlinked (and stop counting) immediately, except for the
-// bounded few already staged for the current instant.
+// PendingEvents returns the number of kernel events waiting to run — a
+// coalesced event counts once however many callbacks it carries.
+// Cancelled events are unlinked (and stop counting) immediately, except
+// for the bounded few already staged for the current instant.
 func (k *Kernel) PendingEvents() int {
 	return k.wheel.cnt + (len(k.due) - k.dueHead) + k.runq.n
 }
 
-// Dispatched returns the number of events executed so far. It is a pure
-// function of the simulation (virtual events, not wall time), so equal
-// seeds report equal counts; sweeps use it for events/sec throughput
-// records.
-func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+// Dispatched returns the number of events executed so far, each callback
+// of a coalesced event counted as its own. It is a pure function of the
+// simulation (virtual events, not wall time), so equal seeds report
+// equal counts; sweeps use it for events/sec throughput records.
+func (k *Kernel) Dispatched() uint64 { return k.pops + k.batched }
 
 // Resumes returns the number of hand-offs through RunUntil's trampoline:
 // the events whose dispatch switched to another process's coroutine, at
@@ -410,6 +465,12 @@ func (k *Kernel) Resumes() uint64 { return k.resumes }
 // instant when the cursor jumped there (see advance). Every event costs
 // one schedule plus its refiles. Deterministic, like Dispatched.
 func (k *Kernel) Refiles() uint64 { return k.refiles }
+
+// Pops returns the number of kernel events popped from the wheel or the
+// run queue and dispatched: Dispatched() − Pops() callbacks ran inside a
+// coalesced event after its first (see AfterCoalesced). Deterministic,
+// like Dispatched.
+func (k *Kernel) Pops() uint64 { return k.pops }
 
 // Event is a scheduled callback. The zero value is not useful; events are
 // created by Kernel.At and Kernel.After. After the callback has run the
