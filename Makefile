@@ -68,6 +68,15 @@
 #                        [q1, q3] -> the change's, per cent, pairs ahead;
 #                        fails when a run failed or events_total, the
 #                        digest or a sim_* metric differs within a pair
+#   make same-reports  - PARENT=<checkout of the parent commit> [FULL=1]: the
+#                        report gate of a change meant to move no report
+#                        byte. Builds cmd/methersweep in both trees, renders
+#                        JSON and CSV of -grid smoke, -grid all and -grid
+#                        cluster -hosts 64 (and the full -grid cluster with
+#                        FULL=1, about 2 min more on two workers), cmp's each
+#                        pair and prints each grid's event total; fails on
+#                        any difference. Not a ci stage: it needs a parent
+#                        checkout
 #   make loc           - non-test Go lines outside bench/ (tracked files
 #                        only), per directory and in total: the one
 #                        number simplicity PRs report, computed one way
@@ -80,9 +89,9 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelContinue|BenchmarkKernelContinueMiss|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair loc profile
+.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair same-reports loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -195,6 +204,11 @@ SEED0 ?=
 
 bench-pair:
 	@sh scripts/bench-pair.sh '$(PARENT)' '$(PAIRS)' '$(SECONDS)' '$(SEED0)' $(WORKLOADS)
+
+FULL ?=
+
+same-reports:
+	@sh scripts/same-reports.sh '$(PARENT)' '$(FULL)'
 
 # Raw lines (comments and blanks included) of tracked, non-test Go files
 # outside the frozen bench/ module, summed per directory.

@@ -81,7 +81,7 @@ func BenchmarkSpin32(b *testing.B) {
 	if err != nil || looks < b.N {
 		b.Fatalf("%d looks of %d, err %v", looks, b.N, err)
 	}
-	if r := c.k.Resumes(); r > 8 {
+	if r := c.k.Counters().Resumes; r > 8 {
 		b.Fatalf("%d coroutine resumes for %d looks: the poll is back on the coroutine", r, looks)
 	}
 }

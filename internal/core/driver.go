@@ -341,6 +341,14 @@ func (st *pageState) satisfied(n needSet) bool {
 	return true
 }
 
+// mapped reports whether the page is mapped in mode, RO or RW.
+func (st *pageState) mapped(mode Mode) bool {
+	if mode == RO {
+		return st.mappedRO
+	}
+	return st.mappedRW
+}
+
 // checkAccess validates view/mode legality for an access.
 func (d *Driver) checkAccess(mode Mode, a Addr, size int, write bool) (*pageState, error) {
 	if err := a.CheckAccess(size); err != nil {
@@ -510,6 +518,8 @@ type Poll struct {
 	v     uint64
 	slow  bool        // the last look needs the coroutine: a fault, an error
 	look  func() bool // s.resident, boxed once
+	st    *pageState  // the page, once this Spin32's first look checked it
+	needs needSet
 }
 
 // Spin32 is `for { p.UseUser(every); v, err := d.Load(p, mode, a, 4); if
@@ -519,7 +529,8 @@ type Poll struct {
 // calling coroutine sleeps. A look that would fault or fail ends the poll
 // and the coroutine makes it, as the blocking Load; again is asked about
 // that value too, so it sees every loaded value exactly once. again runs
-// in kernel event context and must not block.
+// in kernel event context or on the caller's stack (UseWhile) and must
+// not block.
 func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Duration, again func(uint32) bool) (uint32, error) {
 	if every <= 0 {
 		return 0, fmt.Errorf("core: spin every %v: a look must cost CPU time", every)
@@ -527,7 +538,7 @@ func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Dur
 	if s.look == nil {
 		s.look = s.resident
 	}
-	s.d, s.mode, s.a, s.again = d, mode, a, again
+	s.d, s.mode, s.a, s.again, s.st = d, mode, a, again, nil
 	for {
 		s.slow = false
 		p.UseWhile(every, host.CPUUser, s.look)
@@ -542,11 +553,21 @@ func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Dur
 }
 
 // resident is one look of a Spin32: Load's checks and, when they pass
-// without a fault, its read and the verdict of again. The access is
-// checked at every look: a crash wipes the directory between two.
+// without a fault, its read and the verdict of again. A Spin32's first
+// look checks in full and keeps the page; later ones re-check only what
+// can change, the mapping (MapOut) and residency. The pointer stays valid:
+// directory entries never move, and a crash wipes them in place.
 func (s *Poll) resident() bool {
-	st, err := s.d.checkAccess(s.mode, s.a, 4, false)
-	if err == nil && st.satisfied(accessNeeds(s.mode, s.a, 4)) {
+	var err error
+	st := s.st
+	if st == nil || !st.mapped(s.mode) {
+		if st, err = s.d.checkAccess(s.mode, s.a, 4, false); err != nil {
+			s.slow = true
+			return false
+		}
+		s.st, s.needs = st, accessNeeds(s.mode, s.a, 4)
+	}
+	if st.satisfied(s.needs) {
 		if s.v, err = st.frame.Load(s.a.Offset(), 4); err == nil {
 			return s.again(uint32(s.v))
 		}

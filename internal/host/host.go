@@ -17,7 +17,10 @@
 // machine (Proc.advance) schedules both, through the same kernel events.
 // A task is the cheaper to resume, so the Mether server, which wakes once
 // per network frame, is one; and a coroutine that spins hands its loop to
-// the scheduler (UseWhile) and sleeps until the spin has an outcome.
+// the scheduler (UseWhile) and sleeps until the spin has an outcome. A
+// slice end that would be the kernel's next event is run inline
+// (sim.Kernel.Continue), so the predicate may run on the coroutine's own
+// stack and a Use on an otherwise idle kernel never waits.
 package host
 
 import (
@@ -332,25 +335,26 @@ func (p *Proc) wake() {
 
 // advance runs the scheduler's state machine for p until the process
 // must wait for an event (false: a wake or the end of a slice will call
-// resume) or is on the CPU with nothing owed (true).
+// resume) or is on the CPU with nothing owed (true). A slice end that
+// would be the kernel's next event is run here (sim.Kernel.Continue).
 func (p *Proc) advance() bool {
 	h := p.h
-	if p.slice > 0 {
-		// Nothing wakes a process in mid-slice, so this is the slice's end.
-		if p.kind == CPUSys {
-			p.sys += p.slice
-		} else {
-			p.user += p.slice
-		}
-		h.busy += p.slice
-		p.quantumUsed += p.slice
-		p.need -= p.slice
-		p.slice = 0
-		if p.quantumUsed >= h.pr.Quantum {
-			p.quantumExpire()
-		}
-	}
 	for {
+		if p.slice > 0 {
+			// Nothing wakes a process in mid-slice, so this is the slice's end.
+			if p.kind == CPUSys {
+				p.sys += p.slice
+			} else {
+				p.user += p.slice
+			}
+			h.busy += p.slice
+			p.quantumUsed += p.slice
+			p.need -= p.slice
+			p.slice = 0
+			if p.quantumUsed >= h.pr.Quantum {
+				p.quantumExpire()
+			}
+		}
 		// The CPU comes first, also when nothing is owed: a Use that ended
 		// exactly at a quantum expiry is over only once the process has been
 		// dispatched again. A blocked process is never on the CPU, so this is
@@ -368,6 +372,9 @@ func (p *Proc) advance() bool {
 			return true
 		}
 		if p.slice = min(p.need, h.pr.Quantum-p.quantumUsed); p.slice > 0 {
+			if h.k.Continue(p.slice) {
+				continue
+			}
 			h.k.AfterCoalesced(p.slice, "wake", p.resumeFn)
 			return false
 		}
@@ -376,10 +383,11 @@ func (p *Proc) advance() bool {
 	}
 }
 
-// resume is the callback of every resume event of every process: with
-// the process on the CPU and nothing owed it asks the task's step or the
-// poll's again what comes next, or hands the coroutine the baton back.
-func (p *Proc) resume() {
+// run drives p's state machine: each time the process is on the CPU with
+// nothing owed it asks the task's step or the poll's again what comes
+// next. It returns true when the coroutine is owed the baton back, false
+// when p waits for an event or has exited.
+func (p *Proc) run() bool {
 	for p.advance() {
 		switch {
 		case p.step != nil:
@@ -390,30 +398,39 @@ func (p *Proc) resume() {
 				p.block(w.q)
 			default:
 				p.exit()
-				return
+				return false
 			}
 		case p.again != nil && p.again():
 			p.need = p.every
 		default:
 			p.again = nil
-			p.sp.Resume()
-			return
+			return true
 		}
+	}
+	return false
+}
+
+// resume is the callback of every resume event of every process: it runs
+// the machine and, when the coroutine is owed the baton, hands it back.
+func (p *Proc) resume() {
+	if p.run() {
+		p.sp.Resume()
 	}
 }
 
 // await is where a coroutine waits out what it has just asked of the
 // scheduler (again: the predicate, if it asked for a poll). The machine
-// runs as far as it can on the coroutine's own stack; resume events run
-// the rest and the last hands the baton back — unless nothing was left:
-// then no Resume is coming and the coroutine must not Await. reason is
-// for Kernel.Idle, nil for a Use: computing is not idle.
+// runs as far as it can on the coroutine's own stack, slice ends run
+// inline included; resume events run the rest and the last hands the
+// baton back — unless nothing was left: then no Resume is coming and the
+// coroutine must not Await. reason is for Kernel.Idle, nil for a Use:
+// computing is not idle.
 func (p *Proc) await(reason any, again func() bool) {
 	if p.again != nil {
-		panic("host: " + p.name + " blocks inside its UseWhile predicate, which runs in kernel event context")
+		panic("host: " + p.name + " blocks inside its UseWhile predicate, which must not block")
 	}
 	p.again = again
-	if !p.advance() {
+	if !p.run() {
 		p.sp.Await(reason)
 	}
 }
@@ -432,9 +449,11 @@ func (p *Proc) Use(d time.Duration, kind CPUKind) {
 // would have returned (on the CPU, nothing owed, after any quantum
 // rotation) and the coroutine is resumed once, in the event where again
 // says no (nil: at once, a plain Use) — a kernel callback per look, not a
-// coroutine switch. again runs in kernel event context, possibly on
-// another process's stack: it must not block (Use and the sleeps panic)
-// and should not allocate. d must be positive, or the poll would not end.
+// coroutine switch, or none where the slice end runs inline (see
+// advance), on the caller's stack until one is filed. again runs there or
+// in kernel event context, possibly on another process's stack: it must
+// not block (Use and the sleeps panic) and should not allocate. d must
+// be positive, or the poll would not end.
 func (p *Proc) UseWhile(d time.Duration, kind CPUKind, again func() bool) {
 	if d <= 0 {
 		panic("host: UseWhile needs a positive d")

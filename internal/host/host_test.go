@@ -1,6 +1,8 @@
 package host
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -300,7 +302,7 @@ func TestUseWhileEdges(t *testing.T) {
 			t.Errorf("Use(d <= 0) dispatched %d events and left %d pending", k.Dispatched()-events, k.PendingEvents())
 		}
 		mustPanic("UseWhile(0)", func() { p.UseWhile(0, CPUUser, func() bool { return false }) })
-		start, resumes := p.Now(), k.Resumes()
+		start, before := p.Now(), k.Counters()
 		p.UseWhile(time.Millisecond, CPUUser, func() bool {
 			looks++
 			return looks < 25 // across two quantum boundaries, alone on the CPU
@@ -308,8 +310,16 @@ func TestUseWhileEdges(t *testing.T) {
 		if got := p.Now() - start; got != 25*time.Millisecond || p.User() != 25*time.Millisecond {
 			t.Errorf("25 looks of 1ms took %v and were charged %v", got, p.User())
 		}
-		if k.Resumes() != resumes {
-			t.Errorf("a poll on an otherwise idle kernel cost %d coroutine resumes", k.Resumes()-resumes)
+		// Alone in the kernel, every slice end is the next event: the whole
+		// poll runs inline, on this stack, without an event or a wait.
+		if c := k.Counters(); c.Resumes != before.Resumes || c.Pops != before.Pops || c.Continued != before.Continued+25 {
+			t.Errorf("a poll of 25 looks on an otherwise idle kernel cost %d coroutine resumes and %d kernel events, %d looks inline",
+				c.Resumes-before.Resumes, c.Pops-before.Pops, c.Continued-before.Continued)
+		}
+		before = k.Counters()
+		p.UseSys(35 * time.Millisecond)
+		if c := k.Counters(); c.Pops != before.Pops || c.Continued == before.Continued || p.Sys() != 36*time.Millisecond {
+			t.Errorf("a Use on an otherwise idle kernel cost %d kernel events and was charged %v", c.Pops-before.Pops, p.Sys())
 		}
 		// Alone in the kernel, the poller dispatches its own resume events,
 		// so the predicate's panic unwinds through this very stack.
@@ -323,6 +333,56 @@ func TestUseWhileEdges(t *testing.T) {
 	k.Run()
 	if looks != 25 {
 		t.Errorf("again was asked %d times, want 25", looks)
+	}
+}
+
+// TestContinuedSliceRotates: a poll whose slice ends run inline still
+// hands the CPU to a peer that waits in the run queue with no event of
+// its own, at the quantum expiry where a filed slice end would — as the
+// written Use loop does, look for look.
+func TestContinuedSliceRotates(t *testing.T) {
+	run := func(poll bool) (log []string, continued uint64) {
+		k := sim.New(1)
+		defer k.Shutdown()
+		pr := testParams()
+		h := New(k, 0, "a", pr)
+		looks := 0
+		again := func() bool {
+			looks++
+			log = append(log, fmt.Sprintf("%v look %d", k.Now(), looks))
+			return looks < 30
+		}
+		h.Spawn("poller", func(p *Proc) {
+			if poll {
+				p.UseWhile(pr.Quantum/4, CPUUser, again)
+				return
+			}
+			for {
+				p.UseUser(pr.Quantum / 4)
+				if !again() {
+					return
+				}
+			}
+		})
+		h.Spawn("peer", func(p *Proc) {
+			for i := 0; i < 4; i++ {
+				log = append(log, fmt.Sprintf("%v peer", p.Now()))
+				p.UseUser(pr.Quantum / 2)
+			}
+		})
+		k.Run()
+		return log, k.Counters().Continued
+	}
+	want, _ := run(false)
+	got, continued := run(true)
+	if !slices.Equal(got, want) {
+		t.Errorf("the poll diverges from the Use loop:\n got %v\nwant %v", got, want)
+	}
+	// Dispatched at 1 ms, the poller's fourth slice ends its quantum at
+	// 11 ms, and the peer is dispatched one switch later, before that
+	// slice's look.
+	if i := slices.Index(got, "12ms peer"); i != 3 || continued < 30 {
+		t.Errorf("the peer first ran at line %d of %v, with %d slice ends inline; want line 3 and at least 30", i, got, continued)
 	}
 }
 

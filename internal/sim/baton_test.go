@@ -706,17 +706,17 @@ func TestResumeCostsAHandOffOnlyAcrossStacks(t *testing.T) {
 		// The only process: it holds the baton through every Await.
 		for i := 0; i < 3; i++ {
 			k.After(time.Millisecond, "alarm", a.Resume)
-			before, events := k.Resumes(), k.Dispatched()
+			before, events := k.Counters().Resumes, k.Dispatched()
 			p.Await(nil)
-			if k.Resumes() != before || k.Dispatched() != events+1 {
-				t.Errorf("own hand-back %d: %d resumes and %d events, want 0 and 1", i, k.Resumes()-before, k.Dispatched()-events)
+			if k.Counters().Resumes != before || k.Dispatched() != events+1 {
+				t.Errorf("own hand-back %d: %d resumes and %d events, want 0 and 1", i, k.Counters().Resumes-before, k.Dispatched()-events)
 			}
 		}
 		log = append(log, fmt.Sprint(k.Now(), " a done"))
 	})
 	k.Run()
-	if k.Resumes() != 1 { // a's start
-		t.Errorf("Resumes() = %d after a solo run, want 1", k.Resumes())
+	if k.Counters().Resumes != 1 { // a's start
+		t.Errorf("Resumes() = %d after a solo run, want 1", k.Counters().Resumes)
 	}
 
 	// Now b blocks last and so dispatches a2's alarm on its own stack.
@@ -728,10 +728,10 @@ func TestResumeCostsAHandOffOnlyAcrossStacks(t *testing.T) {
 	k.Spawn("b", func(p *Proc) {
 		p.Await("never resumed")
 	})
-	before, events := k.Resumes(), k.Dispatched()
+	before, events := k.Counters().Resumes, k.Dispatched()
 	k.Run()
 	// Two starts and the one hand-off from b's stack to a2; three events.
-	if got := k.Resumes() - before; got != 3 {
+	if got := k.Counters().Resumes - before; got != 3 {
 		t.Errorf("%d resumes for two starts and one cross-stack hand-back, want 3", got)
 	}
 	if got := k.Dispatched() - events; got != 3 {
@@ -755,8 +755,8 @@ func TestResumeOfDeadProcessIsIgnored(t *testing.T) {
 	k.After(time.Millisecond, "late", gone.Resume)
 	k.After(2*time.Millisecond, "after", func() { ran = true })
 	k.Run()
-	if !gone.Dead() || !ran || k.Resumes() != 1 {
-		t.Errorf("dead %v, later callback ran %v, %d resumes; want true, true, 1", gone.Dead(), ran, k.Resumes())
+	if !gone.Dead() || !ran || k.Counters().Resumes != 1 {
+		t.Errorf("dead %v, later callback ran %v, %d resumes; want true, true, 1", gone.Dead(), ran, k.Counters().Resumes)
 	}
 }
 
@@ -863,7 +863,7 @@ func TestResumeFromCoalescedCallback(t *testing.T) {
 		if got := strings.Join(log, ", "); got != want {
 			t.Errorf("holder %v: ran\n%s\nwant\n%s", holder, got, want)
 		}
-		if pops := k.Pops(); pops != uint64(spawns+3) {
+		if pops := k.Counters().Pops; pops != uint64(spawns+3) {
 			t.Errorf("holder %v: %d kernel events popped, want %d spawns, the batch, after0 and coalesced0", holder, pops, spawns)
 		}
 		k.Shutdown()

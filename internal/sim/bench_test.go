@@ -169,6 +169,53 @@ func BenchmarkKernelCoalescedMiss(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkKernelContinue measures a lone tick that continues: with
+// nothing else pending, each next tick would be the next event, so
+// Continue runs it inline — the slice end of a process alone in the
+// kernel. Against BenchmarkKernelDispatch it is the schedule and pop
+// saved.
+func BenchmarkKernelContinue(b *testing.B) {
+	k := New(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		for n++; n < b.N; n++ {
+			if !k.Continue(time.Microsecond) {
+				k.After(time.Microsecond, "tick", tick)
+				return
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.After(time.Microsecond, "tick", tick)
+	k.Run()
+}
+
+// BenchmarkKernelContinueMiss measures Continue's refusal: two ticks 1 µs
+// apart on a 2 µs period, so each finds the other's event due first and
+// files its next with AfterCoalesced — BenchmarkKernelCoalescedMiss
+// with the question asked in front.
+func BenchmarkKernelContinueMiss(b *testing.B) {
+	k := New(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n >= b.N {
+			return
+		}
+		if k.Continue(2 * time.Microsecond) {
+			b.Fatal("Continue said yes with the other tick due first")
+		}
+		k.AfterCoalesced(2*time.Microsecond, "tick", tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.AfterCoalesced(time.Microsecond, "tick", tick)
+	k.AfterCoalesced(2*time.Microsecond, "tick", tick)
+	k.Run()
+}
+
 // BenchmarkKernelScheduleCancel measures the schedule-then-cancel churn
 // of retry timers: the event never fires but must be queued, cancelled
 // (dropping its closure immediately) and reclaimed on pop.

@@ -89,8 +89,8 @@ func TestAfterCoalescedBatchClosesOnFire(t *testing.T) {
 		if got, want := strings.Join(ran, " "), strings.Repeat("first ", width)+"second"; got != want {
 			t.Errorf("width %d: ran %v, want %v", width, got, want)
 		}
-		if k.Dispatched() != uint64(width+1) || k.Pops() != 2 {
-			t.Errorf("width %d: %d callbacks in %d events, want %d in 2", width, k.Dispatched(), k.Pops(), width+1)
+		if k.Dispatched() != uint64(width+1) || k.Counters().Pops != 2 {
+			t.Errorf("width %d: %d callbacks in %d events, want %d in 2", width, k.Dispatched(), k.Counters().Pops, width+1)
 		}
 	}
 }
@@ -207,7 +207,7 @@ func TestAfterCoalescedDifferential(t *testing.T) {
 			k.After(time.Duration(i)*50*time.Microsecond, "seed", fire(0))
 		}
 		k.Run()
-		return trace, k.Dispatched(), k.Pops()
+		return trace, k.Dispatched(), k.Counters().Pops
 	}
 	var resumed, merged uint64
 	for seed := int64(1); seed <= 200; seed++ {
@@ -272,8 +272,8 @@ func TestAfterCoalescedChunks(t *testing.T) {
 				t.Errorf("width %d, Resume at %d: ran %d callbacks, diverging at %d: %v, want %d: %v",
 					width, at, len(got), i, got[i:min(i+3, len(got))], len(want), want[i:min(i+3, len(want))])
 			}
-			if k.Pops() != 4 || k.Dispatched() != uint64(2+2*width) {
-				t.Errorf("width %d, Resume at %d: %d callbacks in %d events, want %d in 4", width, at, k.Dispatched(), k.Pops(), 2+2*width)
+			if k.Counters().Pops != 4 || k.Dispatched() != uint64(2+2*width) {
+				t.Errorf("width %d, Resume at %d: %d callbacks in %d events, want %d in 4", width, at, k.Dispatched(), k.Counters().Pops, 2+2*width)
 			}
 			chunks := 0
 			for c := k.freeBatch; c != nil; c = c.next {

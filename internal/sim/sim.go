@@ -55,6 +55,12 @@
 // process runs, and the rest of the batch runs first at the next entry
 // to the dispatcher, ahead of everything still queued — where the
 // uncoalesced events would have run.
+//
+// A callback runs in one of three ways: popped as a kernel event, inside
+// a batch, or inline. The last is Continue, AfterCoalesced in tail
+// position: when the event would be the very next one dispatched, the
+// clock jumps to it and the caller does its work at once, so a lone
+// process's slice ends cost no event at all.
 package sim
 
 import (
@@ -92,12 +98,10 @@ type Kernel struct {
 	slabs int
 	rng   *rand.Rand
 	procs []*Proc
-	// pops counts the kernel events dispatched, batched the callbacks run
-	// inside a batch after its first; Dispatched is their sum.
-	pops    uint64
+	// ctr holds the counters; batched counts the callbacks run inside a
+	// batch after its first. Dispatched is Pops + batched + Continued.
+	ctr     Counters
 	batched uint64
-	resumes uint64
-	refiles uint64
 	// Coalescing state (see AfterCoalesced): the open coalesced event, the
 	// value of seq when it was filed — if seq has moved since, another
 	// event was scheduled in between and it is no longer adjacent — and
@@ -120,6 +124,8 @@ type Kernel struct {
 	// deadline is the current RunUntil's, shared by every dispatcher.
 	deadline time.Duration
 	stopped  bool
+	// draining is set while a batch runs its callbacks (see Continue).
+	draining bool
 }
 
 // New returns a Kernel whose random source is seeded with seed.
@@ -217,7 +223,7 @@ func (k *Kernel) After(d time.Duration, name string, fn func()) *Event {
 // with nothing in between, so running it from that event changes nothing
 // but the schedule/dispatch cost saved. A lone call files a plain Event
 // (the miss path is one compare in front of At); the first merge makes
-// it a batch. Dispatched() counts every callback, Pops() kernel events.
+// it a batch. Dispatched() counts every callback.
 func (k *Kernel) AfterCoalesced(d time.Duration, name string, fn func()) {
 	t := k.now + max(d, 0)
 	if ev := k.coalEv; k.coalSeq == k.seq && ev.fn != nil && ev.at == t {
@@ -243,6 +249,25 @@ func (k *Kernel) AfterCoalesced(d time.Duration, name string, fn func()) {
 	k.coalSeq = k.seq
 	// The new event may be a recycled interrupted batch's: it starts alone.
 	k.coalB = nil
+}
+
+// Continue is AfterCoalesced in tail position: if an event filed now for
+// d from now would be the next one dispatched, it moves the clock there,
+// counts the callback dispatched and says yes, and the caller does that
+// callback's work itself, as the last thing it does; nothing is filed.
+// It says no, conservatively, when the kernel is stopped, a Resume or an
+// interrupted batch's rest is pending, the caller is inside a batch, runq
+// or due holds anything, now+d is past the deadline, or the wheel's first
+// bucket starts at or before now+d (an event at now+d has the lower seq).
+func (k *Kernel) Continue(d time.Duration) bool {
+	t := k.now + max(d, 0)
+	if k.stopped || k.handback != nil || k.rest != nil || k.draining ||
+		k.runq.n > 0 || k.dueHead < len(k.due) || t > k.deadline || k.wheel.low() <= int64(t) {
+		return false
+	}
+	k.now = t
+	k.ctr.Continued++
+	return true
 }
 
 // chunkSlots is the callback capacity of one batch chunk.
@@ -291,11 +316,9 @@ func (k *Kernel) allocBatch() *batch {
 // anything else runs.
 func (b *batch) drain() {
 	// No call appends to a batch once it runs, so n stays put.
-	k, c, n := b.k, b.cur, b.n
-	for i := b.i; i < n; {
-		if k.stopped {
-			return
-		}
+	k, c, n, i := b.k, b.cur, b.n, b.i
+	k.draining = true
+	for i < n && !k.stopped {
 		j := i % chunkSlots
 		if i > 0 {
 			k.batched++
@@ -310,8 +333,12 @@ func (b *batch) drain() {
 		if k.handback != nil && i < n {
 			b.cur, b.i = c, i
 			k.rest = b
-			return
+			break
 		}
+	}
+	k.draining = false
+	if i < n {
+		return // stopped, or the rest waits in k.rest
 	}
 	b.tail.next = k.freeBatch
 	k.freeBatch = b
@@ -340,7 +367,7 @@ func (k *Kernel) Run() time.Duration {
 func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 	k.deadline = deadline
 	for next := k.dispatch(); next != &k.root; next = k.handoff {
-		k.resumes++
+		k.ctr.Resumes++
 		next.next()
 	}
 	return k.now
@@ -394,7 +421,7 @@ func (k *Kernel) dispatch() *Proc {
 			continue
 		}
 		k.now = ev.at
-		k.pops++
+		k.ctr.Pops++
 		if p := ev.proc; p != nil {
 			// Resume event: internal, so recycled before the process runs.
 			// Only a panic that unwound p mid-park leaves one for the dead.
@@ -448,29 +475,30 @@ func (k *Kernel) PendingEvents() int {
 	return k.wheel.cnt + (len(k.due) - k.dueHead) + k.runq.n
 }
 
-// Dispatched returns the number of events executed so far, each callback
-// of a coalesced event counted as its own. It is a pure function of the
-// simulation (virtual events, not wall time), so equal seeds report
-// equal counts; sweeps use it for events/sec throughput records.
-func (k *Kernel) Dispatched() uint64 { return k.pops + k.batched }
+// Dispatched returns the number of events executed so far, however each
+// callback came to run: popped as a kernel event of its own, run inside
+// a coalesced event after its first (AfterCoalesced), or run inline by
+// the caller of Continue. It is a pure function of the simulation
+// (virtual events, not wall time), so equal seeds report equal counts;
+// sweeps use it for events/sec throughput records.
+func (k *Kernel) Dispatched() uint64 { return k.ctr.Pops + k.batched + k.ctr.Continued }
 
-// Resumes returns the number of hand-offs through RunUntil's trampoline:
-// the events whose dispatch switched to another process's coroutine, at
-// two coroutine switches each. A process resuming itself, a callback and
-// a host task's step are not among them. Deterministic, like Dispatched.
-func (k *Kernel) Resumes() uint64 { return k.resumes }
-
-// Refiles returns the number of times the wheel filed a resident event
-// again: the events that shared the earliest event's bucket but not its
-// instant when the cursor jumped there (see advance). Every event costs
-// one schedule plus its refiles. Deterministic, like Dispatched.
-func (k *Kernel) Refiles() uint64 { return k.refiles }
-
-// Pops returns the number of kernel events popped from the wheel or the
-// run queue and dispatched: Dispatched() − Pops() callbacks ran inside a
-// coalesced event after its first (see AfterCoalesced). Deterministic,
+// Counters are the kernel's own diagnostics, in no report; deterministic,
 // like Dispatched.
-func (k *Kernel) Pops() uint64 { return k.pops }
+type Counters struct {
+	Pops      uint64 // kernel events popped from the wheel or the run queue
+	Continued uint64 // callbacks run inline by a caller of Continue
+	// Resumes is the hand-offs through RunUntil's trampoline, two coroutine
+	// switches each; a process resuming itself, a callback and a host
+	// task's step are not among them.
+	Resumes uint64
+	// Refiles is the times the wheel filed a resident event again (see
+	// advance); every event costs one schedule plus its refiles.
+	Refiles uint64
+}
+
+// Counters returns the kernel's counters so far.
+func (k *Kernel) Counters() Counters { return k.ctr }
 
 // Event is a scheduled callback. The zero value is not useful; events are
 // created by Kernel.At and Kernel.After. After the callback has run the

@@ -50,7 +50,7 @@ import "math/bits"
 // unlink); an event is touched again only when its bucket is refiled —
 // strictly downward, so at most once per level, and far less for the
 // sparse and the lock-step populations the models produce
-// (Kernel.Refiles counts them) — so dispatch cost is bounded by a
+// (Counters.Refiles counts them) — so dispatch cost is bounded by a
 // constant regardless of how many events are pending. The randomized
 // differential test in wheel_test.go runs the wheel against a
 // reference priority list under adversarial schedule/cancel/RunUntil
@@ -149,6 +149,27 @@ func (w *wheel) unlink(ev *Event) {
 	w.cnt--
 }
 
+// first returns the first occupied bucket of the lowest occupied level,
+// which holds the earliest pending event. The wheel must not be empty.
+func (w *wheel) first() (level, idx int) {
+	word := bits.TrailingZeros32(w.words)
+	level = word >> 2
+	return level, word&3<<6 | bits.TrailingZeros64(w.lvl[level].occ[word&3])
+}
+
+// low returns a lower bound on every resident event's timestamp: the
+// start of the first bucket, which shares the cursor's bytes above its
+// level; the largest int64 when the wheel is empty.
+func (w *wheel) low() int64 {
+	if w.words == 0 {
+		return 1<<63 - 1
+	}
+	level, idx := w.first()
+	shift := level * wheelBits
+	// For level 7 the shift is 64, which clears every cursor byte.
+	return int64(uint64(w.cur)>>(shift+wheelBits)<<(shift+wheelBits) | uint64(idx)<<shift)
+}
+
 // advance outcomes.
 const (
 	advEmpty    = iota // no pending events; cursor and clock untouched
@@ -171,9 +192,7 @@ func (k *Kernel) advance(deadline int64) int {
 	if w.words == 0 {
 		return advEmpty
 	}
-	word := bits.TrailingZeros32(w.words)
-	level := word >> 2
-	idx := word&3<<6 | bits.TrailingZeros64(w.lvl[level].occ[word&3])
+	level, idx := w.first()
 	b := &w.lvl[level].slot[idx]
 	head := b.head
 	// The head is the lowest seq, not the earliest time. A level-0 bucket
@@ -207,7 +226,7 @@ func (k *Kernel) advance(deadline int64) int {
 			k.due = append(k.due, ev)
 		} else {
 			w.schedule(ev)
-			k.refiles++
+			k.ctr.Refiles++
 		}
 		ev = next
 	}

@@ -260,8 +260,8 @@ func TestWheelFilesOnce(t *testing.T) {
 		k := New(1)
 		shape.arm(k)
 		k.Run()
-		per := float64(k.Refiles()) / float64(k.Dispatched())
-		t.Logf("%s: %d refiles in %d events, %.4f per event", shape.name, k.Refiles(), k.Dispatched(), per)
+		per := float64(k.Counters().Refiles) / float64(k.Dispatched())
+		t.Logf("%s: %d refiles in %d events, %.4f per event", shape.name, k.Counters().Refiles, k.Dispatched(), per)
 		if k.Dispatched() < events || per > shape.most {
 			t.Errorf("%s: %.4f refiles per event over %d events, want at most %.4f over %d",
 				shape.name, per, k.Dispatched(), shape.most, events)

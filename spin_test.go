@@ -224,7 +224,7 @@ func TestSpinWorldFilesEventsOnce(t *testing.T) {
 		spinStealer(0, 400), spinStealer(1, 400)}}.run(t, func(_ *Env, m *Mapping, a Addr, every time.Duration, again func(uint32) bool) (uint32, error) {
 		return m.Spin32(a, every, again)
 	})
-	if events, refiles := w.k.Dispatched(), w.k.Refiles(); events < 10000 || refiles >= events/2 {
+	if events, refiles := w.k.Dispatched(), w.k.Counters().Refiles; events < 10000 || refiles >= events/2 {
 		t.Errorf("%d refiles in %d events, want under one in two of at least 10000", refiles, events)
 	} else {
 		t.Logf("%d refiles in %d events", refiles, events)

@@ -436,10 +436,10 @@ func (w *World) MemFootprint() uint64 {
 func (w *World) EventsDispatched() uint64 { return w.k.Dispatched() }
 
 // Resumes returns how many of those events handed the simulation to
-// another process's coroutine (sim.Kernel.Resumes): the engine's dearest
-// kind of event, and a measure of the engine, not of the simulated
-// system.
-func (w *World) Resumes() uint64 { return w.k.Resumes() }
+// another process's coroutine (sim.Counters.Resumes): the engine's
+// dearest kind of event, and a measure of the engine, not of the
+// simulated system.
+func (w *World) Resumes() uint64 { return w.k.Counters().Resumes }
 
 // ContextSwitches returns a host's dispatch count.
 func (w *World) ContextSwitches(hostIdx int) uint64 { return w.hosts[hostIdx].ContextSwitches() }
