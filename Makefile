@@ -47,7 +47,9 @@
 #                        snoop of one broadcast, full counter runs)
 #                        plus the figure benchmarks at reduced scale
 #   make fuzz          - [FUZZTIME=10s] run each native fuzz target (proto's
-#                        FuzzDecode, fault's FuzzParse) for FUZZTIME. Not a
+#                        FuzzDecode, fault's FuzzParse, sim's FuzzKernel,
+#                        which plays kernel scripts drawn from its input
+#                        against the reference kernel) for FUZZTIME. Not a
 #                        ci stage: `go test` already runs every target's
 #                        seed corpus, this mutates it. A failure leaves its
 #                        input under the package's testdata/fuzz/, to be
@@ -81,6 +83,7 @@
 #                        only), per directory and in total: the one
 #                        number simplicity PRs report, computed one way
 #                        (13 910 at PR 16, 13 749 at PR 17, 14 046 at PR 19)
+#                        and, beside it, the test Go lines likewise
 #   make profile       - run one named cell (CELL=<name substring>, any cell
 #                        of GRID, default the bridged 256-host hotspot) under CPU and
 #                        heap profiling, then print `go tool pprof -top` for
@@ -130,6 +133,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzKernel -fuzztime $(FUZZTIME) ./internal/sim
 
 smoke:
 	$(GO) run ./cmd/methersweep -grid smoke -format summary
@@ -210,12 +214,14 @@ FULL ?=
 same-reports:
 	@sh scripts/same-reports.sh '$(PARENT)' '$(FULL)'
 
-# Raw lines (comments and blanks included) of tracked, non-test Go files
-# outside the frozen bench/ module, summed per directory.
+# Raw lines (comments and blanks included) of tracked Go files outside the
+# frozen bench/ module, summed per directory: non-test files, then tests.
 loc:
-	@git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs wc -l | \
-	awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+	@printf '%6s %6s %s\n' code test dir; \
+	git ls-files '*.go' | grep -v '^bench/' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; c = !sub("_test\\.go$$", "", d); if (!sub("/[^/]*$$", "", d)) d = "."; \
+			seen[d] = 1; if (c) { n[d] += $$1; tn += $$1 } else { m[d] += $$1; tm += $$1 } } \
+		END { for (d in seen) printf "%6d %6d %s\n", n[d], m[d], d; printf "%6d %6d total\n", tn, tm }' | sort -k3
 
 # Profile one cell: make profile CELL=cluster/barrier/h16 narrows GRID
 # to the scenarios whose name CONTAINS CELL (methersweep -only, a

@@ -636,7 +636,7 @@ func TestDuplicateGrantDoesNotRegressOwner(t *testing.T) {
 	// Replay the original grant (value 0, older generation) as a
 	// duplicate broadcast addressed to host1, sent through host0's NIC.
 	dup := buildDataPacket(t, 0, true, 1, 0, make([]byte, vm.ShortSize))
-	c.k.At(c.k.Now()+2*time.Millisecond, "send dup", func() {
+	c.k.After(2*time.Millisecond, "send dup", func() {
 		d0.nic.Send(-1, dup)
 	})
 	c.run(t, 4*time.Second)
@@ -692,7 +692,7 @@ func TestUnreachableOwnerRecoversViaRetry(t *testing.T) {
 	// Take host0 off the wire for 400ms.
 	d0.nic.SetDown(true)
 	recoverAt := c.k.Now() + 400*time.Millisecond
-	c.k.At(recoverAt, "recover", func() {
+	c.k.After(recoverAt-c.k.Now(), "recover", func() {
 		d0.nic.SetDown(false)
 	})
 

@@ -49,7 +49,7 @@ func TestRedundantFetchReplicaAnswersWhenOwnerDown(t *testing.T) {
 	// Owner off the wire for 2 s (well past the 50 ms retry window).
 	d0.nic.SetDown(true)
 	recoverAt := c.k.Now() + 2*time.Second
-	c.k.At(recoverAt, "recover", func() { d0.nic.SetDown(false) })
+	c.k.After(recoverAt-c.k.Now(), "recover", func() { d0.nic.SetDown(false) })
 
 	var got uint64
 	var gotAt time.Duration
@@ -232,7 +232,7 @@ func TestLateGrantAfterOnwardTransferDropped(t *testing.T) {
 	// Replay host 0's original grant to host 1 (generation 0, zero bytes)
 	// — the wire can deliver it this late after loss-driven retransmits.
 	dup := buildDataPacket(t, 0, true, 1, 0, make([]byte, vm.ShortSize))
-	c.k.At(c.k.Now()+2*time.Millisecond, "late grant", func() {
+	c.k.After(2*time.Millisecond, "late grant", func() {
 		d0.nic.Send(ethernet.Broadcast, dup)
 	})
 	c.run(t, 6*time.Second)
@@ -335,8 +335,8 @@ func runRedundantDifferential(t *testing.T, k int, schedule [][]bool) ([]uint64,
 	}
 	// Host 3 drops off the wire for 500 ms mid-run; retries must carry
 	// both its own purges and its neighbour samples across the gap.
-	c.k.At(time.Second, "down", func() { c.drivers[3].nic.SetDown(true) })
-	c.k.At(1500*time.Millisecond, "up", func() { c.drivers[3].nic.SetDown(false) })
+	c.k.After(time.Second-c.k.Now(), "down", func() { c.drivers[3].nic.SetDown(true) })
+	c.k.After(1500*time.Millisecond-c.k.Now(), "up", func() { c.drivers[3].nic.SetDown(false) })
 
 	done := make([]bool, hosts)
 	for i := 0; i < hosts; i++ {

@@ -47,7 +47,7 @@ func TestSpin32MapOutMidSpin(t *testing.T) {
 			}
 			at = p.Now()
 		})
-		c.k.At(20*time.Millisecond+7*time.Microsecond, "map out", func() { d.MapOut(RO, 0) })
+		c.k.After(20*time.Millisecond+7*time.Microsecond-c.k.Now(), "map out", func() { d.MapOut(RO, 0) })
 		c.k.RunUntil(time.Second)
 		if !errors.Is(err, ErrNotMapped) || looks < 100 {
 			t.Errorf("spin %v: %v after %d looks at %v, want ErrNotMapped after at least 100", spin, err, looks, at)

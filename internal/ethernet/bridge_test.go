@@ -88,8 +88,8 @@ func TestPurgeOrderingDiffersAcrossTrunks(t *testing.T) {
 	}
 
 	// Both purges issued within a microsecond of each other.
-	k.At(time.Millisecond, "purgeA", func() { hostA.Send(Broadcast, []byte("purge-A")) })
-	k.At(time.Millisecond+time.Microsecond, "purgeB", func() { hostB.Send(Broadcast, []byte("purge-B")) })
+	k.After(time.Millisecond, "purgeA", func() { hostA.Send(Broadcast, []byte("purge-A")) })
+	k.After(time.Millisecond+time.Microsecond, "purgeB", func() { hostB.Send(Broadcast, []byte("purge-B")) })
 	k.Run()
 
 	for _, n := range a.nics {

@@ -78,7 +78,7 @@ func (n *refNIC) send(dst int, payload []byte) {
 	s.frames++
 	lost := s.p.LossRate > 0 && s.k.Rand().Float64() < s.p.LossRate
 	f := refFrame{src: n.id, dst: dst, payload: buf}
-	s.k.At(start+dur+s.p.PropDelay, "ref deliver", func() {
+	s.k.After(start+dur+s.p.PropDelay-s.k.Now(), "ref deliver", func() {
 		if lost {
 			s.wireLost++
 			return
@@ -209,7 +209,7 @@ func TestDeliveryDifferential(t *testing.T) {
 		}
 		for _, op := range sc {
 			op := op
-			k.At(op.at, "op", func() {
+			k.After(op.at-k.Now(), "op", func() {
 				switch op.kind {
 				case 0:
 					buf := make([]byte, op.size)
@@ -253,7 +253,7 @@ func TestDeliveryDifferential(t *testing.T) {
 		}
 		for _, op := range sc {
 			op := op
-			k.At(op.at, "op", func() {
+			k.After(op.at-k.Now(), "op", func() {
 				switch op.kind {
 				case 0:
 					buf := make([]byte, op.size)

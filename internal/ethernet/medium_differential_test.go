@@ -83,7 +83,7 @@ func TestMediumInterfaceDifferential(t *testing.T) {
 		}
 		for _, op := range sc {
 			op := op
-			k.At(op.at, "op", func() {
+			k.After(op.at-k.Now(), "op", func() {
 				switch op.kind {
 				case 0:
 					buf := make([]byte, op.size)
@@ -127,7 +127,7 @@ func TestMediumInterfaceDifferential(t *testing.T) {
 		}
 		for _, op := range sc {
 			op := op
-			k.At(op.at, "op", func() {
+			k.After(op.at-k.Now(), "op", func() {
 				switch op.kind {
 				case 0:
 					buf := make([]byte, op.size)

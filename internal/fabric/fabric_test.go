@@ -46,7 +46,7 @@ func TestBroadcastFanout(t *testing.T) {
 	for i := range ports {
 		ports[i] = fb.AttachPort("p", nil)
 	}
-	k.At(0, "send", func() { ports[0].Send(medium.Broadcast, []byte("hello")) })
+	k.After(0, "send", func() { ports[0].Send(medium.Broadcast, []byte("hello")) })
 	k.Run()
 
 	st := fb.Stats()
@@ -91,7 +91,7 @@ func TestLinkQueueOverflow(t *testing.T) {
 	fb := New(k, p)
 	a := fb.AttachPort("a", nil)
 	b := fb.AttachPort("b", nil)
-	k.At(0, "blast", func() {
+	k.After(0, "blast", func() {
 		for i := 0; i < 5; i++ {
 			a.Send(b.ID(), []byte{byte(i)})
 		}
@@ -124,7 +124,7 @@ func TestLinkFIFOSerialization(t *testing.T) {
 	a := fb.AttachPort("a", nil)
 	b := fb.AttachPortWithRing("b", func() { arrivals = append(arrivals, k.Now()) }, 8)
 	c := fb.AttachPort("c", nil)
-	k.At(0, "sends", func() {
+	k.After(0, "sends", func() {
 		a.Send(b.ID(), []byte{1}) // same link: serializes
 		a.Send(b.ID(), []byte{2})
 		c.Send(b.ID(), []byte{3}) // its own link: no queueing
@@ -155,7 +155,7 @@ func TestPerLinkLoss(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		fb.AttachPort("rx", nil)
 	}
-	k.At(0, "send", func() { a.Send(medium.Broadcast, []byte("doomed")) })
+	k.After(0, "send", func() { a.Send(medium.Broadcast, []byte("doomed")) })
 	k.Run()
 
 	st := fb.Stats()
@@ -181,7 +181,7 @@ func TestDownPortSuppression(t *testing.T) {
 	b := fb.AttachPort("b", nil)
 	c := fb.AttachPort("c", nil)
 
-	k.At(0, "down sends", func() {
+	k.After(0, "down sends", func() {
 		a.SetDown(true)
 		a.Send(b.ID(), []byte{1})
 		a.Send(medium.Broadcast, []byte{2})
@@ -189,7 +189,7 @@ func TestDownPortSuppression(t *testing.T) {
 	})
 	// A live sender toward a down receiver: the copy pays its wire cost
 	// but vanishes at the port, with no ring-drop count.
-	k.At(time.Millisecond, "to down port", func() {
+	k.After(time.Millisecond, "to down port", func() {
 		b.SetDown(true)
 		a.Send(medium.Broadcast, []byte{3})
 	})
@@ -229,7 +229,7 @@ func TestBroadcastOverflowGuard(t *testing.T) {
 	a := fb.AttachPort("a", nil)
 	b := fb.AttachPort("b", nil)
 	c := fb.AttachPort("c", nil)
-	k.At(0, "fill then fan out", func() {
+	k.After(0, "fill then fan out", func() {
 		a.Send(b.ID(), []byte("fill")) // a->b link now at its bound
 		a.Send(medium.Broadcast, []byte("fan"))
 	})
@@ -272,7 +272,7 @@ func TestSeededDeterminism(t *testing.T) {
 				dst = medium.Broadcast
 			}
 			size := 1 + rng.Intn(300)
-			k.At(at, "op", func() { ports[src].Send(dst, make([]byte, size)) })
+			k.After(at-k.Now(), "op", func() { ports[src].Send(dst, make([]byte, size)) })
 		}
 		k.Run()
 		for _, p := range ports {

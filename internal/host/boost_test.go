@@ -27,7 +27,7 @@ func TestWakeBoostPreemptsSpinner(t *testing.T) {
 			p.UseUser(50 * time.Microsecond)
 		}
 	})
-	k.At(30*time.Millisecond, "wake", func() { h.Wakeup("work") })
+	k.After(30*time.Millisecond, "wake", func() { h.Wakeup("work") })
 	k.Run()
 	// Without the boost the server would wait for the spinner's quantum
 	// (~70ms); with it, dispatch happens ~15ms + switch after the wake.
@@ -68,11 +68,11 @@ func TestStaleBoostDoesNotPreemptForDispatchedProc(t *testing.T) {
 			p.UseUser(50 * time.Microsecond)
 		}
 	})
-	k.At(5*time.Millisecond, "wake client", func() { h.Wakeup("client-wait") })
+	k.After(5*time.Millisecond, "wake client", func() { h.Wakeup("client-wait") })
 	// Wake the server after the client is running: the server's own
 	// boost should preempt the client; the client's stale boost must NOT
 	// then bounce the server off the CPU mid-work.
-	k.At(10*time.Millisecond, "wake server", func() { h.Wakeup("work") })
+	k.After(10*time.Millisecond, "wake server", func() { h.Wakeup("work") })
 	k.RunUntil(400 * time.Millisecond)
 	k.Shutdown()
 

@@ -101,7 +101,7 @@ func TestSpinnerDelaysWokenProcessUntilQuantumEnd(t *testing.T) {
 		}
 	})
 	// Wake the server 2ms into the spinner's quantum.
-	k.At(4*time.Millisecond, "wake", func() { h.Wakeup("work") })
+	k.After(4*time.Millisecond, "wake", func() { h.Wakeup("work") })
 	k.Run()
 	// Server was dispatched only at the spinner's quantum boundary.
 	// Spinner dispatched at 1ms (after server's initial dispatch+block at
@@ -122,7 +122,7 @@ func TestWakeupWithIdleCPUDispatchesQuickly(t *testing.T) {
 		p.SleepOn("work")
 		served = p.Now()
 	})
-	k.At(20*time.Millisecond, "wake", func() { h.Wakeup("work") })
+	k.After(20*time.Millisecond, "wake", func() { h.Wakeup("work") })
 	k.Run()
 	// Idle CPU: dispatch after just the context-switch cost.
 	if served != 21*time.Millisecond {
@@ -190,7 +190,7 @@ func TestSleepersCountAndMultipleWake(t *testing.T) {
 			woken++
 		})
 	}
-	k.At(5*time.Millisecond, "check", func() {
+	k.After(5*time.Millisecond, "check", func() {
 		if n := h.keyed["gate"].len(); n != 4 {
 			t.Errorf("%d asleep on the key, want 4", n)
 		}
@@ -209,7 +209,7 @@ func TestInterruptDelaysHandler(t *testing.T) {
 	k := sim.New(1)
 	h := New(k, 0, "a", testParams())
 	var at time.Duration
-	k.At(10*time.Millisecond, "nic", func() {
+	k.After(10*time.Millisecond, "nic", func() {
 		h.Interrupt(func() { at = k.Now() })
 	})
 	k.Run()

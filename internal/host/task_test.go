@@ -245,9 +245,9 @@ func (w taskWorld) exec(ref bool, spawn func(k *sim.Kernel, h *Host, wt waits, l
 		wk := wk
 		fn := func() { wt.wakeup(wk.q) }
 		if i%2 == 0 {
-			k.At(wk.at, "waker", fn)
+			k.After(wk.at-k.Now(), "waker", fn)
 		} else {
-			k.At(wk.at, "waker", func() { h.Interrupt(fn) })
+			k.After(wk.at-k.Now(), "waker", func() { h.Interrupt(fn) })
 		}
 	}
 	var tick func()

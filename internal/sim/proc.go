@@ -72,14 +72,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // park blocks until the process's resume event is dispatched. The
 // process keeps the baton and dispatches on its own stack; if the next

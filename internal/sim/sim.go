@@ -38,8 +38,8 @@
 // events are recycled through a freelist and cancellation unlinks the
 // event from its bucket immediately instead of letting it ride the
 // queue until its timestamp comes up. None of this is observable:
-// events still execute in exact (time, sequence) order, proven by the
-// randomized differential test against a reference priority list.
+// events still execute in exact (time, sequence) order, held to the
+// naive reference kernel in spec_test.go on randomized scripts.
 //
 // Lock-step instants are one kernel event. Every event nobody cancels is
 // scheduled with AfterCoalesced, which merges a call into the open
@@ -180,12 +180,9 @@ func (k *Kernel) release(ev *Event) {
 	k.free = append(k.free, ev)
 }
 
-// At schedules fn to run at absolute virtual time t. If t is in the past
-// it runs at the current time, after already-queued events. The returned
-// Event may be cancelled until it fires; once the callback has run the
-// kernel recycles the Event, so references must not be retained past
-// that point.
-func (k *Kernel) At(t time.Duration, name string, fn func()) *Event {
+// at schedules fn to run at absolute virtual time t. If t is in the past
+// it runs at the current time, after already-queued events.
+func (k *Kernel) at(t time.Duration, name string, fn func()) *Event {
 	if t < k.now {
 		t = k.now
 	}
@@ -206,24 +203,28 @@ func (k *Kernel) At(t time.Duration, name string, fn func()) *Event {
 	return ev
 }
 
-// After schedules fn to run d from now. Negative d is treated as zero.
+// After is the cancellable timer: it schedules fn to run d from now
+// (negative d is treated as zero) and returns the Event to Cancel. Once
+// the callback has run the kernel recycles the Event, so references must
+// not be retained past that point. An event nobody cancels is filed with
+// AfterCoalesced instead.
 func (k *Kernel) After(d time.Duration, name string, fn func()) *Event {
-	return k.At(k.now+d, name, fn)
+	return k.at(k.now+d, name, fn)
 }
 
-// AfterCoalesced schedules fn to run d from now, like After, and is the
-// call for every event nobody cancels (no Event is returned; timers a
-// caller may Cancel use After or At). It merges the call into the open
-// coalesced event — the last one AfterCoalesced filed — when that is
-// provably invisible to dispatch order: nothing has been scheduled since
-// the event was filed (seq has not moved; merges consume none), the
-// deadlines are equal and its callback has not started (dispatch takes
-// ev.fn before calling it). Then fn's own event would have had the next
-// seq at the same instant and run right after the event's last callback
-// with nothing in between, so running it from that event changes nothing
-// but the schedule/dispatch cost saved. A lone call files a plain Event
-// (the miss path is one compare in front of At); the first merge makes
-// it a batch. Dispatched() counts every callback.
+// AfterCoalesced is the fire-and-forget verb, and Continue its tail form:
+// it schedules fn to run d from now, like After, but returns nothing to
+// cancel. It merges the call into the open coalesced event — the last one
+// AfterCoalesced filed — when that is provably invisible to dispatch
+// order: nothing has been scheduled since the event was filed (seq has not
+// moved; merges consume none), the deadlines are equal and its callback
+// has not started (dispatch takes ev.fn before calling it). Then fn's own
+// event would have had the next seq at the same instant and run right
+// after the event's last callback with nothing in between, so running it
+// from that event changes nothing but the schedule/dispatch cost saved. A
+// lone call files a plain Event (the miss path is one compare in front of
+// at); the first merge makes it a batch. Dispatched() counts every
+// callback.
 func (k *Kernel) AfterCoalesced(d time.Duration, name string, fn func()) {
 	t := k.now + max(d, 0)
 	if ev := k.coalEv; k.coalSeq == k.seq && ev.fn != nil && ev.at == t {
@@ -245,7 +246,7 @@ func (k *Kernel) AfterCoalesced(d time.Duration, name string, fn func()) {
 		b.n++
 		return
 	}
-	k.coalEv = k.At(t, name, fn)
+	k.coalEv = k.at(t, name, fn)
 	k.coalSeq = k.seq
 	// The new event may be a recycled interrupted batch's: it starts alone.
 	k.coalB = nil
@@ -500,10 +501,10 @@ type Counters struct {
 // Counters returns the kernel's counters so far.
 func (k *Kernel) Counters() Counters { return k.ctr }
 
-// Event is a scheduled callback. The zero value is not useful; events are
-// created by Kernel.At and Kernel.After. After the callback has run the
-// kernel resets and recycles the Event; callers that keep a *Event to
-// Cancel it later must drop the reference once the event has fired.
+// Event is a cancellable timer, returned by Kernel.After. After the
+// callback has run the kernel resets and recycles the Event; callers
+// that keep a *Event to Cancel it later must drop the reference once the
+// event has fired.
 type Event struct {
 	at        time.Duration
 	seq       uint64
@@ -536,12 +537,6 @@ func (e *Event) Cancel() {
 		e.k.release(e)
 	}
 }
-
-// Time returns the virtual time the event is scheduled for.
-func (e *Event) Time() time.Duration { return e.at }
-
-// Name returns the diagnostic name given at scheduling time.
-func (e *Event) Name() string { return e.name }
 
 // String names the event and, for a resume event, its process.
 func (e *Event) String() string {

@@ -1,0 +1,468 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+)
+
+// TestKernelMatchesSpec holds the Kernel to spec, the reference kernel
+// below, on randomized scripts (script_test.go): after every RunUntil the
+// trace, clock, Dispatched(), Idle(), Stopped() and, while no Continue has
+// said yes, Counters().Pops must agree. The real side also holds every
+// Continue's answer to continueWhy and, where the profile says so, runs
+// checkWheel after every operation. Each profile must cover its floor of
+// ground. The fixed scripts of sim_test.go are held to both kernels and
+// a written trace; FuzzKernel draws scripts from a byte tape.
+//
+// Each mutation below, made to a copy of the kernel, fails the profiles
+// listed at the first seed given, and the fixed or kept tests named:
+//
+//	RunUntil behind the clock moves it back      baton 4, wheel 1, coalesce 1, continue 2; TestRunUntilNeverMovesClockBack
+//	Resume goes through a fresh After(0) event   baton 1, coalesce 1, continue 1; TestResumeFromCoalescedCallback, 5 more
+//	wheel: advance takes the bucket head as min  wheel 1, baton 4, continue 1; TestCascadeBoundaryTimes, 5 more
+//	wheel: unlink leaves the summary bit set     wheel 1 (checkWheel; baton panics); TestCancelAfterCascade
+//	wheel: a deadline inside the first bucket    wheel 1, continue 9; TestRunUntilDeadlineInsideFirstBucket
+//	  moves the cursor there, the bucket stays
+//	batch: no rest, it runs on past a Resume     coalesce 1 (baton panics); TestResumeFromCoalescedCallback
+//	batch: coalB kept when a new event is filed  coalesce 1, baton 17, continue 1; TestCoalescedBatchNotReusedAfterResume
+//	batch: a merge into a started event          coalesce 5, continue 25; TestAfterCoalescedBatchClosesOnFire
+//	batch: the rest runs behind runq             coalesce 1, baton 17, continue 2; TestResumeFromCoalescedCallback
+//	batch: Stop ignored in a batch               coalesce 6, continue 51; TestAfterCoalescedStopSuppressesRest
+//	batch: Stop ignored in a batch's rest        coalesce 101; TestAfterCoalescedStopSuppressesRest
+//	batch: the rest's chunk cursor lost          TestAfterCoalescedChunks (panics)
+//	batch: only the head chunk freed             TestAfterCoalescedChunks (the freelist)
+//	Continue refuses only below now+d            continue 5 (continueWhy)
+//	Continue: no batch check                     continue 5 (continueWhy)
+//	Continue: no deadline check                  continue 8 (continueWhy)
+//	Continue: Stop ignored                       continue 60 (continueWhy)
+func TestKernelMatchesSpec(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := range profiles {
+		p := &profiles[i]
+		t.Run(p.name, func(t *testing.T) {
+			n, c := p.seeds, cover{}
+			for seed := 1; seed <= n; seed++ {
+				play(t, fmt.Sprint("seed ", seed), p.script(rand.New(rand.NewSource(int64(seed))).Intn), p.check, &c)
+			}
+			t.Logf("%d scripts: %+v", n, c)
+			if !p.floor(&c, n) {
+				t.Errorf("%d scripts covered too little ground: %+v", n, c)
+			}
+		})
+	}
+	waitGoroutines(t, before)
+}
+
+// FuzzKernel plays scripts drawn from its input, a choice tape read a
+// byte or more per choice and as zeros past its end, with every check on.
+func FuzzKernel(f *testing.F) {
+	for _, in := range []string{"", "\x00\x05\x09", "\x01\x02\x03\x04", "\x01\x07\x01", "\x02\xff\x10\x80", "\x03\x01\x30\x22\x09"} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		choose := func(n int) int {
+			v := 0
+			for m := n - 1; m > 0; m >>= 8 {
+				v <<= 8
+				if len(in) > 0 {
+					v, in = v|int(in[0]), in[1:]
+				}
+			}
+			return v % n
+		}
+		p := &profiles[choose(len(profiles))]
+		play(t, p.name, p.script(choose), true, &cover{})
+	})
+}
+
+// profile is a kind of randomized script: what its programs, callbacks
+// and rounds are drawn from, and the ground its seeds must cover.
+type profile struct {
+	name         string
+	seeds        int
+	units        []time.Duration // one per script
+	palette      []time.Duration // delays, in units
+	spread       int             // half the time a delay is up to this many units instead; 0 for never
+	gap          int             // a deadline steps up to this many units more
+	procs, ops   int             // 1 to procs programs of up to ops ops
+	cbs, perCb   int             // 1 to cbs callbacks of up to perCb acts
+	prog, cb     [nActs]int      // act weights in programs and callbacks (aBase: a burst)
+	top          [nActs]int      // and in rounds
+	seed, rounds int             // acts of the first round, after it spawns its roots; rounds
+	burst        int             // a burst outside dense rounds is 1 to burst events at one instant
+	dense        bool            // in every other script every third round bursts into a level-1 or -2 span, stepping deadlines through it
+	stops        int             // one script in stops may stop
+	budget       int             // callback events per script
+	check        bool            // checkWheel after every operation
+	floor        func(c *cover, scripts int) bool
+}
+
+var profiles = [...]profile{{
+	// Processes in every state, their wakes and hand-backs, deadlines that
+	// step forward and once back.
+	name: "baton", seeds: 400,
+	units:   []time.Duration{1},
+	palette: []time.Duration{0, 0, 1, 2, 255, 256, 257, 1000, 1000, 65536, 70000, 1 << 20},
+	gap:     3000, procs: 8, ops: 27, cbs: 8, perCb: 3,
+	prog:   [nActs]int{aSleep: 24, aPark: 8, aAwait: 14, aWake: 18, aSpawn: 6, aAfter: 14, aCoal: 10, aCancel: 9, aStop: 1},
+	cb:     [nActs]int{aResume: 8, aWake: 3, aSpawn: 1, aAfter: 1, aCoal: 1, aStop: 1},
+	rounds: 6, stops: 4, budget: 1000,
+	floor: func(c *cover, n int) bool { return c.hands >= 2*n },
+}, {
+	// Timers only, far apart and at every level boundary; callbacks file
+	// and cancel more. Every other script is dense: every third round
+	// bursts inside one level-1 or -2 bucket span, on equal and distinct
+	// instants, its earliest often cancelled, and steps deadlines through
+	// the span.
+	name: "wheel", seeds: 14,
+	units:   []time.Duration{1},
+	palette: []time.Duration{0, 0, 1, 2, 255, 256, 257, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<24 - 1, 1 << 24, 1<<24 + 1, 1 << 32, -5},
+	spread:  1 << 34, procs: 1, cbs: 16, perCb: 2,
+	cb:   [nActs]int{aAfter: 3, aCancel: 3},
+	top:  [nActs]int{aAfter: 2, aCancel: 1},
+	seed: 8, rounds: 48, dense: true, budget: 1000, check: true,
+	floor: func(c *cover, n int) bool { return c.wheel > 0 && c.bursts >= 5*n },
+}, {
+	// Lock-step instants: bursts of AfterCoalesced among plain timers at
+	// the same deadline, callbacks resuming processes that burst too.
+	name: "coalesce", seeds: 200,
+	units:   []time.Duration{100 * time.Microsecond},
+	palette: []time.Duration{0, 1, 2},
+	procs:   3, ops: 30, cbs: 12, perCb: 3,
+	prog:  [nActs]int{aAwait: 3, aBase: 3, aStop: 1},
+	cb:    [nActs]int{aResume: 4, aBase: 4, aAfter: 1, aCoal: 3, aStop: 1},
+	top:   [nActs]int{aAfter: 1},
+	burst: 4, seed: 8, rounds: 2, stops: 2, budget: 600,
+	floor: func(c *cover, n int) bool { return c.merged >= 1000 && c.hands >= 1000 },
+}, {
+	// Continue at every reason to refuse: chains of callbacks and process
+	// steps on a grid fine enough that a pending event at now+d and at
+	// now+d+1 are both common.
+	name: "continue", seeds: 400,
+	units:   []time.Duration{1, 100, 1000},
+	palette: []time.Duration{0, 1, 2, 3, 4, 5, 6, 7},
+	spread:  64, gap: 100, procs: 2, ops: 30, cbs: 12, perCb: 3,
+	prog: [nActs]int{aAwait: 2, aStep: 6, aBase: 1},
+	cb:   [nActs]int{aResume: 2, aCont: 6, aBase: 1, aAfter: 1, aCoal: 1, aStop: 2},
+	top:  [nActs]int{aAfter: 1},
+	seed: 3, rounds: 5, burst: 3, stops: 1, budget: 300,
+	floor: func(c *cover, n int) bool {
+		for why, k := range c.why {
+			if k == 0 && why != whyBucket {
+				return false
+			}
+		}
+		return c.why[whyNext] >= 1000 && c.plusOne > 0 && c.fromProc > 0 && c.stopInline > 0
+	},
+}}
+
+// cover is the ground a profile's scripts covered, on the real side.
+type cover struct {
+	hands, merged, bursts, fromProc, stopInline, plusOne, wheel int
+	why                                                         [whyN]int
+}
+
+// script draws a script of the profile from choose, which returns a
+// choice in [0, n).
+func (p *profile) script(choose func(n int) int) *script {
+	unit := p.units[choose(len(p.units))]
+	delay := func() time.Duration {
+		if p.spread > 0 && choose(2) == 0 {
+			return unit * time.Duration(choose(p.spread))
+		}
+		return unit * p.palette[choose(len(p.palette))]
+	}
+	nprog, ncb, dense := 1+choose(p.procs), 1+choose(p.cbs), p.dense && choose(2) == 0
+	s := &script{progs: make([][]act, nprog), cbs: make([][]act, ncb), budget: p.budget, stopAfter: 1 << 30}
+	if p.stops > 0 && choose(p.stops) == 0 {
+		s.stopAfter = choose(300)
+	}
+	// burst appends events filed with After or AfterCoalesced by the odds
+	// w gives them (AfterCoalesced if it gives none): at level 0, one to
+	// p.burst at one delay; at level 1 or 2, two to 64 on one to eight
+	// instants of a bucket span of that level ahead, the earliest After
+	// then cancelled two times in three.
+	burst := func(list []act, w *[nActs]int, level int) []act {
+		verb := func() actKind {
+			if n := w[aAfter] + w[aCoal]; n == 0 || choose(n) >= w[aAfter] {
+				return aCoal
+			}
+			return aAfter
+		}
+		if level == 0 {
+			d := delay()
+			for n := 1 + choose(p.burst); n > 0; n-- {
+				list = append(list, act{verb(), d, choose(ncb)})
+			}
+			return list
+		}
+		at := make([]time.Duration, 1+choose(8))
+		for i := range at {
+			at[i] = time.Duration(choose(1 << (wheelBits * level)))
+		}
+		list = append(list, act{aBase, time.Duration(level), 0})
+		afters, first, firstAt := 0, -1, time.Duration(0)
+		for n := 2 + choose(63); n > 0; n-- {
+			a := act{verb(), at[choose(len(at))], choose(ncb)}
+			if a.kind == aAfter {
+				if first < 0 || a.d < firstAt {
+					first, firstAt = afters, a.d
+				}
+				afters++
+			}
+			list = append(list, a)
+		}
+		if first >= 0 && choose(3) > 0 {
+			list = append(list, act{aCancel, 0, first - afters})
+		}
+		return list
+	}
+	// draw appends n acts drawn by the weights w; a Continue ends the list.
+	draw := func(list []act, w *[nActs]int, n int) []act {
+		total := 0
+		for _, x := range w {
+			total += x
+		}
+		for ; n > 0 && total > 0; n-- {
+			k, x := actKind(0), choose(total)
+			for ; x >= w[k]; k++ {
+				x -= w[k]
+			}
+			a := act{k, delay(), 0}
+			switch k {
+			case aBase:
+				list = burst(list, w, 0)
+				continue
+			case aWake, aResume, aSpawn:
+				a.arg = choose(nprog)
+			case aAfter, aCoal, aCont:
+				a.arg = choose(ncb)
+			case aAwait:
+				a.arg = choose(3)
+			case aCancel:
+				a.arg = choose(1 << 16)
+			}
+			if list = append(list, a); k == aCont {
+				break
+			}
+		}
+		return list
+	}
+	for pid := range s.progs {
+		s.progs[pid] = draw(nil, &p.prog, choose(p.ops+1))
+	}
+	for cb := range s.cbs {
+		s.cbs[cb] = draw(nil, &p.cb, choose(p.perCb+1))
+	}
+	var first []act
+	for pid, roots := 0, 1+choose(nprog); pid < roots; pid++ {
+		first = append(first, act{aSpawn, 0, pid})
+	}
+	step := func() time.Duration { return delay() + unit*time.Duration(choose(p.gap+1)) }
+	s.rounds = append(s.rounds, round{draw(first, &p.top, p.seed), step(), fromNow})
+	for i := 1; i < p.rounds; i++ {
+		if !dense || i%3 != 0 {
+			s.rounds = append(s.rounds, round{draw(nil, &p.top, choose(3)), step(), fromNow})
+			continue
+		}
+		// A burst, then deadlines at up to four points inside its span.
+		level := 1 + choose(2)
+		s.rounds = append(s.rounds, round{burst(nil, &p.top, level), 0, fromBase})
+		points := make([]time.Duration, choose(5))
+		for j := range points {
+			points[j] = time.Duration(choose(1 << (wheelBits * level)))
+		}
+		slices.Sort(points)
+		for _, dl := range points {
+			s.rounds = append(s.rounds, round{nil, dl, fromBase})
+		}
+	}
+	// One deadline behind the clock, then the rest.
+	s.rounds = append(s.rounds, round{nil, -1 - time.Duration(choose(1000)), fromNow}, round{dl: forever})
+	return s
+}
+
+// spec is the reference kernel: the contract the Kernel is held to,
+// written to be read rather than to be fast. Events sit in a slice and
+// the next one is found by scanning for the least (at, seq); a process is
+// a program counter, stepped from its resume event until it blocks;
+// there is no goroutine, wheel, run queue or chunk. Each rule is stated
+// once, where it is marked.
+type spec struct {
+	r        *run
+	clock    time.Duration
+	seq      uint64
+	events   []*specEvent
+	coal     *specEvent // the event AfterCoalesced filed last
+	coalSeq  uint64     // seq when it was filed
+	stopped  bool
+	handback int // the process a callback resumed, or -1
+	procs    []*specProc
+	order    []int // pids in spawn order, for Idle
+	// Dispatched counts every callback run, a process's resume among them;
+	// pops, every event popped, however many callbacks it carries.
+	dispatched, pops uint64
+}
+
+type specEvent struct {
+	at      time.Duration
+	seq     uint64
+	fns     []func() // one per call merged into it
+	started bool
+}
+
+type specProc struct {
+	pc          int
+	state       procState
+	wakePending bool
+	listed      bool // its Await gave a reason
+}
+
+func (s *spec) now() time.Duration { return s.clock }
+
+// file is how every event is filed. Rule: an event runs at now+d, or now
+// if that is past, in (at, seq) order.
+func (s *spec) file(d time.Duration, fn func()) *specEvent {
+	s.seq++
+	e := &specEvent{at: s.clock + max(d, 0), seq: s.seq, fns: []func(){fn}}
+	s.events = append(s.events, e)
+	return e
+}
+
+// resumes files the event that resumes process pid d from now.
+func (s *spec) resumes(d time.Duration, pid int) { s.file(d, func() { s.step(pid) }) }
+
+// Rule: Cancel takes the event out.
+func (s *spec) after(d time.Duration, fn func()) func() {
+	e := s.file(d, fn)
+	return func() { s.events = slices.DeleteFunc(s.events, func(x *specEvent) bool { return x == e }) }
+}
+
+// Rule (adjacency): a call merges into the event AfterCoalesced filed
+// last iff no seq was taken since, its deadline is the same and its
+// callbacks have not started; the merged callback runs right after the
+// event's others.
+func (s *spec) afterCoalesced(d time.Duration, fn func()) {
+	if c := s.coal; c != nil && s.coalSeq == s.seq && c.at == s.clock+max(d, 0) && !c.started {
+		c.fns = append(c.fns, fn)
+		return
+	}
+	s.coal = s.file(d, fn)
+	s.coalSeq = s.seq
+}
+
+// Rule: Continue is filing with AfterCoalesced. The runner files what
+// Continue refuses, so the spec refuses everything.
+func (s *spec) cont(time.Duration) bool { return false }
+
+// Rule: Stop takes effect between callbacks, and for good.
+func (s *spec) stop() { s.stopped = true }
+
+func (s *spec) spawn(pid int) {
+	s.procs[pid] = &specProc{state: procNew}
+	s.order = append(s.order, pid)
+	s.resumes(0, pid)
+}
+
+// Rule: a Wake resumes a parked process now, and is remembered by one
+// that is not parked, for its next Park.
+func (s *spec) wake(pid int) {
+	switch p := s.procs[pid]; p.state {
+	case procDead:
+	case procParked:
+		p.state = procWaiting
+		s.resumes(0, pid)
+	default:
+		p.wakePending = true
+	}
+}
+
+func (s *spec) resume(pid int) { s.handback = pid }
+
+// runUntil dispatches. Rule: RunUntil runs the events due by its deadline
+// and moves the clock up to the deadline, never back, if one lies beyond;
+// a drained queue leaves the clock at the last event.
+func (s *spec) runUntil(deadline time.Duration) time.Duration {
+	for !s.stopped && len(s.events) > 0 {
+		i := 0
+		for j, e := range s.events {
+			if e.at < s.events[i].at || e.at == s.events[i].at && e.seq < s.events[i].seq {
+				i = j
+			}
+		}
+		e := s.events[i]
+		if e.at > deadline {
+			s.clock = max(s.clock, deadline)
+			break
+		}
+		s.events = slices.Delete(s.events, i, i+1)
+		s.clock = e.at
+		s.pops++
+		e.started = true
+		for j, fn := range e.fns {
+			if j > 0 && s.stopped {
+				break
+			}
+			s.dispatched++
+			fn()
+			// Rule: a Resume ends the callback's event in the process, before
+			// anything else, Stop included; the rest of a batch runs when the
+			// process blocks, before anything else.
+			if pid := s.handback; pid >= 0 {
+				s.handback = -1
+				s.step(pid)
+			}
+		}
+	}
+	return s.clock
+}
+
+// step runs process pid from where it blocked until it blocks again or
+// ends. Rule: Sleep, Park and Await block the process; Sleep files its
+// resume d from now, Park returns at once on a remembered wake, Await
+// waits for a Resume.
+func (s *spec) step(pid int) {
+	p, prog := s.procs[pid], s.r.s.progs[pid]
+	if p.state != procNew {
+		s.r.note(0, pid, p.pc-1)
+	}
+	p.state = procRunning
+	for p.pc < len(prog) {
+		a := prog[p.pc]
+		p.pc++
+		if !s.r.prepare(pid, a) {
+			s.r.note(0, pid, p.pc-1)
+			continue
+		}
+		switch a.kind {
+		case aSleep:
+			p.state = procWaiting
+			s.resumes(a.d, pid)
+		case aPark:
+			if p.wakePending {
+				p.wakePending = false
+				s.r.note(0, pid, p.pc-1)
+				continue
+			}
+			p.state = procParked
+		default:
+			p.state, p.listed = procAwaiting, awaitReason(a) != nil
+		}
+		return
+	}
+	p.state = procDead
+}
+
+func (s *spec) state() outcome {
+	var idle []string
+	for _, pid := range s.order {
+		if p := s.procs[pid]; p.state == procParked || p.state == procAwaiting && p.listed {
+			idle = append(idle, fmt.Sprint("p", pid))
+		}
+	}
+	return outcome{s.clock, s.dispatched, s.pops, fmt.Sprint(idle), s.stopped}
+}

@@ -51,9 +51,9 @@ import "math/bits"
 // strictly downward, so at most once per level, and far less for the
 // sparse and the lock-step populations the models produce
 // (Counters.Refiles counts them) — so dispatch cost is bounded by a
-// constant regardless of how many events are pending. The randomized
-// differential test in wheel_test.go runs the wheel against a
-// reference priority list under adversarial schedule/cancel/RunUntil
+// constant regardless of how many events are pending. spec_test.go
+// holds the kernel to a reference kernel that scans a slice for the
+// minimum (time, seq), under adversarial schedule/cancel/RunUntil
 // interleavings, checking the invariant after every operation.
 
 const (

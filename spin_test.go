@@ -175,8 +175,8 @@ func (sw spinWorld) run(t *testing.T, spin spinFunc) (obs []string) {
 func TestSpin32MatchesLoadLoop(t *testing.T) {
 	crash := func(w *World) {
 		// The reader's host loses its directory in mid-spin and rejoins.
-		w.Kernel().At(30*time.Millisecond+7*time.Microsecond, "crash", func() { w.CrashHost(1) })
-		w.Kernel().At(55*time.Millisecond, "recover", func() { w.RecoverHost(1) })
+		w.Kernel().After(30*time.Millisecond+7*time.Microsecond-w.Kernel().Now(), "crash", func() { w.CrashHost(1) })
+		w.Kernel().After(55*time.Millisecond-w.Kernel().Now(), "recover", func() { w.RecoverHost(1) })
 	}
 	worlds := []spinWorld{
 		{name: "purged mid-spin", clients: [2]func(*Env, Capability, spinFunc, func(uint32)) error{
