@@ -49,11 +49,14 @@
 #   make fuzz          - [FUZZTIME=10s] run each native fuzz target (proto's
 #                        FuzzDecode, fault's FuzzParse, sim's FuzzKernel,
 #                        which plays kernel scripts drawn from its input
-#                        against the reference kernel) for FUZZTIME. Not a
-#                        ci stage: `go test` already runs every target's
-#                        seed corpus, this mutates it. A failure leaves its
-#                        input under the package's testdata/fuzz/, to be
-#                        fixed and committed as a regression seed
+#                        against the reference kernel, and medium's
+#                        FuzzMedium, which plays Ethernet and fabric
+#                        scripts against the reference medium) for
+#                        FUZZTIME. Not a ci stage: `go test` already runs
+#                        every target's seed corpus, this mutates it. A
+#                        failure leaves its input under the package's
+#                        testdata/fuzz/, to be fixed and committed as a
+#                        regression seed
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
 #   make bench-record  - regenerate BENCH_sweep.json: full-grid wall-clock,
 #                        same-work paired only (worlds/sec, events/sec,
@@ -134,6 +137,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzKernel -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzMedium -fuzztime $(FUZZTIME) ./internal/medium
 
 smoke:
 	$(GO) run ./cmd/methersweep -grid smoke -format summary

@@ -7,6 +7,7 @@ import (
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
+	"mether/internal/medium"
 	"mether/internal/proto"
 	"mether/internal/sim"
 	"mether/internal/vm"
@@ -156,7 +157,7 @@ func TestCrossTrunkStaleCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		spoof := busB.Attach(fmt.Sprintf("spoof%d", from), nil)
-		c.k.After(at-c.k.Now(), "inject stale", func() { spoof.Send(ethernet.Broadcast, pkt) })
+		c.k.After(at-c.k.Now(), "inject stale", func() { spoof.Send(medium.Broadcast, pkt) })
 	}
 	// A stale generation-0 copy arrives late, "sent" by trunk-B host 2.
 	inject(2, c.k.Now()+time.Millisecond)

@@ -7,6 +7,7 @@ import (
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
+	"mether/internal/medium"
 	"mether/internal/proto"
 )
 
@@ -181,7 +182,7 @@ func TestGhostFenceRefusesUnwantedGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw.Send(ethernet.Broadcast, b)
+	raw.Send(medium.Broadcast, b)
 	c.run(t, 2*time.Second)
 
 	if d1.Snapshot(0).Owner {

@@ -8,6 +8,7 @@ import (
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
+	"mether/internal/medium"
 	"mether/internal/sim"
 	"mether/internal/vm"
 )
@@ -233,7 +234,7 @@ func TestLateGrantAfterOnwardTransferDropped(t *testing.T) {
 	// — the wire can deliver it this late after loss-driven retransmits.
 	dup := buildDataPacket(t, 0, true, 1, 0, make([]byte, vm.ShortSize))
 	c.k.After(2*time.Millisecond, "late grant", func() {
-		d0.nic.Send(ethernet.Broadcast, dup)
+		d0.nic.Send(medium.Broadcast, dup)
 	})
 	c.run(t, 6*time.Second)
 

@@ -8,6 +8,7 @@ import (
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
+	"mether/internal/medium"
 	"mether/internal/proto"
 	"mether/internal/sim"
 )
@@ -41,11 +42,11 @@ func newViewFixture(t *testing.T) *viewFixture {
 }
 
 // broadcastAndRecv sends one payload and returns each receiver's frame.
-func (f *viewFixture) broadcastAndRecv(t *testing.T, payload []byte) [2]ethernet.Frame {
+func (f *viewFixture) broadcastAndRecv(t *testing.T, payload []byte) [2]medium.Frame {
 	t.Helper()
-	f.tx.Send(ethernet.Broadcast, payload)
+	f.tx.Send(medium.Broadcast, payload)
 	f.k.Run()
-	var out [2]ethernet.Frame
+	var out [2]medium.Frame
 	for i := range out {
 		fr, ok := f.rx[i].Recv()
 		if !ok {

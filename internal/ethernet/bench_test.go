@@ -38,7 +38,7 @@ func benchBroadcast(b *testing.B, nics, payload int) {
 	sent := 0
 	var pump func()
 	pump = func() {
-		tx.Send(Broadcast, buf)
+		tx.Send(medium.Broadcast, buf)
 		sent++
 		if sent < b.N {
 			k.After(pace, "pump", pump)

@@ -45,7 +45,7 @@ type Bridge struct {
 type bridgeFwd struct {
 	br       *Bridge
 	from, to *NIC
-	f        Frame
+	f        medium.Frame
 	fn       func()
 }
 
@@ -203,7 +203,7 @@ func (fw *bridgeFwd) run() {
 		fw.to.Send(fw.f.Dst, fw.f.Payload)
 	}
 	fw.from.Release(fw.f)
-	fw.f = Frame{}
+	fw.f = medium.Frame{}
 	fw.from, fw.to = nil, nil
 	br.freeFwd.Put(fw)
 }

@@ -1,59 +1,41 @@
 package ethernet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"mether/internal/medium"
 	"mether/internal/sim"
 )
 
-func TestBridgeForwardsBothWays(t *testing.T) {
+// bridged joins two default segments with a bridge of the given delay.
+func bridged(delay time.Duration) (*sim.Kernel, *Bus, *Bus, *Bridge) {
 	k := sim.New(1)
-	a := NewBus(k, DefaultParams())
-	b := NewBus(k, DefaultParams())
-	br := NewBridge(k, a, b, time.Millisecond)
+	a, b := NewBus(k, DefaultParams()), NewBus(k, DefaultParams())
+	return k, a, b, NewBridge(k, a, b, delay)
+}
 
-	hostA := a.Attach("hostA", nil)
-	hostB := b.Attach("hostB", nil)
-
-	hostA.Send(Broadcast, []byte("from-a"))
-	hostB.Send(Broadcast, []byte("from-b"))
+func TestBridgeForwardsBothWays(t *testing.T) {
+	k, a, b, br := bridged(time.Millisecond)
+	hostA, hostB := a.Attach("hostA", nil), b.Attach("hostB", nil)
+	hostA.Send(medium.Broadcast, []byte("from-a"))
+	hostB.Send(medium.Broadcast, []byte("from-b"))
 	k.Run()
-
-	fa, ok := hostA.Recv()
-	if !ok || string(fa.Payload) != "from-b" {
-		t.Errorf("hostA got %q, want from-b", fa.Payload)
-	}
-	fb, ok := hostB.Recv()
-	if !ok || string(fb.Payload) != "from-a" {
-		t.Errorf("hostB got %q, want from-a", fb.Payload)
-	}
-	if br.Forwarded() != 2 {
-		t.Errorf("forwarded = %d, want 2", br.Forwarded())
-	}
-	k.Shutdown()
+	want(t, "at A, at B, forwarded", fmt.Sprint(recv(hostA), recv(hostB), br.Forwarded()), "[from-b] [from-a] 2")
 }
 
 func TestBridgeAddsDelay(t *testing.T) {
-	k := sim.New(1)
-	a := NewBus(k, DefaultParams())
-	b := NewBus(k, DefaultParams())
-	NewBridge(k, a, b, 5*time.Millisecond)
-
+	k, a, b, _ := bridged(5 * time.Millisecond)
 	local := a.Attach("local", nil)
 	var localAt, remoteAt time.Duration
 	a.Attach("sameTrunk", func() { localAt = k.Now() })
 	b.Attach("otherTrunk", func() { remoteAt = k.Now() })
-
-	local.Send(Broadcast, []byte("x"))
+	local.Send(medium.Broadcast, []byte("x"))
 	k.Run()
-	if remoteAt <= localAt {
-		t.Errorf("cross-bridge delivery (%v) should lag same-trunk (%v)", remoteAt, localAt)
-	}
 	if remoteAt-localAt < 5*time.Millisecond {
-		t.Errorf("bridge delay not applied: gap %v", remoteAt-localAt)
+		t.Errorf("cross-bridge delivery at %v, same-trunk at %v: want the 5ms bridge delay between", remoteAt, localAt)
 	}
-	k.Shutdown()
 }
 
 // TestPurgeOrderingDiffersAcrossTrunks reproduces the paper's argument
@@ -64,78 +46,63 @@ func TestBridgeAddsDelay(t *testing.T) {
 // hardware cache buses resolve them, which is why Mether keeps a single
 // consistent copy and abandons global consistency.
 func TestPurgeOrderingDiffersAcrossTrunks(t *testing.T) {
-	k := sim.New(1)
-	a := NewBus(k, DefaultParams())
-	b := NewBus(k, DefaultParams())
-	br := NewBridge(k, a, b, time.Millisecond)
-	// Background traffic piles up toward trunk A.
-	br.SetBacklog(4*time.Millisecond, 0)
-
-	hostA := a.Attach("hostA", nil) // issues purge "A"
-	hostB := b.Attach("hostB", nil) // issues purge "B"
-
-	var seenOnA, seenOnB []string
-	a.Attach("observerA", nil)
-	b.Attach("observerB", nil)
-	drain := func(n *NIC, into *[]string) {
-		for {
-			f, ok := n.Recv()
-			if !ok {
-				return
-			}
-			*into = append(*into, string(f.Payload))
-		}
-	}
-
-	// Both purges issued within a microsecond of each other.
-	k.After(time.Millisecond, "purgeA", func() { hostA.Send(Broadcast, []byte("purge-A")) })
-	k.After(time.Millisecond+time.Microsecond, "purgeB", func() { hostB.Send(Broadcast, []byte("purge-B")) })
+	k, a, b, br := bridged(time.Millisecond)
+	br.SetBacklog(4*time.Millisecond, 0) // background traffic piles up toward trunk A
+	hostA, hostB := a.Attach("hostA", nil), b.Attach("hostB", nil)
+	observerA, observerB := a.Attach("observerA", nil), b.Attach("observerB", nil)
+	k.After(time.Millisecond, "purgeA", func() { hostA.Send(medium.Broadcast, []byte("purge-A")) })
+	k.After(time.Millisecond+time.Microsecond, "purgeB", func() { hostB.Send(medium.Broadcast, []byte("purge-B")) })
 	k.Run()
-
-	for _, n := range a.nics {
-		if n.Name() == "observerA" {
-			drain(n, &seenOnA)
-		}
-	}
-	for _, n := range b.nics {
-		if n.Name() == "observerB" {
-			drain(n, &seenOnB)
-		}
-	}
-
-	if len(seenOnA) != 2 || len(seenOnB) != 2 {
-		t.Fatalf("observers saw %v / %v, want both purges each", seenOnA, seenOnB)
-	}
-	if seenOnA[0] == seenOnB[0] {
-		t.Errorf("both trunks agreed on purge order (%v vs %v); expected disagreement under asymmetric queueing",
-			seenOnA, seenOnB)
-	}
-	if seenOnA[0] != "purge-A" {
-		t.Errorf("trunk A should see its local purge first, got %v", seenOnA)
-	}
-	if seenOnB[0] != "purge-B" {
-		t.Errorf("trunk B should see its local purge first, got %v", seenOnB)
-	}
-	k.Shutdown()
+	want(t, "order on A, on B", fmt.Sprint(recv(observerA), recv(observerB)), "[purge-A purge-B] [purge-B purge-A]")
 }
 
+// A chain of three segments forwards end to end, once.
 func TestBridgeLoopFreeTopology(t *testing.T) {
-	// A chain of three segments forwards end to end (no flooding storms
-	// in a loop-free topology).
 	k := sim.New(1)
-	a := NewBus(k, DefaultParams())
-	b := NewBus(k, DefaultParams())
-	c := NewBus(k, DefaultParams())
+	a, b, c := NewBus(k, DefaultParams()), NewBus(k, DefaultParams()), NewBus(k, DefaultParams())
 	NewBridge(k, a, b, time.Millisecond)
 	NewBridge(k, b, c, time.Millisecond)
-
 	src := a.Attach("src", nil)
 	got := 0
 	c.Attach("dst", func() { got++ })
-	src.Send(Broadcast, []byte("end-to-end"))
+	src.Send(medium.Broadcast, []byte("end-to-end"))
 	k.Run()
-	if got != 1 {
-		t.Errorf("end-to-end deliveries = %d, want exactly 1", got)
+	want(t, "end-to-end deliveries", got, 1)
+}
+
+// A bridge port flooded past a far ring forwards every frame its own ring
+// took; the far sink keeps its ring's worth and counts the rest as drops.
+func TestBridgeForwardingUnderOverflow(t *testing.T) {
+	p := DefaultParams()
+	p.RxRing = 2
+	k := sim.New(1)
+	a, b := NewBus(k, p), NewBus(k, p)
+	br := NewBridge(k, a, b, 100*time.Microsecond)
+	sink := b.Attach("sink", nil)
+	for i := 0; i < 6; i++ {
+		a.Attach("tx", nil).Send(medium.Broadcast, []byte{'0' + byte(i)})
 	}
-	k.Shutdown()
+	k.Run()
+	want(t, "forwarded, sink frames, sink drops", fmt.Sprint(br.Forwarded(), recv(sink), sink.Drops()), "6 [0 1] 4")
+}
+
+// Partitioning a bridge drains its queued frames, counted and never
+// replayed after the heal, with their buffers released; traffic crosses
+// again after the heal.
+func TestBridgePartitionDrainsQueuedFrames(t *testing.T) {
+	k, a, b, br := bridged(10 * time.Millisecond)
+	hostA, hostB := a.Attach("hostA", nil), b.Attach("hostB", nil)
+	for i := 0; i < 4; i++ {
+		hostA.Send(medium.Broadcast, []byte{byte(i)})
+	}
+	k.After(time.Millisecond, "partition", func() { br.SetPartitioned(true) })
+	k.After(50*time.Millisecond, "heal", func() { br.SetPartitioned(false) })
+	k.Run()
+	crossed := hostB.Pending()
+	hostA.Send(medium.Broadcast, []byte("after-heal"))
+	k.Run()
+	want(t, "crossed while partitioned, partition drops > 0, after the heal",
+		fmt.Sprint(crossed, br.Stats().PartitionDrops > 0, recv(hostB)), "0 true [after-heal]")
+	balanced(t, a)
+	balanced(t, b)
 }

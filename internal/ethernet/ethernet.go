@@ -35,18 +35,6 @@ import (
 	"mether/internal/sim"
 )
 
-// Broadcast is the destination address that delivers a frame to every
-// attached NIC except the sender.
-const Broadcast = medium.Broadcast
-
-// Frame and Stats are the medium-contract types; the aliases keep this
-// package's historical API (ethernet.Frame, ethernet.Stats) intact for
-// the layers that name them.
-type (
-	Frame = medium.Frame
-	Stats = medium.Stats
-)
-
 // Params configures the simulated segment. The zero value is not useful;
 // start from DefaultParams.
 type Params struct {
@@ -128,7 +116,7 @@ var (
 // by indexed lookup; only broadcast still walks the stations.
 type delivery struct {
 	b    *Bus
-	f    Frame
+	f    medium.Frame
 	lost bool
 	// fnU completes a unicast (single indexed receiver); fnB completes a
 	// broadcast (fan-out over every attached NIC).
@@ -151,8 +139,8 @@ func (b *Bus) Params() Params { return b.p }
 // suppressed transmissions are summed over all NICs; the ring high-water
 // mark is the max. The link-queue fields of medium.Stats are always
 // zero: a shared bus has no per-link queues and pays no fan-out.
-func (b *Bus) Stats() Stats {
-	s := Stats{
+func (b *Bus) Stats() medium.Stats {
+	s := medium.Stats{
 		Frames:        b.stats.Frames,
 		WireBytes:     b.stats.WireBytes,
 		PayloadBytes:  b.stats.PayloadBytes,
@@ -259,11 +247,12 @@ func (n *NIC) MemFootprint() uint64 {
 // releases every frame it consumes, which is what makes the receive
 // path allocation-free. Release must be called at most once per
 // received frame, after which the payload must not be touched.
-func (n *NIC) Release(f Frame) {
+func (n *NIC) Release(f medium.Frame) {
 	n.bus.pool.Release(f.Buf)
 }
 
-// Send transmits payload from this NIC to dst (a NIC id or Broadcast).
+// Send transmits payload from this NIC to dst (a NIC id or
+// medium.Broadcast).
 // The call returns immediately; delivery happens after the medium frees
 // up, serialization and propagation. The payload is copied into a pooled
 // buffer shared by all receivers. A send from a down station is
@@ -280,7 +269,7 @@ func (n *NIC) Send(dst int, payload []byte) {
 	// drains and releases mid-fan-out cannot recycle the buffer under
 	// the remaining receivers.
 	fb.Refs = 1
-	f := Frame{Src: n.ID(), Dst: dst, Payload: fb.Data, Buf: fb}
+	f := medium.Frame{Src: n.ID(), Dst: dst, Payload: fb.Data, Buf: fb}
 
 	wire := medium.WireBytes(len(payload), b.p.FrameOverhead, b.p.MinFrameBytes)
 	start := b.k.Now()
@@ -299,7 +288,7 @@ func (n *NIC) Send(dst int, payload []byte) {
 	d.f = f
 	d.lost = b.p.LossRate > 0 && b.k.Rand().Float64() < b.p.LossRate
 	fn := d.fnU
-	if dst == Broadcast {
+	if dst == medium.Broadcast {
 		fn = d.fnB
 	}
 	b.k.AfterCoalesced(start+dur+b.p.PropDelay-b.k.Now(), "eth deliver", fn)
@@ -352,7 +341,7 @@ func (d *delivery) runBroadcast() {
 func (d *delivery) finish() {
 	b := d.b
 	b.pool.Release(d.f.Buf) // drop the in-flight reference
-	d.f = Frame{}
+	d.f = medium.Frame{}
 	d.lost = false
 	b.freeDeliv.Put(d)
 }

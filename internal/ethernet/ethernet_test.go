@@ -1,7 +1,7 @@
 package ethernet
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,240 +10,176 @@ import (
 	"mether/internal/sim"
 )
 
-func newTestBus(t *testing.T, p Params) (*sim.Kernel, *Bus) {
+// The medium contract — rings, drops, down ports, loss, fan-out, pool
+// balance — is held to the reference medium by TestMediumMatchesSpec
+// (internal/medium). The cases here are worked examples on the concrete
+// Bus: written instants, byte counts and buffer identities.
+
+// segment attaches n NICs to a bus with p; at[i] records the instants
+// NIC i's interrupt fired.
+func segment(p Params, n int) (k *sim.Kernel, b *Bus, nics []*NIC, at [][]time.Duration) {
+	k = sim.New(1)
+	b = NewBus(k, p)
+	at = make([][]time.Duration, n)
+	for i := 0; i < n; i++ {
+		i := i
+		nics = append(nics, b.Attach(fmt.Sprint("n", i), func() { at[i] = append(at[i], k.Now()) }))
+	}
+	return k, b, nics, at
+}
+
+// recv drains a NIC, releasing every frame, and returns the payloads.
+func recv(n *NIC) (got []string) {
+	for f, ok := n.Recv(); ok; f, ok = n.Recv() {
+		got = append(got, string(f.Payload))
+		n.Release(f)
+	}
+	return got
+}
+
+func want[T comparable](t *testing.T, what string, got, want T) {
 	t.Helper()
-	k := sim.New(1)
-	return k, NewBus(k, p)
+	if got != want {
+		t.Errorf("%s = %v, want %v", what, got, want)
+	}
+}
+
+func balanced(t *testing.T, b *Bus) {
+	t.Helper()
+	alloc, free := b.PoolStats()
+	want(t, "buffers allocated minus free", alloc-free, 0)
 }
 
 func TestBroadcastReachesAllButSender(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	var got [3]int
-	nics := make([]*NIC, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		nics[i] = b.Attach("n", func() { got[i]++ })
-	}
-	nics[0].Send(Broadcast, []byte("hello"))
+	k, _, n, at := segment(DefaultParams(), 3)
+	n[0].Send(medium.Broadcast, []byte("hello"))
 	k.Run()
-	if got[0] != 0 {
-		t.Error("sender received its own broadcast")
-	}
-	if got[1] != 1 || got[2] != 1 {
-		t.Errorf("receivers got %v interrupts, want 1 each", got)
-	}
-	f, ok := nics[1].Recv()
-	if !ok || !bytes.Equal(f.Payload, []byte("hello")) {
-		t.Errorf("frame = %+v, ok=%v", f, ok)
-	}
-	if f.Src != 0 || f.Dst != Broadcast {
-		t.Errorf("frame addressing = src %d dst %d", f.Src, f.Dst)
-	}
+	want(t, "interrupts", fmt.Sprint(len(at[0]), len(at[1]), len(at[2])), "0 1 1")
+	f, _ := n[1].Recv()
+	want(t, "frame", fmt.Sprintf("%d->%d %s", f.Src, f.Dst, f.Payload), "0->-1 hello")
 }
 
 func TestUnicastReachesOnlyTarget(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	n0 := b.Attach("a", nil)
-	n1 := b.Attach("b", nil)
-	n2 := b.Attach("c", nil)
-	n0.Send(n2.ID(), []byte{1, 2, 3})
+	k, _, n, _ := segment(DefaultParams(), 3)
+	n[0].Send(2, []byte{1, 2, 3})
 	k.Run()
-	if n1.Pending() != 0 {
-		t.Error("bystander received unicast frame")
-	}
-	if n2.Pending() != 1 {
-		t.Error("target did not receive unicast frame")
-	}
+	want(t, "pending at the bystander and the target", fmt.Sprint(n[1].Pending(), n[2].Pending()), "0 1")
 }
 
+// 8192 payload bytes + 46 overhead = 65 904 bits: 6.5904 ms at 10 Mb/s.
 func TestSerializationTiming(t *testing.T) {
 	p := DefaultParams()
-	p.PropDelay = 0
-	p.InterFrameGap = 0
-	k, b := newTestBus(t, p)
-	n0 := b.Attach("tx", nil)
-	var arrival time.Duration
-	rx := b.Attach("rx", func() { arrival = k.Now() })
-	// 8192-byte payload + 46 overhead = 8238 bytes = 65904 bits at 10 Mb/s
-	// = 6.5904 ms.
-	n0.Send(rx.ID(), make([]byte, 8192))
+	p.PropDelay, p.InterFrameGap = 0, 0
+	k, _, n, at := segment(p, 2)
+	n[0].Send(1, make([]byte, 8192))
 	k.Run()
-	want := time.Duration(8238*8) * time.Second / 10_000_000
-	if arrival != want {
-		t.Errorf("arrival = %v, want %v", arrival, want)
-	}
+	want(t, "arrival", fmt.Sprint(at[1]), "[6.5904ms]")
 }
 
+// 1046 wire bytes take 836.8µs; the second frame waits for the first and
+// the 10µs gap.
 func TestBackToBackFramesSerialize(t *testing.T) {
 	p := DefaultParams()
 	p.PropDelay = 0
-	k, b := newTestBus(t, p)
-	n0 := b.Attach("tx", nil)
-	var arrivals []time.Duration
-	rx := b.Attach("rx", func() { arrivals = append(arrivals, k.Now()) })
-	n0.Send(rx.ID(), make([]byte, 1000))
-	n0.Send(rx.ID(), make([]byte, 1000))
+	k, _, n, at := segment(p, 2)
+	n[0].Send(1, make([]byte, 1000))
+	n[0].Send(1, make([]byte, 1000))
 	k.Run()
-	if len(arrivals) != 2 {
-		t.Fatalf("got %d arrivals, want 2", len(arrivals))
-	}
-	per := medium.TxTime(medium.WireBytes(1000, p.FrameOverhead, p.MinFrameBytes), p.BandwidthBps)
-	if arrivals[0] != per {
-		t.Errorf("first arrival %v, want %v", arrivals[0], per)
-	}
-	wantSecond := 2*per + p.InterFrameGap
-	if arrivals[1] != wantSecond {
-		t.Errorf("second arrival %v, want %v (serialized)", arrivals[1], wantSecond)
-	}
+	want(t, "arrivals", fmt.Sprint(at[1]), "[836.8µs 1.6836ms]")
 }
 
 func TestMinFramePadding(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	n0 := b.Attach("tx", nil)
-	b.Attach("rx", nil)
-	n0.Send(Broadcast, []byte{1}) // 1+46 = 47 < 64 → padded
+	k, b, n, _ := segment(DefaultParams(), 2)
+	n[0].Send(medium.Broadcast, []byte{1}) // 1+46 = 47 < 64: padded
 	k.Run()
-	if got := b.Stats().WireBytes; got != 64 {
-		t.Errorf("wire bytes = %d, want 64 (min frame)", got)
-	}
-	if got := b.Stats().PayloadBytes; got != 1 {
-		t.Errorf("payload bytes = %d, want 1", got)
-	}
+	want(t, "wire and payload bytes", fmt.Sprint(b.Stats().WireBytes, b.Stats().PayloadBytes), "64 1")
 }
 
 func TestRxRingOverflowDrops(t *testing.T) {
 	p := DefaultParams()
 	p.RxRing = 4
-	k, b := newTestBus(t, p)
-	n0 := b.Attach("tx", nil)
-	rx := b.Attach("rx", nil) // nobody drains the ring
+	k, b, n, _ := segment(p, 2)
 	for i := 0; i < 10; i++ {
-		n0.Send(rx.ID(), []byte{byte(i)})
+		n[0].Send(1, []byte{byte(i)})
 	}
 	k.Run()
-	if rx.Pending() != 4 {
-		t.Errorf("ring holds %d, want 4", rx.Pending())
-	}
-	if rx.Drops() != 6 {
-		t.Errorf("drops = %d, want 6", rx.Drops())
-	}
-	if b.Stats().RingDrops != 6 {
-		t.Errorf("stats drops = %d, want 6", b.Stats().RingDrops)
-	}
+	want(t, "pending, drops, segment drops", fmt.Sprint(n[1].Pending(), n[1].Drops(), b.Stats().RingDrops), "4 6 6")
 }
 
 func TestWireLossDropsFrameEverywhere(t *testing.T) {
 	p := DefaultParams()
-	p.LossRate = 1.0
-	k, b := newTestBus(t, p)
-	n0 := b.Attach("tx", nil)
-	r1 := b.Attach("rx1", nil)
-	r2 := b.Attach("rx2", nil)
-	n0.Send(Broadcast, []byte("doomed"))
+	p.LossRate = 1
+	k, b, n, _ := segment(p, 3)
+	n[0].Send(medium.Broadcast, []byte("doomed"))
+	n[0].Send(1, []byte("doomed"))
 	k.Run()
-	if r1.Pending() != 0 || r2.Pending() != 0 {
-		t.Error("lost frame was delivered")
-	}
-	if b.Stats().WireLost != 1 {
-		t.Errorf("WireLost = %d, want 1", b.Stats().WireLost)
-	}
+	want(t, "pending, lost", fmt.Sprint(n[1].Pending(), n[2].Pending(), b.Stats().WireLost), "0 0 2")
 }
 
 func TestLossIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) uint64 {
-		k := sim.New(seed)
 		p := DefaultParams()
 		p.LossRate = 0.5
+		k := sim.New(seed)
 		b := NewBus(k, p)
 		tx := b.Attach("tx", nil)
 		b.Attach("rx", nil)
 		for i := 0; i < 100; i++ {
-			tx.Send(Broadcast, []byte{byte(i)})
+			tx.Send(medium.Broadcast, []byte{byte(i)})
 		}
 		k.Run()
 		return b.Stats().WireLost
 	}
-	if run(7) != run(7) {
-		t.Error("same seed gave different loss patterns")
+	if a, b := run(7), run(7); a != b || a == 0 || a == 100 {
+		t.Errorf("seed 7 lost %d then %d of 100 frames, want the same share of them twice", a, b)
 	}
 }
 
 func TestPayloadIsCopied(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	n0 := b.Attach("tx", nil)
-	rx := b.Attach("rx", nil)
+	k, _, n, _ := segment(DefaultParams(), 2)
 	buf := []byte{1, 2, 3}
-	n0.Send(rx.ID(), buf)
-	buf[0] = 99 // mutate after send
+	n[0].Send(1, buf)
+	buf[0] = 99
 	k.Run()
-	f, _ := rx.Recv()
-	if f.Payload[0] != 1 {
-		t.Error("bus aliased the caller's payload buffer")
-	}
+	want(t, "payload", fmt.Sprint(recv(n[1])), "[\x01\x02\x03]")
 }
 
 func TestRecvEmptyRing(t *testing.T) {
-	_, b := newTestBus(t, DefaultParams())
-	n := b.Attach("n", nil)
-	if _, ok := n.Recv(); ok {
-		t.Error("Recv on empty ring reported a frame")
+	_, b, _, _ := segment(DefaultParams(), 0)
+	if _, ok := b.AttachPort("n", nil).Recv(); ok {
+		t.Error("Recv on an empty ring reported a frame")
 	}
 }
 
 func TestFIFODeliveryOrder(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	n0 := b.Attach("tx", nil)
-	rx := b.Attach("rx", nil)
+	k, b, n, _ := segment(DefaultParams(), 2)
 	for i := 0; i < 10; i++ {
-		n0.Send(rx.ID(), []byte{byte(i)})
+		n[0].Send(1, []byte{'0' + byte(i)})
 	}
 	k.Run()
-	for i := 0; i < 10; i++ {
-		f, ok := rx.Recv()
-		if !ok || f.Payload[0] != byte(i) {
-			t.Fatalf("frame %d out of order: %+v ok=%v", i, f, ok)
-		}
-	}
+	want(t, "frames", fmt.Sprint(recv(n[1])), "[0 1 2 3 4 5 6 7 8 9]")
+	balanced(t, b)
 }
 
+// 1204 payload bytes are 1250 on the wire: 1 ms at 10 Mb/s.
 func TestUtilization(t *testing.T) {
 	p := DefaultParams()
-	p.PropDelay = 0
-	p.InterFrameGap = 0
-	k, b := newTestBus(t, p)
-	n0 := b.Attach("tx", nil)
-	rx := b.Attach("rx", nil)
-	n0.Send(rx.ID(), make([]byte, 1204)) // 1250 wire bytes = 1ms at 10Mb/s
+	p.PropDelay, p.InterFrameGap = 0, 0
+	k, b, n, _ := segment(p, 2)
+	n[0].Send(1, make([]byte, 1204))
 	end := k.Run()
-	if end != time.Millisecond {
-		t.Fatalf("run ended at %v, want 1ms", end)
-	}
-	if u := b.Utilization(end); u < 0.99 || u > 1.01 {
-		t.Errorf("utilization = %f, want ~1.0", u)
-	}
+	want(t, "run end, utilization", fmt.Sprint(end, b.Utilization(end), b.Utilization(0)), "1ms 1 0")
 }
 
-// TestWireBytesProperty: wire size is always >= max(min frame, payload)
-// and payload accounting is exact.
+// Wire size is max(min frame, payload + overhead), payload bytes exact.
 func TestWireBytesProperty(t *testing.T) {
 	p := DefaultParams()
 	prop := func(sz uint16) bool {
-		k := sim.New(1)
-		b := NewBus(k, p)
-		tx := b.Attach("tx", nil)
-		b.Attach("rx", nil)
-		payload := make([]byte, int(sz)%9000)
-		tx.Send(Broadcast, payload)
+		k, b, n, _ := segment(p, 2)
+		n[0].Send(medium.Broadcast, make([]byte, int(sz)%9000))
 		k.Run()
 		st := b.Stats()
-		if st.PayloadBytes != uint64(len(payload)) {
-			return false
-		}
-		want := len(payload) + p.FrameOverhead
-		if want < p.MinFrameBytes {
-			want = p.MinFrameBytes
-		}
-		return st.WireBytes == uint64(want)
+		return st.PayloadBytes == uint64(sz%9000) && st.WireBytes == uint64(max(int(sz%9000)+p.FrameOverhead, p.MinFrameBytes))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -251,132 +187,172 @@ func TestWireBytesProperty(t *testing.T) {
 }
 
 func TestNICDownDropsTraffic(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	tx := b.Attach("tx", nil)
-	rx := b.Attach("rx", nil)
-	rx.SetDown(true)
-	tx.Send(Broadcast, []byte("lost"))
+	k, _, n, _ := segment(DefaultParams(), 2)
+	n[1].SetDown(true)
+	n[0].Send(medium.Broadcast, []byte("lost"))
 	k.RunUntil(100 * time.Millisecond)
-	if rx.Pending() != 0 {
-		t.Error("down NIC received a frame")
-	}
-	rx.SetDown(false)
-	if rx.Down() {
-		t.Error("Down() stuck true")
-	}
-	tx.Send(Broadcast, []byte("arrives"))
+	n[1].SetDown(false)
+	n[0].Send(medium.Broadcast, []byte("arrives"))
 	k.Run()
-	if f, ok := rx.Recv(); !ok || string(f.Payload) != "arrives" {
-		t.Errorf("after recovery got %q, ok=%v", f.Payload, ok)
-	}
+	want(t, "frames after recovery", fmt.Sprint(n[1].Down(), recv(n[1])), "false [arrives]")
 }
 
 func TestDownNICCannotTransmit(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	tx := b.Attach("tx", nil)
-	rx := b.Attach("rx", nil)
-	tx.SetDown(true)
-	tx.Send(Broadcast, []byte("nope"))
+	k, b, n, _ := segment(DefaultParams(), 2)
+	n[0].SetDown(true)
+	n[0].Send(medium.Broadcast, []byte("nope"))
 	k.Run()
-	if rx.Pending() != 0 {
-		t.Error("down NIC transmitted")
-	}
-	if b.Stats().Frames != 0 {
-		t.Error("down NIC's frame hit the wire stats")
-	}
+	want(t, "pending, frames", fmt.Sprint(n[1].Pending(), b.Stats().Frames), "0 0")
 }
 
-// TestDownNICCountsSuppressedSends: a swallowed send must leave a
-// counter trail — per NIC and in the segment stats — instead of
-// vanishing, and recovery must stop the counting.
+// A swallowed send leaves a counter trail, per NIC and in the segment's
+// stats, until the NIC recovers.
 func TestDownNICCountsSuppressedSends(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	tx := b.Attach("tx", nil)
-	other := b.Attach("other", nil)
-	tx.SetDown(true)
-	tx.Send(Broadcast, []byte("one"))
-	tx.Send(other.ID(), []byte("two"))
-	if got := tx.TxSuppressed(); got != 2 {
-		t.Errorf("NIC TxSuppressed = %d, want 2", got)
-	}
-	if got := b.Stats().TxSuppressed; got != 2 {
-		t.Errorf("Stats().TxSuppressed = %d, want 2", got)
-	}
-	if got := other.TxSuppressed(); got != 0 {
-		t.Errorf("bystander TxSuppressed = %d, want 0", got)
-	}
-	tx.SetDown(false)
-	tx.Send(Broadcast, []byte("three"))
+	k, b, n, _ := segment(DefaultParams(), 2)
+	n[0].SetDown(true)
+	n[0].Send(medium.Broadcast, []byte("one"))
+	n[0].Send(1, []byte("two"))
+	n[0].SetDown(false)
+	n[0].Send(medium.Broadcast, []byte("three"))
 	k.Run()
-	if got := b.Stats().TxSuppressed; got != 2 {
-		t.Errorf("after recovery Stats().TxSuppressed = %d, want 2", got)
-	}
-	if f, ok := other.Recv(); !ok || string(f.Payload) != "three" {
-		t.Errorf("recovered send got %q, ok=%v", f.Payload, ok)
-	}
+	want(t, "suppressed: sender, bystander, segment", fmt.Sprint(n[0].TxSuppressed(), n[1].TxSuppressed(), b.Stats().TxSuppressed), "2 0 2")
+	want(t, "frames", fmt.Sprint(recv(n[1])), "[three]")
 }
 
-// TestUnicastEdgeAddresses: frames to the sender itself or to an
-// unattached id reach no one — the indexed lookup must decide these
-// exactly as the former all-stations scan did, without panicking.
+// Frames to the sender or to an unattached id take the wire and reach no
+// one.
 func TestUnicastEdgeAddresses(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
-	n0 := b.Attach("a", nil)
-	n1 := b.Attach("b", nil)
-	n0.Send(n0.ID(), []byte("self"))
-	n0.Send(99, []byte("nobody"))
-	n0.Send(-7, []byte("negative"))
+	k, b, n, _ := segment(DefaultParams(), 2)
+	for _, dst := range []int{0, 99, -7} {
+		n[0].Send(dst, []byte("nobody"))
+	}
 	k.Run()
-	if n0.Pending() != 0 || n1.Pending() != 0 {
-		t.Errorf("edge-addressed unicasts delivered: pending %d/%d, want 0/0",
-			n0.Pending(), n1.Pending())
-	}
-	if got := b.Stats().Frames; got != 3 {
-		t.Errorf("frames transmitted = %d, want 3 (they occupy the wire regardless)", got)
-	}
+	want(t, "pending, frames", fmt.Sprint(n[0].Pending(), n[1].Pending(), b.Stats().Frames), "0 0 3")
 }
 
-// TestViewSharedAndRecycled: a view attached by one receiver is visible
-// to the other receivers of the same transmission, handed to the
-// OnViewDrop recycler exactly once when the buffer recycles, and never
-// leaks into the buffer's next transmission.
+// A view attached by one receiver is the other receivers' too, goes to
+// the recycler once as the buffer recycles, and never reaches the
+// buffer's next transmission.
 func TestViewSharedAndRecycled(t *testing.T) {
-	k, b := newTestBus(t, DefaultParams())
+	k, b, n, _ := segment(DefaultParams(), 3)
 	var dropped []any
 	b.OnViewDrop(func(v any) { dropped = append(dropped, v) })
-	tx := b.Attach("tx", nil)
-	r1 := b.Attach("r1", nil)
-	r2 := b.Attach("r2", nil)
-	tx.Send(Broadcast, []byte("payload"))
+	n[0].Send(medium.Broadcast, []byte("payload"))
 	k.Run()
-
-	f1, _ := r1.Recv()
-	f2, _ := r2.Recv()
-	if f1.View() != nil {
-		t.Fatal("fresh frame already has a view")
-	}
+	f1, _ := n[1].Recv()
+	f2, _ := n[2].Recv()
+	fresh := f1.View() == nil
 	view := "decoded"
 	f1.SetView(&view)
-	if got := f2.View(); got != &view {
-		t.Fatalf("second receiver sees view %v, want the one attached by the first", got)
-	}
-	r1.Release(f1)
-	if len(dropped) != 0 {
-		t.Fatal("view dropped while a receiver still held the buffer")
-	}
-	r2.Release(f2)
-	if len(dropped) != 1 || dropped[0] != &view {
-		t.Fatalf("dropped = %v, want exactly the attached view", dropped)
-	}
-
-	// The recycled buffer's next transmission starts view-free.
-	tx.Send(Broadcast, []byte("next"))
+	n[1].Release(f1)
+	shared, early := f2.View() == &view, len(dropped)
+	n[2].Release(f2)
+	n[0].Send(medium.Broadcast, []byte("next"))
 	k.Run()
-	g1, _ := r1.Recv()
-	if g1.View() != nil {
-		t.Error("recycled buffer leaked the previous transmission's view")
+	g, _ := n[1].Recv()
+	want(t, "fresh, shared, dropped early, dropped, next fresh", fmt.Sprint(fresh, shared, early, len(dropped), g.View() == nil), "true true 0 1 true")
+}
+
+// A NIC taken down while a broadcast is in flight neither receives it nor
+// keeps a reference on its buffer.
+func TestSetDownMidBroadcastReleasesSharedBuffer(t *testing.T) {
+	k, b, n, _ := segment(DefaultParams(), 4)
+	n[0].Send(medium.Broadcast, []byte("in-flight"))
+	n[2].SetDown(true)
+	k.Run()
+	want(t, "frames at 1, 2, 3", fmt.Sprint(recv(n[1]), recv(n[2]), recv(n[3])), "[in-flight] [] [in-flight]")
+	balanced(t, b)
+}
+
+func TestSetDownSuppressesSends(t *testing.T) {
+	k, b, n, _ := segment(DefaultParams(), 2)
+	n[0].SetDown(true)
+	n[0].Send(medium.Broadcast, []byte("lost"))
+	k.Run()
+	n[0].SetDown(false)
+	n[0].Send(medium.Broadcast, []byte("back"))
+	k.Run()
+	want(t, "frames", fmt.Sprint(recv(n[1])), "[back]")
+	balanced(t, b)
+}
+
+// After an overrun, draining makes room again and the wrapped slots keep
+// FIFO order.
+func TestRxRingDrainReopensRing(t *testing.T) {
+	p := DefaultParams()
+	p.RxRing = 3
+	k, _, n, _ := segment(p, 2)
+	for _, s := range []string{"a", "b", "c", "d", "e"} {
+		n[1].Send(medium.Broadcast, []byte(s))
 	}
-	if len(dropped) != 1 {
-		t.Errorf("recycler ran %d times, want 1", len(dropped))
+	k.Run()
+	first, _ := n[0].Recv()
+	got := string(first.Payload)
+	n[0].Release(first)
+	n[1].Send(medium.Broadcast, []byte("f"))
+	k.Run()
+	want(t, "drops, frames", fmt.Sprint(n[0].Drops(), append([]string{got}, recv(n[0])...)), "2 [a b c f]")
+}
+
+// A released buffer carries the next send, with the new bytes.
+func TestReleasedBuffersAreRecycled(t *testing.T) {
+	k, b, n, _ := segment(DefaultParams(), 2)
+	n[0].Send(1, []byte{0xAA, 0xBB})
+	k.Run()
+	f1, _ := n[1].Recv()
+	n[1].Release(f1)
+	_, free := b.PoolStats()
+	n[0].Send(1, []byte{0x11, 0x22})
+	k.Run()
+	f2, _ := n[1].Recv()
+	want(t, "free buffers, same buffer", fmt.Sprint(free, &f2.Payload[0] == &f1.Payload[0]), "1 true")
+	want(t, "bytes", fmt.Sprintf("% x", f2.Payload), "11 22")
+}
+
+// A broadcast's receivers share one buffer; it is free after the last
+// release.
+func TestBroadcastBufferSharedUntilAllRelease(t *testing.T) {
+	k, b, n, _ := segment(DefaultParams(), 3)
+	n[2].Send(medium.Broadcast, []byte{7})
+	k.Run()
+	fa, _ := n[0].Recv()
+	fb, _ := n[1].Recv()
+	n[0].Release(fa)
+	_, free := b.PoolStats()
+	n[1].Release(fb)
+	_, after := b.PoolStats()
+	want(t, "shared, free after one release, after both", fmt.Sprint(fa.Buf == fb.Buf, free, after), "true 0 1")
+}
+
+// A deep bound costs nothing idle, the ring doubles with occupancy, and
+// FIFO order survives every growth.
+func TestLazyRingGrowsOnDemand(t *testing.T) {
+	k := sim.New(1)
+	b := NewBus(k, DefaultParams())
+	rx := b.AttachWithRing("rx", nil, 1024)
+	tx := b.Attach("tx", nil)
+	idle := rx.MemFootprint()
+	var sent []string
+	for i := 0; i < 100; i++ {
+		sent = append(sent, fmt.Sprint(i))
+		tx.Send(medium.Broadcast, []byte(sent[i]))
 	}
+	k.Run()
+	want(t, "cap, idle bytes, drops", fmt.Sprint(rx.RingCap(), idle <= 512, rx.Drops()), "1024 true 0")
+	want(t, "frames", fmt.Sprint(recv(rx)), fmt.Sprint(sent))
+}
+
+// Per-NIC bounds coexist: a deep server ring absorbs what a default
+// client ring drops, and Attach is AttachWithRing(default).
+func TestAttachWithRingRoleAwareSizing(t *testing.T) {
+	p := DefaultParams()
+	p.RxRing = 4
+	k, b, n, _ := segment(p, 2)
+	server := b.AttachWithRing("server", nil, 64)
+	for i := 0; i < 20; i++ {
+		n[0].Send(medium.Broadcast, []byte{byte(i)})
+	}
+	k.Run()
+	want(t, "client cap, pending, drops; server pending, drops",
+		fmt.Sprint(n[1].RingCap(), n[1].Pending(), n[1].Drops(), server.Pending(), server.Drops()), "4 4 16 20 0")
 }

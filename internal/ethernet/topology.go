@@ -189,22 +189,12 @@ func (t *Topology) Hops(a, b int) int {
 // across k bridges is counted on each trunk it crosses — cross-trunk
 // traffic really does occupy every wire it transits, which is exactly
 // the redundancy-vs-load cost the topology axis measures.
-func (t *Topology) Stats() Stats {
-	var s Stats
+func (t *Topology) Stats() medium.Stats {
+	var s medium.Stats
 	for _, b := range t.buses {
 		s.Add(b.Stats())
 	}
 	return s
-}
-
-// Utilization sums every trunk's busy time as a fraction of wall time;
-// independent trunks transmit in parallel, so the value may exceed 1.
-func (t *Topology) Utilization(wall time.Duration) float64 {
-	var u float64
-	for _, b := range t.buses {
-		u += b.Utilization(wall)
-	}
-	return u
 }
 
 // PoolStats sums the trunks' payload-buffer pools: buffers ever

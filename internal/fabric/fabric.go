@@ -209,15 +209,6 @@ func (fb *Fabric) Stats() medium.Stats {
 	return s
 }
 
-// Utilization reports summed link busy time as a fraction of wall time;
-// values above 1 mean more than one link's worth of parallel transfer.
-func (fb *Fabric) Utilization(wall time.Duration) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	return float64(fb.busyTime) / float64(wall)
-}
-
 // MemFootprint returns the fabric's structural memory footprint in
 // bytes: ports and their rings, the materialized link table, and the
 // pooled buffers and delivery records on the freelists. Deterministic by

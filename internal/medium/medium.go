@@ -50,10 +50,6 @@ type Medium interface {
 	// suppression counters are folded in (summed; ring high water by
 	// max).
 	Stats() Stats
-	// Utilization reports busy time as a fraction of the given wall
-	// time. On a multi-link medium the busy times of independent links
-	// sum, so the value may exceed 1.
-	Utilization(wall time.Duration) float64
 	// MemFootprint returns the medium's structural memory footprint in
 	// bytes (rings, pools, link state) — a deterministic function of
 	// simulated behaviour, never of runtime heap state, so it can enter
@@ -74,7 +70,12 @@ type Medium interface {
 // port neither receives nor transmits, and suppressed sends are
 // counted, never silently lost.
 type Port interface {
-	// ID is the port's dense address on its medium (attach order).
+	// ID is the port's dense address on its medium (attach order). On a
+	// bridged Ethernet topology it is the address on the port's own
+	// trunk, where each bridge NIC takes an id too: ports on different
+	// trunks can share an id, so a unicast reaches only the sender's
+	// trunk. No world sends a unicast: core sends every frame to
+	// Broadcast.
 	ID() int
 	// Name is the diagnostic name given at attach.
 	Name() string

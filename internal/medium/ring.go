@@ -7,8 +7,8 @@ import "unsafe"
 // of that size would refuse them, but the backing array starts empty
 // and doubles with actual occupancy, so an idle or lightly-loaded
 // station never pays for its worst case. Both media use it by value, so
-// the drop/growth/high-water behaviour — and the differential tests
-// that pin it — are shared rather than duplicated.
+// the drop/growth/high-water behaviour is shared rather than duplicated,
+// and TestMediumMatchesSpec holds both to one reference ring.
 type Ring struct {
 	slots []Frame // circular physical storage; grows up to bound
 	bound int     // logical capacity: the drop threshold

@@ -1,0 +1,410 @@
+package medium_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"mether/internal/ethernet"
+	"mether/internal/fabric"
+	"mether/internal/medium"
+	"mether/internal/sim"
+)
+
+// TestMediumMatchesSpec holds Ethernet and the fabric to spec, the
+// reference medium below, on randomized scripts (script_test.go) played
+// through medium.Medium and medium.Port: the stream of interrupts and
+// received frames, the clock, every Stats field and every port's
+// counters must agree, and every pool buffer must be back once the
+// frames are released. Each profile must cover its floor of ground.
+// FuzzMedium draws scripts from a byte tape. Bridges are outside the
+// spec: bridge_test.go and topology_test.go keep them.
+//
+// Each mutation below, made to a copy of the media, fails the profiles
+// listed at the first seed given, and the kept tests named:
+//
+//	fabric fan-out without the sender's guard reference  fabric 3; TestBroadcastOverflowGuard
+//	bus: no in-flight reference, recycled at Refs 1      ethernet 1, ethernet-deep 1; TestViewSharedAndRecycled, 5 more
+//	fabric: one loss roll per broadcast                  fabric 1
+//	an interrupt raised for a dropped frame              all three 1; TestStationDropsAtExactCapacity
+//	a down station still takes frames                    all three 1; TestStationDown, 3 more
+//	a ring that grows without unwrapping                 ethernet-deep 1; TestStationFIFOAcrossWrappedGrow
+//	ring: the bound admits one frame more                all three 1; TestRxRingOverflowDrops, 7 more
+//	a suppressed send not counted                        all three 1; TestDownNICCountsSuppressedSends, 3 more
+//	stats: ring high water summed, not maxed             all three 1; TestStationHighWater
+//	bus: no inter-frame gap                              ethernet 1, ethernet-deep 1; TestBackToBackFramesSerialize
+//	bus: a unicast to the sender delivered               ethernet 1, ethernet-deep 1; TestUnicastEdgeAddresses
+//	bus: loss rolled for broadcasts only                 ethernet 1, ethernet-deep 1; TestWireLossDropsFrameEverywhere
+//	bus: receivers fixed at send, not at landing         ethernet 1, ethernet-deep 1
+//	fabric: a copy never leaves its link                 fabric 1; TestSeededDeterminism
+//	fabric: a grown link row not kept                    fabric 2
+//	fabric: an overflowed copy billed as fan-out         fabric 3
+//	fabric: an overflowed copy keeps its reference       fabric 3; TestLinkQueueOverflow, TestBroadcastOverflowGuard
+//	fabric: a unicast to the sender sent                 fabric 1; TestBroadcastFanout
+func TestMediumMatchesSpec(t *testing.T) {
+	for i := range profiles {
+		p := &profiles[i]
+		t.Run(p.name, func(t *testing.T) {
+			var c cover
+			for seed := 1; seed <= p.seeds; seed++ {
+				s := p.script(rand.New(rand.NewSource(int64(seed))).Intn, p.ops)
+				check(t, fmt.Sprint("seed ", seed), p.w, s, int64(seed), &c)
+			}
+			t.Logf("%d scripts: %+v", p.seeds, c)
+			if !p.floor(&c) {
+				t.Errorf("%d scripts covered too little ground: %+v", p.seeds, c)
+			}
+		})
+	}
+}
+
+// FuzzMedium plays scripts drawn from its input, a choice tape read a
+// byte or more per choice and as zeros past its end.
+func FuzzMedium(f *testing.F) {
+	for _, in := range []string{"", "\x00\x03\x01", "\x01\x05\x02\x00\x00\x07", "\x02\x04\x00\x00\x00\x00\x00\x09\x01", "\x02\xff\x10\x80\x03"} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		choose := func(n int) int {
+			v := 0
+			for m := n - 1; m > 0; m >>= 8 {
+				v <<= 8
+				if len(in) > 0 {
+					v, in = v|int(in[0]), in[1:]
+				}
+			}
+			return v % n
+		}
+		p := &profiles[choose(len(profiles))]
+		check(t, p.name, p.w, p.script(choose, 1+choose(p.ops)), 1, &cover{})
+	})
+}
+
+// profile is a kind of randomized script: the medium it is played on,
+// what its ops are drawn from, and the ground its seeds must cover.
+type profile struct {
+	name       string
+	w          wire
+	seeds, ops int
+	rings      []int         // bounds a port is attached with; -1 is the medium default
+	unit       time.Duration // three ops in four are 1 to steps units after the last, the rest at its instant
+	steps      int
+	size       int       // payloads are 1 to size bytes
+	weights    [nOps]int // by op kind
+	eager      int       // one port in eager drains from its interrupt
+	drain      int       // a drain takes 1 to drain frames, or all half the time
+	floor      func(c *cover) bool
+}
+
+const maxPorts = 10
+
+func ethWire(k kind, ring int) wire {
+	p := ethernet.DefaultParams()
+	return wire{kind: k, bw: p.BandwidthBps, delay: p.PropDelay, gap: p.InterFrameGap, overhead: p.FrameOverhead,
+		minLen: p.MinFrameBytes, loss: 0.2, ring: ring}
+}
+
+func fabWire(ring, txq int) wire {
+	p := fabric.DefaultParams()
+	return wire{kind: kFabric, bw: p.BandwidthBps, delay: p.LinkLatency, overhead: p.FrameOverhead,
+		minLen: p.MinFrameBytes, loss: 0.2, ring: ring, txq: txq}
+}
+
+// every is the floor of every profile.
+func every(c *cover) bool {
+	return c.ringDrops > 0 && c.wireLost > 0 && c.suppressed > 0 && c.downSkips > 0
+}
+
+var profiles = [...]profile{{
+	// The medium every Ethernet world is built on: shallow rings, loss,
+	// ports draining from their interrupt as the server does.
+	name: "ethernet", w: ethWire(kTopology, 4), seeds: 25, ops: 150,
+	rings: []int{-1, 0, 1, 2, 3, 5}, unit: 10 * time.Microsecond, steps: 40, size: 200,
+	weights: [nOps]int{oSend: 12, oDown: 1, oUp: 2, oDrain: 4, oAttach: 1}, eager: 3, drain: 3,
+	floor: every,
+}, {
+	// Rings past the first 8-slot growth, drained a few frames at a time,
+	// so they fill and grow while wrapped.
+	name: "ethernet-deep", w: ethWire(kBus, 16), seeds: 25, ops: 150,
+	rings: []int{-1, 9, 12, 17, 24, 40}, unit: 10 * time.Microsecond, steps: 30, size: 120,
+	weights: [nOps]int{oSend: 14, oDown: 1, oUp: 2, oDrain: 3, oAttach: 1}, drain: 5,
+	floor: func(c *cover) bool { return every(c) && c.wrapGrows > 0 },
+}, {
+	// Two-frame link queues under same-instant broadcasts, and
+	// ports attached after their senders' links exist.
+	name: "fabric", w: fabWire(4, 2), seeds: 25, ops: 150,
+	rings: []int{-1, 1, 2, 3, 5}, unit: 100 * time.Nanosecond, steps: 30, size: 300,
+	weights: [nOps]int{oSend: 12, oDown: 1, oUp: 2, oDrain: 4, oAttach: 2}, eager: 3, drain: 3,
+	floor: func(c *cover) bool {
+		return every(c) && c.linkOverflows > 0 && c.midOverflows > 0 && c.lateLinks > 0
+	},
+}}
+
+// script draws ops ops of the profile from choose, which returns a choice
+// in [0, n): two to five ports attached at zero, then ops at rising
+// instants. A send is a broadcast six times in ten, else a unicast to an
+// attached port (the sender itself among them), the sender, or an id
+// nobody holds.
+func (p *profile) script(choose func(n int) int, ops int) script {
+	var s script
+	var at time.Duration
+	ports, total := 0, 0
+	for _, w := range p.weights {
+		total += w
+	}
+	attach := func() {
+		o := op{at: at, kind: oAttach, arg: p.rings[choose(len(p.rings))]}
+		if p.eager > 0 && choose(p.eager) == 0 {
+			o.size = 1
+		}
+		s = append(s, o)
+		ports++
+	}
+	for n := 2 + choose(4); n > 0; n-- {
+		attach()
+	}
+	for len(s) < ops {
+		if choose(4) > 0 {
+			at += p.unit * time.Duration(1+choose(p.steps))
+		}
+		k, x := opKind(0), choose(total)
+		for ; x >= p.weights[k]; k++ {
+			x -= p.weights[k]
+		}
+		if k == oAttach {
+			if ports < maxPorts {
+				attach()
+			}
+			continue
+		}
+		o := op{at: at, kind: k, port: choose(ports)}
+		switch k {
+		case oSend:
+			o.size = 1 + choose(p.size)
+			switch r := choose(10); {
+			case r < 6:
+				o.arg = medium.Broadcast
+			case r < 8:
+				o.arg = choose(ports)
+			case r < 9:
+				o.arg = o.port
+			default:
+				o.arg = []int{ports, ports + 1, -2}[choose(3)]
+			}
+		case oDrain:
+			if choose(2) == 0 {
+				o.arg = 1 + choose(p.drain)
+			}
+		}
+		s = append(s, o)
+	}
+	return s
+}
+
+// spec is the reference medium: the contract Ethernet and the fabric are
+// held to, written to be read rather than to be fast. A ring is a slice,
+// a payload a fresh copy, a delivery one plain kernel event per frame or
+// copy; there is no pool, refcount, freelist or link table row. Each
+// rule is stated once, where it is marked.
+type spec struct {
+	k     *sim.Kernel
+	w     wire
+	c     *cover
+	ports []*specPort
+	st    medium.Stats // the wire's counters; Stats folds the ports' in
+	free  time.Duration
+	links map[[2]int]*specLink // by (src, dst)
+	first map[int]int          // ports attached when each sender first sent on a link
+}
+
+type specLink struct {
+	free     time.Duration
+	inFlight int
+}
+
+type specPort struct {
+	s                 *spec
+	id                int
+	name              string
+	intr              func()
+	ring              []medium.Frame
+	bound, high       int
+	drops, suppressed uint64
+	down              bool
+}
+
+func (s *spec) AttachPort(name string, intr func()) medium.Port {
+	return s.AttachPortWithRing(name, intr, s.w.ring)
+}
+
+// Rule: ids are dense in attach order; a negative bound refuses
+// everything.
+func (s *spec) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
+	p := &specPort{s: s, id: len(s.ports), name: name, intr: intr, bound: max(ringCap, 0)}
+	s.ports = append(s.ports, p)
+	return p
+}
+
+// Rule: drops and suppressed sends are the ports' summed, the ring high
+// water their maximum.
+func (s *spec) Stats() medium.Stats {
+	st := s.st
+	for _, p := range s.ports {
+		st.RingDrops += p.drops
+		st.TxSuppressed += p.suppressed
+		st.RingHighWater = max(st.RingHighWater, p.high)
+	}
+	return st
+}
+
+func (s *spec) MemFootprint() uint64             { return 0 }
+func (s *spec) PoolStats() (allocated, free int) { return 0, 0 }
+func (s *spec) OnViewDrop(func(any))             {}
+func (p *specPort) ID() int                      { return p.id }
+func (p *specPort) Name() string                 { return p.name }
+func (p *specPort) Release(medium.Frame)         {}
+func (p *specPort) SetDown(down bool)            { p.down = down }
+func (p *specPort) Down() bool                   { return p.down }
+func (p *specPort) Pending() int                 { return len(p.ring) }
+func (p *specPort) Drops() uint64                { return p.drops }
+func (p *specPort) TxSuppressed() uint64         { return p.suppressed }
+func (p *specPort) RingHighWater() int           { return p.high }
+func (p *specPort) RingCap() int                 { return p.bound }
+func (p *specPort) MemFootprint() uint64         { return 0 }
+func (p *specPort) Recv() (f medium.Frame, ok bool) {
+	if len(p.ring) == 0 {
+		return f, false
+	}
+	f, p.ring = p.ring[0], p.ring[1:]
+	return f, true
+}
+
+// Send. Rule: a down port's send is counted and goes nowhere. On the bus
+// every frame takes the wire; on the fabric a broadcast is one copy per
+// other port attached, ascending, and a unicast to the sender or to an id
+// nobody holds costs nothing.
+func (p *specPort) Send(dst int, payload []byte) {
+	s := p.s
+	if p.down {
+		p.suppressed++
+		return
+	}
+	f := medium.Frame{Src: p.id, Dst: dst, Payload: bytes.Clone(payload)}
+	switch {
+	case s.w.kind != kFabric:
+		s.bus(f)
+	case dst == medium.Broadcast:
+		overflowed := false
+		for _, q := range s.ports {
+			if q == p {
+				continue
+			}
+			f.Dst = q.id
+			if !s.link(f) {
+				overflowed = true
+				continue
+			}
+			if overflowed {
+				s.c.midOverflows++
+				overflowed = false
+			}
+			s.st.FanoutFrames++
+		}
+	case dst >= 0 && dst < len(s.ports) && dst != p.id:
+		s.link(f)
+	}
+}
+
+// bus: Rule: one wire. A frame starts when the wire is free, holds it for
+// its transmission time and the inter-frame gap, is rolled for loss once
+// and lands a propagation delay after its last bit, at every port
+// attached by then, in attach order: all but the sender for a broadcast,
+// else the one whose id it carries if that is not the sender.
+func (s *spec) bus(f medium.Frame) {
+	start := max(s.k.Now(), s.free)
+	dur := s.transmit(len(f.Payload))
+	s.free = start + dur + s.w.gap
+	lost := s.roll()
+	s.k.After(start+dur+s.w.delay-s.k.Now(), "bus", func() {
+		if lost {
+			s.st.WireLost++
+			return
+		}
+		for _, q := range s.ports {
+			if q.id != f.Src && (f.Dst == medium.Broadcast || f.Dst == q.id) {
+				q.deliver(f)
+			}
+		}
+	})
+}
+
+// link: Rule: each ordered pair of ports is a link holding at most TxQueue
+// frames in flight. A copy past the bound is dropped on the spot, unbilled
+// and unrolled. One within it starts when its link is free, is rolled for
+// loss on its own, lands the link latency after its last bit, stamped
+// with its destination, and leaves the link then.
+func (s *spec) link(f medium.Frame) bool {
+	if n, ok := s.first[f.Src]; !ok {
+		s.first[f.Src] = len(s.ports)
+	} else if f.Dst >= n {
+		s.c.lateLinks++
+		s.first[f.Src] = len(s.ports)
+	}
+	l := s.links[[2]int{f.Src, f.Dst}]
+	if l == nil {
+		l = &specLink{}
+		s.links[[2]int{f.Src, f.Dst}] = l
+	}
+	if l.inFlight >= s.w.txq {
+		s.st.LinkOverflows++
+		return false
+	}
+	l.inFlight++
+	s.st.LinkMaxQueued = max(s.st.LinkMaxQueued, l.inFlight)
+	start := max(s.k.Now(), l.free)
+	dur := s.transmit(len(f.Payload))
+	l.free = start + dur
+	lost := s.roll()
+	s.k.After(start+dur+s.w.delay-s.k.Now(), "link", func() {
+		l.inFlight--
+		if lost {
+			s.st.WireLost++
+			return
+		}
+		s.ports[f.Dst].deliver(f)
+	})
+	return true
+}
+
+// transmit bills one frame of n payload bytes and returns its
+// transmission time. Rule: a frame carries the overhead on the wire and
+// is padded to the minimum length.
+func (s *spec) transmit(n int) time.Duration {
+	wire := max(n+s.w.overhead, s.w.minLen)
+	dur := time.Duration(int64(wire) * 8 * int64(time.Second) / s.w.bw)
+	s.st.Frames++
+	s.st.WireBytes += uint64(wire)
+	s.st.PayloadBytes += uint64(n)
+	s.st.BusyTime += dur
+	return dur
+}
+
+func (s *spec) roll() bool { return s.w.loss > 0 && s.k.Rand().Float64() < s.w.loss }
+
+// deliver. Rule: a down port takes nothing and counts nothing; a full ring
+// drops the frame, counts it and raises nothing; else the frame is
+// queued and the interrupt raised.
+func (p *specPort) deliver(f medium.Frame) {
+	switch {
+	case p.down:
+		p.s.c.downSkips++
+	case len(p.ring) >= p.bound:
+		p.drops++
+	default:
+		p.ring = append(p.ring, f)
+		p.high = max(p.high, len(p.ring))
+		p.intr()
+	}
+}

@@ -1,6 +1,9 @@
 package medium
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // transmit plays a backend's part around Station.Deliver: one pooled
 // buffer holding one in-flight reference, offered to every receiver,
@@ -15,27 +18,22 @@ func transmit(p *Pool, tag byte, rx ...*Station) {
 	p.Release(b)
 }
 
-// wantFIFO drains the station, releasing every frame, and fails unless
-// the payload tags are exactly want, in order.
-func wantFIFO(t *testing.T, p *Pool, s *Station, want ...byte) {
-	t.Helper()
-	for i, w := range want {
-		f, ok := s.Recv()
-		if !ok {
-			t.Fatalf("ring empty after %d frames, want %d", i, len(want))
-		}
-		if f.Payload[0] != w {
-			t.Fatalf("frame %d carries %d, want %d (FIFO violated)", i, f.Payload[0], w)
-		}
+// drain empties the station, releasing every frame, and returns the
+// payload tags in order.
+func drain(p *Pool, s *Station) (tags []byte) {
+	for f, ok := s.Recv(); ok; f, ok = s.Recv() {
+		tags = append(tags, f.Payload[0])
 		p.Release(f.Buf)
 	}
-	if _, ok := s.Recv(); ok {
-		t.Fatalf("ring holds more than the %d frames expected", len(want))
-	}
+	return tags
 }
 
-func balanced(t *testing.T, p *Pool) {
+// want fails unless got prints as want and every buffer is back.
+func want(t *testing.T, p *Pool, what string, got any, want string) {
 	t.Helper()
+	if g := fmt.Sprint(got); g != want {
+		t.Errorf("%s = %s, want %s", what, g, want)
+	}
 	if alloc, free := p.Stats(); alloc != free {
 		t.Errorf("pool: %d allocated, %d free — a reference leaked", alloc, free)
 	}
@@ -48,23 +46,11 @@ func TestStationDropsAtExactCapacity(t *testing.T) {
 	var p Pool
 	intrs := 0
 	s := NewStation(3, "rx", func() { intrs++ }, 4)
-	if s.ID() != 3 || s.Name() != "rx" || s.RingCap() != 4 {
-		t.Fatalf("station is %d/%q cap %d, want 3/rx cap 4", s.ID(), s.Name(), s.RingCap())
-	}
-	for i := byte(0); i < 4; i++ {
+	for i := byte(0); i < 15; i++ {
 		transmit(&p, i, &s)
 	}
-	if s.Pending() != 4 || s.Drops() != 0 || intrs != 4 {
-		t.Fatalf("at capacity: pending %d drops %d interrupts %d, want 4, 0, 4", s.Pending(), s.Drops(), intrs)
-	}
-	for i := byte(4); i < 15; i++ {
-		transmit(&p, i, &s)
-	}
-	if s.Pending() != 4 || s.Drops() != 11 || intrs != 4 {
-		t.Errorf("after 11 past capacity: pending %d drops %d interrupts %d, want 4, 11, 4", s.Pending(), s.Drops(), intrs)
-	}
-	wantFIFO(t, &p, &s, 0, 1, 2, 3)
-	balanced(t, &p) // the overflowed frames' buffers came back with no receiver holding them
+	want(t, &p, "id, name, cap, pending, drops, interrupts, frames",
+		[]any{s.ID(), s.Name(), s.RingCap(), s.Pending(), s.Drops(), intrs, drain(&p, &s)}, "[3 rx 4 4 11 4 [0 1 2 3]]")
 }
 
 // A zero (or negative) bound is a ring that refuses everything.
@@ -75,11 +61,7 @@ func TestStationZeroCapacityRefusesEverything(t *testing.T) {
 		for i := byte(0); i < 3; i++ {
 			transmit(&p, i, &s)
 		}
-		if s.Pending() != 0 || s.Drops() != 3 || s.RingFootprint() != 0 {
-			t.Errorf("bound %d: pending %d drops %d ring bytes %d, want 0, 3, 0",
-				bound, s.Pending(), s.Drops(), s.RingFootprint())
-		}
-		balanced(t, &p)
+		want(t, &p, fmt.Sprint("bound ", bound, ": pending, drops, ring bytes"), []any{s.Pending(), s.Drops(), s.RingFootprint()}, "[0 3 0]")
 	}
 }
 
@@ -89,31 +71,21 @@ func TestStationZeroCapacityRefusesEverything(t *testing.T) {
 func TestStationFIFOAcrossWrappedGrow(t *testing.T) {
 	var p Pool
 	s := NewStation(0, "rx", nil, 64)
-	if s.RingFootprint() != 0 {
-		t.Errorf("idle 64-slot ring holds %d bytes, want none", s.RingFootprint())
-	}
-	// Fill the initial physical array (8), drain five so head > 0, then
+	idle := s.RingFootprint()
+	// Fill the first physical array (8), take five so head > 0, then
 	// queue twenty: they wrap within 8 slots and force growth mid-wrap.
 	for i := byte(0); i < 8; i++ {
 		transmit(&p, i, &s)
 	}
-	for i := byte(0); i < 5; i++ {
-		f, ok := s.Recv()
-		if !ok || f.Payload[0] != i {
-			t.Fatalf("prefill drain %d: ok=%v", i, ok)
-		}
+	for i := 0; i < 5; i++ {
+		f, _ := s.Recv()
 		p.Release(f.Buf)
 	}
-	want := []byte{5, 6, 7}
 	for i := byte(100); i < 120; i++ {
 		transmit(&p, i, &s)
-		want = append(want, i)
 	}
-	if s.Drops() != 0 {
-		t.Fatalf("drops = %d below the bound, want 0", s.Drops())
-	}
-	wantFIFO(t, &p, &s, want...)
-	balanced(t, &p)
+	want(t, &p, "idle bytes, drops, frames", []any{idle, s.Drops(), drain(&p, &s)},
+		"[0 0 [5 6 7 100 101 102 103 104 105 106 107 108 109 110 111 112 113 114 115 116 117 118 119]]")
 }
 
 // High water is the peak pending count: monotone across drains, capped
@@ -121,34 +93,26 @@ func TestStationFIFOAcrossWrappedGrow(t *testing.T) {
 // summed.
 func TestStationHighWater(t *testing.T) {
 	var p Pool
-	s := NewStation(0, "rx", nil, 16)
-	quiet := NewStation(1, "quiet", nil, 16)
+	s, quiet := NewStation(0, "rx", nil, 16), NewStation(1, "quiet", nil, 16)
 	for i := byte(0); i < 10; i++ {
 		transmit(&p, i, &s)
 	}
 	transmit(&p, 0, &quiet)
-	for s.Pending() > 0 {
-		f, _ := s.Recv()
-		p.Release(f.Buf)
-	}
+	drain(&p, &s)
 	for i := byte(0); i < 3; i++ {
 		transmit(&p, i, &s)
 	}
-	if hw := s.RingHighWater(); hw != 10 {
-		t.Errorf("high water = %d after 10, drain, 3; want 10 (monotone peak)", hw)
-	}
+	after := s.RingHighWater()
 	for i := byte(0); i < 40; i++ {
 		transmit(&p, i, &s)
-	}
-	if hw := s.RingHighWater(); hw != 16 {
-		t.Errorf("high water = %d after overflow, want the bound 16", hw)
 	}
 	var st Stats
 	st.AddStation(&s)
 	st.AddStation(&quiet)
-	if st.RingHighWater != 16 || st.RingDrops != s.Drops() {
-		t.Errorf("folded stats: high water %d drops %d, want max 16 and %d", st.RingHighWater, st.RingDrops, s.Drops())
-	}
+	drain(&p, &s)
+	drain(&p, &quiet)
+	want(t, &p, "high water after a drain, after overflow; folded high water, drops",
+		[]any{after, s.RingHighWater(), st.RingHighWater, st.RingDrops}, "[10 16 16 27]")
 }
 
 // A down station neither receives nor is charged a drop — even with a
@@ -157,33 +121,19 @@ func TestStationHighWater(t *testing.T) {
 func TestStationDown(t *testing.T) {
 	var p Pool
 	intrs := 0
-	s := NewStation(0, "rx", func() { intrs++ }, 1)
-	live := NewStation(1, "live", nil, 1)
+	s, live := NewStation(0, "rx", func() { intrs++ }, 1), NewStation(1, "live", nil, 1)
 	transmit(&p, 1, &s, &live) // fills both rings
 	s.SetDown(true)
 	transmit(&p, 2, &s, &live)
-	if !s.Down() || s.Pending() != 1 || s.Drops() != 0 || intrs != 1 {
-		t.Errorf("down station: pending %d drops %d interrupts %d, want 1, 0, 1", s.Pending(), s.Drops(), intrs)
-	}
-	if live.Drops() != 1 {
-		t.Errorf("live station with the same full ring: drops %d, want 1", live.Drops())
-	}
-	if !s.Suppress() || !s.Suppress() || live.Suppress() {
-		t.Error("Suppress must report true on the down station and false on the live one")
-	}
+	suppress := fmt.Sprint(s.Down(), s.Suppress(), s.Suppress(), live.Suppress())
 	s.SetDown(false)
-	if s.Suppress() || s.TxSuppressed() != 2 || live.TxSuppressed() != 0 {
-		t.Errorf("after recovery: suppressed %d (live %d), want 2 (0) and sends flowing", s.TxSuppressed(), live.TxSuppressed())
-	}
 	var st Stats
 	st.AddStation(&s)
 	st.AddStation(&live)
-	if st.TxSuppressed != 2 || st.RingDrops != 1 {
-		t.Errorf("folded stats: suppressed %d drops %d, want 2 and 1", st.TxSuppressed, st.RingDrops)
-	}
-	wantFIFO(t, &p, &s, 1)
-	wantFIFO(t, &p, &live, 1)
-	balanced(t, &p)
+	want(t, &p, "down, suppress ×3; pending, drops, interrupts; after recovery; folded suppressed, drops; frames",
+		[]any{suppress, s.Pending(), s.Drops(), intrs, live.Drops(), s.Suppress(), s.TxSuppressed(), live.TxSuppressed(),
+			st.TxSuppressed, st.RingDrops, drain(&p, &s), drain(&p, &live)},
+		"[true true true false 1 0 1 1 false 2 0 2 1 [1] [1]]")
 }
 
 // Stats.Add is the multi-trunk fold: counters and busy time summed, the

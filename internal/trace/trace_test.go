@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mether/internal/ethernet"
+	"mether/internal/medium"
 	"mether/internal/proto"
 	"mether/internal/sim"
 	"mether/internal/vm"
@@ -16,7 +17,7 @@ func sendPacket(t *testing.T, nic *ethernet.NIC, pkt proto.Packet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic.Send(ethernet.Broadcast, buf)
+	nic.Send(medium.Broadcast, buf)
 }
 
 func TestTapDecodesProtocolExchange(t *testing.T) {
@@ -70,7 +71,7 @@ func TestTapMalformedFrames(t *testing.T) {
 	bus := ethernet.NewBus(k, ethernet.DefaultParams())
 	a := bus.Attach("a", nil)
 	log := Tap(k, bus, 0)
-	a.Send(ethernet.Broadcast, []byte{1, 2, 3})
+	a.Send(medium.Broadcast, []byte{1, 2, 3})
 	k.Run()
 	k.Shutdown()
 	if log.Len() != 1 || !log.Entries()[0].Malformed {

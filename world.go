@@ -390,7 +390,7 @@ func (w *World) HostMachine(hostIdx int) *host.Host { return w.hosts[hostIdx] }
 // occupy every wire they transit. On a fabric the fan-out/link-queue
 // fields (FanoutFrames, LinkOverflows, LinkMaxQueued) are populated;
 // on Ethernet they are always zero.
-func (w *World) NetStats() ethernet.Stats { return w.med.Stats() }
+func (w *World) NetStats() medium.Stats { return w.med.Stats() }
 
 // TrunkUtilization returns each trunk's own wire utilization (busy time
 // as a fraction of the given wall time) and transmitted frame count, in
