@@ -49,9 +49,11 @@
 #   make fuzz          - [FUZZTIME=10s] run each native fuzz target (proto's
 #                        FuzzDecode, fault's FuzzParse, sim's FuzzKernel,
 #                        which plays kernel scripts drawn from its input
-#                        against the reference kernel, and medium's
+#                        against the reference kernel, medium's
 #                        FuzzMedium, which plays Ethernet and fabric
-#                        scripts against the reference medium) for
+#                        scripts against the reference medium, and host's
+#                        FuzzHost, which plays scheduler worlds against
+#                        the reference scheduler) for
 #                        FUZZTIME. Not a ci stage: `go test` already runs
 #                        every target's seed corpus, this mutates it. A
 #                        failure leaves its input under the package's
@@ -138,6 +140,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzKernel -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMedium -fuzztime $(FUZZTIME) ./internal/medium
+	$(GO) test -run '^$$' -fuzz FuzzHost -fuzztime $(FUZZTIME) ./internal/host
 
 smoke:
 	$(GO) run ./cmd/methersweep -grid smoke -format summary

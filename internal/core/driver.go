@@ -229,9 +229,6 @@ func New(h *host.Host, n medium.Port, cfg Config) *Driver {
 	return d
 }
 
-// Host returns the driver's host.
-func (d *Driver) Host() *host.Host { return d.h }
-
 // Metrics returns the driver's counters; the pointer stays valid for the
 // driver's lifetime.
 func (d *Driver) Metrics() *Metrics { return &d.m }
@@ -854,9 +851,9 @@ func (d *Driver) redundantTargets(extra int) []byte {
 
 // CheckInvariants verifies the cluster-wide single-consistent-copy
 // invariants over a set of drivers sharing one page space: each page has
-// exactly one owner and one rest-owner, owners hold their regions, and
-// locked/purge-pending flags only appear on owners' pages where required.
-// The walk is driver-major over materialized shards only — an
+// at most one owner and at most one rest owner, an owner holds the short
+// page and a rest owner the remainder. They hold at quiescent points, not
+// mid-transfer (see pageState). The walk is driver-major over materialized shards only — an
 // unmaterialized (or merely seeded) entry holds no authority by
 // construction, so skipping it checks the same invariants in
 // O(working set + pages) instead of O(drivers × pages).

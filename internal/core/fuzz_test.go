@@ -12,11 +12,13 @@ import (
 )
 
 // TestRandomOpSoup drives three hosts with random interleaved Mether
-// operations — loads, stores, purges, locks, page-outs, through every
-// view combination — and checks the cluster-wide ownership invariants
-// after every quiescent point, plus data integrity: after the dust
-// settles, a read of each page through a freshly fetched consistent view
-// must observe the last value the op log wrote.
+// operations — loads, stores, purges, locks, page-outs — on lossless
+// ground where the protocol is live: each page is written by at most two
+// hosts, through one view extent, and MinResidency is 10 ms (with none,
+// two writers ping-pong a page for ever; see Config.MinResidency). Every
+// client must finish, the cluster-wide ownership invariants must hold at
+// each quiescent point, and afterwards a read of each page through a
+// freshly fetched consistent view must observe a value the op log wrote.
 func TestRandomOpSoup(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34}
 	if testing.Short() {
@@ -30,8 +32,11 @@ func TestRandomOpSoup(t *testing.T) {
 	}
 }
 
-// TestRandomOpSoupUnderLoss repeats the soup on a lossy wire: liveness
-// is retry-driven, and the invariants must still hold.
+// TestRandomOpSoupUnderLoss repeats the soup on a lossy wire, every host
+// writing every page through either view: liveness is retry-driven, and
+// the invariants must still hold. It cannot ask that every client finish:
+// a grant lost on the wire can strand a page with no owner
+// (TestStrandedGrantLosesOwnership).
 func TestRandomOpSoupUnderLoss(t *testing.T) {
 	for _, seed := range []int64{7, 11} {
 		seed := seed
@@ -50,8 +55,19 @@ func runOpSoup(t *testing.T, seed int64, lossRate float64) {
 	)
 	ep := ethernet.DefaultParams()
 	ep.LossRate = lossRate
-	c := newTestCluster(t, hosts, ep, fastConfig(pages))
+	cfg := fastConfig(pages)
+	live := lossRate == 0
+	if live {
+		cfg.MinResidency = 10 * time.Millisecond
+	}
+	c := newTestCluster(t, hosts, ep, cfg)
 	rng := rand.New(rand.NewSource(seed))
+	// On live ground page pg is written by hosts pg and pg+1 only, through
+	// one view extent drawn per page.
+	short := make([]bool, pages)
+	for pg := range short {
+		short[pg] = live && rng.Intn(2) == 0
+	}
 
 	for pg := 0; pg < pages; pg++ {
 		c.drivers[pg%hosts].CreatePage(vm.PageID(pg))
@@ -70,16 +86,17 @@ func runOpSoup(t *testing.T, seed int64, lossRate float64) {
 	var plans []clientPlan
 	for h := 0; h < hosts; h++ {
 		plan := clientPlan{host: h}
-		d := c.drivers[h]
-		_ = d
 		for i := 0; i < ops; i++ {
 			pg := vm.PageID(rng.Intn(pages))
-			short := rng.Intn(2) == 0
 			addr := NewAddr(pg, 0)
-			if short {
+			if view := rng.Intn(2) == 0; live && short[pg] || !live && view {
 				addr = addr.Short()
 			}
-			switch rng.Intn(10) {
+			op := rng.Intn(10)
+			if writes := op >= 3 && op <= 5 || op == 7; live && writes && (h-int(pg)+hosts)%hosts > 1 {
+				op = 0 // not one of the page's writers: a load instead
+			}
+			switch op {
 			case 0, 1, 2: // read-only load (any staleness fine)
 				plan.ops = append(plan.ops, func(p *host.Proc, d *Driver) error {
 					_, err := d.Load(p, RO, addr.Demand(), 4)
@@ -131,10 +148,12 @@ func runOpSoup(t *testing.T, seed int64, lossRate float64) {
 		plans = append(plans, plan)
 	}
 
+	finished := 0
 	for _, plan := range plans {
 		plan := plan
 		d := c.drivers[plan.host]
 		c.spawn(plan.host, "soup", func(p *host.Proc) {
+			defer func() { finished++ }()
 			if err := d.MapIn(p, RO, 0); err != nil {
 				t.Errorf("mapin: %v", err)
 				return
@@ -157,6 +176,9 @@ func runOpSoup(t *testing.T, seed int64, lossRate float64) {
 		})
 	}
 	c.run(t, 10*time.Minute)
+	if live && finished < hosts {
+		t.Errorf("%d of %d clients finished", finished, hosts)
+	}
 	c.checkInvariants(t)
 
 	// Data integrity: a consistent read on host 0 must see each page's

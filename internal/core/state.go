@@ -11,14 +11,18 @@ import (
 
 // pageState is the driver's per-page bookkeeping on one host. The frame
 // holds the bytes; the booleans track which regions are resident and
-// authoritative. Invariants maintained cluster-wide (and asserted by
-// tests via CheckInvariants):
+// authoritative. The cluster-wide invariants, which CheckInvariants
+// checks at quiescent points only:
 //
-//   - exactly one host has owner=true per page (the consistent copy);
-//   - exactly one host has restOwner=true per page (the authoritative
+//   - at most one host has owner=true per page (the consistent copy);
+//   - at most one host has restOwner=true per page (the authoritative
 //     superset remainder, which can lag behind the owner after a
 //     short-view ownership transfer);
 //   - restOwner implies restPresent; owner implies shortPresent.
+//
+// Mid-run they can fail: a grant re-sent after its grantee has passed
+// the page on makes two owners (TestPhantomGrantMintsSecondOwner), and
+// a grant lost to a down NIC leaves none (TestStrandedGrantLosesOwnership).
 type pageState struct {
 	// inited distinguishes a materialized entry from the zero value its
 	// directory shard was born with; the directory (directory.go) sets it
@@ -113,9 +117,6 @@ type deferredReq struct {
 	rest  bool // a rest-fetch rather than a page request
 	reqID uint16
 }
-
-// fullPresent reports whether the whole page is resident.
-func (st *pageState) fullPresent() bool { return st.shortPresent && st.restPresent }
 
 // wantsAnything reports whether demand state remains outstanding.
 func (st *pageState) wantsAnything() bool {

@@ -2,388 +2,249 @@ package host
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"mether/internal/sim"
 )
 
+const ms = time.Millisecond
+
 func testParams() Params {
-	return Params{
-		Quantum:         10 * time.Millisecond,
-		CtxSwitch:       time.Millisecond,
-		DispatchLatency: 0,
-		TrapCost:        time.Millisecond,
-		SyscallCost:     time.Millisecond,
-		InterruptCost:   time.Millisecond,
-	}
+	return Params{Quantum: 10 * ms, CtxSwitch: ms, TrapCost: ms, SyscallCost: ms, InterruptCost: ms}
 }
 
-func TestSingleProcUsesCPUUninterrupted(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var done time.Duration
-	h.Spawn("p", func(p *Proc) {
-		p.UseUser(35 * time.Millisecond)
-		done = p.Now()
-	})
-	k.Run()
-	// One initial dispatch (1ms), then 35ms of work with no competitors:
-	// no further context switches even across quantum boundaries.
-	if done != 36*time.Millisecond {
-		t.Errorf("finished at %v, want 36ms", done)
-	}
-	if h.ContextSwitches() != 1 {
-		t.Errorf("context switches = %d, want 1", h.ContextSwitches())
-	}
-}
-
-func TestUserSysAccounting(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var pr *Proc
-	pr = h.Spawn("p", func(p *Proc) {
-		p.UseUser(5 * time.Millisecond)
-		p.UseSys(3 * time.Millisecond)
-	})
-	k.Run()
-	// 1ms dispatch ctx cost is charged as sys.
-	if pr.User() != 5*time.Millisecond {
-		t.Errorf("user = %v, want 5ms", pr.User())
-	}
-	if pr.Sys() != 4*time.Millisecond {
-		t.Errorf("sys = %v, want 4ms (3ms work + 1ms switch)", pr.Sys())
-	}
-}
-
-func TestRoundRobinPreemption(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var order []string
-	mark := func(s string) { order = append(order, s) }
-	h.Spawn("a", func(p *Proc) {
-		p.UseUser(15 * time.Millisecond) // spans one quantum boundary
-		mark("a")
-	})
-	h.Spawn("b", func(p *Proc) {
-		p.UseUser(15 * time.Millisecond)
-		mark("b")
-	})
-	k.Run()
-	// a runs 10ms, preempted; b runs 10ms, preempted; a finishes its 5ms,
-	// then b. So completion order is a then b.
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Errorf("completion order = %v, want [a b]", order)
-	}
-	// Dispatches: a, b, a, b = 4.
-	if h.ContextSwitches() != 4 {
-		t.Errorf("context switches = %d, want 4", h.ContextSwitches())
-	}
-}
-
-func TestSpinnerDelaysWokenProcessUntilQuantumEnd(t *testing.T) {
-	// The paper's starvation effect: a blocked process woken mid-quantum
-	// must wait for the spinner's quantum to expire.
-	k := sim.New(1)
+func boostParams(delay time.Duration) Params {
 	p := testParams()
-	h := New(k, 0, "a", p)
-	var served time.Duration
-	server := h.Spawn("server", func(p *Proc) {
-		p.SleepOn("work")
-		served = p.Now()
-		p.UseSys(time.Millisecond)
-	})
-	_ = server
-	h.Spawn("spinner", func(p *Proc) {
-		for p.Now() < 40*time.Millisecond {
-			p.UseUser(50 * time.Microsecond)
+	p.Quantum, p.WakeBoostDelay = 70*ms, delay
+	return p
+}
+
+func use(d time.Duration, cpu CPUKind) op { return op{d: d, cpu: cpu, reps: 1} }
+func spin(d time.Duration, n int) op      { return op{d: d, cpu: CPUUser, reps: n} }
+func sleepOn(q int) op                    { return op{kind: oSleep, q: q} }
+func sleepFor(d time.Duration) op         { return op{kind: oFor, d: d} }
+func wake(q int) op                       { return op{kind: oWake, q: q} }
+
+func repeat(n int, ops ...op) (out []op) {
+	for ; n > 0; n-- {
+		out = append(out, ops...)
+	}
+	return out
+}
+
+func copies(n int, ops ...op) (out [][]op) {
+	for ; n > 0; n-- {
+		out = append(out, ops)
+	}
+	return out
+}
+
+// progs is a world of programs that runs until its events run out.
+func progs(pr Params, wakers []waker, ps ...[]op) world {
+	return world{pr: pr, progs: ps, subjects: len(ps), wakers: wakers}
+}
+
+// Fixed worlds: one table, each row held to the spec by all three plays and
+// to the lines (joined by ", ") its log must hold in order, and to the
+// fewest slice ends its UseWhile play must run inline. A row is played by
+// the test named in it, which keeps the name of the test the row once was.
+type fixed struct {
+	test      string
+	w         world
+	want      string
+	continued int
+}
+
+const us = time.Microsecond
+
+var fixedWorlds = []fixed{
+	// Alone on the CPU, no switch at a quantum boundary.
+	{"TestSingleProcUsesCPUUninterrupted", progs(testParams(), nil, []op{use(35*ms, CPUUser)}), "1ms h: dispatch p0, 36ms p0 line 1, ctx 1 busy 36ms", 0},
+	{"TestUserSysAccounting", progs(testParams(), nil, []op{use(5*ms, CPUUser), use(3*ms, CPUSys)}), "p0 user 5ms sys 4ms", 0},
+	{"TestRoundRobinPreemption", progs(testParams(), nil, []op{use(15*ms, CPUUser)}, []op{use(15*ms, CPUUser)}),
+		"11ms h: quantum expire p0 (runq 1), 22ms h: quantum expire p1 (runq 1), 28ms p0 line 1, 34ms p1 line 1, ctx 4 busy 34ms", 0},
+	{"TestBusyTimeAccounting", progs(testParams(), nil, []op{use(10*ms, CPUUser)}), "ctx 1 busy 11ms", 0},
+	{"TestProcDeathReleasesCPU", progs(testParams(), nil, []op{use(2*ms, CPUUser)}, []op{use(ms, CPUUser)}), "3ms p0 line 1, 4ms h: dispatch p1", 0},
+	{"TestDeterministicScheduling", progs(testParams(), nil, copies(3, spin(500*us, 100))...), "ctx 18 busy 168ms", 0},
+	{"TestTraceHookReceivesEvents", progs(testParams(), nil, []op{use(ms, CPUUser)}), "1ms h: dispatch p0", 0},
+	// The paper's starvation: a server woken 2 ms into a spinner's quantum
+	// waits for its end.
+	{"TestSpinnerDelaysWokenProcessUntilQuantumEnd", progs(testParams(), []waker{{at: 4 * ms}}, []op{sleepOn(0), use(ms, CPUSys)}, []op{spin(50*us, 800)}),
+		"4ms wake 0: 1 asleep, 12ms h: quantum expire p1 (runq 1), 13ms p0 line 1", 0},
+	{"TestWakeupWithIdleCPUDispatchesQuickly", progs(testParams(), []waker{{at: 20 * ms}}, []op{sleepOn(0)}), "21ms p0 line 1", 0},
+	// Wakes do not queue: the producer gives way after each.
+	{"TestSleepOnWakeupRendezvous", progs(testParams(), nil, repeat(3, sleepOn(0)), repeat(3, use(2*ms, CPUUser), wake(0), sleepFor(10*ms))),
+		"5ms p0 line 1, 18ms p0 line 2, 31ms p0 line 3", 0},
+	{"TestWakeupNoSleepersIsNoop", progs(testParams(), []waker{{}, {q: 2}}), "ctx 0 busy 0s", 0},
+	{"TestSleepForDuration", progs(testParams(), nil, []op{sleepFor(25 * ms)}), "27ms p0 line 1", 0},
+	// On the keyed queues of SleepOn and Wakeup; a key nobody slept on too.
+	{"TestSleepersCountAndMultipleWake", world{pr: testParams(), progs: copies(4, sleepOn(0)), subjects: 4, keyed: true,
+		wakers: []waker{{at: 5 * ms, q: 1}, {at: 5 * ms}}}, "5ms wake 0: 4 asleep, 9ms p3 line 1", 0},
+	{"TestInterruptDelaysHandler", progs(testParams(), []waker{{at: 10 * ms, intr: true}}, []op{sleepOn(0)}), "11ms wake 0: 1 asleep", 0},
+	// A boost caps a woken server's wait at about WakeBoostDelay.
+	{"TestWakeBoostPreemptsSpinner", progs(boostParams(15*ms), []waker{{at: 30 * ms}}, []op{sleepOn(0)}, []op{spin(50*us, 4000)}),
+		"45ms h: boost preempts p1 for p0, 46ms p0 line 1", 0},
+	// A client woken at 5 ms runs and sleeps again before its boost, due at
+	// 20 ms, fires; woken again at 10 ms, it waits behind a server woken at
+	// 8 ms. The first boost is stale and must not bounce the server off
+	// the CPU (it did once); the second, at 25 ms, does.
+	{"TestStaleBoostDoesNotPreemptForDispatchedProc", world{pr: boostParams(15 * ms), subjects: 2,
+		progs:  [][]op{{sleepOn(0), {d: 50 * us, cpu: CPUSys, reps: 600}}, {sleepOn(1), use(ms, CPUUser), sleepOn(1), spin(50*us, 2000)}},
+		wakers: []waker{{at: 5 * ms, q: 1}, {at: 8 * ms}, {at: 10 * ms, q: 1}}},
+		"25ms h: boost preempts p0 for p1, 26ms p1 line 3, 111ms p0 line 2", 0},
+	// Two processes that never sleep alternate whole quanta, boost or none.
+	{"TestBoostDoesNotAffectPureSpinners", progs(boostParams(0), nil, copies(2, spin(50*us, 4000))...), "ctx 6 busy 406ms", 0},
+	{"TestBoostDoesNotAffectPureSpinners", progs(boostParams(15*ms), nil, copies(2, spin(50*us, 4000))...), "ctx 6 busy 406ms", 0},
+	// Timed sleeps and boosts; the runner checks that the processes' CPU
+	// sums to the busy time.
+	{"TestAccountingConservation", progs(boostParams(10*ms), nil, work(1), work(2), work(3)), "ctx 31 busy 136ms", 0},
+	// A poll whose slice ends run inline still hands the CPU to a peer that
+	// waits in the run queue with no event of its own, at the quantum
+	// expiry where a filed slice end would.
+	{"TestContinuedSliceRotates", progs(testParams(), nil, []op{spin(2500*us, 30)}, repeat(4, use(5*ms, CPUUser))),
+		"11ms h: quantum expire p0 (runq 1), 12ms h: dispatch p1, 12ms p1 line 0", 30},
+	// Six processes sleep on the three queues in turn, woken by a seeded
+	// schedule of hits, misses and repeats, while the runner checks the
+	// queues after every log line.
+	{"TestSleeperOnOneQueue", sleepers(), "393.5ms p5 line 80", 0},
+}
+
+// work is 50 rounds of computing, with a timed sleep every seventh.
+func work(i int) (ops []op) {
+	for j := 0; j < 50; j++ {
+		if ops = append(ops, use(time.Duration(i)*300*us, CPUUser)); j%7 == 0 {
+			ops = append(ops, sleepFor(2*ms))
 		}
-	})
-	// Wake the server 2ms into the spinner's quantum.
-	k.After(4*time.Millisecond, "wake", func() { h.Wakeup("work") })
-	k.Run()
-	// Server was dispatched only at the spinner's quantum boundary.
-	// Spinner dispatched at 1ms (after server's initial dispatch+block at
-	// ~0), quantum ends ~11ms, plus 1ms switch.
-	if served < 10*time.Millisecond {
-		t.Errorf("server ran at %v; expected to be starved past 10ms", served)
+		ops = append(ops, use(100*us, CPUSys))
 	}
-	if served > 15*time.Millisecond {
-		t.Errorf("server ran at %v; expected dispatch near quantum end", served)
-	}
+	return ops
 }
 
-func TestWakeupWithIdleCPUDispatchesQuickly(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var served time.Duration
-	h.Spawn("server", func(p *Proc) {
-		p.SleepOn("work")
-		served = p.Now()
-	})
-	k.After(20*time.Millisecond, "wake", func() { h.Wakeup("work") })
-	k.Run()
-	// Idle CPU: dispatch after just the context-switch cost.
-	if served != 21*time.Millisecond {
-		t.Errorf("served at %v, want 21ms", served)
-	}
-}
-
-func TestSleepOnWakeupRendezvous(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var got []int
-	h.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.SleepOn("data")
-			got = append(got, i)
+func sleepers() world {
+	w := progs(testParams(), nil)
+	for i := 0; i < 6; i++ {
+		w.progs = append(w.progs, nil)
+		for r := 0; r < 40; r++ {
+			w.progs[i] = append(w.progs[i], sleepOn((i+r)%queues), use(time.Duration(i)*100*us, CPUUser))
 		}
-	})
-	h.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.UseUser(2 * time.Millisecond)
-			h.Wakeup("data")
-			// Yield so the consumer can run and re-sleep; wakeups do not
-			// queue (SunOS sleep/wakeup semantics).
-			p.SleepFor(10 * time.Millisecond)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for at := time.Duration(0); len(w.wakers) < 500; {
+		at += time.Duration(1+rng.Intn(3)) * ms
+		w.wakers = append(w.wakers, waker{at: at, q: rng.Intn(queues)})
+	}
+	w.subjects = 6
+	return w
+}
+
+// playFixed plays the rows of the calling test.
+func playFixed(t *testing.T) {
+	n := 0
+	for _, row := range fixedWorlds {
+		if row.test != t.Name() {
+			continue
 		}
-	})
-	k.Run()
-	if len(got) != 3 {
-		t.Errorf("consumer woke %d times, want 3", len(got))
-	}
-}
-
-func TestWakeupNoSleepersIsNoop(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	h.Wakeup("nothing")
-	k.Run()
-	if h.ContextSwitches() != 0 {
-		t.Error("wakeup with no sleepers caused a dispatch")
-	}
-}
-
-func TestSleepForDuration(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var woke time.Duration
-	h.Spawn("p", func(p *Proc) {
-		p.SleepFor(25 * time.Millisecond)
-		woke = p.Now()
-	})
-	k.Run()
-	// 1ms initial dispatch + 25ms sleep + 1ms redispatch.
-	if woke != 27*time.Millisecond {
-		t.Errorf("woke at %v, want 27ms", woke)
-	}
-}
-
-func TestSleepersCountAndMultipleWake(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	woken := 0
-	for i := 0; i < 4; i++ {
-		h.Spawn("w", func(p *Proc) {
-			p.SleepOn("gate")
-			woken++
-		})
-	}
-	k.After(5*time.Millisecond, "check", func() {
-		if n := h.keyed["gate"].len(); n != 4 {
-			t.Errorf("%d asleep on the key, want 4", n)
+		n++
+		plays := holds(t, fmt.Sprint("row ", n), &row.w, &cover{})
+		log := plays[0].log
+		for _, want := range strings.Split(row.want, ", ") {
+			i := slices.IndexFunc(log, func(e entry) bool { return e.String() == want })
+			if i < 0 {
+				t.Fatalf("row %d never logs %q after what it wants before; its log: %v", n, want, plays[0].log)
+			}
+			log = log[i+1:]
 		}
-		h.Wakeup("gate")
-	})
-	k.Run()
-	if woken != 4 {
-		t.Errorf("woken = %d, want 4", woken)
+		if c := plays[len(plays)-1].m.(*real).k.Counters().Continued; c < uint64(row.continued) {
+			t.Errorf("row %d ran %d slice ends inline, want at least %d", n, c, row.continued)
+		}
 	}
-	if h.keyed["gate"].len() != 0 {
-		t.Error("sleepers not cleared after wakeup")
+	if n == 0 {
+		t.Fatal("no fixed world names this test")
 	}
 }
 
-func TestInterruptDelaysHandler(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var at time.Duration
-	k.After(10*time.Millisecond, "nic", func() {
-		h.Interrupt(func() { at = k.Now() })
-	})
-	k.Run()
-	if at != 11*time.Millisecond {
-		t.Errorf("interrupt handler at %v, want 11ms", at)
-	}
+func TestSingleProcUsesCPUUninterrupted(t *testing.T)           { playFixed(t) }
+func TestUserSysAccounting(t *testing.T)                        { playFixed(t) }
+func TestRoundRobinPreemption(t *testing.T)                     { playFixed(t) }
+func TestBusyTimeAccounting(t *testing.T)                       { playFixed(t) }
+func TestProcDeathReleasesCPU(t *testing.T)                     { playFixed(t) }
+func TestDeterministicScheduling(t *testing.T)                  { playFixed(t) }
+func TestTraceHookReceivesEvents(t *testing.T)                  { playFixed(t) }
+func TestSpinnerDelaysWokenProcessUntilQuantumEnd(t *testing.T) { playFixed(t) }
+func TestWakeupWithIdleCPUDispatchesQuickly(t *testing.T)       { playFixed(t) }
+func TestSleepOnWakeupRendezvous(t *testing.T)                  { playFixed(t) }
+func TestWakeupNoSleepersIsNoop(t *testing.T)                   { playFixed(t) }
+func TestSleepForDuration(t *testing.T)                         { playFixed(t) }
+func TestSleepersCountAndMultipleWake(t *testing.T)             { playFixed(t) }
+func TestInterruptDelaysHandler(t *testing.T)                   { playFixed(t) }
+func TestWakeBoostPreemptsSpinner(t *testing.T)                 { playFixed(t) }
+func TestStaleBoostDoesNotPreemptForDispatchedProc(t *testing.T) {
+	playFixed(t)
 }
+func TestBoostDoesNotAffectPureSpinners(t *testing.T) { playFixed(t) }
+func TestAccountingConservation(t *testing.T)         { playFixed(t) }
+func TestContinuedSliceRotates(t *testing.T)          { playFixed(t) }
+func TestSleeperOnOneQueue(t *testing.T)              { playFixed(t) }
 
 func TestTwoHostsAreIndependent(t *testing.T) {
 	k := sim.New(1)
-	h0 := New(k, 0, "a", testParams())
-	h1 := New(k, 1, "b", testParams())
-	var doneA, doneB time.Duration
-	h0.Spawn("pa", func(p *Proc) { p.UseUser(20 * time.Millisecond); doneA = p.Now() })
-	h1.Spawn("pb", func(p *Proc) { p.UseUser(20 * time.Millisecond); doneB = p.Now() })
+	defer k.Shutdown()
+	var done [2]time.Duration
+	for i := range done {
+		i := i
+		New(k, i, fmt.Sprint("h", i), testParams()).Spawn("p", func(p *Proc) { p.UseUser(20 * ms); done[i] = p.Now() })
+	}
 	k.Run()
-	if doneA != 21*time.Millisecond || doneB != 21*time.Millisecond {
-		t.Errorf("doneA=%v doneB=%v; hosts should not contend", doneA, doneB)
+	if done != [2]time.Duration{21 * ms, 21 * ms} {
+		t.Errorf("done at %v; hosts should not contend", done)
 	}
 }
 
-func TestBusyTimeAccounting(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	h.Spawn("p", func(p *Proc) { p.UseUser(10 * time.Millisecond) })
-	k.Run()
-	want := 11 * time.Millisecond // 1ms switch + 10ms work
-	if h.BusyTime() != want {
-		t.Errorf("busy = %v, want %v", h.BusyTime(), want)
-	}
-}
-
-func TestDeterministicScheduling(t *testing.T) {
-	run := func() uint64 {
-		k := sim.New(3)
-		h := New(k, 0, "a", testParams())
-		for i := 0; i < 3; i++ {
-			h.Spawn("w", func(p *Proc) {
-				for j := 0; j < 100; j++ {
-					p.UseUser(500 * time.Microsecond)
-				}
-			})
-		}
-		k.Run()
-		return h.ContextSwitches()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("context switches differ across identical runs: %d vs %d", a, b)
-	}
-}
-
-func TestProcDeathReleasesCPU(t *testing.T) {
-	k := sim.New(1)
-	h := New(k, 0, "a", testParams())
-	var second time.Duration
-	h.Spawn("short", func(p *Proc) { p.UseUser(2 * time.Millisecond) })
-	h.Spawn("next", func(p *Proc) { second = p.Now(); p.UseUser(time.Millisecond) })
-	k.Run()
-	// short: dispatch 1ms + 2ms work; next dispatched at 3ms + 1ms switch.
-	if second != 4*time.Millisecond {
-		t.Errorf("second proc ran at %v, want 4ms", second)
-	}
-}
-
-// TestUseWhileEdges pins the rules around a poll: a Use of nothing is no
-// scheduling point (no event, no rotation even with the quantum spent),
-// UseWhile refuses a poll that costs nothing, a poll ends in the event
-// where again says no and reports state as the written loop would, and
-// again, which runs where there is no coroutine to block, may not block.
+// TestUseWhileEdges pins what the spec leaves out around a poll: a Use of
+// nothing files no event, UseWhile refuses a poll that costs nothing, a
+// poll and a Use alone on the kernel run inline — no kernel event, no
+// coroutine switch — and again, which runs where there is no coroutine to
+// block, may not block.
 func TestUseWhileEdges(t *testing.T) {
-	mustPanic := func(name string, run func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		run()
-	}
 	k := sim.New(1)
 	defer k.Shutdown()
-	h := New(k, 0, "a", testParams())
-	looks := 0
-	h.Spawn("poller", func(p *Proc) {
-		events := k.Dispatched()
+	New(k, 0, "a", testParams()).Spawn("poller", func(p *Proc) {
+		before, looks := k.Counters(), 0
 		p.Use(0, CPUUser)
 		p.Use(-time.Second, CPUSys)
-		if k.Dispatched() != events || k.PendingEvents() != 0 {
-			t.Errorf("Use(d <= 0) dispatched %d events and left %d pending", k.Dispatched()-events, k.PendingEvents())
+		p.UseWhile(ms, CPUUser, func() bool { looks++; return looks < 25 }) // over two quantum ends
+		p.UseSys(35 * ms)
+		if c := k.Counters(); c.Resumes != before.Resumes || c.Pops != before.Pops || k.PendingEvents() != 0 || looks != 25 || p.Now() != 61*ms {
+			t.Errorf("alone, 25 looks and a Use cost %d coroutine resumes and %d kernel events, left %d pending and ended at %v",
+				c.Resumes-before.Resumes, c.Pops-before.Pops, k.PendingEvents(), p.Now())
 		}
-		mustPanic("UseWhile(0)", func() { p.UseWhile(0, CPUUser, func() bool { return false }) })
-		start, before := p.Now(), k.Counters()
-		p.UseWhile(time.Millisecond, CPUUser, func() bool {
-			looks++
-			return looks < 25 // across two quantum boundaries, alone on the CPU
-		})
-		if got := p.Now() - start; got != 25*time.Millisecond || p.User() != 25*time.Millisecond {
-			t.Errorf("25 looks of 1ms took %v and were charged %v", got, p.User())
-		}
-		// Alone in the kernel, every slice end is the next event: the whole
-		// poll runs inline, on this stack, without an event or a wait.
-		if c := k.Counters(); c.Resumes != before.Resumes || c.Pops != before.Pops || c.Continued != before.Continued+25 {
-			t.Errorf("a poll of 25 looks on an otherwise idle kernel cost %d coroutine resumes and %d kernel events, %d looks inline",
-				c.Resumes-before.Resumes, c.Pops-before.Pops, c.Continued-before.Continued)
-		}
-		before = k.Counters()
-		p.UseSys(35 * time.Millisecond)
-		if c := k.Counters(); c.Pops != before.Pops || c.Continued == before.Continued || p.Sys() != 36*time.Millisecond {
-			t.Errorf("a Use on an otherwise idle kernel cost %d kernel events and was charged %v", c.Pops-before.Pops, p.Sys())
-		}
+		mustPanic(t, "UseWhile(0)", func() { p.UseWhile(0, CPUUser, nil) })
 		// Alone in the kernel, the poller dispatches its own resume events,
 		// so the predicate's panic unwinds through this very stack.
-		mustPanic("Use from again", func() {
-			p.UseWhile(time.Millisecond, CPUUser, func() bool {
-				p.UseSys(time.Millisecond)
-				return false
-			})
-		})
+		mustPanic(t, "Use from again", func() { p.UseWhile(ms, CPUUser, func() bool { p.UseSys(ms); return false }) })
 	})
 	k.Run()
-	if looks != 25 {
-		t.Errorf("again was asked %d times, want 25", looks)
-	}
 }
 
-// TestContinuedSliceRotates: a poll whose slice ends run inline still
-// hands the CPU to a peer that waits in the run queue with no event of
-// its own, at the quantum expiry where a filed slice end would — as the
-// written Use loop does, look for look.
-func TestContinuedSliceRotates(t *testing.T) {
-	run := func(poll bool) (log []string, continued uint64) {
-		k := sim.New(1)
-		defer k.Shutdown()
-		pr := testParams()
-		h := New(k, 0, "a", pr)
-		looks := 0
-		again := func() bool {
-			looks++
-			log = append(log, fmt.Sprintf("%v look %d", k.Now(), looks))
-			return looks < 30
+func mustPanic(t *testing.T, name string, run func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
 		}
-		h.Spawn("poller", func(p *Proc) {
-			if poll {
-				p.UseWhile(pr.Quantum/4, CPUUser, again)
-				return
-			}
-			for {
-				p.UseUser(pr.Quantum / 4)
-				if !again() {
-					return
-				}
-			}
-		})
-		h.Spawn("peer", func(p *Proc) {
-			for i := 0; i < 4; i++ {
-				log = append(log, fmt.Sprintf("%v peer", p.Now()))
-				p.UseUser(pr.Quantum / 2)
-			}
-		})
-		k.Run()
-		return log, k.Counters().Continued
-	}
-	want, _ := run(false)
-	got, continued := run(true)
-	if !slices.Equal(got, want) {
-		t.Errorf("the poll diverges from the Use loop:\n got %v\nwant %v", got, want)
-	}
-	// Dispatched at 1 ms, the poller's fourth slice ends its quantum at
-	// 11 ms, and the peer is dispatched one switch later, before that
-	// slice's look.
-	if i := slices.Index(got, "12ms peer"); i != 3 || continued < 30 {
-		t.Errorf("the peer first ran at line %d of %v, with %d slice ends inline; want line 3 and at least 30", i, got, continued)
-	}
+	}()
+	run()
+}
+
+// A Want is decoded by its zero fields, so the two that would read as
+// exit must fail where they are built, not end the process silently.
+func TestWantRejectsZeroKindAndNilKey(t *testing.T) {
+	mustPanic(t, "UseCPU(d, 0)", func() { UseCPU(ms, 0) })
+	mustPanic(t, "WaitOn(nil)", func() { WaitOn(nil) })
 }
 
 // hostSpawnAllocCeiling is what one Host.Spawn may allocate: the Proc,
