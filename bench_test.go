@@ -28,6 +28,7 @@ import (
 	"mether/internal/protocols"
 	"mether/internal/sim"
 	"mether/internal/solver"
+	"mether/internal/stats"
 	"mether/internal/sweep"
 	"mether/internal/vm"
 	"mether/internal/workload"
@@ -37,26 +38,30 @@ import (
 const benchTarget = 128
 
 // reportCounter attaches the figure metrics to a benchmark.
-func reportCounter(b *testing.B, r protocols.Report) {
+func reportCounter(b *testing.B, r workload.Report) {
 	b.Helper()
-	if r.Additions > 0 {
-		b.ReportMetric(float64(r.Wall.Milliseconds())/float64(r.Additions), "sim-ms/add")
-		b.ReportMetric(r.CtxPerAdd, "ctx/add")
+	if r.Ops > 0 {
+		b.ReportMetric(float64(r.Wall.Milliseconds())/float64(r.Ops), "sim-ms/add")
+		b.ReportMetric(r.CtxPerOp(), "ctx/add")
 	}
-	b.ReportMetric(r.LossWin, "loss/win")
+	b.ReportMetric(r.LossWin(), "loss/win")
 	b.ReportMetric(float64(r.LatMean.Microseconds())/1000, "lat-ms")
 	b.ReportMetric(r.NetBytesPerSec, "net-B/s")
 }
 
-func runProtocolBench(b *testing.B, cfg protocols.Config) {
+// runProtocolBench runs a counter configuration (and the error of its
+// making) b.N times.
+func runProtocolBench(b *testing.B, cfg protocols.Config, err error) {
 	b.Helper()
-	var last protocols.Report
-	for i := 0; i < b.N; i++ {
-		r, err := protocols.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
+	var last workload.Report
+	for i := 0; err == nil && i < b.N; i++ {
+		var wl workload.Workload
+		if wl, err = protocols.Counter(cfg); err == nil {
+			last, err = cfg.Run(wl)
 		}
-		last = r
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	reportCounter(b, last)
 }
@@ -64,13 +69,13 @@ func runProtocolBench(b *testing.B, cfg protocols.Config) {
 // BenchmarkBaselineSingle reproduces the Section-4 text: one process
 // counting alone (~50 µs per increment on the era hardware).
 func BenchmarkBaselineSingle(b *testing.B) {
-	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineSingle, Target: 1024, Options: workload.Options{Seed: 1}})
+	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineSingle, Target: 1024, Options: workload.Options{Seed: 1}}, nil)
 }
 
 // BenchmarkBaselineLocalPair reproduces the 81 s / 37 s CPU two-process
 // local baseline (quantum thrashing).
 func BenchmarkBaselineLocalPair(b *testing.B) {
-	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineLocalPair, Target: benchTarget, Options: workload.Options{Seed: 1}})
+	runProtocolBench(b, protocols.Config{Protocol: protocols.BaselineLocalPair, Target: benchTarget, Options: workload.Options{Seed: 1}}, nil)
 }
 
 // BenchmarkFigures regenerates Figures 4-9 from the sweep engine's
@@ -84,7 +89,8 @@ func BenchmarkFigures(b *testing.B) {
 			sc.Cap = 20 * time.Second
 		}
 		b.Run(sc.Name, func(b *testing.B) {
-			runProtocolBench(b, sc.CounterConfig())
+			cfg, err := sc.CounterConfig()
+			runProtocolBench(b, cfg, err)
 		})
 	}
 }
@@ -95,7 +101,8 @@ func BenchmarkFig7Hysteresis(b *testing.B) {
 	for _, sc := range sweep.HysteresisSweep(sweep.Options{Target: benchTarget, Seed: 1}) {
 		sc := sc
 		b.Run(sc.Name, func(b *testing.B) {
-			runProtocolBench(b, sc.CounterConfig())
+			cfg, err := sc.CounterConfig()
+			runProtocolBench(b, cfg, err)
 		})
 	}
 }
@@ -210,7 +217,7 @@ func BenchmarkAblationWakeBoost(b *testing.B) {
 			runProtocolBench(b, protocols.Config{
 				Protocol: protocols.P2ShortPage, Target: benchTarget,
 				Options: workload.Options{Seed: 1, HostParams: hp},
-			})
+			}, nil)
 		})
 	}
 }
@@ -223,7 +230,8 @@ func BenchmarkAblationKernelServer(b *testing.B) {
 	for _, sc := range sweep.KernelAblation(sweep.Options{Target: benchTarget, Seed: 1}) {
 		sc := sc
 		b.Run(sc.Name, func(b *testing.B) {
-			runProtocolBench(b, sc.CounterConfig())
+			cfg, err := sc.CounterConfig()
+			runProtocolBench(b, cfg, err)
 		})
 	}
 }
@@ -252,7 +260,7 @@ func BenchmarkAblationRetryTimeout(b *testing.B) {
 			runProtocolBench(b, protocols.Config{
 				Protocol: protocols.P2ShortPage, Target: benchTarget,
 				Options: workload.Options{Seed: 1, LossRate: 0.01, RetryTimeout: rt},
-			})
+			}, nil)
 		})
 	}
 }
@@ -268,17 +276,19 @@ func BenchmarkPipeThroughput(b *testing.B) {
 	}
 	for _, d := range dists {
 		b.Run(d.Name(), func(b *testing.B) {
+			cfg := workload.PipeConfig{Dist: d, Messages: 24, Options: workload.Options{Seed: 1}}
 			var last workload.Report
 			for i := 0; i < b.N; i++ {
-				r, err := workload.Run(workload.Config{Dist: d, Messages: 24, Seed: 1})
+				wl, err := workload.Pipe(cfg)
+				if err == nil {
+					last, err = cfg.Run(wl)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = r
 			}
-			b.ReportMetric(last.MsgsPerSec, "sim-msg/s")
-			b.ReportMetric(last.BytesPerSec, "sim-B/s")
-			b.ReportMetric(last.ShortRatio*100, "short-%")
+			b.ReportMetric(stats.Rate(last.Ops, last.Quiet), "sim-msg/s")
+			b.ReportMetric(stats.BytesPerSec(last.WireBytes, last.Quiet), "wire-B/s")
 		})
 	}
 }
@@ -289,18 +299,19 @@ func BenchmarkFanoutScaling(b *testing.B) {
 	for _, mode := range []protocols.FanoutMode{protocols.FanoutDataDriven, protocols.FanoutDemand} {
 		for _, readers := range []int{2, 8} {
 			b.Run(fmt.Sprintf("%v/readers=%d", mode, readers), func(b *testing.B) {
-				var last protocols.FanoutReport
+				cfg := protocols.FanoutConfig{Mode: mode, Readers: readers, Updates: 16, Options: workload.Options{Seed: 1}}
+				var last workload.Report
 				for i := 0; i < b.N; i++ {
-					r, err := protocols.RunFanout(protocols.FanoutConfig{
-						Mode: mode, Readers: readers, Updates: 16, Seed: 1,
-					})
+					wl, err := protocols.Fanout(cfg)
+					if err == nil {
+						last, err = cfg.Run(wl)
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
-					last = r
 				}
-				b.ReportMetric(last.PacketsPerU, "pkts/update")
-				b.ReportMetric(last.WriterCPU.Seconds()*1000, "writer-cpu-ms")
+				b.ReportMetric(stats.Ratio(last.Packets, last.Ops), "pkts/update")
+				b.ReportMetric(last.Host0.Total().Seconds()*1000, "writer-cpu-ms")
 			})
 		}
 	}

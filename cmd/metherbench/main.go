@@ -13,9 +13,11 @@ import (
 	"strings"
 	"time"
 
+	"mether"
 	"mether/internal/memnet"
 	"mether/internal/protocols"
 	"mether/internal/solver"
+	"mether/internal/stats"
 	"mether/internal/sweep"
 	"mether/internal/workload"
 )
@@ -58,14 +60,23 @@ func runFanout(w *writer) {
 	var rows [][]string
 	for _, mode := range []protocols.FanoutMode{protocols.FanoutDataDriven, protocols.FanoutDemand} {
 		for _, readers := range []int{1, 2, 4, 8} {
-			r, err := protocols.RunFanout(protocols.FanoutConfig{Mode: mode, Readers: readers, Updates: 32, Seed: *flagSeed})
+			cfg := protocols.FanoutConfig{Mode: mode, Readers: readers, Updates: 32, Options: workload.Options{Seed: *flagSeed}}
+			wl, err := protocols.Fanout(cfg)
+			var r workload.Report
+			if err == nil {
+				r, err = cfg.Run(wl)
+			}
+			if err == nil && r.DNF {
+				err = fmt.Errorf("readers did not finish")
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fanout %v/%d: %v\n", mode, readers, err)
 				os.Exit(1)
 			}
+			// The wall is the quiet instant: EXPERIMENTS.md pins this table.
 			rows = append(rows, []string{
-				mode.String(), fmt.Sprint(readers), fmt.Sprintf("%.1f", r.PacketsPerU),
-				fmtDur(r.WriterCPU), fmtDur(r.Wall),
+				mode.String(), fmt.Sprint(readers), fmt.Sprintf("%.1f", stats.Ratio(r.Packets, r.Ops)),
+				fmtDur(r.Host0.Total()), fmtDur(r.Quiet),
 			})
 		}
 	}
@@ -84,7 +95,7 @@ func runKernelServerAblation(w *writer, target uint32) {
 		r := mustRun(sc.CounterConfig())
 		rows = append(rows, []string{
 			sc.Name, fmtDur(r.Wall), fmtDur(r.LatMean),
-			fmt.Sprintf("%.1f", r.LossWin), fmtDur(r.SysTotal()),
+			fmt.Sprintf("%.1f", r.LossWin()), fmtDur(r.Host0.System()),
 		})
 	}
 	w.table(headers, rows)
@@ -146,8 +157,16 @@ func (w *writer) notef(format string, args ...any) {
 
 func (w *writer) flush() { fmt.Print(w.buf.String()) }
 
-func mustRun(cfg protocols.Config) protocols.Report {
-	r, err := protocols.Run(cfg)
+// mustRun runs a counter configuration (and the error of its making)
+// or exits.
+func mustRun(cfg protocols.Config, err error) workload.Report {
+	var r workload.Report
+	if err == nil {
+		var wl workload.Workload
+		if wl, err = protocols.Counter(cfg); err == nil {
+			r, err = cfg.Run(wl)
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "run %v: %v\n", cfg.Protocol, err)
 		os.Exit(1)
@@ -236,15 +255,15 @@ var figures = []figSpec{
 
 func runBaselines(w *writer, target uint32) {
 	w.section(fmt.Sprintf("Section 4 baselines (target %d)", target))
-	single := mustRun(protocols.Config{Protocol: protocols.BaselineSingle, Target: target, Options: workload.Options{Seed: *flagSeed}})
-	local := mustRun(protocols.Config{Protocol: protocols.BaselineLocalPair, Target: target, Options: workload.Options{Seed: *flagSeed}})
+	single := mustRun(protocols.Config{Protocol: protocols.BaselineSingle, Target: target, Options: workload.Options{Seed: *flagSeed}}, nil)
+	local := mustRun(protocols.Config{Protocol: protocols.BaselineLocalPair, Target: target, Options: workload.Options{Seed: *flagSeed}}, nil)
 	s := scale(target)
 	w.table(
 		[]string{"baseline", "paper (1024)", "measured", "scaled to 1024"},
 		[][]string{
 			{"single process", "~50 ms", fmtDur(single.Wall), fmtDur(time.Duration(float64(single.Wall) * s))},
 			{"two processes, one host (wall)", "81 s", fmtDur(local.Wall), fmtDur(time.Duration(float64(local.Wall) * s))},
-			{"two processes, one host (cpu/proc)", "37 s", fmtDur((local.User + local.Sys) / 2), fmtDur(time.Duration(float64(local.User+local.Sys) * s / 2))},
+			{"two processes, one host (cpu/proc)", "37 s", fmtDur((local.Host0.User + local.Host0.Sys) / 2), fmtDur(time.Duration(float64(local.Host0.User+local.Host0.Sys) * s / 2))},
 		},
 	)
 }
@@ -264,17 +283,17 @@ func runFigures(w *writer, target uint32) {
 		s := scale(target)
 		rows := [][]string{
 			{"Wallclock Time", f.paper["wall"], fmtWall(r, 1), fmtWallScaled(r, s)},
-			{"User Time", f.paper["user"], fmtDur(r.User), fmtDur(time.Duration(float64(r.User) * s))},
-			{"Sys Time", f.paper["sys"], fmtDur(r.SysTotal()), fmtDur(time.Duration(float64(r.SysTotal()) * s))},
+			{"User Time", f.paper["user"], fmtDur(r.Host0.User), fmtDur(time.Duration(float64(r.Host0.User) * s))},
+			{"Sys Time", f.paper["sys"], fmtDur(r.Host0.System()), fmtDur(time.Duration(float64(r.Host0.System()) * s))},
 			{"Network Load", f.paper["net"], fmt.Sprintf("%.1f kB/s", r.NetBytesPerSec/1000), fmt.Sprintf("%.1f kB/s", r.NetBytesPerSec/1000)},
-			{"Context Switches", f.paper["ctx"], fmt.Sprintf("%.1f /add", r.CtxPerAdd), fmt.Sprintf("%.1f /add", r.CtxPerAdd)},
-			{"Space", f.paper["space"], fmt.Sprintf("%d page(s) (%d bytes)", r.SpacePages, r.SpaceBytes), ""},
+			{"Context Switches", f.paper["ctx"], fmt.Sprintf("%.1f /add", r.CtxPerOp()), fmt.Sprintf("%.1f /add", r.CtxPerOp())},
+			{"Space", f.paper["space"], fmt.Sprintf("%d page(s) (%d bytes)", sc.Protocol.Pages(), sc.Protocol.Pages()*mether.PageSize), ""},
 			{"Average Latency", f.paper["lat"], fmtDur(r.LatMean), fmtDur(r.LatMean)},
-			{"Losses/Wins", f.paper["losswin"], fmt.Sprintf("%.1f", r.LossWin), fmt.Sprintf("%.1f", r.LossWin)},
+			{"Losses/Wins", f.paper["losswin"], fmt.Sprintf("%.1f", r.LossWin()), fmt.Sprintf("%.1f", r.LossWin())},
 		}
 		w.table([]string{"metric", "paper", "measured", "scaled/rate"}, rows)
 		if r.DNF {
-			w.notef("run did not finish within the cap (additions reached: %d) — the paper's \"never finished\"", r.Additions)
+			w.notef("run did not finish within the cap (additions reached: %d) — the paper's \"never finished\"", r.Ops)
 		}
 	}
 }
@@ -286,8 +305,8 @@ func runHysteresisSweep(w *writer, target uint32) {
 	for _, sc := range sweep.HysteresisSweep(sweep.Options{Target: target, Seed: *flagSeed}) {
 		r := mustRun(sc.CounterConfig())
 		rows = append(rows, []string{
-			sc.Name, fmtDur(r.Wall), fmt.Sprintf("%.1f", r.LossWin),
-			fmt.Sprint(r.Packets), fmtDur(r.SysTotal()), fmtDur(r.User),
+			sc.Name, fmtDur(r.Wall), fmt.Sprintf("%.1f", r.LossWin()),
+			fmt.Sprint(r.Packets), fmtDur(r.Host0.System()), fmtDur(r.Host0.User),
 			fmt.Sprint(!r.DNF),
 		})
 	}
@@ -301,8 +320,8 @@ func runLossAblation(w *writer, target uint32) {
 	for _, sc := range sweep.LossAblation(sweep.Options{Target: target, Seed: *flagSeed}) {
 		r := mustRun(sc.CounterConfig())
 		rows = append(rows, []string{
-			sc.Name, fmt.Sprint(!r.DNF), fmt.Sprint(r.Additions),
-			fmt.Sprintf("%.1f", r.LossWin), fmt.Sprint(r.Retries),
+			sc.Name, fmt.Sprint(!r.DNF), fmt.Sprint(r.Ops),
+			fmt.Sprintf("%.1f", r.LossWin()), fmt.Sprint(r.Retries),
 		})
 	}
 	w.table(headers, rows)
@@ -362,14 +381,14 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-func fmtWall(r protocols.Report, s float64) string {
+func fmtWall(r workload.Report, s float64) string {
 	if r.DNF {
-		return fmt.Sprintf("DNF (capped, %d adds)", r.Additions)
+		return fmt.Sprintf("DNF (capped, %d adds)", r.Ops)
 	}
 	return fmtDur(time.Duration(float64(r.Wall) * s))
 }
 
-func fmtWallScaled(r protocols.Report, s float64) string {
+func fmtWallScaled(r workload.Report, s float64) string {
 	if r.DNF {
 		return "DNF"
 	}

@@ -54,23 +54,28 @@ func main() {
 
 	for _, p := range list {
 		start := time.Now()
-		r, err := protocols.Run(protocols.Config{
+		cfg := protocols.Config{
 			Protocol:    p,
 			Target:      uint32(*target),
 			HysteresisN: *hystN,
 			TraceLimit:  *trace,
 			Options:     workload.Options{Seed: *seed, Cap: *capS, KernelServer: *kernel},
-		})
+		}
+		wl, err := protocols.Counter(cfg)
+		var r workload.Report
+		if err == nil {
+			r, err = cfg.Run(wl)
+		}
 		if err != nil {
 			fmt.Printf("%-22s ERR %v\n", p, err)
 			continue
 		}
 		fmt.Printf("%-22s dnf=%-5v adds=%-5d wall=%-12v user=%-10v sys=%-10v net=%-9.0fB/s pkts=%-6d ctx/add=%-5.1f lat=%-12v loss/win=%-9.1f [real %v]\n",
-			p, r.DNF, r.Additions, r.Wall.Round(time.Millisecond), r.User.Round(time.Millisecond),
-			r.SysTotal().Round(time.Millisecond), r.NetBytesPerSec, r.Packets, r.CtxPerAdd,
-			r.LatMean.Round(100*time.Microsecond), r.LossWin, time.Since(start).Round(time.Millisecond))
-		if r.Trace != "" {
-			fmt.Print(r.Trace)
+			p, r.DNF, r.Ops, r.Wall.Round(time.Millisecond), r.Host0.User.Round(time.Millisecond),
+			r.Host0.System().Round(time.Millisecond), r.NetBytesPerSec, r.Packets, r.CtxPerOp(),
+			r.LatMean.Round(100*time.Microsecond), r.LossWin(), time.Since(start).Round(time.Millisecond))
+		if r.Trace != nil {
+			fmt.Print(r.Trace.String())
 		}
 	}
 }

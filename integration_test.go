@@ -252,11 +252,18 @@ func TestWorldDeterminismAcrossSubsystems(t *testing.T) {
 // grid's 16-host barrier cell, whose knobs these are, and the Figure 6
 // cell at target 64).
 func TestPollersAreSchedulerRun(t *testing.T) {
-	barrier, err := workload.RunBarrier(workload.BarrierConfig{Hosts: 16, Phases: 4, HysteresisPurge: 16 * 16})
+	wl, err := workload.Barrier(workload.BarrierConfig{Hosts: 16, Phases: 4, HysteresisPurge: 16 * 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	barrier, err := workload.Options{}.Run(wl)
 	if err != nil || barrier.DNF {
 		t.Fatalf("barrier: err %v, DNF %v", err, barrier.DNF)
 	}
-	fig6, err := protocols.Run(protocols.Config{Protocol: protocols.P3DisjointRO, Target: 64})
+	if wl, err = protocols.Counter(protocols.Config{Protocol: protocols.P3DisjointRO, Target: 64}); err != nil {
+		t.Fatal(err)
+	}
+	fig6, err := workload.Options{}.Run(wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func (b Band) Contains(ratio float64) bool {
 type Cell struct {
 	Metric string
 	Paper  float64 // in the unit returned by Get
-	Get    func(protocols.Report) float64
+	Get    func(workload.Report) float64
 	Band   Band
 }
 
@@ -49,12 +49,12 @@ func seconds(d time.Duration) float64 { return d.Seconds() }
 // bands EXPERIMENTS.md documents. Figures 6 and 7 are asserted
 // separately (degeneracy is about orderings, not cell ratios).
 func Figures() []Figure {
-	wall := func(r protocols.Report) float64 { return seconds(r.Wall) }
-	user := func(r protocols.Report) float64 { return seconds(r.User) }
-	sys := func(r protocols.Report) float64 { return seconds(r.SysTotal()) }
-	lat := func(r protocols.Report) float64 { return seconds(r.LatMean) }
-	lossWin := func(r protocols.Report) float64 { return r.LossWin }
-	ctx := func(r protocols.Report) float64 { return r.CtxPerAdd }
+	wall := func(r workload.Report) float64 { return seconds(r.Wall) }
+	user := func(r workload.Report) float64 { return seconds(r.Host0.User) }
+	sys := func(r workload.Report) float64 { return seconds(r.Host0.System()) }
+	lat := func(r workload.Report) float64 { return seconds(r.LatMean) }
+	lossWin := workload.Report.LossWin
+	ctx := workload.Report.CtxPerOp
 
 	return []Figure{
 		{
@@ -125,7 +125,12 @@ func (d Deviation) String() string {
 // Check runs a figure's protocol at full paper scale and returns any
 // out-of-band cells.
 func Check(f Figure, seed int64) ([]Deviation, error) {
-	r, err := protocols.Run(protocols.Config{Protocol: f.Protocol, Target: 1024, Options: workload.Options{Seed: seed}})
+	cfg := protocols.Config{Protocol: f.Protocol, Target: 1024, Options: workload.Options{Seed: seed}}
+	wl, err := protocols.Counter(cfg)
+	var r workload.Report
+	if err == nil {
+		r, err = cfg.Run(wl)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +141,7 @@ func Check(f Figure, seed int64) ([]Deviation, error) {
 }
 
 // CheckReport compares an existing report against a figure's bands.
-func CheckReport(f Figure, r protocols.Report) []Deviation {
+func CheckReport(f Figure, r workload.Report) []Deviation {
 	var out []Deviation
 	for _, c := range f.Cells {
 		got := c.Get(r)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mether/internal/protocols"
+	"mether/internal/workload"
 )
 
 // TestPaperAgreement is the reproduction's contract: every documented
@@ -47,10 +48,10 @@ func TestCheckReportFlagsOutliers(t *testing.T) {
 		Name:     "synthetic",
 		Protocol: protocols.P5Final,
 		Cells: []Cell{
-			{"loss/win", 10, func(r protocols.Report) float64 { return r.LossWin }, Band{0.9, 1.1}},
+			{"loss/win", 10, workload.Report.LossWin, Band{0.9, 1.1}},
 		},
 	}
-	r := protocols.Report{LossWin: 30} // ratio 3: far out of band
+	r := workload.Report{Tally: workload.Tally{Ops: 1, Losses: 30}} // ratio 3: far out of band
 	devs := CheckReport(f, r)
 	if len(devs) != 1 {
 		t.Fatalf("deviations = %d, want 1", len(devs))
@@ -68,10 +69,10 @@ func TestZeroPaperCellSkipped(t *testing.T) {
 		Name:     "synthetic",
 		Protocol: protocols.P5Final,
 		Cells: []Cell{
-			{"zero", 0, func(r protocols.Report) float64 { return 5 }, Band{0.9, 1.1}},
+			{"zero", 0, func(workload.Report) float64 { return 5 }, Band{0.9, 1.1}},
 		},
 	}
-	if devs := CheckReport(f, protocols.Report{}); len(devs) != 0 {
+	if devs := CheckReport(f, workload.Report{}); len(devs) != 0 {
 		t.Errorf("zero-paper cell produced deviations: %v", devs)
 	}
 }

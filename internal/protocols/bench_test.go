@@ -20,10 +20,7 @@ func benchCounterRun(b *testing.B, cfg Config) {
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := count(b, cfg)
 		if r.DNF {
 			b.Fatal("counter run did not finish")
 		}

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"mether"
-	"mether/internal/stats"
+	"mether/internal/workload"
 )
 
 // FanoutMode selects how N readers follow one writer's updates.
@@ -40,135 +40,106 @@ type FanoutConfig struct {
 	Mode    FanoutMode
 	Readers int
 	Updates int // writer updates (default 32)
-	Seed    int64
-	Cap     time.Duration
+	// Options is the cluster the run is built on: the writer's host and
+	// one host per reader.
+	workload.Options
 }
 
-// FanoutReport carries the scaling measurements.
-type FanoutReport struct {
-	Mode        FanoutMode
-	Readers     int
-	Updates     int
-	Wall        time.Duration
-	WriterCPU   time.Duration // writer host client+server CPU
-	Packets     uint64
-	PacketsPerU float64 // packets per update
-	NetBytes    uint64
-	Missed      uint64 // reader observations that skipped an update
+// Fanout is one writer publishing paced updates to Readers reader
+// hosts: client 0 writes on host 0, client r reads on host r. Its ops
+// are the updates, and its tally counts the updates readers skipped.
+func Fanout(c FanoutConfig) (workload.Workload, error) {
+	if c.Readers <= 0 {
+		return workload.Workload{}, fmt.Errorf("protocols: need at least one reader")
+	}
+	if c.Mode != FanoutDataDriven && c.Mode != FanoutDemand {
+		return workload.Workload{}, fmt.Errorf("protocols: unknown fanout mode %d", c.Mode)
+	}
+	if c.Updates == 0 {
+		c.Updates = 32
+	}
+	t := &workload.Tally{Ops: uint64(c.Updates)}
+	var capRW mether.Capability
+	wl := workload.Workload{Hosts: c.Readers + 1, Pages: 8, Tally: t,
+		Clients: make([]workload.Client, c.Readers+1),
+		Layout: func(w *mether.World) error {
+			seg, err := w.CreateSegment("fanout", 1, 0)
+			if err == nil {
+				capRW = seg.CapRW()
+			}
+			return err
+		}}
+	wl.Clients[0] = workload.Client{Host: 0, Name: "writer"}
+	for r := 1; r <= c.Readers; r++ {
+		wl.Clients[r] = workload.Client{Host: r, Name: fmt.Sprintf("reader%d", r-1)}
+	}
+	wl.Body = func(env *mether.Env, i int) error {
+		if i == 0 {
+			return fanoutWriter(env, capRW, c.Updates)
+		}
+		return fanoutReader(env, capRW, c, t)
+	}
+	return wl, nil
 }
 
-// RunFanout measures one writer publishing updates to N reader hosts.
-func RunFanout(cfg FanoutConfig) (FanoutReport, error) {
-	if cfg.Readers <= 0 {
-		return FanoutReport{}, fmt.Errorf("protocols: need at least one reader")
-	}
-	if cfg.Updates == 0 {
-		cfg.Updates = 32
-	}
-	if cfg.Cap == 0 {
-		cfg.Cap = 600 * time.Second
-	}
-	w := mether.NewWorld(mether.Config{
-		Hosts: cfg.Readers + 1,
-		Pages: 8,
-		Seed:  cfg.Seed,
-	})
-	defer w.Shutdown()
-
-	seg, err := w.CreateSegment("fanout", 1, 0)
+// fanoutWriter publishes updates 1..n, one purge broadcast each.
+func fanoutWriter(env *mether.Env, capRW mether.Capability, n int) error {
+	m, err := env.Attach(capRW, mether.RW)
 	if err != nil {
-		return FanoutReport{}, err
+		return err
 	}
-	capRW := seg.CapRW()
-
-	readersDone := make([]bool, cfg.Readers)
-	var missed uint64
-
-	w.Spawn(0, "writer", func(env *mether.Env) {
-		m, err := env.Attach(capRW, mether.RW)
-		if err != nil {
-			return
+	a := m.Addr(0, 0).Short()
+	for i := 1; i <= n; i++ {
+		env.Compute(50 * time.Microsecond)
+		if err := m.Store32(a, uint32(i)); err != nil {
+			return err
 		}
-		a := m.Addr(0, 0).Short()
-		for i := 1; i <= cfg.Updates; i++ {
-			env.Compute(50 * time.Microsecond)
-			if err := m.Store32(a, uint32(i)); err != nil {
-				return
-			}
-			if err := m.Purge(a); err != nil {
-				return
-			}
-			// Paced updates: readers must keep up between publishes.
-			env.SleepFor(25 * time.Millisecond)
+		if err := m.Purge(a); err != nil {
+			return err
 		}
-	})
+		// Paced updates: readers must keep up between publishes.
+		env.SleepFor(25 * time.Millisecond)
+	}
+	return nil
+}
 
-	for r := 0; r < cfg.Readers; r++ {
-		r := r
-		w.Spawn(r+1, fmt.Sprintf("reader%d", r), func(env *mether.Env) {
-			m, err := env.Attach(capRW.ReadOnly(), mether.RO)
-			if err != nil {
-				return
+// fanoutReader follows the writer until it has seen the last update.
+func fanoutReader(env *mether.Env, capRW mether.Capability, c FanoutConfig, t *workload.Tally) error {
+	m, err := env.Attach(capRW.ReadOnly(), mether.RO)
+	if err != nil {
+		return err
+	}
+	a := m.Addr(0, 0).Short()
+	last := uint32(0)
+	for last < uint32(c.Updates) {
+		var v uint32
+		if c.Mode == FanoutDataDriven {
+			if v, err = m.Load32(a); err != nil {
+				return err
 			}
-			a := m.Addr(0, 0).Short()
-			last := uint32(0)
-			for last < uint32(cfg.Updates) {
-				switch cfg.Mode {
-				case FanoutDataDriven:
-					v, err := m.Load32(a)
-					if err != nil {
-						return
-					}
-					if v > last {
-						if v > last+1 {
-							missed += uint64(v - last - 1)
-						}
-						last = v
-						continue
-					}
-					if err := m.Purge(a); err != nil {
-						return
-					}
-					if _, err := m.Load32(a.DataDriven()); err != nil {
-						return
-					}
-				case FanoutDemand:
-					if err := m.Purge(a); err != nil {
-						return
-					}
-					v, err := m.Load32(a)
-					if err != nil {
-						return
-					}
-					if v > last {
-						if v > last+1 {
-							missed += uint64(v - last - 1)
-						}
-						last = v
-					} else {
-						env.SleepFor(2 * time.Millisecond)
-					}
+			if v <= last {
+				if err := m.Purge(a); err != nil {
+					return err
 				}
+				if _, err := m.Load32(a.DataDriven()); err != nil {
+					return err
+				}
+				continue
 			}
-			readersDone[r] = true
-		})
-	}
-
-	w.RunUntil(cfg.Cap)
-	for r, done := range readersDone {
-		if !done {
-			return FanoutReport{}, fmt.Errorf("protocols: reader %d did not finish", r)
+		} else {
+			if err := m.Purge(a); err != nil {
+				return err
+			}
+			if v, err = m.Load32(a); err != nil {
+				return err
+			}
+			if v <= last {
+				env.SleepFor(2 * time.Millisecond)
+				continue
+			}
 		}
+		t.Missed += uint64(v - last - 1)
+		last = v
 	}
-
-	rep := FanoutReport{Mode: cfg.Mode, Readers: cfg.Readers, Updates: cfg.Updates, Missed: missed}
-	rep.Wall = w.Now()
-	ns := w.NetStats()
-	rep.Packets = ns.Frames
-	rep.NetBytes = ns.WireBytes
-	rep.PacketsPerU = stats.Ratio(ns.Frames, uint64(cfg.Updates))
-	for _, p := range w.HostMachine(0).Procs() {
-		rep.WriterCPU += p.User() + p.Sys()
-	}
-	return rep, nil
+	return nil
 }

@@ -3,16 +3,36 @@ package protocols
 import (
 	"testing"
 	"time"
+
+	"mether/internal/stats"
+	"mether/internal/workload"
 )
 
-func runFanout(t *testing.T, mode FanoutMode, readers int) FanoutReport {
+// fanout runs one fanout configuration, failing the test on an error.
+func fanout(t *testing.T, cfg FanoutConfig) workload.Report {
 	t.Helper()
-	r, err := RunFanout(FanoutConfig{Mode: mode, Readers: readers, Updates: 16, Seed: 1})
+	wl, err := Fanout(cfg)
+	var r workload.Report
+	if err == nil {
+		r, err = cfg.Run(wl)
+	}
 	if err != nil {
-		t.Fatalf("%v readers=%d: %v", mode, readers, err)
+		t.Fatalf("%v readers=%d: %v", cfg.Mode, cfg.Readers, err)
 	}
 	return r
 }
+
+func runFanout(t *testing.T, mode FanoutMode, readers int) workload.Report {
+	t.Helper()
+	r := fanout(t, FanoutConfig{Mode: mode, Readers: readers, Updates: 16, Options: workload.Options{Seed: 1}})
+	if r.DNF {
+		t.Fatalf("%v readers=%d did not finish", mode, readers)
+	}
+	return r
+}
+
+// packetsPerUpdate is the fanout's network load per writer update.
+func packetsPerUpdate(r workload.Report) float64 { return stats.Ratio(r.Packets, r.Ops) }
 
 // TestBroadcastFanoutScalesFlat reproduces the broadcast-scaling claim:
 // with data-driven readers, one purge serves every copy, so packets per
@@ -26,12 +46,12 @@ func TestBroadcastFanoutScalesFlat(t *testing.T) {
 
 	// Data-driven: packet rate roughly flat in reader count (within 2x;
 	// startup fetches add a constant).
-	if d8.PacketsPerU > 2*d2.PacketsPerU+2 {
-		t.Errorf("data-driven packets/update grew with readers: %f -> %f", d2.PacketsPerU, d8.PacketsPerU)
+	if packetsPerUpdate(d8) > 2*packetsPerUpdate(d2)+2 {
+		t.Errorf("data-driven packets/update grew with readers: %f -> %f", packetsPerUpdate(d2), packetsPerUpdate(d8))
 	}
 	// Demand: packet rate clearly grows with readers.
-	if q8.PacketsPerU < 2*q2.PacketsPerU {
-		t.Errorf("demand packets/update did not scale with readers: %f -> %f", q2.PacketsPerU, q8.PacketsPerU)
+	if packetsPerUpdate(q8) < 2*packetsPerUpdate(q2) {
+		t.Errorf("demand packets/update did not scale with readers: %f -> %f", packetsPerUpdate(q2), packetsPerUpdate(q8))
 	}
 	// At 8 readers the broadcast mode moves far fewer packets.
 	if d8.Packets*3 > q8.Packets {
@@ -39,8 +59,8 @@ func TestBroadcastFanoutScalesFlat(t *testing.T) {
 	}
 	// Writer CPU: demand mode burns more of the writer host's CPU at 8
 	// readers than broadcast mode does (it answers every refetch).
-	if d8.WriterCPU >= q8.WriterCPU {
-		t.Errorf("writer CPU: broadcast %v should be under demand %v", d8.WriterCPU, q8.WriterCPU)
+	if d8.Host0.Total() >= q8.Host0.Total() {
+		t.Errorf("writer CPU: broadcast %v should be under demand %v", d8.Host0.Total(), q8.Host0.Total())
 	}
 }
 
@@ -54,10 +74,13 @@ func TestFanoutReadersSeeEveryUpdate(t *testing.T) {
 }
 
 func TestFanoutValidation(t *testing.T) {
-	if _, err := RunFanout(FanoutConfig{Mode: FanoutDataDriven, Readers: 0}); err == nil {
+	if _, err := Fanout(FanoutConfig{Mode: FanoutDataDriven, Readers: 0}); err == nil {
 		t.Error("zero readers accepted")
 	}
-	if _, err := RunFanout(FanoutConfig{Mode: FanoutDataDriven, Readers: 2, Updates: 4, Cap: time.Millisecond}); err == nil {
-		t.Error("tiny cap should report unfinished readers")
+	if _, err := Fanout(FanoutConfig{Readers: 2}); err == nil {
+		t.Error("fanout without a mode accepted")
+	}
+	if r := fanout(t, FanoutConfig{Mode: FanoutDataDriven, Readers: 2, Updates: 4, Options: workload.Options{Cap: time.Millisecond}}); !r.DNF {
+		t.Error("tiny cap: the unfinished readers should make the run DNF")
 	}
 }

@@ -1,17 +1,19 @@
-// Package protocols implements the paper's Section-4 protocol study: the
-// cooperative "count to 1024" synchronization microbenchmark run under
-// each of the user protocols the paper measures (Figures 4-9), plus the
-// two local baselines the text reports. Each run returns a Report with
-// the same rows as the paper's figures: wall-clock time, user time,
-// system time, network load, context switches per addition, space,
-// average fault latency and the losses/wins ratio.
+// Package protocols implements the paper's Section-4 protocol study as
+// workloads for the one runner, workload.Options.Run: the cooperative
+// "count to 1024" synchronization microbenchmark under each of the user
+// protocols the paper measures (Figures 4-9) plus the two local
+// baselines the text reports (Counter), and the one-writer/N-reader
+// broadcast-scaling run (Fanout). A counter run's workload.Report has
+// the paper's figure rows: wall-clock time, host 0's user and system
+// time (Host0), network load, context switches per addition (CtxPerOp),
+// average fault latency and the losses/wins ratio (LossWin); the space
+// row is Protocol.Pages.
 package protocols
 
 import (
 	"fmt"
 	"time"
 
-	"mether"
 	"mether/internal/workload"
 )
 
@@ -72,6 +74,17 @@ func (p Protocol) String() string {
 	}
 }
 
+// Pages is how many pages the protocol's counter occupies (the figures'
+// Space row): the disjoint protocols give each process its own, the
+// rest share one.
+func (p Protocol) Pages() int {
+	switch p {
+	case P3DisjointRO, P3Hysteresis, P5Final:
+		return 2
+	}
+	return 1
+}
+
 const (
 	// spinBeforeBlock is how many losses P5 tolerates on the resident
 	// copy before purging and blocking data-driven.
@@ -103,8 +116,7 @@ type Config struct {
 	workload.Options
 
 	// TraceLimit, when positive, records the first N datagrams of the
-	// run with the protocol analyzer; the rendered trace is returned in
-	// Report.Trace.
+	// run with the protocol analyzer, into the report's Trace.
 	TraceLimit int
 }
 
@@ -117,39 +129,3 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// Report carries the measured figure rows for one run.
-type Report struct {
-	Protocol  Protocol
-	Target    uint32
-	Additions uint32 // counter value reached (== Target unless DNF)
-	DNF       bool   // did not finish within Cap (paper: "Never finished")
-
-	// Harvest is the world-level measurement set: wall time, network
-	// load, context switches, the full fault-latency distribution (the
-	// sweep engine aggregates the tail quantiles, not just LatMean — they
-	// are what the redundancy axis is measured by) and every topology,
-	// fabric, redundancy and fault-plane counter.
-	mether.Harvest
-	// User and Sys are host 0's client-process times; SysServer is host
-	// 0's Mether server CPU, which the figures' "Sys Time" row includes
-	// (in real Mether most of that work ran in kernel context charged to
-	// the client).
-	User      time.Duration
-	Sys       time.Duration
-	SysServer time.Duration
-
-	CtxPerAdd  float64
-	SpacePages int
-	SpaceBytes int
-	Losses     uint64
-	Wins       uint64
-	LossWin    float64
-
-	// Trace holds the rendered packet trace when Config.TraceLimit > 0.
-	Trace string
-}
-
-// SysTotal returns the figure's "Sys Time" row: client sys plus the
-// server work done on the client's behalf.
-func (r Report) SysTotal() time.Duration { return r.Sys + r.SysServer }

@@ -7,14 +7,23 @@ import (
 	"mether/internal/workload"
 )
 
-// runQuick executes a protocol at reduced target for test speed.
-func runQuick(t *testing.T, p Protocol, target uint32) Report {
+// count runs one counter configuration, failing the test on an error.
+func count(t testing.TB, cfg Config) workload.Report {
 	t.Helper()
-	r, err := Run(Config{Protocol: p, Target: target, Options: workload.Options{Cap: 600 * time.Second, Seed: 1}})
+	wl, err := Counter(cfg)
+	var r workload.Report
+	if err == nil {
+		r, err = cfg.Run(wl)
+	}
 	if err != nil {
-		t.Fatalf("%v: %v", p, err)
+		t.Fatalf("%v: %v", cfg.Protocol, err)
 	}
 	return r
+}
+
+// runQuick executes a protocol at reduced target for test speed.
+func runQuick(t *testing.T, p Protocol, target uint32) workload.Report {
+	return count(t, Config{Protocol: p, Target: target, Options: workload.Options{Cap: 600 * time.Second, Seed: 1}})
 }
 
 func TestAllProtocolsCompleteAndCount(t *testing.T) {
@@ -28,8 +37,8 @@ func TestAllProtocolsCompleteAndCount(t *testing.T) {
 			if r.DNF {
 				t.Fatalf("%v did not finish: %+v", p, r)
 			}
-			if r.Additions != 64 {
-				t.Errorf("additions = %d, want 64", r.Additions)
+			if r.Ops != 64 {
+				t.Errorf("additions = %d, want 64", r.Ops)
 			}
 			if r.Wall <= 0 {
 				t.Error("wall time not positive")
@@ -41,7 +50,7 @@ func TestAllProtocolsCompleteAndCount(t *testing.T) {
 func TestBaselineSingleIsMicroseconds(t *testing.T) {
 	// Paper: 1024 increments alone run in ~50 ms (~50 µs each).
 	r := runQuick(t, BaselineSingle, 1024)
-	perAdd := r.Wall / time.Duration(r.Additions)
+	perAdd := r.Wall / time.Duration(r.Ops)
 	if perAdd < 30*time.Microsecond || perAdd > 200*time.Microsecond {
 		t.Errorf("per-addition cost = %v, want ~50µs", perAdd)
 	}
@@ -54,14 +63,14 @@ func TestLocalPairThrashesQuanta(t *testing.T) {
 	// Paper: two processes on one host take ~79 ms per addition (a
 	// quantum plus a switch), with CPU time ≈ wall time.
 	r := runQuick(t, BaselineLocalPair, 64)
-	perAdd := r.Wall / time.Duration(r.Additions)
+	perAdd := r.Wall / time.Duration(r.Ops)
 	if perAdd < 50*time.Millisecond || perAdd > 110*time.Millisecond {
 		t.Errorf("per-addition = %v, want ~73ms (quantum+switch)", perAdd)
 	}
 	if r.WireBytes != 0 {
 		t.Error("local pair used the network")
 	}
-	busy := r.User + r.Sys
+	busy := r.Host0.User + r.Host0.Sys
 	if busy < r.Wall*8/10 {
 		t.Errorf("cpu %v should be close to wall %v (pure spinning)", busy, r.Wall)
 	}
@@ -93,44 +102,44 @@ func TestFigureShapes(t *testing.T) {
 
 	// Figure 6: the spin protocol is degenerate — loss/win far beyond
 	// any finishing protocol's.
-	if p3.LossWin < 2*p1.LossWin {
-		t.Errorf("P3 loss/win %f should dwarf P1's %f", p3.LossWin, p1.LossWin)
+	if p3.LossWin() < 2*p1.LossWin() {
+		t.Errorf("P3 loss/win %f should dwarf P1's %f", p3.LossWin(), p1.LossWin())
 	}
-	if p3.User < 2*p3h.User {
-		t.Errorf("P3 user %v should dwarf P3h's %v (spinning)", p3.User, p3h.User)
+	if p3.Host0.User < 2*p3h.Host0.User {
+		t.Errorf("P3 user %v should dwarf P3h's %v (spinning)", p3.Host0.User, p3h.Host0.User)
 	}
 
 	// Figure 7: hysteresis restores progress with sys >> user.
-	if p3h.LossWin > 200 {
-		t.Errorf("P3h loss/win = %f, want ~100", p3h.LossWin)
+	if p3h.LossWin() > 200 {
+		t.Errorf("P3h loss/win = %f, want ~100", p3h.LossWin())
 	}
-	if p3h.SysTotal() < p3h.User {
-		t.Errorf("P3h should be system-time dominated: sys %v vs user %v", p3h.SysTotal(), p3h.User)
+	if p3h.Host0.System() < p3h.Host0.User {
+		t.Errorf("P3h should be system-time dominated: sys %v vs user %v", p3h.Host0.System(), p3h.Host0.User)
 	}
 
 	// Figure 8: protocol 4 has the worst context-switch rate and spins
 	// far more than protocol 2.
-	for _, o := range []Report{p1, p2, p3h, p5} {
-		if p4.CtxPerAdd <= o.CtxPerAdd {
-			t.Errorf("P4 ctx/add %f should exceed %v's %f", p4.CtxPerAdd, o.Protocol, o.CtxPerAdd)
+	for name, o := range map[string]workload.Report{"P1": p1, "P2": p2, "P3h": p3h, "P5": p5} {
+		if p4.CtxPerOp() <= o.CtxPerOp() {
+			t.Errorf("P4 ctx/add %f should exceed %s's %f", p4.CtxPerOp(), name, o.CtxPerOp())
 		}
 	}
-	if p4.LossWin < 2*p2.LossWin {
-		t.Errorf("P4 loss/win %f should clearly exceed P2's %f", p4.LossWin, p2.LossWin)
+	if p4.LossWin() < 2*p2.LossWin() {
+		t.Errorf("P4 loss/win %f should clearly exceed P2's %f", p4.LossWin(), p2.LossWin())
 	}
 
 	// Figure 9: the final protocol wins every axis among the distributed
 	// protocols: fewest losses, least user time, lowest latency, least
 	// network traffic per addition, and one data packet per increment.
-	if p5.LossWin > 10 {
-		t.Errorf("P5 loss/win = %f, want single digits", p5.LossWin)
+	if p5.LossWin() > 10 {
+		t.Errorf("P5 loss/win = %f, want single digits", p5.LossWin())
 	}
-	for _, o := range []Report{p1, p2, p3, p3h, p4} {
-		if p5.User >= o.User {
-			t.Errorf("P5 user %v should be least (vs %v's %v)", p5.User, o.Protocol, o.User)
+	for name, o := range map[string]workload.Report{"P1": p1, "P2": p2, "P3": p3, "P3h": p3h, "P4": p4} {
+		if p5.Host0.User >= o.Host0.User {
+			t.Errorf("P5 user %v should be least (vs %s's %v)", p5.Host0.User, name, o.Host0.User)
 		}
-		if p5.LossWin >= o.LossWin {
-			t.Errorf("P5 loss/win %f should be least (vs %v's %f)", p5.LossWin, o.Protocol, o.LossWin)
+		if p5.LossWin() >= o.LossWin() {
+			t.Errorf("P5 loss/win %f should be least (vs %s's %f)", p5.LossWin(), name, o.LossWin())
 		}
 	}
 	// One broadcast per increment, no requests in steady state: packets
@@ -147,10 +156,10 @@ func TestFigureShapes(t *testing.T) {
 	}
 
 	// Space: disjoint-page protocols pay two pages, shared-page ones one.
-	if p5.SpacePages != 2 || p3.SpacePages != 2 || p3h.SpacePages != 2 {
+	if P5Final.Pages() != 2 || P3DisjointRO.Pages() != 2 || P3Hysteresis.Pages() != 2 {
 		t.Error("disjoint protocols should use 2 pages")
 	}
-	if p1.SpacePages != 1 || p2.SpacePages != 1 || p4.SpacePages != 1 {
+	if P1FullPage.Pages() != 1 || P2ShortPage.Pages() != 1 || P4DataDriven.Pages() != 1 || BaselineSingle.Pages() != 1 {
 		t.Error("shared-page protocols should use 1 page")
 	}
 }
@@ -159,34 +168,28 @@ func TestP3DegeneratesToLivelockUnderLoss(t *testing.T) {
 	// With realistic datagram loss the spin protocol's passive update
 	// has no recovery path: one lost broadcast stalls it forever — the
 	// paper's "never finished".
-	r, err := Run(Config{
+	r := count(t, Config{
 		Protocol: P3DisjointRO,
 		Target:   256,
 		Options:  workload.Options{Cap: 60 * time.Second, Seed: 3, LossRate: 0.02},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !r.DNF {
 		t.Fatalf("P3 finished under loss: %+v", r)
 	}
-	if r.LossWin < 1000 {
-		t.Errorf("degenerate loss/win = %f, want >= 1000", r.LossWin)
+	if r.LossWin() < 1000 {
+		t.Errorf("degenerate loss/win = %f, want >= 1000", r.LossWin())
 	}
 }
 
 func TestHysteresisSurvivesLoss(t *testing.T) {
 	// The purge-based active update is the recovery mechanism: the same
 	// loss rate that livelocks P3 leaves P3h finishing fine.
-	r, err := Run(Config{
+	r := count(t, Config{
 		Protocol:    P3Hysteresis,
 		Target:      256,
 		HysteresisN: 100,
 		Options:     workload.Options{Cap: 120 * time.Second, Seed: 3, LossRate: 0.02},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if r.DNF {
 		t.Fatalf("P3h did not finish under loss: %+v", r)
 	}
@@ -195,18 +198,15 @@ func TestHysteresisSurvivesLoss(t *testing.T) {
 func TestHysteresisSweepTradeoff(t *testing.T) {
 	// Larger purge periods mean more spinning per win (ratio ~ N) and
 	// eventually the degenerate regime; smaller ones mean more packets.
-	var prev Report
+	var prev workload.Report
 	for i, n := range []int{10, 100, 1000} {
-		r, err := Run(Config{Protocol: P3Hysteresis, Target: 128, HysteresisN: n, Options: workload.Options{Cap: 600 * time.Second, Seed: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := count(t, Config{Protocol: P3Hysteresis, Target: 128, HysteresisN: n, Options: workload.Options{Cap: 600 * time.Second, Seed: 1}})
 		if r.DNF {
 			t.Fatalf("N=%d did not finish", n)
 		}
 		if i > 0 {
-			if r.LossWin <= prev.LossWin {
-				t.Errorf("loss/win should grow with N: N=%d gives %f <= %f", n, r.LossWin, prev.LossWin)
+			if r.LossWin() <= prev.LossWin() {
+				t.Errorf("loss/win should grow with N: N=%d gives %f <= %f", n, r.LossWin(), prev.LossWin())
 			}
 			if r.Packets >= prev.Packets {
 				t.Errorf("packets should shrink with N: N=%d gives %d >= %d", n, r.Packets, prev.Packets)
@@ -220,20 +220,17 @@ func TestSleepHysteresisAblation(t *testing.T) {
 	// The paper's first fix — a fixed delay after each loss — also
 	// restores progress (they rejected it for interface reasons, not
 	// because it didn't work).
-	r, err := Run(Config{
+	r := count(t, Config{
 		Protocol:        P3Hysteresis,
 		Target:          128,
 		SleepHysteresis: 5 * time.Millisecond,
 		Options:         workload.Options{Cap: 600 * time.Second, Seed: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if r.DNF {
 		t.Fatal("sleep hysteresis did not finish")
 	}
-	if r.LossWin > 50 {
-		t.Errorf("sleep hysteresis loss/win = %f; sleeping should slash losses", r.LossWin)
+	if r.LossWin() > 50 {
+		t.Errorf("sleep hysteresis loss/win = %f; sleeping should slash losses", r.LossWin())
 	}
 }
 
@@ -247,7 +244,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 }
 
 func TestUnknownProtocolErrors(t *testing.T) {
-	if _, err := Run(Config{Protocol: Protocol(99)}); err == nil {
+	if _, err := Counter(Config{Protocol: Protocol(99)}); err == nil {
 		t.Error("unknown protocol accepted")
 	}
 }
@@ -257,7 +254,7 @@ func TestReportRates(t *testing.T) {
 	if r.NetBytesPerSec <= 0 {
 		t.Error("network rate not computed")
 	}
-	if r.CtxPerAdd <= 0 {
+	if r.CtxPerOp() <= 0 {
 		t.Error("ctx/add not computed")
 	}
 	if r.LatMean <= 0 {

@@ -1,9 +1,11 @@
 package protocols
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"mether"
 	"mether/internal/workload"
 )
 
@@ -13,12 +15,9 @@ import (
 // still finish, must cross the bridge, and must be slower than the
 // same run on a single trunk.
 func TestCounterAcrossBridgedTrunks(t *testing.T) {
-	bridged, err := Run(Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9, Trunks: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bridged.DNF || bridged.Additions != 32 {
-		t.Fatalf("bridged counter: DNF=%v additions=%d, want 32", bridged.DNF, bridged.Additions)
+	bridged := count(t, Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9, Trunks: 2}})
+	if bridged.DNF || bridged.Ops != 32 {
+		t.Fatalf("bridged counter: DNF=%v additions=%d, want 32", bridged.DNF, bridged.Ops)
 	}
 	if bridged.BridgeForwarded == 0 {
 		t.Error("no frames crossed the bridge")
@@ -27,10 +26,7 @@ func TestCounterAcrossBridgedTrunks(t *testing.T) {
 		t.Error("bridge occupancy never observed a queued frame")
 	}
 
-	single, err := Run(Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := count(t, Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9}})
 	if single.BridgeForwarded != 0 {
 		t.Errorf("single-trunk run reports %d forwarded frames", single.BridgeForwarded)
 	}
@@ -38,5 +34,42 @@ func TestCounterAcrossBridgedTrunks(t *testing.T) {
 	// store-and-forward delay on top of the single-trunk run.
 	if bridged.Wall < single.Wall+32*time.Millisecond {
 		t.Errorf("bridged wall %v should exceed single-trunk %v by the bridge hops", bridged.Wall, single.Wall)
+	}
+}
+
+// TestCounterReportsWhatTheWorldCounted holds the counter report's
+// embedded harvest against the finished world, on a bridged lossy world
+// and on a fabric world: every number equals a fresh World.Harvest
+// (itself checked field by field against the World accessors in
+// internal/workload), and the headline counters equal the accessors
+// read directly.
+func TestCounterReportsWhatTheWorldCounted(t *testing.T) {
+	for name, opts := range map[string]workload.Options{
+		"bridged-lossy": {Seed: 5, Trunks: 2, LossRate: 0.01, PortLoss: 0.01},
+		"fabric":        {Seed: 5, Medium: mether.MediumFabric},
+	} {
+		wl, err := Counter(Config{Protocol: P2ShortPage, Target: 64, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, w, err := opts.RunOpen(wl)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := w.Harvest(r.Wall); !reflect.DeepEqual(r.Harvest, got) {
+			t.Errorf("%s: report carries %+v, the world harvests %+v", name, r.Harvest, got)
+		}
+		ns, bs := w.NetStats(), w.BridgeStats()
+		util, _ := w.TrunkUtilization(r.Wall)
+		if r.WireBytes != ns.WireBytes || r.Packets != ns.Frames || r.FanoutFrames != ns.FanoutFrames ||
+			r.BridgeForwarded != bs.Forwarded || !reflect.DeepEqual(r.TrunkUtil, util) ||
+			r.Retries != w.Driver(0).Metrics().Retries+w.Driver(1).Metrics().Retries {
+			t.Errorf("%s: report %+v disagrees with net %+v bridge %+v", name, r.Harvest, ns, bs)
+		}
+		if r.WireBytes == 0 || r.LatCount == 0 || (opts.Trunks > 1) != (r.BridgeForwarded > 0) ||
+			(opts.Medium != "") != (r.FanoutFrames > 0) {
+			t.Errorf("%s: world left the counters it exists to exercise at zero: %+v", name, r.Harvest)
+		}
+		w.Shutdown()
 	}
 }

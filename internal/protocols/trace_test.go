@@ -12,14 +12,12 @@ import (
 // exactly one short DATA broadcast — "Only one packet was ever sent per
 // increment: the PURGE packet from the host with the writeable page."
 func TestFinalProtocolWireSignature(t *testing.T) {
-	r, err := Run(Config{Protocol: P5Final, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := count(t, Config{Protocol: P5Final, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
 	if r.DNF {
 		t.Fatal("did not finish")
 	}
-	lines := strings.Split(strings.TrimSpace(r.Trace), "\n")
+	trace := r.Trace.String()
+	lines := strings.Split(strings.TrimSpace(trace), "\n")
 	var kinds []string
 	for _, l := range lines {
 		switch {
@@ -50,18 +48,18 @@ func TestFinalProtocolWireSignature(t *testing.T) {
 		}
 	}
 	if reqs != 2 {
-		t.Errorf("requests on the wire = %d, want exactly the 2 startup fetches\n%s", reqs, r.Trace)
+		t.Errorf("requests on the wire = %d, want exactly the 2 startup fetches\n%s", reqs, trace)
 	}
 	// One DATA per increment plus the two startup replies.
-	if datas != int(r.Additions)+2 {
+	if datas != int(r.Ops)+2 {
 		t.Errorf("data broadcasts = %d, want %d (one per increment + 2 startup)\n%s",
-			datas, r.Additions+2, r.Trace)
+			datas, r.Ops+2, trace)
 	}
 	// After startup, the wire alternates pure purge broadcasts.
 	tail := kinds[4:]
 	for i, k := range tail {
 		if k != "DATA" {
-			t.Errorf("steady-state packet %d is %s, want DATA\n%s", i, k, r.Trace)
+			t.Errorf("steady-state packet %d is %s, want DATA\n%s", i, k, trace)
 		}
 	}
 }
@@ -69,17 +67,15 @@ func TestFinalProtocolWireSignature(t *testing.T) {
 // TestFullPageProtocolWireSignature pins protocol 1's pattern: each
 // addition is a request plus one full 8 KiB transfer.
 func TestFullPageProtocolWireSignature(t *testing.T) {
-	r, err := Run(Config{Protocol: P1FullPage, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := strings.Count(r.Trace, " full")
-	if full < int(r.Additions)-2 {
-		t.Errorf("full-page transfers = %d, want ~%d (one per addition)\n%s", full, r.Additions, r.Trace)
+	r := count(t, Config{Protocol: P1FullPage, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
+	trace := r.Trace.String()
+	full := strings.Count(trace, " full")
+	if full < int(r.Ops)-2 {
+		t.Errorf("full-page transfers = %d, want ~%d (one per addition)\n%s", full, r.Ops, trace)
 	}
 	// Attach-time map-in legitimately fetches the 32-byte subset
 	// (Figure-1 map-in rule); steady state must be all full-page.
-	lines := strings.Split(strings.TrimSpace(r.Trace), "\n")
+	lines := strings.Split(strings.TrimSpace(trace), "\n")
 	if len(lines) > 6 {
 		for _, l := range lines[6:] {
 			if strings.Contains(l, "short") {

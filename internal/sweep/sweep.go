@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"mether"
 	"mether/internal/analysis"
 	"mether/internal/ethernet"
 	"mether/internal/fault"
@@ -50,6 +49,53 @@ const (
 	// neighbour.
 	KindStationary Kind = "stationary"
 )
+
+// kindSpec is what the sweep knows of one kind: the workload a scenario
+// of it runs, the op count its cost is estimated by (see estCost), and
+// the form of its report row.
+type kindSpec struct {
+	workload func(Scenario, workload.Options) (workload.Workload, error)
+	ops      func(Scenario) int64
+	row      rowForm
+}
+
+// kinds is the one list of scenario kinds.
+var kinds = map[Kind]kindSpec{
+	KindCounter: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return protocols.Counter(s.counterConfig(o))
+	}, func(s Scenario) int64 {
+		if s.Target == 0 {
+			return 1024
+		}
+		return int64(s.Target)
+	}, counterRow},
+	KindFanout: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return protocols.Fanout(protocols.FanoutConfig{Mode: s.FanoutMode, Readers: s.Readers, Updates: s.Updates, Options: o})
+	}, func(s Scenario) int64 { return int64(s.Updates) * int64(s.Readers) }, fanoutRow},
+	KindPipe: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return workload.Pipe(workload.PipeConfig{Dist: s.Dist, Messages: s.Messages, Options: o})
+	}, func(s Scenario) int64 { return int64(s.Messages) }, pipeRow},
+	KindHotspot: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return workload.Hotspot(workload.HotspotConfig{Hosts: s.Hosts, Iters: s.Iters, ShortPage: s.ShortPage,
+			Writers: s.Writers, OwnerTrunk: s.OwnerTrunk, Options: o})
+	}, func(s Scenario) int64 { return int64(s.Iters) * s.hosts() }, clusterRow},
+	// HysteresisN doubles as the barrier waiter's purge hysteresis: large
+	// clusters need a high value so waiters ride the snoopy refreshes
+	// instead of flooding the wire with demand fetches.
+	KindBarrier: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return workload.Barrier(workload.BarrierConfig{Hosts: s.Hosts, Phases: s.Phases,
+			HysteresisPurge: s.HysteresisN, CheckEvery: s.CheckEvery, Options: o})
+	}, func(s Scenario) int64 { return int64(s.Phases) * s.hosts() }, clusterRow},
+	KindPipeline: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return workload.Pipeline(workload.PipelineConfig{Stages: s.Stages, Messages: s.Messages, Size: s.MsgSize, Options: o})
+	}, func(s Scenario) int64 { return int64(s.Messages) * int64(s.Stages) }, clusterRow},
+	// Linear in wire bytes, but every update broadcast is still ingested
+	// by all hosts, so simulation work is quadratic in hosts too.
+	KindStationary: {func(s Scenario, o workload.Options) (workload.Workload, error) {
+		return workload.Stationary(workload.StationaryConfig{Hosts: s.Hosts, Iters: s.Iters,
+			WindowedAttach: s.Windowed, StaggerStart: s.Stagger, Options: o})
+	}, func(s Scenario) int64 { return int64(s.Iters) * s.hosts() }, clusterRow},
+}
 
 // Scenario is one point of a sweep grid: a named, fully parameterized,
 // independently runnable simulation. Zero-valued fields take the
@@ -120,10 +166,9 @@ type Scenario struct {
 	// The shared axes. Scenario.cluster carries every field below except
 	// OwnerTrunk and MayDNF — and Seed, Cap, MinResidency, RetryTimeout,
 	// WarmStart, Lazy and RingSlots above — into the workload.Options
-	// that the counter, hotspot, barrier, pipeline and stationary kinds
-	// all build their world from, so each applies to every one of those
-	// kinds. (The fanout and pipe kinds run a fixed default world and
-	// take only Seed and Cap.)
+	// that every kind builds its world from, so each applies to every
+	// kind. (The fanout and pipe rows still show only their old columns;
+	// see Result.fillLegacy.)
 	LossRate     float64
 	KernelServer bool
 	// Topology axes. Trunks partitions the hosts across bridged Ethernet
@@ -287,45 +332,24 @@ type Result struct {
 	Deviations []string `json:"deviations,omitempty"`
 }
 
-// estCost is a deterministic work estimate (hosts × per-host duration
-// proxy) used only to order scenarios largest-first before they are
-// handed to the worker pool, so a long-pole cell starts early instead of
-// serializing the tail of the sweep. Broadcast-bound kinds (hotspot,
-// barrier) grow quadratically in host count: every op is a broadcast
-// that every host must ingest. The estimate never influences results —
-// reports are indexed by grid position, not completion order.
+// estCost is a deterministic work estimate — hosts × the kind's op
+// count, from the kind table — used only to order scenarios
+// largest-first before they are handed to the worker pool, so a
+// long-pole cell starts early instead of serializing the tail of the
+// sweep. Broadcast-bound kinds count an op per host, so they grow
+// quadratically in host count: every op is a broadcast that every host
+// must ingest. The estimate never influences results — reports are
+// indexed by grid position, not completion order.
 func (s Scenario) estCost() int64 {
-	hosts := int64(s.Hosts)
-	if hosts < 2 {
-		hosts = 2
+	work := int64(1)
+	if k, ok := kinds[s.Kind]; ok {
+		work = max(k.ops(s), 1)
 	}
-	var work int64
-	switch s.Kind {
-	case KindCounter:
-		work = int64(s.Target)
-		if work == 0 {
-			work = 1024
-		}
-	case KindHotspot:
-		work = int64(s.Iters) * hosts
-	case KindBarrier:
-		work = int64(s.Phases) * hosts
-	case KindStationary:
-		// Linear in wire bytes, but every update broadcast is still
-		// ingested by all hosts, so simulation work is quadratic too.
-		work = int64(s.Iters) * hosts
-	case KindPipeline:
-		work = int64(s.Messages) * int64(s.Stages)
-	case KindFanout:
-		work = int64(s.Updates) * int64(s.Readers)
-	case KindPipe:
-		work = int64(s.Messages)
-	}
-	if work < 1 {
-		work = 1
-	}
-	return hosts * work
+	return s.hosts() * work
 }
+
+// hosts is the scenario's host count as estCost reads it: at least two.
+func (s Scenario) hosts() int64 { return max(int64(s.Hosts), 2) }
 
 // cluster is the one place a Scenario's shared axes become the
 // workload.Options every kind's runner builds its world from; a new
@@ -353,16 +377,12 @@ func (s Scenario) cluster() (workload.Options, error) {
 }
 
 // CounterConfig assembles the protocols.Config a KindCounter scenario
-// runs; exported so benches and cmd/metherbench drive the exact same
-// configuration the sweep engine does. An invalid TrunkShape or Faults
-// spec panics (programmer error in a bench definition); sweep cells go
-// through Run, which fails the cell softly instead.
-func (s Scenario) CounterConfig() protocols.Config {
+// runs, so benches and cmd/metherbench drive the exact configuration
+// the sweep engine does. It fails on an invalid TrunkShape or Faults
+// spec.
+func (s Scenario) CounterConfig() (protocols.Config, error) {
 	opts, err := s.cluster()
-	if err != nil {
-		panic(err)
-	}
-	return s.counterConfig(opts)
+	return s.counterConfig(opts), err
 }
 
 // counterConfig is CounterConfig with the shared axes already resolved.
@@ -387,104 +407,26 @@ func (s Scenario) Run() Result {
 // run is Run plus the world's coroutine resumes (Harvest.Resumes): they
 // measure the engine, as real time does, so the Runner sums them into
 // Timing and no Result field, hence no report, carries them.
-func (s Scenario) run() (res Result, resumes uint64) {
-	res = Result{Name: s.Name, Kind: s.Kind, Seed: s.Seed}
+func (s Scenario) run() (Result, uint64) {
+	res := Result{Name: s.Name, Kind: s.Kind, Seed: s.Seed}
+	k, ok := kinds[s.Kind]
+	if !ok {
+		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind)), 0
+	}
 	opts, err := s.cluster()
+	var wl workload.Workload
+	if err == nil {
+		wl, err = k.workload(s, opts)
+	}
+	var rep workload.Report
+	if err == nil {
+		rep, err = opts.Run(wl)
+	}
 	if err != nil {
 		return res.failed(err), 0
 	}
-	switch s.Kind {
-	case KindCounter:
-		r, err := protocols.Run(s.counterConfig(opts))
-		if err != nil {
-			return res.failed(err), 0
-		}
-		res.DNF = r.DNF
-		res.Ops = uint64(r.Additions)
-		res.LossWin = r.LossWin
-		res.UserNS = int64(r.User)
-		res.SysNS = int64(r.Sys)
-		res.ServerNS = int64(r.SysServer)
-		res.fill(r.Harvest)
-		resumes = r.Resumes
-		if s.Figure != "" && s.Target == 1024 {
-			res.Deviations = bandCheck(s.Figure, r)
-		}
-	case KindFanout:
-		r, err := protocols.RunFanout(protocols.FanoutConfig{
-			Mode: s.FanoutMode, Readers: s.Readers, Updates: s.Updates,
-			Seed: s.Seed, Cap: s.Cap,
-		})
-		if err != nil {
-			return res.failed(err), 0
-		}
-		res.WallNS = int64(r.Wall)
-		res.Ops = uint64(r.Updates)
-		res.UserNS = int64(r.WriterCPU)
-		res.WireBytes = r.NetBytes
-		res.Packets = r.Packets
-		res.OpsPerSec = stats.Rate(res.Ops, r.Wall)
-		res.NetBytesPerSec = stats.BytesPerSec(r.NetBytes, r.Wall)
-	case KindPipe:
-		r, err := workload.Run(workload.Config{
-			Dist: s.Dist, Messages: s.Messages, Seed: s.Seed, Cap: s.Cap,
-		})
-		if err != nil {
-			return res.failed(err), 0
-		}
-		res.WallNS = int64(r.Wall)
-		res.Ops = uint64(r.Messages)
-		res.OpsPerSec = r.MsgsPerSec
-		res.WireBytes = r.WireBytes
-		res.Packets = r.Packets
-		res.NetBytesPerSec = stats.BytesPerSec(r.WireBytes, r.Wall)
-	case KindHotspot:
-		r, err := workload.RunHotspot(workload.HotspotConfig{
-			Hosts: s.Hosts, Iters: s.Iters, ShortPage: s.ShortPage,
-			Writers: s.Writers, OwnerTrunk: s.OwnerTrunk, Options: opts,
-		})
-		if err != nil {
-			return res.failed(err), 0
-		}
-		res.fillCluster(r.DNF, r.Updates, r.ClusterStats, s.Hosts)
-		resumes = r.Resumes
-	case KindBarrier:
-		// HysteresisN doubles as the barrier waiter's purge hysteresis:
-		// large clusters need a high value so waiters ride the snoopy
-		// refreshes instead of flooding the wire with demand fetches.
-		r, err := workload.RunBarrier(workload.BarrierConfig{
-			Hosts: s.Hosts, Phases: s.Phases, HysteresisPurge: s.HysteresisN,
-			CheckEvery: s.CheckEvery, Options: opts,
-		})
-		if err != nil {
-			return res.failed(err), 0
-		}
-		res.fillCluster(r.DNF, uint64(r.Phases), r.ClusterStats, s.Hosts)
-		resumes = r.Resumes
-	case KindPipeline:
-		r, err := workload.RunPipeline(workload.PipelineConfig{
-			Stages: s.Stages, Messages: s.Messages, Size: s.MsgSize, Options: opts,
-		})
-		if err != nil {
-			return res.failed(err), 0
-		}
-		// One host per stage.
-		res.fillCluster(r.DNF, uint64(r.Delivered), r.ClusterStats, r.Stages)
-		resumes = r.Resumes
-	case KindStationary:
-		r, err := workload.RunStationary(workload.StationaryConfig{
-			Hosts: s.Hosts, Iters: s.Iters,
-			WindowedAttach: s.Windowed, StaggerStart: s.Stagger, Options: opts,
-		})
-		if err != nil {
-			return res.failed(err), 0
-		}
-		res.fillCluster(r.DNF, r.Updates, r.ClusterStats, s.Hosts)
-		resumes = r.Resumes
-	default:
-		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind)), 0
-	}
-	return res, resumes
+	res.fill(rep, s, k.row)
+	return res, rep.Resumes
 }
 
 // failed is the result of a cell that could not run: identity plus Err.
@@ -493,10 +435,44 @@ func (r Result) failed(err error) Result {
 	return r
 }
 
-// fill copies the world-level harvest into the result — the one place a
-// harvested counter becomes a report column's value — and derives the
-// op rate from r.Ops, which the caller sets first.
-func (r *Result) fill(h mether.Harvest) {
+// rowForm is the form of a kind's report row.
+type rowForm int
+
+const (
+	// clusterRow: the CPU split summed over every host, the per-host
+	// memory headline, and the end-of-run orphan count, which is only
+	// measured (so only ever nonzero) on a faulted cell. A nonzero count
+	// becomes a deviation: a fault schedule must leave every page with a
+	// live owner, so an orphan surviving to the end is a recovery
+	// failure, gated exactly like a paper-band violation.
+	clusterRow rowForm = iota
+	// counterRow: host 0's CPU, as the paper's figures report it, and
+	// the paper-band check of a full-scale (Target 1024) figure cell.
+	counterRow
+	// fanoutRow and pipeRow: the legacy rows of fillLegacy.
+	fanoutRow
+	pipeRow
+)
+
+// fill copies a run's report into the result in the row form of the
+// scenario's kind — the one place a measured number becomes a report
+// column's value.
+func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
+	r.DNF = rep.DNF
+	r.Ops = rep.Ops
+	if form == fanoutRow || form == pipeRow {
+		r.fillLegacy(rep, form == fanoutRow)
+		return
+	}
+	cpu := rep.All
+	if form == counterRow {
+		cpu = rep.Host0
+	}
+	r.UserNS = int64(cpu.User)
+	r.SysNS = int64(cpu.Sys)
+	r.ServerNS = int64(cpu.Server)
+	r.LossWin = rep.LossWin()
+	h := rep.Harvest
 	r.WallNS = int64(h.Wall)
 	r.CtxSwitches = h.CtxSwitches
 	r.WireBytes = h.WireBytes
@@ -531,35 +507,44 @@ func (r *Result) fill(h mether.Harvest) {
 	r.RejoinNS = int64(h.RejoinNS)
 	r.PartitionDrops = h.BridgePartitionDrops
 	r.OpsPerSec = stats.Rate(r.Ops, h.Wall)
+	if form == counterRow {
+		if s.Figure != "" && s.Target == 1024 {
+			r.Deviations = bandCheck(s.Figure, rep)
+		}
+		return
+	}
+	if h.MemBytes > 0 {
+		r.BytesPerHost = float64(h.MemBytes) / float64(rep.Hosts)
+	}
+	r.Orphaned = rep.Orphaned
+	if rep.Orphaned > 0 {
+		r.Deviations = append(r.Deviations,
+			fmt.Sprintf("%d page(s) still orphaned at end of run", rep.Orphaned))
+	}
 }
 
-// fillCluster fills the result of a cluster-kind run: the harvest, the
-// all-host CPU split, the per-host memory headline (hosts is the
-// cluster size) and the end-of-run orphan count, which is only measured
-// (so only ever nonzero) on a faulted cell. A nonzero count becomes a
-// deviation: a fault schedule must leave every page with a live owner
-// (crashed authorities re-claimed), so an orphan surviving to the end
-// is a recovery failure, gated exactly like a paper-band violation.
-func (r *Result) fillCluster(dnf bool, ops uint64, cs workload.ClusterStats, hosts int) {
-	r.DNF = dnf
-	r.Ops = ops
-	r.UserNS = int64(cs.UserCPU)
-	r.SysNS = int64(cs.SysCPU)
-	r.ServerNS = int64(cs.ServerCPU)
-	r.fill(cs.Harvest)
-	if hosts > 0 && cs.MemBytes > 0 {
-		r.BytesPerHost = float64(cs.MemBytes) / float64(hosts)
-	}
-	r.Orphaned = cs.Orphaned
-	if cs.Orphaned > 0 {
-		r.Deviations = append(r.Deviations,
-			fmt.Sprintf("%d page(s) still orphaned at end of run", cs.Orphaned))
+// fillLegacy fills a fanout or pipe row in the form those rows have
+// had since before the one runner, which the golden reports pin: the
+// wall is the instant the world fell quiet (Report.Quiet, some 12 ms
+// after the last client returned, where every other kind takes the
+// last return), the user time is host 0's whole CPU on a fanout row and
+// zero on a pipe row, and no harvest column but the network load is
+// filled. A golden-update change that gives both kinds the full row
+// deletes this function.
+func (r *Result) fillLegacy(rep workload.Report, hostCPU bool) {
+	r.WallNS = int64(rep.Quiet)
+	r.OpsPerSec = stats.Rate(r.Ops, rep.Quiet)
+	r.WireBytes = rep.WireBytes
+	r.Packets = rep.Packets
+	r.NetBytesPerSec = stats.BytesPerSec(rep.WireBytes, rep.Quiet)
+	if hostCPU {
+		r.UserNS = int64(rep.Host0.Total())
 	}
 }
 
 // bandCheck compares a full-scale counter report against the named
 // paper figure's agreement bands.
-func bandCheck(figure string, r protocols.Report) []string {
+func bandCheck(figure string, r workload.Report) []string {
 	for _, f := range analysis.Figures() {
 		if f.Name != figure {
 			continue

@@ -2,12 +2,15 @@ package sweep
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"mether/internal/protocols"
+	"mether/internal/workload"
 )
 
 func TestGridNamesAllBuild(t *testing.T) {
@@ -152,7 +155,10 @@ func TestCounterConfigCarriesAxes(t *testing.T) {
 		Seed: 9, LossRate: 0.01, KernelServer: true, HysteresisN: 7,
 		Cap: 3 * time.Second,
 	}
-	cfg := s.CounterConfig()
+	cfg, err := s.CounterConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Protocol != protocols.P2ShortPage || cfg.Target != 128 || cfg.Seed != 9 {
 		t.Errorf("basic fields lost: %+v", cfg)
 	}
@@ -165,10 +171,37 @@ func TestCounterConfigCarriesAxes(t *testing.T) {
 	if cfg.HysteresisN != 7 || cfg.Cap != 3*time.Second {
 		t.Errorf("tuning lost: %+v", cfg)
 	}
+	s.Faults = "bogus"
+	if _, err := s.CounterConfig(); err == nil {
+		t.Error("a malformed fault spec made a counter config")
+	}
+}
+
+// TestKindTableIsTheListOfKinds fails when a Kind constant declared in
+// sweep.go has no entry in the kind table or no smoke cell, or when the
+// table holds a kind no constant declares.
+func TestKindTableIsTheListOfKinds(t *testing.T) {
+	src, err := os.ReadFile("sweep.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := regexp.MustCompile(`(?m)^\tKind\w+ +Kind = "(\w+)"$`).FindAllStringSubmatch(string(src), -1)
+	inSmoke := map[Kind]bool{}
+	for _, s := range smoke(smokeSeed) {
+		inSmoke[s.Kind] = true
+	}
+	for _, m := range declared {
+		if _, ok := kinds[Kind(m[1])]; !ok || !inSmoke[Kind(m[1])] {
+			t.Errorf("kind %q: in the kind table %v, in the smoke grid %v", m[1], ok, inSmoke[Kind(m[1])])
+		}
+	}
+	if len(declared) < 7 || len(kinds) != len(declared) {
+		t.Errorf("%d kinds declared, %d in the kind table", len(declared), len(kinds))
+	}
 }
 
 func TestBandCheckUnknownFigure(t *testing.T) {
-	devs := bandCheck("Figure 99", protocols.Report{})
+	devs := bandCheck("Figure 99", workload.Report{})
 	if len(devs) != 1 || !strings.Contains(devs[0], "unknown figure") {
 		t.Errorf("devs = %v", devs)
 	}

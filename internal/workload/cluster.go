@@ -157,23 +157,21 @@ func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*met
 	return w, nil
 }
 
-// ownedPages builds the world of the stationary-owner layouts (barrier,
-// stationary): one segment of one page per host, each owned by its host.
-func (o Options) ownedPages(name string, hosts int) (*mether.World, *mether.Segment, error) {
-	pages := hosts
-	if pages < 8 {
-		pages = 8
-	}
-	var seg *mether.Segment
-	w, err := o.World(hosts, pages, func(w *mether.World) (err error) {
+// ownedPages is the layout of the stationary-owner kinds (barrier,
+// stationary): one segment of one page per host, each owned by its host,
+// its capability left in *capRW. It returns the world's page count too.
+func ownedPages(name string, hosts int, capRW *mether.Capability) (int, func(*mether.World) error) {
+	return max(hosts, 8), func(w *mether.World) error {
 		owners := make([]int, hosts)
 		for i := range owners {
 			owners[i] = i
 		}
-		seg, err = w.CreateSegmentOwners(name, owners)
+		seg, err := w.CreateSegmentOwners(name, owners)
+		if err == nil {
+			*capRW = seg.CapRW()
+		}
 		return err
-	})
-	return w, seg, err
+	}
 }
 
 // RunCap returns the run's virtual-time bound: Cap, or its default.
@@ -182,61 +180,4 @@ func (o Options) RunCap() time.Duration {
 		return 10 * time.Minute
 	}
 	return o.Cap
-}
-
-// ClusterStats is what every scenario reports about its cluster: the
-// world-level harvest plus host load summed over every host.
-type ClusterStats struct {
-	mether.Harvest
-	UserCPU time.Duration // client-process user time, all hosts
-	SysCPU  time.Duration // client-process system time, all hosts
-	// ServerCPU is the Mether servers' CPU: the user-level server
-	// processes plus interrupt-level KernelTime.
-	ServerCPU time.Duration
-	// Orphaned is the end-of-run count of pages with no consistent copy
-	// anywhere (only measured when a fault schedule ran; 0 otherwise). A
-	// crash-and-recover cell must end with zero: every authority lost to
-	// a crash has been re-claimed.
-	Orphaned int
-}
-
-// finish runs a spawned world to the cap and collects its ClusterStats.
-// It returns the first client error, if any; otherwise the stats as of
-// the last client's finish (*lastFinish, which the clients advance as
-// they complete) or, when done shows a client that never completed, as
-// of the cap, with dnf set.
-func (o Options) finish(w *mether.World, errs []error, done []bool, lastFinish *time.Duration) (cs ClusterStats, dnf bool, err error) {
-	w.RunUntil(o.RunCap())
-	for _, e := range errs {
-		if e != nil {
-			return cs, false, e
-		}
-	}
-	end := *lastFinish
-	for _, d := range done {
-		if !d {
-			dnf = true
-			end = w.Now()
-		}
-	}
-	cs.Harvest = w.Harvest(end)
-	cs.ServerCPU = cs.KernelTime
-	for i := 0; i < w.NumHosts(); i++ {
-		// The server is identified by process, not by name: a client may
-		// be spawned under any name (nil in kernel-server mode matches
-		// nothing).
-		server := w.Driver(i).Server()
-		for _, p := range w.HostMachine(i).Procs() {
-			if p == server {
-				cs.ServerCPU += p.User() + p.Sys()
-			} else {
-				cs.UserCPU += p.User()
-				cs.SysCPU += p.Sys()
-			}
-		}
-	}
-	if !o.Faults.Empty() {
-		cs.Orphaned = w.OrphanedPages()
-	}
-	return cs, dnf, nil
 }

@@ -14,17 +14,8 @@ import (
 // byte-identical report, run after run.
 func TestFaultedStationaryDeterministic(t *testing.T) {
 	sched := fault.Churn(42, 8, 0.25, 50*time.Millisecond, 200*time.Millisecond, 30*time.Millisecond, 2)
-	run := func() StationaryReport {
-		r, err := RunStationary(StationaryConfig{
-			Hosts: 8, Iters: 8,
-			Options: Options{Seed: 7, Cap: time.Minute, Faults: sched, ClaimRetries: 4},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
+	cfg := StationaryConfig{Hosts: 8, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute, Faults: sched, ClaimRetries: 4}}
+	a, b := runConfig(t, Stationary, cfg), runConfig(t, Stationary, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed + same fault schedule produced different reports:\n%+v\n%+v", a, b)
 	}
@@ -44,15 +35,9 @@ func TestFaultedStationaryDeterministic(t *testing.T) {
 // contract behind `-faults off` baseline comparisons.
 func TestEmptyFaultScheduleIsNeutral(t *testing.T) {
 	cfg := StationaryConfig{Hosts: 4, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute}}
-	plain, err := RunStationary(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runConfig(t, Stationary, cfg)
 	cfg.Faults = fault.Schedule{}
-	empty, err := RunStationary(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := runConfig(t, Stationary, cfg)
 	if !reflect.DeepEqual(plain, empty) {
 		t.Errorf("empty schedule perturbed the run:\nplain %+v\nempty %+v", plain, empty)
 	}
@@ -95,15 +80,9 @@ func TestPartitionOfMissingBridgeIsAnError(t *testing.T) {
 func TestHotspotPartitionHealCompletes(t *testing.T) {
 	cfg := HotspotConfig{Hosts: 8, Iters: 8, OwnerTrunk: 1,
 		Options: Options{Seed: 3, Trunks: 2, Cap: time.Minute}}
-	healthy, err := RunHotspot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy := runConfig(t, Hotspot, cfg)
 	cfg.Faults = fault.Schedule{}.Partition(200*time.Millisecond, 0).Heal(900*time.Millisecond, 0)
-	r, err := RunHotspot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runConfig(t, Hotspot, cfg)
 	if r.DNF {
 		t.Fatalf("partition-heal run did not finish: %+v", r)
 	}

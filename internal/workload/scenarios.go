@@ -1,8 +1,8 @@
 // Scenario workloads beyond the single-pipe throughput run: the hotspot,
 // barrier-phase and producer-consumer-pipeline patterns the sweep engine
-// measures across its parameter grids. Each is a self-contained World
-// run returning a report of virtual-time metrics only, so a fixed seed
-// always yields an identical report regardless of the real scheduler.
+// measures across its parameter grids. Each is a Workload whose report
+// holds virtual-time metrics only, so a fixed seed always yields an
+// identical report regardless of the real scheduler.
 package workload
 
 import (
@@ -54,16 +54,6 @@ type HotspotConfig struct {
 	Options
 }
 
-// HotspotReport is the hotspot run's measurements.
-type HotspotReport struct {
-	Hosts   int
-	Iters   int
-	Short   bool
-	Updates uint64 // total updates completed
-	DNF     bool
-	ClusterStats
-}
-
 func (c HotspotConfig) withDefaults() (HotspotConfig, error) {
 	if c.Hosts == 0 {
 		c.Hosts = 4
@@ -89,61 +79,49 @@ func (c HotspotConfig) withDefaults() (HotspotConfig, error) {
 	return c, nil
 }
 
-// RunHotspot measures N hosts contending for one shared writable page.
-func RunHotspot(cfg HotspotConfig) (HotspotReport, error) {
-	cfg, err := cfg.withDefaults()
+// Hotspot is N hosts contending for one shared writable page. Its ops
+// are the updates.
+func Hotspot(c HotspotConfig) (Workload, error) {
+	c, err := c.withDefaults()
 	if err != nil {
-		return HotspotReport{}, err
+		return Workload{}, err
 	}
-	var seg *mether.Segment
-	w, err := cfg.World(cfg.Hosts, 8, func(w *mether.World) (err error) {
-		seg, err = w.CreateSegmentOnTrunk("hotspot", 1, cfg.OwnerTrunk)
-		return err
-	})
-	if err != nil {
-		return HotspotReport{}, err
+	var capRW mether.Capability
+	t := new(Tally)
+	wl := Workload{Hosts: c.Hosts, Pages: 8, Clients: make([]Client, c.Writers), Tally: t,
+		Layout: func(w *mether.World) error {
+			seg, err := w.CreateSegmentOnTrunk("hotspot", 1, c.OwnerTrunk)
+			if err == nil {
+				capRW = seg.CapRW()
+			}
+			return err
+		}}
+	for i := range wl.Clients {
+		wl.Clients[i] = Client{i, fmt.Sprintf("hot%d", i)}
 	}
-	defer w.Shutdown()
-	capRW := seg.CapRW()
-
-	done := make([]bool, cfg.Writers)
-	errs := make([]error, cfg.Writers)
-	var updates uint64
-	var lastFinish time.Duration
-	for i := 0; i < cfg.Writers; i++ {
-		i := i
-		w.Spawn(i, fmt.Sprintf("hot%d", i), func(env *mether.Env) {
-			m, err := env.Attach(capRW, mether.RW)
+	wl.Body = func(env *mether.Env, i int) error {
+		m, err := env.Attach(capRW, mether.RW)
+		if err != nil {
+			return err
+		}
+		a := m.Addr(0, 4*i)
+		if c.ShortPage {
+			a = a.Short()
+		}
+		for n := 0; n < c.Iters; n++ {
+			env.Compute(incCost)
+			v, err := m.Load32(a)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
-			a := m.Addr(0, 4*i)
-			if cfg.ShortPage {
-				a = a.Short()
+			if err := m.Store32(a, v+1); err != nil {
+				return err
 			}
-			for n := 0; n < cfg.Iters; n++ {
-				env.Compute(incCost)
-				v, err := m.Load32(a)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if err := m.Store32(a, v+1); err != nil {
-					errs[i] = err
-					return
-				}
-				updates++
-			}
-			done[i] = true
-			if t := env.Now(); t > lastFinish {
-				lastFinish = t
-			}
-		})
+			t.Ops++
+		}
+		return nil
 	}
-	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
-	return HotspotReport{Hosts: cfg.Hosts, Iters: cfg.Iters, Short: cfg.ShortPage,
-		Updates: updates, DNF: dnf, ClusterStats: cs}, err
+	return wl, nil
 }
 
 // BarrierConfig parameterizes a bulk-synchronous run: every host
@@ -175,16 +153,6 @@ type BarrierConfig struct {
 	Options
 }
 
-// BarrierReport is the barrier run's measurements. The latency fields of
-// ClusterStats hold the barrier-wait distribution: time from a host's
-// own arrival to its release, one sample per host per phase.
-type BarrierReport struct {
-	Hosts  int
-	Phases int
-	DNF    bool
-	ClusterStats
-}
-
 func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
 	if c.Hosts == 0 {
 		c.Hosts = 4
@@ -207,56 +175,37 @@ func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
 	return c, nil
 }
 
-// RunBarrier measures Phases rounds of an N-host barrier built from
-// stationary per-host pages.
-func RunBarrier(cfg BarrierConfig) (BarrierReport, error) {
-	cfg, err := cfg.withDefaults()
+// Barrier is Phases rounds of an N-host barrier built from stationary
+// per-host pages. Its ops are the phases; its latency is the
+// barrier-wait distribution: time from a host's own arrival to its
+// release, one sample per host per phase.
+func Barrier(c BarrierConfig) (Workload, error) {
+	c, err := c.withDefaults()
 	if err != nil {
-		return BarrierReport{}, err
+		return Workload{}, err
 	}
-	w, seg, err := cfg.ownedPages("barrier", cfg.Hosts)
-	if err != nil {
-		return BarrierReport{}, err
-	}
-	defer w.Shutdown()
-	capRW := seg.CapRW()
-
+	var capRW mether.Capability
+	// One histogram streamed into by every host: the simulation kernel
+	// serializes processes, and histogram observation is commutative.
+	t := &Tally{Ops: uint64(c.Phases), Latency: new(stats.Histogram)}
+	wl := Workload{Hosts: c.Hosts, Clients: make([]Client, c.Hosts), Tally: t}
+	wl.Pages, wl.Layout = ownedPages("barrier", c.Hosts, &capRW)
 	// Pre-draw the per-host, per-phase work so the schedule is a pure
 	// function of the seed.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	work := make([][]time.Duration, cfg.Hosts)
+	rng := rand.New(rand.NewSource(c.Seed))
+	work := make([][]time.Duration, c.Hosts)
 	for i := range work {
-		work[i] = make([]time.Duration, cfg.Phases)
+		wl.Clients[i] = Client{i, fmt.Sprintf("bsp%d", i)}
+		work[i] = make([]time.Duration, c.Phases)
 		for p := range work[i] {
-			half := int64(cfg.Work) / 2
-			work[i][p] = cfg.Work/2 + time.Duration(rng.Int63n(2*half+1))
+			half := int64(c.Work) / 2
+			work[i][p] = c.Work/2 + time.Duration(rng.Int63n(2*half+1))
 		}
 	}
-
-	done := make([]bool, cfg.Hosts)
-	errs := make([]error, cfg.Hosts)
-	// One histogram streamed into by every host: the simulation kernel
-	// serializes processes, and histogram observation is commutative, so
-	// the shared instance ends bit-identical to the former per-host
-	// slice-then-merge — without retaining hosts × histogram copies for
-	// the length of the run.
-	var waitHist stats.Histogram
-	var lastFinish time.Duration
-	for i := 0; i < cfg.Hosts; i++ {
-		i := i
-		w.Spawn(i, fmt.Sprintf("bsp%d", i), func(env *mether.Env) {
-			errs[i] = barrierClient(env, capRW, cfg, i, work[i], &waitHist)
-			if errs[i] == nil {
-				done[i] = true
-				if t := env.Now(); t > lastFinish {
-					lastFinish = t
-				}
-			}
-		})
+	wl.Body = func(env *mether.Env, i int) error {
+		return barrierClient(env, capRW, c, i, work[i], t.Latency)
 	}
-	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
-	cs.SetLatency(&waitHist)
-	return BarrierReport{Hosts: cfg.Hosts, Phases: cfg.Phases, DNF: dnf, ClusterStats: cs}, err
+	return wl, nil
 }
 
 // barrierClient is one host's compute/arrive/wait loop.
@@ -335,19 +284,6 @@ type PipelineConfig struct {
 	Options
 }
 
-// PipelineReport is the pipeline run's measurements. The latency fields
-// of ClusterStats hold the end-to-end message latency distribution
-// (source hand-off to sink receipt).
-type PipelineReport struct {
-	Stages     int
-	Messages   int
-	Size       int
-	Delivered  int
-	DNF        bool
-	MsgsPerSec float64
-	ClusterStats
-}
-
 func (c PipelineConfig) withDefaults() (PipelineConfig, error) {
 	if c.Stages == 0 {
 		c.Stages = 3
@@ -367,113 +303,76 @@ func (c PipelineConfig) withDefaults() (PipelineConfig, error) {
 	return c, nil
 }
 
-// RunPipeline measures a Stages-host producer-consumer pipeline.
-func RunPipeline(cfg PipelineConfig) (PipelineReport, error) {
-	cfg, err := cfg.withDefaults()
+// Pipeline is a Stages-host producer-consumer pipeline: client 0 is
+// the source, the last the sink, and each stage between forwards. Its
+// ops are the messages delivered; its latency is the end-to-end message
+// latency (source hand-off to sink receipt).
+func Pipeline(c PipelineConfig) (Workload, error) {
+	c, err := c.withDefaults()
 	if err != nil {
-		return PipelineReport{}, err
+		return Workload{}, err
 	}
-	pages := 2 * (cfg.Stages - 1)
-	if pages < 8 {
-		pages = 8
-	}
-	caps := make([]mether.Capability, cfg.Stages-1)
-	w, err := cfg.World(cfg.Stages, pages, func(w *mether.World) (err error) {
-		for i := range caps {
-			if caps[i], err = pipe.Create(w, fmt.Sprintf("stage%d", i), i, i+1); err != nil {
-				return err
+	caps := make([]mether.Capability, c.Stages-1)
+	t := &Tally{Latency: new(stats.Histogram)}
+	wl := Workload{Hosts: c.Stages, Pages: max(2*(c.Stages-1), 8), Clients: make([]Client, c.Stages), Tally: t,
+		Layout: func(w *mether.World) (err error) {
+			for i := range caps {
+				if caps[i], err = pipe.Create(w, fmt.Sprintf("stage%d", i), i, i+1); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return PipelineReport{}, err
+			return nil
+		}}
+	sink := c.Stages - 1
+	wl.Clients[0], wl.Clients[sink] = Client{0, "source"}, Client{sink, "sink"}
+	for s := 1; s < sink; s++ {
+		wl.Clients[s] = Client{s, fmt.Sprintf("stage%d", s)}
 	}
-	defer w.Shutdown()
-
-	errs := make([]error, cfg.Stages)
-	sentAt := make([]time.Duration, cfg.Messages)
-	var lat stats.Histogram
-	delivered := 0
-	done := make([]bool, 1) // the sink received every message
-	var lastFinish time.Duration
-	payload := make([]byte, cfg.Size)
+	sentAt := make([]time.Duration, c.Messages)
+	payload := make([]byte, c.Size)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-
-	// Source.
-	w.Spawn(0, "source", func(env *mether.Env) {
-		p, err := pipe.Open(env, caps[0], 0)
+	wl.Body = func(env *mether.Env, s int) error {
+		var in, out *pipe.Pipe
+		var err error
+		if s > 0 {
+			in, err = pipe.Open(env, caps[s-1], 1)
+		}
+		if err == nil && s < sink {
+			out, err = pipe.Open(env, caps[s], 0)
+		}
 		if err != nil {
-			errs[0] = err
-			return
+			return err
 		}
-		for m := 0; m < cfg.Messages; m++ {
-			env.Compute(stageCost)
-			sentAt[m] = env.Now()
-			if err := p.Send(uint32(m), payload); err != nil {
-				errs[0] = err
-				return
-			}
-		}
-	})
-	// Interior stages forward.
-	for s := 1; s < cfg.Stages-1; s++ {
-		s := s
-		w.Spawn(s, fmt.Sprintf("stage%d", s), func(env *mether.Env) {
-			in, err := pipe.Open(env, caps[s-1], 1)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			out, err := pipe.Open(env, caps[s], 0)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			for m := 0; m < cfg.Messages; m++ {
-				msg, err := in.Recv()
-				if err != nil {
-					errs[s] = err
-					return
+		for m := 0; m < c.Messages; m++ {
+			if s == 0 {
+				env.Compute(stageCost)
+				sentAt[m] = env.Now()
+				if err := out.Send(uint32(m), payload); err != nil {
+					return err
 				}
+				continue
+			}
+			msg, err := in.Recv()
+			if err != nil {
+				return err
+			}
+			if s < sink {
 				env.Compute(stageCost)
 				if err := out.Send(msg.Tag, msg.Data); err != nil {
-					errs[s] = err
-					return
+					return err
 				}
+				continue
 			}
-		})
-	}
-	// Sink.
-	sink := cfg.Stages - 1
-	w.Spawn(sink, "sink", func(env *mether.Env) {
-		p, err := pipe.Open(env, caps[sink-1], 1)
-		if err != nil {
-			errs[sink] = err
-			return
-		}
-		for m := 0; m < cfg.Messages; m++ {
-			msg, err := p.Recv()
-			if err != nil {
-				errs[sink] = err
-				return
-			}
-			if int(msg.Tag) != m || len(msg.Data) != cfg.Size {
-				errs[sink] = fmt.Errorf("workload: pipeline message %d arrived as tag %d, %d bytes", m, msg.Tag, len(msg.Data))
-				return
+			if int(msg.Tag) != m || len(msg.Data) != c.Size {
+				return fmt.Errorf("workload: pipeline message %d arrived as tag %d, %d bytes", m, msg.Tag, len(msg.Data))
 			}
 			env.Compute(stageCost)
-			lat.Observe(env.Now() - sentAt[m])
-			delivered++
-			lastFinish = env.Now()
+			t.Latency.Observe(env.Now() - sentAt[m])
+			t.Ops++
 		}
-		done[0] = true
-	})
-
-	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
-	cs.SetLatency(&lat)
-	return PipelineReport{Stages: cfg.Stages, Messages: cfg.Messages, Size: cfg.Size, Delivered: delivered,
-		DNF: dnf, MsgsPerSec: stats.Rate(uint64(delivered), cs.Wall), ClusterStats: cs}, err
+		return nil
+	}
+	return wl, nil
 }

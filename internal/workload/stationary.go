@@ -51,18 +51,6 @@ type StationaryConfig struct {
 	Options
 }
 
-// StationaryReport is the stationary run's measurements. The latency
-// fields of ClusterStats hold the driver fault-latency distribution
-// (data-driven sample waits included).
-type StationaryReport struct {
-	Hosts   int
-	Iters   int
-	Updates uint64 // total own-page updates completed
-	Samples uint64 // neighbour samples observed
-	DNF     bool
-	ClusterStats
-}
-
 func (c StationaryConfig) withDefaults() (StationaryConfig, error) {
 	if c.Hosts == 0 {
 		c.Hosts = 4
@@ -76,102 +64,75 @@ func (c StationaryConfig) withDefaults() (StationaryConfig, error) {
 	return c, nil
 }
 
-// RunStationary measures N hosts each updating a stationary owned page
-// and passively observing a neighbour.
-func RunStationary(cfg StationaryConfig) (StationaryReport, error) {
-	r, w, err := runStationary(cfg)
-	if w != nil {
-		w.Shutdown()
-	}
-	return r, err
-}
-
-// runStationary is RunStationary handing back the finished world still
-// open (nil if it was never built), so a test can hold the report
-// against the world's own accessors.
-func runStationary(cfg StationaryConfig) (StationaryReport, *mether.World, error) {
-	cfg, err := cfg.withDefaults()
+// Stationary is N hosts each updating a stationary owned page and
+// passively observing a neighbour. Its ops are the updates; its
+// latency is the drivers' fault latency (sample fetches included).
+func Stationary(c StationaryConfig) (Workload, error) {
+	c, err := c.withDefaults()
 	if err != nil {
-		return StationaryReport{}, nil, err
+		return Workload{}, err
 	}
-	w, seg, err := cfg.ownedPages("stationary", cfg.Hosts)
-	if err != nil {
-		return StationaryReport{}, nil, err
+	var capRW mether.Capability
+	t := new(Tally)
+	wl := Workload{Hosts: c.Hosts, Clients: make([]Client, c.Hosts), Tally: t}
+	wl.Pages, wl.Layout = ownedPages("stationary", c.Hosts, &capRW)
+	for i := range wl.Clients {
+		wl.Clients[i] = Client{i, fmt.Sprintf("stat%d", i)}
 	}
-	capRW := seg.CapRW()
-
-	done := make([]bool, cfg.Hosts)
-	errs := make([]error, cfg.Hosts)
-	var updates, samples uint64
-	var lastFinish time.Duration
-	for i := 0; i < cfg.Hosts; i++ {
-		i := i
-		w.Spawn(i, fmt.Sprintf("stat%d", i), func(env *mether.Env) {
-			if cfg.StaggerStart > 0 {
-				env.SleepFor(time.Duration(i) * cfg.StaggerStart)
+	wl.Body = func(env *mether.Env, i int) error {
+		if c.StaggerStart > 0 {
+			env.SleepFor(time.Duration(i) * c.StaggerStart)
+		}
+		var own, peers *mether.Mapping
+		var err error
+		if c.WindowedAttach {
+			// Working-set attach: this host touches its own page and its
+			// ring neighbour's, nothing else.
+			own, err = env.AttachPages(capRW, mether.RW, i)
+			if err == nil {
+				peers, err = env.AttachPages(capRW.ReadOnly(), mether.RO, (i+1)%c.Hosts)
 			}
-			var own, peers *mether.Mapping
-			var err error
-			if cfg.WindowedAttach {
-				// Working-set attach: this host touches its own page and
-				// its ring neighbour's, nothing else.
-				own, err = env.AttachPages(capRW, mether.RW, i)
-				if err == nil {
-					peers, err = env.AttachPages(capRW.ReadOnly(), mether.RO, (i+1)%cfg.Hosts)
-				}
-			} else {
-				own, err = env.Attach(capRW, mether.RW)
-				if err == nil {
-					peers, err = env.Attach(capRW.ReadOnly(), mether.RO)
-				}
+		} else {
+			own, err = env.Attach(capRW, mether.RW)
+			if err == nil {
+				peers, err = env.Attach(capRW.ReadOnly(), mether.RO)
 			}
+		}
+		if err != nil {
+			return err
+		}
+		ownAddr := own.Addr(i, 0).Short()
+		peerAddr := peers.Addr((i+1)%c.Hosts, 0).Short()
+		for n := 0; n < c.Iters; n++ {
+			env.Compute(incCost)
+			v, err := own.Load32(ownAddr)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
-			ownAddr := own.Addr(i, 0).Short()
-			peerAddr := peers.Addr((i+1)%cfg.Hosts, 0).Short()
-			for n := 0; n < cfg.Iters; n++ {
-				env.Compute(incCost)
-				v, err := own.Load32(ownAddr)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if err := own.Store32(ownAddr, v+1); err != nil {
-					errs[i] = err
-					return
-				}
-				// Passive update: the stationary page never moves; one
-				// short broadcast refreshes every resident copy.
-				if err := own.Purge(ownAddr); err != nil {
-					errs[i] = err
-					return
-				}
-				updates++
-				// Forced fresh sample: purge the local replica and
-				// demand-fetch the neighbour's current value from its
-				// stationary owner. Between samples the replica rides
-				// the neighbour's purge broadcasts for free.
-				if n%sampleEvery == sampleEvery-1 {
-					if err := peers.Purge(peerAddr); err != nil {
-						errs[i] = err
-						return
-					}
-					if _, err := peers.Load32(peerAddr); err != nil {
-						errs[i] = err
-						return
-					}
-					samples++
-				}
+			if err := own.Store32(ownAddr, v+1); err != nil {
+				return err
 			}
-			done[i] = true
-			if t := env.Now(); t > lastFinish {
-				lastFinish = t
+			// Passive update: the stationary page never moves; one short
+			// broadcast refreshes every resident copy.
+			if err := own.Purge(ownAddr); err != nil {
+				return err
 			}
-		})
+			t.Ops++
+			// Forced fresh sample: purge the local replica and
+			// demand-fetch the neighbour's current value from its
+			// stationary owner. Between samples the replica rides the
+			// neighbour's purge broadcasts for free.
+			if n%sampleEvery == sampleEvery-1 {
+				if err := peers.Purge(peerAddr); err != nil {
+					return err
+				}
+				if _, err := peers.Load32(peerAddr); err != nil {
+					return err
+				}
+				t.Samples++
+			}
+		}
+		return nil
 	}
-	cs, dnf, err := cfg.finish(w, errs, done, &lastFinish)
-	return StationaryReport{Hosts: cfg.Hosts, Iters: cfg.Iters, Updates: updates, Samples: samples,
-		DNF: dnf, ClusterStats: cs}, w, err
+	return wl, nil
 }

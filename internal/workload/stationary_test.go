@@ -11,21 +11,18 @@ import (
 // updates add up, and the sampling path observed the neighbours.
 func TestStationaryCompletes(t *testing.T) {
 	for _, hosts := range []int{2, 4, 16} {
-		r, err := RunStationary(StationaryConfig{Hosts: hosts, Iters: 8, Options: Options{Seed: 1}})
-		if err != nil {
-			t.Fatalf("hosts=%d: %v", hosts, err)
-		}
+		r := runConfig(t, Stationary, StationaryConfig{Hosts: hosts, Iters: 8, Options: Options{Seed: 1}})
 		if r.DNF {
-			t.Fatalf("hosts=%d: did not finish (updates=%d)", hosts, r.Updates)
+			t.Fatalf("hosts=%d: did not finish (updates=%d)", hosts, r.Ops)
 		}
-		if want := uint64(hosts * 8); r.Updates != want {
-			t.Errorf("hosts=%d: updates = %d, want %d", hosts, r.Updates, want)
+		if want := uint64(hosts * 8); r.Ops != want {
+			t.Errorf("hosts=%d: updates = %d, want %d", hosts, r.Ops, want)
 		}
 		if r.Samples == 0 {
 			t.Errorf("hosts=%d: no neighbour samples observed", hosts)
 		}
 		if r.Wall <= 0 || r.Packets == 0 || r.Events == 0 {
-			t.Errorf("hosts=%d: implausible stats %+v", hosts, r.ClusterStats)
+			t.Errorf("hosts=%d: implausible stats %+v", hosts, r.Harvest)
 		}
 	}
 }
@@ -36,11 +33,11 @@ func TestStationaryCompletes(t *testing.T) {
 // broadcast per update).
 func TestStationaryNetworkLoadScalesLinearly(t *testing.T) {
 	perUpdate := func(hosts int) float64 {
-		r, err := RunStationary(StationaryConfig{Hosts: hosts, Iters: 16, Options: Options{Seed: 1}})
-		if err != nil || r.DNF {
-			t.Fatalf("hosts=%d: err=%v dnf=%v", hosts, err, r.DNF)
+		r := runConfig(t, Stationary, StationaryConfig{Hosts: hosts, Iters: 16, Options: Options{Seed: 1}})
+		if r.DNF {
+			t.Fatalf("hosts=%d did not finish", hosts)
 		}
-		return float64(r.Packets) / float64(r.Updates)
+		return float64(r.Packets) / float64(r.Ops)
 	}
 	small, large := perUpdate(4), perUpdate(16)
 	if large > 2*small {
@@ -50,21 +47,16 @@ func TestStationaryNetworkLoadScalesLinearly(t *testing.T) {
 
 // TestStationaryRejectsBadConfig covers the validation path.
 func TestStationaryRejectsBadConfig(t *testing.T) {
-	if _, err := RunStationary(StationaryConfig{Hosts: 1}); err == nil {
+	if _, err := Stationary(StationaryConfig{Hosts: 1}); err == nil {
 		t.Error("1-host stationary run should be rejected")
 	}
 }
 
-// TestStationaryDeterministic: equal seeds, equal reports.
+// TestStationaryDeterministic runs one stationary config twice on one
+// seed: the reports must be equal field for field.
 func TestStationaryDeterministic(t *testing.T) {
-	run := func() StationaryReport {
-		r, err := RunStationary(StationaryConfig{Hosts: 4, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+	c := StationaryConfig{Hosts: 4, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute}}
+	if a, b := runConfig(t, Stationary, c), runConfig(t, Stationary, c); !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed produced different reports:\n%+v\n%+v", a, b)
 	}
 }

@@ -1,16 +1,20 @@
-// Package workload generates message workloads for throughput
-// experiments over the Mether pipe library. The paper observes that
-// "some applications use shared memory to pass small blocks of data
-// between processes"; these generators model the common mixes — fixed
-// control messages, uniformly sized records, and the bimodal
-// control-plus-bulk pattern — so benches can measure how the short-page
-// fast path behaves across them.
+// Package workload is the one runner every scenario kind runs through.
+// Options declares the cluster a run is built on, a Workload is one
+// kind of run — its world's size and segment layout, its clients, what
+// they count — and Options.Run builds the world, runs the clients to
+// the cap and reports through World.Harvest plus the host load every
+// kind shares. The kinds defined here are the single pipe (over the
+// Mether pipe library, with the message-size mixes the paper's
+// applications exhibit: fixed control messages, uniformly sized
+// records, the bimodal control-plus-bulk pattern), hot-page contention,
+// barrier phases, the producer-consumer pipeline and the
+// stationary-owner counter; internal/protocols defines the paper's
+// counter and the fanout.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mether"
 	"mether/pipe"
@@ -68,117 +72,57 @@ func (b Bimodal) Name() string {
 	return fmt.Sprintf("bimodal-%dB/%dB-every%d", b.Small, b.Large, b.LargeEvery)
 }
 
-// Config describes one pipe-throughput run.
-type Config struct {
+// PipeConfig describes one pipe-throughput run.
+type PipeConfig struct {
 	Dist     SizeDist
 	Messages int
-	Seed     int64
-	Cap      time.Duration
+	// Options is the two-host cluster the pipe runs on.
+	Options
 }
 
-// Report carries the measured throughput.
-type Report struct {
-	Dist        string
-	Messages    int
-	Bytes       int
-	Wall        time.Duration
-	MsgsPerSec  float64
-	BytesPerSec float64
-	WireBytes   uint64
-	Packets     uint64
-	// ShortRatio is the fraction of messages that fit the short path.
-	ShortRatio float64
-}
-
-// Run streams Messages messages of Dist-drawn sizes through one pipe
-// and measures simulated throughput.
-func Run(cfg Config) (Report, error) {
-	if cfg.Dist == nil || cfg.Messages <= 0 {
-		return Report{}, fmt.Errorf("workload: need a distribution and messages")
+// Pipe streams Messages messages of Dist-drawn sizes (clamped to the
+// pipe's payload) from host 0 to host 1 through one pipe; the receiver
+// checks every size. Its ops are the messages.
+func Pipe(c PipeConfig) (Workload, error) {
+	if c.Dist == nil || c.Messages <= 0 {
+		return Workload{}, fmt.Errorf("workload: need a distribution and messages")
 	}
-	if cfg.Cap == 0 {
-		cfg.Cap = 10 * time.Minute
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sizes := make([]int, cfg.Messages)
-	total, short := 0, 0
+	rng := rand.New(rand.NewSource(c.Seed))
+	sizes := make([]int, c.Messages)
 	for i := range sizes {
-		s := cfg.Dist.Next(rng)
-		if s > pipe.MaxPayload {
-			s = pipe.MaxPayload
-		}
-		sizes[i] = s
-		total += s
-		if s <= pipe.ShortPayload {
-			short++
-		}
+		sizes[i] = min(c.Dist.Next(rng), pipe.MaxPayload)
 	}
-
-	w := mether.NewWorld(mether.Config{Hosts: 2, Pages: 8, Seed: cfg.Seed})
-	defer w.Shutdown()
-	cap, err := pipe.Create(w, "load", 0, 1)
-	if err != nil {
-		return Report{}, err
-	}
-
-	var txErr, rxErr error
-	received := 0
-	w.Spawn(0, "tx", func(env *mether.Env) {
-		p, err := pipe.Open(env, cap, 0)
-		if err != nil {
-			txErr = err
-			return
-		}
-		buf := make([]byte, pipe.MaxPayload)
-		for i, s := range sizes {
-			if err := p.Send(uint32(i), buf[:s]); err != nil {
-				txErr = err
-				return
-			}
-		}
-	})
-	w.Spawn(1, "rx", func(env *mether.Env) {
-		p, err := pipe.Open(env, cap, 1)
-		if err != nil {
-			rxErr = err
-			return
-		}
-		for range sizes {
-			m, err := p.Recv()
+	var cap mether.Capability
+	return Workload{Hosts: 2, Pages: 8, Tally: &Tally{Ops: uint64(c.Messages)},
+		Layout: func(w *mether.World) (err error) {
+			cap, err = pipe.Create(w, "load", 0, 1)
+			return err
+		},
+		Clients: []Client{{0, "tx"}, {1, "rx"}},
+		Body: func(env *mether.Env, side int) error {
+			p, err := pipe.Open(env, cap, side)
 			if err != nil {
-				rxErr = err
-				return
+				return err
 			}
-			if len(m.Data) != sizes[received] {
-				rxErr = fmt.Errorf("workload: message %d has %d bytes, want %d", received, len(m.Data), sizes[received])
-				return
+			if side == 0 {
+				buf := make([]byte, pipe.MaxPayload)
+				for i, s := range sizes {
+					if err := p.Send(uint32(i), buf[:s]); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			received++
-		}
-	})
-	end := w.RunUntil(cfg.Cap)
-	if txErr != nil {
-		return Report{}, txErr
-	}
-	if rxErr != nil {
-		return Report{}, rxErr
-	}
-	if received != cfg.Messages {
-		return Report{}, fmt.Errorf("workload: received %d/%d within cap", received, cfg.Messages)
-	}
-
-	r := Report{
-		Dist:       cfg.Dist.Name(),
-		Messages:   cfg.Messages,
-		Bytes:      total,
-		Wall:       end,
-		WireBytes:  w.NetStats().WireBytes,
-		Packets:    w.NetStats().Frames,
-		ShortRatio: float64(short) / float64(cfg.Messages),
-	}
-	if end > 0 {
-		r.MsgsPerSec = float64(cfg.Messages) / end.Seconds()
-		r.BytesPerSec = float64(total) / end.Seconds()
-	}
-	return r, nil
+			for i, s := range sizes {
+				m, err := p.Recv()
+				if err != nil {
+					return err
+				}
+				if len(m.Data) != s {
+					return fmt.Errorf("workload: message %d has %d bytes, want %d", i, len(m.Data), s)
+				}
+			}
+			return nil
+		},
+	}, nil
 }

@@ -50,36 +50,17 @@ func TestUniformDegenerate(t *testing.T) {
 }
 
 func TestRunDeliversAllSizes(t *testing.T) {
-	r, err := Run(Config{Dist: Bimodal{Small: 8, Large: 2000, LargeEvery: 3}, Messages: 12, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Messages != 12 || r.Bytes == 0 {
+	r := runConfig(t, Pipe, PipeConfig{Dist: Bimodal{Small: 8, Large: 2000, LargeEvery: 3}, Messages: 12, Options: Options{Seed: 2}})
+	if r.DNF || r.Ops != 12 || r.WireBytes == 0 || r.Quiet <= 0 {
 		t.Errorf("report = %+v", r)
-	}
-	if r.MsgsPerSec <= 0 {
-		t.Error("throughput not computed")
-	}
-	if r.ShortRatio <= 0 || r.ShortRatio >= 1 {
-		t.Errorf("bimodal short ratio = %f, want strictly between 0 and 1", r.ShortRatio)
 	}
 }
 
 func TestShortPathIsFaster(t *testing.T) {
-	smallR, err := Run(Config{Dist: Fixed{Size: 8}, Messages: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigR, err := Run(Config{Dist: Fixed{Size: 7000}, Messages: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smallR.MsgsPerSec <= bigR.MsgsPerSec {
-		t.Errorf("small messages (%.1f msg/s) should beat full-page messages (%.1f msg/s)",
-			smallR.MsgsPerSec, bigR.MsgsPerSec)
-	}
-	if smallR.ShortRatio != 1 || bigR.ShortRatio != 0 {
-		t.Errorf("short ratios = %f / %f", smallR.ShortRatio, bigR.ShortRatio)
+	smallR := runConfig(t, Pipe, PipeConfig{Dist: Fixed{Size: 8}, Messages: 10, Options: Options{Seed: 1}})
+	bigR := runConfig(t, Pipe, PipeConfig{Dist: Fixed{Size: 7000}, Messages: 10, Options: Options{Seed: 1}})
+	if smallR.Quiet >= bigR.Quiet {
+		t.Errorf("small messages (%v) should beat full-page messages (%v)", smallR.Quiet, bigR.Quiet)
 	}
 	if smallR.WireBytes >= bigR.WireBytes {
 		t.Errorf("wire bytes: small %d should be far under big %d", smallR.WireBytes, bigR.WireBytes)
@@ -87,10 +68,10 @@ func TestShortPathIsFaster(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := Pipe(PipeConfig{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := Run(Config{Dist: Fixed{8}, Messages: 0}); err == nil {
+	if _, err := Pipe(PipeConfig{Dist: Fixed{8}, Messages: 0}); err == nil {
 		t.Error("zero messages accepted")
 	}
 }
