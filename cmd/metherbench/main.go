@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -31,7 +32,11 @@ var (
 
 func main() {
 	flag.Parse()
-	target := uint32(*flagTarget)
+	target, err := counterTarget(*flagTarget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "metherbench:", err)
+		os.Exit(1)
+	}
 	solverN := 400_000
 	if *flagQuick {
 		target = 128
@@ -48,6 +53,15 @@ func main() {
 	runSolver(out, solverN)
 	runMemNet(out, target)
 	out.flush()
+}
+
+// counterTarget checks -target before anything runs: the counter is 32
+// bits wide, and a zero target has no ops to scale by.
+func counterTarget(v uint) (uint32, error) {
+	if v == 0 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("-target %d out of range (1..%d)", v, uint32(math.MaxUint32))
+	}
+	return uint32(v), nil
 }
 
 // runFanout measures the broadcast-scaling property: one writer's purge

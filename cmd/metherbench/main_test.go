@@ -1,0 +1,25 @@
+package main
+
+import (
+	"math"
+	"testing"
+)
+
+func TestCounterTarget(t *testing.T) {
+	for _, tc := range []struct {
+		in      uint
+		want    uint32
+		wantErr bool
+	}{
+		{1024, 1024, false},
+		{1, 1, false},
+		{math.MaxUint32, math.MaxUint32, false},
+		{0, 0, true},
+		{math.MaxUint32 + 1, 0, true},
+	} {
+		got, err := counterTarget(tc.in)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("counterTarget(%d) = %d, %v; want %d, error %v", tc.in, got, err, tc.want, tc.wantErr)
+		}
+	}
+}

@@ -41,10 +41,6 @@ var (
 	flagSeed      = flag.Int64("seed", 1, "simulation seed for every scenario")
 	flagHosts     = flag.Int("hosts", 0, "restrict host-count grids (cluster) to one size (0 = all)")
 	flagOnly      = flag.String("only", "", "run only the scenarios whose name contains this substring (profiling a single cell)")
-	flagTrunks    = flag.Int("trunks", 0, "restrict the cluster grid's topology axis: 0 = full grid, 1 = classic single-trunk cells only (baseline comparisons), N>1 = every base cell on N bridged trunks")
-	flagRedund    = flag.Int("redundancy", 0, "force redundant-fetch fan-out k onto every cluster cell: 0 = default grid (explicit k cells), 1 = classic owner-only, N>1 = every read fault asks the owner plus N-1 replicas")
-	flagFaults    = flag.String("faults", "on", "cluster-grid fault cells: on = include, off = exact healthy grid (baseline comparisons), or a schedule spec like crash@150ms:h3;recover@400ms:h3 run as one extra stationary cell")
-	flagMedium    = flag.String("medium", "", "cluster-grid interconnect axis: empty = full grid incl. the /fab fabric cells, ethernet = exact pre-fabric grid (baseline comparisons), fabric = every compatible cell on the point-to-point fabric")
 	flagFormat    = flag.String("format", "json", "report format: json, csv or summary")
 	flagOut       = flag.String("o", "", "write the report to a file instead of stdout")
 	flagBaseline  = flag.String("baseline", "", "JSON report to compare against")
@@ -102,7 +98,7 @@ func main() {
 	}
 	// The axis values are the grid's to judge: sweep.Grid rejects a bad
 	// one here, before any scenario runs.
-	scs, err := sweep.Grid(*flagGrid, sweep.Options{Target: uint32(*flagTarget), Seed: *flagSeed, Hosts: *flagHosts, Trunks: *flagTrunks, Redundancy: *flagRedund, Faults: *flagFaults, Medium: *flagMedium})
+	scs, err := sweep.Grid(*flagGrid, sweep.Options{Target: uint32(*flagTarget), Seed: *flagSeed, Hosts: *flagHosts})
 	if err != nil {
 		fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 // an internal package.
 type FaultSchedule = fault.Schedule
 
-// ParseFaults parses the textual schedule syntax used by methersweep's
-// -faults flag, e.g. "crash@8s:h17;recover@12s:h17;partition@20s:b0".
+// ParseFaults parses the textual schedule syntax a sweep Scenario's
+// Faults string carries, e.g. "crash@8s:h17;recover@12s:h17;partition@20s:b0".
 func ParseFaults(spec string) (FaultSchedule, error) { return fault.Parse(spec) }
 
 // InjectFaults validates the schedule against this world's shape and

@@ -201,7 +201,7 @@ func Churn(seed int64, hosts int, fraction float64, start, every, downFor time.D
 	return s
 }
 
-// Parse decodes the -faults CLI spec: semicolon-separated events of
+// Parse decodes a textual fault spec: semicolon-separated events of
 // the form kind@time:target, e.g.
 //
 //	crash@150ms:h3;recover@400ms:h3;partition@200ms:b0;heal@350ms:b0;migrate@100ms:h3>h5

@@ -108,10 +108,10 @@ func TestChurnDeterministicAndPaired(t *testing.T) {
 	}
 }
 
-// FuzzParse: a -faults spec is input from outside the program. Parse
+// FuzzParse: a fault spec is input from outside the program. Parse
 // returns a schedule or an error and never panics, and an accepted
-// schedule's String() parses back to the same schedule — what
-// methersweep prints is what it would accept. Range checks are
+// schedule's String() parses back to the same schedule — a schedule
+// built in code survives a Scenario's Faults string. Range checks are
 // Validate's, against a world, so negative indices and times parse. The
 // corpus is the grammar's good and bad examples from the tests above;
 // `go test` runs those, `make fuzz` mutates them.

@@ -2,12 +2,9 @@ package sweep
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"time"
 
-	"mether"
 	"mether/internal/fault"
 	"mether/internal/proto"
 	"mether/internal/protocols"
@@ -25,36 +22,6 @@ type Options struct {
 	// every size. CI smoke uses Hosts=16 so the fast cell gates every
 	// push while the 64/256 cells stay on demand.
 	Hosts int
-	// Trunks restricts the cluster grid's topology axis. Zero runs the
-	// full grid: the classic single-trunk cells plus the explicit
-	// 2-/4-trunk and broadcast-loss cells. One runs only the classic
-	// cells — the exact pre-topology grid, kept reproducible so
-	// -baseline comparisons against older reports show zero deltas.
-	// N > 1 instead runs every base cell on N star-joined trunks.
-	Trunks int
-	// Redundancy forces the redundant-fetch fan-out k onto every cluster
-	// cell (suffixing names with /kN) instead of adding the explicit
-	// k2/k3 cells; zero keeps the default grid. 1 is the classic
-	// owner-only protocol under its sweep-axis name.
-	Redundancy int
-	// Faults controls the cluster grid's fault-injection cells. ""/"on"
-	// includes them (the default grid); "off" drops them — the exact
-	// healthy grid, kept reproducible so -baseline comparisons against
-	// pre-fault reports show zero deltas. Any other value is a
-	// fault.Parse spec ("crash@150ms:h3;...") run as one extra custom
-	// stationary cell on top of the healthy grid.
-	Faults string
-	// Medium selects the cluster grid's interconnect axis. "" runs the
-	// default grid: every cell on the shared Ethernet plus the explicit
-	// /fab fabric cells at 64 and 256 hosts. "ethernet" drops the fabric
-	// cells — the exact pre-fabric grid, kept reproducible so -baseline
-	// comparisons against older reports show zero deltas. "fabric"
-	// instead forces the point-to-point fabric onto every compatible
-	// cell (suffixing names with /fab), mirroring the forced-trunks
-	// axis; cells built on bridge machinery — trunk topologies, bridge
-	// backlog, bridge partitions — have no fabric analogue and are
-	// dropped.
-	Medium string
 }
 
 func (o Options) withDefaults() Options {
@@ -82,42 +49,13 @@ func (o Options) clusterSizes() []int {
 	return defaultClusterSizes
 }
 
-// faultCells reports whether the built-in fault cells are in the grid;
-// customFaults returns the fault.Parse spec of the custom cell, if any.
-func (o Options) faultCells() bool { return o.Faults == "" || o.Faults == "on" }
-
-func (o Options) customFaults() string {
-	if o.faultCells() || o.Faults == "off" {
-		return ""
-	}
-	return o.Faults
-}
-
-// validate holds the axis rules. Host ids must fit the wire format's
-// 16-bit field. The smallest cell's world must be buildable under the
-// forced axes; mether.Config.Validate owns those rules (the medium
-// names, a trunk count the hosts can be partitioned into, no trunks on
-// the fabric — a cross that would silently drop every cell). A fetch
-// names at most MaxRedundantTargets extra holders beyond the owner. A
-// custom fault schedule must parse and fit the cell it runs on
-// (single-trunk, so no bridges).
+// validate holds the one axis rule: a cluster cell needs at least two
+// hosts, and host ids must fit the wire format's 16-bit field.
 func (o Options) validate() error {
-	if o.Hosts < 0 || o.Hosts > proto.MaxHostID {
-		return fmt.Errorf("sweep: hosts %d out of range (0..%d)", o.Hosts, proto.MaxHostID)
+	if o.Hosts != 0 && (o.Hosts < 2 || o.Hosts > proto.MaxHostID) {
+		return fmt.Errorf("sweep: hosts %d out of range (0 or 2..%d)", o.Hosts, proto.MaxHostID)
 	}
-	smallest := o.clusterSizes()[0]
-	cfg := mether.Config{Hosts: smallest, Trunks: o.Trunks, Medium: mether.MediumConfig{Kind: o.Medium}}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("sweep: smallest cell (%d hosts): %w", smallest, err)
-	}
-	if o.Redundancy < 0 || o.Redundancy > proto.MaxRedundantTargets+1 {
-		return fmt.Errorf("sweep: redundancy %d out of range (0..%d)", o.Redundancy, proto.MaxRedundantTargets+1)
-	}
-	sched, err := fault.Parse(o.customFaults())
-	if err == nil {
-		err = sched.Validate(smallest, 0)
-	}
-	return err
+	return nil
 }
 
 // FigureScenarios returns the paper's Figure 4-9 configurations as
@@ -384,13 +322,6 @@ func (s Scenario) variant(suffix string, mods ...func(*Scenario)) Scenario {
 	return s
 }
 
-// force applies one variant to every cell: the forced axes.
-func force(cells []Scenario, suffix string, mod func(*Scenario)) {
-	for i, s := range cells {
-		cells[i] = s.variant(suffix, mod)
-	}
-}
-
 // The axes a cluster variant moves along.
 func lossy(s *Scenario)    { s.LossRate = 0.002 }
 func inKernel(s *Scenario) { s.KernelServer = true }
@@ -419,10 +350,9 @@ func redundancy(k int) func(*Scenario) { return func(s *Scenario) { s.Redundancy
 // cell additionally homes the hot segment on the far trunk.
 // Options.Hosts restricts the grid to one size: the CI smoke cell runs
 // -hosts 16, and `make cluster-large` runs the 1024-host tier via -hosts
-// 1024. Options.Trunks restricts the topology axis — see its doc. At 64
-// and 256 hosts the grid also adds the medium axis: the /fab cells rerun
-// the three base workloads over the point-to-point fabric, where
-// broadcast is a sender-paid unicast fan-out; see Options.Medium.
+// 1024. At 64 and 256 hosts the grid also adds the medium axis: the /fab
+// cells rerun the three base workloads over the point-to-point fabric,
+// where broadcast is a sender-paid unicast fan-out.
 func ClusterGrid(o Options) []Scenario {
 	o = o.withDefaults()
 	var out []Scenario
@@ -441,24 +371,17 @@ func ClusterGrid(o Options) []Scenario {
 				st.variant("/kernel", inKernel),
 				hot.variant("/kernel", inKernel))
 		}
-		// The explicit topology, fault, medium and redundancy cells below
-		// belong to the default grid only: -trunks 1 stops here, and
-		// -trunks N forces the cells above onto N trunks instead.
-		if o.Trunks > 0 {
-			continue
-		}
-		// The fault-injection cells (dropped by -faults off, which
-		// restores the exact healthy grid). Crash-owner kills one
-		// stationary owner mid-run and recovers it 4 s later: its page is
-		// orphaned until the recovered host's own demand retries go
-		// unanswered ClaimRetries times and it re-claims (generation-
-		// bumped, broadcast-arbitrated); the cell must end with zero
-		// orphans. Partition-heal splits the 2-trunk hotspot's bridge for
-		// 5 s mid-contention: far-trunk steals retry across the outage and
+		// The fault-injection cells. Crash-owner kills one stationary
+		// owner mid-run and recovers it 4 s later: its page is orphaned
+		// until the recovered host's own demand retries go unanswered
+		// ClaimRetries times and it re-claims (generation-bumped,
+		// broadcast-arbitrated); the cell must end with zero orphans.
+		// Partition-heal splits the 2-trunk hotspot's bridge for 5 s
+		// mid-contention: far-trunk steals retry across the outage and
 		// drain after the heal — ClaimRetries stays 0, since a claim
 		// across a partition would mint a second owner. Churn (at the
 		// 1024-host rung) crashes a random 1% of hosts per round.
-		if h == 256 && o.faultCells() {
+		if h == 256 {
 			out = append(out,
 				// ClaimRetries is calibrated above the healthy cell's
 				// longest consecutive-retry streak (the h256 broadcast
@@ -469,7 +392,7 @@ func ClusterGrid(o Options) []Scenario {
 				hot.variant("/t2-star/partition-heal", trunks(2), farOwner,
 					func(s *Scenario) { s.Faults = "partition@20s:b0;heal@25s:b0" }))
 		}
-		if h >= 1024 && o.faultCells() {
+		if h >= 1024 {
 			// 1% of hosts crash per round, three rounds, each victim down
 			// 200 ms. Iters is raised above the tier's 2 so every client
 			// is still mid-run through the churn window — a finished
@@ -492,8 +415,7 @@ func ClusterGrid(o Options) []Scenario {
 				st.variant("/t4-linear", trunks(4), func(s *Scenario) { s.TrunkShape = "linear" }),
 				ba.variant("/t2-star", trunks(2)),
 				hot.variant("/t2-star", trunks(2), farOwner))
-			// The medium axis (dropped by -medium ethernet, which restores
-			// the exact pre-fabric grid): the three base workloads over the
+			// The medium axis: the three base workloads over the
 			// point-to-point fabric, where every broadcast is a sender-paid
 			// unicast fan-out serialized per destination link instead of one
 			// shared-wire transmission every station snoops. The stationary
@@ -502,16 +424,14 @@ func ClusterGrid(o Options) []Scenario {
 			// transmissions back to back, and the hotspot cell puts the
 			// grant broadcasts — the paper's invalidate traffic — on the
 			// per-link meter.
-			if o.Medium == "" {
-				out = append(out, st.variant("/fab", onFabric), ba.variant("/fab", onFabric), hot.variant("/fab", onFabric))
-			}
+			out = append(out, st.variant("/fab", onFabric), ba.variant("/fab", onFabric), hot.variant("/fab", onFabric))
 		}
 		// The redundancy axis (k > 1 read faults ask the owner plus the
 		// k-1 nearest replicas; first response wins) on the two cells
 		// where a replica answer should pay. First the cross-trunk
 		// stationary cell, where the border hosts' ring samples otherwise
 		// wait out a bridge round trip the same-trunk replica skips.
-		if h == 64 && o.Redundancy == 0 {
+		if h == 64 {
 			out = append(out,
 				st.variant("/t2-star/k2", trunks(2), redundancy(2)),
 				st.variant("/t2-star/k3", trunks(2), redundancy(3)))
@@ -544,48 +464,13 @@ func ClusterGrid(o Options) []Scenario {
 				// stress the retry/hysteresis recovery paths where every
 				// op is a cluster-wide broadcast.
 				ba.variant("/loss-0.2%", lossy),
-				hot.variant("/loss-0.2%", lossy))
-			// The redundancy axis crossed with loss: when the owner's
-			// answer is the datagram that got dropped, any replica's copy
-			// beats the 250 ms demand retry — the tail-latency cells.
-			if o.Redundancy == 0 {
-				out = append(out,
-					st.variant("/loss-0.2%/k2", lossy, redundancy(2)),
-					st.variant("/loss-0.2%/k3", lossy, redundancy(3)))
-			}
+				hot.variant("/loss-0.2%", lossy),
+				// The redundancy axis crossed with loss: when the owner's
+				// answer is the datagram that got dropped, any replica's copy
+				// beats the 250 ms demand retry — the tail-latency cells.
+				st.variant("/loss-0.2%/k2", lossy, redundancy(2)),
+				st.variant("/loss-0.2%/k3", lossy, redundancy(3)))
 		}
-	}
-	// The forced axes: -trunks N puts every cell on N star-joined trunks
-	// and -redundancy N gives every cell the fan-out, each instead of the
-	// explicit cells of its axis.
-	if o.Trunks > 1 {
-		force(out, fmt.Sprintf("/t%d-star", o.Trunks), trunks(o.Trunks))
-	}
-	if o.Redundancy > 1 {
-		force(out, fmt.Sprintf("/k%d", o.Redundancy), redundancy(o.Redundancy))
-	}
-	// A custom -faults spec replaces the built-in fault cells with one
-	// extra stationary cell running the given schedule (on the smallest
-	// grid size, or the -hosts restriction). It is a plain cell, not a
-	// variant of its rung: the schedule is the user's, so no size-derived
-	// knob is presumed to suit it.
-	if spec := o.customFaults(); spec != "" {
-		h := o.clusterSizes()[0]
-		out = append(out, Scenario{
-			Name: fmt.Sprintf("cluster/stationary/h%d/faults-custom", h), Kind: KindStationary,
-			Hosts: h, Iters: 16, Seed: o.Seed, Faults: spec, ClaimRetries: 3})
-	}
-	// -medium fabric forces the point-to-point fabric onto every
-	// compatible cell. Cells that exercise bridge machinery — trunk
-	// topologies, asymmetric bridge backlog, bridge partitions — have no
-	// fabric analogue and are dropped rather than silently run on the
-	// wrong wire.
-	if o.Medium == "fabric" {
-		out = slices.DeleteFunc(out, func(s Scenario) bool {
-			return s.Trunks > 1 || s.BacklogUp != 0 || s.BacklogDown != 0 ||
-				strings.Contains(s.Faults, "partition@")
-		})
-		force(out, "/fab", onFabric)
 	}
 	return out
 }

@@ -274,11 +274,11 @@ func TestCSVQuoteRFC4180(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	base := Report{Scenarios: []Result{
-		{Name: "a", WallNS: 100, WireBytes: 50},
+		{Name: "a", WallNS: 100, WireBytes: 50, CtxSwitches: 10},
 		{Name: "gone", WallNS: 1},
 	}}
 	cur := Report{Scenarios: []Result{
-		{Name: "a", WallNS: 150, WireBytes: 50},
+		{Name: "a", WallNS: 150, WireBytes: 50, CtxSwitches: 8},
 		{Name: "new", WallNS: 1},
 	}}
 	deltas := Compare(base, cur, 0)
@@ -287,22 +287,44 @@ func TestCompare(t *testing.T) {
 		metrics = append(metrics, d.Name+"/"+d.Metric)
 	}
 	joined := strings.Join(metrics, " ")
-	for _, want := range []string{"a/wall_ns", "new/missing-in-baseline", "gone/missing-in-report"} {
+	for _, want := range []string{"a/wall_ns", "a/ctx_switches", "new/missing-in-baseline", "gone/missing-in-report"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("deltas %v missing %s", metrics, want)
 		}
 	}
 	for _, d := range deltas {
-		if d.Metric == "wall_ns" && d.Ratio != 1.5 {
-			t.Errorf("wall ratio = %v, want 1.5", d.Ratio)
+		if d.Metric == "wall_ns" && d.String() != "a wall_ns: 100 -> 150 (x1.500)" {
+			t.Errorf("wall delta = %s, want a 1.5 ratio", d)
 		}
 		if d.Metric == "wire_bytes" {
 			t.Error("unchanged metric reported")
 		}
 	}
-	// Within tolerance: the 1.5x wall change is suppressed at 60%.
+	// Within tolerance: the 1.5x wall change and the 0.8x switch count
+	// are suppressed at 60%.
 	if ds := Compare(base, cur, 0.6); len(ds) != 2 {
 		t.Errorf("tolerant compare = %v, want only the missing pair", ds)
+	}
+}
+
+// TestReportSummary: one line per cell, whose status says why a cell
+// failed, with an error ahead of DNF ahead of band deviations.
+func TestReportSummary(t *testing.T) {
+	r := Report{Grid: "g", Scenarios: []Result{
+		{Name: "g/ok", WallNS: int64(time.Millisecond), Ops: 4},
+		{Name: "g/err", Err: "boom", DNF: true},
+		{Name: "g/dnf", DNF: true, Deviations: []string{"x"}},
+		{Name: "g/band", Deviations: []string{"x", "y"}},
+	}}
+	lines := strings.Split(strings.TrimSuffix(r.Summary(), "\n"), "\n")
+	want := []string{"grid g: 4 scenarios", "wall=1ms", "ERR boom", "DNF", "2 band deviation(s)"}
+	if len(lines) != len(want) {
+		t.Fatalf("summary has %d lines, want %d:\n%s", len(lines), len(want), r.Summary())
+	}
+	for i, w := range want {
+		if !strings.Contains(lines[i], w) || (i == 1 && !strings.HasSuffix(lines[i], " ok")) {
+			t.Errorf("summary line %d = %q, want it to contain %q", i, lines[i], w)
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ func TestFaultedStationaryDeterministic(t *testing.T) {
 }
 
 // An empty fault schedule must be a true no-op: field-for-field equal to
-// a run that never heard of the fault plane. This is the neutrality
-// contract behind `-faults off` baseline comparisons.
+// a run that never heard of the fault plane. This is what proves an
+// unused fault plane free: every cell without a schedule pays nothing.
 func TestEmptyFaultScheduleIsNeutral(t *testing.T) {
 	cfg := StationaryConfig{Hosts: 4, Iters: 8, Options: Options{Seed: 7, Cap: time.Minute}}
 	plain := runConfig(t, Stationary, cfg)

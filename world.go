@@ -67,7 +67,7 @@ const (
 	ShortSize = vm.ShortSize
 )
 
-// Medium kinds for MediumConfig.Kind (and the methersweep -medium axis).
+// Medium kinds for MediumConfig.Kind (and a sweep Scenario's Medium).
 const (
 	// MediumEthernet is the paper's shared broadcast bus (the default).
 	MediumEthernet = "ethernet"
