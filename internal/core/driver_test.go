@@ -9,6 +9,7 @@ import (
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
+	"mether/internal/medium"
 	"mether/internal/proto"
 	"mether/internal/vm"
 )
@@ -670,6 +671,61 @@ func buildDataPacket(t *testing.T, page vm.PageID, short bool, ownerTo int16, ge
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestOutOfRangePageFrameIsDropped: the wire format bounds a page to 2^16
+// but a world configures fewer, and a well-formed frame naming a page
+// beyond NumPages — past the directory, or inside its last shard — is
+// dropped like a corrupt datagram, on the eager and the lazy receive
+// path alike: the corrupt datagram's minimal charge, no page
+// materialised.
+func TestOutOfRangePageFrameIsDropped(t *testing.T) {
+	request := func(page vm.PageID) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			b, err := proto.Encode(proto.Packet{Type: proto.TypeRequest, Page: page, From: 0, OwnerTo: proto.NoOwner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	grant := func(page vm.PageID) func(*testing.T) []byte {
+		return func(t *testing.T) []byte { return buildDataPacket(t, page, true, 1, 1, make([]byte, vm.ShortSize)) }
+	}
+	corrupt := func(*testing.T) []byte { return make([]byte, 16) }
+	var minimal time.Duration // the corrupt datagram's charge, row one
+	for _, row := range []struct {
+		name  string
+		lazy  bool
+		frame func(*testing.T) []byte
+	}{
+		{"corrupt datagram", false, corrupt},
+		{"eager/request beyond the directory", false, request(4000)},
+		{"eager/grant in the last shard", false, grant(10)},
+		{"lazy/request beyond the directory", true, request(4000)},
+		{"lazy/grant in the last shard", true, grant(10)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := fastConfig(4)
+			cfg.LazyReplicas = row.lazy
+			c := newTestCluster(t, 2, ethernet.DefaultParams(), cfg)
+			c.bus.Attach("tx", nil).Send(medium.Broadcast, row.frame(t))
+			c.run(t, time.Second)
+			if minimal == 0 {
+				minimal = c.drivers[0].Server().Sys()
+			}
+			for i, d := range c.drivers {
+				if sys := d.Server().Sys(); sys != minimal {
+					t.Errorf("host %d's server charged %v, want a corrupt datagram's %v", i, sys, minimal)
+				}
+				for _, sh := range d.shards {
+					if sh != nil {
+						t.Errorf("host %d materialised a page", i)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestUnreachableOwnerRecoversViaRetry(t *testing.T) {

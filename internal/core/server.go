@@ -17,12 +17,16 @@ type server struct {
 	// mode and before StartServer.
 	proc  *host.Proc
 	phase phase
-	// The received frame in hand, if the item is one: held until the item
-	// ends, because pkt and everything installed from it alias its bytes.
-	held  bool
-	frame medium.Frame
-	pkt   proto.Packet // its parse; Type 0 for a corrupt datagram
-	st    *pageState   // the item's page; nil for a frame lazily skipped
+	// The received frame in hand, if the item is one: its buffer, held
+	// until the item ends, because pkt and everything installed from it
+	// alias its bytes.
+	buf *medium.Buf
+	// pkt is its parse, read in place: the decode-once view every
+	// receiver of the transmission shares, or local when no ViewPool
+	// does. nil for a corrupt datagram or a page beyond NumPages.
+	pkt   *proto.Packet
+	local proto.Packet
+	st    *pageState // the item's page; nil for a frame lazily skipped
 	// The send the item queued (transmit), encoded in txBuf[:sendLen]:
 	// its CPU cost, and what the handler does once it is on the wire.
 	sendLen  int
@@ -112,13 +116,15 @@ func (d *Driver) advance() (cost time.Duration, ok bool) {
 			// The parse goes through the decode-once view cache (view.go):
 			// for a broadcast, only the first of the N receiving servers
 			// actually parses the header, but every receiver still pays its
-			// own simulated handling cost. A corrupt datagram is charged
-			// minimal handling and dropped.
+			// own simulated handling cost. A corrupt datagram, or a
+			// well-formed one naming a page beyond the configured space, is
+			// charged minimal handling and dropped.
+			s.buf, s.phase = f.Buf, phaseFrame
 			pkt, err := d.decodeFrame(f)
-			if err != nil {
-				pkt = proto.Packet{}
+			if err != nil || int(pkt.Page) >= d.cfg.NumPages {
+				return d.cfg.PacketCost, true
 			}
-			s.frame, s.held, s.pkt, s.phase = f, true, pkt, phaseFrame
+			s.pkt = pkt
 			return d.cfg.PacketCost + time.Duration(len(pkt.Data))*d.cfg.ByteCost, true
 		}
 		w, ok := d.dequeueWork()
@@ -127,7 +133,7 @@ func (d *Driver) advance() (cost time.Duration, ok bool) {
 		}
 		d.handleWork(w)
 	case phaseFrame:
-		if s.pkt.Type != 0 {
+		if s.pkt != nil {
 			d.handleFrame(s.pkt)
 		}
 	case phaseSend:
@@ -139,14 +145,14 @@ func (d *Driver) advance() (cost time.Duration, ok bool) {
 		s.phase = phaseSend
 		return s.sendCost, true
 	}
-	if s.held {
-		if s.pkt.Type == proto.TypeRequest && s.st != nil {
+	if s.buf != nil {
+		if s.pkt != nil && s.pkt.Type == proto.TypeRequest && s.st != nil {
 			d.queueRedundant(s.st, s.pkt)
 		}
 		// Everything needed from the frame has been copied into page
 		// frames, so the wire buffer can be recycled.
-		d.nic.Release(s.frame)
-		s.frame, s.held = medium.Frame{}, false
+		d.nic.Release(medium.Frame{Buf: s.buf})
+		s.buf, s.pkt = nil, nil
 	}
 	s.st, s.phase = nil, phaseIdle
 	return 0, true
@@ -501,7 +507,7 @@ func (d *Driver) transmit(pkt proto.Packet, then afterSend) {
 
 // handleFrame processes one received, well-formed datagram whose
 // handling cost has been charged.
-func (d *Driver) handleFrame(pkt proto.Packet) {
+func (d *Driver) handleFrame(pkt *proto.Packet) {
 	var st *pageState
 	if d.cfg.LazyReplicas {
 		if st = d.lazyLookup(pkt); st == nil {
@@ -530,7 +536,7 @@ func (d *Driver) handleFrame(pkt proto.Packet) {
 // transit-count snapshot so it can be suppressed if the owner's (or
 // another replica's) reply covers the page first. The owner path
 // (serveRequest) already answered, so a targeted owner adds nothing.
-func (d *Driver) queueRedundant(st *pageState, pkt proto.Packet) {
+func (d *Driver) queueRedundant(st *pageState, pkt *proto.Packet) {
 	if len(pkt.Data) > 0 && !pkt.Consistent && !st.owner &&
 		pkt.From != d.id && proto.HasTarget(pkt.Data, d.id) {
 		d.enqueueWork(workItem{kind: workRedundant, page: st.page, req: requestOf(pkt), seq: st.transitSeq})
@@ -538,7 +544,7 @@ func (d *Driver) queueRedundant(st *pageState, pkt proto.Packet) {
 }
 
 // requestOf is what a request frame asks, in the form it is deferred in.
-func requestOf(pkt proto.Packet) deferredReq {
+func requestOf(pkt *proto.Packet) deferredReq {
 	return deferredReq{from: pkt.From, short: pkt.Short, cons: pkt.Consistent, reqID: pkt.ReqID}
 }
 
@@ -555,7 +561,7 @@ func requestOf(pkt proto.Packet) deferredReq {
 // transits are noted in the transit bitmap so a later materialization
 // still observes that the page transited (the purge→data-fault race
 // detector compares transit counts for equality only).
-func (d *Driver) lazyLookup(pkt proto.Packet) *pageState {
+func (d *Driver) lazyLookup(pkt *proto.Packet) *pageState {
 	if st := d.peek(pkt.Page); st != nil {
 		return st
 	}
@@ -578,7 +584,7 @@ func (d *Driver) lazyLookup(pkt proto.Packet) *pageState {
 }
 
 // handleData implements the snoopy receive path for page broadcasts.
-func (d *Driver) handleData(st *pageState, pkt proto.Packet) {
+func (d *Driver) handleData(st *pageState, pkt *proto.Packet) {
 	st.transitSeq++
 	gen := uint64(pkt.Gen)
 	toMe := int(pkt.OwnerTo) == d.h.ID()
@@ -741,7 +747,7 @@ func (d *Driver) sendRestData(st *pageState, to int16, then afterSend) {
 }
 
 // handleRestData installs or refreshes the superset remainder.
-func (d *Driver) handleRestData(st *pageState, pkt proto.Packet) {
+func (d *Driver) handleRestData(st *pageState, pkt *proto.Packet) {
 	if int(pkt.OwnerTo) == d.h.ID() {
 		if d.everCrashed && !st.wantRest {
 			// Ghost fence, rest flavour: a crashed host adopts no rest

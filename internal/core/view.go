@@ -67,20 +67,27 @@ func (vp *ViewPool) Recycle(v any) {
 }
 
 // decodeFrame parses a received frame's packet, reusing (or priming) the
-// buffer-attached decode-once view. A foreign view type (a non-Mether
-// receiver on a shared bus got there first — the same case Recycle
-// tolerates) is left alone and the packet decoded directly, as is every
-// frame when no pool is configured: byte-for-byte the pre-cache
-// behaviour.
-func (d *Driver) decodeFrame(f medium.Frame) (proto.Packet, error) {
-	if rv, ok := f.View().(*rxView); ok {
-		return rv.pkt, rv.err
+// buffer-attached decode-once view, and returns it in place: every
+// receiver of one transmission reads the same Packet, which lives as
+// long as the frame's buffer. A foreign view type (a non-Mether receiver
+// on a shared bus got there first — the same case Recycle tolerates) is
+// left alone and the packet decoded directly into the server's own
+// packet, as is every frame when no pool is configured: byte-for-byte
+// the pre-cache behaviour. Either way the packet is read only, and only
+// while the frame is held.
+func (d *Driver) decodeFrame(f medium.Frame) (*proto.Packet, error) {
+	v := f.View()
+	if rv, ok := v.(*rxView); ok {
+		return &rv.pkt, rv.err
 	}
-	pkt, err := proto.Decode(f.Payload)
-	if vp := d.cfg.Views; vp != nil && f.View() == nil {
+	if vp := d.cfg.Views; vp != nil && v == nil {
 		rv := vp.acquire()
-		rv.pkt, rv.err = pkt, err
+		rv.pkt, rv.err = proto.Decode(f.Payload)
 		f.SetView(rv)
+		return &rv.pkt, rv.err
 	}
-	return pkt, err
+	s := d.server
+	var err error
+	s.local, err = proto.Decode(f.Payload)
+	return &s.local, err
 }

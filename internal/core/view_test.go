@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"mether/internal/ethernet"
@@ -58,9 +57,10 @@ func (f *viewFixture) broadcastAndRecv(t *testing.T, payload []byte) [2]medium.F
 }
 
 // TestDecodeOnceSharesTheParse: the first receiver's parse is attached
-// to the shared buffer and later receivers reuse it rather than
+// to the shared buffer and later receivers read it in place rather than
 // re-reading the wire bytes — proven by corrupting the payload after
-// the first decode, which a re-parse could not survive.
+// the first decode, which a re-parse could not survive, and by both
+// receivers holding the same *proto.Packet.
 func TestDecodeOnceSharesTheParse(t *testing.T) {
 	f := newViewFixture(t)
 	wire, err := proto.Encode(proto.Packet{Type: proto.TypeRequest, Page: 3, Short: true, From: 7, OwnerTo: proto.NoOwner, ReqID: 9})
@@ -82,8 +82,8 @@ func TestDecodeOnceSharesTheParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second decode should reuse the cached parse, got %v", err)
 	}
-	if !reflect.DeepEqual(pkt0, pkt1) {
-		t.Fatalf("receivers decoded different packets: %+v vs %+v", pkt0, pkt1)
+	if pkt0 != pkt1 {
+		t.Fatalf("receivers hold different packets: %p vs %p", pkt0, pkt1)
 	}
 	if pkt1.Page != 3 || pkt1.From != 7 || pkt1.ReqID != 9 || !pkt1.Short {
 		t.Fatalf("cached packet wrong: %+v", pkt1)
@@ -140,5 +140,30 @@ func TestDecodeOnceViewsRecycle(t *testing.T) {
 	}
 	if n := len(f.pool.free); n != 0 {
 		t.Errorf("pool holds %d views mid-flight, want 0", n)
+	}
+}
+
+// TestDecodeWithoutViewsServesFromServerPacket: with no ViewPool nothing
+// is attached to the buffer and each driver parses into its server's own
+// packet. (newTestCluster's worlds have no pool, so every driver test
+// that serves a fault serves it from there.)
+func TestDecodeWithoutViewsServesFromServerPacket(t *testing.T) {
+	f := newViewFixture(t)
+	for _, d := range f.d {
+		d.cfg.Views = nil
+	}
+	wire, err := proto.Encode(proto.Packet{Type: proto.TypeRequest, Page: 2, From: 1, OwnerTo: proto.NoOwner, ReqID: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fr := range f.broadcastAndRecv(t, wire) {
+		d := f.d[i]
+		pkt, err := d.decodeFrame(fr)
+		if err != nil || pkt != &d.server.local || pkt.Page != 2 || pkt.ReqID != 4 {
+			t.Errorf("driver %d: decoded %+v (err %v) at %p, want page 2 req 4 in its server's packet %p", i, pkt, err, pkt, &d.server.local)
+		}
+		if fr.View() != nil {
+			t.Errorf("driver %d: a view was attached with no pool configured", i)
+		}
 	}
 }

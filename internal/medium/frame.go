@@ -17,13 +17,15 @@ type Buf struct {
 	view any
 }
 
-// Frame is one datagram on a medium. Payload is valid until the
-// receiver calls Release (or indefinitely for receivers that never
-// release); the medium copies the sender's bytes on Send, so one buffer
-// is shared by all receivers of a broadcast. On a shared bus a
-// broadcast frame carries Dst == Broadcast to every receiver; a
-// point-to-point medium stamps each fan-out copy with its actual
-// destination.
+// Frame is one datagram on a medium. A frame's bytes are its buffer's:
+// every frame a medium builds has Payload == Buf.Data, and a receive
+// Ring keeps only the buffer reference and the addresses, rebuilding
+// Payload from Buf on Recv. Payload is valid until the receiver calls
+// Release (or indefinitely for receivers that never release); the
+// medium copies the sender's bytes on Send, so one buffer is shared by
+// all receivers of a broadcast. On a shared bus a broadcast frame
+// carries Dst == Broadcast to every receiver; a point-to-point medium
+// stamps each fan-out copy with its actual destination.
 type Frame struct {
 	Src     int // sending port id
 	Dst     int // receiving port id or Broadcast

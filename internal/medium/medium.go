@@ -15,7 +15,9 @@
 //
 // Everything the two backends would otherwise write twice lives here:
 // Frame, the refcounted payload Buf with its decode-once view slot, the
-// buffer Pool, the bounded receive Ring — and Station, the whole
+// buffer Pool, the bounded receive Ring (a frame's bytes are its
+// buffer's, so a ring slot keeps only the buffer reference and the
+// addresses) — and Station, the whole
 // receive side of a port (ring, drop and suppressed-send counters, down
 // flag, interrupt, and the one Deliver that enqueues, refcounts and
 // interrupts), which ethernet.NIC and fabric.Port embed. So do the

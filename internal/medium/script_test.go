@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-	"unsafe"
 
 	"mether/internal/ethernet"
 	"mether/internal/fabric"
@@ -90,14 +89,16 @@ type player struct {
 	c          *cover
 }
 
-const frameBytes = uint64(unsafe.Sizeof(medium.Frame{}))
+// slotBytes is one ring slot: the buffer reference and two int32
+// addresses (TestRingSlotContract pins it).
+const slotBytes = 16
 
 func (p *player) attach(o op) {
 	i := len(p.ports)
 	intr := func() {
 		p.log("intr %d", i)
 		if fp := p.ports[i].MemFootprint(); fp > p.last[i] {
-			if old := int((p.last[i] - p.base[i]) / frameBytes); old > 0 && p.pops[i]%old != 0 {
+			if old := int((p.last[i] - p.base[i]) / slotBytes); old > 0 && p.pops[i]%old != 0 {
 				p.c.wrapGrows++
 			}
 			p.last[i], p.pops[i] = fp, 0

@@ -43,6 +43,7 @@ import (
 //	fabric: an overflowed copy billed as fan-out         fabric 3
 //	fabric: an overflowed copy keeps its reference       fabric 3; TestLinkQueueOverflow, TestBroadcastOverflowGuard
 //	fabric: a unicast to the sender sent                 fabric 1; TestBroadcastFanout
+//	ring: Pop swaps a slot's src and dst                 all three 1; TestRingSlotContract, 14 more
 func TestMediumMatchesSpec(t *testing.T) {
 	for i := range profiles {
 		p := &profiles[i]

@@ -3,7 +3,9 @@ package medium
 // Station is the receive side of one port, the same on every medium:
 // an address, a bounded receive Ring, the interrupt raised per queued
 // frame, the fault plane's down flag, and the two loss counters (ring
-// overruns and suppressed sends). Backends embed it by value and add
+// overruns and suppressed sends). A frame's bytes are its buffer's, so
+// what a delivery queues is a 16-byte ring slot — the buffer reference
+// and the two addresses — and Recv rebuilds the Frame from it. Backends embed it by value and add
 // only their transmit model — Send, the Release into their own pool,
 // and their MemFootprint — so ring-enqueue, drop and down-port have
 // exactly one site in the tree.
