@@ -60,12 +60,6 @@
 #                        testdata/fuzz/, to be fixed and committed as a
 #                        regression seed
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
-#   make bench-record  - regenerate BENCH_sweep.json: full-grid wall-clock,
-#                        same-work paired only (worlds/sec, events/sec,
-#                        allocs/event over a 37-cell mix; compare it with
-#                        a same-hour run of the parent, never across days
-#                        or machines — nothing gates on it; claims are
-#                        carried by bench/ pairs)
 #   make bench-pair    - PARENT=<checkout of the parent commit> [PAIRS=10]
 #                        [SECONDS=16] [SEED0=n] [WORKLOADS="w ..."]: the paired
 #                        measurement a perf claim is made with. Builds bench/
@@ -99,7 +93,7 @@ GO ?= go
 
 MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelContinue|BenchmarkKernelContinueMiss|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
 
-.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-record bench-pair same-reports loc profile
+.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -204,9 +198,6 @@ bench:
 
 bench-smoke:
 	$(GO) test -run - -bench '$(MICROBENCH)' -benchtime 1x ./internal/sim ./internal/host ./internal/ethernet ./internal/core ./internal/protocols
-
-bench-record:
-	$(GO) run ./cmd/methersweep -grid cluster -bench-out BENCH_sweep.json -format summary
 
 # SEED0 empty lets the script take its first seed from the clock.
 PAIRS ?= 10

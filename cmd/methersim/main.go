@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -24,6 +25,11 @@ func main() {
 		kernel = flag.Bool("kernel", false, "run the Mether server in the kernel (the paper's future work)")
 	)
 	flag.Parse()
+	tgt, err := counterTarget(*target)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "methersim:", err)
+		os.Exit(2)
+	}
 
 	byName := map[string]protocols.Protocol{
 		"single": protocols.BaselineSingle,
@@ -56,7 +62,7 @@ func main() {
 		start := time.Now()
 		cfg := protocols.Config{
 			Protocol:    p,
-			Target:      uint32(*target),
+			Target:      tgt,
 			HysteresisN: *hystN,
 			TraceLimit:  *trace,
 			Options:     workload.Options{Seed: *seed, Cap: *capS, KernelServer: *kernel},
@@ -78,4 +84,13 @@ func main() {
 			fmt.Print(r.Trace.String())
 		}
 	}
+}
+
+// counterTarget checks -target before anything runs: the counter is 32
+// bits wide, and a zero target would run as the default.
+func counterTarget(v uint) (uint32, error) {
+	if v == 0 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("-target %d out of range (1..%d)", v, uint32(math.MaxUint32))
+	}
+	return uint32(v), nil
 }

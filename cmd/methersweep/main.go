@@ -16,11 +16,10 @@
 //	methersweep -grid paper -baseline paper.json -tolerance 0.05
 //	methersweep -grid all -workers 1 -format csv
 //	methersweep -grid cluster -hosts 16
-//	methersweep -grid cluster -bench-out BENCH_sweep.json -cpuprofile cpu.pprof
+//	methersweep -grid cluster -cpuprofile cpu.pprof
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -48,34 +47,8 @@ var (
 	flagQuiet     = flag.Bool("q", false, "suppress the timing summary on stderr")
 	flagCPUProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	flagMemProf   = flag.String("memprofile", "", "write a heap profile (post-sweep) to this file")
-	flagBenchOut  = flag.String("bench-out", "", "write a full-grid wall-clock record (worlds/sec, events/sec, allocs/event; same-work paired comparisons only) to this JSON file")
 	flagAllocCeil = flag.Float64("alloc-ceiling", 0, "fail if the sweep allocates more than this per dispatched event (0 = no gate)")
 )
-
-// benchRecord is the engine-throughput trajectory point -bench-out
-// writes: how fast this build chews through simulated worlds and events,
-// and what each event costs in allocations. Scenario results stay in the
-// report; this file is about the engine, so its fields are real-time
-// measurements and deliberately live outside Report.
-type benchRecord struct {
-	Grid           string  `json:"grid"`
-	Scenarios      int     `json:"scenarios"`
-	Workers        int     `json:"workers"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-	ElapsedNS      int64   `json:"elapsed_ns"`
-	WorldsPerSec   float64 `json:"worlds_per_sec"`
-	EventsTotal    uint64  `json:"events_total"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	AllocsTotal    uint64  `json:"allocs_total"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
-	// BytesPerHost is the structural memory footprint per host of the
-	// grid's biggest world (the cell with the largest mem_bytes) — the
-	// flyweight-scaling headline. Unlike the fields above it is a
-	// virtual-world measurement, deterministic for a given grid and seed;
-	// zero when no cell reports a footprint (pre-flyweight records).
-	BytesPerHost float64 `json:"bytes_per_host,omitempty"`
-}
 
 func main() {
 	flag.Parse()
@@ -137,24 +110,18 @@ func main() {
 	runtime.ReadMemStats(&msBefore)
 
 	report, timing := sweep.Runner{Workers: *flagWorkers}.Run(*flagGrid, scs)
-	// One post-sweep MemStats snapshot serves both the bench record and
-	// the alloc gate, taken before anything else (bench-out marshalling,
-	// file writes) can allocate against the sweep's budget.
+	// The post-sweep MemStats snapshot for the alloc gate is taken
+	// before anything else (report marshalling, file writes) can
+	// allocate against the sweep's budget.
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 
-	if *flagBenchOut != "" {
-		if err := writeBenchRecord(*flagBenchOut, buildBenchRecord(report, timing, msBefore, msAfter)); err != nil {
-			fatal(err)
-		}
-	}
 	// The allocs/event ceiling is a regression gate on the engine's
 	// zero-allocation hot path: CI runs the cluster smoke cell with
 	// -alloc-ceiling 0.1 so a leaked per-event allocation fails the
 	// build instead of quietly eroding throughput.
 	allocFailure := false
 	if *flagAllocCeil > 0 {
-		after := msAfter
 		var events uint64
 		for _, s := range report.Scenarios {
 			events += s.Events
@@ -162,9 +129,9 @@ func main() {
 		if events == 0 {
 			fmt.Fprintf(os.Stderr, "alloc gate: no events dispatched, cannot compute allocs/event\n")
 			allocFailure = true
-		} else if perEvent := float64(after.Mallocs-msBefore.Mallocs) / float64(events); perEvent > *flagAllocCeil {
+		} else if perEvent := float64(msAfter.Mallocs-msBefore.Mallocs) / float64(events); perEvent > *flagAllocCeil {
 			fmt.Fprintf(os.Stderr, "alloc gate: %.4f allocs/event exceeds ceiling %.4f (%d allocs over %d events)\n",
-				perEvent, *flagAllocCeil, after.Mallocs-msBefore.Mallocs, events)
+				perEvent, *flagAllocCeil, msAfter.Mallocs-msBefore.Mallocs, events)
 			allocFailure = true
 		} else {
 			fmt.Fprintf(os.Stderr, "alloc gate: %.4f allocs/event within ceiling %.4f\n", perEvent, *flagAllocCeil)
@@ -265,45 +232,6 @@ func main() {
 	if failures > 0 {
 		exit(1)
 	}
-}
-
-// buildBenchRecord aggregates the run's engine-throughput numbers into
-// the BENCH_sweep.json trajectory point.
-func buildBenchRecord(report sweep.Report, timing sweep.Timing, before, after runtime.MemStats) benchRecord {
-	rec := benchRecord{
-		Grid:        report.Grid,
-		Scenarios:   len(report.Scenarios),
-		Workers:     timing.Workers,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		ElapsedNS:   timing.Elapsed.Nanoseconds(),
-		AllocsTotal: after.Mallocs - before.Mallocs,
-	}
-	var maxMem uint64
-	for _, s := range report.Scenarios {
-		rec.EventsTotal += s.Events
-		if s.MemBytes > maxMem {
-			maxMem = s.MemBytes
-			rec.BytesPerHost = s.BytesPerHost
-		}
-	}
-	if sec := timing.Elapsed.Seconds(); sec > 0 {
-		rec.WorldsPerSec = float64(rec.Scenarios) / sec
-		rec.EventsPerSec = float64(rec.EventsTotal) / sec
-	}
-	if rec.EventsTotal > 0 {
-		rec.AllocsPerEvent = float64(rec.AllocsTotal) / float64(rec.EventsTotal)
-		rec.BytesPerEvent = float64(after.TotalAlloc-before.TotalAlloc) / float64(rec.EventsTotal)
-	}
-	return rec
-}
-
-// writeBenchRecord writes a trajectory point as indented JSON.
-func writeBenchRecord(path string, rec benchRecord) error {
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // exit finalizes any in-flight CPU profile (StopCPUProfile is a no-op

@@ -38,14 +38,6 @@ func (e *Env) Compute(d time.Duration) { e.p.UseUser(d) }
 // SleepFor blocks the process for virtual duration d.
 func (e *Env) SleepFor(d time.Duration) { e.p.SleepFor(d) }
 
-// SleepOn blocks until another process on the same host calls WakeUp
-// with the same key (local condition synchronization). Any comparable
-// value is a key: the host keeps one wait queue per key slept on.
-func (e *Env) SleepOn(key any) { e.p.SleepOn(key) }
-
-// WakeUp wakes processes on this host sleeping on key.
-func (e *Env) WakeUp(key any) { e.p.Host().Wakeup(key) }
-
 // Attach maps a segment into this process's address space at the given
 // mode, validating the capability. Per the paper, the consistent
 // (writable) versus inconsistent (read-only) choice is made here; all

@@ -60,11 +60,6 @@ type Config struct {
 	// the hosts and the bridges" hazard — and the trunk map lets
 	// Metrics.CrossTrunkStale count exactly those arrivals.
 	TrunkOf []int
-	// Views is the world's decode-once view pool (see view.go): drivers
-	// sharing a pool parse each broadcast once per delivery instead of
-	// once per receiver. Nil disables caching (drivers decode directly,
-	// the pre-cache behaviour); world builders wire one pool per world.
-	Views *ViewPool
 	// Redundancy is the redundant-fetch fan-out k for read faults: a
 	// non-consistent demand request additionally names the k-1 nearest
 	// peers (trunk-aware) as extra targets, any of which may answer from

@@ -22,11 +22,10 @@ type server struct {
 	// alias its bytes.
 	buf *medium.Buf
 	// pkt is its parse, read in place: the decode-once view every
-	// receiver of the transmission shares, or local when no ViewPool
-	// does. nil for a corrupt datagram or a page beyond NumPages.
-	pkt   *proto.Packet
-	local proto.Packet
-	st    *pageState // the item's page; nil for a frame lazily skipped
+	// receiver of the transmission shares. nil for a corrupt datagram or
+	// a page beyond NumPages.
+	pkt *proto.Packet
+	st  *pageState // the item's page; nil for a frame lazily skipped
 	// The send the item queued (transmit), encoded in txBuf[:sendLen]:
 	// its CPU cost, and what the handler does once it is on the wire.
 	sendLen  int
@@ -113,14 +112,14 @@ func (d *Driver) advance() (cost time.Duration, ok bool) {
 			return 0, false
 		}
 		if f, ok := d.nic.Recv(); ok {
-			// The parse goes through the decode-once view cache (view.go):
+			// The parse goes through the buffer's decode-once view (view.go):
 			// for a broadcast, only the first of the N receiving servers
 			// actually parses the header, but every receiver still pays its
 			// own simulated handling cost. A corrupt datagram, or a
 			// well-formed one naming a page beyond the configured space, is
 			// charged minimal handling and dropped.
 			s.buf, s.phase = f.Buf, phaseFrame
-			pkt, err := d.decodeFrame(f)
+			pkt, err := decodeFrame(f)
 			if err != nil || int(pkt.Page) >= d.cfg.NumPages {
 				return d.cfg.PacketCost, true
 			}

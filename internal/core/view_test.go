@@ -6,35 +6,28 @@ import (
 	"testing"
 
 	"mether/internal/ethernet"
-	"mether/internal/host"
 	"mether/internal/medium"
 	"mether/internal/proto"
 	"mether/internal/sim"
+	"mether/internal/vm"
 )
 
-// viewFixture wires a bus, a shared view pool and two receiving drivers
-// the way a world builder does, plus a bare transmit NIC.
+// viewFixture is a bus with a bare transmit NIC and two receiving NICs
+// drained by hand, each receive decoded the way a driver's server does.
 type viewFixture struct {
-	k    *sim.Kernel
-	bus  *ethernet.Bus
-	pool *ViewPool
-	tx   *ethernet.NIC
-	rx   [2]*ethernet.NIC
-	d    [2]*Driver
+	k   *sim.Kernel
+	bus *ethernet.Bus
+	tx  *ethernet.NIC
+	rx  [2]*ethernet.NIC
 }
 
 func newViewFixture(t *testing.T) *viewFixture {
 	t.Helper()
-	f := &viewFixture{k: sim.New(1), pool: NewViewPool()}
+	f := &viewFixture{k: sim.New(1)}
 	f.bus = ethernet.NewBus(f.k, ethernet.DefaultParams())
-	f.bus.OnViewDrop(f.pool.Recycle)
 	f.tx = f.bus.Attach("tx", nil)
-	cfg := fastConfig(4)
-	cfg.Views = f.pool
-	for i := 0; i < 2; i++ {
-		h := host.New(f.k, i, fmt.Sprintf("h%d", i), fastHostParams())
-		f.rx[i] = f.bus.Attach(h.Name(), nil) // drained by hand in the test
-		f.d[i] = New(h, f.rx[i], cfg)
+	for i := range f.rx {
+		f.rx[i] = f.bus.Attach(fmt.Sprintf("h%d", i), nil)
 	}
 	t.Cleanup(f.k.Shutdown)
 	return f
@@ -69,7 +62,7 @@ func TestDecodeOnceSharesTheParse(t *testing.T) {
 	}
 	frames := f.broadcastAndRecv(t, wire)
 
-	pkt0, err := f.d[0].decodeFrame(frames[0])
+	pkt0, err := decodeFrame(frames[0])
 	if err != nil {
 		t.Fatalf("first decode: %v", err)
 	}
@@ -78,7 +71,7 @@ func TestDecodeOnceSharesTheParse(t *testing.T) {
 	}
 	// Corrupt the wire bytes: only a cached parse survives this.
 	frames[1].Payload[0] = 0xFF
-	pkt1, err := f.d[1].decodeFrame(frames[1])
+	pkt1, err := decodeFrame(frames[1])
 	if err != nil {
 		t.Fatalf("second decode should reuse the cached parse, got %v", err)
 	}
@@ -95,8 +88,8 @@ func TestDecodeOnceSharesTheParse(t *testing.T) {
 func TestDecodeOnceCachesFailures(t *testing.T) {
 	f := newViewFixture(t)
 	frames := f.broadcastAndRecv(t, []byte{0xBA, 0xD0, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	_, err0 := f.d[0].decodeFrame(frames[0])
-	_, err1 := f.d[1].decodeFrame(frames[1])
+	_, err0 := decodeFrame(frames[0])
+	_, err1 := decodeFrame(frames[1])
 	if !errors.Is(err0, proto.ErrMalformed) {
 		t.Fatalf("err0 = %v, want ErrMalformed", err0)
 	}
@@ -105,65 +98,41 @@ func TestDecodeOnceCachesFailures(t *testing.T) {
 	}
 }
 
-// TestDecodeOnceViewsRecycle: releasing every receiver returns the view
-// to the pool, and the buffer's next transmission decodes fresh from a
-// recycled view instead of allocating.
+// TestDecodeOnceViewsRecycle: the view stays on the buffer when every
+// receiver has released it, and the buffer's next transmission is
+// decoded afresh into the same view rather than served the old parse.
 func TestDecodeOnceViewsRecycle(t *testing.T) {
 	f := newViewFixture(t)
-	wire, err := proto.Encode(proto.Packet{Type: proto.TypeRequest, Page: 1, From: 0, OwnerTo: proto.NoOwner})
-	if err != nil {
-		t.Fatal(err)
+	encode := func(page vm.PageID) []byte {
+		wire, err := proto.Encode(proto.Packet{Type: proto.TypeRequest, Page: page, From: 0, OwnerTo: proto.NoOwner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
 	}
-	frames := f.broadcastAndRecv(t, wire)
-	if _, err := f.d[0].decodeFrame(frames[0]); err != nil {
+	frames := f.broadcastAndRecv(t, encode(1))
+	if _, err := decodeFrame(frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	first := frames[0].View()
+	buf := frames[0].Buf
 	f.rx[0].Release(frames[0])
-	if n := len(f.pool.free); n != 0 {
-		t.Fatalf("view recycled while receiver 1 still held the buffer (pool %d)", n)
-	}
 	f.rx[1].Release(frames[1])
-	if n := len(f.pool.free); n != 1 {
-		t.Fatalf("pool holds %d views after full release, want 1", n)
+	if buf.Refs != 0 || frames[1].View() != first {
+		t.Fatalf("after full release: refs %d, view kept %v; want 0, true", buf.Refs, frames[1].View() == first)
 	}
 
-	frames = f.broadcastAndRecv(t, wire)
-	if frames[0].View() != nil {
-		t.Fatal("stale view survived buffer recycling")
+	frames = f.broadcastAndRecv(t, encode(2))
+	if frames[0].Buf != buf || frames[0].View() != first {
+		t.Fatal("the next transmission did not reuse the buffer and its view")
 	}
-	if _, err := f.d[1].decodeFrame(frames[0]); err != nil {
-		t.Fatal(err)
+	for i, fr := range frames {
+		pkt, err := decodeFrame(fr)
+		if err != nil || pkt.Page != 2 {
+			t.Fatalf("receiver %d decoded %+v (err %v), want page 2: a stale parse survived the buffer's reuse", i, pkt, err)
+		}
 	}
 	if frames[0].View() != first {
-		t.Error("decode did not reuse the recycled view")
-	}
-	if n := len(f.pool.free); n != 0 {
-		t.Errorf("pool holds %d views mid-flight, want 0", n)
-	}
-}
-
-// TestDecodeWithoutViewsServesFromServerPacket: with no ViewPool nothing
-// is attached to the buffer and each driver parses into its server's own
-// packet. (newTestCluster's worlds have no pool, so every driver test
-// that serves a fault serves it from there.)
-func TestDecodeWithoutViewsServesFromServerPacket(t *testing.T) {
-	f := newViewFixture(t)
-	for _, d := range f.d {
-		d.cfg.Views = nil
-	}
-	wire, err := proto.Encode(proto.Packet{Type: proto.TypeRequest, Page: 2, From: 1, OwnerTo: proto.NoOwner, ReqID: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range f.broadcastAndRecv(t, wire) {
-		d := f.d[i]
-		pkt, err := d.decodeFrame(fr)
-		if err != nil || pkt != &d.server.local || pkt.Page != 2 || pkt.ReqID != 4 {
-			t.Errorf("driver %d: decoded %+v (err %v) at %p, want page 2 req 4 in its server's packet %p", i, pkt, err, pkt, &d.server.local)
-		}
-		if fr.View() != nil {
-			t.Errorf("driver %d: a view was attached with no pool configured", i)
-		}
+		t.Error("decode replaced the buffer's view instead of decoding into it")
 	}
 }

@@ -188,11 +188,6 @@ func (b *Bus) PoolStats() (allocated, free int) {
 	return b.pool.Stats()
 }
 
-// OnViewDrop registers the recycler invoked with a buffer's decode-once
-// view when the buffer returns to the pool. Typically wired by the world
-// builder to the protocol layer's view pool.
-func (b *Bus) OnViewDrop(fn func(any)) { b.pool.OnViewDrop(fn) }
-
 // Attach adds a NIC to the segment with the segment-default ring
 // capacity (Params.RxRing). intr is invoked in kernel event context
 // whenever a frame is queued into the NIC's receive ring; it is

@@ -230,27 +230,34 @@ func TestUnicastEdgeAddresses(t *testing.T) {
 	want(t, "pending, frames", fmt.Sprint(n[0].Pending(), n[1].Pending(), b.Stats().Frames), "0 0 3")
 }
 
-// A view attached by one receiver is the other receivers' too, goes to
-// the recycler once as the buffer recycles, and never reaches the
-// buffer's next transmission.
+// countingView counts the times its buffer is handed out with new bytes.
+type countingView struct{ invalidated int }
+
+func (v *countingView) Invalidate() { v.invalidated++ }
+
+// A view attached by one receiver is the other receivers' too, stays on
+// the buffer as it recycles, and is invalidated once, when the buffer
+// carries the next transmission.
 func TestViewSharedAndRecycled(t *testing.T) {
 	k, b, n, _ := segment(DefaultParams(), 3)
-	var dropped []any
-	b.OnViewDrop(func(v any) { dropped = append(dropped, v) })
 	n[0].Send(medium.Broadcast, []byte("payload"))
 	k.Run()
 	f1, _ := n[1].Recv()
 	f2, _ := n[2].Recv()
 	fresh := f1.View() == nil
-	view := "decoded"
-	f1.SetView(&view)
+	v := new(countingView)
+	f1.SetView(v)
 	n[1].Release(f1)
-	shared, early := f2.View() == &view, len(dropped)
+	shared, early := f2.View() == v, v.invalidated
 	n[2].Release(f2)
+	released := v.invalidated
 	n[0].Send(medium.Broadcast, []byte("next"))
 	k.Run()
 	g, _ := n[1].Recv()
-	want(t, "fresh, shared, dropped early, dropped, next fresh", fmt.Sprint(fresh, shared, early, len(dropped), g.View() == nil), "true true 0 1 true")
+	want(t, "fresh, shared, invalidated early, at release, next kept, invalidated", fmt.Sprint(fresh, shared, early, released, g.View() == v, v.invalidated), "true true 0 0 true 1")
+	n[1].Release(g)
+	recv(n[2])
+	balanced(t, b)
 }
 
 // A NIC taken down while a broadcast is in flight neither receives it nor

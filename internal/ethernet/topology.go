@@ -207,13 +207,6 @@ func (t *Topology) PoolStats() (allocated, free int) {
 	return allocated, free
 }
 
-// OnViewDrop registers the decode-once view recycler on every trunk.
-func (t *Topology) OnViewDrop(fn func(any)) {
-	for _, b := range t.buses {
-		b.OnViewDrop(fn)
-	}
-}
-
 // MemFootprint sums the structural memory footprint of every trunk.
 func (t *Topology) MemFootprint() uint64 {
 	var b uint64

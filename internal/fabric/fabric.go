@@ -27,7 +27,7 @@
 // Ethernet NIC.
 //
 // The data path reuses the shared pooled machinery: refcounted payload
-// buffers with the decode-once view cache (a fan-out's copies share one
+// buffers, each with its decode-once view (a fan-out's copies share one
 // buffer and one decoded view), pooled delivery records with prebuilt
 // closures, and lazily grown bounded receive rings. Steady-state traffic
 // does not allocate, on either medium. The N-1 copies of a broadcast over
@@ -235,9 +235,6 @@ func (fb *Fabric) MemFootprint() uint64 {
 // PoolStats reports payload buffers ever allocated and currently free.
 func (fb *Fabric) PoolStats() (allocated, free int) { return fb.pool.Stats() }
 
-// OnViewDrop registers the decode-once view recycler.
-func (fb *Fabric) OnViewDrop(fn func(any)) { fb.pool.OnViewDrop(fn) }
-
 // Port is one station on the fabric; it implements medium.Port. The
 // receive side is the embedded medium.Station; the port adds the fabric
 // whose links it transmits on.
@@ -286,11 +283,11 @@ func (p *Port) Send(dst int, payload []byte) {
 	buf := fb.pool.Acquire(len(payload))
 	copy(buf.Data, payload)
 	// One in-flight reference per fan-out copy: each copy's completion
-	// releases its own, so the shared buffer (and its decode-once view)
-	// lives exactly until the last copy lands or is lost. The extra
-	// sender-side reference pins the buffer for the duration of the loop:
-	// without it, an overflow on the first link would recycle the buffer
-	// while later copies still transmit it.
+	// releases its own, so the shared buffer (and the bytes its
+	// decode-once view describes) lives until the last copy lands or is
+	// lost. The extra sender-side reference pins the buffer for the
+	// duration of the loop: without it, an overflow on the first link
+	// would recycle the buffer while later copies still transmit it.
 	buf.Refs = 1
 	for dst := 0; dst < len(fb.ports); dst++ {
 		if dst == src {

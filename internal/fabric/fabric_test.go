@@ -48,9 +48,15 @@ func check(t *testing.T, fb *Fabric, what string, got any, want string) {
 	}
 }
 
+// view is a decode-once view that one receiver attaches.
+type view struct{}
+
+func (*view) Invalidate() {}
+
 // A broadcast is one copy per other port, each stamped with its
-// destination, all on one buffer; a unicast to the sender or to an id
-// nobody holds costs nothing.
+// destination, all on one buffer, so a view one receiver attaches is
+// every copy's; a unicast to the sender or to an id nobody holds costs
+// nothing.
 func TestBroadcastFanout(t *testing.T) {
 	k, fb, ports, _ := fabricOf(DefaultParams(), 4)
 	for _, dst := range []int{0, 4, -7, medium.Broadcast} {
@@ -59,12 +65,17 @@ func TestBroadcastFanout(t *testing.T) {
 	k.Run()
 	f1, _ := ports[1].Recv()
 	f3, _ := ports[3].Recv()
-	shared := f1.Buf == f3.Buf
+	v := new(view)
+	f1.SetView(v)
+	shared := f1.Buf == f3.Buf && f3.View() == v
 	ports[1].Release(f1)
 	ports[3].Release(f3)
+	f2, _ := ports[2].Recv()
+	at2 := fmt.Sprintf("%d->%d %s, view shared %v", f2.Src, f2.Dst, f2.Payload, f2.View() == v)
+	ports[2].Release(f2)
 	st := fb.Stats()
-	check(t, fb, "frames, fan-out, shared, at 0 and 2", []any{st.Frames, st.FanoutFrames, shared, recv(ports[0]), recv(ports[2])},
-		"[3 3 true [] [0->2 hello]]")
+	check(t, fb, "frames, fan-out, shared, at 0 and 2", []any{st.Frames, st.FanoutFrames, shared, recv(ports[0]), at2},
+		"[3 3 true [] 0->2 hello, view shared true]")
 }
 
 // At most TxQueue frames are in flight on a link; the rest are dropped

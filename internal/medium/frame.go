@@ -5,16 +5,19 @@ import "unsafe"
 // Buf is a pooled payload buffer shared by every receiver of one
 // transmission. Refs counts ring slots (and in-flight deliveries) still
 // holding the buffer; it returns to its Pool's freelist at zero. view
-// is the decode-once cache: the first receiver to parse the payload
-// attaches its decoded form and every later receiver of the same
-// transmission reuses it, so a broadcast is parsed once instead of once
-// per station. The view shares the buffer's lifetime exactly — it is
-// handed to the pool's view recycler (and detached) at the same instant
-// the refcount reaches zero.
+// is the decode-once cache, so a broadcast is parsed once instead of once
+// per station. It stays with the buffer for good, and Pool.Acquire
+// invalidates it when the buffer is handed out with new bytes.
 type Buf struct {
 	Data []byte // full-capacity backing array
 	Refs int
-	view any
+	view View
+}
+
+// View is a decoded form of a buffer's bytes, attached by the layer that
+// decodes them. Invalidate tells it the buffer now holds new bytes.
+type View interface {
+	Invalidate()
 }
 
 // Frame is one datagram on a medium. A frame's bytes are its buffer's:
@@ -35,23 +38,20 @@ type Frame struct {
 }
 
 // View returns the decode-once view attached to this frame's shared
-// payload buffer, or nil when no receiver has decoded it yet (or the
-// frame does not come from a pooled buffer). All receivers of one
-// transmission see the same view.
-func (f Frame) View() any {
+// payload buffer, or nil when none has been attached (or the frame does
+// not come from a pooled buffer). All receivers of one transmission see
+// the same view, which may have been invalidated since it was decoded.
+func (f Frame) View() View {
 	if f.Buf == nil {
 		return nil
 	}
 	return f.Buf.view
 }
 
-// SetView attaches a decoded view to the frame's shared payload buffer
-// for later receivers of the same transmission to reuse. The view must
-// be derived from (and may alias) the payload bytes: it lives exactly
-// as long as the buffer's current contents and is handed to the pool's
-// OnViewDrop recycler when the buffer is recycled. A no-op for frames
-// without a pooled buffer.
-func (f Frame) SetView(v any) {
+// SetView attaches a decoded view, which may alias the payload bytes, to
+// the frame's shared payload buffer for its later receivers and later
+// transmissions. A no-op for frames without a pooled buffer.
+func (f Frame) SetView(v View) {
 	if f.Buf != nil {
 		f.Buf.view = v
 	}
@@ -66,14 +66,11 @@ type Pool struct {
 	// releasing its frames, a quiescent medium has all of them back on
 	// the freelist (see Stats).
 	allocated int
-	// viewDrop, when set, receives each buffer's decode-once view as
-	// the buffer is recycled, so the layer that attached the view
-	// (which this package knows nothing about) can pool it.
-	viewDrop func(any)
 }
 
 // Acquire takes a buffer of length n from the pool, growing the backing
-// array only when a pooled buffer is too small.
+// array only when a pooled buffer is too small. A reused buffer's view
+// is invalidated: the caller writes new bytes into it.
 func (p *Pool) Acquire(n int) *Buf {
 	if l := len(p.free); l > 0 {
 		b := p.free[l-1]
@@ -84,6 +81,9 @@ func (p *Pool) Acquire(n int) *Buf {
 		}
 		b.Data = b.Data[:n]
 		b.Refs = 0
+		if b.view != nil {
+			b.view.Invalidate()
+		}
 		return b
 	}
 	p.allocated++
@@ -91,29 +91,17 @@ func (p *Pool) Acquire(n int) *Buf {
 }
 
 // Release drops one reference, recycling the buffer at zero. The
-// buffer's decode-once view is detached (and handed to the view
-// recycler) at the same instant: the view aliases the payload bytes, so
-// it must not outlive the buffer's current contents.
+// buffer keeps its decode-once view; Acquire invalidates it when the
+// buffer carries new bytes.
 func (p *Pool) Release(b *Buf) {
 	if b == nil || b.Refs <= 0 {
 		return
 	}
 	b.Refs--
 	if b.Refs == 0 {
-		if b.view != nil {
-			if p.viewDrop != nil {
-				p.viewDrop(b.view)
-			}
-			b.view = nil
-		}
 		p.free = append(p.free, b)
 	}
 }
-
-// OnViewDrop registers the recycler invoked with a buffer's decode-once
-// view when the buffer returns to the pool. Typically wired by the
-// world builder to the protocol layer's view pool.
-func (p *Pool) OnViewDrop(fn func(any)) { p.viewDrop = fn }
 
 // Stats reports buffers ever allocated and buffers currently free; on
 // a quiescent medium whose receivers release every frame the two are

@@ -14,7 +14,8 @@
 // survive the modern medium is a sweep axis, not a rewrite.
 //
 // Everything the two backends would otherwise write twice lives here:
-// Frame, the refcounted payload Buf with its decode-once view slot, the
+// Frame, the refcounted payload Buf with its decode-once View (kept on
+// the buffer for good and invalidated as the Pool hands it out again), the
 // buffer Pool, the bounded receive Ring (a frame's bytes are its
 // buffer's, so a ring slot keeps only the buffer reference and the
 // addresses) — and Station, the whole
@@ -62,9 +63,6 @@ type Medium interface {
 	// frame has the two equal; a gap is a leak. Leak-detecting tests
 	// assert exactly that, on every backend.
 	PoolStats() (allocated, free int)
-	// OnViewDrop registers the recycler handed each buffer's decode-once
-	// view as the buffer returns to the pool.
-	OnViewDrop(fn func(any))
 }
 
 // Port is one station on a medium: the driver-facing send/receive

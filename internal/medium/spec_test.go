@@ -262,7 +262,6 @@ func (s *spec) Stats() medium.Stats {
 
 func (s *spec) MemFootprint() uint64             { return 0 }
 func (s *spec) PoolStats() (allocated, free int) { return 0, 0 }
-func (s *spec) OnViewDrop(func(any))             {}
 func (p *specPort) ID() int                      { return p.id }
 func (p *specPort) Name() string                 { return p.name }
 func (p *specPort) Release(medium.Frame)         {}

@@ -262,8 +262,8 @@ type Result struct {
 	LatCount  uint64 `json:"lat_count"`
 
 	// Events is the number of simulation-kernel events the scenario
-	// dispatched — deterministic like every other field; the engine
-	// throughput denominator for BENCH_sweep.json records.
+	// dispatched — deterministic like every other field; the
+	// denominator of methersweep's -alloc-ceiling gate.
 	Events uint64 `json:"events,omitempty"`
 
 	// MemBytes is the world's structural memory footprint (see

@@ -4,7 +4,9 @@
 # the JSON and CSV reports of -grid smoke, -grid all and -grid cluster
 # -hosts 64 with each (plus the full -grid cluster when FULL is set),
 # cmp's every pair and prints each grid's event total and coroutine
-# resumes per side. Exits non-zero on any difference.
+# resumes per side. Where a JSON pair differs it prints one line per
+# moved field: cell, field, parent -> change. Exits non-zero on any
+# difference.
 #
 # usage: same-reports.sh PARENT [FULL]
 # (make same-reports PARENT=... [FULL=1])
@@ -21,6 +23,29 @@ export GOFLAGS=-buildvcs=false
 (cd "$parent" && go build -o "$out/parent" ./cmd/methersweep)
 (cd "$root" && go build -o "$out/change" ./cmd/methersweep)
 echo "same-reports: parent $parent"
+
+# moved PARENT CHANGE: the fields that differ between two JSON reports
+# as "cell field parent -> change", "-" for a field one side omits
+# (reports drop zero fields). A report is one field per line, and a
+# scenario's "name" comes first; array elements are numbered.
+moved() {
+	awk '
+	FNR == 1 { cell = "" }
+	{
+		l = $0; sub(/^[ \t]+/, "", l); sub(/,$/, "", l)
+		if (match(l, /^"[^"]*": /)) {
+			f = substr(l, 2, RLENGTH - 4); v = substr(l, RLENGTH + 1)
+			if (f == "name") { cell = v; gsub(/"/, "", cell) }
+			if (v == "[" || v == "{") { arr = f; i = 0; next }
+		} else if (l ~ /^[][{}]/) next
+		else { f = arr "[" i++ "]"; v = l }
+		k = (cell == "" ? "-" : cell) " " f
+	}
+	FNR == NR { was[k] = v; order[++n] = k; next }
+	{ now[k] = v; if (!(k in was)) printf "  %s  - -> %s\n", k, v; else if (was[k] != v) printf "  %s  %s -> %s\n", k, was[k], v }
+	END { for (j = 1; j <= n; j++) if (!(order[j] in now)) printf "  %s  %s -> -\n", order[j], was[order[j]] }
+	' "$1" "$2"
+}
 
 bad=0
 for grid in smoke all cluster-h64 ${full:+cluster}; do
@@ -40,9 +65,11 @@ for grid in smoke all cluster-h64 ${full:+cluster}; do
 		done
 		printf '%-12s %-7s %s\n' "$grid" "$side" "$(sed -n 's/.*speedup [^,]*, //p' "$out/$grid.$side.err")"
 	done
-	for format in json csv; do
-		cmp "$out/$grid.parent.$format" "$out/$grid.change.$format" || bad=1
-	done
+	cmp "$out/$grid.parent.json" "$out/$grid.change.json" || {
+		moved "$out/$grid.parent.json" "$out/$grid.change.json"
+		bad=1
+	}
+	cmp "$out/$grid.parent.csv" "$out/$grid.change.csv" || bad=1
 done
 [ "$bad" -eq 0 ] || { echo "same-reports: FAILED (a run failed or a report differs)" >&2; exit 1; }
 echo "same-reports: every report identical"

@@ -252,12 +252,6 @@ func NewWorld(cfg Config) *World {
 	// The drivers learn the cluster size for redundant-fetch target
 	// selection (a no-op at the default Redundancy of 0/1).
 	coreCfg.NumHosts = cfg.Hosts
-	// One decode-once view pool per world: the drivers attach each
-	// broadcast's parsed header to its shared wire buffer so the other
-	// N-1 receivers skip the parse, and the buses hand views back to the
-	// pool as the buffers recycle.
-	views := core.NewViewPool()
-	coreCfg.Views = views
 	// NewWorld is the single place the trunk placement is materialized
 	// and handed to the drivers: coreCfg.TrunkOf/TrunkHops are
 	// unconditionally derived here (nil for a single-trunk or fabric
@@ -290,7 +284,6 @@ func NewWorld(cfg Config) *World {
 		// target ordering (same trunk beats one hop beats two).
 		coreCfg.TrunkHops = w.topo.Hops
 	}
-	w.med.OnViewDrop(views.Recycle)
 	for i := 0; i < cfg.Hosts; i++ {
 		h := host.New(w.k, i, fmt.Sprintf("host%d", i), cfg.HostParams)
 		var d *core.Driver
