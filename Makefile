@@ -53,12 +53,14 @@
 #                        FuzzMedium, which plays Ethernet and fabric
 #                        scripts against the reference medium, and host's
 #                        FuzzHost, which plays scheduler worlds against
-#                        the reference scheduler) for
+#                        the reference scheduler; the last three read
+#                        their input as an internal/choice tape) for
 #                        FUZZTIME. Not a ci stage: `go test` already runs
 #                        every target's seed corpus, this mutates it. A
 #                        failure leaves its input under the package's
 #                        testdata/fuzz/, to be fixed and committed as a
-#                        regression seed
+#                        regression seed; a failing spec seed prints its
+#                        shrunk tape as such a file
 #   make bench-smoke   - the microbenchmarks once (-benchtime=1x), as CI runs them
 #   make bench-pair    - PARENT=<checkout of the parent commit> [PAIRS=10]
 #                        [SECONDS=16] [SEED0=n] [WORKLOADS="w ..."]: the paired

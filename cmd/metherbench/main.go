@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
@@ -32,7 +31,7 @@ var (
 
 func main() {
 	flag.Parse()
-	target, err := counterTarget(*flagTarget)
+	target, err := protocols.Target(*flagTarget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "metherbench:", err)
 		os.Exit(1)
@@ -53,15 +52,6 @@ func main() {
 	runSolver(out, solverN)
 	runMemNet(out, target)
 	out.flush()
-}
-
-// counterTarget checks -target before anything runs: the counter is 32
-// bits wide, and a zero target has no ops to scale by.
-func counterTarget(v uint) (uint32, error) {
-	if v == 0 || v > math.MaxUint32 {
-		return 0, fmt.Errorf("-target %d out of range (1..%d)", v, uint32(math.MaxUint32))
-	}
-	return uint32(v), nil
 }
 
 // runFanout measures the broadcast-scaling property: one writer's purge

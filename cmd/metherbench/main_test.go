@@ -3,8 +3,12 @@ package main
 import (
 	"math"
 	"testing"
+
+	"mether/internal/protocols"
 )
 
+// TestCounterTarget holds the -target flag to the range check the command
+// calls before it builds any run.
 func TestCounterTarget(t *testing.T) {
 	for _, tc := range []struct {
 		in      uint
@@ -12,14 +16,14 @@ func TestCounterTarget(t *testing.T) {
 		wantErr bool
 	}{
 		{1024, 1024, false},
+		{0, 0, true},
 		{1, 1, false},
 		{math.MaxUint32, math.MaxUint32, false},
-		{0, 0, true},
 		{math.MaxUint32 + 1, 0, true},
 	} {
-		got, err := counterTarget(tc.in)
+		got, err := protocols.Target(tc.in)
 		if (err != nil) != tc.wantErr || got != tc.want {
-			t.Errorf("counterTarget(%d) = %d, %v; want %d, error %v", tc.in, got, err, tc.want, tc.wantErr)
+			t.Errorf("protocols.Target(%d) = %d, %v; want %d, error %v", tc.in, got, err, tc.want, tc.wantErr)
 		}
 	}
 }

@@ -6,7 +6,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -25,7 +24,7 @@ func main() {
 		kernel = flag.Bool("kernel", false, "run the Mether server in the kernel (the paper's future work)")
 	)
 	flag.Parse()
-	tgt, err := counterTarget(*target)
+	tgt, err := protocols.Target(*target)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "methersim:", err)
 		os.Exit(2)
@@ -84,13 +83,4 @@ func main() {
 			fmt.Print(r.Trace.String())
 		}
 	}
-}
-
-// counterTarget checks -target before anything runs: the counter is 32
-// bits wide, and a zero target would run as the default.
-func counterTarget(v uint) (uint32, error) {
-	if v == 0 || v > math.MaxUint32 {
-		return 0, fmt.Errorf("-target %d out of range (1..%d)", v, uint32(math.MaxUint32))
-	}
-	return uint32(v), nil
 }

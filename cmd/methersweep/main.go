@@ -22,13 +22,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
+	"mether/internal/protocols"
 	"mether/internal/sweep"
 )
 
@@ -66,12 +66,13 @@ func main() {
 		// Reject before running: a bad format must not cost a full sweep.
 		fatal(fmt.Errorf("unknown format %q (want json, csv or summary)", *flagFormat))
 	}
-	if *flagTarget > math.MaxUint32 {
-		fatal(fmt.Errorf("-target %d exceeds the 32-bit counter", *flagTarget))
+	target, err := protocols.Target(*flagTarget)
+	if err != nil {
+		fatal(err)
 	}
 	// The axis values are the grid's to judge: sweep.Grid rejects a bad
 	// one here, before any scenario runs.
-	scs, err := sweep.Grid(*flagGrid, sweep.Options{Target: uint32(*flagTarget), Seed: *flagSeed, Hosts: *flagHosts})
+	scs, err := sweep.Grid(*flagGrid, sweep.Options{Target: target, Seed: *flagSeed, Hosts: *flagHosts})
 	if err != nil {
 		fatal(err)
 	}

@@ -149,7 +149,10 @@ func playFixed(t *testing.T) {
 			continue
 		}
 		n++
-		plays := holds(t, fmt.Sprint("row ", n), &row.w, &cover{})
+		plays, err := holds(&row.w, &cover{})
+		if err != nil {
+			t.Fatalf("row %d: %v", n, err)
+		}
 		log := plays[0].log
 		for _, want := range strings.Split(row.want, ", ") {
 			i := slices.IndexFunc(log, func(e entry) bool { return e.String() == want })

@@ -3,9 +3,9 @@ package host
 import (
 	"fmt"
 	"slices"
-	"testing"
 	"time"
 
+	"mether/internal/choice"
 	"mether/internal/sim"
 )
 
@@ -414,11 +414,10 @@ func (m *real) checkQueues() {
 type cover struct{ worlds, finished, rivalled, joined, boosts, stale, lone, beside int }
 
 // holds plays w on the spec and then three ways on the host, coroutines,
-// tasks (if w has one) and UseWhile, and fails at the first line of a play
-// that the spec does not log, at a play whose kernel event counts differ
-// from the first's, or at a failed check. It returns the plays.
-func holds(t testing.TB, name string, w *world, c *cover) (plays []*runner) {
-	t.Helper()
+// tasks (if w has one) and UseWhile, and returns the plays and the first
+// line of a play that the spec does not log, a play whose kernel event
+// counts differ from the first's, or a failed check.
+func holds(w *world, c *cover) (plays []*runner, err error) {
 	sp := &spec{r: &runner{w: w}, pr: w.pr}
 	sp.r.m = sp
 	sp.r.play(func(int) bool { return false })
@@ -434,20 +433,16 @@ func holds(t testing.TB, name string, w *world, c *cover) (plays []*runner) {
 		r.play(func(i int) bool { return how == "tasks" && w.task(i) })
 		k.Shutdown()
 		if r.err != "" {
-			t.Fatalf("%s, played with %s: %s", name, how, r.err)
+			return plays, fmt.Errorf("played with %s: %s", how, r.err)
 		}
-		if !slices.Equal(r.log, ref) {
-			i := 0
-			for i < len(r.log) && i < len(ref) && r.log[i] == ref[i] {
-				i++
-			}
-			t.Fatalf("%s, played with %s, leaves the spec at line %d of %d/%d, after %v:\n%s\nspec: %s",
-				name, how, i, len(r.log), len(ref), r.log[max(i-3, 0):i], line(r.log, i), line(ref, i))
+		if i := choice.Diverge(r.log, ref); i >= 0 {
+			return plays, fmt.Errorf("played with %s, leaves the spec at line %d of %d/%d, after %v:\n%s\nspec: %s",
+				how, i, len(r.log), len(ref), r.log[max(i-3, 0):i], line(r.log, i), line(ref, i))
 		}
 		if ev := fmt.Sprint(k.Dispatched(), " dispatched, ", k.PendingEvents(), " pending"); events == "" {
 			events = ev
 		} else if ev != events {
-			t.Fatalf("%s, played with %s: kernel events %s, with coroutines %s", name, how, ev, events)
+			return plays, fmt.Errorf("played with %s: kernel events %s, with coroutines %s", how, ev, events)
 		}
 		if n := int(k.Counters().Continued); how == "UseWhile" && len(w.progs) > w.subjects {
 			c.beside += n
@@ -464,7 +459,7 @@ func holds(t testing.TB, name string, w *world, c *cover) (plays []*runner) {
 		c.rivalled++
 	}
 	c.joined, c.boosts, c.stale = c.joined+plays[0].joined, c.boosts+sp.boosts, c.stale+sp.stale
-	return plays
+	return plays, nil
 }
 
 // line renders log line i, or the log's end.

@@ -1,125 +1,130 @@
 package host
 
 import (
-	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
+
+	"mether/internal/choice"
 )
 
 // TestSchedulerMatchesSpec holds the host to spec, the reference scheduler
 // below, on drawn worlds (script_test.go): four subjects running one
-// script of Uses and sleeps from four lines, coroutine rivals that
-// compute, sleep on timers and wake queues, wakers at random instants,
-// half through Interrupt, and a tick that wakes every queue; no wake boost
-// in a quarter of the worlds, free switches in a fifth. Each world is
-// played on the host three ways — coroutines repeating a Use in a written
-// loop, every other subject a task, coroutines repeating by UseWhile —
-// and each play must log what the spec logs: the scheduler's trace, each
-// program line and each ask of again at its instant, outside wakes that
-// found sleepers, the context switches, the busy time and every process's
-// user and system time. The plays must also agree on Dispatched and
-// PendingEvents, which the spec cannot see, and every queue must be well
-// formed after every log line. The worlds must cover the floor below. The
-// fixed worlds of host_test.go are held to the spec and to lines they
-// must log; FuzzHost draws worlds from a byte tape.
+// script of Uses and sleeps from four lines, coroutine rivals, wakers at
+// random instants, half through Interrupt, and a tick that wakes every
+// queue. Each world is played on the host three ways — coroutines
+// repeating a Use in a written loop, every other subject a task,
+// coroutines repeating by UseWhile — and each play must log what the spec
+// logs: the scheduler's trace, each program line and ask of again at its
+// instant, outside wakes that found sleepers, the context switches, the
+// busy time and every process's user and system time. The plays must also
+// agree on Dispatched and PendingEvents, and every queue must be well
+// formed after every log line. A failing seed's tape is shrunk and
+// printed as a FuzzHost corpus file (testdata/fuzz holds one); the fixed
+// worlds of host_test.go are held to the spec and to lines they must log.
 //
 // Each mutation below, made to a copy of the host, fails at the first
-// seed given, and the fixed worlds named:
+// seed given, whose tape (bytes drawn, its variant ahead) shrinks as
+// shown, and the fixed worlds named. A shrunk tape stays long where the
+// failure needs a choice drawn after the 400 wakers. The row marked * was
+// made again for the shrunk column; that cut fails first at seed 227, not
+// 0, and no fixed world.
 //
-//	wakeAll wakes its sleepers in LIFO order          1; TestSleepersCountAndMultipleWake, 1 more
-//	wakeAll arms each boost ahead of maybeDispatch    0; TestWakeBoostPreemptsSpinner, 1 more
-//	wakeAll keeps a sleeper's link                    1; TestSleeperOnOneQueue, 1 more
-//	resume hands back through a fresh After(0) event  0; TestBusyTimeAccounting, 15 more
-//	advance: no h.cur != p wait once nothing is owed  0; TestAccountingConservation, 12 more
-//	task: a zero-cost UseCPU read as exit (w.d > 0)   0; TestSleeperOnOneQueue
-//	again asked before the CPU is re-acquired         0; TestContinuedSliceRotates, 6 more
-//	boost: the dispatch-epoch check removed           0; TestStaleBoostDoesNotPreemptForDispatchedProc, 1 more
-//	timerFire arms no boost                           3; TestAccountingConservation
-//	a quantum expiry keeps the CPU with one waiting   0; TestRoundRobinPreemption, 5 more
-//	finishDispatch charges no CtxSwitch               3; TestBusyTimeAccounting, 18 more
-//	Interrupt costs nothing                           0; TestInterruptDelaysHandler
-//	a switch takes no DispatchLatency                 0
-//	SpawnTask files no start event                    0; TestBusyTimeAccounting, 15 more
-//	advance never runs a slice end inline             the floor; TestContinuedSliceRotates, TestUseWhileEdges
+//	wakeAll wakes its sleepers in LIFO order          1    2055→9     TestSleepersCountAndMultipleWake, 1 more
+//	wakeAll arms each boost ahead of maybeDispatch *  227  1530→1332  TestWakeBoostPreemptsSpinner, 1 more
+//	wakeAll keeps a sleeper's link                    1    2055→9     TestSleeperOnOneQueue, 1 more
+//	resume hands back through a fresh After(0) event  0    1445→0     TestBusyTimeAccounting, 15 more
+//	advance: no h.cur != p wait once nothing is owed  0    1445→0     TestAccountingConservation, 12 more
+//	task: a zero-cost UseCPU read as exit (w.d > 0)   0    1445→8     TestSleeperOnOneQueue
+//	again asked before the CPU is re-acquired         0    1445→9     TestContinuedSliceRotates, 6 more
+//	boost: the dispatch-epoch check removed           0    1445→1334  TestStaleBoostDoesNotPreemptForDispatchedProc, 1 more
+//	timerFire arms no boost                           3    1910→1455  TestAccountingConservation
+//	a quantum expiry keeps the CPU with one waiting   0    1445→29    TestRoundRobinPreemption, 5 more
+//	finishDispatch charges no CtxSwitch               3    1910→1332  TestBusyTimeAccounting, 18 more
+//	Interrupt costs nothing                           0    1445→9     TestInterruptDelaysHandler
+//	a switch takes no DispatchLatency                 0    1445→1332
+//	SpawnTask files no start event                    0    1445→0     TestBusyTimeAccounting, 15 more
+//	advance never runs a slice end inline             the floor —     TestContinuedSliceRotates, TestUseWhileEdges
 func TestSchedulerMatchesSpec(t *testing.T) {
 	seeds := 480
 	if testing.Short() {
 		seeds = 400
 	}
-	c := drawn(t, seeds, func(*world, func(int) int) {})
-	// Scripts that run to their end, rivals, slice ends run inline by
-	// subjects alone and beside rivals, queues with more than one sleeper,
-	// boosts that preempt and boosts that only the dispatch epoch stops.
-	if c.finished < seeds*9/10 || c.rivalled < seeds/2 || c.lone == 0 || c.beside == 0 ||
-		c.joined < 2*seeds || c.boosts == 0 || c.stale == 0 {
+	drawn(t, seeds, 0)
+}
+
+// The three differentials the spec replaced keep their names, each a few
+// worlds drawn to its own ground and held to the spec like the rest.
+func TestTaskMatchesProcess(t *testing.T)         { drawn(t, 24, 1) }
+func TestUseWhileMatchesLoop(t *testing.T)        { drawn(t, 24, 2) }
+func TestWaitQMatchesKeyedReference(t *testing.T) { drawn(t, 24, 3) }
+
+// variants change a drawn world with the rest of its choices, each to the
+// ground its floor asks for: not at all, for scripts that run to their end,
+// rivals, slice ends run inline by subjects alone and beside rivals, queues
+// with more than one sleeper, boosts that preempt and boosts that only the
+// dispatch epoch stops; then, for the differentials, every subject a task
+// in the play with tasks; every Use of the script made one to seven times,
+// by UseWhile and by the written loop; every sleep and wake through the
+// keyed SleepOn/Wakeup directory instead of a WaitQ.
+var variants = [...]struct {
+	vary  func(w *world, choose func(n int) int)
+	floor func(c cover) bool
+}{
+	{func(*world, func(int) int) {}, func(c cover) bool {
+		return c.finished >= c.worlds*9/10 && c.rivalled >= c.worlds/2 && c.lone > 0 && c.beside > 0 &&
+			c.joined >= 2*c.worlds && c.boosts > 0 && c.stale > 0
+	}},
+	{func(w *world, _ func(int) int) { w.tasks = true }, func(c cover) bool { return c.finished >= c.worlds*9/10 }},
+	{func(w *world, choose func(int) int) {
+		for i := range w.progs[0] { // the script, whose tails the other subjects run
+			w.progs[0][i].reps = 1 + choose(7)
+		}
+	}, func(c cover) bool { return c.lone > 0 && c.beside > 0 }},
+	{func(w *world, _ func(int) int) { w.keyed = true }, func(c cover) bool { return c.joined >= 2*c.worlds }},
+}
+
+// drawn holds to the spec the worlds drawn from seeds 0 to seeds-1, each
+// changed by variant v, and fails below the variant's floor.
+func drawn(t *testing.T, seeds, v int) {
+	t.Helper()
+	var c cover
+	for seed := 0; seed < seeds; seed++ {
+		tp := choice.Seeded(int64(seed))
+		w := drawWorld(tp.Choose)
+		variants[v].vary(&w, tp.Choose)
+		if _, err := holds(&w, &c); err != nil {
+			drawn := append(choice.Put(nil, len(variants), v), tp.Bytes()...)
+			t.Fatalf("seed %d: %v\n%s", seed, err, choice.Explain("FuzzHost", drawn, fuzz))
+		}
+	}
+	t.Logf("%d worlds: %+v", seeds, c)
+	if !variants[v].floor(c) {
 		t.Errorf("%d worlds covered too little ground: %+v", seeds, c)
 	}
 }
 
-// The three differentials the spec replaced keep their names, each a few
-// worlds drawn to its own ground and held to the spec like the rest: every
-// subject a task in the play with tasks; every Use of the script made one
-// to seven times, by UseWhile and by the written loop; every sleep and wake
-// through the keyed SleepOn/Wakeup directory instead of a WaitQ.
-func TestTaskMatchesProcess(t *testing.T) {
-	if c := drawn(t, 24, func(w *world, _ func(int) int) { w.tasks = true }); c.finished < c.worlds*9/10 {
-		t.Errorf("too few scripts ran to their end: %+v", c)
-	}
-}
-
-func TestUseWhileMatchesLoop(t *testing.T) {
-	c := drawn(t, 24, func(w *world, choose func(int) int) {
-		for i := range w.progs[0] { // the script, whose tails the other subjects run
-			w.progs[0][i].reps = 1 + choose(7)
-		}
-	})
-	if c.lone == 0 || c.beside == 0 {
-		t.Errorf("no slice end ran inline alone or beside rivals: %+v", c)
-	}
-}
-
-func TestWaitQMatchesKeyedReference(t *testing.T) {
-	if c := drawn(t, 24, func(w *world, _ func(int) int) { w.keyed = true }); c.joined < 2*c.worlds {
-		t.Errorf("too few sleeps joined an occupied queue: %+v", c)
-	}
-}
-
-// drawn holds to the spec the worlds drawn from seeds 0 to seeds-1, each
-// changed by vary with the rest of its seed's choices, and returns the
-// ground they covered.
-func drawn(t *testing.T, seeds int, vary func(w *world, choose func(n int) int)) (c cover) {
-	t.Helper()
-	for seed := 0; seed < seeds; seed++ {
-		choose := rand.New(rand.NewSource(int64(seed))).Intn
-		w := drawWorld(choose)
-		vary(&w, choose)
-		holds(t, fmt.Sprint("seed ", seed), &w, &c)
-	}
-	t.Logf("%d worlds: %+v", seeds, c)
-	return c
-}
-
-// FuzzHost plays worlds drawn from its input, a choice tape read a byte
-// or more per choice and as zeros past its end.
+// FuzzHost plays the world its input draws as a choice tape
+// (internal/choice).
 func FuzzHost(f *testing.F) {
 	for _, in := range []string{"", "\x03\x02\x01\x02\x05", "\x07\x01\x01\x01\x03\x10\x02\x01\x07", "\xff\x80\x40\x20\x10\x08\x04\x02\x01"} {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		w := drawWorld(func(n int) int {
-			v := 0
-			for m := n - 1; m > 0; m >>= 8 {
-				v <<= 8
-				if len(in) > 0 {
-					v, in = v|int(in[0]), in[1:]
-				}
-			}
-			return v % n
-		})
-		holds(t, "tape", &w, &cover{})
+		if err := fuzz(choice.New(in)); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// fuzz plays the world a tape draws after its variant, which a seeded run
+// fixes outside its tape.
+func fuzz(tp *choice.Tape) error {
+	v := variants[tp.Choose(len(variants))]
+	w := drawWorld(tp.Choose)
+	v.vary(&w, tp.Choose)
+	_, err := holds(&w, &cover{})
+	return err
 }
 
 // spec is the reference scheduler: the contract the host is held to,

@@ -2,9 +2,9 @@ package medium_test
 
 import (
 	"fmt"
-	"testing"
 	"time"
 
+	"mether/internal/choice"
 	"mether/internal/ethernet"
 	"mether/internal/fabric"
 	"mether/internal/medium"
@@ -170,11 +170,9 @@ func play(s script, k *sim.Kernel, m medium.Medium, c *cover) (stream, state []s
 }
 
 // check plays s on the profile's real medium and on the spec, each on a
-// kernel seeded with seed, and fails at the first difference in the
-// stream or the state, or if a pool buffer is not back once every frame
-// is released.
-func check(t testing.TB, name string, w wire, s script, seed int64, c *cover) {
-	t.Helper()
+// kernel seeded with seed, and returns the first difference in the stream
+// or the state, or a pool buffer not back once every frame is released.
+func check(w wire, s script, seed int64, c *cover) error {
 	k := sim.New(seed)
 	defer k.Shutdown()
 	m := w.medium(k)
@@ -182,31 +180,19 @@ func check(t testing.TB, name string, w wire, s script, seed int64, c *cover) {
 	ref := &spec{k: sim.New(seed), w: w, c: c, links: map[[2]int]*specLink{}, first: map[int]int{}}
 	defer ref.k.Shutdown()
 	want, wantState := play(s, ref.k, ref, &cover{})
-	if i := diverge(got, want); i >= 0 {
-		t.Fatalf("%s: the stream diverges at line %d:\nmedium %q\nspec   %q", name, i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
+	if i := choice.Diverge(got, want); i >= 0 {
+		return fmt.Errorf("the stream diverges at line %d:\nmedium %q\nspec   %q", i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
 	}
-	if i := diverge(gotState, wantState); i >= 0 {
-		t.Fatalf("%s: medium %s\n     spec %s", name, gotState[i], wantState[i])
+	if i := choice.Diverge(gotState, wantState); i >= 0 {
+		return fmt.Errorf("medium %s\n  spec %s", gotState[i], wantState[i])
 	}
 	if alloc, free := m.PoolStats(); alloc != free {
-		t.Fatalf("%s: %d buffers allocated, %d free once every frame is released", name, alloc, free)
+		return fmt.Errorf("%d buffers allocated, %d free once every frame is released", alloc, free)
 	}
 	st := m.Stats()
 	c.ringDrops += st.RingDrops
 	c.wireLost += st.WireLost
 	c.suppressed += st.TxSuppressed
 	c.linkOverflows += st.LinkOverflows
-}
-
-// diverge returns the first line at which two streams differ, or -1.
-func diverge(a, b []string) int {
-	for i := range a {
-		if i == len(b) || a[i] != b[i] {
-			return i
-		}
-	}
-	if len(a) < len(b) {
-		return len(a)
-	}
-	return -1
+	return nil
 }

@@ -2,11 +2,10 @@ package medium_test
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
+	"mether/internal/choice"
 	"mether/internal/ethernet"
 	"mether/internal/fabric"
 	"mether/internal/medium"
@@ -18,40 +17,47 @@ import (
 // through medium.Medium and medium.Port: the stream of interrupts and
 // received frames, the clock, every Stats field and every port's
 // counters must agree, and every pool buffer must be back once the
-// frames are released. Each profile must cover its floor of ground.
-// FuzzMedium draws scripts from a byte tape. Bridges are outside the
-// spec: bridge_test.go and topology_test.go keep them.
+// frames are released. Each profile must cover its floor of ground. A
+// failing seed's tape is shrunk and printed as a FuzzMedium corpus file
+// (testdata/fuzz holds one). Bridges are outside the spec: bridge_test.go
+// and topology_test.go keep them.
 //
 // Each mutation below, made to a copy of the media, fails the profiles
-// listed at the first seed given, and the kept tests named:
+// listed at the first seed given, whose tape (bytes drawn, its profile,
+// kernel seed and op count ahead) shrinks as shown, and the kept tests
+// named:
 //
-//	fabric fan-out without the sender's guard reference  fabric 3; TestBroadcastOverflowGuard
-//	bus: no in-flight reference, recycled at Refs 1      ethernet 1, ethernet-deep 1; TestViewSharedAndRecycled, 5 more
-//	fabric: one loss roll per broadcast                  fabric 1
-//	an interrupt raised for a dropped frame              all three 1; TestStationDropsAtExactCapacity
-//	a down station still takes frames                    all three 1; TestStationDown, 3 more
-//	a ring that grows without unwrapping                 ethernet-deep 1; TestStationFIFOAcrossWrappedGrow
-//	ring: the bound admits one frame more                all three 1; TestRxRingOverflowDrops, 7 more
-//	a suppressed send not counted                        all three 1; TestDownNICCountsSuppressedSends, 3 more
-//	stats: ring high water summed, not maxed             all three 1; TestStationHighWater
-//	bus: no inter-frame gap                              ethernet 1, ethernet-deep 1; TestBackToBackFramesSerialize
-//	bus: a unicast to the sender delivered               ethernet 1, ethernet-deep 1; TestUnicastEdgeAddresses
-//	bus: loss rolled for broadcasts only                 ethernet 1, ethernet-deep 1; TestWireLossDropsFrameEverywhere
-//	bus: receivers fixed at send, not at landing         ethernet 1, ethernet-deep 1
-//	fabric: a copy never leaves its link                 fabric 1; TestSeededDeterminism
-//	fabric: a grown link row not kept                    fabric 2
-//	fabric: an overflowed copy billed as fan-out         fabric 3
-//	fabric: an overflowed copy keeps its reference       fabric 3; TestLinkQueueOverflow, TestBroadcastOverflowGuard
-//	fabric: a unicast to the sender sent                 fabric 1; TestBroadcastFanout
-//	ring: Pop swaps a slot's src and dst                 all three 1; TestRingSlotContract, 14 more
+//	fabric fan-out without the sender's guard reference  fabric 3                     939→4   TestBroadcastOverflowGuard
+//	bus: no in-flight reference, recycled at Refs 1      ethernet 1, ethernet-deep 1  818→3   TestViewSharedAndRecycled, 5 more
+//	fabric: one loss roll per broadcast                  fabric 1                     929→4
+//	an interrupt raised for a dropped frame              all three 1                  818→7   TestStationDropsAtExactCapacity
+//	a down station still takes frames                    all three 1                  818→31  TestStationDown, 3 more
+//	a ring that grows without unwrapping                 ethernet-deep 1              823→20  TestStationFIFOAcrossWrappedGrow
+//	ring: the bound admits one frame more                all three 1 (a panic)        818→7   TestRxRingOverflowDrops, 7 more
+//	a suppressed send not counted                        all three 1                  818→30  TestDownNICCountsSuppressedSends, 3 more
+//	stats: ring high water summed, not maxed             all three 1                  818→4   TestStationHighWater
+//	bus: no inter-frame gap                              ethernet 1, ethernet-deep 1  818→3   TestBackToBackFramesSerialize
+//	bus: a unicast to the sender delivered               ethernet 1, ethernet-deep 1  818→13  TestUnicastEdgeAddresses
+//	bus: loss rolled for broadcasts only                 ethernet 1, ethernet-deep 1  818→13  TestWireLossDropsFrameEverywhere
+//	bus: receivers fixed at send, not at landing         ethernet 1, ethernet-deep 1  818→50
+//	fabric: a copy never leaves its link                 fabric 1                     929→23  TestSeededDeterminism
+//	fabric: a grown link row not kept                    fabric 2                     916→22
+//	fabric: an overflowed copy billed as fan-out         fabric 3                     939→3
+//	fabric: an overflowed copy keeps its reference       fabric 3                     939→3   TestLinkQueueOverflow, TestBroadcastOverflowGuard
+//	fabric: a unicast to the sender sent                 fabric 1                     929→15  TestBroadcastFanout
+//	ring: Pop swaps a slot's src and dst                 all three 1                  818→3   TestRingSlotContract, 14 more
 func TestMediumMatchesSpec(t *testing.T) {
 	for i := range profiles {
 		p := &profiles[i]
 		t.Run(p.name, func(t *testing.T) {
 			var c cover
 			for seed := 1; seed <= p.seeds; seed++ {
-				s := p.script(rand.New(rand.NewSource(int64(seed))).Intn, p.ops)
-				check(t, fmt.Sprint("seed ", seed), p.w, s, int64(seed), &c)
+				tp := choice.Seeded(int64(seed))
+				seeded := func(tp *choice.Tape) error { return check(p.w, p.script(tp.Choose, p.ops), int64(seed), &c) }
+				if err := choice.Run(tp, seeded); err != nil {
+					drawn := choice.Put(choice.Put(choice.Put(nil, len(profiles), i), 256, seed), p.ops, p.ops-1)
+					t.Fatalf("seed %d: %v\n%s", seed, err, choice.Explain("FuzzMedium", append(drawn, tp.Bytes()...), fuzz))
+				}
 			}
 			t.Logf("%d scripts: %+v", p.seeds, c)
 			if !p.floor(&c) {
@@ -61,26 +67,25 @@ func TestMediumMatchesSpec(t *testing.T) {
 	}
 }
 
-// FuzzMedium plays scripts drawn from its input, a choice tape read a
-// byte or more per choice and as zeros past its end.
+// FuzzMedium plays the script its input draws as a choice tape
+// (internal/choice).
 func FuzzMedium(f *testing.F) {
 	for _, in := range []string{"", "\x00\x03\x01", "\x01\x05\x02\x00\x00\x07", "\x02\x04\x00\x00\x00\x00\x00\x09\x01", "\x02\xff\x10\x80\x03"} {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		choose := func(n int) int {
-			v := 0
-			for m := n - 1; m > 0; m >>= 8 {
-				v <<= 8
-				if len(in) > 0 {
-					v, in = v|int(in[0]), in[1:]
-				}
-			}
-			return v % n
+		if err := choice.Run(choice.New(in), fuzz); err != nil {
+			t.Fatal(err)
 		}
-		p := &profiles[choose(len(profiles))]
-		check(t, p.name, p.w, p.script(choose, 1+choose(p.ops)), 1, &cover{})
 	})
+}
+
+// fuzz plays the script a tape draws after its profile, kernel seed and
+// op count, which a seeded run fixes outside its tape.
+func fuzz(tp *choice.Tape) error {
+	p := &profiles[tp.Choose(len(profiles))]
+	seed := int64(tp.Choose(256))
+	return check(p.w, p.script(tp.Choose, 1+tp.Choose(p.ops)), seed, &cover{})
 }
 
 // profile is a kind of randomized script: the medium it is played on,

@@ -12,6 +12,7 @@ package protocols
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mether/internal/workload"
@@ -118,6 +119,15 @@ type Config struct {
 	// TraceLimit, when positive, records the first N datagrams of the
 	// run with the protocol analyzer, into the report's Trace.
 	TraceLimit int
+}
+
+// Target checks a counter target given on a command line, before anything
+// runs: the counter is 32 bits wide, and a zero Target runs as the default.
+func Target(v uint) (uint32, error) {
+	if v == 0 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("-target %d out of range (1..%d)", v, uint32(math.MaxUint32))
+	}
+	return uint32(v), nil
 }
 
 func (c Config) withDefaults() Config {

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -263,5 +264,26 @@ func TestReportRates(t *testing.T) {
 	wantBytes := float64(r.WireBytes) / r.Wall.Seconds()
 	if diff := r.NetBytesPerSec - wantBytes; diff > 1 || diff < -1 {
 		t.Errorf("rate %f != bytes/wall %f", r.NetBytesPerSec, wantBytes)
+	}
+}
+
+// TestTarget: every command's -target is range-checked here, before
+// anything runs; 0 would run as the default 1024.
+func TestTarget(t *testing.T) {
+	for _, tc := range []struct {
+		in      uint
+		want    uint32
+		wantErr bool
+	}{
+		{0, 0, true},
+		{1, 1, false},
+		{1024, 1024, false},
+		{math.MaxUint32, math.MaxUint32, false},
+		{math.MaxUint32 + 1, 0, true},
+	} {
+		got, err := Target(tc.in)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("Target(%d) = %d, %v; want %d, error %v", tc.in, got, err, tc.want, tc.wantErr)
+		}
 	}
 }

@@ -10,18 +10,23 @@ import (
 // wheel and found again by the cursor. With one event pending this is
 // the simulator's base speed limit.
 func BenchmarkKernelDispatch(b *testing.B) {
+	chain(b, func(k *Kernel, tick func()) { k.After(time.Microsecond, "tick", tick) })
+}
+
+// chain times b.N events on a kernel, each filing the next with file, as
+// the first is filed.
+func chain(b *testing.B, file func(k *Kernel, tick func())) {
 	k := New(1)
 	n := 0
 	var tick func()
 	tick = func() {
-		n++
-		if n < b.N {
-			k.After(time.Microsecond, "tick", tick)
+		if n++; n < b.N {
+			file(k, tick)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.After(time.Microsecond, "tick", tick)
+	file(k, tick)
 	k.Run()
 }
 
@@ -30,19 +35,7 @@ func BenchmarkKernelDispatch(b *testing.B) {
 // queue — the shape of wakeups, interrupts and work handoffs, the
 // dominant event class in protocol-heavy runs.
 func BenchmarkKernelDispatchImmediate(b *testing.B) {
-	k := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(0, "tick", tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.After(0, "tick", tick)
-	k.Run()
+	chain(b, func(k *Kernel, tick func()) { k.After(0, "tick", tick) })
 }
 
 // BenchmarkKernelDispatchDeep measures dispatch with ~4096 timers
@@ -155,18 +148,7 @@ func BenchmarkKernelCoalescedFanout(b *testing.B) {
 // merges: every call has a deadline of its own, so each files a plain
 // event — BenchmarkKernelDispatch through the coalescing check.
 func BenchmarkKernelCoalescedMiss(b *testing.B) {
-	k := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		if n++; n < b.N {
-			k.AfterCoalesced(time.Microsecond, "tick", tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.AfterCoalesced(time.Microsecond, "tick", tick)
-	k.Run()
+	chain(b, func(k *Kernel, tick func()) { k.AfterCoalesced(time.Microsecond, "tick", tick) })
 }
 
 // BenchmarkKernelContinue measures a lone tick that continues: with
@@ -220,21 +202,10 @@ func BenchmarkKernelContinueMiss(b *testing.B) {
 // of retry timers: the event never fires but must be queued, cancelled
 // (dropping its closure immediately) and reclaimed on pop.
 func BenchmarkKernelScheduleCancel(b *testing.B) {
-	k := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		ev := k.After(time.Millisecond, "retry", func() { panic("cancelled event ran") })
-		ev.Cancel()
-		if n < b.N {
-			k.After(time.Microsecond, "tick", tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.After(time.Microsecond, "tick", tick)
-	k.Run()
+	chain(b, func(k *Kernel, tick func()) {
+		k.After(time.Millisecond, "retry", func() { panic("cancelled event ran") }).Cancel()
+		k.After(time.Microsecond, "tick", tick)
+	})
 }
 
 // BenchmarkProcSleepSolo measures a process step with no switch: a lone

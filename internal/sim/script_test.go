@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"testing"
 	"time"
+
+	"mether/internal/choice"
 )
 
 // A script is what the kernel is held to the spec with (spec_test.go):
@@ -282,9 +283,9 @@ func awaitReason(a act) any {
 
 // real plays a script on a Kernel and checks its insides on the way: the
 // wheel after every operation when check is set, and every Continue's
-// answer against the reason the kernel's state gives.
+// answer against the reason the kernel's state gives. A failed check
+// panics out of RunUntil.
 type real struct {
-	t     testing.TB
 	k     *Kernel
 	r     *run
 	procs []*Proc
@@ -310,7 +311,9 @@ func (m *real) afterCoalesced(d time.Duration, fn func()) {
 func (m *real) checkWheel() {
 	if m.check {
 		m.r.c.wheel++
-		checkWheel(m.t, m.k)
+		if err := checkWheel(m.k); err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -319,7 +322,7 @@ func (m *real) cont(d time.Duration) bool {
 	yes := m.k.Continue(d)
 	m.r.c.why[why]++
 	if yes != (why == whyNext) {
-		m.t.Fatalf("Continue(%v) at %v said %v, the kernel's state says %s", d, at, yes, whyNames[why])
+		panic(fmt.Errorf("Continue(%v) at %v said %v, the kernel's state says %s", d, at, yes, whyNames[why]))
 	}
 	if yes && next == m.k.now+1 {
 		m.r.c.plusOne++
@@ -354,20 +357,15 @@ func (m *real) state() outcome {
 	return outcome{m.k.Now(), m.k.Dispatched(), m.k.Counters().Pops, fmt.Sprint(m.k.Idle()), m.k.Stopped()}
 }
 
-// play runs s on a Kernel and on the spec, round by round, and fails at
-// the first difference in the trace or the outcome; Pops is compared
-// while no Continue has said yes. The real side's ground goes to c.
-func play(t testing.TB, name string, s *script, check bool, c *cover) *real {
-	t.Helper()
+// play runs s on a Kernel and on the spec, round by round, and returns
+// the first difference in the trace or the outcome; Pops is compared while
+// no Continue has said yes. A failed check panics. The real side's ground
+// goes to c.
+func play(s *script, check bool, c *cover) (*real, error) {
 	k := New(1)
 	defer k.Shutdown()
-	defer func() {
-		if t.Failed() {
-			t.Logf("in %s", name)
-		}
-	}()
 	k.ReserveRunq(s.reserve)
-	km := &real{t: t, k: k, check: check, procs: make([]*Proc, len(s.progs))}
+	km := &real{k: k, check: check, procs: make([]*Proc, len(s.progs))}
 	km.r = newRun(s, km, c)
 	ref := &spec{handback: -1, procs: make([]*specProc, len(s.progs))}
 	ref.r = newRun(s, ref, &cover{})
@@ -384,33 +382,20 @@ func play(t testing.TB, name string, s *script, check bool, c *cover) *real {
 			r.m.runUntil(dl)
 		}
 		got, want := km.r.trace, ref.r.trace
-		if i := diverge(got, want); i >= 0 {
-			t.Fatalf("round %d: the trace diverges at line %d:\nkernel %v\nspec   %v", n, i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
+		if i := choice.Diverge(got, want); i >= 0 {
+			return km, fmt.Errorf("round %d: the trace diverges at line %d:\nkernel %v\nspec   %v", n, i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
 		}
 		g, w := km.state(), ref.state()
 		if k.Counters().Continued > 0 {
 			g.pops, w.pops = 0, 0
 		}
 		if g != w {
-			t.Fatalf("round %d: kernel %+v, spec %+v", n, g, w)
+			return km, fmt.Errorf("round %d: kernel %+v, spec %+v", n, g, w)
 		}
 	}
 	ctr := k.Counters()
 	c.merged += int(k.Dispatched() - ctr.Pops - ctr.Continued)
-	return km
-}
-
-// diverge returns the first line at which two traces differ, or -1.
-func diverge(a, b []mark) int {
-	for i := range a {
-		if i == len(b) || a[i] != b[i] {
-			return i
-		}
-	}
-	if len(a) < len(b) {
-		return len(a)
-	}
-	return -1
+	return km, nil
 }
 
 // Why a Continue call said what it said, as the test sees it: from the

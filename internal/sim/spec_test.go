@@ -2,11 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+
+	"mether/internal/choice"
 )
 
 // TestKernelMatchesSpec holds the Kernel to spec, the reference kernel
@@ -15,38 +16,44 @@ import (
 // said yes, Counters().Pops must agree. The real side also holds every
 // Continue's answer to continueWhy and, where the profile says so, runs
 // checkWheel after every operation. Each profile must cover its floor of
-// ground. The fixed scripts of sim_test.go are held to both kernels and
-// a written trace; FuzzKernel draws scripts from a byte tape.
+// ground. A failing seed's tape is shrunk and printed as a FuzzKernel
+// corpus file (testdata/fuzz holds one); sim_test.go keeps fixed scripts.
 //
 // Each mutation below, made to a copy of the kernel, fails the profiles
-// listed at the first seed given, and the fixed or kept tests named:
+// listed at the first seed given, whose tape (bytes drawn, its profile's
+// ahead) shrinks as shown, and the fixed or kept tests named:
 //
-//	RunUntil behind the clock moves it back      baton 4, wheel 1, coalesce 1, continue 2; TestRunUntilNeverMovesClockBack
-//	Resume goes through a fresh After(0) event   baton 1, coalesce 1, continue 1; TestResumeFromCoalescedCallback, 5 more
-//	wheel: advance takes the bucket head as min  wheel 1, baton 4, continue 1; TestCascadeBoundaryTimes, 5 more
-//	wheel: unlink leaves the summary bit set     wheel 1 (checkWheel; baton panics); TestCancelAfterCascade
-//	wheel: a deadline inside the first bucket    wheel 1, continue 9; TestRunUntilDeadlineInsideFirstBucket
+//	RunUntil behind the clock moves it back      baton 4, wheel 1, coalesce 1, continue 2   252→7    TestRunUntilNeverMovesClockBack
+//	Resume goes through a fresh After(0) event   baton 1, coalesce 1, continue 1            382→10   TestResumeFromCoalescedCallback, 5 more
+//	wheel: advance takes the bucket head as min  wheel 1, baton 4, continue 1               587→17   TestCascadeBoundaryTimes, 5 more
+//	wheel: unlink leaves the summary bit set     wheel 1 (checkWheel), baton 12 (a panic)   587→11   TestCancelAfterCascade
+//	wheel: a deadline inside the first bucket    wheel 1, continue 9                        587→52   TestRunUntilDeadlineInsideFirstBucket
 //	  moves the cursor there, the bucket stays
-//	batch: no rest, it runs on past a Resume     coalesce 1 (baton panics); TestResumeFromCoalescedCallback
-//	batch: coalB kept when a new event is filed  coalesce 1, baton 17, continue 1; TestCoalescedBatchNotReusedAfterResume
-//	batch: a merge into a started event          coalesce 5, continue 25; TestAfterCoalescedBatchClosesOnFire
-//	batch: the rest runs behind runq             coalesce 1, baton 17, continue 2; TestResumeFromCoalescedCallback
-//	batch: Stop ignored in a batch               coalesce 6, continue 51; TestAfterCoalescedStopSuppressesRest
-//	batch: Stop ignored in a batch's rest        coalesce 101; TestAfterCoalescedStopSuppressesRest
-//	batch: the rest's chunk cursor lost          TestAfterCoalescedChunks (panics)
-//	batch: only the head chunk freed             TestAfterCoalescedChunks (the freelist)
-//	Continue refuses only below now+d            continue 5 (continueWhy)
-//	Continue: no batch check                     continue 5 (continueWhy)
-//	Continue: no deadline check                  continue 8 (continueWhy)
-//	Continue: Stop ignored                       continue 60 (continueWhy)
+//	batch: no rest, it runs on past a Resume     coalesce 1, baton 17 (a panic), continue 2 137→27   TestResumeFromCoalescedCallback
+//	batch: coalB kept when a new event is filed  coalesce 1, baton 17, continue 1           137→16   TestCoalescedBatchNotReusedAfterResume
+//	batch: a merge into a started event          coalesce 5, continue 25                    95→9     TestAfterCoalescedBatchClosesOnFire
+//	batch: the rest runs behind runq             coalesce 1, baton 17, continue 26          137→27   TestResumeFromCoalescedCallback
+//	batch: Stop ignored in a batch               coalesce 6, continue 51                    242→127  TestAfterCoalescedStopSuppressesRest
+//	batch: Stop ignored in a batch's rest        coalesce 101                               267→67   TestAfterCoalescedStopSuppressesRest
+//	batch: the rest's chunk cursor lost          —                                          —        TestAfterCoalescedChunks (panics)
+//	batch: only the head chunk freed             —                                          —        TestAfterCoalescedChunks (the freelist)
+//	Continue refuses only below now+d            continue 5 (continueWhy)                   66→15
+//	Continue: no batch check                     continue 5 (continueWhy)                   66→9
+//	Continue: no deadline check                  continue 8 (continueWhy)                   151→32
+//	Continue: Stop ignored                       continue 60 (continueWhy)                  107→44
 func TestKernelMatchesSpec(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := range profiles {
 		p := &profiles[i]
 		t.Run(p.name, func(t *testing.T) {
 			n, c := p.seeds, cover{}
+			seeded := func(tp *choice.Tape) error { _, err := play(p.script(tp.Choose), p.check, &c); return err }
 			for seed := 1; seed <= n; seed++ {
-				play(t, fmt.Sprint("seed ", seed), p.script(rand.New(rand.NewSource(int64(seed))).Intn), p.check, &c)
+				tp := choice.Seeded(int64(seed))
+				if err := choice.Run(tp, seeded); err != nil {
+					drawn := append(choice.Put(nil, len(profiles), i), tp.Bytes()...)
+					t.Fatalf("seed %d: %v\n%s", seed, err, choice.Explain("FuzzKernel", drawn, fuzz))
+				}
 			}
 			t.Logf("%d scripts: %+v", n, c)
 			if !p.floor(&c, n) {
@@ -57,26 +64,25 @@ func TestKernelMatchesSpec(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// FuzzKernel plays scripts drawn from its input, a choice tape read a
-// byte or more per choice and as zeros past its end, with every check on.
+// FuzzKernel plays the script its input draws as a choice tape
+// (internal/choice), with every check on.
 func FuzzKernel(f *testing.F) {
 	for _, in := range []string{"", "\x00\x05\x09", "\x01\x02\x03\x04", "\x01\x07\x01", "\x02\xff\x10\x80", "\x03\x01\x30\x22\x09"} {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		choose := func(n int) int {
-			v := 0
-			for m := n - 1; m > 0; m >>= 8 {
-				v <<= 8
-				if len(in) > 0 {
-					v, in = v|int(in[0]), in[1:]
-				}
-			}
-			return v % n
+		if err := choice.Run(choice.New(in), fuzz); err != nil {
+			t.Fatal(err)
 		}
-		p := &profiles[choose(len(profiles))]
-		play(t, p.name, p.script(choose), true, &cover{})
 	})
+}
+
+// fuzz plays the script a tape draws, its profile first, with every
+// check on: a failing seed's tape, its profile put ahead, fails here too.
+func fuzz(tp *choice.Tape) error {
+	p := &profiles[tp.Choose(len(profiles))]
+	_, err := play(p.script(tp.Choose), true, &cover{})
+	return err
 }
 
 // profile is a kind of randomized script: what its programs, callbacks

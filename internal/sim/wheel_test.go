@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -132,47 +133,48 @@ func TestAfterCoalescedChunks(t *testing.T) {
 // it differs from the cursor, in the bucket of that byte, which is
 // greater than the cursor's (so no occupied bucket is behind the cursor
 // and the cursor is inside none); every list is doubly linked and
-// seq-sorted; and the cursor is not ahead of the clock.
-func checkWheel(t testing.TB, k *Kernel) {
-	t.Helper()
+// seq-sorted; and the cursor is not ahead of the clock. It returns the
+// first that fails, or nil.
+func checkWheel(k *Kernel) error {
 	w := &k.wheel
 	linked := 0
 	for level := range w.lvl {
 		lv := &w.lvl[level]
 		for i, word := range lv.occ {
 			if summary := w.words>>(level<<2|i)&1 != 0; summary != (word != 0) {
-				t.Fatalf("level %d word %d: summary bit %v, bitmap word %#x", level, i, summary, word)
+				return fmt.Errorf("level %d word %d: summary bit %v, bitmap word %#x", level, i, summary, word)
 			}
 		}
 		curByte := int(uint64(w.cur)>>(level*wheelBits)) & (wheelSlots - 1)
 		for idx := range lv.slot {
 			b := &lv.slot[idx]
 			if occ := lv.occ[idx>>6]>>(idx&63)&1 != 0; occ != (b.head != nil) {
-				t.Fatalf("level %d bucket %d: occupancy bit %v, list empty %v", level, idx, occ, b.head == nil)
+				return fmt.Errorf("level %d bucket %d: occupancy bit %v, list empty %v", level, idx, occ, b.head == nil)
 			}
 			var prev *Event
 			for ev := b.head; ev != nil; prev, ev = ev, ev.next {
 				linked++
 				if ev.prev != prev || int(ev.pos) != level<<wheelBits|idx {
-					t.Fatalf("level %d bucket %d: %v is mislinked (pos %#x)", level, idx, ev, ev.pos)
+					return fmt.Errorf("level %d bucket %d: %v is mislinked (pos %#x)", level, idx, ev, ev.pos)
 				}
 				if prev != nil && prev.seq >= ev.seq {
-					t.Fatalf("level %d bucket %d: seq %d is filed ahead of seq %d", level, idx, prev.seq, ev.seq)
+					return fmt.Errorf("level %d bucket %d: seq %d is filed ahead of seq %d", level, idx, prev.seq, ev.seq)
 				}
 				d := uint64(ev.at) ^ uint64(w.cur)
 				if at := int(uint64(ev.at)>>(level*wheelBits)) & (wheelSlots - 1); (bits.Len64(d)-1)>>3 != level || at != idx || idx <= curByte {
-					t.Fatalf("level %d bucket %d holds %v with the cursor at %#x", level, idx, ev, w.cur)
+					return fmt.Errorf("level %d bucket %d holds %v with the cursor at %#x", level, idx, ev, w.cur)
 				}
 			}
 			if b.tail != prev {
-				t.Fatalf("level %d bucket %d: tail is not the last event", level, idx)
+				return fmt.Errorf("level %d bucket %d: tail is not the last event", level, idx)
 			}
 		}
 	}
 	if linked != w.cnt {
-		t.Fatalf("%d events linked, cnt = %d", linked, w.cnt)
+		return fmt.Errorf("%d events linked, cnt = %d", linked, w.cnt)
 	}
 	if w.cur > int64(k.now) {
-		t.Fatalf("cursor %#x is ahead of the clock %#x", w.cur, int64(k.now))
+		return fmt.Errorf("cursor %#x is ahead of the clock %#x", w.cur, int64(k.now))
 	}
+	return nil
 }

@@ -2,12 +2,13 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 )
 
-// smokeSeed is the seed the determinism tests run the smoke grid under.
+// smokeSeed is the seed the determinism tests run their grid under.
 const smokeSeed = 42
 
 // smoke is the smoke grid under seed, and mustJSON a report's bytes;
@@ -28,22 +29,33 @@ func mustJSON(rep Report) []byte {
 	return b
 }
 
-// runSmokeBytes runs the smoke grid on a pool of the given size and
-// returns the marshalled JSON report.
-func runSmokeBytes(seed int64, workers int) []byte {
-	rep, _ := Runner{Workers: workers}.Run("smoke", smoke(seed))
-	return mustJSON(rep)
+// detGrid is what the determinism tests run under seed. Without -race it
+// is the smoke grid: byte-identity across runs, worker counts and
+// GOMAXPROCS is the property, and the smoke grid is the ground it must
+// hold on. Under -race, which checks the runner's concurrency (the pool,
+// the largest-first hand-out, the result slots), it is many short cells:
+// the smoke grid without its 4096-host cell, on eight neighbouring seeds.
+func detGrid(seed int64) []Scenario {
+	if !raceBuild {
+		return smoke(seed)
+	}
+	var scs []Scenario
+	for i := int64(0); i < 8; i++ {
+		for _, s := range smoke(seed + i) {
+			if s.Hosts <= 64 {
+				s.Name = fmt.Sprint(s.Name, "/", i)
+				scs = append(scs, s)
+			}
+		}
+	}
+	return scs
 }
 
 // serialSmoke is the reference every determinism test below compares
-// its own run against: the smoke grid through a plain unordered serial
-// loop — no Runner, no pool, no largest-first ordering — computed once.
-// Two runs that each equal the reference equal each other, so every
-// property is still asserted while each test pays for its own side only
-// (the grid's 4096-host cell makes a smoke run seconds, not
-// milliseconds).
+// its own run against: the grid through a plain unordered serial loop —
+// no Runner, no pool, no largest-first ordering — computed once.
 var serialSmoke = sync.OnceValue(func() []byte {
-	scs := smoke(smokeSeed)
+	scs := detGrid(smokeSeed)
 	rep := Report{Grid: "smoke", Scenarios: make([]Result, len(scs))}
 	for i, s := range scs {
 		rep.Scenarios[i] = s.Run()
@@ -51,50 +63,64 @@ var serialSmoke = sync.OnceValue(func() []byte {
 	return mustJSON(rep)
 })
 
-// pooledSmoke is one Runner run of the smoke grid on four workers,
-// shared by the test of its bytes (TestOrderedPoolMatchesUnorderedSerial)
-// and the test of its results and timing (TestRunnerRunsAllScenarios).
-var pooledSmoke = sync.OnceValues(func() (Report, Timing) {
-	return Runner{Workers: 4}.Run("smoke", smoke(smokeSeed))
-})
+type pooled struct {
+	rep Report
+	tm  Timing
+}
+
+// pooledRuns holds the Runner runs of the grid under smokeSeed, one per
+// distinct (GOMAXPROCS, workers).
+var pooledRuns = map[[2]int]pooled{}
+
+// pooledSmoke runs the grid under smokeSeed on a pool of workers (0: one
+// per GOMAXPROCS) with GOMAXPROCS procs (0: as it is), once per distinct
+// configuration: with two CPUs, GOMAXPROCS 2 and workers 0 is the
+// 2-worker run again, and is not run twice.
+func pooledSmoke(procs, workers int) (Report, Timing) {
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	key := [2]int{runtime.GOMAXPROCS(0), workers}
+	if r, ok := pooledRuns[key]; ok {
+		return r.rep, r.tm
+	}
+	rep, tm := Runner{Workers: workers}.Run("smoke", detGrid(smokeSeed))
+	pooledRuns[key] = pooled{rep, tm}
+	return rep, tm
+}
+
+// sameAsSerial fails t if the pooled run differs from the serial one.
+func sameAsSerial(t *testing.T, procs, workers int) {
+	t.Helper()
+	rep, _ := pooledSmoke(procs, workers)
+	if want, got := serialSmoke(), mustJSON(rep); !bytes.Equal(want, got) {
+		t.Fatalf("GOMAXPROCS %d (0: unchanged), %d workers (0: one per GOMAXPROCS) changed the report:\n--- serial ---\n%s\n--- pooled ---\n%s",
+			procs, workers, want, got)
+	}
+}
 
 // TestReportDeterministicAcrossRuns proves the same grid and seed yield
 // byte-identical reports on repeated runs: a second execution against
 // the reference one.
-func TestReportDeterministicAcrossRuns(t *testing.T) {
-	a := serialSmoke()
-	b := runSmokeBytes(smokeSeed, 2)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two identical sweeps produced different reports:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
-	}
-}
+func TestReportDeterministicAcrossRuns(t *testing.T) { sameAsSerial(t, 0, 2) }
 
 // TestReportDeterministicAcrossWorkerCounts proves pool scheduling never
 // leaks into results: one worker and many workers agree byte-for-byte.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
-	want := serialSmoke()
-	for _, workers := range []int{1, 8} {
-		if got := runSmokeBytes(smokeSeed, workers); !bytes.Equal(want, got) {
-			t.Fatalf("%d workers changed the report:\n--- reference ---\n%s\n--- %d workers ---\n%s", workers, want, workers, got)
-		}
-	}
+	sameAsSerial(t, 0, 1)
+	sameAsSerial(t, 0, 8)
 }
 
 // TestReportDeterministicAcrossGOMAXPROCS proves the parallel runner
 // never leaks real-scheduler nondeterminism into a simulated World:
-// GOMAXPROCS=1 and GOMAXPROCS=NumCPU produce byte-identical reports.
+// GOMAXPROCS=1 and GOMAXPROCS=NumCPU produce byte-identical reports,
+// with one worker per GOMAXPROCS.
 func TestReportDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	want := serialSmoke()
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-
-	for _, procs := range []int{1, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(procs)
-		// 0 = one worker per GOMAXPROCS
-		if got := runSmokeBytes(smokeSeed, 0); !bytes.Equal(want, got) {
-			t.Fatalf("GOMAXPROCS=%d changed the report:\n--- reference ---\n%s\n--- GOMAXPROCS=%d ---\n%s", procs, want, procs, got)
-		}
-	}
+	sameAsSerial(t, 1, 0)
+	sameAsSerial(t, runtime.NumCPU(), 0)
 }
 
 // TestOrderedPoolMatchesUnorderedSerial pins down the long-pole
@@ -102,13 +128,7 @@ func TestReportDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // largest-estimated-first, and this must be invisible — the report must
 // stay byte-identical to a plain unordered serial loop over the grid
 // (no Runner involved at all).
-func TestOrderedPoolMatchesUnorderedSerial(t *testing.T) {
-	want := serialSmoke()
-	pooled, _ := pooledSmoke()
-	if got := mustJSON(pooled); !bytes.Equal(want, got) {
-		t.Fatalf("largest-first pool changed the report:\n--- unordered serial ---\n%s\n--- ordered pool ---\n%s", want, got)
-	}
-}
+func TestOrderedPoolMatchesUnorderedSerial(t *testing.T) { sameAsSerial(t, 0, 4) }
 
 // TestEstCostOrdersClusterLongPolesFirst sanity-checks the estimate the
 // pool sorts by: in the cluster grid the 256-host broadcast-bound cells
@@ -192,7 +212,8 @@ func TestBridgedLossReportDeterministic(t *testing.T) {
 // different seeds produced identical reports the determinism tests above
 // would be vacuous.
 func TestSeedChangesReport(t *testing.T) {
-	if bytes.Equal(serialSmoke(), runSmokeBytes(99, 2)) {
+	rep, _ := Runner{Workers: 2}.Run("smoke", detGrid(99))
+	if bytes.Equal(serialSmoke(), mustJSON(rep)) {
 		t.Error("different seeds produced byte-identical reports; seeds are not reaching the worlds")
 	}
 }

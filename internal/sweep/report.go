@@ -178,26 +178,11 @@ func (d Delta) String() string {
 	return fmt.Sprintf("%s %s: %.4g -> %.4g (x%.3f)", d.Name, d.Metric, d.Base, d.New, d.Ratio)
 }
 
-// compareMetrics are the metrics Compare tracks, in report order.
-var compareMetrics = []struct {
-	name string
-	get  func(Result) float64
-}{
-	{"wall_ns", func(r Result) float64 { return float64(r.WallNS) }},
-	{"lat_mean_ns", func(r Result) float64 { return float64(r.LatMeanNS) }},
-	{"wire_bytes", func(r Result) float64 { return float64(r.WireBytes) }},
-	{"ctx_switches", func(r Result) float64 { return float64(r.CtxSwitches) }},
-	{"ops_per_sec", func(r Result) float64 { return r.OpsPerSec }},
-	{"bridge_forwarded", func(r Result) float64 { return float64(r.BridgeForwarded) }},
-	{"cross_trunk_stale", func(r Result) float64 { return float64(r.CrossTrunkStale) }},
-	// Zero on every Ethernet cell and absent from pre-fabric baselines:
-	// Compare skips equal values, so old reports gate cleanly.
-	{"fanout_frames", func(r Result) float64 { return float64(r.FanoutFrames) }},
-}
-
 // Compare reports per-scenario metric changes of r against a baseline,
-// matching scenarios by name. Only metrics whose relative change exceeds
-// tolerance are returned (tolerance 0 reports every changed metric).
+// matching scenarios by name. Its metrics are the CSV report's numeric
+// columns, in file order: a column whose cells parse as numbers on both
+// sides. Only metrics whose relative change exceeds tolerance are
+// returned (tolerance 0 reports every changed metric).
 // Scenarios present in only one report are reported with Metric
 // "missing" and a zero Ratio.
 func Compare(baseline, r Report, tolerance float64) []Delta {
@@ -214,9 +199,10 @@ func Compare(baseline, r Report, tolerance float64) []Delta {
 			out = append(out, Delta{Name: s.Name, Metric: "missing-in-baseline"})
 			continue
 		}
-		for _, m := range compareMetrics {
-			bv, nv := m.get(b), m.get(s)
-			if bv == nv {
+		for _, c := range csvColumns {
+			bv, berr := strconv.ParseFloat(c.cell(&b), 64)
+			nv, nerr := strconv.ParseFloat(c.cell(&s), 64)
+			if berr != nil || nerr != nil || bv == nv {
 				continue
 			}
 			ratio := 0.0
@@ -228,7 +214,7 @@ func Compare(baseline, r Report, tolerance float64) []Delta {
 				rel = -rel
 			}
 			if bv == 0 || rel > tolerance {
-				out = append(out, Delta{Name: s.Name, Metric: m.name, Base: bv, New: nv, Ratio: ratio})
+				out = append(out, Delta{Name: s.Name, Metric: c.name, Base: bv, New: nv, Ratio: ratio})
 			}
 		}
 	}

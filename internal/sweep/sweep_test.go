@@ -56,8 +56,8 @@ func TestPaperGridIsLargeEnough(t *testing.T) {
 }
 
 func TestRunnerRunsAllScenarios(t *testing.T) {
-	scs := smoke(smokeSeed)
-	rep, tm := pooledSmoke()
+	scs := detGrid(smokeSeed)
+	rep, tm := pooledSmoke(0, 4)
 	if len(rep.Scenarios) != len(scs) {
 		t.Fatalf("got %d results for %d scenarios", len(rep.Scenarios), len(scs))
 	}
@@ -275,10 +275,14 @@ func TestCSVQuoteRFC4180(t *testing.T) {
 func TestCompare(t *testing.T) {
 	base := Report{Scenarios: []Result{
 		{Name: "a", WallNS: 100, WireBytes: 50, CtxSwitches: 10},
+		{Name: "p99", Kind: KindCounter, LatP99NS: 7, Err: "x", Deviations: []string{"y"}},
 		{Name: "gone", WallNS: 1},
 	}}
 	cur := Report{Scenarios: []Result{
 		{Name: "a", WallNS: 150, WireBytes: 50, CtxSwitches: 8},
+		// Only lat_p99_ns moves among the numbers; the text columns moving
+		// beside it are no metric.
+		{Name: "p99", Kind: KindHotspot, LatP99NS: 9, Err: "z", DNF: true},
 		{Name: "new", WallNS: 1},
 	}}
 	deltas := Compare(base, cur, 0)
@@ -287,6 +291,9 @@ func TestCompare(t *testing.T) {
 		metrics = append(metrics, d.Name+"/"+d.Metric)
 	}
 	joined := strings.Join(metrics, " ")
+	if want := "a/wall_ns a/ctx_switches p99/lat_p99_ns new/missing-in-baseline gone/missing-in-report"; joined != want {
+		t.Errorf("deltas %s, want %s", joined, want)
+	}
 	for _, want := range []string{"a/wall_ns", "a/ctx_switches", "new/missing-in-baseline", "gone/missing-in-report"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("deltas %v missing %s", metrics, want)
