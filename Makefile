@@ -29,7 +29,7 @@
 #                        fails here instead of at the next benchmark run
 #   make golden        - "byte-identical report" is the repo's contract, so
 #                        compare some: the smoke grid as JSON and CSV, the
-#                        16-host cluster grid as JSON and metherbench -md,
+#                        16-host cluster grid as JSON and metherbench,
 #                        each cmp'd against the file committed under
 #                        testdata/golden/ (EXPERIMENTS.md for the last)
 #   make golden-update - regenerate those files after an intended change
@@ -151,14 +151,14 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The pinned reports, written into OUT. All four are deterministic: no
-# real-time value enters a report, and metherbench -md prints none.
+# real-time value enters a report, and metherbench prints none.
 GOLDEN_DIR = testdata/golden
 
 golden-write:
 	$(GO) run ./cmd/methersweep -q -grid smoke -format json -o $(OUT)/smoke.json
 	$(GO) run ./cmd/methersweep -q -grid smoke -format csv -o $(OUT)/smoke.csv
 	$(GO) run ./cmd/methersweep -q -grid cluster -hosts 16 -format json -o $(OUT)/cluster-h16.json
-	$(GO) run ./cmd/metherbench -md > $(OUT)/EXPERIMENTS.md
+	$(GO) run ./cmd/metherbench > $(OUT)/EXPERIMENTS.md
 
 # Rendered into a git-ignored scratch directory, removed again whether
 # the comparison passes or not.

@@ -66,6 +66,25 @@ func runProtocolBench(b *testing.B, cfg protocols.Config, err error) {
 	reportCounter(b, last)
 }
 
+// runScenarioBench runs a sweep scenario b.N times and attaches the
+// figure metrics of its result.
+func runScenarioBench(b *testing.B, sc sweep.Scenario) {
+	b.Helper()
+	var r sweep.Result
+	for i := 0; i < b.N; i++ {
+		if r = sc.Run(); r.Err != "" {
+			b.Fatal(r.Err)
+		}
+	}
+	if r.Ops > 0 {
+		b.ReportMetric(float64(r.WallNS)/1e6/float64(r.Ops), "sim-ms/add")
+		b.ReportMetric(float64(r.CtxSwitches)/float64(r.Ops), "ctx/add")
+	}
+	b.ReportMetric(r.LossWin, "loss/win")
+	b.ReportMetric(float64(r.LatMeanNS)/1e6, "lat-ms")
+	b.ReportMetric(r.NetBytesPerSec, "net-B/s")
+}
+
 // BenchmarkBaselineSingle reproduces the Section-4 text: one process
 // counting alone (~50 µs per increment on the era hardware).
 func BenchmarkBaselineSingle(b *testing.B) {
@@ -89,8 +108,7 @@ func BenchmarkFigures(b *testing.B) {
 			sc.Cap = 20 * time.Second
 		}
 		b.Run(sc.Name, func(b *testing.B) {
-			cfg, err := sc.CounterConfig()
-			runProtocolBench(b, cfg, err)
+			runScenarioBench(b, sc)
 		})
 	}
 }
@@ -101,8 +119,7 @@ func BenchmarkFig7Hysteresis(b *testing.B) {
 	for _, sc := range sweep.HysteresisSweep(sweep.Options{Target: benchTarget, Seed: 1}) {
 		sc := sc
 		b.Run(sc.Name, func(b *testing.B) {
-			cfg, err := sc.CounterConfig()
-			runProtocolBench(b, cfg, err)
+			runScenarioBench(b, sc)
 		})
 	}
 }
@@ -230,8 +247,7 @@ func BenchmarkAblationKernelServer(b *testing.B) {
 	for _, sc := range sweep.KernelAblation(sweep.Options{Target: benchTarget, Seed: 1}) {
 		sc := sc
 		b.Run(sc.Name, func(b *testing.B) {
-			cfg, err := sc.CounterConfig()
-			runProtocolBench(b, cfg, err)
+			runScenarioBench(b, sc)
 		})
 	}
 }
@@ -288,7 +304,7 @@ func BenchmarkPipeThroughput(b *testing.B) {
 				}
 			}
 			b.ReportMetric(stats.Rate(last.Ops, last.Quiet), "sim-msg/s")
-			b.ReportMetric(stats.BytesPerSec(last.WireBytes, last.Quiet), "wire-B/s")
+			b.ReportMetric(stats.BytesPerSec(last.Net.WireBytes, last.Quiet), "wire-B/s")
 		})
 	}
 }
@@ -310,7 +326,7 @@ func BenchmarkFanoutScaling(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(stats.Ratio(last.Packets, last.Ops), "pkts/update")
+				b.ReportMetric(stats.Ratio(last.Net.Frames, last.Ops), "pkts/update")
 				b.ReportMetric(last.Host0.Total().Seconds()*1000, "writer-cpu-ms")
 			})
 		}

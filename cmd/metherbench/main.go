@@ -1,9 +1,11 @@
 // Command metherbench regenerates every table and figure of the paper's
-// evaluation: the baselines of Section 4, Figures 4-9 (the six user
-// protocols), the solver speedup claim of Section 3, and the MemNet
-// comparison of Sections 1/6 — printing the paper's reported values next
-// to the simulation's measurements. With -md it emits Markdown suitable
-// for EXPERIMENTS.md.
+// evaluation as the Markdown of EXPERIMENTS.md: the baselines of Section
+// 4, Figures 4-9 (the six user protocols) and their ablations, the
+// broadcast fan-out experiment, the solver speedup claim of Section 3,
+// and the MemNet comparison of Sections 1/6 — printing the paper's
+// reported values next to the simulation's measurements. Every Mether
+// cell is a sweep scenario: one sweep.Runner.Run measures them all, and
+// the tables are rendered from its results.
 package main
 
 import (
@@ -19,19 +21,27 @@ import (
 	"mether/internal/solver"
 	"mether/internal/stats"
 	"mether/internal/sweep"
-	"mether/internal/workload"
 )
 
 var (
 	flagTarget = flag.Uint("target", 1024, "counter target (paper: 1024)")
-	flagMD     = flag.Bool("md", false, "emit Markdown tables")
 	flagSeed   = flag.Int64("seed", 1, "simulation seed")
 	flagQuick  = flag.Bool("quick", false, "reduced scale for smoke runs (target 128, small solver)")
 )
 
+// section is one part of the document measured by sweep scenarios: its
+// cells, and how their results render.
+type section struct {
+	cells  []sweep.Scenario
+	render func(w *writer, cells []sweep.Scenario, rs []sweep.Result)
+}
+
 func main() {
 	flag.Parse()
 	target, err := protocols.Target(*flagTarget)
+	if err == nil {
+		err = protocols.Positive("seed", *flagSeed)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "metherbench:", err)
 		os.Exit(1)
@@ -42,116 +52,110 @@ func main() {
 		solverN = 40_000
 	}
 
-	out := &writer{md: *flagMD}
-	runBaselines(out, target)
-	runFigures(out, target)
-	runHysteresisSweep(out, target)
-	runLossAblation(out, target)
-	runKernelServerAblation(out, target)
-	runFanout(out)
+	o := sweep.Options{Target: target, Seed: *flagSeed}
+	sections := []section{
+		{baselines(o), func(w *writer, _ []sweep.Scenario, rs []sweep.Result) { renderBaselines(w, target, rs) }},
+		{sweep.FigureScenarios(o), func(w *writer, cells []sweep.Scenario, rs []sweep.Result) { renderFigures(w, target, cells, rs) }},
+		{sweep.HysteresisSweep(o), renderHysteresis},
+		{sweep.LossAblation(o), renderLoss},
+		{sweep.KernelAblation(o), renderKernel},
+		{fanout(o.Seed), renderFanout},
+	}
+	var scs []sweep.Scenario
+	for _, s := range sections {
+		scs = append(scs, s.cells...)
+	}
+	rep, _ := sweep.Runner{}.Run("metherbench", scs)
+	for _, r := range rep.Scenarios {
+		if r.Err != "" {
+			fmt.Fprintf(os.Stderr, "%s: %s\n", r.Name, r.Err)
+			os.Exit(1)
+		}
+	}
+
+	out := &writer{}
+	rs := rep.Scenarios
+	for _, s := range sections {
+		s.render(out, s.cells, rs[:len(s.cells)])
+		rs = rs[len(s.cells):]
+	}
 	runSolver(out, solverN)
 	runMemNet(out, target)
 	out.flush()
 }
 
-// runFanout measures the broadcast-scaling property: one writer's purge
-// serves any number of resident copies (like a hardware invalidate,
-// "the cost ... is the same no matter how many caches have a copy"),
-// while demand-refetch readers cost the writer per-reader traffic.
-func runFanout(w *writer) {
-	w.section("Experiment: one writer, N readers — broadcast vs demand scaling")
-	headers := []string{"mode", "readers", "packets/update", "writer CPU", "wall"}
-	var rows [][]string
+// baselines are the Section 4 runs without Mether: one process counting
+// alone, and two processes sharing one host.
+func baselines(o sweep.Options) []sweep.Scenario {
+	return []sweep.Scenario{
+		{Name: "baseline/single", Kind: sweep.KindCounter, Protocol: protocols.BaselineSingle, Target: o.Target, Seed: o.Seed},
+		{Name: "baseline/local-pair", Kind: sweep.KindCounter, Protocol: protocols.BaselineLocalPair, Target: o.Target, Seed: o.Seed},
+	}
+}
+
+// fanout is the broadcast-scaling experiment: one writer's purge serves
+// any number of resident copies (like a hardware invalidate, "the cost
+// ... is the same no matter how many caches have a copy"), while
+// demand-refetch readers cost the writer per-reader traffic.
+func fanout(seed int64) []sweep.Scenario {
+	var out []sweep.Scenario
 	for _, mode := range []protocols.FanoutMode{protocols.FanoutDataDriven, protocols.FanoutDemand} {
 		for _, readers := range []int{1, 2, 4, 8} {
-			cfg := protocols.FanoutConfig{Mode: mode, Readers: readers, Updates: 32, Options: workload.Options{Seed: *flagSeed}}
-			wl, err := protocols.Fanout(cfg)
-			var r workload.Report
-			if err == nil {
-				r, err = cfg.Run(wl)
-			}
-			if err == nil && r.DNF {
-				err = fmt.Errorf("readers did not finish")
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fanout %v/%d: %v\n", mode, readers, err)
-				os.Exit(1)
-			}
-			// The wall is the quiet instant: EXPERIMENTS.md pins this table.
-			rows = append(rows, []string{
-				mode.String(), fmt.Sprint(readers), fmt.Sprintf("%.1f", stats.Ratio(r.Packets, r.Ops)),
-				fmtDur(r.Host0.Total()), fmtDur(r.Quiet),
-			})
+			out = append(out, sweep.Scenario{Name: fmt.Sprintf("fanout/%v/r%d", mode, readers), Kind: sweep.KindFanout,
+				FanoutMode: mode, Readers: readers, Updates: 32, Seed: seed})
 		}
 	}
-	w.table(headers, rows)
+	return out
+}
+
+func renderFanout(w *writer, cells []sweep.Scenario, rs []sweep.Result) {
+	w.section("Experiment: one writer, N readers — broadcast vs demand scaling")
+	var rows [][]string
+	for i, r := range rs {
+		if r.DNF {
+			fmt.Fprintf(os.Stderr, "%s: readers did not finish\n", r.Name)
+			os.Exit(1)
+		}
+		// A fanout row's wall is the quiet instant and its user time
+		// host 0's whole CPU (sweep's legacy fanout row).
+		rows = append(rows, []string{
+			cells[i].FanoutMode.String(), fmt.Sprint(cells[i].Readers), fmt.Sprintf("%.1f", stats.Ratio(r.Packets, r.Ops)),
+			fmtNS(r.UserNS), fmtNS(r.WallNS),
+		})
+	}
+	w.table([]string{"mode", "readers", "packets/update", "writer CPU", "wall"}, rows)
 	w.notef("data-driven fan-out stays flat in reader count; demand-refetch scales linearly.")
 }
 
-// runKernelServerAblation measures the paper's predicted fix: moving the
-// server into the kernel removes the context-switch bottleneck. The
-// configurations come from the sweep engine's kernel-ablation grid.
-func runKernelServerAblation(w *writer, target uint32) {
+// renderKernel is the paper's predicted fix: moving the server into the
+// kernel removes the context-switch bottleneck.
+func renderKernel(w *writer, _ []sweep.Scenario, rs []sweep.Result) {
 	w.section("Ablation: user-level vs in-kernel server (the paper's future work)")
-	headers := []string{"scenario", "wall", "latency", "loss/win", "sys+server"}
 	var rows [][]string
-	for _, sc := range sweep.KernelAblation(sweep.Options{Target: target, Seed: *flagSeed}) {
-		r := mustRun(sc.CounterConfig())
+	for _, r := range rs {
 		rows = append(rows, []string{
-			sc.Name, fmtDur(r.Wall), fmtDur(r.LatMean),
-			fmt.Sprintf("%.1f", r.LossWin()), fmtDur(r.Host0.System()),
+			r.Name, fmtNS(r.WallNS), fmtNS(r.LatMeanNS),
+			fmt.Sprintf("%.1f", r.LossWin), fmtNS(sysNS(r)),
 		})
 	}
-	w.table(headers, rows)
+	w.table([]string{"scenario", "wall", "latency", "loss/win", "sys+server"}, rows)
 	w.notef("\"That problem will be solved by ... a migration of the user level server code to the kernel.\"")
 }
 
+// writer accumulates the Markdown document.
 type writer struct {
-	md  bool
 	buf strings.Builder
 }
 
 func (w *writer) section(title string) {
-	if w.md {
-		fmt.Fprintf(&w.buf, "\n### %s\n\n", title)
-	} else {
-		fmt.Fprintf(&w.buf, "\n== %s ==\n", title)
-	}
+	fmt.Fprintf(&w.buf, "\n### %s\n\n", title)
 }
 
 func (w *writer) table(headers []string, rows [][]string) {
-	if w.md {
-		fmt.Fprintf(&w.buf, "| %s |\n", strings.Join(headers, " | "))
-		seps := make([]string, len(headers))
-		for i := range seps {
-			seps[i] = "---"
-		}
-		fmt.Fprintf(&w.buf, "| %s |\n", strings.Join(seps, " | "))
-		for _, r := range rows {
-			fmt.Fprintf(&w.buf, "| %s |\n", strings.Join(r, " | "))
-		}
-		return
-	}
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
+	fmt.Fprintf(&w.buf, "| %s |\n", strings.Join(headers, " | "))
+	fmt.Fprintf(&w.buf, "|%s\n", strings.Repeat(" --- |", len(headers)))
 	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			fmt.Fprintf(&w.buf, "%-*s  ", widths[i], c)
-		}
-		fmt.Fprintln(&w.buf)
-	}
-	line(headers)
-	for _, r := range rows {
-		line(r)
+		fmt.Fprintf(&w.buf, "| %s |\n", strings.Join(r, " | "))
 	}
 }
 
@@ -161,24 +165,19 @@ func (w *writer) notef(format string, args ...any) {
 
 func (w *writer) flush() { fmt.Print(w.buf.String()) }
 
-// mustRun runs a counter configuration (and the error of its making)
-// or exits.
-func mustRun(cfg protocols.Config, err error) workload.Report {
-	var r workload.Report
-	if err == nil {
-		var wl workload.Workload
-		if wl, err = protocols.Counter(cfg); err == nil {
-			r, err = cfg.Run(wl)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "run %v: %v\n", cfg.Protocol, err)
-		os.Exit(1)
-	}
-	return r
-}
-
 func scale(target uint32) float64 { return 1024 / float64(target) }
+
+// sysNS is a counter row's "Sys Time": host 0's system time plus its
+// server's, as workload.CPU.System counts it.
+func sysNS(r sweep.Result) int64 { return r.SysNS + r.ServerNS }
+
+// ctxPerOp is context switches per addition.
+func ctxPerOp(r sweep.Result) float64 {
+	if r.Ops == 0 {
+		return 0
+	}
+	return float64(r.CtxSwitches) / float64(r.Ops)
+}
 
 // figSpec carries the paper's published values for one figure; the run
 // configuration itself comes from the sweep engine's figure scenarios,
@@ -186,69 +185,52 @@ func scale(target uint32) float64 { return 1024 / float64(target) }
 // not reported).
 type figSpec struct {
 	title string
-	proto protocols.Protocol
 	paper map[string]string
 }
 
-// figSpecFor finds the paper values for a figure scenario's protocol.
-func figSpecFor(p protocols.Protocol) (figSpec, bool) {
-	for _, f := range figures {
-		if f.proto == p {
-			return f, true
-		}
-	}
-	return figSpec{}, false
-}
-
-var figures = []figSpec{
-	{
+var figures = map[protocols.Protocol]figSpec{
+	protocols.P1FullPage: {
 		title: "Figure 4: first user protocol — increment on full-size page",
-		proto: protocols.P1FullPage,
 		paper: map[string]string{
 			"wall": "128 s", "user": "10 s", "sys": "30 s",
 			"net": "66 kB/s", "ctx": "4 /add", "space": "1 page",
 			"lat": "120 ms", "losswin": "500",
 		},
 	},
-	{
+	protocols.P2ShortPage: {
 		title: "Figure 5: second user protocol — spin on short page",
-		proto: protocols.P2ShortPage,
 		paper: map[string]string{
 			"wall": "68 s", "user": "3 s", "sys": "17 s",
 			"net": "2.2 kB/s", "ctx": "4 /add", "space": "1 page",
 			"lat": "68 ms", "losswin": "134",
 		},
 	},
-	{
+	protocols.P3DisjointRO: {
 		title: "Figure 6: third user protocol — spin on disjoint pages, one read-only",
-		proto: protocols.P3DisjointRO,
 		paper: map[string]string{
 			"wall": "never finished", "user": "never finished", "sys": "never finished",
 			"net": "n/a", "ctx": "n/a", "space": "2 pages",
 			"lat": "very high", "losswin": "10000",
 		},
 	},
-	{
+	protocols.P3Hysteresis: {
 		title: "Figure 7: third user protocol with hysteresis",
-		proto: protocols.P3Hysteresis,
 		paper: map[string]string{
 			"wall": "77 s", "user": "19 s", "sys": "50 s",
 			"net": "~1 kB/s", "ctx": "5 /add", "space": "2 pages",
 			"lat": "45 ms", "losswin": "80",
 		},
 	},
-	{
+	protocols.P4DataDriven: {
 		title: "Figure 8: fourth user protocol — spin on short page, data driven",
-		proto: protocols.P4DataDriven,
 		paper: map[string]string{
 			"wall": "68 s", "user": "7 s", "sys": "50 s",
 			"net": "~1 kB/s", "ctx": "10 /add", "space": "1 page",
 			"lat": "65 ms", "losswin": "400",
 		},
 	},
-	{
+	protocols.P5Final: {
 		title: "Figure 9: final user protocol — spin on disjoint pages, one data driven",
-		proto: protocols.P5Final,
 		paper: map[string]string{
 			"wall": "57 s", "user": "0.7 s", "sys": "6 s",
 			"net": "0.5 kB/s", "ctx": "5 /add", "space": "2 pages",
@@ -257,43 +239,42 @@ var figures = []figSpec{
 	},
 }
 
-func runBaselines(w *writer, target uint32) {
+func renderBaselines(w *writer, target uint32, rs []sweep.Result) {
 	w.section(fmt.Sprintf("Section 4 baselines (target %d)", target))
-	single := mustRun(protocols.Config{Protocol: protocols.BaselineSingle, Target: target, Options: workload.Options{Seed: *flagSeed}}, nil)
-	local := mustRun(protocols.Config{Protocol: protocols.BaselineLocalPair, Target: target, Options: workload.Options{Seed: *flagSeed}}, nil)
+	single, local := rs[0], rs[1]
 	s := scale(target)
 	w.table(
 		[]string{"baseline", "paper (1024)", "measured", "scaled to 1024"},
 		[][]string{
-			{"single process", "~50 ms", fmtDur(single.Wall), fmtDur(time.Duration(float64(single.Wall) * s))},
-			{"two processes, one host (wall)", "81 s", fmtDur(local.Wall), fmtDur(time.Duration(float64(local.Wall) * s))},
-			{"two processes, one host (cpu/proc)", "37 s", fmtDur((local.Host0.User + local.Host0.Sys) / 2), fmtDur(time.Duration(float64(local.Host0.User+local.Host0.Sys) * s / 2))},
+			{"single process", "~50 ms", fmtNS(single.WallNS), fmtScaled(single.WallNS, s)},
+			{"two processes, one host (wall)", "81 s", fmtNS(local.WallNS), fmtScaled(local.WallNS, s)},
+			{"two processes, one host (cpu/proc)", "37 s", fmtNS((local.UserNS + local.SysNS) / 2), fmtScaled(local.UserNS+local.SysNS, s/2)},
 		},
 	)
 }
 
-func runFigures(w *writer, target uint32) {
-	// The sweep engine owns the figure configurations (including the
-	// Figure-6 loss injection and cap); this command only adds the
-	// paper's published values alongside the measurements.
-	for _, sc := range sweep.FigureScenarios(sweep.Options{Target: target, Seed: *flagSeed}) {
-		f, ok := figSpecFor(sc.Protocol)
+// renderFigures adds the paper's published values alongside the
+// measurements of the sweep engine's figure scenarios (which own the
+// Figure-6 loss injection and cap).
+func renderFigures(w *writer, target uint32, cells []sweep.Scenario, rs []sweep.Result) {
+	s := scale(target)
+	for i, r := range rs {
+		p := cells[i].Protocol
+		f, ok := figures[p]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "no paper values for %v\n", sc.Protocol)
+			fmt.Fprintf(os.Stderr, "no paper values for %v\n", p)
 			os.Exit(1)
 		}
-		r := mustRun(sc.CounterConfig())
 		w.section(f.title)
-		s := scale(target)
 		rows := [][]string{
 			{"Wallclock Time", f.paper["wall"], fmtWall(r, 1), fmtWallScaled(r, s)},
-			{"User Time", f.paper["user"], fmtDur(r.Host0.User), fmtDur(time.Duration(float64(r.Host0.User) * s))},
-			{"Sys Time", f.paper["sys"], fmtDur(r.Host0.System()), fmtDur(time.Duration(float64(r.Host0.System()) * s))},
+			{"User Time", f.paper["user"], fmtNS(r.UserNS), fmtScaled(r.UserNS, s)},
+			{"Sys Time", f.paper["sys"], fmtNS(sysNS(r)), fmtScaled(sysNS(r), s)},
 			{"Network Load", f.paper["net"], fmt.Sprintf("%.1f kB/s", r.NetBytesPerSec/1000), fmt.Sprintf("%.1f kB/s", r.NetBytesPerSec/1000)},
-			{"Context Switches", f.paper["ctx"], fmt.Sprintf("%.1f /add", r.CtxPerOp()), fmt.Sprintf("%.1f /add", r.CtxPerOp())},
-			{"Space", f.paper["space"], fmt.Sprintf("%d page(s) (%d bytes)", sc.Protocol.Pages(), sc.Protocol.Pages()*mether.PageSize), ""},
-			{"Average Latency", f.paper["lat"], fmtDur(r.LatMean), fmtDur(r.LatMean)},
-			{"Losses/Wins", f.paper["losswin"], fmt.Sprintf("%.1f", r.LossWin()), fmt.Sprintf("%.1f", r.LossWin())},
+			{"Context Switches", f.paper["ctx"], fmt.Sprintf("%.1f /add", ctxPerOp(r)), fmt.Sprintf("%.1f /add", ctxPerOp(r))},
+			{"Space", f.paper["space"], fmt.Sprintf("%d page(s) (%d bytes)", p.Pages(), p.Pages()*mether.PageSize), ""},
+			{"Average Latency", f.paper["lat"], fmtNS(r.LatMeanNS), fmtNS(r.LatMeanNS)},
+			{"Losses/Wins", f.paper["losswin"], fmt.Sprintf("%.1f", r.LossWin), fmt.Sprintf("%.1f", r.LossWin)},
 		}
 		w.table([]string{"metric", "paper", "measured", "scaled/rate"}, rows)
 		if r.DNF {
@@ -302,33 +283,29 @@ func runFigures(w *writer, target uint32) {
 	}
 }
 
-func runHysteresisSweep(w *writer, target uint32) {
+func renderHysteresis(w *writer, _ []sweep.Scenario, rs []sweep.Result) {
 	w.section("Ablation: hysteresis period N (Figure 7 discussion)")
-	headers := []string{"scenario", "wall", "loss/win", "packets", "sys", "user", "finished"}
 	var rows [][]string
-	for _, sc := range sweep.HysteresisSweep(sweep.Options{Target: target, Seed: *flagSeed}) {
-		r := mustRun(sc.CounterConfig())
+	for _, r := range rs {
 		rows = append(rows, []string{
-			sc.Name, fmtDur(r.Wall), fmt.Sprintf("%.1f", r.LossWin()),
-			fmt.Sprint(r.Packets), fmtDur(r.Host0.System()), fmtDur(r.Host0.User),
+			r.Name, fmtNS(r.WallNS), fmt.Sprintf("%.1f", r.LossWin),
+			fmt.Sprint(r.Packets), fmtNS(sysNS(r)), fmtNS(r.UserNS),
 			fmt.Sprint(!r.DNF),
 		})
 	}
-	w.table(headers, rows)
+	w.table([]string{"scenario", "wall", "loss/win", "packets", "sys", "user", "finished"}, rows)
 }
 
-func runLossAblation(w *writer, target uint32) {
+func renderLoss(w *writer, _ []sweep.Scenario, rs []sweep.Result) {
 	w.section("Ablation: datagram loss vs. protocol liveness (reliability discussion, Section 3)")
-	headers := []string{"scenario", "finished", "additions", "loss/win", "retries"}
 	var rows [][]string
-	for _, sc := range sweep.LossAblation(sweep.Options{Target: target, Seed: *flagSeed}) {
-		r := mustRun(sc.CounterConfig())
+	for _, r := range rs {
 		rows = append(rows, []string{
-			sc.Name, fmt.Sprint(!r.DNF), fmt.Sprint(r.Ops),
-			fmt.Sprintf("%.1f", r.LossWin()), fmt.Sprint(r.Retries),
+			r.Name, fmt.Sprint(!r.DNF), fmt.Sprint(r.Ops),
+			fmt.Sprintf("%.1f", r.LossWin), fmt.Sprint(r.Retries),
 		})
 	}
-	w.table(headers, rows)
+	w.table([]string{"scenario", "finished", "additions", "loss/win", "retries"}, rows)
 	w.notef("the passive spin protocol (Fig. 6) has no recovery path: one lost broadcast stalls it forever;")
 	w.notef("the hysteresis purge (Fig. 7) is the recovery mechanism, and demand protocols retry.")
 }
@@ -385,16 +362,22 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-func fmtWall(r workload.Report, s float64) string {
+// fmtNS renders a virtual duration in nanoseconds.
+func fmtNS(ns int64) string { return fmtDur(time.Duration(ns)) }
+
+// fmtScaled renders a virtual duration scaled by s.
+func fmtScaled(ns int64, s float64) string { return fmtDur(time.Duration(float64(ns) * s)) }
+
+func fmtWall(r sweep.Result, s float64) string {
 	if r.DNF {
 		return fmt.Sprintf("DNF (capped, %d adds)", r.Ops)
 	}
-	return fmtDur(time.Duration(float64(r.Wall) * s))
+	return fmtScaled(r.WallNS, s)
 }
 
-func fmtWallScaled(r workload.Report, s float64) string {
+func fmtWallScaled(r sweep.Result, s float64) string {
 	if r.DNF {
 		return "DNF"
 	}
-	return fmtDur(time.Duration(float64(r.Wall) * s))
+	return fmtScaled(r.WallNS, s)
 }

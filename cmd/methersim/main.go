@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,6 +26,9 @@ func main() {
 	)
 	flag.Parse()
 	tgt, err := protocols.Target(*target)
+	if err == nil {
+		err = errors.Join(protocols.Positive("seed", *seed), protocols.Positive("hysteresis", *hystN), protocols.Positive("cap", *capS))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "methersim:", err)
 		os.Exit(2)
@@ -77,7 +81,7 @@ func main() {
 		}
 		fmt.Printf("%-22s dnf=%-5v adds=%-5d wall=%-12v user=%-10v sys=%-10v net=%-9.0fB/s pkts=%-6d ctx/add=%-5.1f lat=%-12v loss/win=%-9.1f [real %v]\n",
 			p, r.DNF, r.Ops, r.Wall.Round(time.Millisecond), r.Host0.User.Round(time.Millisecond),
-			r.Host0.System().Round(time.Millisecond), r.NetBytesPerSec, r.Packets, r.CtxPerOp(),
+			r.Host0.System().Round(time.Millisecond), r.NetBytesPerSec, r.Net.Frames, r.CtxPerOp(),
 			r.LatMean.Round(100*time.Microsecond), r.LossWin(), time.Since(start).Round(time.Millisecond))
 		if r.Trace != nil {
 			fmt.Print(r.Trace.String())

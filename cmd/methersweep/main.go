@@ -70,6 +70,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := protocols.Positive("seed", *flagSeed); err != nil {
+		fatal(err)
+	}
 	// The axis values are the grid's to judge: sweep.Grid rejects a bad
 	// one here, before any scenario runs.
 	scs, err := sweep.Grid(*flagGrid, sweep.Options{Target: target, Seed: *flagSeed, Hosts: *flagHosts})

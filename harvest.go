@@ -3,73 +3,38 @@ package mether
 import (
 	"time"
 
+	"mether/internal/core"
+	"mether/internal/ethernet"
+	"mether/internal/medium"
 	"mether/internal/stats"
 )
 
 // Harvest is the world-level measurement set every report is built
 // from: the one place interconnect, bridge, per-trunk and driver
-// counters are read after a run. The runners embed it in their reports
-// and add only what they measure themselves (CPU splits, op counts).
-// All durations are virtual time.
+// counters are read after a run. Each layer's counters arrive in that
+// layer's own struct, so a counter added to one reaches every report
+// without a copy here. The runners embed it in their reports and add
+// only what they measure themselves (CPU splits, op counts). All
+// durations are virtual time.
 type Harvest struct {
 	// Wall is the run's virtual end time, as passed to World.Harvest.
 	Wall        time.Duration
 	CtxSwitches uint64 // dispatches, all hosts
-	// Network load, summed over trunks (see World.NetStats).
-	WireBytes      uint64
-	Packets        uint64
+	// Net is the network load summed over trunks (World.NetStats);
+	// NetBytesPerSec is its wire bytes over Wall.
+	Net            medium.Stats
 	NetBytesPerSec float64
-	// RingDrops and TxSuppressed count frames lost to full receive rings
-	// and sends swallowed by a down NIC; RingHighWater is the deepest any
-	// receive ring got (max over hosts, never summed) — the measured
-	// fan-in that justifies a configured ring capacity.
-	RingDrops     uint64
-	TxSuppressed  uint64
-	RingHighWater int
-	// Fabric counters, zero by construction on Ethernet: unicast copies
-	// transmitted on behalf of broadcasts (the sender-paid fan-out cost a
-	// shared bus never charges), frames dropped at full per-link transmit
-	// queues, and the peak per-link queue occupancy.
-	FanoutFrames  uint64
-	LinkOverflows uint64
-	LinkMaxQueued int
-	// Topology counters, zero on a single trunk: bridge forwarded frames,
-	// per-port drops, peak store-and-forward occupancy and frames a
-	// partitioned bridge drained instead of replaying after its heal.
-	BridgeForwarded      uint64
-	BridgePortDrops      uint64
-	BridgeMaxQueued      int
-	BridgePartitionDrops uint64
+	// Bridge is the bridges' counters (World.BridgeStats), zero on a
+	// single trunk.
+	Bridge ethernet.BridgeStats
+	// Driver is every driver's metrics summed (core.Metrics.Add), still
+	// open crash and rejoin windows settled.
+	Driver core.Metrics
 	// TrunkUtil and TrunkFrames are each trunk's own wire utilization
 	// (busy time / Wall) and frame count in trunk order — which trunk
-	// saturates is invisible in the summed WireBytes. Nil on one trunk.
+	// saturates is invisible in the summed Net. Nil on one trunk.
 	TrunkUtil   []float64
 	TrunkFrames []uint64
-	// Driver counters, summed over hosts. StaleDrops totals every
-	// generation-regressed broadcast; CrossTrunkStale is the subset that
-	// bridge queues reordered across trunks (the paper's purge-ordering
-	// hazard, measured). The Redundant* and LateDrops counters are zero
-	// at the classic k=1: replica answers sent on behalf of owners,
-	// replica answers suppressed because the winner's reply landed first,
-	// and late/duplicate grants dropped by generation comparison.
-	// KernelTime is interrupt-level protocol CPU (kernel-server mode).
-	Retries             uint64
-	DataFallbacks       uint64
-	StaleDrops          uint64
-	CrossTrunkStale     uint64
-	RedundantServes     uint64
-	RedundantSuppressed uint64
-	LateDrops           uint64
-	KernelTime          time.Duration
-	// Fault-plane counters, all zero in healthy worlds: orphaned
-	// authorities re-claimed, pre-crash grants refused by the ghost
-	// fence, authorities shipped by owner migrations, total NIC-down time
-	// and total recovery-to-first-reinstall time.
-	OrphanRecoveries uint64
-	GhostDrops       uint64
-	MigratedPages    uint64
-	UnavailNS        time.Duration
-	RejoinNS         time.Duration
 	// The latency distribution: the drivers' merged fault latencies,
 	// unless the runner replaced it with an application-level histogram
 	// through SetLatency.
@@ -94,50 +59,22 @@ type Harvest struct {
 // the drivers' metrics first (core.Driver.SettleFaults; a no-op on
 // healthy hosts), so call it once, after the run.
 func (w *World) Harvest(end time.Duration) Harvest {
-	ns, bs := w.NetStats(), w.BridgeStats()
 	h := Harvest{
-		Wall:           end,
-		WireBytes:      ns.WireBytes,
-		Packets:        ns.Frames,
-		NetBytesPerSec: stats.BytesPerSec(ns.WireBytes, end),
-		RingDrops:      ns.RingDrops,
-		TxSuppressed:   ns.TxSuppressed,
-		RingHighWater:  ns.RingHighWater,
-		FanoutFrames:   ns.FanoutFrames,
-		LinkOverflows:  ns.LinkOverflows,
-		LinkMaxQueued:  ns.LinkMaxQueued,
-
-		BridgeForwarded:      bs.Forwarded,
-		BridgePortDrops:      bs.PortDrops,
-		BridgeMaxQueued:      bs.MaxQueued,
-		BridgePartitionDrops: bs.PartitionDrops,
-
+		Wall:     end,
+		Net:      w.NetStats(),
+		Bridge:   w.BridgeStats(),
 		Events:   w.EventsDispatched(),
 		MemBytes: w.MemFootprint(),
 		Resumes:  w.Resumes(),
 	}
+	h.NetBytesPerSec = stats.BytesPerSec(h.Net.WireBytes, end)
 	h.TrunkUtil, h.TrunkFrames = w.TrunkUtilization(end)
-	var lat stats.Histogram
 	for i, d := range w.drivers {
 		d.SettleFaults(end)
-		m := d.Metrics()
 		h.CtxSwitches += w.hosts[i].ContextSwitches()
-		h.Retries += m.Retries
-		h.DataFallbacks += m.DataFallbacks
-		h.StaleDrops += m.StaleDrops
-		h.CrossTrunkStale += m.CrossTrunkStale
-		h.RedundantServes += m.RedundantServes
-		h.RedundantSuppressed += m.RedundantSuppressed
-		h.LateDrops += m.LateGrantDrops
-		h.KernelTime += m.KernelTime
-		h.OrphanRecoveries += m.OrphanRecoveries
-		h.GhostDrops += m.GhostDrops
-		h.MigratedPages += m.MigratedPages
-		h.UnavailNS += m.UnavailNS
-		h.RejoinNS += m.RejoinNS
-		lat.Merge(&m.FaultLatency)
+		h.Driver.Add(d.Metrics())
 	}
-	h.SetLatency(&lat)
+	h.SetLatency(&h.Driver.FaultLatency)
 	return h
 }
 

@@ -122,25 +122,8 @@ func (d Deviation) String() string {
 		d.Figure, d.Metric, d.Got, d.Paper, d.Ratio, d.Band.Lo, d.Band.Hi)
 }
 
-// Check runs a figure's protocol at full paper scale and returns any
-// out-of-band cells.
-func Check(f Figure, seed int64) ([]Deviation, error) {
-	cfg := protocols.Config{Protocol: f.Protocol, Target: 1024, Options: workload.Options{Seed: seed}}
-	wl, err := protocols.Counter(cfg)
-	var r workload.Report
-	if err == nil {
-		r, err = cfg.Run(wl)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if r.DNF {
-		return nil, fmt.Errorf("analysis: %s did not finish", f.Name)
-	}
-	return CheckReport(f, r), nil
-}
-
-// CheckReport compares an existing report against a figure's bands.
+// CheckReport compares a figure run's report against the figure's
+// bands; the sweep engine calls it on every band-carrying figure cell.
 func CheckReport(f Figure, r workload.Report) []Deviation {
 	var out []Deviation
 	for _, c := range f.Cells {

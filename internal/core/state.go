@@ -194,3 +194,37 @@ type Metrics struct {
 
 	FaultLatency stats.Histogram
 }
+
+// Add folds another host's metrics into m: counters and durations
+// summed, fault latencies merged. The world's harvest is every driver's
+// metrics added up.
+func (m *Metrics) Add(o *Metrics) {
+	m.DemandFaults += o.DemandFaults
+	m.DataFaults += o.DataFaults
+	m.RequestsSent += o.RequestsSent
+	m.Retries += o.Retries
+	m.DataSent += o.DataSent
+	m.PurgeSends += o.PurgeSends
+	m.RestSent += o.RestSent
+	m.Installs += o.Installs
+	m.Refreshes += o.Refreshes
+	m.StaleDrops += o.StaleDrops
+	m.CrossTrunkStale += o.CrossTrunkStale
+	m.PurgesRO += o.PurgesRO
+	m.PurgesRW += o.PurgesRW
+	m.LockFails += o.LockFails
+	m.Deferred += o.Deferred
+	m.DataFallbacks += o.DataFallbacks
+	m.HoldOffs += o.HoldOffs
+	m.RedundantReqs += o.RedundantReqs
+	m.RedundantServes += o.RedundantServes
+	m.RedundantSuppressed += o.RedundantSuppressed
+	m.LateGrantDrops += o.LateGrantDrops
+	m.KernelTime += o.KernelTime
+	m.OrphanRecoveries += o.OrphanRecoveries
+	m.GhostDrops += o.GhostDrops
+	m.MigratedPages += o.MigratedPages
+	m.UnavailNS += o.UnavailNS
+	m.RejoinNS += o.RejoinNS
+	m.FaultLatency.Merge(&o.FaultLatency)
+}

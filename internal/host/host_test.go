@@ -96,6 +96,11 @@ var fixedWorlds = []fixed{
 		progs:  [][]op{{sleepOn(0), {d: 50 * us, cpu: CPUSys, reps: 600}}, {sleepOn(1), use(ms, CPUUser), sleepOn(1), spin(50*us, 2000)}},
 		wakers: []waker{{at: 5 * ms, q: 1}, {at: 8 * ms}, {at: 10 * ms, q: 1}}},
 		"25ms h: boost preempts p0 for p1, 26ms p1 line 3, 111ms p0 line 2", 0},
+	// Two sleepers woken together onto an idle CPU: the first's dispatch
+	// and the second's boost fall due at one instant, and the dispatch
+	// comes first, so the boost finds the first on the CPU and preempts it.
+	{"TestBoostFollowsItsDispatch", progs(boostParams(ms), []waker{{at: 5 * ms}}, copies(2, sleepOn(0), spin(50*us, 20))...),
+		"6ms h: dispatch p0, 6ms h: boost preempts p0 for p1, 7ms h: dispatch p1", 0},
 	// Two processes that never sleep alternate whole quanta, boost or none.
 	{"TestBoostDoesNotAffectPureSpinners", progs(boostParams(0), nil, copies(2, spin(50*us, 4000))...), "ctx 6 busy 406ms", 0},
 	{"TestBoostDoesNotAffectPureSpinners", progs(boostParams(15*ms), nil, copies(2, spin(50*us, 4000))...), "ctx 6 busy 406ms", 0},
@@ -188,6 +193,7 @@ func TestWakeBoostPreemptsSpinner(t *testing.T)                 { playFixed(t) }
 func TestStaleBoostDoesNotPreemptForDispatchedProc(t *testing.T) {
 	playFixed(t)
 }
+func TestBoostFollowsItsDispatch(t *testing.T)        { playFixed(t) }
 func TestBoostDoesNotAffectPureSpinners(t *testing.T) { playFixed(t) }
 func TestAccountingConservation(t *testing.T)         { playFixed(t) }
 func TestContinuedSliceRotates(t *testing.T)          { playFixed(t) }

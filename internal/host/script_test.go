@@ -54,6 +54,8 @@ type op struct {
 // Everything is a multiple of one unit, and the quantum a small multiple,
 // so that Uses ending exactly on a quantum boundary — with a rival
 // runnable — and same-instant events are common rather than measure-zero.
+// The world-level switches come first and the 400 wakers last, so a
+// shrunk tape that needs a switch need not keep the wakers.
 func drawWorld(choose func(n int) int) world {
 	const unit = 100 * time.Microsecond
 	w := world{pr: Params{
@@ -63,6 +65,16 @@ func drawWorld(choose func(n int) int) world {
 		InterruptCost:   time.Duration(choose(3)) * unit,
 		WakeBoostDelay:  time.Duration(1+choose(6)) * unit,
 	}, until: 2 * time.Second, subjects: 4}
+	if choose(4) == 0 {
+		w.pr.WakeBoostDelay = 0
+	}
+	if choose(5) == 0 {
+		w.pr.CtxSwitch, w.pr.DispatchLatency = 0, 0
+	}
+	w.period = time.Duration(5+choose(20)) * unit
+	// A third of the worlds repeat each Use of the script one to seven
+	// times; more, and the subjects seldom share a queue.
+	repeats := choose(3) / 2
 	q := int(w.pr.Quantum / unit)
 	use := func() time.Duration {
 		switch choose(8) {
@@ -77,11 +89,14 @@ func drawWorld(choose func(n int) int) world {
 	}
 	var script []op
 	for i, n := 0, 40+choose(40); i < n; i++ {
+		var o op
 		if choose(3) == 0 {
-			script = append(script, op{kind: oSleep, q: choose(queues)})
+			o = op{kind: oSleep, q: choose(queues)}
 		} else {
-			script = append(script, op{d: use(), cpu: CPUKind(1 + choose(2))})
+			o = op{d: use(), cpu: CPUKind(1 + choose(2))}
 		}
+		o.reps = 1 + repeats*choose(7)
+		script = append(script, o)
 	}
 	rivals := make([][]op, choose(3))
 	for i := range rivals {
@@ -104,19 +119,6 @@ func drawWorld(choose func(n int) int) world {
 		w.wakers[i] = waker{time.Duration(choose(4000)) * unit / 4, choose(queues), i%2 == 1}
 	}
 	slices.SortStableFunc(w.wakers, func(a, b waker) int { return int(a.at - b.at) })
-	w.period = time.Duration(5+choose(20)) * unit
-	// A third of the worlds repeat each Use of the script one to seven
-	// times; more, and the subjects seldom share a queue.
-	repeats := choose(3) / 2
-	for i := range script {
-		script[i].reps = 1 + repeats*choose(7)
-	}
-	if choose(4) == 0 {
-		w.pr.WakeBoostDelay = 0
-	}
-	if choose(5) == 0 {
-		w.pr.CtxSwitch, w.pr.DispatchLatency = 0, 0
-	}
 	// The subjects run the script each from its own line, so that queues
 	// hold several sleepers.
 	for i := 0; i < w.subjects; i++ {

@@ -25,25 +25,22 @@ import (
 //
 // Each mutation below, made to a copy of the host, fails at the first
 // seed given, whose tape (bytes drawn, its variant ahead) shrinks as
-// shown, and the fixed worlds named. A shrunk tape stays long where the
-// failure needs a choice drawn after the 400 wakers. The row marked * was
-// made again for the shrunk column; that cut fails first at seed 227, not
-// 0, and no fixed world.
+// shown, and the fixed worlds named.
 //
-//	wakeAll wakes its sleepers in LIFO order          1    2055→9     TestSleepersCountAndMultipleWake, 1 more
-//	wakeAll arms each boost ahead of maybeDispatch *  227  1530→1332  TestWakeBoostPreemptsSpinner, 1 more
-//	wakeAll keeps a sleeper's link                    1    2055→9     TestSleeperOnOneQueue, 1 more
-//	resume hands back through a fresh After(0) event  0    1445→0     TestBusyTimeAccounting, 15 more
-//	advance: no h.cur != p wait once nothing is owed  0    1445→0     TestAccountingConservation, 12 more
-//	task: a zero-cost UseCPU read as exit (w.d > 0)   0    1445→8     TestSleeperOnOneQueue
-//	again asked before the CPU is re-acquired         0    1445→9     TestContinuedSliceRotates, 6 more
-//	boost: the dispatch-epoch check removed           0    1445→1334  TestStaleBoostDoesNotPreemptForDispatchedProc, 1 more
-//	timerFire arms no boost                           3    1910→1455  TestAccountingConservation
-//	a quantum expiry keeps the CPU with one waiting   0    1445→29    TestRoundRobinPreemption, 5 more
-//	finishDispatch charges no CtxSwitch               3    1910→1332  TestBusyTimeAccounting, 18 more
-//	Interrupt costs nothing                           0    1445→9     TestInterruptDelaysHandler
-//	a switch takes no DispatchLatency                 0    1445→1332
-//	SpawnTask files no start event                    0    1445→0     TestBusyTimeAccounting, 15 more
+//	wakeAll wakes its sleepers in LIFO order          0    1418→8     TestSleepersCountAndMultipleWake, 2 more
+//	wakeAll arms each boost ahead of maybeDispatch    52   1813→8     TestBoostFollowsItsDispatch
+//	wakeAll keeps a sleeper's link                    0    1418→8     TestSleeperOnOneQueue, 2 more
+//	resume hands back through a fresh After(0) event  0    1418→0     TestBusyTimeAccounting, 16 more
+//	advance: no h.cur != p wait once nothing is owed  0    1418→0     TestAccountingConservation, 20 more
+//	task: a zero-cost UseCPU read as exit (w.d > 0)   0    1418→15    TestSleeperOnOneQueue
+//	again asked before the CPU is re-acquired         0    1418→13    TestContinuedSliceRotates, 6 more
+//	boost: the dispatch-epoch check removed           12   1407→31    TestStaleBoostDoesNotPreemptForDispatchedProc, 1 more
+//	timerFire arms no boost                           1    1734→135   TestAccountingConservation
+//	a quantum expiry keeps the CPU with one waiting   0    1418→44    TestRoundRobinPreemption, 6 more
+//	finishDispatch charges no CtxSwitch               3    1500→8     TestBusyTimeAccounting, 19 more
+//	Interrupt costs nothing                           0    1418→136   TestInterruptDelaysHandler
+//	a switch takes no DispatchLatency                 0    1418→8
+//	SpawnTask files no start event                    0    1418→0     TestBusyTimeAccounting, 16 more
 //	advance never runs a slice end inline             the floor —     TestContinuedSliceRotates, TestUseWhileEdges
 func TestSchedulerMatchesSpec(t *testing.T) {
 	seeds := 480

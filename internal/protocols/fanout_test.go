@@ -32,7 +32,7 @@ func runFanout(t *testing.T, mode FanoutMode, readers int) workload.Report {
 }
 
 // packetsPerUpdate is the fanout's network load per writer update.
-func packetsPerUpdate(r workload.Report) float64 { return stats.Ratio(r.Packets, r.Ops) }
+func packetsPerUpdate(r workload.Report) float64 { return stats.Ratio(r.Net.Frames, r.Ops) }
 
 // TestBroadcastFanoutScalesFlat reproduces the broadcast-scaling claim:
 // with data-driven readers, one purge serves every copy, so packets per
@@ -54,8 +54,8 @@ func TestBroadcastFanoutScalesFlat(t *testing.T) {
 		t.Errorf("demand packets/update did not scale with readers: %f -> %f", packetsPerUpdate(q2), packetsPerUpdate(q8))
 	}
 	// At 8 readers the broadcast mode moves far fewer packets.
-	if d8.Packets*3 > q8.Packets {
-		t.Errorf("broadcast fan-out (%d pkts) should be well under demand (%d pkts)", d8.Packets, q8.Packets)
+	if d8.Net.Frames*3 > q8.Net.Frames {
+		t.Errorf("broadcast fan-out (%d pkts) should be well under demand (%d pkts)", d8.Net.Frames, q8.Net.Frames)
 	}
 	// Writer CPU: demand mode burns more of the writer host's CPU at 8
 	// readers than broadcast mode does (it answers every refetch).

@@ -130,6 +130,16 @@ func Target(v uint) (uint32, error) {
 	return uint32(v), nil
 }
 
+// Positive checks a seed, count or duration given on a command line as
+// -name, before anything runs: a zero value runs as its default, so such
+// a flag takes only positive values.
+func Positive[T ~int | ~int64](name string, v T) error {
+	if v <= 0 {
+		return fmt.Errorf("-%s %v must be positive", name, v)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Target == 0 {
 		c.Target = 1024

@@ -55,7 +55,7 @@ func TestBaselineSingleIsMicroseconds(t *testing.T) {
 	if perAdd < 30*time.Microsecond || perAdd > 200*time.Microsecond {
 		t.Errorf("per-addition cost = %v, want ~50µs", perAdd)
 	}
-	if r.WireBytes != 0 {
+	if r.Net.WireBytes != 0 {
 		t.Error("single process used the network")
 	}
 }
@@ -68,7 +68,7 @@ func TestLocalPairThrashesQuanta(t *testing.T) {
 	if perAdd < 50*time.Millisecond || perAdd > 110*time.Millisecond {
 		t.Errorf("per-addition = %v, want ~73ms (quantum+switch)", perAdd)
 	}
-	if r.WireBytes != 0 {
+	if r.Net.WireBytes != 0 {
 		t.Error("local pair used the network")
 	}
 	busy := r.Host0.User + r.Host0.Sys
@@ -91,8 +91,8 @@ func TestFigureShapes(t *testing.T) {
 
 	// Figure 4 vs 5: short pages slash network load by an order of
 	// magnitude or more and cut latency roughly in half.
-	if p1.WireBytes < 10*p2.WireBytes {
-		t.Errorf("net bytes: P1 %d should be >= 10x P2 %d", p1.WireBytes, p2.WireBytes)
+	if p1.Net.WireBytes < 10*p2.Net.WireBytes {
+		t.Errorf("net bytes: P1 %d should be >= 10x P2 %d", p1.Net.WireBytes, p2.Net.WireBytes)
 	}
 	if p1.LatMean < p2.LatMean*3/2 {
 		t.Errorf("latency: P1 %v should clearly exceed P2 %v", p1.LatMean, p2.LatMean)
@@ -146,8 +146,8 @@ func TestFigureShapes(t *testing.T) {
 	// One broadcast per increment, no requests in steady state: packets
 	// scale ~1 per addition (plus constant startup).
 	maxPkts := uint64(target) + 30
-	if p5.Packets > maxPkts {
-		t.Errorf("P5 packets = %d, want <= ~%d (one per increment)", p5.Packets, maxPkts)
+	if p5.Net.Frames > maxPkts {
+		t.Errorf("P5 packets = %d, want <= ~%d (one per increment)", p5.Net.Frames, maxPkts)
 	}
 
 	// The paper's motivating crossover: the final protocol over the
@@ -209,8 +209,8 @@ func TestHysteresisSweepTradeoff(t *testing.T) {
 			if r.LossWin() <= prev.LossWin() {
 				t.Errorf("loss/win should grow with N: N=%d gives %f <= %f", n, r.LossWin(), prev.LossWin())
 			}
-			if r.Packets >= prev.Packets {
-				t.Errorf("packets should shrink with N: N=%d gives %d >= %d", n, r.Packets, prev.Packets)
+			if r.Net.Frames >= prev.Net.Frames {
+				t.Errorf("packets should shrink with N: N=%d gives %d >= %d", n, r.Net.Frames, prev.Net.Frames)
 			}
 		}
 		prev = r
@@ -238,7 +238,7 @@ func TestSleepHysteresisAblation(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	a := runQuick(t, P5Final, 128)
 	b := runQuick(t, P5Final, 128)
-	if a.Wall != b.Wall || a.Losses != b.Losses || a.WireBytes != b.WireBytes ||
+	if a.Wall != b.Wall || a.Losses != b.Losses || a.Net.WireBytes != b.Net.WireBytes ||
 		a.CtxSwitches != b.CtxSwitches || a.LatMean != b.LatMean {
 		t.Errorf("identical configs diverged:\n%+v\n%+v", a, b)
 	}
@@ -261,7 +261,7 @@ func TestReportRates(t *testing.T) {
 	if r.LatMean <= 0 {
 		t.Error("latency not recorded")
 	}
-	wantBytes := float64(r.WireBytes) / r.Wall.Seconds()
+	wantBytes := float64(r.Net.WireBytes) / r.Wall.Seconds()
 	if diff := r.NetBytesPerSec - wantBytes; diff > 1 || diff < -1 {
 		t.Errorf("rate %f != bytes/wall %f", r.NetBytesPerSec, wantBytes)
 	}
@@ -284,6 +284,32 @@ func TestTarget(t *testing.T) {
 		got, err := Target(tc.in)
 		if (err != nil) != tc.wantErr || got != tc.want {
 			t.Errorf("Target(%d) = %d, %v; want %d, error %v", tc.in, got, err, tc.want, tc.wantErr)
+		}
+	}
+}
+
+// TestPositive holds the command-line check beside Target: a zero or
+// negative seed, purge period or cap would otherwise run as the default
+// under the flag's name.
+func TestPositive(t *testing.T) {
+	for _, tc := range []struct {
+		flag    string
+		err     error
+		wantErr bool
+	}{
+		{"-seed 0", Positive("seed", int64(0)), true},
+		{"-seed -1", Positive("seed", int64(-1)), true},
+		{"-seed 1", Positive("seed", int64(1)), false},
+		{"-seed MaxInt64", Positive("seed", int64(math.MaxInt64)), false},
+		{"-hysteresis 0", Positive("hysteresis", 0), true},
+		{"-hysteresis -1", Positive("hysteresis", -1), true},
+		{"-hysteresis 1", Positive("hysteresis", 1), false},
+		{"-cap 0", Positive("cap", time.Duration(0)), true},
+		{"-cap -1ms", Positive("cap", -time.Millisecond), true},
+		{"-cap 1ns", Positive("cap", time.Duration(1)), false},
+	} {
+		if (tc.err != nil) != tc.wantErr {
+			t.Errorf("%s: error %v, want error %v", tc.flag, tc.err, tc.wantErr)
 		}
 	}
 }

@@ -19,16 +19,16 @@ func TestCounterAcrossBridgedTrunks(t *testing.T) {
 	if bridged.DNF || bridged.Ops != 32 {
 		t.Fatalf("bridged counter: DNF=%v additions=%d, want 32", bridged.DNF, bridged.Ops)
 	}
-	if bridged.BridgeForwarded == 0 {
+	if bridged.Bridge.Forwarded == 0 {
 		t.Error("no frames crossed the bridge")
 	}
-	if bridged.BridgeMaxQueued == 0 {
+	if bridged.Bridge.MaxQueued == 0 {
 		t.Error("bridge occupancy never observed a queued frame")
 	}
 
 	single := count(t, Config{Protocol: P2ShortPage, Target: 32, Options: workload.Options{Seed: 9}})
-	if single.BridgeForwarded != 0 {
-		t.Errorf("single-trunk run reports %d forwarded frames", single.BridgeForwarded)
+	if single.Bridge.Forwarded != 0 {
+		t.Errorf("single-trunk run reports %d forwarded frames", single.Bridge.Forwarded)
 	}
 	// Each of the ~64 ownership bounces pays at least the 1ms default
 	// store-and-forward delay on top of the single-trunk run.
@@ -61,13 +61,13 @@ func TestCounterReportsWhatTheWorldCounted(t *testing.T) {
 		}
 		ns, bs := w.NetStats(), w.BridgeStats()
 		util, _ := w.TrunkUtilization(r.Wall)
-		if r.WireBytes != ns.WireBytes || r.Packets != ns.Frames || r.FanoutFrames != ns.FanoutFrames ||
-			r.BridgeForwarded != bs.Forwarded || !reflect.DeepEqual(r.TrunkUtil, util) ||
-			r.Retries != w.Driver(0).Metrics().Retries+w.Driver(1).Metrics().Retries {
+		if r.Net.WireBytes != ns.WireBytes || r.Net.Frames != ns.Frames || r.Net.FanoutFrames != ns.FanoutFrames ||
+			r.Bridge.Forwarded != bs.Forwarded || !reflect.DeepEqual(r.TrunkUtil, util) ||
+			r.Driver.Retries != w.Driver(0).Metrics().Retries+w.Driver(1).Metrics().Retries {
 			t.Errorf("%s: report %+v disagrees with net %+v bridge %+v", name, r.Harvest, ns, bs)
 		}
-		if r.WireBytes == 0 || r.LatCount == 0 || (opts.Trunks > 1) != (r.BridgeForwarded > 0) ||
-			(opts.Medium != "") != (r.FanoutFrames > 0) {
+		if r.Net.WireBytes == 0 || r.LatCount == 0 || (opts.Trunks > 1) != (r.Bridge.Forwarded > 0) ||
+			(opts.Medium != "") != (r.Net.FanoutFrames > 0) {
 			t.Errorf("%s: world left the counters it exists to exercise at zero: %+v", name, r.Harvest)
 		}
 		w.Shutdown()

@@ -21,7 +21,7 @@ func fullReport() Report {
 		{
 			Name: "golden/full, \"quoted\"", Kind: KindStationary, Seed: 7,
 			Err: "boom, with a comma", DNF: true,
-			WallNS: 1_234_567_890, Ops: 4096, OpsPerSec: 3317.76, LossWin: 1.5,
+			WallNS: 1_234_567_890, Ops: 4096, OpsPerSec: 3317.76, LossWin: 1.5, Retries: 8,
 			UserNS: 11, SysNS: 22, ServerNS: 33, CtxSwitches: 44,
 			WireBytes: 55_000, Packets: 66, NetBytesPerSec: 44_550.5,
 			LatMeanNS: 101, LatP50NS: 102, LatP90NS: 103, LatP99NS: 104,

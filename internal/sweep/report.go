@@ -44,6 +44,7 @@ var csvColumns = []struct {
 	{"ops", func(r *Result) string { return fmtUint(r.Ops) }},
 	{"ops_per_sec", func(r *Result) string { return fmtFloat(r.OpsPerSec) }},
 	{"loss_win", func(r *Result) string { return fmtFloat(r.LossWin) }},
+	{"retries", func(r *Result) string { return fmtUint(r.Retries) }},
 	{"user_ns", func(r *Result) string { return fmtInt(r.UserNS) }},
 	{"sys_ns", func(r *Result) string { return fmtInt(r.SysNS) }},
 	{"server_ns", func(r *Result) string { return fmtInt(r.ServerNS) }},

@@ -239,6 +239,10 @@ type Result struct {
 	Ops       uint64  `json:"ops"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 	LossWin   float64 `json:"loss_win,omitempty"`
+	// Retries counts demand requests re-sent after a retry timeout,
+	// summed over hosts: how often a protocol recovered from a lost
+	// reply. Omitted when zero.
+	Retries uint64 `json:"retries,omitempty"`
 
 	UserNS      int64  `json:"user_ns"`
 	SysNS       int64  `json:"sys_ns"`
@@ -376,16 +380,8 @@ func (s Scenario) cluster() (workload.Options, error) {
 	}, nil
 }
 
-// CounterConfig assembles the protocols.Config a KindCounter scenario
-// runs, so benches and cmd/metherbench drive the exact configuration
-// the sweep engine does. It fails on an invalid TrunkShape or Faults
-// spec.
-func (s Scenario) CounterConfig() (protocols.Config, error) {
-	opts, err := s.cluster()
-	return s.counterConfig(opts), err
-}
-
-// counterConfig is CounterConfig with the shared axes already resolved.
+// counterConfig is the protocols.Config a KindCounter scenario runs,
+// its shared axes already resolved into opts.
 func (s Scenario) counterConfig(opts workload.Options) protocols.Config {
 	return protocols.Config{
 		Protocol:        s.Protocol,
@@ -475,8 +471,8 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	h := rep.Harvest
 	r.WallNS = int64(h.Wall)
 	r.CtxSwitches = h.CtxSwitches
-	r.WireBytes = h.WireBytes
-	r.Packets = h.Packets
+	r.WireBytes = h.Net.WireBytes
+	r.Packets = h.Net.Frames
 	r.NetBytesPerSec = h.NetBytesPerSec
 	r.LatMeanNS = int64(h.LatMean)
 	r.LatP50NS = int64(h.LatP50)
@@ -487,25 +483,27 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	r.LatCount = h.LatCount
 	r.Events = h.Events
 	r.MemBytes = h.MemBytes
-	r.RingHighWater = h.RingHighWater
-	r.FanoutFrames = h.FanoutFrames
-	r.LinkOverflows = h.LinkOverflows
-	r.LinkMaxQueued = h.LinkMaxQueued
-	r.BridgeForwarded = h.BridgeForwarded
-	r.BridgePortDrops = h.BridgePortDrops
-	r.BridgeMaxQueued = h.BridgeMaxQueued
-	r.CrossTrunkStale = h.CrossTrunkStale
+	r.RingHighWater = h.Net.RingHighWater
+	r.FanoutFrames = h.Net.FanoutFrames
+	r.LinkOverflows = h.Net.LinkOverflows
+	r.LinkMaxQueued = h.Net.LinkMaxQueued
+	r.BridgeForwarded = h.Bridge.Forwarded
+	r.BridgePortDrops = h.Bridge.PortDrops
+	r.BridgeMaxQueued = h.Bridge.MaxQueued
+	r.PartitionDrops = h.Bridge.PartitionDrops
 	r.TrunkUtil = h.TrunkUtil
 	r.TrunkFrames = h.TrunkFrames
-	r.RedundantServes = h.RedundantServes
-	r.RedundantSuppressed = h.RedundantSuppressed
-	r.LateDrops = h.LateDrops
-	r.OrphanRecoveries = h.OrphanRecoveries
-	r.GhostDrops = h.GhostDrops
-	r.MigratedPages = h.MigratedPages
-	r.UnavailNS = int64(h.UnavailNS)
-	r.RejoinNS = int64(h.RejoinNS)
-	r.PartitionDrops = h.BridgePartitionDrops
+	d := &h.Driver
+	r.Retries = d.Retries
+	r.CrossTrunkStale = d.CrossTrunkStale
+	r.RedundantServes = d.RedundantServes
+	r.RedundantSuppressed = d.RedundantSuppressed
+	r.LateDrops = d.LateGrantDrops
+	r.OrphanRecoveries = d.OrphanRecoveries
+	r.GhostDrops = d.GhostDrops
+	r.MigratedPages = d.MigratedPages
+	r.UnavailNS = int64(d.UnavailNS)
+	r.RejoinNS = int64(d.RejoinNS)
 	r.OpsPerSec = stats.Rate(r.Ops, h.Wall)
 	if form == counterRow {
 		if s.Figure != "" && s.Target == 1024 {
@@ -534,9 +532,9 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 func (r *Result) fillLegacy(rep workload.Report, hostCPU bool) {
 	r.WallNS = int64(rep.Quiet)
 	r.OpsPerSec = stats.Rate(r.Ops, rep.Quiet)
-	r.WireBytes = rep.WireBytes
-	r.Packets = rep.Packets
-	r.NetBytesPerSec = stats.BytesPerSec(rep.WireBytes, rep.Quiet)
+	r.WireBytes = rep.Net.WireBytes
+	r.Packets = rep.Net.Frames
+	r.NetBytesPerSec = stats.BytesPerSec(rep.Net.WireBytes, rep.Quiet)
 	if hostCPU {
 		r.UserNS = int64(rep.Host0.Total())
 	}

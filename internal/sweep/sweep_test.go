@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mether/internal/analysis"
 	"mether/internal/protocols"
 	"mether/internal/workload"
 )
@@ -155,10 +156,11 @@ func TestCounterConfigCarriesAxes(t *testing.T) {
 		Seed: 9, LossRate: 0.01, KernelServer: true, HysteresisN: 7,
 		Cap: 3 * time.Second,
 	}
-	cfg, err := s.CounterConfig()
+	opts, err := s.cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := s.counterConfig(opts)
 	if cfg.Protocol != protocols.P2ShortPage || cfg.Target != 128 || cfg.Seed != 9 {
 		t.Errorf("basic fields lost: %+v", cfg)
 	}
@@ -172,7 +174,7 @@ func TestCounterConfigCarriesAxes(t *testing.T) {
 		t.Errorf("tuning lost: %+v", cfg)
 	}
 	s.Faults = "bogus"
-	if _, err := s.CounterConfig(); err == nil {
+	if _, err := s.cluster(); err == nil {
 		t.Error("a malformed fault spec made a counter config")
 	}
 }
@@ -367,5 +369,38 @@ func TestFigureScenariosBandCheckedAtPaperScale(t *testing.T) {
 	}
 	if banded != 4 {
 		t.Errorf("%d banded figures, want 4 (Figs 4, 5, 8, 9)", banded)
+	}
+}
+
+// TestPaperAgreement is the reproduction's contract: every documented
+// figure cell must land inside its agreement band at full paper scale.
+// It runs the band-carrying figure scenarios as the sweep does and
+// names the exact cell and ratio of any deviation; every figure the
+// analysis package bands must be carried by one of them.
+func TestPaperAgreement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale paper runs")
+	}
+	unchecked := map[string]bool{}
+	for _, f := range analysis.Figures() {
+		unchecked[f.Name] = true
+	}
+	for _, sc := range FigureScenarios(Options{Target: 1024, Seed: 1}) {
+		if sc.Figure == "" {
+			continue
+		}
+		delete(unchecked, sc.Figure)
+		t.Run(sc.Figure, func(t *testing.T) {
+			r := sc.Run()
+			if r.Err != "" || r.DNF {
+				t.Fatalf("%s: err %q, dnf %v", sc.Name, r.Err, r.DNF)
+			}
+			for _, d := range r.Deviations {
+				t.Error(d)
+			}
+		})
+	}
+	for name := range unchecked {
+		t.Errorf("no figure scenario carries the bands of %s", name)
 	}
 }

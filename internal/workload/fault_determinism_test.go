@@ -22,7 +22,7 @@ func TestFaultedStationaryDeterministic(t *testing.T) {
 	if a.DNF {
 		t.Errorf("churned run did not finish: %+v", a)
 	}
-	if a.UnavailNS == 0 {
+	if a.Driver.UnavailNS == 0 {
 		t.Error("churn crashed hosts but UnavailNS is zero")
 	}
 	if a.Orphaned != 0 {

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"mether"
+	"mether/internal/core"
 	"mether/internal/protocols"
-	"mether/internal/stats"
 	"mether/internal/workload"
 )
 
@@ -44,46 +44,25 @@ var bridgedLossy = workload.Options{Seed: 3, Trunks: 2, LossRate: 0.02, PortLoss
 	Redundancy: 2, KernelServer: true, RxRing: 4}
 
 // checkHarvest holds every field of a report's Harvest against the
-// world's own accessors, read directly: a counter dropped from
-// World.Harvest fails here instead of printing 0 in a report.
+// world's own accessors, read directly: the network and bridge
+// counters whole, the driver metrics as every host's summed, and the
+// rest field by field, so a field World.Harvest leaves unfilled fails
+// here instead of printing 0 in a report.
 func checkHarvest(t *testing.T, h mether.Harvest, w *mether.World) {
 	t.Helper()
-	ns, bs := w.NetStats(), w.BridgeStats()
 	util, frames := w.TrunkUtilization(h.Wall)
-	var ctx, retries, fallbacks, stale, xstale, rserves, rsupp, late, orphanRec, ghost, migrated uint64
-	var kernel, unavail, rejoin time.Duration
-	var lat stats.Histogram
+	var ctx uint64
+	var drv core.Metrics
 	for i := 0; i < w.NumHosts(); i++ {
-		m := w.Driver(i).Metrics()
 		ctx += w.ContextSwitches(i)
-		retries += m.Retries
-		fallbacks += m.DataFallbacks
-		stale += m.StaleDrops
-		xstale += m.CrossTrunkStale
-		rserves += m.RedundantServes
-		rsupp += m.RedundantSuppressed
-		late += m.LateGrantDrops
-		kernel += m.KernelTime
-		orphanRec += m.OrphanRecoveries
-		ghost += m.GhostDrops
-		migrated += m.MigratedPages
-		unavail += m.UnavailNS
-		rejoin += m.RejoinNS
-		lat.Merge(&m.FaultLatency)
+		drv.Add(w.Driver(i).Metrics())
 	}
+	ns, lat := w.NetStats(), &drv.FaultLatency
 	want := map[string]interface{}{
 		"Wall": h.Wall, "CtxSwitches": ctx,
-		"WireBytes": ns.WireBytes, "Packets": ns.Frames,
-		"NetBytesPerSec": float64(ns.WireBytes) / h.Wall.Seconds(),
-		"RingDrops":      ns.RingDrops, "TxSuppressed": ns.TxSuppressed, "RingHighWater": ns.RingHighWater,
-		"FanoutFrames": ns.FanoutFrames, "LinkOverflows": ns.LinkOverflows, "LinkMaxQueued": ns.LinkMaxQueued,
-		"BridgeForwarded": bs.Forwarded, "BridgePortDrops": bs.PortDrops,
-		"BridgeMaxQueued": bs.MaxQueued, "BridgePartitionDrops": bs.PartitionDrops,
+		"Net": ns, "NetBytesPerSec": float64(ns.WireBytes) / h.Wall.Seconds(),
+		"Bridge": w.BridgeStats(), "Driver": drv,
 		"TrunkUtil": util, "TrunkFrames": frames,
-		"Retries": retries, "DataFallbacks": fallbacks, "StaleDrops": stale, "CrossTrunkStale": xstale,
-		"RedundantServes": rserves, "RedundantSuppressed": rsupp, "LateDrops": late, "KernelTime": kernel,
-		"OrphanRecoveries": orphanRec, "GhostDrops": ghost, "MigratedPages": migrated,
-		"UnavailNS": unavail, "RejoinNS": rejoin,
 		"LatMean": lat.Mean(), "LatP50": lat.Quantile(0.5), "LatP90": lat.Quantile(0.9),
 		"LatP99": lat.Quantile(0.99), "LatP999": lat.Quantile(0.999), "LatMax": lat.Max(), "LatCount": lat.Count(),
 		"Events": w.EventsDispatched(), "MemBytes": w.MemFootprint(),
@@ -132,22 +111,22 @@ func TestReportsWhatTheWorldCounted(t *testing.T) {
 				}
 			}
 			fabric := world == "fabric"
-			if !reflect.DeepEqual(r.Harvest, h) || r.All.Total() != cpu+r.KernelTime || r.Hosts != w.NumHosts() ||
-				r.Ops == 0 || r.WireBytes == 0 || fabric != (r.FanoutFrames > 0) || fabric == (r.BridgeForwarded > 0) {
+			if !reflect.DeepEqual(r.Harvest, h) || r.All.Total() != cpu+r.Driver.KernelTime || r.Hosts != w.NumHosts() ||
+				r.Ops == 0 || r.Net.WireBytes == 0 || fabric != (r.Net.FanoutFrames > 0) || fabric == (r.Bridge.Forwarded > 0) {
 				t.Errorf("%s on %s: report %+v, the world harvests %+v, its processes used %v", kind, world, r, h, cpu)
 			}
 			if !fabric {
-				hazards.BridgePortDrops += r.BridgePortDrops
-				hazards.RingDrops += r.RingDrops
-				hazards.StaleDrops += r.StaleDrops
-				hazards.KernelTime += r.KernelTime
-				hazards.RedundantServes += r.RedundantServes
+				hazards.Bridge.PortDrops += r.Bridge.PortDrops
+				hazards.Net.RingDrops += r.Net.RingDrops
+				hazards.Driver.StaleDrops += r.Driver.StaleDrops
+				hazards.Driver.KernelTime += r.Driver.KernelTime
+				hazards.Driver.RedundantServes += r.Driver.RedundantServes
 			}
 			w.Shutdown()
 		}
 	}
-	if hazards.BridgePortDrops == 0 || hazards.RingDrops == 0 || hazards.StaleDrops == 0 ||
-		hazards.KernelTime == 0 || hazards.RedundantServes == 0 {
+	if hazards.Bridge.PortDrops == 0 || hazards.Net.RingDrops == 0 || hazards.Driver.StaleDrops == 0 ||
+		hazards.Driver.KernelTime == 0 || hazards.Driver.RedundantServes == 0 {
 		t.Errorf("the bridged lossy world left hazard counters at zero: %+v", hazards)
 	}
 
@@ -186,12 +165,12 @@ func TestStationaryReportsWhatTheWorldCounted(t *testing.T) {
 		}
 		checkHarvest(t, r.Harvest, w)
 		if world == "fabric" {
-			if r.FanoutFrames == 0 || r.LinkMaxQueued == 0 {
+			if r.Net.FanoutFrames == 0 || r.Net.LinkMaxQueued == 0 {
 				t.Errorf("fabric world reports no fan-out: %+v", r.Harvest)
 			}
-		} else if r.BridgeForwarded == 0 || r.BridgePortDrops == 0 || len(r.TrunkUtil) != 2 ||
-			r.RingDrops == 0 || r.StaleDrops == 0 || r.KernelTime == 0 ||
-			r.RedundantServes == 0 || r.LatCount == 0 {
+		} else if r.Bridge.Forwarded == 0 || r.Bridge.PortDrops == 0 || len(r.TrunkUtil) != 2 ||
+			r.Net.RingDrops == 0 || r.Driver.StaleDrops == 0 || r.Driver.KernelTime == 0 ||
+			r.Driver.RedundantServes == 0 || r.LatCount == 0 {
 			t.Errorf("bridged lossy world left the counters it exists to exercise at zero: %+v", r.Harvest)
 		}
 		w.Shutdown()

@@ -148,7 +148,7 @@ func (o Options) RunOpen(wl Workload) (r Report, w *mether.World, err error) {
 		r.SetLatency(r.Latency)
 	}
 	r.Hosts = w.NumHosts()
-	r.All.Server = r.KernelTime
+	r.All.Server = r.Driver.KernelTime
 	for i := 0; i < r.Hosts; i++ {
 		// The server is identified by process, not by name: a client may
 		// be spawned under any name (nil in kernel-server mode matches

@@ -15,7 +15,7 @@ func TestHotspotCompletes(t *testing.T) {
 	if r.Ops != 3*8 {
 		t.Errorf("updates = %d, want 24", r.Ops)
 	}
-	if r.Wall <= 0 || r.WireBytes == 0 || r.LatCount == 0 {
+	if r.Wall <= 0 || r.Net.WireBytes == 0 || r.LatCount == 0 {
 		t.Errorf("implausible report: %+v", r)
 	}
 }
@@ -23,8 +23,8 @@ func TestHotspotCompletes(t *testing.T) {
 func TestHotspotShortMovesFewerBytes(t *testing.T) {
 	short := runConfig(t, Hotspot, HotspotConfig{Hosts: 2, Iters: 8, ShortPage: true, Options: Options{Seed: 1}})
 	full := runConfig(t, Hotspot, HotspotConfig{Hosts: 2, Iters: 8, ShortPage: false, Options: Options{Seed: 1}})
-	if short.WireBytes >= full.WireBytes {
-		t.Errorf("short page moved %d wire bytes, full %d; want short < full", short.WireBytes, full.WireBytes)
+	if short.Net.WireBytes >= full.Net.WireBytes {
+		t.Errorf("short page moved %d wire bytes, full %d; want short < full", short.Net.WireBytes, full.Net.WireBytes)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestPipelineDeliversInOrder(t *testing.T) {
 func TestPipelineBulkUsesFullPages(t *testing.T) {
 	small := runConfig(t, Pipeline, PipelineConfig{Stages: 2, Messages: 4, Size: 8, Options: Options{Seed: 1}})
 	bulk := runConfig(t, Pipeline, PipelineConfig{Stages: 2, Messages: 4, Size: pipe.ShortPayload + 100, Options: Options{Seed: 1}})
-	if bulk.WireBytes <= small.WireBytes {
-		t.Errorf("bulk moved %d wire bytes, control %d; want bulk > control", bulk.WireBytes, small.WireBytes)
+	if bulk.Net.WireBytes <= small.Net.WireBytes {
+		t.Errorf("bulk moved %d wire bytes, control %d; want bulk > control", bulk.Net.WireBytes, small.Net.WireBytes)
 	}
 }

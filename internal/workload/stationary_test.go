@@ -21,7 +21,7 @@ func TestStationaryCompletes(t *testing.T) {
 		if r.Samples == 0 {
 			t.Errorf("hosts=%d: no neighbour samples observed", hosts)
 		}
-		if r.Wall <= 0 || r.Packets == 0 || r.Events == 0 {
+		if r.Wall <= 0 || r.Net.Frames == 0 || r.Events == 0 {
 			t.Errorf("hosts=%d: implausible stats %+v", hosts, r.Harvest)
 		}
 	}
@@ -37,7 +37,7 @@ func TestStationaryNetworkLoadScalesLinearly(t *testing.T) {
 		if r.DNF {
 			t.Fatalf("hosts=%d did not finish", hosts)
 		}
-		return float64(r.Packets) / float64(r.Ops)
+		return float64(r.Net.Frames) / float64(r.Ops)
 	}
 	small, large := perUpdate(4), perUpdate(16)
 	if large > 2*small {

@@ -51,7 +51,7 @@ func TestUniformDegenerate(t *testing.T) {
 
 func TestRunDeliversAllSizes(t *testing.T) {
 	r := runConfig(t, Pipe, PipeConfig{Dist: Bimodal{Small: 8, Large: 2000, LargeEvery: 3}, Messages: 12, Options: Options{Seed: 2}})
-	if r.DNF || r.Ops != 12 || r.WireBytes == 0 || r.Quiet <= 0 {
+	if r.DNF || r.Ops != 12 || r.Net.WireBytes == 0 || r.Quiet <= 0 {
 		t.Errorf("report = %+v", r)
 	}
 }
@@ -62,8 +62,8 @@ func TestShortPathIsFaster(t *testing.T) {
 	if smallR.Quiet >= bigR.Quiet {
 		t.Errorf("small messages (%v) should beat full-page messages (%v)", smallR.Quiet, bigR.Quiet)
 	}
-	if smallR.WireBytes >= bigR.WireBytes {
-		t.Errorf("wire bytes: small %d should be far under big %d", smallR.WireBytes, bigR.WireBytes)
+	if smallR.Net.WireBytes >= bigR.Net.WireBytes {
+		t.Errorf("wire bytes: small %d should be far under big %d", smallR.Net.WireBytes, bigR.Net.WireBytes)
 	}
 }
 
