@@ -69,8 +69,9 @@
 #                        driver's form on seeds it prints, and reports per
 #                        workload and end-to-end metric the parent's median
 #                        [q1, q3] -> the change's, per cent, pairs ahead;
-#                        fails when a run failed or events_total, the
-#                        digest or a sim_* metric differs within a pair
+#                        fails when a run failed or events_total or a
+#                        sim_* metric differs within a pair (a pair that
+#                        differs only in the report digest prints a note)
 #   make same-reports  - PARENT=<checkout of the parent commit> [FULL=1]: the
 #                        report gate of a change meant to move no report
 #                        byte. Builds cmd/methersweep in both trees, renders

@@ -303,8 +303,8 @@ func BenchmarkPipeThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(stats.Rate(last.Ops, last.Quiet), "sim-msg/s")
-			b.ReportMetric(stats.BytesPerSec(last.Net.WireBytes, last.Quiet), "wire-B/s")
+			b.ReportMetric(stats.Rate(last.Ops, last.Wall), "sim-msg/s")
+			b.ReportMetric(last.NetBytesPerSec, "wire-B/s")
 		})
 	}
 }

@@ -116,11 +116,10 @@ func renderFanout(w *writer, cells []sweep.Scenario, rs []sweep.Result) {
 			fmt.Fprintf(os.Stderr, "%s: readers did not finish\n", r.Name)
 			os.Exit(1)
 		}
-		// A fanout row's wall is the quiet instant and its user time
-		// host 0's whole CPU (sweep's legacy fanout row).
+		// A fanout row's CPU is host 0's, the writer's.
 		rows = append(rows, []string{
 			cells[i].FanoutMode.String(), fmt.Sprint(cells[i].Readers), fmt.Sprintf("%.1f", stats.Ratio(r.Packets, r.Ops)),
-			fmtNS(r.UserNS), fmtNS(r.WallNS),
+			fmtNS(r.UserNS + sysNS(r)), fmtNS(r.WallNS),
 		})
 	}
 	w.table([]string{"mode", "readers", "packets/update", "writer CPU", "wall"}, rows)

@@ -128,9 +128,6 @@ func (br *Bridge) SetPartitioned(down bool) {
 	}
 }
 
-// Partitioned reports whether the bridge is currently down.
-func (br *Bridge) Partitioned() bool { return br.partitioned }
-
 // drainPort discards everything buffered in one port's receive ring.
 func (br *Bridge) drainPort(p *NIC) {
 	for {

@@ -95,12 +95,13 @@ const (
 	stateDead
 )
 
-// Trace, when set, receives one line per scheduling event (dispatches,
-// quantum expiries, boost preemptions). Intended for debugging and tests;
-// nil disables tracing. Call sites guard with `if Trace != nil`: a bare
-// variadic call boxes its arguments even when tracing is off, which was
-// the host layer's last per-dispatch allocation.
-var Trace func(format string, args ...any)
+// trace, when set, receives one line per scheduling event (dispatches,
+// quantum expiries, boost preemptions): the lines the scheduler spec
+// test holds against its reference, and nothing else sets it. Call
+// sites guard with `if trace != nil`: a bare variadic call boxes its
+// arguments even when tracing is off, which was the host layer's last
+// per-dispatch allocation.
+var trace func(format string, args ...any)
 
 // Host is one simulated workstation.
 type Host struct {
@@ -301,8 +302,8 @@ func (h *Host) finishDispatch() {
 	next.quantumUsed = 0
 	next.sys += h.pr.CtxSwitch
 	h.busy += h.pr.CtxSwitch
-	if Trace != nil {
-		Trace("%v %s: dispatch %s", h.k.Now(), h.name, next.name)
+	if trace != nil {
+		trace("%v %s: dispatch %s", h.k.Now(), h.name, next.name)
 	}
 	next.wake()
 }
@@ -476,8 +477,8 @@ func (p *Proc) quantumExpire() {
 		p.quantumUsed = 0 // alone: keep running, fresh quantum
 		return
 	}
-	if Trace != nil {
-		Trace("%v %s: quantum expire %s (runq %d)", h.k.Now(), h.name, p.name, h.runnable())
+	if trace != nil {
+		trace("%v %s: quantum expire %s (runq %d)", h.k.Now(), h.name, p.name, h.runnable())
 	}
 	h.cur = nil
 	h.enqueue(p)
@@ -618,8 +619,8 @@ type boostTimer struct {
 func (bt *boostTimer) fire() {
 	h, woken := bt.h, bt.woken
 	if woken.dispatchSeq == bt.epoch && woken.state == stateRunnable && woken.inRunq && h.cur != nil {
-		if Trace != nil {
-			Trace("%v %s: boost preempts %s for %s", h.k.Now(), h.name, h.cur.name, woken.name)
+		if trace != nil {
+			trace("%v %s: boost preempts %s for %s", h.k.Now(), h.name, h.cur.name, woken.name)
 		}
 		h.cur.quantumUsed = h.pr.Quantum
 	}

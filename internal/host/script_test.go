@@ -358,9 +358,9 @@ func (m *real) spawn(c *cursor, task bool) {
 // run runs the kernel with the scheduler's trace in the log. A panic
 // fails the play.
 func (m *real) run(until time.Duration) {
-	Trace = m.r.logf
+	trace = m.r.logf
 	defer func() {
-		Trace = nil
+		trace = nil
 		if e := recover(); e != nil {
 			m.r.fail("panic: %v", e)
 		}

@@ -510,7 +510,7 @@ func SmokeGrid(o Options) []Scenario {
 		windowedStationary("smoke/stationary-h4096", 4096, 1, o.Seed),
 		// The fault-plane smoke cell: crash one stationary owner early,
 		// recover it 1 ms later, and require the orphaned page to be
-		// re-claimed (the cluster row's orphan gate) on every push. Small enough
+		// re-claimed (the orphan gate) on every push. Small enough
 		// that the claim retries dominate the virtual wall — the real
 		// cost stays milliseconds.
 		{Name: "smoke/stationary-crash-owner", Kind: KindStationary, Hosts: 4, Iters: 8,

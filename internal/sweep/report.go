@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -27,68 +28,65 @@ func (r Report) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// csvColumns is the CSV report's one declaration of its fixed columns:
-// each header and how a result renders under it, in file order, so the
-// header and every row have the same arity by construction. A new
-// Result field becomes a column by adding its line here.
-var csvColumns = []struct {
-	name string
-	cell func(*Result) string
-}{
-	{"name", func(r *Result) string { return csvQuote(r.Name) }},
-	{"kind", func(r *Result) string { return string(r.Kind) }},
-	{"seed", func(r *Result) string { return fmtInt(r.Seed) }},
-	{"err", func(r *Result) string { return csvQuote(r.Err) }},
-	{"dnf", func(r *Result) string { return strconv.FormatBool(r.DNF) }},
-	{"wall_ns", func(r *Result) string { return fmtInt(r.WallNS) }},
-	{"ops", func(r *Result) string { return fmtUint(r.Ops) }},
-	{"ops_per_sec", func(r *Result) string { return fmtFloat(r.OpsPerSec) }},
-	{"loss_win", func(r *Result) string { return fmtFloat(r.LossWin) }},
-	{"retries", func(r *Result) string { return fmtUint(r.Retries) }},
-	{"user_ns", func(r *Result) string { return fmtInt(r.UserNS) }},
-	{"sys_ns", func(r *Result) string { return fmtInt(r.SysNS) }},
-	{"server_ns", func(r *Result) string { return fmtInt(r.ServerNS) }},
-	{"ctx_switches", func(r *Result) string { return fmtUint(r.CtxSwitches) }},
-	{"wire_bytes", func(r *Result) string { return fmtUint(r.WireBytes) }},
-	{"packets", func(r *Result) string { return fmtUint(r.Packets) }},
-	{"net_bytes_per_sec", func(r *Result) string { return fmtFloat(r.NetBytesPerSec) }},
-	{"lat_mean_ns", func(r *Result) string { return fmtInt(r.LatMeanNS) }},
-	{"lat_p50_ns", func(r *Result) string { return fmtInt(r.LatP50NS) }},
-	{"lat_p90_ns", func(r *Result) string { return fmtInt(r.LatP90NS) }},
-	{"lat_p99_ns", func(r *Result) string { return fmtInt(r.LatP99NS) }},
-	{"lat_p999_ns", func(r *Result) string { return fmtInt(r.LatP999NS) }},
-	{"lat_max_ns", func(r *Result) string { return fmtInt(r.LatMaxNS) }},
-	{"lat_count", func(r *Result) string { return fmtUint(r.LatCount) }},
-	{"events", func(r *Result) string { return fmtUint(r.Events) }},
-	{"mem_bytes", func(r *Result) string { return fmtUint(r.MemBytes) }},
-	{"bytes_per_host", func(r *Result) string { return fmtFloat(r.BytesPerHost) }},
-	{"ring_high_water", func(r *Result) string { return strconv.Itoa(r.RingHighWater) }},
-	{"bridge_forwarded", func(r *Result) string { return fmtUint(r.BridgeForwarded) }},
-	{"bridge_port_drops", func(r *Result) string { return fmtUint(r.BridgePortDrops) }},
-	{"bridge_max_queued", func(r *Result) string { return strconv.Itoa(r.BridgeMaxQueued) }},
-	{"cross_trunk_stale", func(r *Result) string { return fmtUint(r.CrossTrunkStale) }},
-	{"fanout_frames", func(r *Result) string { return fmtUint(r.FanoutFrames) }},
-	{"link_overflows", func(r *Result) string { return fmtUint(r.LinkOverflows) }},
-	{"link_max_queued", func(r *Result) string { return strconv.Itoa(r.LinkMaxQueued) }},
-	{"redundant_serves", func(r *Result) string { return fmtUint(r.RedundantServes) }},
-	{"redundant_suppressed", func(r *Result) string { return fmtUint(r.RedundantSuppressed) }},
-	{"late_drops", func(r *Result) string { return fmtUint(r.LateDrops) }},
-	{"orphan_recoveries", func(r *Result) string { return fmtUint(r.OrphanRecoveries) }},
-	{"ghost_drops", func(r *Result) string { return fmtUint(r.GhostDrops) }},
-	{"migrated_pages", func(r *Result) string { return fmtUint(r.MigratedPages) }},
-	{"unavail_ns", func(r *Result) string { return fmtInt(r.UnavailNS) }},
-	{"rejoin_ns", func(r *Result) string { return fmtInt(r.RejoinNS) }},
-	{"partition_drops", func(r *Result) string { return fmtUint(r.PartitionDrops) }},
-	{"orphaned", func(r *Result) string { return strconv.Itoa(r.Orphaned) }},
-	{"deviations", func(r *Result) string { return csvQuote(strings.Join(r.Deviations, "; ")) }},
+// column is one of the report's fixed columns: a Result field, by its
+// json name and index.
+type column struct {
+	name  string
+	field int
 }
 
-func fmtInt(v int64) string     { return strconv.FormatInt(v, 10) }
-func fmtUint(v uint64) string   { return strconv.FormatUint(v, 10) }
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// columns are Result's fields in declaration order, less the per-trunk
+// slices, which CSV appends as column pairs: the CSV report's fixed
+// columns and the fields Compare reads.
+var columns = func() (cols []column) {
+	t := reflect.TypeOf(Result{})
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() == reflect.Slice && f.Type.Elem().Kind() != reflect.String {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		cols = append(cols, column{name, i})
+	}
+	return cols
+}()
 
-// CSV renders the report as one header row plus one row per scenario.
-// When any scenario carries per-trunk measurements, trunk_util_i and
+// csvCell renders a field's value as a CSV cell: numbers in Go's
+// shortest form, strings quoted as needed, a string list joined by
+// "; " and quoted.
+func csvCell(v reflect.Value) string {
+	switch {
+	case v.CanInt():
+		return strconv.FormatInt(v.Int(), 10)
+	case v.CanUint():
+		return strconv.FormatUint(v.Uint(), 10)
+	case v.CanFloat():
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case v.Kind() == reflect.Bool:
+		return strconv.FormatBool(v.Bool())
+	case v.Kind() == reflect.String:
+		return csvQuote(v.String())
+	}
+	return csvQuote(strings.Join(v.Interface().([]string), "; "))
+}
+
+// number is a numeric field's value as a float, and whether the field
+// is numeric: the fields Compare gates.
+func number(v reflect.Value) (float64, bool) {
+	switch {
+	case v.CanInt():
+		return float64(v.Int()), true
+	case v.CanUint():
+		return float64(v.Uint()), true
+	case v.CanFloat():
+		return v.Float(), true
+	}
+	return 0, false
+}
+
+// CSV renders the report as one header row plus one row per scenario:
+// a column per Result field, under its json name, in field order. When
+// any scenario carries per-trunk measurements, trunk_util_i and
 // trunk_frames_i column pairs are appended for the widest trunk count
 // in the report (cells with fewer trunks leave the excess blank); a
 // report with no multi-trunk cells keeps the classic column set, and
@@ -101,7 +99,7 @@ func (r Report) CSV() []byte {
 		}
 	}
 	var buf bytes.Buffer
-	for i, c := range csvColumns {
+	for i, c := range columns {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
@@ -111,22 +109,22 @@ func (r Report) CSV() []byte {
 		fmt.Fprintf(&buf, ",trunk_util_%d,trunk_frames_%d", t, t)
 	}
 	buf.WriteByte('\n')
-	for i := range r.Scenarios {
-		s := &r.Scenarios[i]
-		for i, c := range csvColumns {
+	for _, s := range r.Scenarios {
+		v := reflect.ValueOf(s)
+		for i, c := range columns {
 			if i > 0 {
 				buf.WriteByte(',')
 			}
-			buf.WriteString(c.cell(s))
+			buf.WriteString(csvCell(v.Field(c.field)))
 		}
 		for t := 0; t < trunks; t++ {
 			buf.WriteByte(',')
 			if t < len(s.TrunkUtil) {
-				buf.WriteString(fmtFloat(s.TrunkUtil[t]))
+				buf.WriteString(strconv.FormatFloat(s.TrunkUtil[t], 'g', -1, 64))
 			}
 			buf.WriteByte(',')
 			if t < len(s.TrunkFrames) {
-				buf.WriteString(fmtUint(s.TrunkFrames[t]))
+				buf.WriteString(strconv.FormatUint(s.TrunkFrames[t], 10))
 			}
 		}
 		buf.WriteByte('\n')
@@ -180,12 +178,12 @@ func (d Delta) String() string {
 }
 
 // Compare reports per-scenario metric changes of r against a baseline,
-// matching scenarios by name. Its metrics are the CSV report's numeric
-// columns, in file order: a column whose cells parse as numbers on both
-// sides. Only metrics whose relative change exceeds tolerance are
-// returned (tolerance 0 reports every changed metric).
-// Scenarios present in only one report are reported with Metric
-// "missing" and a zero Ratio.
+// matching scenarios by name. Its metrics are Result's numeric fields,
+// seed included, by their json names in field order. Only metrics whose
+// relative change exceeds tolerance are returned (tolerance 0 reports
+// every changed metric). A scenario present in only one report is
+// reported with Metric "missing-in-baseline" or "missing-in-report" and
+// a zero Ratio.
 func Compare(baseline, r Report, tolerance float64) []Delta {
 	base := make(map[string]Result, len(baseline.Scenarios))
 	for _, s := range baseline.Scenarios {
@@ -200,10 +198,11 @@ func Compare(baseline, r Report, tolerance float64) []Delta {
 			out = append(out, Delta{Name: s.Name, Metric: "missing-in-baseline"})
 			continue
 		}
-		for _, c := range csvColumns {
-			bv, berr := strconv.ParseFloat(c.cell(&b), 64)
-			nv, nerr := strconv.ParseFloat(c.cell(&s), 64)
-			if berr != nil || nerr != nil || bv == nv {
+		bs, ns := reflect.ValueOf(b), reflect.ValueOf(s)
+		for _, c := range columns {
+			bv, numeric := number(bs.Field(c.field))
+			nv, _ := number(ns.Field(c.field))
+			if !numeric || bv == nv {
 				continue
 			}
 			ratio := 0.0

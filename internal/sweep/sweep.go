@@ -71,10 +71,10 @@ var kinds = map[Kind]kindSpec{
 	}, counterRow},
 	KindFanout: {func(s Scenario, o workload.Options) (workload.Workload, error) {
 		return protocols.Fanout(protocols.FanoutConfig{Mode: s.FanoutMode, Readers: s.Readers, Updates: s.Updates, Options: o})
-	}, func(s Scenario) int64 { return int64(s.Updates) * int64(s.Readers) }, fanoutRow},
+	}, func(s Scenario) int64 { return int64(s.Updates) * int64(s.Readers) }, counterRow},
 	KindPipe: {func(s Scenario, o workload.Options) (workload.Workload, error) {
 		return workload.Pipe(workload.PipeConfig{Dist: s.Dist, Messages: s.Messages, Options: o})
-	}, func(s Scenario) int64 { return int64(s.Messages) }, pipeRow},
+	}, func(s Scenario) int64 { return int64(s.Messages) }, clusterRow},
 	KindHotspot: {func(s Scenario, o workload.Options) (workload.Workload, error) {
 		return workload.Hotspot(workload.HotspotConfig{Hosts: s.Hosts, Iters: s.Iters, ShortPage: s.ShortPage,
 			Writers: s.Writers, OwnerTrunk: s.OwnerTrunk, Options: o})
@@ -167,8 +167,7 @@ type Scenario struct {
 	// OwnerTrunk and MayDNF — and Seed, Cap, MinResidency, RetryTimeout,
 	// WarmStart, Lazy and RingSlots above — into the workload.Options
 	// that every kind builds its world from, so each applies to every
-	// kind. (The fanout and pipe rows still show only their old columns;
-	// see Result.fillLegacy.)
+	// kind.
 	LossRate     float64
 	KernelServer bool
 	// Topology axes. Trunks partitions the hosts across bridged Ethernet
@@ -207,8 +206,8 @@ type Scenario struct {
 	// Faults is a deterministic fault schedule in fault.Parse syntax
 	// ("crash@150ms:h3;partition@200ms:b0;..."), kept as a string so a
 	// Scenario stays pure data. Empty means a healthy world — provably
-	// identical to a schedule-free run. The hotspot, barrier, pipeline
-	// and stationary kinds also gate on the end-of-run orphan count.
+	// identical to a schedule-free run. Every kind gates on the end-of-run
+	// orphan count (see Result.Orphaned).
 	Faults string
 	// Medium selects the interconnect backend: "" / "ethernet" is the
 	// paper's shared broadcast bus, "fabric" the RDMA-like point-to-point
@@ -228,6 +227,12 @@ type Scenario struct {
 // pure function of the scenario definition and seed: durations are
 // virtual nanoseconds, never wall time. Fields irrelevant to a
 // scenario's kind are zero.
+//
+// Result is the one declaration of a report's columns: each field is
+// one, named by its json tag, in field order. The JSON report encodes
+// it as it stands, Report.CSV writes a column per field (the per-trunk
+// slices become column pairs at the end of the row) and Compare gates
+// every numeric field, so a new field needs no second edit.
 type Result struct {
 	Name string `json:"name"`
 	Kind Kind   `json:"kind"`
@@ -282,15 +287,6 @@ type Result struct {
 	BytesPerHost  float64 `json:"bytes_per_host,omitempty"`
 	RingHighWater int     `json:"ring_high_water,omitempty"`
 
-	// Fabric measurements, zero (and omitted, keeping Ethernet reports
-	// byte-identical to pre-fabric baselines) on the shared bus: the
-	// per-destination unicast copies transmitted on behalf of broadcasts
-	// (the sender-paid fan-out wire cost), frames dropped at full
-	// per-link transmit queues, and the peak per-link queue occupancy.
-	FanoutFrames  uint64 `json:"fanout_frames,omitempty"`
-	LinkOverflows uint64 `json:"link_overflows,omitempty"`
-	LinkMaxQueued int    `json:"link_max_queued,omitempty"`
-
 	// Topology measurements, all zero (and omitted, keeping single-trunk
 	// reports byte-identical to pre-topology baselines) on a single
 	// trunk: bridge forwarded/drop/occupancy counters and the
@@ -306,6 +302,15 @@ type Result struct {
 	// single-trunk reports byte-identical — on classic cells.
 	TrunkUtil   []float64 `json:"trunk_util,omitempty"`
 	TrunkFrames []uint64  `json:"trunk_frames,omitempty"`
+
+	// Fabric measurements, zero (and omitted, keeping Ethernet reports
+	// byte-identical to pre-fabric baselines) on the shared bus: the
+	// per-destination unicast copies transmitted on behalf of broadcasts
+	// (the sender-paid fan-out wire cost), frames dropped at full
+	// per-link transmit queues, and the peak per-link queue occupancy.
+	FanoutFrames  uint64 `json:"fanout_frames,omitempty"`
+	LinkOverflows uint64 `json:"link_overflows,omitempty"`
+	LinkMaxQueued int    `json:"link_max_queued,omitempty"`
 
 	// Redundant-fetch counters, zero (and omitted) at the classic k=1:
 	// replica answers sent on behalf of owners, replica answers
@@ -435,31 +440,25 @@ func (r Result) failed(err error) Result {
 type rowForm int
 
 const (
-	// clusterRow: the CPU split summed over every host, the per-host
-	// memory headline, and the end-of-run orphan count, which is only
-	// measured (so only ever nonzero) on a faulted cell. A nonzero count
-	// becomes a deviation: a fault schedule must leave every page with a
-	// live owner, so an orphan surviving to the end is a recovery
-	// failure, gated exactly like a paper-band violation.
+	// clusterRow: the CPU split summed over every host and the per-host
+	// memory headline.
 	clusterRow rowForm = iota
-	// counterRow: host 0's CPU, as the paper's figures report it, and
-	// the paper-band check of a full-scale (Target 1024) figure cell.
+	// counterRow: host 0's CPU, as the paper's figures report it (the
+	// fanout's host 0 is its writer), and the paper-band check of a
+	// full-scale (Target 1024) figure cell.
 	counterRow
-	// fanoutRow and pipeRow: the legacy rows of fillLegacy.
-	fanoutRow
-	pipeRow
 )
 
 // fill copies a run's report into the result in the row form of the
 // scenario's kind — the one place a measured number becomes a report
-// column's value.
+// column's value. Either form carries the end-of-run orphan count,
+// which is only measured (so only ever nonzero) on a faulted cell. A
+// nonzero count becomes a deviation: a fault schedule must leave every
+// page with a live owner, so an orphan surviving to the end is a
+// recovery failure, gated exactly like a paper-band violation.
 func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	r.DNF = rep.DNF
 	r.Ops = rep.Ops
-	if form == fanoutRow || form == pipeRow {
-		r.fillLegacy(rep, form == fanoutRow)
-		return
-	}
 	cpu := rep.All
 	if form == counterRow {
 		cpu = rep.Host0
@@ -505,38 +504,16 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	r.UnavailNS = int64(d.UnavailNS)
 	r.RejoinNS = int64(d.RejoinNS)
 	r.OpsPerSec = stats.Rate(r.Ops, h.Wall)
-	if form == counterRow {
-		if s.Figure != "" && s.Target == 1024 {
-			r.Deviations = bandCheck(s.Figure, rep)
-		}
-		return
+	if form == counterRow && s.Figure != "" && s.Target == 1024 {
+		r.Deviations = bandCheck(s.Figure, rep)
 	}
-	if h.MemBytes > 0 {
+	if form == clusterRow && h.MemBytes > 0 {
 		r.BytesPerHost = float64(h.MemBytes) / float64(rep.Hosts)
 	}
 	r.Orphaned = rep.Orphaned
 	if rep.Orphaned > 0 {
 		r.Deviations = append(r.Deviations,
 			fmt.Sprintf("%d page(s) still orphaned at end of run", rep.Orphaned))
-	}
-}
-
-// fillLegacy fills a fanout or pipe row in the form those rows have
-// had since before the one runner, which the golden reports pin: the
-// wall is the instant the world fell quiet (Report.Quiet, some 12 ms
-// after the last client returned, where every other kind takes the
-// last return), the user time is host 0's whole CPU on a fanout row and
-// zero on a pipe row, and no harvest column but the network load is
-// filled. A golden-update change that gives both kinds the full row
-// deletes this function.
-func (r *Result) fillLegacy(rep workload.Report, hostCPU bool) {
-	r.WallNS = int64(rep.Quiet)
-	r.OpsPerSec = stats.Rate(r.Ops, rep.Quiet)
-	r.WireBytes = rep.Net.WireBytes
-	r.Packets = rep.Net.Frames
-	r.NetBytesPerSec = stats.BytesPerSec(rep.Net.WireBytes, rep.Quiet)
-	if hostCPU {
-		r.UserNS = int64(rep.Host0.Total())
 	}
 }
 

@@ -316,6 +316,96 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestColumnsAreResultFields is the guard behind "Result declares the
+// columns": the CSV header is every Result field's json name, in field
+// order, but the two per-trunk slices, and Compare reports a change in
+// every numeric field. A field the column walk skips fails here.
+func TestColumnsAreResultFields(t *testing.T) {
+	base, cur := Result{Name: "r"}, Result{Name: "r"}
+	v := reflect.ValueOf(&cur).Elem()
+	var names, numeric []string
+	for i := 0; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		if name != "trunk_util" && name != "trunk_frames" {
+			names = append(names, name)
+		}
+		switch f := v.Field(i); {
+		case f.CanInt():
+			f.SetInt(int64(i + 1))
+		case f.CanUint():
+			f.SetUint(uint64(i + 1))
+		case f.CanFloat():
+			f.SetFloat(float64(i) + 0.5)
+		default:
+			continue
+		}
+		numeric = append(numeric, name)
+	}
+	header, _, _ := strings.Cut(string(Report{Scenarios: []Result{cur}}.CSV()), "\n")
+	if want := strings.Join(names, ","); header != want {
+		t.Errorf("CSV header\n%s\nwant Result's fields\n%s", header, want)
+	}
+	var moved []string
+	for _, d := range Compare(Report{Scenarios: []Result{base}}, Report{Scenarios: []Result{cur}}, 0) {
+		moved = append(moved, d.Metric)
+	}
+	if !reflect.DeepEqual(moved, numeric) {
+		t.Errorf("Compare reports %v, want every numeric field %v", moved, numeric)
+	}
+}
+
+// TestEveryKindFillsTheFullRow holds each row of the determinism grid,
+// which has a cell of every kind, to the full report row: the world's
+// events and memory are on it, and the fanout row's CPU is host 0's,
+// its writer's, whole.
+func TestEveryKindFillsTheFullRow(t *testing.T) {
+	scs := detGrid(smokeSeed)
+	rep, _ := pooledSmoke(0, 0)
+	seen := map[Kind]bool{}
+	for i, r := range rep.Scenarios {
+		seen[r.Kind] = true
+		if r.Events == 0 || r.MemBytes == 0 {
+			t.Errorf("%s: events %d, mem_bytes %d; want both", r.Name, r.Events, r.MemBytes)
+		}
+		if r.Kind != KindFanout {
+			continue
+		}
+		s := scs[i]
+		opts, err := s.cluster()
+		var wl workload.Workload
+		if err == nil {
+			wl, err = kinds[s.Kind].workload(s, opts)
+		}
+		var wr workload.Report
+		if err == nil {
+			wr, err = opts.Run(wl)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cpu := time.Duration(r.UserNS + r.SysNS + r.ServerNS); cpu == 0 || cpu != wr.Host0.Total() {
+			t.Errorf("%s: user+sys+server %v, host 0 used %v", r.Name, cpu, wr.Host0.Total())
+		}
+	}
+	for k := range kinds {
+		if !seen[k] {
+			t.Errorf("the grid has no %s cell", k)
+		}
+	}
+}
+
+// TestCounterRowGatesOrphans: the orphan gate holds on the counter's row
+// form too. Host 0 owns the counter page and crashes for good with
+// claiming off, so the page ends ownerless and the row must say so.
+func TestCounterRowGatesOrphans(t *testing.T) {
+	r := Scenario{Name: "counter-crash-owner", Kind: KindCounter, Protocol: protocols.P2ShortPage,
+		Target: 32, Seed: 1, Faults: "crash@5ms:h0", MayDNF: true}.Run()
+	want := "1 page(s) still orphaned at end of run"
+	if r.Orphaned != 1 || len(r.Deviations) != 1 || r.Deviations[0] != want {
+		t.Errorf("orphaned %d, deviations %q; want 1 and %q", r.Orphaned, r.Deviations, want)
+	}
+}
+
 // TestReportSummary: one line per cell, whose status says why a cell
 // failed, with an error ahead of DNF ahead of band deviations.
 func TestReportSummary(t *testing.T) {

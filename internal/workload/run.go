@@ -59,14 +59,11 @@ type Report struct {
 	// DNF is set when some client had not returned by the cap; the
 	// harvest is then taken at the cap instead of the last return.
 	DNF bool
-	// Quiet is when the world fell quiet: RunUntil's return, after the
-	// last client's return by whatever the servers still had to do.
-	Quiet time.Duration
 	// Hosts is the world's host count.
 	Hosts int
 	// Host0 is host 0's CPU, the host the counter's figure rows report
-	// (its runs are symmetric); All sums every host, and its Server
-	// includes interrupt-level KernelTime.
+	// (its runs are symmetric) and the fanout's writer; All sums every
+	// host, and its Server includes interrupt-level KernelTime.
 	Host0, All CPU
 	// Orphaned is the end-of-run count of pages with no consistent copy
 	// anywhere, measured only when a fault schedule ran. A
@@ -131,14 +128,14 @@ func (o Options) RunOpen(wl Workload) (r Report, w *mether.World, err error) {
 			}
 		})
 	}
-	r.Quiet = w.RunUntil(o.RunCap())
+	quiet := w.RunUntil(o.RunCap())
 	for _, err := range errs {
 		if err != nil {
 			return r, w, err
 		}
 	}
 	if r.DNF = returned < len(wl.Clients); r.DNF {
-		last = r.Quiet
+		last = quiet
 	}
 	r.Harvest = w.Harvest(last)
 	if wl.Tally != nil {

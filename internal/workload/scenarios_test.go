@@ -52,15 +52,24 @@ func TestBarrierCompletes(t *testing.T) {
 }
 
 func TestPipelineDeliversInOrder(t *testing.T) {
-	r := runConfig(t, Pipeline, PipelineConfig{Stages: 3, Messages: 6, Size: 8, Options: Options{Seed: 1}})
+	c := PipelineConfig{Stages: 3, Messages: 6, Size: 8, Options: Options{Seed: 1}}
+	wl, err := Pipeline(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := c.RunOpen(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Shutdown()
 	if r.DNF || r.Ops != 6 {
 		t.Fatalf("delivered %d/6 (DNF=%v)", r.Ops, r.DNF)
 	}
 	if r.LatCount != 6 || r.LatMean <= 0 {
 		t.Errorf("latency histogram: count=%d mean=%v", r.LatCount, r.LatMean)
 	}
-	if r.Wall <= 0 || r.Wall > r.Quiet {
-		t.Errorf("wall %v, quiet at %v", r.Wall, r.Quiet)
+	if r.Wall <= 0 || r.Wall > w.Now() {
+		t.Errorf("wall %v, quiet at %v", r.Wall, w.Now())
 	}
 }
 

@@ -51,7 +51,7 @@ func TestUniformDegenerate(t *testing.T) {
 
 func TestRunDeliversAllSizes(t *testing.T) {
 	r := runConfig(t, Pipe, PipeConfig{Dist: Bimodal{Small: 8, Large: 2000, LargeEvery: 3}, Messages: 12, Options: Options{Seed: 2}})
-	if r.DNF || r.Ops != 12 || r.Net.WireBytes == 0 || r.Quiet <= 0 {
+	if r.DNF || r.Ops != 12 || r.Net.WireBytes == 0 || r.Wall <= 0 {
 		t.Errorf("report = %+v", r)
 	}
 }
@@ -59,8 +59,8 @@ func TestRunDeliversAllSizes(t *testing.T) {
 func TestShortPathIsFaster(t *testing.T) {
 	smallR := runConfig(t, Pipe, PipeConfig{Dist: Fixed{Size: 8}, Messages: 10, Options: Options{Seed: 1}})
 	bigR := runConfig(t, Pipe, PipeConfig{Dist: Fixed{Size: 7000}, Messages: 10, Options: Options{Seed: 1}})
-	if smallR.Quiet >= bigR.Quiet {
-		t.Errorf("small messages (%v) should beat full-page messages (%v)", smallR.Quiet, bigR.Quiet)
+	if smallR.Wall >= bigR.Wall {
+		t.Errorf("small messages (%v) should beat full-page messages (%v)", smallR.Wall, bigR.Wall)
 	}
 	if smallR.Net.WireBytes >= bigR.Net.WireBytes {
 		t.Errorf("wire bytes: small %d should be far under big %d", smallR.Net.WireBytes, bigR.Net.WireBytes)
