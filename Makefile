@@ -72,15 +72,19 @@
 #                        fails when a run failed or events_total or a
 #                        sim_* metric differs within a pair (a pair that
 #                        differs only in the report digest prints a note)
-#   make same-reports  - PARENT=<checkout of the parent commit> [FULL=1]: the
-#                        report gate of a change meant to move no report
-#                        byte. Builds cmd/methersweep in both trees, renders
-#                        JSON and CSV of -grid smoke, -grid all and -grid
-#                        cluster -hosts 64 (and the full -grid cluster with
-#                        FULL=1, about 2 min more on two workers), cmp's each
-#                        pair and prints each grid's event total; fails on
-#                        any difference. Not a ci stage: it needs a parent
-#                        checkout
+#   make same-reports  - PARENT=<checkout of the parent commit> [FULL=1]
+#                        [FALLS=f,...]: the report gate of a change meant to
+#                        move no report byte. Builds cmd/methersweep in both
+#                        trees, renders JSON and CSV of -grid smoke, -grid
+#                        all and -grid cluster -hosts 64 (and the full -grid
+#                        cluster with FULL=1, about 2 min more on two
+#                        workers), cmp's each pair and prints each grid's
+#                        event total; fails on any difference. FALLS (e.g.
+#                        mem_bytes,bytes_per_host for a footprint change)
+#                        lets the listed fields fall or appear, and drops
+#                        their CSV columns from the comparison; a listed
+#                        field that rose still fails. Not a ci stage: it
+#                        needs a parent checkout
 #   make loc           - non-test Go lines outside bench/ (tracked files
 #                        only), per directory and in total: the one
 #                        number simplicity PRs report, computed one way
@@ -211,9 +215,10 @@ bench-pair:
 	@sh scripts/bench-pair.sh '$(PARENT)' '$(PAIRS)' '$(SECONDS)' '$(SEED0)' $(WORKLOADS)
 
 FULL ?=
+FALLS ?=
 
 same-reports:
-	@sh scripts/same-reports.sh '$(PARENT)' '$(FULL)'
+	@sh scripts/same-reports.sh '$(PARENT)' '$(FULL)' '$(FALLS)'
 
 # Raw lines (comments and blanks included) of tracked Go files outside the
 # frozen bench/ module, summed per directory: non-test files, then tests.

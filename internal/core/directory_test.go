@@ -82,8 +82,10 @@ func TestFaultOnUntouchedPagePromotesShard(t *testing.T) {
 // TestSeededReplicaStaysFlyweightUntilWritten pins the zero-page
 // copy-on-write contract end to end: warm-seeding a replica costs no
 // frame bytes (the range is just recorded), a read of the untouched
-// page serves zeros from the shared zero page at tier 0, and only the
-// owner's real store materializes backing bytes — on the owner.
+// page serves zeros from the shared zero page at tier 0, a short store
+// and its refresh land in the frames' inline short pages at tier 0 on
+// both hosts, and only a store past the short page materializes the
+// full page — on the owner.
 func TestSeededReplicaStaysFlyweightUntilWritten(t *testing.T) {
 	c := newTestCluster(t, 2, ethernet.DefaultParams(), fastConfig(8))
 	d0, d1 := c.drivers[0], c.drivers[1]
@@ -135,8 +137,8 @@ func TestSeededReplicaStaysFlyweightUntilWritten(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	if tier := d0.page(3).frame.Tier(); tier == 0 {
-		t.Error("owner frame still tier 0 after store (write did not fork)")
+	if tier := d0.page(3).frame.Tier(); tier != 0 {
+		t.Errorf("owner frame tier = %d after a short store, want 0 (the short page is inline)", tier)
 	}
 	var v uint64
 	c.spawn(1, "reread", func(p *host.Proc) {
@@ -148,6 +150,22 @@ func TestSeededReplicaStaysFlyweightUntilWritten(t *testing.T) {
 	}
 	if v != 0xCAFE {
 		t.Errorf("replica reread = %#x, want 0xCAFE", v)
+	}
+	if tier := d1.page(3).frame.Tier(); tier != 0 {
+		t.Errorf("replica tier = %d after a short refresh, want 0", tier)
+	}
+
+	// A store past the short page is what forks the owner's frame off
+	// the zero page.
+	c.spawn(0, "full-writer", func(p *host.Proc) {
+		err = d0.Store(p, RW, NewAddr(3, vm.ShortSize+8), 4, 0xBEEF)
+	})
+	c.run(t, 4*time.Second)
+	if err != nil {
+		t.Fatalf("full store: %v", err)
+	}
+	if tier := d0.page(3).frame.Tier(); tier != vm.PageSize {
+		t.Errorf("owner frame tier = %d after a full store, want %d (write did not fork)", tier, vm.PageSize)
 	}
 	c.checkInvariants(t)
 }

@@ -140,7 +140,10 @@ type Driver struct {
 	stopped  bool
 	// server is the server loop's continuation, for either server: a
 	// pointer, so that what the loop remembers costs Driver nothing.
-	server    *server
+	server *server
+	// retryFree is the freelist of retry timers (armRetry): a timer is
+	// allocated once and reused, so arming a retry allocates nothing.
+	retryFree *retryTimer
 	kDraining bool
 	m         Metrics
 	// txBuf is the reusable packet-encode scratch buffer: transmit

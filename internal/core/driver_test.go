@@ -868,31 +868,100 @@ func TestDriverSizePinned(t *testing.T) {
 	}
 	const moves = "this moves mem_bytes and bytes_per_host in every report and fails make golden " +
 		"(an intended change regenerates the goldens and this number together)"
-	if got := unsafe.Sizeof(Driver{}); got != 1168 {
-		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1168: Driver.MemFootprint starts from it, so %s; "+
+	if got := unsafe.Sizeof(Driver{}); got != 1176 {
+		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1176: Driver.MemFootprint starts from it, so %s; "+
 			"per-server state belongs behind Driver.server", got, moves)
 	}
-	if got := unsafe.Sizeof(pageState{}); got != 168 {
-		t.Errorf("unsafe.Sizeof(pageState{}) = %d, want 168: MemFootprint counts 64 of them per shard, so %s", got, moves)
+	if got := unsafe.Sizeof(pageState{}); got != 184 {
+		t.Errorf("unsafe.Sizeof(pageState{}) = %d, want 184: MemFootprint counts %d of them per shard, so %s",
+			got, shardSize, moves)
 	}
 	if got := unsafe.Sizeof(host.WaitQ{}); got != 2*unsafe.Sizeof(uintptr(0)) {
 		t.Errorf("unsafe.Sizeof(host.WaitQ{}) = %d, want two words: there is one in Driver and two in pageState, so %s", got, moves)
 	}
 }
 
+// A retry timer is allocated once per driver and reused: arming,
+// cancelling, re-arming and firing it allocate nothing once the
+// freelist and the kernel's event pool are warm.
+func TestRetryTimerCycleAllocatesNothing(t *testing.T) {
+	c := newTestCluster(t, 1, ethernet.DefaultParams(), fastConfig(8))
+	d := c.drivers[0]
+	st := d.page(3)
+	fired := 0
+	cycle := func() {
+		st.wantShort = true
+		d.armRetry(st)
+		d.cancelRetry(st)
+		d.armRetry(st)
+		// Nothing is wanted when the timer fires, so it only retires.
+		st.wantShort = false
+		st.reqInFlight = true
+		c.k.RunUntil(c.k.Now() + d.cfg.RetryTimeout)
+		if st.retry == nil && !st.reqInFlight {
+			fired++
+		}
+	}
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Errorf("a retry arm/cancel/re-arm/fire cycle allocates %v objects, want 0", got)
+	}
+	if fired != 21 {
+		t.Errorf("the retry fired in %d of 21 cycles", fired)
+	}
+	if m := d.Metrics(); m.Retries != 0 {
+		t.Errorf("a timer that found nothing wanted counted %d retries", m.Retries)
+	}
+}
+
+// A snooped short refresh of a resident replica that was never written
+// lands in the frame's inline short page: it allocates nothing, and the
+// frame holds no page bytes outside itself afterwards.
+func TestShortRefreshAllocatesNothing(t *testing.T) {
+	const pages = 64
+	c := newTestCluster(t, 2, ethernet.DefaultParams(), fastConfig(pages))
+	d := c.drivers[1]
+	d.SeedReplicaRange(0, pages)
+	for id := vm.PageID(0); id < pages; id++ {
+		d.page(id)
+	}
+	data := make([]byte, vm.ShortSize)
+	data[0] = 7
+	pkt := proto.Packet{Type: proto.TypeData, Short: true, From: 0, OwnerTo: proto.NoOwner, Gen: 1, Data: data}
+	id := vm.PageID(0)
+	pkt.Page = id
+	d.handleFrame(&pkt)
+	const runs = pages - 2 // one more for the warm-up
+	if got := testing.AllocsPerRun(runs, func() { id++; pkt.Page = id; d.handleFrame(&pkt) }); got != 0 {
+		t.Errorf("a short refresh of a never-written replica allocates %v objects, want 0", got)
+	}
+	if m := d.Metrics(); m.Refreshes != runs+2 {
+		t.Errorf("%d refreshes, want %d", m.Refreshes, runs+2)
+	}
+	for pg := vm.PageID(0); pg <= id; pg++ {
+		f := &d.page(pg).frame
+		if v, _ := f.Load(0, 1); v != 7 || f.Gen() != 1 || f.Tier() != 0 {
+			t.Fatalf("page %d after the refresh: byte %d, gen %d, tier %d; want 7, 1, 0", pg, v, f.Gen(), f.Tier())
+		}
+	}
+}
+
 // Materialising a page in a shard that exists fills in an entry and
 // allocates nothing. It used to box two wait keys per page, which the
 // runtime serves from a static table for ids below 256: only worlds with
-// more pages than that (windowed-1024) ever paid.
+// more pages than that (windowed-1024) ever paid. The runs walk one
+// shard from its first page, starting at the first shard boundary at or
+// above 256.
 func TestPageMaterialisesWithoutAllocating(t *testing.T) {
 	c := newTestCluster(t, 1, ethernet.DefaultParams(), fastConfig(1024))
 	d := c.drivers[0]
-	id := vm.PageID(256)
-	d.page(id) // the shard of pages 256-319
-	if got := testing.AllocsPerRun(50, func() { id++; d.page(id) }); got != 0 {
+	first := vm.PageID((256 + shardMask) &^ shardMask)
+	id := first
+	d.page(id) // creates the shard
+	// AllocsPerRun calls the function once more than runs, to warm up.
+	if got := testing.AllocsPerRun(shardSize-2, func() { id++; d.page(id) }); got != 0 {
 		t.Errorf("materialising a page in an existing shard allocates %v objects, want 0", got)
 	}
-	if id>>shardBits != 256>>shardBits || !d.peek(id).inited {
+	if id != first+shardSize-1 || id>>shardBits != first>>shardBits || !d.peek(id).inited {
 		t.Fatalf("the runs reached page %d, outside the shard they were to stay in", id)
 	}
 }

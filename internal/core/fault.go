@@ -57,10 +57,7 @@ func (d *Driver) Crash() {
 			if !st.inited {
 				continue
 			}
-			if st.retry != nil {
-				st.retry.Cancel()
-				st.retry = nil
-			}
+			d.cancelRetry(st)
 			// Field by field, never `*st = pageState{...}`: waitQ and
 			// purgeQ are in there with local processes asleep on them, and
 			// zeroing a queue strands its sleepers. They are woken below.
@@ -111,10 +108,7 @@ func (d *Driver) Recover() {
 			}
 			st.backoff = 0
 			if st.wantsAnything() {
-				if st.retry != nil {
-					st.retry.Cancel()
-					st.retry = nil
-				}
+				d.cancelRetry(st)
 				st.reqInFlight = true
 				d.enqueueWork(workItem{kind: workSendReq, page: st.page})
 			}

@@ -6,6 +6,7 @@ import (
 	"mether/internal/host"
 	"mether/internal/medium"
 	"mether/internal/proto"
+	"mether/internal/sim"
 )
 
 // server is the continuation of the one server loop (advance): where the
@@ -327,9 +328,7 @@ func (d *Driver) sendRequest(st *pageState) {
 // no-op) — instead of spinning the event kernel hot for the whole
 // outage; the first up-NIC arm resets the backoff.
 func (d *Driver) armRetry(st *pageState) {
-	if st.retry != nil {
-		st.retry.Cancel()
-	}
+	d.cancelRetry(st)
 	to := d.cfg.RetryTimeout
 	if d.nic.Down() {
 		limit := d.cfg.MinResidency
@@ -345,27 +344,73 @@ func (d *Driver) armRetry(st *pageState) {
 	} else {
 		st.backoff = 0
 	}
-	st.retry = d.h.Kernel().After(to, "mether retry", func() {
-		st.retry = nil
-		if !st.wantsAnything() {
-			st.reqInFlight = false
+	rt := d.retryFree
+	if rt != nil {
+		d.retryFree = rt.next
+		rt.next = nil
+	} else {
+		rt = &retryTimer{d: d}
+		rt.fn = rt.fire
+	}
+	rt.st = st
+	rt.ev = d.h.Kernel().After(to, "mether retry", rt.fn)
+	st.retry = rt
+}
+
+// retryTimer is one armed retransmit timer: the page it retries, its
+// kernel event, and a closure built once (when the timer is first
+// allocated) so re-arming from the driver's freelist allocates nothing.
+// A timer returns to the freelist when it fires or is cancelled.
+type retryTimer struct {
+	d    *Driver
+	st   *pageState
+	ev   *sim.Event
+	fn   func()
+	next *retryTimer // freelist link
+}
+
+// free returns the timer to its driver's freelist.
+func (rt *retryTimer) free() {
+	d := rt.d
+	rt.st, rt.ev = nil, nil
+	rt.next = d.retryFree
+	d.retryFree = rt
+}
+
+// fire is the retry timeout: the timer goes back to the freelist first,
+// then the page's wants are retried (or claimed).
+func (rt *retryTimer) fire() {
+	d, st := rt.d, rt.st
+	st.retry = nil
+	rt.free()
+	if !st.wantsAnything() {
+		st.reqInFlight = false
+		return
+	}
+	d.m.Retries++
+	// Orphaned-ownership detection: an owner that answers nothing for
+	// ClaimRetries consecutive retries has crashed, and its authority
+	// must be re-minted or the want livelocks. Suppressed sends teach
+	// nothing (the request never reached the wire), so a down NIC
+	// never advances the count.
+	if d.cfg.ClaimRetries > 0 && !d.nic.Down() {
+		st.claimTries++
+		if int(st.claimTries) >= d.cfg.ClaimRetries {
+			d.enqueueWork(workItem{kind: workClaim, page: st.page})
 			return
 		}
-		d.m.Retries++
-		// Orphaned-ownership detection: an owner that answers nothing for
-		// ClaimRetries consecutive retries has crashed, and its authority
-		// must be re-minted or the want livelocks. Suppressed sends teach
-		// nothing (the request never reached the wire), so a down NIC
-		// never advances the count.
-		if d.cfg.ClaimRetries > 0 && !d.nic.Down() {
-			st.claimTries++
-			if int(st.claimTries) >= d.cfg.ClaimRetries {
-				d.enqueueWork(workItem{kind: workClaim, page: st.page})
-				return
-			}
-		}
-		d.enqueueWork(workItem{kind: workSendReq, page: st.page})
-	})
+	}
+	d.enqueueWork(workItem{kind: workSendReq, page: st.page})
+}
+
+// cancelRetry stops the page's retry timer, if one is armed, and
+// returns it to the freelist.
+func (d *Driver) cancelRetry(st *pageState) {
+	if rt := st.retry; rt != nil {
+		rt.ev.Cancel()
+		st.retry = nil
+		rt.free()
+	}
 }
 
 // clearRetryIfDone cancels the retransmit timer once nothing is wanted.
@@ -377,10 +422,7 @@ func (d *Driver) clearRetryIfDone(st *pageState) {
 		return
 	}
 	st.reqInFlight = false
-	if st.retry != nil {
-		st.retry.Cancel()
-		st.retry = nil
-	}
+	d.cancelRetry(st)
 }
 
 // servePurge broadcasts a read-only copy of a purge-pending page and

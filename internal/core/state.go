@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"mether/internal/host"
-	"mether/internal/sim"
 	"mether/internal/stats"
 	"mether/internal/vm"
 )
@@ -29,8 +28,9 @@ type pageState struct {
 	// on first touch after filling the non-zero defaults.
 	inited bool
 	page   vm.PageID
-	// frame lives inline: a pageState and its bytes are one allocation
-	// (per shard), and the flyweight frame costs nothing until written.
+	// frame lives inline, and so does its short page: a pageState and
+	// its short bytes are one allocation (per shard), and only a write
+	// past the short page allocates the full one.
 	frame vm.Frame
 
 	shortPresent bool // first 32 bytes resident
@@ -75,7 +75,7 @@ type pageState struct {
 	reqAskedCons bool
 	reqAskedRest bool
 	reqID        uint16
-	retry        *sim.Event
+	retry        *retryTimer
 	// backoff is the exponential retry-backoff exponent, advanced only
 	// while the NIC is down (a crashed host's retries go nowhere, so
 	// spinning them at the base timeout just heats the event kernel) and

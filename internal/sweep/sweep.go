@@ -507,7 +507,7 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	if form == counterRow && s.Figure != "" && s.Target == 1024 {
 		r.Deviations = bandCheck(s.Figure, rep)
 	}
-	if form == clusterRow && h.MemBytes > 0 {
+	if h.MemBytes > 0 {
 		r.BytesPerHost = float64(h.MemBytes) / float64(rep.Hosts)
 	}
 	r.Orphaned = rep.Orphaned

@@ -356,8 +356,8 @@ func TestColumnsAreResultFields(t *testing.T) {
 
 // TestEveryKindFillsTheFullRow holds each row of the determinism grid,
 // which has a cell of every kind, to the full report row: the world's
-// events and memory are on it, and the fanout row's CPU is host 0's,
-// its writer's, whole.
+// events, memory and memory per host are on it, and the fanout row's
+// CPU is host 0's, its writer's, whole.
 func TestEveryKindFillsTheFullRow(t *testing.T) {
 	scs := detGrid(smokeSeed)
 	rep, _ := pooledSmoke(0, 0)
@@ -366,6 +366,9 @@ func TestEveryKindFillsTheFullRow(t *testing.T) {
 		seen[r.Kind] = true
 		if r.Events == 0 || r.MemBytes == 0 {
 			t.Errorf("%s: events %d, mem_bytes %d; want both", r.Name, r.Events, r.MemBytes)
+		}
+		if r.BytesPerHost <= 0 || r.BytesPerHost > float64(r.MemBytes)/2 {
+			t.Errorf("%s: bytes_per_host %v with mem_bytes %d over at least two hosts", r.Name, r.BytesPerHost, r.MemBytes)
 		}
 		if r.Kind != KindFanout {
 			continue

@@ -1,7 +1,10 @@
 // Package vm provides the memory substrate for the Mether simulation:
 // page frames with generation counters, page geometry constants, and
-// access validation. Page state (presence, ownership, protections) lives
-// in the Mether driver (internal/core); this package only manages bytes.
+// access validation. A frame holds its 32-byte short page inline and
+// allocates the 8 KB full page only when a write needs it, so a host
+// pays for the bytes it uses. Page state (presence, ownership,
+// protections) lives in the Mether driver (internal/core); this package
+// only manages bytes.
 package vm
 
 import (
@@ -34,11 +37,11 @@ func CheckRange(off, size, limit int) error {
 	return nil
 }
 
-// zeroPage is the canonical all-zero page every untouched Frame shares.
-// Region and RestRegion alias it for frames whose backing tier does not
-// cover the requested range yet; callers honour the Region contract
-// (read/encode only, never write through the slice), so one page serves
-// every zero replica in the world.
+// zeroPage is the canonical all-zero page every frame without a full
+// page shares. Region and RestRegion alias it where the frame holds no
+// bytes of its own; callers honour the Region contract (read/encode
+// only, never write through the slice), so one page serves every zero
+// replica in the world.
 var zeroPage [PageSize]byte
 
 // Frame is the backing store for one page on one host. The first
@@ -46,41 +49,48 @@ var zeroPage [PageSize]byte
 // remainder. Gen is a logical version that increases with every mutation
 // and rides along on the wire so receivers can discard stale refreshes.
 //
-// Storage is a flyweight: data holds one of three tiers — nil (the page
-// has never been written here; every byte reads as zero), ShortSize
-// (only the short region has been touched), or PageSize (full page).
-// Reads beyond the current tier zero-extend without allocating; writes
-// grow the tier to cover the touched range, at most twice over a
-// frame's lifetime. A replica seeded but never written therefore costs
-// zero page bytes, which is what lets 10k-host worlds fit in memory.
+// Storage follows the paper's short page: a host pays for the bytes it
+// uses. The short page lives inline in the frame, so installing or
+// storing short bytes allocates nothing. The full page is a separate
+// 8 KB array, allocated by the first write past ShortSize (or a full
+// region asked of a frame whose short bytes are not all zero); it takes
+// over the short bytes when it is created, and from then on the inline
+// copy is stale and unused. Reads beyond the stored bytes read as zero,
+// so a replica seeded but never written costs no page bytes beyond the
+// frame itself, which is what lets 10k-host worlds fit in memory.
 type Frame struct {
-	data []byte // len 0, ShortSize or PageSize
-	gen  uint64
+	short [ShortSize]byte
+	full  *[PageSize]byte // nil until the page outgrows the short bytes
+	gen   uint64
 }
 
-// ensure grows the backing store to at least n bytes (ShortSize or
-// PageSize), preserving contents and zero-filling the extension.
-func (f *Frame) ensure(n int) {
-	if len(f.data) >= n {
-		return
+// data returns the frame's stored bytes: the full page once it exists,
+// the inline short page before.
+func (f *Frame) data() []byte {
+	if f.full != nil {
+		return f.full[:]
 	}
-	grown := make([]byte, n)
-	copy(grown, f.data)
-	f.data = grown
+	return f.short[:]
 }
 
-// tierFor returns the smallest tier covering bytes [0, end).
-func tierFor(end int) int {
-	if end <= ShortSize {
-		return ShortSize
+// grow allocates the full page, carrying the short bytes over.
+func (f *Frame) grow() {
+	if f.full == nil {
+		f.full = new([PageSize]byte)
+		copy(f.full[:], f.short[:])
 	}
-	return PageSize
 }
 
-// Tier returns the frame's current backing size in bytes: 0, ShortSize
-// or PageSize. Diagnostic (memory accounting); not part of the paging
-// protocol.
-func (f *Frame) Tier() int { return len(f.data) }
+// Tier returns the bytes the frame holds outside itself: 0 before the
+// full page exists, PageSize after. The inline short page is part of
+// the frame's own size. Diagnostic (memory accounting); not part of the
+// paging protocol.
+func (f *Frame) Tier() int {
+	if f.full != nil {
+		return PageSize
+	}
+	return 0
+}
 
 // Gen returns the frame's current generation.
 func (f *Frame) Gen() uint64 { return f.gen }
@@ -89,15 +99,15 @@ func (f *Frame) Gen() uint64 { return f.gen }
 func (f *Frame) SetGen(g uint64) { f.gen = g }
 
 // Load reads an unsigned little-endian integer of size 1, 2, 4 or 8
-// bytes at off. Bytes beyond the current backing tier read as zero.
+// bytes at off. Bytes beyond the stored ones read as zero.
 func (f *Frame) Load(off, size int) (uint64, error) {
 	if err := CheckRange(off, size, PageSize); err != nil {
 		return 0, err
 	}
-	src := f.data
+	src := f.data()
 	if off+size > len(src) {
-		// The access reaches past the backing tier: assemble from the
-		// stored prefix (possibly empty) plus implicit zeros.
+		// The access reaches past the stored bytes: assemble from the
+		// short page plus implicit zeros.
 		var buf [8]byte
 		if off < len(src) {
 			copy(buf[:], src[off:])
@@ -130,30 +140,33 @@ func (f *Frame) Store(off, size int, v uint64) error {
 	default:
 		return fmt.Errorf("%w: unsupported size %d", ErrBadAccess, size)
 	}
-	f.ensure(tierFor(off + size))
+	if off+size > ShortSize {
+		f.grow()
+	}
+	dst := f.data()
 	switch size {
 	case 1:
-		f.data[off] = byte(v)
+		dst[off] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(f.data[off:], uint16(v))
+		binary.LittleEndian.PutUint16(dst[off:], uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(f.data[off:], uint32(v))
+		binary.LittleEndian.PutUint32(dst[off:], uint32(v))
 	case 8:
-		binary.LittleEndian.PutUint64(f.data[off:], v)
+		binary.LittleEndian.PutUint64(dst[off:], v)
 	}
 	f.gen++
 	return nil
 }
 
 // ReadBytes copies len(dst) bytes starting at off into dst; bytes beyond
-// the current backing tier read as zero.
+// the stored ones read as zero.
 func (f *Frame) ReadBytes(off int, dst []byte) error {
 	if err := CheckRange(off, len(dst), PageSize); err != nil {
 		return err
 	}
 	n := 0
-	if off < len(f.data) {
-		n = copy(dst, f.data[off:])
+	if src := f.data(); off < len(src) {
+		n = copy(dst, src[off:])
 	}
 	for i := n; i < len(dst); i++ {
 		dst[i] = 0
@@ -166,8 +179,10 @@ func (f *Frame) WriteBytes(off int, src []byte) error {
 	if err := CheckRange(off, len(src), PageSize); err != nil {
 		return err
 	}
-	f.ensure(tierFor(off + len(src)))
-	copy(f.data[off:], src)
+	if off+len(src) > ShortSize {
+		f.grow()
+	}
+	copy(f.data()[off:], src)
 	f.gen++
 	return nil
 }
@@ -176,37 +191,30 @@ func (f *Frame) WriteBytes(off int, src []byte) error {
 // if short is true, otherwise the whole page. The slice aliases the
 // frame's storage — callers must copy (or encode) it before the frame
 // can next be mutated, and must never write through it; use Snapshot
-// when a durable copy is needed. When the backing tier does not cover
-// the requested region the frame is untouched there, so the canonical
-// zero page is aliased instead of growing the tier: sending a zero
-// replica's contents costs no allocation.
+// when a durable copy is needed. A frame without a full page whose
+// short bytes are all zero aliases the canonical zero page for the
+// whole page, so sending a zero replica's contents costs no allocation.
 func (f *Frame) Region(short bool) []byte {
 	if short {
-		if len(f.data) >= ShortSize {
-			return f.data[:ShortSize]
+		return f.data()[:ShortSize]
+	}
+	if f.full == nil {
+		if f.short == [ShortSize]byte{} {
+			return zeroPage[:]
 		}
-		return zeroPage[:ShortSize]
+		// The short bytes and the zero remainder live in different
+		// arrays, so this is the one read that must create the full page.
+		f.grow()
 	}
-	if len(f.data) == PageSize {
-		return f.data
-	}
-	if len(f.data) == 0 {
-		return zeroPage[:]
-	}
-	// Short tier with a full-page region requested: the stored short
-	// bytes and the zero remainder live in different arrays, so this is
-	// the one case that must materialize the full tier.
-	f.ensure(PageSize)
-	return f.data
+	return f.full[:]
 }
 
 // RestRegion returns the superset remainder [ShortSize, PageSize)
 // without copying; the same aliasing caveats as Region apply. A frame
-// whose tier stops at or before the short region aliases the canonical
-// zero page.
+// without a full page aliases the canonical zero page.
 func (f *Frame) RestRegion() []byte {
-	if len(f.data) == PageSize {
-		return f.data[ShortSize:]
+	if f.full != nil {
+		return f.full[ShortSize:]
 	}
 	return zeroPage[ShortSize:]
 }
@@ -219,7 +227,7 @@ func (f *Frame) Snapshot(short bool) []byte {
 		n = ShortSize
 	}
 	out := make([]byte, n)
-	copy(out, f.data)
+	copy(out, f.data())
 	return out
 }
 
@@ -227,8 +235,8 @@ func (f *Frame) Snapshot(short bool) []byte {
 // [ShortSize, PageSize).
 func (f *Frame) SnapshotRest() []byte {
 	out := make([]byte, PageSize-ShortSize)
-	if len(f.data) > ShortSize {
-		copy(out, f.data[ShortSize:])
+	if f.full != nil {
+		copy(out, f.full[ShortSize:])
 	}
 	return out
 }
@@ -239,8 +247,10 @@ func (f *Frame) Install(data []byte, gen uint64) error {
 	if len(data) != ShortSize && len(data) != PageSize {
 		return fmt.Errorf("%w: install length %d", ErrBadAccess, len(data))
 	}
-	f.ensure(len(data))
-	copy(f.data, data)
+	if len(data) == PageSize {
+		f.grow()
+	}
+	copy(f.data(), data)
 	f.gen = gen
 	return nil
 }
@@ -251,7 +261,7 @@ func (f *Frame) InstallRest(data []byte) error {
 	if len(data) != PageSize-ShortSize {
 		return fmt.Errorf("%w: rest length %d", ErrBadAccess, len(data))
 	}
-	f.ensure(PageSize)
-	copy(f.data[ShortSize:], data)
+	f.grow()
+	copy(f.full[ShortSize:], data)
 	return nil
 }

@@ -187,9 +187,10 @@ func TestInstallRejectsBadLengths(t *testing.T) {
 	}
 }
 
-// The flyweight tiers: an untouched frame stores nothing, a short-region
-// write grows it to the short tier, and only a write past ShortSize pays
-// for the full page.
+// The flyweight tiers: an untouched frame stores nothing outside itself,
+// a short-region write or install lands in the inline short page without
+// allocating, and only a write past ShortSize pays for the full page,
+// which carries the short bytes over.
 func TestFlyweightTierGrowth(t *testing.T) {
 	var f Frame
 	if f.Tier() != 0 {
@@ -201,14 +202,25 @@ func TestFlyweightTierGrowth(t *testing.T) {
 	if f.Tier() != 0 {
 		t.Fatalf("read grew tier to %d", f.Tier())
 	}
-	if err := f.Store(0, 4, 0xAA); err != nil {
-		t.Fatal(err)
+	short := make([]byte, ShortSize)
+	if got := testing.AllocsPerRun(10, func() {
+		if err := f.Store(0, 4, 0xAA); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Install(short, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Store(0, 4, 0xAA); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("short store and install allocate %v objects, want 0", got)
 	}
-	if f.Tier() != ShortSize {
-		t.Fatalf("short write tier = %d, want %d", f.Tier(), ShortSize)
+	if f.Tier() != 0 {
+		t.Fatalf("short write tier = %d, want 0 (the short page is inline)", f.Tier())
 	}
 	if v, _ := f.Load(ShortSize, 8); v != 0 {
-		t.Errorf("rest of short-tier frame reads %d, want 0", v)
+		t.Errorf("rest of a short-only frame reads %d, want 0", v)
 	}
 	if err := f.Store(PageSize-4, 4, 0xBB); err != nil {
 		t.Fatal(err)
@@ -218,6 +230,12 @@ func TestFlyweightTierGrowth(t *testing.T) {
 	}
 	if v, _ := f.Load(0, 4); v != 0xAA {
 		t.Errorf("tier growth lost the short bytes: %#x", v)
+	}
+	if err := f.Store(0, 4, 0xCC); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := f.Load(0, 4); v != 0xCC || f.Region(true)[0] != 0xCC || f.Region(false)[0] != 0xCC {
+		t.Errorf("a short store after growth did not land in the full page: %#x", v)
 	}
 }
 
@@ -247,9 +265,9 @@ func TestRegionOfUntouchedFrameIsZeroAlias(t *testing.T) {
 	}
 }
 
-// A short-tier frame asked for its full-page region must materialize the
-// full tier (the stored short bytes and the zero remainder cannot alias
-// two different arrays) and preserve contents.
+// A frame with short bytes but no full page, asked for its full-page
+// region, must create the full page (the inline short bytes and the zero
+// remainder cannot alias two different arrays) and preserve contents.
 func TestRegionPromotesShortTier(t *testing.T) {
 	var f Frame
 	if err := f.Store(0, 4, 0x1234); err != nil {

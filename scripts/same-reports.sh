@@ -8,12 +8,20 @@
 # moved field: cell, field, parent -> change. Exits non-zero on any
 # difference.
 #
-# usage: same-reports.sh PARENT [FULL]
-# (make same-reports PARENT=... [FULL=1])
+# FALLS, a comma-separated list of report fields (for a footprint change,
+# mem_bytes,bytes_per_host), relaxes the gate for those fields alone: a
+# listed field may move in the JSON if it fell, or if the parent omitted
+# it (the change reports it where the parent did not), and the CSVs are
+# compared without the listed columns. Any other move, and a listed
+# field that rose, still fails.
+#
+# usage: same-reports.sh PARENT [FULL] [FALLS]
+# (make same-reports PARENT=... [FULL=1] [FALLS=mem_bytes,bytes_per_host])
 set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
-parent=$(cd "${1:?usage: same-reports.sh PARENT [FULL]}" && pwd)
+parent=$(cd "${1:?usage: same-reports.sh PARENT [FULL] [FALLS]}" && pwd)
 full=${2:-}
+falls=${3:-}
 out=$root/.same-reports
 rm -rf "$out" && mkdir -p "$out"
 trap 'rm -rf "$out"' EXIT
@@ -27,9 +35,22 @@ echo "same-reports: parent $parent"
 # moved PARENT CHANGE: the fields that differ between two JSON reports
 # as "cell field parent -> change", "-" for a field one side omits
 # (reports drop zero fields). A report is one field per line, and a
-# scenario's "name" comes first; array elements are numbered.
+# scenario's "name" comes first; array elements are numbered. A move
+# FALLS allows is marked "(fell)" or "(new)"; the status is 1 if any
+# other field moved.
 moved() {
-	awk '
+	awk -v falls="$falls" '
+	BEGIN { m = split(falls, fl, ","); for (j = 1; j <= m; j++) if (fl[j] != "") listed[fl[j]] = 1 }
+	function show(k, a, b,   f, ok) {
+		f = k; sub(/^[^ ]* /, "", f); sub(/\[[0-9]+\]$/, "", f)
+		# An omitted value is a zero: a listed field that fell to zero
+		# vanishes from the change, and one new in the change is allowed.
+		ok = ""
+		if (f in listed && a == "-") ok = "  (new)"
+		else if (f in listed && (b == "-" ? 0 : b + 0) < a + 0) ok = "  (fell)"
+		printf "  %s  %s -> %s%s\n", k, a, b, ok
+		if (ok == "") bad = 1
+	}
 	FNR == 1 { cell = "" }
 	{
 		l = $0; sub(/^[ \t]+/, "", l); sub(/,$/, "", l)
@@ -42,9 +63,33 @@ moved() {
 		k = (cell == "" ? "-" : cell) " " f
 	}
 	FNR == NR { was[k] = v; order[++n] = k; next }
-	{ now[k] = v; if (!(k in was)) printf "  %s  - -> %s\n", k, v; else if (was[k] != v) printf "  %s  %s -> %s\n", k, was[k], v }
-	END { for (j = 1; j <= n; j++) if (!(order[j] in now)) printf "  %s  %s -> -\n", order[j], was[order[j]] }
+	{ now[k] = v; if (!(k in was)) show(k, "-", v); else if (was[k] != v) show(k, was[k], v) }
+	END { for (j = 1; j <= n; j++) if (!(order[j] in now)) show(order[j], was[order[j]], "-"); exit bad }
 	' "$1" "$2"
+}
+
+# without CSV: the CSV with the FALLS columns removed (the CSV itself
+# when FALLS is empty). Fields are split
+# on the commas outside double quotes (a quoted field's inner quotes are
+# doubled, so they toggle twice).
+without() {
+	awk -v falls="$falls" '
+	BEGIN { m = split(falls, fl, ","); for (j = 1; j <= m; j++) if (fl[j] != "") listed[fl[j]] = 1 }
+	{
+		n = 0; f = ""; q = 0
+		for (i = 1; i <= length($0); i++) {
+			c = substr($0, i, 1)
+			if (c == "\"") q = !q
+			if (c == "," && !q) { col[++n] = f; f = ""; continue }
+			f = f c
+		}
+		col[++n] = f
+		if (FNR == 1) for (i = 1; i <= n; i++) drop[i] = (col[i] in listed)
+		out = ""; sep = ""
+		for (i = 1; i <= n; i++) if (!drop[i]) { out = out sep col[i]; sep = "," }
+		print out
+	}
+	' "$1"
 }
 
 bad=0
@@ -65,11 +110,16 @@ for grid in smoke all cluster-h64 ${full:+cluster}; do
 		done
 		printf '%-12s %-7s %s\n' "$grid" "$side" "$(sed -n 's/.*speedup [^,]*, //p' "$out/$grid.$side.err")"
 	done
+	# Without FALLS any JSON difference fails, even one moved cannot
+	# name; with it, the CSVs below still catch a reordering.
 	cmp "$out/$grid.parent.json" "$out/$grid.change.json" || {
-		moved "$out/$grid.parent.json" "$out/$grid.change.json"
-		bad=1
+		moved "$out/$grid.parent.json" "$out/$grid.change.json" || bad=1
+		[ -n "$falls" ] || bad=1
 	}
-	cmp "$out/$grid.parent.csv" "$out/$grid.change.csv" || bad=1
+	for side in parent change; do
+		without "$out/$grid.$side.csv" >"$out/$grid.$side.kept.csv"
+	done
+	cmp "$out/$grid.parent.kept.csv" "$out/$grid.change.kept.csv" || bad=1
 done
 [ "$bad" -eq 0 ] || { echo "same-reports: FAILED (a run failed or a report differs)" >&2; exit 1; }
-echo "same-reports: every report identical"
+echo "same-reports: every report identical${falls:+ but for $falls, which only fell or appeared}"
