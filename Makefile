@@ -29,15 +29,19 @@
 #                        fails here instead of at the next benchmark run
 #   make golden        - "byte-identical report" is the repo's contract, so
 #                        compare some: the smoke grid as JSON and CSV, the
-#                        16-host cluster grid as JSON and metherbench,
-#                        each cmp'd against the file committed under
-#                        testdata/golden/ (EXPERIMENTS.md for the last)
+#                        all grid (Figures 4-9, the kernel, loss and
+#                        hysteresis ablations) and the 16-host cluster grid
+#                        as JSON and metherbench, each cmp'd against the
+#                        file committed under testdata/golden/
+#                        (EXPERIMENTS.md for the last)
 #   make golden-update - regenerate those files after an intended change
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
 #                        the 4096-deep timer population, three timers far
 #                        apart and a 96-timer burst, 95 coalesced
 #                        callbacks at one instant and the coalescing
-#                        call that merges nothing, process steps with
+#                        call that merges nothing, a look skipped in the
+#                        repeat lane and a lane window of 2 and of 64
+#                        runs, process steps with
 #                        no hand-off, one between two processes and one
 #                        round a fan of 96, park/wake, host
 #                        sleep/wake, the wake of an empty queue and
@@ -98,7 +102,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelContinue|BenchmarkKernelContinueMiss|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
 
 .PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports loc profile
 
@@ -155,13 +159,14 @@ cluster-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# The pinned reports, written into OUT. All four are deterministic: no
+# The pinned reports, written into OUT. All five are deterministic: no
 # real-time value enters a report, and metherbench prints none.
 GOLDEN_DIR = testdata/golden
 
 golden-write:
 	$(GO) run ./cmd/methersweep -q -grid smoke -format json -o $(OUT)/smoke.json
 	$(GO) run ./cmd/methersweep -q -grid smoke -format csv -o $(OUT)/smoke.csv
+	$(GO) run ./cmd/methersweep -q -grid all -format json -o $(OUT)/all.json
 	$(GO) run ./cmd/methersweep -q -grid cluster -hosts 16 -format json -o $(OUT)/cluster-h16.json
 	$(GO) run ./cmd/metherbench > $(OUT)/EXPERIMENTS.md
 
@@ -172,7 +177,7 @@ GOLDEN_OUT ?= .golden-out
 golden:
 	@rm -rf $(GOLDEN_OUT) && mkdir -p $(GOLDEN_OUT) && trap 'rm -rf $(GOLDEN_OUT)' EXIT && \
 	$(MAKE) --no-print-directory golden-write OUT=$(GOLDEN_OUT) && \
-	for f in smoke.json smoke.csv cluster-h16.json; do \
+	for f in smoke.json smoke.csv all.json cluster-h16.json; do \
 		cmp $(GOLDEN_DIR)/$$f $(GOLDEN_OUT)/$$f || exit 1; done && \
 	cmp EXPERIMENTS.md $(GOLDEN_OUT)/EXPERIMENTS.md
 

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"mether/internal/protocols"
+	"mether/internal/stats"
 	"mether/internal/sweep"
 )
 
@@ -178,8 +179,11 @@ func main() {
 		for _, s := range report.Scenarios {
 			events += s.Events
 		}
-		fmt.Fprintf(os.Stderr, "sweep %s: %d scenarios, %d workers, elapsed %v, serial-equivalent %v, speedup %.2fx, %d events of which %d coroutine resumes\n",
-			*flagGrid, len(scs), timing.Workers, timing.Elapsed.Round(time.Millisecond), timing.Serial.Round(time.Millisecond), timing.Speedup, events, timing.Resumes)
+		e := timing.Engine
+		share := func(n uint64) float64 { return 100 * stats.Ratio(n, events) }
+		fmt.Fprintf(os.Stderr, "sweep %s: %d scenarios, %d workers, elapsed %v, serial-equivalent %v, speedup %.2fx, %d events of which %d coroutine resumes; popped %.2f%%, batched %.2f%%, skipped in the lane %.2f%%\n",
+			*flagGrid, len(scs), timing.Workers, timing.Elapsed.Round(time.Millisecond), timing.Serial.Round(time.Millisecond), timing.Speedup, events, e.Resumes,
+			share(e.Pops), share(e.Batched), share(e.Skipped))
 	}
 
 	// A scenario error or an out-of-band paper check is a gate failure:

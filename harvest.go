@@ -6,6 +6,7 @@ import (
 	"mether/internal/core"
 	"mether/internal/ethernet"
 	"mether/internal/medium"
+	"mether/internal/sim"
 	"mether/internal/stats"
 )
 
@@ -47,11 +48,11 @@ type Harvest struct {
 	LatCount uint64
 	// Events is the number of simulation-kernel events dispatched — a
 	// pure function of config and seed, the engine-throughput
-	// denominator. MemBytes is World.MemFootprint after the run. Resumes
-	// is World.Resumes: engine cost, printed beside timings, in no report.
+	// denominator. MemBytes is World.MemFootprint after the run. Engine
+	// is World.Engine: engine cost, printed beside timings, in no report.
 	Events   uint64
 	MemBytes uint64
-	Resumes  uint64
+	Engine   sim.Counters
 }
 
 // Harvest reads every world-level counter of a run that ended at
@@ -65,7 +66,7 @@ func (w *World) Harvest(end time.Duration) Harvest {
 		Bridge:   w.BridgeStats(),
 		Events:   w.EventsDispatched(),
 		MemBytes: w.MemFootprint(),
-		Resumes:  w.Resumes(),
+		Engine:   w.Engine(),
 	}
 	h.NetBytesPerSec = stats.BytesPerSec(h.Net.WireBytes, end)
 	h.TrunkUtil, h.TrunkFrames = w.TrunkUtilization(end)

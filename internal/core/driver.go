@@ -509,50 +509,72 @@ type Poll struct {
 	d     *Driver
 	mode  Mode
 	a     Addr
-	again func(uint32) bool
+	done  func(uint32) bool
 	v     uint64
 	slow  bool        // the last look needs the coroutine: a fault, an error
-	look  func() bool // s.resident, boxed once
+	look  func() bool // s.loses, boxed once
 	st    *pageState  // the page, once this Spin32's first look checked it
 	needs needSet
+	// The Spin32 in progress, if spinning, and its losses before the
+	// UseWhile in progress.
+	spinning bool
+	losses   int
 }
 
-// Spin32 is `for { p.UseUser(every); v, err := d.Load(p, mode, a, 4); if
-// err != nil || !again(uint32(v)) { return v, err } }` event for event,
-// with the looks that find the page resident — which touch no metric and
-// cannot block — made by the scheduler (host.Proc.UseWhile) while the
-// calling coroutine sleeps. A look that would fault or fail ends the poll
-// and the coroutine makes it, as the blocking Load; again is asked about
-// that value too, so it sees every loaded value exactly once. again runs
-// in kernel event context or on the caller's stack (UseWhile) and must
-// not block.
-func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Duration, again func(uint32) bool) (uint32, error) {
+// Losses is the losses so far of p's Spin32 in progress on s, 0 when none
+// is: what a run cut short counts for the spin.
+func (s *Poll) Losses(p *host.Proc) int {
+	if !s.spinning {
+		return 0
+	}
+	return s.losses + p.Losses()
+}
+
+// Spin32 is
+//
+//	for { p.UseUser(every); v, err := d.Load(p, mode, a, 4); if err != nil || done(v) { return v, losses, err }; if losses++; losses >= limit { return v, losses, nil } }
+//
+// event for event, with the looks that find the page resident — which
+// touch no metric and cannot block — made by the scheduler
+// (host.Proc.UseWhile) while the calling coroutine sleeps. A look that
+// would fault or fail ends the poll and the coroutine makes it, as the
+// blocking Load. done is asked about every look's value, the faulting
+// ones too; it must be pure (host.Proc.UseWhile), as the scheduler asks it
+// once for a run of looks that all see the same page. A limit below 1 is
+// 1.
+func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Duration, done func(uint32) bool, limit int) (uint32, int, error) {
 	if every <= 0 {
-		return 0, fmt.Errorf("core: spin every %v: a look must cost CPU time", every)
+		return 0, 0, fmt.Errorf("core: spin every %v: a look must cost CPU time", every)
 	}
 	if s.look == nil {
-		s.look = s.resident
+		s.look = s.loses
 	}
-	s.d, s.mode, s.a, s.again, s.st = d, mode, a, again, nil
+	s.d, s.mode, s.a, s.done, s.st = d, mode, a, done, nil
+	s.spinning, s.losses = true, 0
 	for {
 		s.slow = false
-		p.UseWhile(every, host.CPUUser, s.look)
-		if !s.slow {
-			return uint32(s.v), nil
+		s.losses += p.UseWhile(every, host.CPUUser, s.look, limit-s.losses)
+		if s.spinning = s.slow; !s.slow {
+			return uint32(s.v), s.losses, nil
 		}
-		v, err := d.Load(p, mode, a, 4)
-		if err != nil || !again(uint32(v)) {
-			return uint32(v), err
+		x, err := d.Load(p, mode, a, 4)
+		if err != nil || done(uint32(x)) {
+			s.spinning = false
+			return uint32(x), s.losses, err
+		}
+		if s.losses++; s.losses >= limit {
+			s.spinning = false
+			return uint32(x), s.losses, nil
 		}
 	}
 }
 
-// resident is one look of a Spin32: Load's checks and, when they pass
-// without a fault, its read and the verdict of again. A Spin32's first
-// look checks in full and keeps the page; later ones re-check only what
-// can change, the mapping (MapOut) and residency. The pointer stays valid:
+// loses is one look of a Spin32: Load's checks and, when they pass
+// without a fault, its read and done's verdict. A Spin32's first look
+// checks in full and keeps the page; later ones re-check only what can
+// change, the mapping (MapOut) and residency. The pointer stays valid:
 // directory entries never move, and a crash wipes them in place.
-func (s *Poll) resident() bool {
+func (s *Poll) loses() bool {
 	var err error
 	st := s.st
 	if st == nil || !st.mapped(s.mode) {
@@ -564,7 +586,8 @@ func (s *Poll) resident() bool {
 	}
 	if st.satisfied(s.needs) {
 		if s.v, err = st.frame.Load(s.a.Offset(), 4); err == nil {
-			return s.again(uint32(s.v))
+			s.slow = false
+			return !s.done(uint32(s.v))
 		}
 	}
 	s.slow = true

@@ -25,7 +25,6 @@ func TestSpin32MapOutMidSpin(t *testing.T) {
 		addr := NewAddr(0, 0).Short()
 		d := c.drivers[1]
 		looks := 0
-		again := func(uint32) bool { looks++; return true }
 		var err error
 		var at time.Duration
 		c.spawn(1, "reader", func(p *host.Proc) {
@@ -34,14 +33,12 @@ func TestSpin32MapOutMidSpin(t *testing.T) {
 			}
 			if spin {
 				var s Poll
-				_, err = d.Spin32(p, &s, RO, addr, spinEvery, again)
+				_, looks, err = d.Spin32(p, &s, RO, addr, spinEvery, func(uint32) bool { return false }, 1<<30)
 			} else {
-				for {
+				for err == nil {
 					p.UseUser(spinEvery)
-					v, e := d.Load(p, RO, addr, 4)
-					if e != nil || !again(uint32(v)) {
-						err = e
-						break
+					if _, err = d.Load(p, RO, addr, 4); err == nil {
+						looks++
 					}
 				}
 			}
@@ -85,11 +82,7 @@ func TestSpin32KeepsNoPageAcrossCalls(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			looks := 0
-			v, err := d1.Spin32(p, &s, RO, NewAddr(vm.PageID(page), 0).Short(), spinEvery, func(uint32) bool {
-				looks++
-				return looks < 3
-			})
+			v, _, err := d1.Spin32(p, &s, RO, NewAddr(vm.PageID(page), 0).Short(), spinEvery, func(uint32) bool { return false }, 2)
 			if err != nil {
 				t.Error(err)
 				return

@@ -88,20 +88,22 @@ func BenchmarkHostWakeupMiss(b *testing.B) {
 	k.Shutdown()
 }
 
-// BenchmarkHostUseWhile measures one look of a poll run by the scheduler:
-// the timed event that ends a 50 µs slice, its accounting and the
-// predicate, all in one kernel callback with the polling coroutine
-// asleep throughout. It is what a spinning client costs the engine per
-// look, against a coroutine resume per look before UseWhile.
+// BenchmarkHostUseWhile measures one look of a poll run by the scheduler
+// in the kernel's lane, per look: a poll of b.N 50 µs looks while a
+// timer ticks every millisecond, so each window of the lane skips 20
+// looks, charged in bulk, with the polling coroutine asleep throughout.
 func BenchmarkHostUseWhile(b *testing.B) {
 	benchRun(b, func(k *sim.Kernel, h *Host) {
-		n := 0
 		h.Spawn("poller", func(p *Proc) {
-			p.UseWhile(50*time.Microsecond, CPUUser, func() bool {
-				n++
-				return n < b.N
-			})
+			p.UseWhile(50*time.Microsecond, CPUUser, func() bool { return true }, b.N)
 		})
+		var tick func()
+		tick = func() {
+			if k.Counters().Skipped+20 < uint64(b.N) {
+				k.AfterCoalesced(time.Millisecond, "tick", tick)
+			}
+		}
+		k.AfterCoalesced(time.Millisecond, "tick", tick)
 	})
 }
 

@@ -18,9 +18,11 @@
 // A task is the cheaper to resume, so the Mether server, which wakes once
 // per network frame, is one; and a coroutine that spins hands its loop to
 // the scheduler (UseWhile) and sleeps until the spin has an outcome. A
-// slice end that would be the kernel's next event is run inline
-// (sim.Kernel.Continue), so the predicate may run on the coroutine's own
-// stack and a Use on an otherwise idle kernel never waits.
+// spin's looks are one run in the kernel's repeat lane (sim.Kernel.Repeat,
+// poll.go): its predicate is pure, so between two ordinary events every
+// look sees what the first saw, and the scheduler charges the looks the
+// kernel skips — CPU, busy time, quantum — in bulk. Only the look that ends
+// the spin runs as a kernel callback.
 package host
 
 import (
@@ -177,12 +179,18 @@ type Proc struct {
 	step  func() Want // the task's body; nil for a coroutine
 	name  string
 	state procState
+	// inRunq says the process is on the run queue. parked and wakePending
+	// are sim.Proc's Park/Wake protocol, flag for flag: a wake finds the
+	// process parked and schedules its resume event, or is remembered and
+	// swallows the next park. One pair per process, whatever it was doing
+	// (a Use, a poll, a sleep) when woken.
+	inRunq, parked, wakePending bool
+	kind                        CPUKind // the bucket of the Use in progress
 
 	user time.Duration
 	sys  time.Duration
 
 	quantumUsed time.Duration
-	inRunq      bool
 	// waitNext links the sleepers of one WaitQ, nil on the last and on a
 	// process that is on none.
 	waitNext *Proc
@@ -190,20 +198,16 @@ type Proc struct {
 	// detect staleness.
 	dispatchSeq uint64
 
-	// parked and wakePending are sim.Proc's Park/Wake protocol, flag for
-	// flag: a wake finds the process parked and schedules its resume
-	// event, or is remembered and swallows the next park. One pair per
-	// process, whatever it was doing (a Use, a poll, a sleep) when woken.
-	parked      bool
-	wakePending bool
-	// The Use in progress: CPU still owed, its bucket, and the slice of
-	// it now elapsing (zero when none is: the process waits for the CPU).
+	// The Use in progress: CPU still owed and the slice of it now elapsing
+	// (zero when none is: the process waits for the CPU).
 	need  time.Duration
 	slice time.Duration
-	kind  CPUKind
-	// The UseWhile in progress: again says if another every is owed.
-	again func() bool
-	every time.Duration
+	// The UseWhile in progress: again says if a look loses, losses counts
+	// them up to limit, and lane is its looks' run in the kernel's lane.
+	again         func() bool
+	every         time.Duration
+	losses, limit int
+	lane          sim.Repeat
 
 	// Closures built once so the resume/sleep hot paths schedule kernel
 	// events without allocating; timerFn on the first SleepFor.
@@ -336,19 +340,14 @@ func (p *Proc) wake() {
 
 // advance runs the scheduler's state machine for p until the process
 // must wait for an event (false: a wake or the end of a slice will call
-// resume) or is on the CPU with nothing owed (true). A slice end that
-// would be the kernel's next event is run here (sim.Kernel.Continue).
+// resume) or is on the CPU with nothing owed (true). A poll's slice ends
+// are its run in the kernel's lane, every other one a kernel event.
 func (p *Proc) advance() bool {
 	h := p.h
 	for {
 		if p.slice > 0 {
 			// Nothing wakes a process in mid-slice, so this is the slice's end.
-			if p.kind == CPUSys {
-				p.sys += p.slice
-			} else {
-				p.user += p.slice
-			}
-			h.busy += p.slice
+			p.charge(p.slice)
 			p.quantumUsed += p.slice
 			p.need -= p.slice
 			p.slice = 0
@@ -373,10 +372,11 @@ func (p *Proc) advance() bool {
 			return true
 		}
 		if p.slice = min(p.need, h.pr.Quantum-p.quantumUsed); p.slice > 0 {
-			if h.k.Continue(p.slice) {
-				continue
+			if p.again != nil {
+				h.k.Repeat(&p.lane, p.slice, p.every, (*poll)(p))
+			} else {
+				h.k.AfterCoalesced(p.slice, "wake", p.resumeFn)
 			}
-			h.k.AfterCoalesced(p.slice, "wake", p.resumeFn)
 			return false
 		}
 		// The quantum was spent before the Use began (a boost).
@@ -384,8 +384,18 @@ func (p *Proc) advance() bool {
 	}
 }
 
+// charge bills d of CPU to the bucket of p's Use and to the host.
+func (p *Proc) charge(d time.Duration) {
+	if p.kind == CPUSys {
+		p.sys += d
+	} else {
+		p.user += d
+	}
+	p.h.busy += d
+}
+
 // run drives p's state machine: each time the process is on the CPU with
-// nothing owed it asks the task's step or the poll's again what comes
+// nothing owed it asks the task's step, or the poll's look, what comes
 // next. It returns true when the coroutine is owed the baton back, false
 // when p waits for an event or has exited.
 func (p *Proc) run() bool {
@@ -401,7 +411,7 @@ func (p *Proc) run() bool {
 				p.exit()
 				return false
 			}
-		case p.again != nil && p.again():
+		case p.again != nil && p.lose():
 			p.need = p.every
 		default:
 			p.again = nil
@@ -419,13 +429,21 @@ func (p *Proc) resume() {
 	}
 }
 
+// lose is a poll's look: true if it loses and the poll goes on.
+func (p *Proc) lose() bool {
+	if !p.again() {
+		return false
+	}
+	p.losses++
+	return p.losses < p.limit
+}
+
 // await is where a coroutine waits out what it has just asked of the
 // scheduler (again: the predicate, if it asked for a poll). The machine
-// runs as far as it can on the coroutine's own stack, slice ends run
-// inline included; resume events run the rest and the last hands the
-// baton back — unless nothing was left: then no Resume is coming and the
-// coroutine must not Await. reason is for Kernel.Idle, nil for a Use:
-// computing is not idle.
+// runs as far as it can on the coroutine's own stack; resume events run
+// the rest and the last hands the baton back — unless nothing was left:
+// then no Resume is coming and the coroutine must not Await. reason is
+// for Kernel.Idle, nil for a Use: computing is not idle.
 func (p *Proc) await(reason any, again func() bool) {
 	if p.again != nil {
 		panic("host: " + p.name + " blocks inside its UseWhile predicate, which must not block")
@@ -441,26 +459,41 @@ func (p *Proc) await(reason any, again func() bool) {
 // only way simulated computation passes time; d <= 0 is a no-op.
 func (p *Proc) Use(d time.Duration, kind CPUKind) {
 	if d > 0 {
-		p.UseWhile(d, kind, nil)
+		p.need, p.kind = d, kind
+		p.await(nil, nil)
 	}
 }
 
-// UseWhile is `for { p.Use(d, kind); if !again() { return } }` with the
-// loop run by the scheduler: again is called at exactly the instants Use
-// would have returned (on the CPU, nothing owed, after any quantum
-// rotation) and the coroutine is resumed once, in the event where again
-// says no (nil: at once, a plain Use) — a kernel callback per look, not a
-// coroutine switch, or none where the slice end runs inline (see
-// advance), on the caller's stack until one is filed. again runs there or
-// in kernel event context, possibly on another process's stack: it must
-// not block (Use and the sleeps panic) and should not allocate. d must
-// be positive, or the poll would not end.
-func (p *Proc) UseWhile(d time.Duration, kind CPUKind, again func() bool) {
+// UseWhile is
+//
+//	n := 0
+//	for { p.Use(d, kind); if !again() { return n }; if n++; n >= limit { return n } }
+//
+// with the loop run by the scheduler: a look — a call of again — comes at
+// exactly the instants Use would have returned (on the CPU, nothing owed,
+// after any quantum rotation), and the coroutine is resumed once, in the
+// event of the look that ends the poll. It returns the losses, the looks
+// where again said yes; a limit below 1 is 1. again must be pure: it may
+// be asked any number of times between two kernel events, in the kernel,
+// possibly on another process's stack, and its answer must depend only on
+// what kernel events change. It must not block (Use and the sleeps panic)
+// and should not allocate. d must be positive, or the poll would not end.
+func (p *Proc) UseWhile(d time.Duration, kind CPUKind, again func() bool, limit int) int {
 	if d <= 0 {
 		panic("host: UseWhile needs a positive d")
 	}
 	p.need, p.every, p.kind = d, d, kind
+	p.losses, p.limit = 0, limit
 	p.await(nil, again)
+	return p.losses
+}
+
+// Losses is the losses so far of the UseWhile in progress, 0 when none is.
+func (p *Proc) Losses() int {
+	if p.again == nil {
+		return 0
+	}
+	return p.losses
 }
 
 // UseUser charges d as user time.

@@ -23,8 +23,10 @@ func boostParams(delay time.Duration) Params {
 	return p
 }
 
+// A spin's looks lose until queue 2, which no fixed world wakes from
+// outside, is woken: spin(d, n) is n Uses.
 func use(d time.Duration, cpu CPUKind) op { return op{d: d, cpu: cpu, reps: 1} }
-func spin(d time.Duration, n int) op      { return op{d: d, cpu: CPUUser, reps: n} }
+func spin(d time.Duration, n int) op      { return op{d: d, cpu: CPUUser, q: 2, reps: n} }
 func sleepOn(q int) op                    { return op{kind: oSleep, q: q} }
 func sleepFor(d time.Duration) op         { return op{kind: oFor, d: d} }
 func wake(q int) op                       { return op{kind: oWake, q: q} }
@@ -50,13 +52,14 @@ func progs(pr Params, wakers []waker, ps ...[]op) world {
 
 // Fixed worlds: one table, each row held to the spec by all three plays and
 // to the lines (joined by ", ") its log must hold in order, and to the
-// fewest slice ends its UseWhile play must run inline. A row is played by
-// the test named in it, which keeps the name of the test the row once was.
+// fewest looks its UseWhile play must leave to the kernel's lane. A row is
+// played by the test named in it, which keeps the name of the test the row
+// once was.
 type fixed struct {
-	test      string
-	w         world
-	want      string
-	continued int
+	test    string
+	w       world
+	want    string
+	skipped int
 }
 
 const us = time.Microsecond
@@ -93,7 +96,7 @@ var fixedWorlds = []fixed{
 	// 8 ms. The first boost is stale and must not bounce the server off
 	// the CPU (it did once); the second, at 25 ms, does.
 	{"TestStaleBoostDoesNotPreemptForDispatchedProc", world{pr: boostParams(15 * ms), subjects: 2,
-		progs:  [][]op{{sleepOn(0), {d: 50 * us, cpu: CPUSys, reps: 600}}, {sleepOn(1), use(ms, CPUUser), sleepOn(1), spin(50*us, 2000)}},
+		progs:  [][]op{{sleepOn(0), {d: 50 * us, cpu: CPUSys, q: 2, reps: 600}}, {sleepOn(1), use(ms, CPUUser), sleepOn(1), spin(50*us, 2000)}},
 		wakers: []waker{{at: 5 * ms, q: 1}, {at: 8 * ms}, {at: 10 * ms, q: 1}}},
 		"25ms h: boost preempts p0 for p1, 26ms p1 line 3, 111ms p0 line 2", 0},
 	// Two sleepers woken together onto an idle CPU: the first's dispatch
@@ -107,11 +110,11 @@ var fixedWorlds = []fixed{
 	// Timed sleeps and boosts; the runner checks that the processes' CPU
 	// sums to the busy time.
 	{"TestAccountingConservation", progs(boostParams(10*ms), nil, work(1), work(2), work(3)), "ctx 31 busy 136ms", 0},
-	// A poll whose slice ends run inline still hands the CPU to a peer that
-	// waits in the run queue with no event of its own, at the quantum
-	// expiry where a filed slice end would.
+	// A poll whose looks run in the kernel's lane still hands the CPU to a
+	// peer that waits in the run queue with no event of its own, at the
+	// quantum expiry where a filed slice end would.
 	{"TestContinuedSliceRotates", progs(testParams(), nil, []op{spin(2500*us, 30)}, repeat(4, use(5*ms, CPUUser))),
-		"11ms h: quantum expire p0 (runq 1), 12ms h: dispatch p1, 12ms p1 line 0", 30},
+		"11ms h: quantum expire p0 (runq 1), 12ms h: dispatch p1, 12ms p1 line 0", 26},
 	// Six processes sleep on the three queues in turn, woken by a seeded
 	// schedule of hits, misses and repeats, while the runner checks the
 	// queues after every log line.
@@ -166,8 +169,8 @@ func playFixed(t *testing.T) {
 			}
 			log = log[i+1:]
 		}
-		if c := plays[len(plays)-1].m.(*real).k.Counters().Continued; c < uint64(row.continued) {
-			t.Errorf("row %d ran %d slice ends inline, want at least %d", n, c, row.continued)
+		if c := plays[len(plays)-1].m.(*real).k.Counters().Skipped; c < uint64(row.skipped) {
+			t.Errorf("row %d left %d looks to the lane, want at least %d", n, c, row.skipped)
 		}
 	}
 	if n == 0 {
@@ -214,27 +217,32 @@ func TestTwoHostsAreIndependent(t *testing.T) {
 }
 
 // TestUseWhileEdges pins what the spec leaves out around a poll: a Use of
-// nothing files no event, UseWhile refuses a poll that costs nothing, a
-// poll and a Use alone on the kernel run inline — no kernel event, no
-// coroutine switch — and again, which runs where there is no coroutine to
-// block, may not block.
+// nothing files no event; UseWhile refuses a poll that costs nothing;
+// alone on the kernel, a poll of 25 looks over two quantum ends is one
+// lane run whose last look alone is a kernel event, and a Use's slices are
+// one event each, with no coroutine switch; a limit below 1 is 1; and
+// again, which runs where there is no coroutine to block, may not block.
 func TestUseWhileEdges(t *testing.T) {
 	k := sim.New(1)
 	defer k.Shutdown()
 	New(k, 0, "a", testParams()).Spawn("poller", func(p *Proc) {
-		before, looks := k.Counters(), 0
+		before := k.Counters()
 		p.Use(0, CPUUser)
 		p.Use(-time.Second, CPUSys)
-		p.UseWhile(ms, CPUUser, func() bool { looks++; return looks < 25 }) // over two quantum ends
-		p.UseSys(35 * ms)
-		if c := k.Counters(); c.Resumes != before.Resumes || c.Pops != before.Pops || k.PendingEvents() != 0 || looks != 25 || p.Now() != 61*ms {
-			t.Errorf("alone, 25 looks and a Use cost %d coroutine resumes and %d kernel events, left %d pending and ended at %v",
-				c.Resumes-before.Resumes, c.Pops-before.Pops, k.PendingEvents(), p.Now())
+		losses := p.UseWhile(ms, CPUUser, func() bool { return true }, 25)
+		p.UseSys(35 * ms) // its slices end at 5, 15, 25 and 35 ms of it
+		c := k.Counters()
+		if c.Resumes != before.Resumes || c.Pops-before.Pops != 5 || c.Skipped-before.Skipped != 24 || k.PendingEvents() != 0 || losses != 25 || p.Now() != 61*ms {
+			t.Errorf("alone, 25 looks and a Use cost %d coroutine resumes, %d kernel events and %d skipped looks, lost %d, left %d pending and ended at %v",
+				c.Resumes-before.Resumes, c.Pops-before.Pops, c.Skipped-before.Skipped, losses, k.PendingEvents(), p.Now())
 		}
-		mustPanic(t, "UseWhile(0)", func() { p.UseWhile(0, CPUUser, nil) })
-		// Alone in the kernel, the poller dispatches its own resume events,
-		// so the predicate's panic unwinds through this very stack.
-		mustPanic(t, "Use from again", func() { p.UseWhile(ms, CPUUser, func() bool { p.UseSys(ms); return false }) })
+		if losses := p.UseWhile(ms, CPUUser, func() bool { return true }, 0); losses != 1 {
+			t.Errorf("a limit of 0 lost %d looks, want 1", losses)
+		}
+		mustPanic(t, "UseWhile(0)", func() { p.UseWhile(0, CPUUser, nil, 1) })
+		// Alone in the kernel, the poller dispatches its own events, so the
+		// predicate's panic unwinds through this very stack.
+		mustPanic(t, "Use from again", func() { p.UseWhile(ms, CPUUser, func() bool { p.UseSys(ms); return false }, 1) })
 	})
 	k.Run()
 }

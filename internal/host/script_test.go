@@ -37,7 +37,7 @@ const queues = 3
 type opKind uint8
 
 const (
-	oUse   opKind = iota // Use(d, cpu), made again while again says so, at most reps times
+	oUse   opKind = iota // Use(d, cpu), made again while queue q has had no outside wake since the first, at most reps times in all
 	oSleep               // SleepOnQ(q)
 	oFor                 // SleepFor(d)
 	oWake                // WakeupQ(q), then the next op at once
@@ -93,7 +93,7 @@ func drawWorld(choose func(n int) int) world {
 		if choose(3) == 0 {
 			o = op{kind: oSleep, q: choose(queues)}
 		} else {
-			o = op{d: use(), cpu: CPUKind(1 + choose(2))}
+			o = op{d: use(), cpu: CPUKind(1 + choose(2)), q: i % queues}
 		}
 		o.reps = 1 + repeats*choose(7)
 		script = append(script, o)
@@ -155,9 +155,10 @@ type runner struct {
 	m       machine
 	log     []entry
 	cursors []*cursor
-	joined  int    // sleeps that joined a queue someone was already on
-	check   func() // after every log line; nil on the spec
-	err     string // the first failed check
+	wakes   [queues]int // outside wakes of each queue, what again reads
+	joined  int         // sleeps that joined a queue someone was already on
+	check   func()      // after every log line; nil on the spec
+	err     string      // the first failed check
 }
 
 // entry is one log line, formatted only to be shown: a play logs
@@ -186,19 +187,29 @@ func (r *runner) fail(format string, args ...any) {
 
 // cursor is one process's place in its program.
 type cursor struct {
-	r          *runner
-	name       string
-	ops        []op
-	line, left int // the next op; asks of again still owed for the last Use
-	done       bool
+	r    *runner
+	name string
+	ops  []op
+	line int // the next op
+	// The repeated Use in progress, if rep: its losses so far, at most
+	// limit, and the wakes of its queue when it began.
+	rep           bool
+	losses, limit int
+	woken         int
+	done          bool
 }
 
 // next is what the process does next, asked each time it is on the CPU
-// with nothing owed: the last Use again while again says so, else the next
-// op. A wake is made here; false ends the program.
+// with nothing owed: the last Use again while it loses, else the next op.
+// A wake is made here; false ends the program.
 func (c *cursor) next() (op, bool) {
-	if c.left > 0 && c.again() {
-		return c.ops[c.line-1], true
+	if c.rep {
+		if c.again() {
+			if c.losses++; c.losses < c.limit {
+				return c.ops[c.line-1], true
+			}
+		}
+		c.polled(c.losses)
 	}
 	for {
 		c.r.logf("%v %s line %d", c.r.m.now(), c.name, c.line)
@@ -213,18 +224,22 @@ func (c *cursor) next() (op, bool) {
 			continue
 		case o.kind == oSleep && c.r.m.asleep(o.q) > 0:
 			c.r.joined++
-		case o.kind == oUse && o.d > 0:
-			c.left = o.reps
+		case o.kind == oUse && o.d > 0 && o.reps > 1:
+			c.rep, c.losses, c.limit, c.woken = true, 0, o.reps, c.r.wakes[o.q]
 		}
 		return o, true
 	}
 }
 
-// again is the question UseWhile asks, and the written loop.
-func (c *cursor) again() bool {
-	c.r.logf("%v %s again %d", c.r.m.now(), c.name, c.left)
-	c.left--
-	return c.left > 0
+// again is the question UseWhile asks, and the written loop: a look loses
+// while the Use's queue has had no outside wake since the Use began. It is
+// pure: only wake events change what it reads.
+func (c *cursor) again() bool { return c.r.wakes[c.ops[c.line-1].q] == c.woken }
+
+// polled ends a repeated Use after its losses: it logs them.
+func (c *cursor) polled(losses int) {
+	c.r.logf("%v %s again %d", c.r.m.now(), c.name, losses)
+	c.rep = false
 }
 
 // play spawns the programs, a process each (task says which are tasks),
@@ -276,6 +291,7 @@ func (r *runner) play(task func(i int) bool) {
 
 // wake wakes queue q from outside; one that finds sleepers is logged.
 func (r *runner) wake(q int) {
+	r.wakes[q]++
 	if n := r.m.asleep(q); n > 0 {
 		r.logf("%v wake %d: %d asleep", r.m.now(), q, n)
 	}
@@ -346,8 +362,8 @@ func (m *real) spawn(c *cursor, task bool) {
 				p.SleepOnQ(&m.qs[o.q])
 			case o.kind == oFor:
 				p.SleepFor(o.d)
-			case m.useWhile && o.d > 0:
-				p.UseWhile(o.d, o.cpu, c.again)
+			case m.useWhile && c.rep:
+				c.polled(p.UseWhile(o.d, o.cpu, c.again, c.limit))
 			default:
 				p.Use(o.d, o.cpu)
 			}
@@ -411,8 +427,8 @@ func (m *real) checkQueues() {
 	}
 }
 
-// cover is the ground the worlds covered; lone and beside count slice ends
-// run inline in worlds without and with rivals.
+// cover is the ground the worlds covered; lone and beside count looks the
+// kernel's lane skipped in worlds without and with rivals.
 type cover struct{ worlds, finished, rivalled, joined, boosts, stale, lone, beside int }
 
 // holds plays w on the spec and then three ways on the host, coroutines,
@@ -446,7 +462,7 @@ func holds(w *world, c *cover) (plays []*runner, err error) {
 		} else if ev != events {
 			return plays, fmt.Errorf("played with %s: kernel events %s, with coroutines %s", how, ev, events)
 		}
-		if n := int(k.Counters().Continued); how == "UseWhile" && len(w.progs) > w.subjects {
+		if n := int(k.Counters().Skipped); how == "UseWhile" && len(w.progs) > w.subjects {
 			c.beside += n
 		} else if how == "UseWhile" {
 			c.lone += n

@@ -14,9 +14,12 @@ import (
 // random instants, half through Interrupt, and a tick that wakes every
 // queue. Each world is played on the host three ways — coroutines
 // repeating a Use in a written loop, every other subject a task,
-// coroutines repeating by UseWhile — and each play must log what the spec
-// logs: the scheduler's trace, each program line and ask of again at its
-// instant, outside wakes that found sleepers, the context switches, the
+// coroutines repeating by UseWhile, whose looks run in the kernel's repeat
+// lane — and each play must log what the spec logs: the scheduler's trace,
+// each program line and the losses of each repeated Use at their instants
+// (a look loses until its queue's next outside wake, which the spec asks
+// look by look and the lane once a window), outside wakes that found
+// sleepers, the context switches, the
 // busy time and every process's user and system time. The plays must also
 // agree on Dispatched and PendingEvents, and every queue must be well
 // formed after every log line. A failing seed's tape is shrunk and
@@ -25,7 +28,9 @@ import (
 //
 // Each mutation below, made to a copy of the host, fails at the first
 // seed given, whose tape (bytes drawn, its variant ahead) shrinks as
-// shown, and the fixed worlds named.
+// shown, and the fixed worlds named. The rows above the poll's were
+// measured before repeated Uses logged their losses once, not each look;
+// the poll's rows (poll.go) were measured with it.
 //
 //	wakeAll wakes its sleepers in LIFO order          0    1418→8     TestSleepersCountAndMultipleWake, 2 more
 //	wakeAll arms each boost ahead of maybeDispatch    52   1813→8     TestBoostFollowsItsDispatch
@@ -41,7 +46,11 @@ import (
 //	Interrupt costs nothing                           0    1418→136   TestInterruptDelaysHandler
 //	a switch takes no DispatchLatency                 0    1418→8
 //	SpawnTask files no start event                    0    1418→0     TestBusyTimeAccounting, 16 more
-//	advance never runs a slice end inline             the floor —     TestContinuedSliceRotates, TestUseWhileEdges
+//	poll: Ahead takes the CPU's peers to be absent    10   1623→19    TestDeterministicScheduling, 8 more
+//	poll: Ahead lets a look past the limit lose       8    1492→22    TestSpinnerDelaysWokenProcessUntilQuantumEnd, 8 more
+//	poll: Skip charges one look too many              8    1492→19    TestDeterministicScheduling, 8 more
+//	poll: Ahead ends on the limit's look, not the     28   1737→21    TestUseWhileMatchesLoop
+//	  quantum's end that splits the look before it
 func TestSchedulerMatchesSpec(t *testing.T) {
 	seeds := 480
 	if testing.Short() {

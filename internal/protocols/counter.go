@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"fmt"
+	"math"
 
 	"mether"
 	"mether/internal/workload"
@@ -17,7 +18,7 @@ func Counter(c Config) (workload.Workload, error) {
 	if c.Protocol < BaselineSingle || c.Protocol > P5Final {
 		return workload.Workload{}, fmt.Errorf("protocols: unknown protocol %d", c.Protocol)
 	}
-	t := new(workload.Tally)
+	t := &workload.Tally{SpinLosses: true}
 	var capRW mether.Capability
 	wl := workload.Workload{Hosts: 2, Pages: 8, Tally: t,
 		Layout: func(w *mether.World) error {
@@ -98,20 +99,16 @@ func runClient(env *mether.Env, cfg Config, cap mether.Capability, id uint32, t 
 
 // The client loops spin with Mapping.Spin32, a look every checkCost until
 // the word asks for what only the process can do (an increment, a purge,
-// a sleep). The predicate, built once, sees every loaded value and so
-// keeps the per-look counts; it runs in kernel event context, so
-// whatever blocks stays in the loop.
+// a sleep) or the losses reach the loop's limit. The predicate, built
+// once, is pure: the loop counts the losses Spin32 returns.
 
-// lossCounter is the predicate of the one-page protocols: a look loses,
-// and the spin goes on, while the word is the peer's to increment.
-func lossCounter(cfg Config, id uint32, t *workload.Tally) func(uint32) bool {
-	return func(v uint32) bool {
-		if v >= cfg.Target || v%2 == id {
-			return false
-		}
-		t.Losses++
-		return true
-	}
+// noLimit is the loss limit of a spin that only a won look ends.
+const noLimit = math.MaxInt
+
+// yours is the predicate of the one-page protocols: a look wins when the
+// word is this process's to increment, or the target is reached.
+func yours(cfg Config, id uint32) func(uint32) bool {
+	return func(v uint32) bool { return v >= cfg.Target || v%2 == id }
 }
 
 // sharedPageLoop implements protocols 1 and 2 (and the local pair): both
@@ -122,10 +119,10 @@ func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, t
 	if short {
 		a = a.Short()
 	}
-	lost := lossCounter(cfg, id, t)
+	done := yours(cfg, id)
 	for {
-		v, err := m.Spin32(a, checkCost, lost)
-		if err != nil {
+		v, lost, err := m.Spin32(a, checkCost, done, noLimit)
+		if t.Losses += uint64(lost); err != nil {
 			return err
 		}
 		if v >= cfg.Target {
@@ -152,18 +149,16 @@ func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap me
 	}
 	sincePurge := 0
 	myVal := uint32(0)
-	// The loss that purges ends the spin; under the ablation, every loss.
-	lost := func(v uint32) bool {
-		if v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal {
-			return false
-		}
-		t.Losses++
-		sincePurge++
-		return cfg.SleepHysteresis <= 0 && sincePurge < cfg.HysteresisN
-	}
+	done := func(v uint32) bool { return v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal }
 	for {
-		v, err := peerMap.Spin32(peerAddr, checkCost, lost)
-		if err != nil {
+		// The loss that purges ends the spin; under the ablation, every loss.
+		limit := cfg.HysteresisN - sincePurge
+		if cfg.SleepHysteresis > 0 {
+			limit = 1
+		}
+		v, lost, err := peerMap.Spin32(peerAddr, checkCost, done, limit)
+		t.Losses += uint64(lost)
+		if sincePurge += lost; err != nil {
 			return err
 		}
 		switch {
@@ -206,10 +201,10 @@ func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether
 	}
 	aW := rw.Addr(0, 0).Short()
 	aD := ro.Addr(0, 0).Short().DataDriven()
-	lost := lossCounter(cfg, id, t)
+	done := yours(cfg, id)
 	for {
-		v, err := ro.Spin32(aD, checkCost, lost)
-		if err != nil {
+		v, lost, err := ro.Spin32(aD, checkCost, done, noLimit)
+		if t.Losses += uint64(lost); err != nil {
 			return err
 		}
 		if v >= cfg.Target {
@@ -241,18 +236,12 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 	peerData := peerAddr.DataDriven()
 	spins := 0
 	myVal := uint32(0)
-	// The spin ends on the loss after which the waiter blocks.
-	lost := func(v uint32) bool {
-		if v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal {
-			return false
-		}
-		t.Losses++
-		spins++
-		return spins < spinBeforeBlock
-	}
+	done := func(v uint32) bool { return v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal }
 	for {
-		v, err := peerMap.Spin32(peerAddr, checkCost, lost)
-		if err != nil {
+		// The spin ends on the loss after which the waiter blocks.
+		v, lost, err := peerMap.Spin32(peerAddr, checkCost, done, spinBeforeBlock-spins)
+		t.Losses += uint64(lost)
+		if spins += lost; err != nil {
 			return err
 		}
 		switch {

@@ -151,52 +151,66 @@ func BenchmarkKernelCoalescedMiss(b *testing.B) {
 	chain(b, func(k *Kernel, tick func()) { k.AfterCoalesced(time.Microsecond, "tick", tick) })
 }
 
-// BenchmarkKernelContinue measures a lone tick that continues: with
-// nothing else pending, each next tick would be the next event, so
-// Continue runs it inline — the slice end of a process alone in the
-// kernel. Against BenchmarkKernelDispatch it is the schedule and pop
-// saved.
-func BenchmarkKernelContinue(b *testing.B) {
+// spinner is a run of looks for the lane benchmarks: left losses, then
+// its end a period after the last.
+type spinner struct {
+	rep  Repeat
+	left int64
+}
+
+func (r *spinner) Ahead() (int64, time.Duration) { return r.left, r.rep.every }
+func (r *spinner) Skip(n int64)                  { r.left -= n }
+func (r *spinner) End()                          {}
+
+// BenchmarkKernelLaneSkip measures a skipped look: one run of b.N looks in
+// the lane beside a timer that ticks every 64 periods, so each window
+// skips 64 looks — a client spinning alone between the few events of a
+// two-host world. Per look it is the window's cost shared out.
+func BenchmarkKernelLaneSkip(b *testing.B) {
 	k := New(1)
-	n := 0
+	r := &spinner{left: int64(b.N)}
+	chain := 0
 	var tick func()
 	tick = func() {
-		for n++; n < b.N; n++ {
-			if !k.Continue(time.Microsecond) {
-				k.After(time.Microsecond, "tick", tick)
-				return
-			}
+		if chain++; chain*64 < b.N {
+			k.AfterCoalesced(64*time.Microsecond, "tick", tick)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.After(time.Microsecond, "tick", tick)
+	k.Repeat(&r.rep, time.Microsecond, time.Microsecond, r)
+	k.AfterCoalesced(64*time.Microsecond+time.Nanosecond, "tick", tick)
 	k.Run()
 }
 
-// BenchmarkKernelContinueMiss measures Continue's refusal: two ticks 1 µs
-// apart on a 2 µs period, so each finds the other's event due first and
-// files its next with AfterCoalesced — BenchmarkKernelCoalescedMiss
-// with the question asked in front.
-func BenchmarkKernelContinueMiss(b *testing.B) {
+// benchWindows times b.N windows of n runs in the lane, each of one look
+// per run: a timer ticks every period, just after the runs' looks.
+func benchWindows(b *testing.B, n int) {
 	k := New(1)
-	n := 0
+	rs := make([]spinner, n)
+	ticks := 0
 	var tick func()
 	tick = func() {
-		if n++; n >= b.N {
-			return
+		if ticks++; ticks < b.N {
+			k.AfterCoalesced(time.Microsecond, "tick", tick)
 		}
-		if k.Continue(2 * time.Microsecond) {
-			b.Fatal("Continue said yes with the other tick due first")
-		}
-		k.AfterCoalesced(2*time.Microsecond, "tick", tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	for i := range rs {
+		rs[i].left = int64(b.N)
+		k.Repeat(&rs[i].rep, time.Microsecond, time.Microsecond, &rs[i])
+	}
 	k.AfterCoalesced(time.Microsecond, "tick", tick)
-	k.AfterCoalesced(2*time.Microsecond, "tick", tick)
-	k.Run()
+	k.RunUntil(time.Duration(b.N) * time.Microsecond)
 }
+
+// BenchmarkKernelLaneWindow2 and BenchmarkKernelLaneWindow64 measure a
+// window: the lane run between two ordinary events with two runs (the
+// Figure 6 cell's mutual spinners) and with 64 (a 64-host barrier's
+// waiters), one look each.
+func BenchmarkKernelLaneWindow2(b *testing.B)  { benchWindows(b, 2) }
+func BenchmarkKernelLaneWindow64(b *testing.B) { benchWindows(b, 64) }
 
 // BenchmarkKernelScheduleCancel measures the schedule-then-cancel churn
 // of retry timers: the event never fires but must be queued, cancelled

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -15,14 +14,27 @@ import (
 // runner plays it on either kernel, so both see the same calls in the
 // same order for as long as they agree.
 type script struct {
-	progs  [][]act // by pid
-	cbs    [][]act // by callback; one past the end only logs
+	progs  [][]act  // by pid
+	cbs    [][]act  // by callback; one past the end only logs
+	runs   []runDef // the runs of looks the acts start
+	flags  int      // the flags the runs read
 	rounds []round
 	// stopAfter is the trace length below which a stop does nothing, so
 	// that a script stops late rather than at its first callback.
 	stopAfter int
 	budget    int // callback events filed at most; 0 for no limit
 	reserve   int // ReserveRunq first; the spec has no run queue
+}
+
+// runDef is a run of looks (Kernel.Repeat): a look every period that
+// loses while its flag is even, at most limit losses, and its tail — the
+// event that ends the run after the last loss — last after it (0 < last
+// <= every), as a quantum's end comes early after a spinner's looks; its
+// end runs callback cb, or resumes the process that made the spin.
+type runDef struct {
+	every, last time.Duration
+	limit       int64
+	flag, cb    int
 }
 
 // round is acts made from outside the kernel, then RunUntil(from+dl).
@@ -46,13 +58,14 @@ const (
 	aSleep  actKind = iota // process: Sleep(d)
 	aPark                  // process: Park
 	aAwait                 // process: Await, resumed d later by an After (arg 1) or AfterCoalesced (arg 2) alarm, or by a callback's aResume
-	aStep                  // process: Continue(d), or an AfterCoalesced(d) alarm and Await
+	aSpin                  // process: start run arg, its first look d from now, and Await; the run's end resumes it
 	aWake                  // Wake(arg)
 	aResume                // callback: Resume(arg) if it is in Await and nobody has yet
 	aSpawn                 // start program arg, once
 	aAfter                 // After(d) running callback arg: a timer aCancel may cancel
 	aCoal                  // AfterCoalesced(d) running callback arg
-	aCont                  // callback, last: Continue(d) and run callback arg inline, or file it with AfterCoalesced
+	aRun                   // start run arg, its first look d from now, unless it runs already
+	aFlip                  // flip flag arg, which the runs read
 	aCancel                // cancel live timer arg mod the number live: -1 is the last armed
 	aBase                  // later schedules in the list count from the start of the next level-d bucket span ahead
 	aStop                  // Stop, once the trace is stopAfter long
@@ -72,7 +85,7 @@ type machine interface {
 	now() time.Duration
 	after(d time.Duration, fn func()) (cancel func())
 	afterCoalesced(d time.Duration, fn func())
-	cont(d time.Duration) bool
+	repeat(d time.Duration, o *looker)
 	stop()
 	spawn(pid int)
 	wake(pid int)
@@ -116,7 +129,8 @@ type run struct {
 	spawned  []bool
 	awaiting []bool
 	base     time.Duration // the span start of the last round's burst
-	inline   int           // depth of callbacks Continue ran inline
+	looks    []*looker     // by run
+	flags    []int
 	c        *cover
 }
 
@@ -126,7 +140,57 @@ type timer struct {
 }
 
 func newRun(s *script, m machine, c *cover) *run {
-	return &run{s: s, m: m, c: c, spawned: make([]bool, len(s.progs)), awaiting: make([]bool, len(s.progs))}
+	r := &run{s: s, m: m, c: c, spawned: make([]bool, len(s.progs)), awaiting: make([]bool, len(s.progs)), flags: make([]int, s.flags)}
+	for _, d := range s.runs {
+		r.looks = append(r.looks, &looker{r: r, def: d})
+	}
+	return r
+}
+
+// looker is one run of looks of a script on one machine, and what the
+// Kernel asks of it: its losses so far, and whether the event pending is
+// its tail.
+type looker struct {
+	r      *run
+	def    runDef
+	rep    Repeat
+	id     int // its trace id
+	pid    int // the process its end resumes, or -1
+	losses int64
+	tail   bool
+	active bool
+}
+
+// start makes the run active for trace id and process pid (-1: none).
+func (o *looker) start(id, pid int) {
+	o.id, o.pid, o.losses, o.tail, o.active = id, pid, 0, false, true
+}
+
+func (o *looker) loses() bool { return o.r.flags[o.def.flag]%2 == 0 }
+
+func (o *looker) Ahead() (int64, time.Duration) {
+	if o.tail || !o.loses() {
+		return 0, 0
+	}
+	return o.def.limit - o.losses, o.def.last
+}
+
+func (o *looker) Skip(n int64) {
+	o.losses += n
+	o.tail = o.losses == o.def.limit
+}
+
+// End is the run's end: it logs the run's id and resumes its process or
+// runs its callback.
+func (o *looker) End() {
+	o.active = false
+	o.r.c.ends++
+	if o.pid >= 0 {
+		o.r.note(o.id, 0, 0)
+		o.r.hand(o.pid)
+		return
+	}
+	o.r.fire(o.id, o.def.cb)
 }
 
 func (r *run) note(ev, pid, pc int) { r.trace = append(r.trace, mark{r.m.now(), ev, pid, pc}) }
@@ -195,16 +259,15 @@ func (r *run) exec(a act, pid int) {
 		if id := r.file(); id > 0 {
 			r.m.afterCoalesced(a.d, func() { r.fire(id, a.arg) })
 		}
-	case aCont:
-		switch id := r.file(); {
-		case id == 0:
-		case r.m.cont(a.d):
-			r.inline++
-			r.fire(id, a.arg)
-			r.inline--
-		default:
-			r.m.afterCoalesced(a.d, func() { r.fire(id, a.arg) })
+	case aRun:
+		if o := r.looks[a.arg]; !o.active {
+			if id := r.file(); id > 0 {
+				o.start(id, -1)
+				r.m.repeat(a.d, o)
+			}
 		}
+	case aFlip:
+		r.flags[a.arg]++
 	case aCancel:
 		if n := len(r.live); n > 0 {
 			i := (a.arg%n + n) % n
@@ -214,9 +277,6 @@ func (r *run) exec(a act, pid int) {
 		}
 	case aStop:
 		if len(r.trace) >= r.s.stopAfter {
-			if r.inline > 0 {
-				r.c.stopInline++
-			}
 			r.m.stop()
 		}
 	}
@@ -259,13 +319,16 @@ func (r *run) prepare(pid int, a act) bool {
 			r.m.afterCoalesced(a.d, alarm)
 		}
 		return true
-	case aStep:
-		if r.m.cont(a.d) {
-			r.c.fromProc++
+	case aSpin:
+		o := r.looks[a.arg]
+		if o.active {
 			return false
 		}
+		// Numbered like an alarm, outside the budget.
+		r.ids++
+		o.start(r.ids, pid)
 		r.awaiting[pid] = true
-		r.m.afterCoalesced(a.d, func() { r.hand(pid) })
+		r.m.repeat(a.d, o)
 		return true
 	}
 	r.exec(a, pid)
@@ -282,9 +345,8 @@ func awaitReason(a act) any {
 }
 
 // real plays a script on a Kernel and checks its insides on the way: the
-// wheel after every operation when check is set, and every Continue's
-// answer against the reason the kernel's state gives. A failed check
-// panics out of RunUntil.
+// wheel after every operation when check is set. A failed check panics
+// out of RunUntil.
 type real struct {
 	k     *Kernel
 	r     *run
@@ -317,17 +379,9 @@ func (m *real) checkWheel() {
 	}
 }
 
-func (m *real) cont(d time.Duration) bool {
-	at, why, next := m.k.now, continueWhy(m.k, d), wheelMin(&m.k.wheel)
-	yes := m.k.Continue(d)
-	m.r.c.why[why]++
-	if yes != (why == whyNext) {
-		panic(fmt.Errorf("Continue(%v) at %v said %v, the kernel's state says %s", d, at, yes, whyNames[why]))
-	}
-	if yes && next == m.k.now+1 {
-		m.r.c.plusOne++
-	}
-	return yes
+func (m *real) repeat(d time.Duration, o *looker) {
+	m.k.Repeat(&o.rep, d, o.def.every, o)
+	m.checkWheel()
 }
 
 func (m *real) spawn(pid int) {
@@ -353,14 +407,15 @@ func (m *real) runUntil(dl time.Duration) time.Duration {
 	return m.k.RunUntil(dl)
 }
 
+// state counts a skipped look as the pop of its own event the spec makes.
 func (m *real) state() outcome {
-	return outcome{m.k.Now(), m.k.Dispatched(), m.k.Counters().Pops, fmt.Sprint(m.k.Idle()), m.k.Stopped()}
+	c := m.k.Counters()
+	return outcome{m.k.Now(), m.k.Dispatched(), c.Pops + c.Skipped, fmt.Sprint(m.k.Idle()), m.k.Stopped()}
 }
 
 // play runs s on a Kernel and on the spec, round by round, and returns
-// the first difference in the trace or the outcome; Pops is compared while
-// no Continue has said yes. A failed check panics. The real side's ground
-// goes to c.
+// the first difference in the trace or the outcome. A failed check
+// panics. The real side's ground goes to c.
 func play(s *script, check bool, c *cover) (*real, error) {
 	k := New(1)
 	defer k.Shutdown()
@@ -385,75 +440,17 @@ func play(s *script, check bool, c *cover) (*real, error) {
 		if i := choice.Diverge(got, want); i >= 0 {
 			return km, fmt.Errorf("round %d: the trace diverges at line %d:\nkernel %v\nspec   %v", n, i, got[i:min(i+3, len(got))], want[i:min(i+3, len(want))])
 		}
-		g, w := km.state(), ref.state()
-		if k.Counters().Continued > 0 {
-			g.pops, w.pops = 0, 0
-		}
-		if g != w {
+		if g, w := km.state(), ref.state(); g != w {
 			return km, fmt.Errorf("round %d: kernel %+v, spec %+v", n, g, w)
 		}
 	}
 	ctr := k.Counters()
-	c.merged += int(k.Dispatched() - ctr.Pops - ctr.Continued)
-	return km, nil
-}
-
-// Why a Continue call said what it said, as the test sees it: from the
-// kernel's state and the true earliest wheel event, not from wheel.low.
-const (
-	whyNext     = iota // the would-be event is next: Continue must say yes
-	whyStopped         // Stop came first
-	whyHandback        // a Resume is pending
-	whyRest            // an interrupted batch's rest waits
-	whyBatch           // called from inside a batch
-	whyRunq            // runq or due holds an event
-	whyDeadline        // now+d is past the deadline
-	whyExact           // a wheel event at exactly now+d: it has the lower seq
-	whyEarlier         // a wheel event before now+d
-	whyBucket          // none, but the first bucket starts at or before now+d
-	whyN
-)
-
-var whyNames = [whyN]string{"next", "stopped", "handback", "rest", "batch", "runq", "deadline", "exact", "earlier", "bucket"}
-
-// wheelMin returns the earliest resident event's time by reading every
-// occupied bucket, or the largest Duration when the wheel is empty.
-func wheelMin(w *wheel) time.Duration {
-	m := time.Duration(1<<63 - 1)
-	for level := range w.lvl {
-		for i, word := range w.lvl[level].occ {
-			for ; word != 0; word &= word - 1 {
-				for ev := w.lvl[level].slot[i<<6|bits.TrailingZeros64(word)].head; ev != nil; ev = ev.next {
-					m = min(m, ev.at)
-				}
-			}
+	c.merged += int(ctr.Batched)
+	c.skipped += int(ctr.Skipped)
+	for i := 1; i < len(km.r.trace); i++ {
+		if km.r.trace[i].at == km.r.trace[i-1].at {
+			c.shared++
 		}
 	}
-	return m
-}
-
-// continueWhy classifies a Continue(d) call about to be made.
-func continueWhy(k *Kernel, d time.Duration) int {
-	t := k.now + max(d, 0)
-	switch m := wheelMin(&k.wheel); {
-	case k.stopped:
-		return whyStopped
-	case k.handback != nil:
-		return whyHandback
-	case k.rest != nil:
-		return whyRest
-	case k.draining:
-		return whyBatch
-	case k.runq.n > 0 || k.dueHead < len(k.due):
-		return whyRunq
-	case t > k.deadline:
-		return whyDeadline
-	case m == t:
-		return whyExact
-	case m < t:
-		return whyEarlier
-	case k.wheel.low() <= int64(t):
-		return whyBucket
-	}
-	return whyNext
+	return km, nil
 }

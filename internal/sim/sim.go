@@ -56,11 +56,11 @@
 // to the dispatcher, ahead of everything still queued — where the
 // uncoalesced events would have run.
 //
-// A callback runs in one of three ways: popped as a kernel event, inside
-// a batch, or inline. The last is Continue, AfterCoalesced in tail
-// position: when the event would be the very next one dispatched, the
-// clock jumps to it and the caller does its work at once, so a lone
-// process's slice ends cost no event at all.
+// A callback runs in one of two ways: popped as a kernel event, or inside
+// a batch. A run of looks — a process spinning on memory — is neither: it
+// is one entry in the repeat lane (lane.go), whose looks are skipped in
+// bulk between ordinary events, and only the look that ends the run is a
+// callback.
 package sim
 
 import (
@@ -98,10 +98,15 @@ type Kernel struct {
 	slabs int
 	rng   *rand.Rand
 	procs []*Proc
-	// ctr holds the counters; batched counts the callbacks run inside a
-	// batch after its first. Dispatched is Pops + batched + Continued.
-	ctr     Counters
-	batched uint64
+	// ctr holds the counters. Dispatched is Pops + Batched + Skipped.
+	ctr Counters
+	// lane is the repeat lane, its runs sorted by (at, seq) from last to
+	// first; win and moved are a window's scratch (lane.go). They start in
+	// laneBuf, room for a two-host world's spinners.
+	lane, moved []*Repeat
+	win         []winRun
+	laneBuf     [2][2]*Repeat
+	winBuf      [2]winRun
 	// Coalescing state (see AfterCoalesced): the open coalesced event, the
 	// value of seq when it was filed — if seq has moved since, another
 	// event was scheduled in between and it is no longer adjacent — and
@@ -121,18 +126,20 @@ type Kernel struct {
 	handoff *Proc
 	// handback is whom the running callback named with Proc.Resume.
 	handback *Proc
-	// deadline is the current RunUntil's, shared by every dispatcher.
-	deadline time.Duration
-	stopped  bool
-	// draining is set while a batch runs its callbacks (see Continue).
-	draining bool
+	// deadline is the current RunUntil's, shared by every dispatcher;
+	// limit is what dispatch compares each event with: the deadline, or
+	// the instant before the lane's head if that is earlier (relimit).
+	deadline, limit time.Duration
+	stopped         bool
 }
 
 // New returns a Kernel whose random source is seeded with seed.
 // Equal seeds produce identical runs.
 func New(seed int64) *Kernel {
 	// No coalesced event is open: seq never reaches coalSeq.
-	return &Kernel{rng: rand.New(rand.NewSource(seed)), coalSeq: ^uint64(0)}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed)), coalSeq: ^uint64(0)}
+	k.lane, k.moved, k.win = k.laneBuf[0][:0], k.laneBuf[1][:0], k.winBuf[:0]
+	return k
 }
 
 // Now returns the current virtual time.
@@ -212,12 +219,12 @@ func (k *Kernel) After(d time.Duration, name string, fn func()) *Event {
 	return k.at(k.now+d, name, fn)
 }
 
-// AfterCoalesced is the fire-and-forget verb, and Continue its tail form:
-// it schedules fn to run d from now, like After, but returns nothing to
-// cancel. It merges the call into the open coalesced event — the last one
-// AfterCoalesced filed — when that is provably invisible to dispatch
-// order: nothing has been scheduled since the event was filed (seq has not
-// moved; merges consume none), the deadlines are equal and its callback
+// AfterCoalesced is the fire-and-forget verb: it schedules fn to run d
+// from now, like After, but returns nothing to cancel. It merges the call
+// into the open coalesced event — the last one AfterCoalesced filed —
+// when that is provably invisible to dispatch order: nothing has been
+// scheduled since the event was filed (seq has not moved; merges consume
+// none), the deadlines are equal and its callback
 // has not started (dispatch takes ev.fn before calling it). Then fn's own
 // event would have had the next seq at the same instant and run right
 // after the event's last callback with nothing in between, so running it
@@ -250,25 +257,6 @@ func (k *Kernel) AfterCoalesced(d time.Duration, name string, fn func()) {
 	k.coalSeq = k.seq
 	// The new event may be a recycled interrupted batch's: it starts alone.
 	k.coalB = nil
-}
-
-// Continue is AfterCoalesced in tail position: if an event filed now for
-// d from now would be the next one dispatched, it moves the clock there,
-// counts the callback dispatched and says yes, and the caller does that
-// callback's work itself, as the last thing it does; nothing is filed.
-// It says no, conservatively, when the kernel is stopped, a Resume or an
-// interrupted batch's rest is pending, the caller is inside a batch, runq
-// or due holds anything, now+d is past the deadline, or the wheel's first
-// bucket starts at or before now+d (an event at now+d has the lower seq).
-func (k *Kernel) Continue(d time.Duration) bool {
-	t := k.now + max(d, 0)
-	if k.stopped || k.handback != nil || k.rest != nil || k.draining ||
-		k.runq.n > 0 || k.dueHead < len(k.due) || t > k.deadline || k.wheel.low() <= int64(t) {
-		return false
-	}
-	k.now = t
-	k.ctr.Continued++
-	return true
 }
 
 // chunkSlots is the callback capacity of one batch chunk.
@@ -318,11 +306,10 @@ func (k *Kernel) allocBatch() *batch {
 func (b *batch) drain() {
 	// No call appends to a batch once it runs, so n stays put.
 	k, c, n, i := b.k, b.cur, b.n, b.i
-	k.draining = true
 	for i < n && !k.stopped {
 		j := i % chunkSlots
 		if i > 0 {
-			k.batched++
+			k.ctr.Batched++
 			if j == 0 {
 				c = c.next
 			}
@@ -337,7 +324,6 @@ func (b *batch) drain() {
 			break
 		}
 	}
-	k.draining = false
 	if i < n {
 		return // stopped, or the rest waits in k.rest
 	}
@@ -367,6 +353,7 @@ func (k *Kernel) Run() time.Duration {
 // stack it was raised on, and a runtime.Goexit there ends this goroutine.
 func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 	k.deadline = deadline
+	k.relimit()
 	for next := k.dispatch(); next != &k.root; next = k.handoff {
 		k.ctr.Resumes++
 		next.next()
@@ -378,7 +365,9 @@ func (k *Kernel) RunUntil(deadline time.Duration) time.Duration {
 // (time, seq) order, until one of them resumes a process or the run ends
 // (Stop, drained queue, deadline), and returns whom the baton belongs to
 // next: that process, or the root. The caller is the baton holder:
-// RunUntil, a process in Sleep or Park, or one that just exited.
+// RunUntil, a process in Sleep or Park, or one that just exited. Each
+// ordinary event is compared with k.limit alone; past it, beyond says
+// whether the lane's window comes first or the run ends.
 func (k *Kernel) dispatch() *Proc {
 	// Only a hand-back leaves a rest, and a hand-back always returns from
 	// dispatch: once per entry is often enough to look.
@@ -390,30 +379,54 @@ func (k *Kernel) dispatch() *Proc {
 			return p
 		}
 	}
-	deadline := k.deadline
 	for !k.stopped {
 		var ev *Event
 		switch {
 		case k.dueHead < len(k.due):
-			ev = k.due[k.dueHead]
-			if ev.at > deadline {
-				return k.expire()
+			if ev = k.due[k.dueHead]; ev.at > k.limit {
+				if p, pop := k.beyond(ev.at, ev.seq); !pop {
+					if p != nil {
+						return p
+					}
+					continue
+				}
 			}
 			k.due[k.dueHead] = nil
 			k.dueHead++
 		case k.runq.n > 0:
-			if k.runq.first().at > deadline {
-				return k.expire()
+			if ev = k.runq.first(); ev.at > k.limit {
+				if p, pop := k.beyond(ev.at, ev.seq); !pop {
+					if p != nil {
+						return p
+					}
+					continue
+				}
 			}
-			ev = k.runq.pop()
+			k.runq.pop()
 		default:
 			k.due = k.due[:0]
 			k.dueHead = 0
-			switch k.advance(int64(deadline)) {
-			case advEmpty:
-				return &k.root
-			case advDeadline:
+			adv := k.advance(int64(k.limit))
+			if adv == advStaged {
+				continue
+			}
+			if len(k.lane) == 0 {
+				if adv == advEmpty {
+					return &k.root
+				}
 				return k.expire()
+			}
+			// The lane's head or the deadline stopped the cursor: the wheel's
+			// earliest event, if any, decides with the lane.
+			at, seq := never, ^uint64(0)
+			if adv == advDeadline {
+				at, seq = k.wheel.peek()
+			}
+			p, pop := k.beyond(at, seq)
+			if pop {
+				k.advance(int64(at))
+			} else if p != nil {
+				return p
 			}
 			continue
 		}
@@ -469,26 +482,29 @@ func (k *Kernel) Idle() []string {
 }
 
 // PendingEvents returns the number of kernel events waiting to run — a
-// coalesced event counts once however many callbacks it carries.
-// Cancelled events are unlinked (and stop counting) immediately, except
-// for the bounded few already staged for the current instant.
+// coalesced event counts once however many callbacks it carries, a run in
+// the lane as its pending look. Cancelled events are unlinked (and stop
+// counting) immediately, except for the bounded few already staged for
+// the current instant.
 func (k *Kernel) PendingEvents() int {
-	return k.wheel.cnt + (len(k.due) - k.dueHead) + k.runq.n
+	return k.wheel.cnt + (len(k.due) - k.dueHead) + k.runq.n + len(k.lane)
 }
 
 // Dispatched returns the number of events executed so far, however each
-// callback came to run: popped as a kernel event of its own, run inside
-// a coalesced event after its first (AfterCoalesced), or run inline by
-// the caller of Continue. It is a pure function of the simulation
-// (virtual events, not wall time), so equal seeds report equal counts;
-// sweeps use it for events/sec throughput records.
-func (k *Kernel) Dispatched() uint64 { return k.ctr.Pops + k.batched + k.ctr.Continued }
+// came to run: popped as a kernel event of its own (a run's ending look
+// among them), run inside a coalesced event after its first
+// (AfterCoalesced), or skipped as a lost look in the lane. It is a pure
+// function of the simulation (virtual events, not wall time), so equal
+// seeds report equal counts; sweeps use it for events/sec throughput
+// records.
+func (k *Kernel) Dispatched() uint64 { return k.ctr.Pops + k.ctr.Batched + k.ctr.Skipped }
 
 // Counters are the kernel's own diagnostics, in no report; deterministic,
-// like Dispatched.
+// like Dispatched, which is Pops + Batched + Skipped.
 type Counters struct {
-	Pops      uint64 // kernel events popped from the wheel or the run queue
-	Continued uint64 // callbacks run inline by a caller of Continue
+	Pops    uint64 // kernel events popped, and lane looks that ended a run
+	Batched uint64 // callbacks run inside a coalesced event after its first
+	Skipped uint64 // lane looks lost in bulk, in a window (lane.go)
 	// Resumes is the hand-offs through RunUntil's trampoline, two coroutine
 	// switches each; a process resuming itself, a callback and a host
 	// task's step are not among them.
@@ -496,6 +512,15 @@ type Counters struct {
 	// Refiles is the times the wheel filed a resident event again (see
 	// advance); every event costs one schedule plus its refiles.
 	Refiles uint64
+}
+
+// Add adds o's counts to c's.
+func (c *Counters) Add(o Counters) {
+	c.Pops += o.Pops
+	c.Batched += o.Batched
+	c.Skipped += o.Skipped
+	c.Resumes += o.Resumes
+	c.Refiles += o.Refiles
 }
 
 // Counters returns the kernel's counters so far.

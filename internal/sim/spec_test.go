@@ -12,35 +12,49 @@ import (
 
 // TestKernelMatchesSpec holds the Kernel to spec, the reference kernel
 // below, on randomized scripts (script_test.go): after every RunUntil the
-// trace, clock, Dispatched(), Idle(), Stopped() and, while no Continue has
-// said yes, Counters().Pops must agree. The real side also holds every
-// Continue's answer to continueWhy and, where the profile says so, runs
-// checkWheel after every operation. Each profile must cover its floor of
-// ground. A failing seed's tape is shrunk and printed as a FuzzKernel
-// corpus file (testdata/fuzz holds one); sim_test.go keeps fixed scripts.
+// trace, clock, Dispatched(), Idle(), Stopped() and Counters().Pops (with
+// the looks the lane skipped, which the spec pops as events of their own)
+// must agree. Where the profile says so, the real side runs checkWheel
+// after every operation. Each profile must cover its floor of ground. A
+// failing seed's tape is shrunk and printed as a FuzzKernel corpus file
+// (testdata/fuzz holds one); sim_test.go keeps fixed scripts.
 //
 // Each mutation below, made to a copy of the kernel, fails the profiles
 // listed at the first seed given, whose tape (bytes drawn, its profile's
-// ahead) shrinks as shown, and the fixed or kept tests named:
+// ahead) shrinks as shown, and the fixed or kept tests named. The lane
+// profile replaced one that held Kernel.Continue, which is gone, with its
+// four rows; the older rows' counts are for the other three profiles:
 //
-//	RunUntil behind the clock moves it back      baton 4, wheel 1, coalesce 1, continue 2   252→7    TestRunUntilNeverMovesClockBack
-//	Resume goes through a fresh After(0) event   baton 1, coalesce 1, continue 1            382→10   TestResumeFromCoalescedCallback, 5 more
-//	wheel: advance takes the bucket head as min  wheel 1, baton 4, continue 1               587→17   TestCascadeBoundaryTimes, 5 more
+//	RunUntil behind the clock moves it back      baton 4, wheel 1, coalesce 1               252→7    TestRunUntilNeverMovesClockBack
+//	Resume goes through a fresh After(0) event   baton 1, coalesce 1                        382→10   TestResumeFromCoalescedCallback, 5 more
+//	wheel: advance takes the bucket head as min  wheel 1, baton 4                           587→17   TestCascadeBoundaryTimes, 5 more
 //	wheel: unlink leaves the summary bit set     wheel 1 (checkWheel), baton 12 (a panic)   587→11   TestCancelAfterCascade
-//	wheel: a deadline inside the first bucket    wheel 1, continue 9                        587→52   TestRunUntilDeadlineInsideFirstBucket
+//	wheel: a deadline inside the first bucket    wheel 1                                    587→52   TestRunUntilDeadlineInsideFirstBucket
 //	  moves the cursor there, the bucket stays
-//	batch: no rest, it runs on past a Resume     coalesce 1, baton 17 (a panic), continue 2 137→27   TestResumeFromCoalescedCallback
-//	batch: coalB kept when a new event is filed  coalesce 1, baton 17, continue 1           137→16   TestCoalescedBatchNotReusedAfterResume
-//	batch: a merge into a started event          coalesce 5, continue 25                    95→9     TestAfterCoalescedBatchClosesOnFire
-//	batch: the rest runs behind runq             coalesce 1, baton 17, continue 26          137→27   TestResumeFromCoalescedCallback
-//	batch: Stop ignored in a batch               coalesce 6, continue 51                    242→127  TestAfterCoalescedStopSuppressesRest
+//	batch: no rest, it runs on past a Resume     coalesce 1, baton 17 (a panic)             137→27   TestResumeFromCoalescedCallback
+//	batch: coalB kept when a new event is filed  coalesce 1, baton 17                       137→16   TestCoalescedBatchNotReusedAfterResume
+//	batch: a merge into a started event          coalesce 5                                 95→9     TestAfterCoalescedBatchClosesOnFire
+//	batch: the rest runs behind runq             coalesce 1, baton 17                       137→27   TestResumeFromCoalescedCallback
+//	batch: Stop ignored in a batch               coalesce 6                                 242→127  TestAfterCoalescedStopSuppressesRest
 //	batch: Stop ignored in a batch's rest        coalesce 101                               267→67   TestAfterCoalescedStopSuppressesRest
 //	batch: the rest's chunk cursor lost          —                                          —        TestAfterCoalescedChunks (panics)
 //	batch: only the head chunk freed             —                                          —        TestAfterCoalescedChunks (the freelist)
-//	Continue refuses only below now+d            continue 5 (continueWhy)                   66→15
-//	Continue: no batch check                     continue 5 (continueWhy)                   66→9
-//	Continue: no deadline check                  continue 8 (continueWhy)                   151→32
-//	Continue: Stop ignored                       continue 60 (continueWhy)                  107→44
+//	lane: a look at the instant of the window's  lane 2                                     124→32
+//	  bound or cut skipped whatever its order
+//	lane: fresh seqs given in window order, not  lane 77                                    182→104
+//	  in the order the looks were filed
+//	lane: skipped looks left uncounted           lane 1                                     138→13
+//	lane: a window that crosses the deadline     lane 3                                     187→11
+//	lane: a window that runs on past a Stop its  lane 7 (a panic)                           186→60
+//	  ending look's callback made
+//	lane: Repeat takes no seq, so AfterCoalesced lane 46                                    186→50
+//	  merges across it
+//	lane: first: the shorter slice filed first   lane 33                                    230→126
+//	lane: the ending look runs before the        lane 153                                   232→103
+//	  wheel's events of its instant are staged
+//	lane: first: the shorter period filed first  lane 77                                    182→105
+//	lane: first: the run that started earlier    lane 40                                    237→66
+//	  filed first
 func TestKernelMatchesSpec(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := range profiles {
@@ -101,6 +115,7 @@ type profile struct {
 	seed, rounds int             // acts of the first round, after it spawns its roots; rounds
 	burst        int             // a burst outside dense rounds is 1 to burst events at one instant
 	dense        bool            // in every other script every third round bursts into a level-1 or -2 span, stepping deadlines through it
+	runs, flags  int             // 1 to runs runs of looks, reading flags flags
 	stops        int             // one script in stops may stop
 	budget       int             // callback events per script
 	check        bool            // checkWheel after every operation
@@ -145,31 +160,31 @@ var profiles = [...]profile{{
 	burst: 4, seed: 8, rounds: 2, stops: 2, budget: 600,
 	floor: func(c *cover, n int) bool { return c.merged >= 1000 && c.hands >= 1000 },
 }, {
-	// Continue at every reason to refuse: chains of callbacks and process
-	// steps on a grid fine enough that a pending event at now+d and at
-	// now+d+1 are both common.
-	name: "continue", seeds: 400,
-	units:   []time.Duration{1, 100, 1000},
-	palette: []time.Duration{0, 1, 2, 3, 4, 5, 6, 7},
-	spread:  64, gap: 100, procs: 2, ops: 30, cbs: 12, perCb: 3,
-	prog: [nActs]int{aAwait: 2, aStep: 6, aBase: 1},
-	cb:   [nActs]int{aResume: 2, aCont: 6, aBase: 1, aAfter: 1, aCoal: 1, aStop: 2},
-	top:  [nActs]int{aAfter: 1},
-	seed: 3, rounds: 5, burst: 3, stops: 1, budget: 300,
+	// Runs of looks in the lane beside ordinary events, on a grid fine
+	// enough that looks of runs of equal and unequal periods, their tails
+	// and ordinary events share instants: runs that processes spin on and
+	// callbacks start, ended by a flag a callback or a round flips, by
+	// their limit or by their tail, and deadlines stepping through them.
+	name: "lane", seeds: 400,
+	units:   []time.Duration{1, 10},
+	palette: []time.Duration{0, 1, 2, 3, 4, 5, 6, 8},
+	spread:  48, gap: 60, procs: 3, ops: 16, cbs: 10, perCb: 3,
+	prog: [nActs]int{aSpin: 6, aFlip: 1, aAwait: 1, aSleep: 1, aBase: 1},
+	cb:   [nActs]int{aRun: 4, aFlip: 3, aResume: 2, aBase: 1, aAfter: 1, aCoal: 2, aStop: 1},
+	top:  [nActs]int{aRun: 2, aFlip: 1, aAfter: 1},
+	runs: 5, flags: 2,
+	seed: 4, rounds: 6, burst: 3, stops: 3, budget: 300,
 	floor: func(c *cover, n int) bool {
-		for why, k := range c.why {
-			if k == 0 && why != whyBucket {
-				return false
-			}
-		}
-		return c.why[whyNext] >= 1000 && c.plusOne > 0 && c.fromProc > 0 && c.stopInline > 0
+		return c.skipped >= 20*n && c.ends >= 5*n && c.shared >= 5*n && c.hands >= n
 	},
 }}
 
-// cover is the ground a profile's scripts covered, on the real side.
+// cover is the ground a profile's scripts covered, on the real side:
+// besides hand-backs, merges, bursts and wheel checks, the looks the lane
+// skipped, the runs that ended and the trace lines that share an instant
+// with the one before.
 type cover struct {
-	hands, merged, bursts, fromProc, stopInline, plusOne, wheel int
-	why                                                         [whyN]int
+	hands, merged, bursts, wheel, skipped, ends, shared int
 }
 
 // script draws a script of the profile from choose, which returns a
@@ -183,7 +198,14 @@ func (p *profile) script(choose func(n int) int) *script {
 		return unit * p.palette[choose(len(p.palette))]
 	}
 	nprog, ncb, dense := 1+choose(p.procs), 1+choose(p.cbs), p.dense && choose(2) == 0
-	s := &script{progs: make([][]act, nprog), cbs: make([][]act, ncb), budget: p.budget, stopAfter: 1 << 30}
+	s := &script{progs: make([][]act, nprog), cbs: make([][]act, ncb), budget: p.budget, stopAfter: 1 << 30, flags: p.flags}
+	if p.runs > 0 {
+		for n := 1 + choose(p.runs); n > 0; n-- {
+			every := 1 + choose(4)
+			s.runs = append(s.runs, runDef{unit * time.Duration(every), unit * time.Duration(1+choose(every)),
+				int64(1 + choose(24)), choose(p.flags), choose(ncb)})
+		}
+	}
 	if p.stops > 0 && choose(p.stops) == 0 {
 		s.stopAfter = choose(300)
 	}
@@ -227,7 +249,7 @@ func (p *profile) script(choose func(n int) int) *script {
 		}
 		return list
 	}
-	// draw appends n acts drawn by the weights w; a Continue ends the list.
+	// draw appends n acts drawn by the weights w.
 	draw := func(list []act, w *[nActs]int, n int) []act {
 		total := 0
 		for _, x := range w {
@@ -245,16 +267,18 @@ func (p *profile) script(choose func(n int) int) *script {
 				continue
 			case aWake, aResume, aSpawn:
 				a.arg = choose(nprog)
-			case aAfter, aCoal, aCont:
+			case aAfter, aCoal:
 				a.arg = choose(ncb)
+			case aRun, aSpin:
+				a.arg = choose(len(s.runs))
+			case aFlip:
+				a.arg = choose(p.flags)
 			case aAwait:
 				a.arg = choose(3)
 			case aCancel:
 				a.arg = choose(1 << 16)
 			}
-			if list = append(list, a); k == aCont {
-				break
-			}
+			list = append(list, a)
 		}
 		return list
 	}
@@ -361,9 +385,25 @@ func (s *spec) afterCoalesced(d time.Duration, fn func()) {
 	s.coalSeq = s.seq
 }
 
-// Rule: Continue is filing with AfterCoalesced. The runner files what
-// Continue refuses, so the spec refuses everything.
-func (s *spec) cont(time.Duration) bool { return false }
+// Rule: a run of looks files each look as an event, d from now and then
+// every period (the tail last after the last loss); a look that does not
+// lose, or the tail, ends the run.
+func (s *spec) repeat(d time.Duration, o *looker) {
+	var look func()
+	look = func() {
+		if o.tail || !o.loses() {
+			o.End()
+			return
+		}
+		o.losses++
+		if o.tail = o.losses == o.def.limit; o.tail {
+			s.file(o.def.last, look)
+		} else {
+			s.file(o.def.every, look)
+		}
+	}
+	s.file(d, look)
+}
 
 // Rule: Stop takes effect between callbacks, and for good.
 func (s *spec) stop() { s.stopped = true }

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"time"
+)
 
 // The hierarchical timing wheel replacing the former container/heap
 // event queue. Virtual timestamps are int64 nanoseconds; the wheel has
@@ -157,17 +160,19 @@ func (w *wheel) first() (level, idx int) {
 	return level, word&3<<6 | bits.TrailingZeros64(w.lvl[level].occ[word&3])
 }
 
-// low returns a lower bound on every resident event's timestamp: the
-// start of the first bucket, which shares the cursor's bytes above its
-// level; the largest int64 when the wheel is empty.
-func (w *wheel) low() int64 {
-	if w.words == 0 {
-		return 1<<63 - 1
-	}
+// peek returns the earliest resident event's time and the least seq at
+// that time, without moving anything; the wheel must not be empty. The
+// first bucket's list is seq-sorted, so its first event at the minimum
+// has the least seq there.
+func (w *wheel) peek() (at time.Duration, seq uint64) {
 	level, idx := w.first()
-	shift := level * wheelBits
-	// For level 7 the shift is 64, which clears every cursor byte.
-	return int64(uint64(w.cur)>>(shift+wheelBits)<<(shift+wheelBits) | uint64(idx)<<shift)
+	at = never
+	for ev := w.lvl[level].slot[idx].head; ev != nil; ev = ev.next {
+		if ev.at < at {
+			at, seq = ev.at, ev.seq
+		}
+	}
+	return at, seq
 }
 
 // advance outcomes.

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"mether/internal/sim"
 )
 
 // Runner executes a grid of scenarios on a bounded worker pool. The
@@ -28,10 +30,11 @@ type Timing struct {
 	Speedup float64
 	// PerScenario holds each scenario's real run time, in grid order.
 	PerScenario []time.Duration
-	// Resumes is how many of the sweep's events switched coroutines
-	// (World.Resumes, summed over the scenarios): the engine's dearest
-	// kind of event, so a cost like the times above and in no Report.
-	Resumes uint64
+	// Engine is the scenarios' kernel counters summed (World.Engine): how
+	// the sweep's events ran — popped, batched, skipped in the repeat
+	// lane — and how many switched coroutines, the dearest kind; a cost
+	// like the times above, and in no Report.
+	Engine sim.Counters
 }
 
 // Run executes every scenario and returns the deterministic Report
@@ -59,7 +62,7 @@ func (r Runner) Run(grid string, scs []Scenario) (Report, Timing) {
 
 	results := make([]Result, len(scs))
 	times := make([]time.Duration, len(scs))
-	resumes := make([]uint64, len(scs))
+	engine := make([]sim.Counters, len(scs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -69,7 +72,7 @@ func (r Runner) Run(grid string, scs []Scenario) (Report, Timing) {
 			defer wg.Done()
 			for i := range idx {
 				t0 := time.Now()
-				results[i], resumes[i] = scs[i].run()
+				results[i], engine[i] = scs[i].run()
 				times[i] = time.Since(t0)
 			}
 		}()
@@ -90,7 +93,7 @@ func (r Runner) Run(grid string, scs []Scenario) (Report, Timing) {
 	tm := Timing{Workers: workers, Elapsed: time.Since(start), PerScenario: times}
 	for i, d := range times {
 		tm.Serial += d
-		tm.Resumes += resumes[i]
+		tm.Engine.Add(engine[i])
 	}
 	if tm.Elapsed > 0 {
 		tm.Speedup = tm.Serial.Seconds() / tm.Elapsed.Seconds()

@@ -22,6 +22,7 @@ import (
 	"mether/internal/ethernet"
 	"mether/internal/fault"
 	"mether/internal/protocols"
+	"mether/internal/sim"
 	"mether/internal/stats"
 	"mether/internal/workload"
 )
@@ -405,14 +406,14 @@ func (s Scenario) Run() Result {
 	return res
 }
 
-// run is Run plus the world's coroutine resumes (Harvest.Resumes): they
+// run is Run plus the world's kernel counters (Harvest.Engine): they
 // measure the engine, as real time does, so the Runner sums them into
 // Timing and no Result field, hence no report, carries them.
-func (s Scenario) run() (Result, uint64) {
+func (s Scenario) run() (Result, sim.Counters) {
 	res := Result{Name: s.Name, Kind: s.Kind, Seed: s.Seed}
 	k, ok := kinds[s.Kind]
 	if !ok {
-		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind)), 0
+		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind)), sim.Counters{}
 	}
 	opts, err := s.cluster()
 	var wl workload.Workload
@@ -424,10 +425,10 @@ func (s Scenario) run() (Result, uint64) {
 		rep, err = opts.Run(wl)
 	}
 	if err != nil {
-		return res.failed(err), 0
+		return res.failed(err), sim.Counters{}
 	}
 	res.fill(rep, s, k.row)
-	return res, rep.Resumes
+	return res, rep.Engine
 }
 
 // failed is the result of a cell that could not run: identity plus Err.

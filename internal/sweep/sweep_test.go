@@ -82,8 +82,8 @@ func TestRunnerRunsAllScenarios(t *testing.T) {
 	}
 	// Clients are coroutines and servers are not: some events resume
 	// one, most do not.
-	if tm.Resumes == 0 || tm.Resumes >= events {
-		t.Errorf("timing counts %d coroutine resumes among %d events", tm.Resumes, events)
+	if tm.Engine.Resumes == 0 || tm.Engine.Resumes >= events {
+		t.Errorf("timing counts %d coroutine resumes among %d events", tm.Engine.Resumes, events)
 	}
 	if len(tm.PerScenario) != len(scs) {
 		t.Errorf("timing has %d per-scenario entries, want %d", len(tm.PerScenario), len(scs))

@@ -222,14 +222,7 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 	// The waiter's Spin32 predicate, built once: a peer still behind is a
 	// stale read, and the one that exhausts the hysteresis ends the spin.
 	var want uint32
-	stale := 0
-	behind := func(v uint32) bool {
-		if v >= want {
-			return false
-		}
-		stale++
-		return stale < cfg.HysteresisPurge
-	}
+	caughtUp := func(v uint32) bool { return v >= want }
 	for phase := 0; phase < cfg.Phases; phase++ {
 		env.Compute(work[phase])
 		want = uint32(phase + 1)
@@ -246,16 +239,14 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 				continue
 			}
 			pa := peers.Addr(j, 0).Short()
-			stale = 0
 			for {
-				v, err := peers.Spin32(pa, cfg.CheckEvery, behind)
+				v, _, err := peers.Spin32(pa, cfg.CheckEvery, caughtUp, cfg.HysteresisPurge)
 				if err != nil {
 					return err
 				}
 				if v >= want {
 					break
 				}
-				stale = 0
 				// Force a fresh demand fetch from the owner; unlike a
 				// data-driven block this cannot miss a broadcast that
 				// already transited.

@@ -7,6 +7,7 @@ import (
 
 	"mether"
 	"mether/internal/ethernet"
+	"mether/internal/host"
 )
 
 // TestTrunkPartitionAndPlacement covers the public topology surface: the
@@ -166,31 +167,52 @@ func TestCrossTrunkPurgeOrderingDisagrees(t *testing.T) {
 }
 
 // TestConfigValidate covers the one rule set for configurations no
-// world can be built from: Validate returns each as an error, and
-// NewWorld — for callers that skipped it — panics with the same message.
+// world can be built from: Validate accepts the normal and boundary rows
+// and returns each error row as an error, and NewWorld — for callers that
+// skipped it — panics with the same message. The normal rows are built;
+// the boundary rows, a world of 32 768 hosts among them, are only judged.
 func TestConfigValidate(t *testing.T) {
-	if err := (mether.Config{}).Validate(); err != nil {
-		t.Errorf("zero Config: %v", err)
-	}
-	for name, cfg := range map[string]mether.Config{
-		"unknown medium":       {Medium: mether.MediumConfig{Kind: "token-ring"}},
-		"trunks over hosts":    {Hosts: 2, Trunks: 3},
-		"negative trunks":      {Hosts: 2, Trunks: -1},
-		"trunks on a fabric":   {Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Kind: mether.MediumFabric}},
-		"TrunkOf out of range": {Hosts: 4, Trunks: 2, TrunkOf: func(int) int { return 2 }},
+	fabric := mether.MediumConfig{Kind: mether.MediumFabric}
+	for _, row := range []struct {
+		name  string
+		cfg   mether.Config
+		valid bool
+		build bool // a valid row small enough to build
+	}{
+		{"zero Config", mether.Config{}, true, true},
+		{"two trunks of four hosts", mether.Config{Hosts: 4, Trunks: 2}, true, true},
+		{"a fabric", mether.Config{Hosts: 3, Medium: fabric}, true, true},
+		{"one page", mether.Config{Pages: 1}, true, true},
+		{"every host id the wire can name", mether.Config{Hosts: 1 << 15}, true, false},
+		{"every page the wire can name", mether.Config{Pages: 1 << 16}, true, false},
+		{"a one-nanosecond quantum", mether.Config{HostParams: host.Params{Quantum: 1}}, true, false},
+		{"unknown medium", mether.Config{Medium: mether.MediumConfig{Kind: "token-ring"}}, false, false},
+		{"trunks over hosts", mether.Config{Hosts: 2, Trunks: 3}, false, false},
+		{"negative trunks", mether.Config{Hosts: 2, Trunks: -1}, false, false},
+		{"trunks on a fabric", mether.Config{Hosts: 4, Trunks: 2, Medium: fabric}, false, false},
+		{"TrunkOf out of range", mether.Config{Hosts: 4, Trunks: 2, TrunkOf: func(int) int { return 2 }}, false, false},
+		{"a host id past the wire's", mether.Config{Hosts: 1<<15 + 1}, false, false},
+		{"a page past the wire's", mether.Config{Pages: 1<<16 + 1}, false, false},
+		{"negative pages", mether.Config{Pages: -1}, false, false},
+		{"a negative quantum", mether.Config{HostParams: host.Params{Quantum: -time.Millisecond}}, false, false},
 	} {
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate accepted it", name)
-			continue
-		}
-		func() {
-			defer func() {
-				if got := recover(); got != err.Error() {
-					t.Errorf("%s: NewWorld panicked with %v, Validate said %q", name, got, err)
-				}
+		err := row.cfg.Validate()
+		switch {
+		case row.valid && err != nil:
+			t.Errorf("%s: Validate refused it: %v", row.name, err)
+		case !row.valid && err == nil:
+			t.Errorf("%s: Validate accepted it", row.name)
+		case row.build:
+			mether.NewWorld(row.cfg).Shutdown()
+		case !row.valid:
+			func() {
+				defer func() {
+					if got := recover(); got != err.Error() {
+						t.Errorf("%s: NewWorld panicked with %v, Validate said %q", row.name, got, err)
+					}
+				}()
+				mether.NewWorld(row.cfg).Shutdown()
 			}()
-			mether.NewWorld(cfg).Shutdown()
-		}()
+		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"mether/internal/fabric"
 	"mether/internal/host"
 	"mether/internal/medium"
+	"mether/internal/proto"
 	"mether/internal/sim"
 	"mether/internal/trace"
 	"mether/internal/vm"
@@ -183,14 +184,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports a configuration NewWorld cannot build: an unknown
-// medium kind, a trunk count outside 1..Hosts, trunks on a fabric, or a
-// TrunkOf placement naming a trunk that does not exist. Zero-valued
-// fields are judged after defaulting, so the zero Config is valid.
+// Validate reports a configuration NewWorld cannot build: more hosts than
+// the wire format can name, a page count outside 1..proto.MaxPages, a
+// quantum that is not positive, an unknown medium kind, a trunk count
+// outside 1..Hosts, trunks on a fabric, or a TrunkOf placement naming a
+// trunk that does not exist. Zero-valued fields are judged after
+// defaulting, so the zero Config is valid.
 // NewWorld panics with the same message; callers holding configuration
 // from outside the program (sweep cells, flags) call Validate first.
 func (c Config) Validate() error {
 	c = c.withDefaults()
+	if c.Hosts > proto.MaxHostID+1 {
+		return fmt.Errorf("mether: %d hosts, beyond the wire format's %d", c.Hosts, proto.MaxHostID+1)
+	}
+	if c.Pages < 1 || c.Pages > proto.MaxPages {
+		return fmt.Errorf("mether: %d pages outside 1..%d", c.Pages, proto.MaxPages)
+	}
+	if c.HostParams.Quantum <= 0 {
+		return fmt.Errorf("mether: host quantum %v is not positive", c.HostParams.Quantum)
+	}
 	if c.Medium.Kind != MediumEthernet && c.Medium.Kind != MediumFabric {
 		return fmt.Errorf("mether: unknown medium kind %q (want %q or %q)",
 			c.Medium.Kind, MediumEthernet, MediumFabric)
@@ -428,11 +440,11 @@ func (w *World) MemFootprint() uint64 {
 // sweep throughput records (events/sec, allocs/event).
 func (w *World) EventsDispatched() uint64 { return w.k.Dispatched() }
 
-// Resumes returns how many of those events handed the simulation to
-// another process's coroutine (sim.Counters.Resumes): the engine's
-// dearest kind of event, and a measure of the engine, not of the
-// simulated system.
-func (w *World) Resumes() uint64 { return w.k.Counters().Resumes }
+// Engine returns the kernel's own counters: how those events came to run
+// (popped, batched, skipped in the repeat lane) and how many handed the
+// simulation to another process's coroutine, the engine's dearest kind.
+// They measure the engine, not the simulated system.
+func (w *World) Engine() sim.Counters { return w.k.Counters() }
 
 // ContextSwitches returns a host's dispatch count.
 func (w *World) ContextSwitches(hostIdx int) uint64 { return w.hosts[hostIdx].ContextSwitches() }

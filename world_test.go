@@ -344,8 +344,8 @@ func TestServerIsAHostTask(t *testing.T) {
 			t.Errorf("a quiesced world has a parked coroutine named %q: the server is a task", name)
 		}
 	}
-	if w.Resumes() == 0 || w.Resumes() >= w.EventsDispatched() {
-		t.Errorf("%d resumes of %d events: the clients are coroutines, the servers are not", w.Resumes(), w.EventsDispatched())
+	if r := w.Engine().Resumes; r == 0 || r >= w.EventsDispatched() {
+		t.Errorf("%d resumes of %d events: the clients are coroutines, the servers are not", r, w.EventsDispatched())
 	}
 	for i := 0; i < 4; i++ {
 		srv := w.Driver(i).Server()
