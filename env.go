@@ -116,7 +116,7 @@ func (m *Mapping) Load32(a Addr) (uint32, error) {
 
 // Spin32 is
 //
-//	for { env.Compute(every); v, err := m.Load32(a); if err != nil || done(v) { return v, losses, err }; if losses++; losses >= limit { return v, losses, nil } }
+//	for n := 0; ; { env.Compute(every); v, err := m.Load32(a); if err != nil || done(v) { return v, err }; *lost++; if n++; n >= limit { return v, nil } }
 //
 // in every virtual-time respect and at a fraction of the engine's cost:
 // while the page stays resident the scheduler makes the looks, the kernel
@@ -126,16 +126,12 @@ func (m *Mapping) Load32(a Addr) (uint32, error) {
 // of times, in kernel context, possibly on another process's stack, its
 // answer depends on v and on nothing the spin's own looks change; it may
 // not block (no Compute, sleep, Load, Store, Purge) and should not
-// allocate: build it once, outside the loop. What a loop would count per
-// look, the caller adds from losses. A limit below 1 is 1.
-func (m *Mapping) Spin32(a Addr, every time.Duration, done func(uint32) bool, limit int) (v uint32, losses int, err error) {
-	return m.env.d.Spin32(m.env.p, &m.env.poll, m.mode, a, every, done, limit)
+// allocate: build it once, outside the loop. *lost counts the losses as
+// they happen, so a run cut short in mid-spin has counted them. A limit
+// below 1 is 1.
+func (m *Mapping) Spin32(a Addr, every time.Duration, done func(uint32) bool, limit int, lost *uint64) (uint32, error) {
+	return m.env.d.Spin32(m.env.p, &m.env.poll, m.mode, a, every, done, limit, lost)
 }
-
-// SpinLosses is the losses so far of the Spin32 in progress, 0 when none
-// is: a run cut short while the process spins counts them with what its
-// finished spins returned.
-func (e *Env) SpinLosses() int { return e.poll.Losses(e.p) }
 
 // Store32 writes a 32-bit word through the mapping.
 func (m *Mapping) Store32(a Addr, v uint32) error {

@@ -68,7 +68,9 @@ func BenchmarkSpin32(b *testing.B) {
 	var err error
 	c.spawn(1, "reader", func(p *host.Proc) {
 		if err = d.MapIn(p, RO, 0); err == nil {
-			_, looks, err = d.Spin32(p, &poll, RO, addr, 50*time.Microsecond, func(uint32) bool { return false }, b.N)
+			var lost uint64
+			_, err = d.Spin32(p, &poll, RO, addr, 50*time.Microsecond, func(uint32) bool { return false }, b.N, &lost)
+			looks = int(lost)
 		}
 	})
 	var tick func()

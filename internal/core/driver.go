@@ -515,24 +515,11 @@ type Poll struct {
 	look  func() bool // s.loses, boxed once
 	st    *pageState  // the page, once this Spin32's first look checked it
 	needs needSet
-	// The Spin32 in progress, if spinning, and its losses before the
-	// UseWhile in progress.
-	spinning bool
-	losses   int
-}
-
-// Losses is the losses so far of p's Spin32 in progress on s, 0 when none
-// is: what a run cut short counts for the spin.
-func (s *Poll) Losses(p *host.Proc) int {
-	if !s.spinning {
-		return 0
-	}
-	return s.losses + p.Losses()
 }
 
 // Spin32 is
 //
-//	for { p.UseUser(every); v, err := d.Load(p, mode, a, 4); if err != nil || done(v) { return v, losses, err }; if losses++; losses >= limit { return v, losses, nil } }
+//	for n := 0; ; { p.UseUser(every); v, err := d.Load(p, mode, a, 4); if err != nil || done(v) { return v, err }; *lost++; if n++; n >= limit { return v, nil } }
 //
 // event for event, with the looks that find the page resident — which
 // touch no metric and cannot block — made by the scheduler
@@ -540,31 +527,31 @@ func (s *Poll) Losses(p *host.Proc) int {
 // would fault or fail ends the poll and the coroutine makes it, as the
 // blocking Load. done is asked about every look's value, the faulting
 // ones too; it must be pure (host.Proc.UseWhile), as the scheduler asks it
-// once for a run of looks that all see the same page. A limit below 1 is
-// 1.
-func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Duration, done func(uint32) bool, limit int) (uint32, int, error) {
+// once for a run of looks that all see the same page. *lost counts the
+// losses as they happen, so a run cut short in mid-spin has counted them.
+// A limit below 1 is 1.
+func (d *Driver) Spin32(p *host.Proc, s *Poll, mode Mode, a Addr, every time.Duration, done func(uint32) bool, limit int, lost *uint64) (uint32, error) {
 	if every <= 0 {
-		return 0, 0, fmt.Errorf("core: spin every %v: a look must cost CPU time", every)
+		return 0, fmt.Errorf("core: spin every %v: a look must cost CPU time", every)
 	}
 	if s.look == nil {
 		s.look = s.loses
 	}
 	s.d, s.mode, s.a, s.done, s.st = d, mode, a, done, nil
-	s.spinning, s.losses = true, 0
 	for {
 		s.slow = false
-		s.losses += p.UseWhile(every, host.CPUUser, s.look, limit-s.losses)
-		if s.spinning = s.slow; !s.slow {
-			return uint32(s.v), s.losses, nil
+		from := *lost
+		p.UseWhile(every, host.CPUUser, s.look, limit, lost)
+		if !s.slow {
+			return uint32(s.v), nil
 		}
-		x, err := d.Load(p, mode, a, 4)
-		if err != nil || done(uint32(x)) {
-			s.spinning = false
-			return uint32(x), s.losses, err
+		v, err := d.Load(p, mode, a, 4)
+		if err != nil || done(uint32(v)) {
+			return uint32(v), err
 		}
-		if s.losses++; s.losses >= limit {
-			s.spinning = false
-			return uint32(x), s.losses, nil
+		*lost++
+		if limit -= int(*lost - from); limit <= 0 {
+			return uint32(v), nil
 		}
 	}
 }

@@ -33,7 +33,9 @@ func TestSpin32MapOutMidSpin(t *testing.T) {
 			}
 			if spin {
 				var s Poll
-				_, looks, err = d.Spin32(p, &s, RO, addr, spinEvery, func(uint32) bool { return false }, 1<<30)
+				var lost uint64
+				_, err = d.Spin32(p, &s, RO, addr, spinEvery, func(uint32) bool { return false }, 1<<30, &lost)
+				looks = int(lost)
 			} else {
 				for err == nil {
 					p.UseUser(spinEvery)
@@ -82,7 +84,8 @@ func TestSpin32KeepsNoPageAcrossCalls(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			v, _, err := d1.Spin32(p, &s, RO, NewAddr(vm.PageID(page), 0).Short(), spinEvery, func(uint32) bool { return false }, 2)
+			var lost uint64
+			v, err := d1.Spin32(p, &s, RO, NewAddr(vm.PageID(page), 0).Short(), spinEvery, func(uint32) bool { return false }, 2, &lost)
 			if err != nil {
 				t.Error(err)
 				return

@@ -95,7 +95,8 @@ func BenchmarkHostWakeupMiss(b *testing.B) {
 func BenchmarkHostUseWhile(b *testing.B) {
 	benchRun(b, func(k *sim.Kernel, h *Host) {
 		h.Spawn("poller", func(p *Proc) {
-			p.UseWhile(50*time.Microsecond, CPUUser, func() bool { return true }, b.N)
+			var lost uint64
+			p.UseWhile(50*time.Microsecond, CPUUser, func() bool { return true }, b.N, &lost)
 		})
 		var tick func()
 		tick = func() {

@@ -128,6 +128,9 @@ type Host struct {
 	keyed map[any]*WaitQ
 	procs []*Proc
 	busy  time.Duration // total CPU busy time
+	// lane is the looks' run in the kernel's lane of the poll on the CPU:
+	// one slice elapses at a time, so a host has at most one.
+	lane sim.Repeat
 
 	// boostFree recycles wake-boost timers: each carries a prebuilt
 	// closure, so arming a boost on the wake hot path allocates nothing
@@ -202,12 +205,12 @@ type Proc struct {
 	// (zero when none is: the process waits for the CPU).
 	need  time.Duration
 	slice time.Duration
-	// The UseWhile in progress: again says if a look loses, losses counts
-	// them up to limit, and lane is its looks' run in the kernel's lane.
-	again         func() bool
-	every         time.Duration
-	losses, limit int
-	lane          sim.Repeat
+	// The UseWhile in progress: again says if a look loses, lost is the
+	// caller's count of losses and left the losses short of the limit.
+	again func() bool
+	every time.Duration
+	lost  *uint64
+	left  int
 
 	// Closures built once so the resume/sleep hot paths schedule kernel
 	// events without allocating; timerFn on the first SleepFor.
@@ -373,7 +376,7 @@ func (p *Proc) advance() bool {
 		}
 		if p.slice = min(p.need, h.pr.Quantum-p.quantumUsed); p.slice > 0 {
 			if p.again != nil {
-				h.k.Repeat(&p.lane, p.slice, p.every, (*poll)(p))
+				h.k.Repeat(&h.lane, p.slice, p.every, (*poll)(p))
 			} else {
 				h.k.AfterCoalesced(p.slice, "wake", p.resumeFn)
 			}
@@ -434,8 +437,9 @@ func (p *Proc) lose() bool {
 	if !p.again() {
 		return false
 	}
-	p.losses++
-	return p.losses < p.limit
+	*p.lost++
+	p.left--
+	return p.left > 0
 }
 
 // await is where a coroutine waits out what it has just asked of the
@@ -466,34 +470,25 @@ func (p *Proc) Use(d time.Duration, kind CPUKind) {
 
 // UseWhile is
 //
-//	n := 0
-//	for { p.Use(d, kind); if !again() { return n }; if n++; n >= limit { return n } }
+//	for n := 0; ; { p.Use(d, kind); if !again() { return }; *lost++; if n++; n >= limit { return } }
 //
 // with the loop run by the scheduler: a look — a call of again — comes at
 // exactly the instants Use would have returned (on the CPU, nothing owed,
 // after any quantum rotation), and the coroutine is resumed once, in the
-// event of the look that ends the poll. It returns the losses, the looks
-// where again said yes; a limit below 1 is 1. again must be pure: it may
-// be asked any number of times between two kernel events, in the kernel,
-// possibly on another process's stack, and its answer must depend only on
-// what kernel events change. It must not block (Use and the sleeps panic)
-// and should not allocate. d must be positive, or the poll would not end.
-func (p *Proc) UseWhile(d time.Duration, kind CPUKind, again func() bool, limit int) int {
+// event of the look that ends the poll. *lost counts the losses, the looks
+// where again said yes, as they happen; a limit below 1 is 1. again must
+// be pure: it may be asked any number of times between two kernel events,
+// in the kernel, possibly on another process's stack, and its answer must
+// depend only on what kernel events change. It must not block (Use and the
+// sleeps panic) and should not allocate. d must be positive, or the poll
+// would not end.
+func (p *Proc) UseWhile(d time.Duration, kind CPUKind, again func() bool, limit int, lost *uint64) {
 	if d <= 0 {
 		panic("host: UseWhile needs a positive d")
 	}
 	p.need, p.every, p.kind = d, d, kind
-	p.losses, p.limit = 0, limit
+	p.lost, p.left = lost, limit
 	p.await(nil, again)
-	return p.losses
-}
-
-// Losses is the losses so far of the UseWhile in progress, 0 when none is.
-func (p *Proc) Losses() int {
-	if p.again == nil {
-		return 0
-	}
-	return p.losses
 }
 
 // UseUser charges d as user time.

@@ -229,20 +229,21 @@ func TestUseWhileEdges(t *testing.T) {
 		before := k.Counters()
 		p.Use(0, CPUUser)
 		p.Use(-time.Second, CPUSys)
-		losses := p.UseWhile(ms, CPUUser, func() bool { return true }, 25)
+		var losses uint64
+		p.UseWhile(ms, CPUUser, func() bool { return true }, 25, &losses)
 		p.UseSys(35 * ms) // its slices end at 5, 15, 25 and 35 ms of it
 		c := k.Counters()
 		if c.Resumes != before.Resumes || c.Pops-before.Pops != 5 || c.Skipped-before.Skipped != 24 || k.PendingEvents() != 0 || losses != 25 || p.Now() != 61*ms {
 			t.Errorf("alone, 25 looks and a Use cost %d coroutine resumes, %d kernel events and %d skipped looks, lost %d, left %d pending and ended at %v",
 				c.Resumes-before.Resumes, c.Pops-before.Pops, c.Skipped-before.Skipped, losses, k.PendingEvents(), p.Now())
 		}
-		if losses := p.UseWhile(ms, CPUUser, func() bool { return true }, 0); losses != 1 {
-			t.Errorf("a limit of 0 lost %d looks, want 1", losses)
+		if p.UseWhile(ms, CPUUser, func() bool { return true }, 0, &losses); losses != 26 {
+			t.Errorf("a limit of 0 lost %d looks, want 1", losses-25)
 		}
-		mustPanic(t, "UseWhile(0)", func() { p.UseWhile(0, CPUUser, nil, 1) })
+		mustPanic(t, "UseWhile(0)", func() { p.UseWhile(0, CPUUser, nil, 1, &losses) })
 		// Alone in the kernel, the poller dispatches its own events, so the
 		// predicate's panic unwinds through this very stack.
-		mustPanic(t, "Use from again", func() { p.UseWhile(ms, CPUUser, func() bool { p.UseSys(ms); return false }, 1) })
+		mustPanic(t, "Use from again", func() { p.UseWhile(ms, CPUUser, func() bool { p.UseSys(ms); return false }, 1, &losses) })
 	})
 	k.Run()
 }

@@ -31,7 +31,7 @@ func (q *poll) Ahead() (int64, time.Duration) {
 	if !p.again() {
 		return 0, 0
 	}
-	n := int64(p.limit) - int64(p.losses) - 1 // losses short of the limit
+	n := int64(p.left) - 1 // losses short of the limit
 	if n <= 0 {
 		return 0, 0
 	}
@@ -67,7 +67,8 @@ func (q *poll) Skip(n int64) {
 	if p.quantumUsed += cpu; p.quantumUsed >= quantum {
 		p.quantumUsed = (p.quantumUsed - quantum) % quantum
 	}
-	p.losses += int(n)
+	*p.lost += uint64(n)
+	p.left -= int(n)
 	p.need = p.every
 	p.slice = min(p.every, quantum-p.quantumUsed)
 }

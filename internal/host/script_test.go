@@ -363,7 +363,9 @@ func (m *real) spawn(c *cursor, task bool) {
 			case o.kind == oFor:
 				p.SleepFor(o.d)
 			case m.useWhile && c.rep:
-				c.polled(p.UseWhile(o.d, o.cpu, c.again, c.limit))
+				var lost uint64
+				p.UseWhile(o.d, o.cpu, c.again, c.limit, &lost)
+				c.polled(int(lost))
 			default:
 				p.Use(o.d, o.cpu)
 			}

@@ -18,7 +18,7 @@ func Counter(c Config) (workload.Workload, error) {
 	if c.Protocol < BaselineSingle || c.Protocol > P5Final {
 		return workload.Workload{}, fmt.Errorf("protocols: unknown protocol %d", c.Protocol)
 	}
-	t := &workload.Tally{SpinLosses: true}
+	t := new(workload.Tally)
 	var capRW mether.Capability
 	wl := workload.Workload{Hosts: 2, Pages: 8, Tally: t,
 		Layout: func(w *mether.World) error {
@@ -100,7 +100,7 @@ func runClient(env *mether.Env, cfg Config, cap mether.Capability, id uint32, t 
 // The client loops spin with Mapping.Spin32, a look every checkCost until
 // the word asks for what only the process can do (an increment, a purge,
 // a sleep) or the losses reach the loop's limit. The predicate, built
-// once, is pure: the loop counts the losses Spin32 returns.
+// once, is pure: Spin32 counts the losses into the tally.
 
 // noLimit is the loss limit of a spin that only a won look ends.
 const noLimit = math.MaxInt
@@ -121,8 +121,8 @@ func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, t
 	}
 	done := yours(cfg, id)
 	for {
-		v, lost, err := m.Spin32(a, checkCost, done, noLimit)
-		if t.Losses += uint64(lost); err != nil {
+		v, err := m.Spin32(a, checkCost, done, noLimit, &t.Losses)
+		if err != nil {
 			return err
 		}
 		if v >= cfg.Target {
@@ -156,9 +156,9 @@ func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap me
 		if cfg.SleepHysteresis > 0 {
 			limit = 1
 		}
-		v, lost, err := peerMap.Spin32(peerAddr, checkCost, done, limit)
-		t.Losses += uint64(lost)
-		if sincePurge += lost; err != nil {
+		from := t.Losses
+		v, err := peerMap.Spin32(peerAddr, checkCost, done, limit, &t.Losses)
+		if sincePurge += int(t.Losses - from); err != nil {
 			return err
 		}
 		switch {
@@ -203,8 +203,8 @@ func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether
 	aD := ro.Addr(0, 0).Short().DataDriven()
 	done := yours(cfg, id)
 	for {
-		v, lost, err := ro.Spin32(aD, checkCost, done, noLimit)
-		if t.Losses += uint64(lost); err != nil {
+		v, err := ro.Spin32(aD, checkCost, done, noLimit, &t.Losses)
+		if err != nil {
 			return err
 		}
 		if v >= cfg.Target {
@@ -239,9 +239,9 @@ func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap meth
 	done := func(v uint32) bool { return v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal }
 	for {
 		// The spin ends on the loss after which the waiter blocks.
-		v, lost, err := peerMap.Spin32(peerAddr, checkCost, done, spinBeforeBlock-spins)
-		t.Losses += uint64(lost)
-		if spins += lost; err != nil {
+		from := t.Losses
+		v, err := peerMap.Spin32(peerAddr, checkCost, done, spinBeforeBlock-spins, &t.Losses)
+		if spins += int(t.Losses - from); err != nil {
 			return err
 		}
 		switch {

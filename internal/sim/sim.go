@@ -101,12 +101,10 @@ type Kernel struct {
 	// ctr holds the counters. Dispatched is Pops + Batched + Skipped.
 	ctr Counters
 	// lane is the repeat lane, its runs sorted by (at, seq) from last to
-	// first; win and moved are a window's scratch (lane.go). They start in
-	// laneBuf, room for a two-host world's spinners.
+	// first; win and moved are a window's scratch (lane.go), grown on
+	// first use and reused.
 	lane, moved []*Repeat
 	win         []winRun
-	laneBuf     [2][2]*Repeat
-	winBuf      [2]winRun
 	// Coalescing state (see AfterCoalesced): the open coalesced event, the
 	// value of seq when it was filed — if seq has moved since, another
 	// event was scheduled in between and it is no longer adjacent — and
@@ -137,9 +135,7 @@ type Kernel struct {
 // Equal seeds produce identical runs.
 func New(seed int64) *Kernel {
 	// No coalesced event is open: seq never reaches coalSeq.
-	k := &Kernel{rng: rand.New(rand.NewSource(seed)), coalSeq: ^uint64(0)}
-	k.lane, k.moved, k.win = k.laneBuf[0][:0], k.laneBuf[1][:0], k.winBuf[:0]
-	return k
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), coalSeq: ^uint64(0)}
 }
 
 // Now returns the current virtual time.

@@ -39,13 +39,10 @@ type Client struct {
 type Tally struct {
 	// Ops is the run's op count in the kind's own unit: increments won,
 	// updates, messages, barrier phases.
-	Ops    uint64
-	Losses uint64 // counter: looks that found the word the peer's to increment
-	// SpinLosses says Losses counts the losses of the clients' spins: a run
-	// cut short adds those of the spins it cut (mether.Env.SpinLosses).
-	SpinLosses bool
-	Samples    uint64 // stationary: neighbour samples taken
-	Missed     uint64 // fanout: updates a reader never saw
+	Ops     uint64
+	Losses  uint64 // counter: looks that found the word the peer's to increment
+	Samples uint64 // stationary: neighbour samples taken
+	Missed  uint64 // fanout: updates a reader never saw
 	// Latency, when set, is the kind's own latency distribution (barrier
 	// waits, pipeline deliveries), which the report carries instead of
 	// the drivers' fault latency.
@@ -121,17 +118,10 @@ func (o Options) RunOpen(wl Workload) (r Report, w *mether.World, err error) {
 		return r, nil, err
 	}
 	body, errs := wl.Body, make([]error, len(wl.Clients))
-	var envs []*mether.Env // the clients', if the tally counts their spins
-	if wl.Tally != nil && wl.Tally.SpinLosses {
-		envs = make([]*mether.Env, len(wl.Clients))
-	}
 	returned, last := 0, time.Duration(0)
 	for i, c := range wl.Clients {
 		i := i
 		w.Spawn(c.Host, c.Name, func(env *mether.Env) {
-			if envs != nil {
-				envs[i] = env
-			}
 			if errs[i] = body(env, i); errs[i] == nil {
 				returned++
 				last = max(last, env.Now())
@@ -150,11 +140,6 @@ func (o Options) RunOpen(wl Workload) (r Report, w *mether.World, err error) {
 	r.Harvest = w.Harvest(last)
 	if wl.Tally != nil {
 		r.Tally = *wl.Tally
-		for _, env := range envs {
-			if env != nil {
-				r.Losses += uint64(env.SpinLosses())
-			}
-		}
 	}
 	if r.Latency != nil {
 		r.SetLatency(r.Latency)

@@ -221,7 +221,9 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 	ownAddr := own.Addr(id, 0).Short()
 	// The waiter's Spin32 predicate, built once: a peer still behind is a
 	// stale read, and the one that exhausts the hysteresis ends the spin.
+	// stale counts them for Spin32; no report reads it.
 	var want uint32
+	var stale uint64
 	caughtUp := func(v uint32) bool { return v >= want }
 	for phase := 0; phase < cfg.Phases; phase++ {
 		env.Compute(work[phase])
@@ -240,7 +242,7 @@ func barrierClient(env *mether.Env, cap mether.Capability, cfg BarrierConfig, id
 			}
 			pa := peers.Addr(j, 0).Short()
 			for {
-				v, _, err := peers.Spin32(pa, cfg.CheckEvery, caughtUp, cfg.HysteresisPurge)
+				v, err := peers.Spin32(pa, cfg.CheckEvery, caughtUp, cfg.HysteresisPurge, &stale)
 				if err != nil {
 					return err
 				}

@@ -13,22 +13,22 @@ import (
 
 // loadLoop32 is what Spin32 is defined as, kept here as the reference:
 // the loop every poller was written as before the scheduler ran polls.
-func loadLoop32(env *Env, m *Mapping, a Addr, every time.Duration, done func(uint32) bool, limit int) (uint32, int, error) {
-	losses := 0
-	for {
+func loadLoop32(env *Env, m *Mapping, a Addr, every time.Duration, done func(uint32) bool, limit int, lost *uint64) (uint32, error) {
+	for n := 0; ; {
 		env.Compute(every)
 		v, err := m.Load32(a)
 		if err != nil || done(v) {
-			return v, losses, err
+			return v, err
 		}
-		if losses++; losses >= limit {
-			return v, losses, nil
+		*lost++
+		if n++; n >= limit {
+			return v, nil
 		}
 	}
 }
 
-func spin32(_ *Env, m *Mapping, a Addr, every time.Duration, done func(uint32) bool, limit int) (uint32, int, error) {
-	return m.Spin32(a, every, done, limit)
+func spin32(_ *Env, m *Mapping, a Addr, every time.Duration, done func(uint32) bool, limit int, lost *uint64) (uint32, error) {
+	return m.Spin32(a, every, done, limit, lost)
 }
 
 // spinWorld is one world of TestSpin32MatchesLoadLoop: what to build and
@@ -41,7 +41,7 @@ type spinWorld struct {
 	clients [2]func(env *Env, capRW Capability, spin spinFunc, note func(string)) error
 }
 
-type spinFunc func(env *Env, m *Mapping, a Addr, every time.Duration, done func(uint32) bool, limit int) (uint32, int, error)
+type spinFunc func(env *Env, m *Mapping, a Addr, every time.Duration, done func(uint32) bool, limit int, lost *uint64) (uint32, error)
 
 const spinEvery = 50 * time.Microsecond
 
@@ -87,9 +87,11 @@ func spinReader(n uint32, purgeEvery int) func(*Env, Capability, spinFunc, func(
 		if limit == 0 {
 			limit = noLimit
 		}
+		var lost uint64
 		for {
-			v, losses, err := spin(env, m, a, spinEvery, news, limit)
-			note(fmt.Sprint("spun to ", v, " after ", losses, " losses"))
+			from := lost
+			v, err := spin(env, m, a, spinEvery, news, limit, &lost)
+			note(fmt.Sprint("spun to ", v, " after ", lost-from, " losses"))
 			if err != nil || v >= n {
 				return err
 			}
@@ -115,9 +117,11 @@ func spinStealer(id, target uint32) func(*Env, Capability, spinFunc, func(string
 		}
 		a := m.Addr(0, 0).Short()
 		mine := func(v uint32) bool { return v >= target || v%2 == id }
+		var lost uint64
 		for {
-			v, losses, err := spin(env, m, a, spinEvery, mine, noLimit)
-			note(fmt.Sprint("spun to ", v, " after ", losses, " losses"))
+			from := lost
+			v, err := spin(env, m, a, spinEvery, mine, noLimit, &lost)
+			note(fmt.Sprint("spun to ", v, " after ", lost-from, " losses"))
 			if err != nil || v >= target {
 				return err
 			}
@@ -246,7 +250,8 @@ func TestSpin32Errors(t *testing.T) {
 				return
 			}
 			start, user0 := env.Now(), env.Proc().User()
-			_, _, got = spin.fn(env, m, m.Addr(1, 0).Short(), spinEvery, func(uint32) bool { asked++; return false }, noLimit)
+			var lost uint64
+			_, got = spin.fn(env, m, m.Addr(1, 0).Short(), spinEvery, func(uint32) bool { asked++; return false }, noLimit, &lost)
 			at, user = env.Now()-start, env.Proc().User()-user0
 		})
 		w.Run()
@@ -264,7 +269,8 @@ func TestSpin32Errors(t *testing.T) {
 	var got error
 	w.Spawn(0, "owner", func(env *Env) {
 		m, _ := env.Attach(seg.CapRW(), RW)
-		_, _, got = m.Spin32(m.Addr(0, 0).Short(), 0, func(uint32) bool { return false }, noLimit)
+		var lost uint64
+		_, got = m.Spin32(m.Addr(0, 0).Short(), 0, func(uint32) bool { return false }, noLimit, &lost)
 	})
 	w.Run()
 	if got == nil {
@@ -291,8 +297,9 @@ func TestSpin32DoesNotAllocate(t *testing.T) {
 		}
 		a := m.Addr(0, 0).Short()
 		never := func(uint32) bool { return false }
+		var lost uint64
 		for {
-			if _, _, err := m.Spin32(a, spinEvery, never, 5); err != nil {
+			if _, err := m.Spin32(a, spinEvery, never, 5, &lost); err != nil {
 				t.Error(err)
 				return
 			}
