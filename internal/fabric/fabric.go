@@ -30,10 +30,17 @@
 // buffers, each with its decode-once view (a fan-out's copies share one
 // buffer and one decoded view), pooled delivery records with prebuilt
 // closures, and lazily grown bounded receive rings. Steady-state traffic
-// does not allocate, on either medium. The N-1 copies of a broadcast over
-// idle links land at one instant and are filed back to back with
-// sim.Kernel.AfterCoalesced, so the simulator pops one kernel event for
-// them where the modelled sender still pays N-1 transmissions.
+// does not allocate, on either medium. The copies of one send that land
+// at one instant — every copy on an idle link, N-1 of them for a
+// broadcast over idle links — ride one delivery record, filed once with
+// sim.Kernel.AfterCoalesced as the first of them is sent: one callback
+// lands them in dst order, each with its own link, loss and stats work,
+// and counts them as the events they would have been (Kernel.Ran). One
+// event per copy would have run them adjacent in (time, seq) anyway, and
+// landing a copy can neither stop the kernel nor hand it to a process,
+// so the simulator pays one callback for them where the modelled sender
+// still pays N-1 transmissions. A copy behind a busy link lands later,
+// in a record of its own.
 package fabric
 
 import (
@@ -122,7 +129,7 @@ type Fabric struct {
 	linkMaxQueued int
 
 	pool      medium.Pool               // shared payload buffers (refcounted, recycled)
-	freeDeliv medium.Freelist[delivery] // delivery-event pool
+	freeDeliv medium.Freelist[delivery] // delivery-record pool
 }
 
 var (
@@ -130,15 +137,24 @@ var (
 	_ medium.Port   = (*Port)(nil)
 )
 
-// delivery is a pooled in-flight transmission on one link: the frame,
-// its loss fate, the destination link (for pending accounting) and a
-// prebuilt completion closure, so Send schedules without allocating.
+// delivery is a pooled in-flight record: one payload buffer, its source,
+// the copies that land together, and a prebuilt completion closure, so
+// Send schedules without allocating. It holds one buffer reference,
+// dropped once its last copy has landed.
 type delivery struct {
 	fb   *Fabric
-	f    medium.Frame
+	buf  *medium.Buf
+	src  int
+	legs []leg
+	fn   func()
+}
+
+// leg is one copy in a delivery: its destination, the link whose queue it
+// leaves on landing, and its loss fate, rolled at send.
+type leg struct {
+	dst  int
 	l    *link
 	lost bool
-	fn   func()
 }
 
 // New creates a fabric driven by kernel k.
@@ -211,8 +227,9 @@ func (fb *Fabric) Stats() medium.Stats {
 
 // MemFootprint returns the fabric's structural memory footprint in
 // bytes: ports and their rings, the materialized link table, and the
-// pooled buffers and delivery records on the freelists. Deterministic by
-// construction, like every footprint in the tree.
+// pooled buffers and delivery records (with their leg arrays) on the
+// freelists. Deterministic by construction, like every footprint in the
+// tree.
 func (fb *Fabric) MemFootprint() uint64 {
 	m := uint64(unsafe.Sizeof(*fb))
 	for _, p := range fb.ports {
@@ -229,6 +246,7 @@ func (fb *Fabric) MemFootprint() uint64 {
 	}
 	m += fb.pool.MemFootprint()
 	m += fb.freeDeliv.MemFootprint()
+	fb.freeDeliv.Each(func(d *delivery) { m += uint64(cap(d.legs)) * uint64(unsafe.Sizeof(leg{})) })
 	return m
 }
 
@@ -266,108 +284,102 @@ func (p *Port) Send(dst int, payload []byte) {
 		return
 	}
 	fb, src := p.fab, p.ID()
-	if dst != medium.Broadcast {
-		if dst < 0 || dst >= len(fb.ports) || dst == src {
+	lo, hi := dst, dst+1
+	if dst == medium.Broadcast {
+		if len(fb.ports) <= 1 {
 			return
 		}
-		buf := fb.pool.Acquire(len(payload))
-		copy(buf.Data, payload)
-		// One in-flight reference, dropped when the delivery completes.
-		buf.Refs = 1
-		fb.transmit(src, dst, buf)
-		return
-	}
-	if len(fb.ports) <= 1 {
+		lo, hi = 0, len(fb.ports)
+	} else if dst < 0 || dst >= len(fb.ports) || dst == src {
 		return
 	}
 	buf := fb.pool.Acquire(len(payload))
 	copy(buf.Data, payload)
-	// One in-flight reference per fan-out copy: each copy's completion
-	// releases its own, so the shared buffer (and the bytes its
-	// decode-once view describes) lives until the last copy lands or is
-	// lost. The extra sender-side reference pins the buffer for the
-	// duration of the loop: without it, an overflow on the first link
-	// would recycle the buffer while later copies still transmit it.
+	// The sender's reference pins the buffer for the loop: without it, an
+	// overflow on the first link would recycle the buffer while later
+	// copies still transmit it. Each record takes one of its own.
 	buf.Refs = 1
-	for dst := 0; dst < len(fb.ports); dst++ {
-		if dst == src {
+	wire := medium.WireBytes(len(payload), fb.p.FrameOverhead, fb.p.MinFrameBytes)
+	dur := medium.TxTime(wire, fb.p.BandwidthBps)
+	now := fb.k.Now()
+	var idle *delivery // the record of the copies landing at now+dur+LinkLatency
+	for to := lo; to < hi; to++ {
+		if to == src {
 			continue
 		}
-		buf.Refs++
-		if fb.transmit(src, dst, buf) {
+		// An overflowed copy is dropped on the spot: no wire cost, one
+		// overflow count.
+		l := fb.linkTo(src, to)
+		if l.pending >= fb.p.TxQueue {
+			fb.linkOverflows++
+			continue
+		}
+		l.pending++
+		fb.linkMaxQueued = max(fb.linkMaxQueued, l.pending)
+		start := max(now, l.busyUntil)
+		l.busyUntil = start + dur
+		fb.frames++
+		fb.wireBytes += uint64(wire)
+		fb.payloadBytes += uint64(len(payload))
+		fb.busyTime += dur
+		if dst == medium.Broadcast {
 			fb.fanoutFrames++
 		}
+		lost := fb.p.LossRate > 0 && fb.k.Rand().Float64() < fb.p.LossRate
+		r := idle
+		if r == nil || start > now {
+			n := 1
+			if dst == medium.Broadcast && start == now {
+				n = hi - 1 // room for every copy
+			}
+			r = fb.record(src, buf, n)
+			fb.k.AfterCoalesced(start+dur+fb.p.LinkLatency-now, "fabric deliver", r.fn)
+			if start == now {
+				idle = r
+			}
+		}
+		r.legs = append(r.legs, leg{to, l, lost})
 	}
 	fb.pool.Release(buf)
 }
 
-// transmit serializes one copy on the src→dst link, reporting whether it
-// made it past the link's transmit-queue bound. Overflowed copies are
-// dropped on the spot — no wire cost, one overflow count — and release
-// their buffer reference immediately.
-func (fb *Fabric) transmit(src, dst int, buf *medium.Buf) bool {
-	l := fb.linkTo(src, dst)
-	if l.pending >= fb.p.TxQueue {
-		fb.linkOverflows++
-		fb.pool.Release(buf)
-		return false
+// record takes a delivery record, with its prebuilt closure and room for
+// n copies, from the pool, and gives it a reference on buf from src.
+func (fb *Fabric) record(src int, buf *medium.Buf, n int) *delivery {
+	r := fb.freeDeliv.Get()
+	if r == nil {
+		r = &delivery{fb: fb}
+		r.fn = func() { r.run() }
 	}
-	l.pending++
-	if l.pending > fb.linkMaxQueued {
-		fb.linkMaxQueued = l.pending
+	if cap(r.legs) < n {
+		r.legs = make([]leg, 0, n)
 	}
-
-	wire := medium.WireBytes(len(buf.Data), fb.p.FrameOverhead, fb.p.MinFrameBytes)
-	start := fb.k.Now()
-	if l.busyUntil > start {
-		start = l.busyUntil
-	}
-	dur := medium.TxTime(wire, fb.p.BandwidthBps)
-	l.busyUntil = start + dur
-
-	fb.frames++
-	fb.wireBytes += uint64(wire)
-	fb.payloadBytes += uint64(len(buf.Data))
-	fb.busyTime += dur
-
-	d := fb.acquireDeliv()
-	d.f = medium.Frame{Src: src, Dst: dst, Payload: buf.Data, Buf: buf}
-	d.l = l
-	d.lost = fb.p.LossRate > 0 && fb.k.Rand().Float64() < fb.p.LossRate
-	fb.k.AfterCoalesced(start+dur+fb.p.LinkLatency-fb.k.Now(), "fabric deliver", d.fn)
-	return true
+	buf.Refs++
+	r.buf, r.src = buf, src
+	return r
 }
 
-// acquireDeliv takes a delivery record (with its prebuilt closure) from
-// the pool.
-func (fb *Fabric) acquireDeliv() *delivery {
-	if d := fb.freeDeliv.Get(); d != nil {
-		return d
-	}
-	d := &delivery{fb: fb}
-	d.fn = func() { d.run() }
-	return d
-}
-
-// run completes one link delivery: the frame leaves the link's transmit
-// queue, then lands in the destination ring (or is lost, or dropped).
-// Unlike the broadcast bus, it arrives stamped with its actual
+// run lands the record's copies in order: each leaves its link's transmit
+// queue, then lands in its destination ring (or is lost, or dropped).
+// Unlike the broadcast bus, a copy arrives stamped with its actual
 // destination id, not medium.Broadcast — on a fabric every frame is
-// somebody's unicast.
-func (d *delivery) run() {
-	fb := d.fb
-	d.l.pending--
-	if d.lost {
-		fb.wireLost++
-	} else {
-		fb.ports[d.f.Dst].Deliver(d.f)
+// somebody's unicast. The copies after the first count as events of their
+// own, as the callbacks of a coalesced batch do.
+func (r *delivery) run() {
+	fb := r.fb
+	fb.k.Ran(len(r.legs) - 1)
+	for _, c := range r.legs {
+		c.l.pending--
+		if c.lost {
+			fb.wireLost++
+		} else {
+			fb.ports[c.dst].Deliver(medium.Frame{Src: r.src, Dst: c.dst, Payload: r.buf.Data, Buf: r.buf})
+		}
 	}
-	// Drop this copy's in-flight reference and recycle the record.
-	fb.pool.Release(d.f.Buf)
-	d.f = medium.Frame{}
-	d.l = nil
-	d.lost = false
-	fb.freeDeliv.Put(d)
+	// Drop the record's reference and recycle it.
+	fb.pool.Release(r.buf)
+	r.legs, r.buf = r.legs[:0], nil
+	fb.freeDeliv.Put(r)
 }
 
 func (p *Port) String() string {

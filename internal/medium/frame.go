@@ -146,6 +146,14 @@ func (l *Freelist[T]) Get() *T {
 // Put returns a record to the list.
 func (l *Freelist[T]) Put(x *T) { l.free = append(l.free, x) }
 
+// Each calls fn with every pooled record, for footprints that count what
+// a record holds beyond its own size.
+func (l *Freelist[T]) Each(fn func(*T)) {
+	for _, x := range l.free {
+		fn(x)
+	}
+}
+
 // MemFootprint returns the list's structural footprint in bytes: its
 // backing array plus every pooled record.
 func (l *Freelist[T]) MemFootprint() uint64 {

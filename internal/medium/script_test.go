@@ -158,7 +158,7 @@ func play(s script, k *sim.Kernel, m medium.Medium, c *cover) (stream, state []s
 			}
 		})
 	}
-	state = append(state, fmt.Sprint("ended ", k.Run()), fmt.Sprintf("%+v", m.Stats()))
+	state = append(state, fmt.Sprint("ended ", k.Run()), fmt.Sprint("events ", k.Dispatched()), fmt.Sprintf("%+v", m.Stats()))
 	for i, q := range p.ports {
 		state = append(state, fmt.Sprintf("port %d %s: id %d pending %d drops %d suppressed %d high %d cap %d down %v",
 			i, q.Name(), q.ID(), q.Pending(), q.Drops(), q.TxSuppressed(), q.RingHighWater(), q.RingCap(), q.Down()))

@@ -15,12 +15,12 @@ import (
 // TestMediumMatchesSpec holds Ethernet and the fabric to spec, the
 // reference medium below, on randomized scripts (script_test.go) played
 // through medium.Medium and medium.Port: the stream of interrupts and
-// received frames, the clock, every Stats field and every port's
-// counters must agree, and every pool buffer must be back once the
-// frames are released. Each profile must cover its floor of ground. A
-// failing seed's tape is shrunk and printed as a FuzzMedium corpus file
-// (testdata/fuzz holds one). Bridges are outside the spec: bridge_test.go
-// and topology_test.go keep them.
+// received frames, the clock, the events the kernel ran (Dispatched),
+// every Stats field and every port's counters must agree, and every pool
+// buffer must be back once the frames are released. Each profile must
+// cover its floor of ground. A failing seed's tape is shrunk and printed
+// as a FuzzMedium corpus file (testdata/fuzz holds one). Bridges are
+// outside the spec: bridge_test.go and topology_test.go keep them.
 //
 // Each mutation below, made to a copy of the media, fails the profiles
 // listed at the first seed given, whose tape (bytes drawn, its profile,
@@ -46,6 +46,9 @@ import (
 //	fabric: an overflowed copy keeps its reference       fabric 3                     939→3   TestLinkQueueOverflow, TestBroadcastOverflowGuard
 //	fabric: a unicast to the sender sent                 fabric 1                     929→15  TestBroadcastFanout
 //	ring: Pop swaps a slot's src and dst                 all three 1                  818→3   TestRingSlotContract, 14 more
+//	fabric: a fused record counted as one callback       fabric 1                     929→4
+//	fabric: a copy behind a busy link folded into the    fabric 8                     947→70
+//	  idle instant's record
 func TestMediumMatchesSpec(t *testing.T) {
 	for i := range profiles {
 		p := &profiles[i]

@@ -69,6 +69,7 @@ const (
 	aCancel                // cancel live timer arg mod the number live: -1 is the last armed
 	aBase                  // later schedules in the list count from the start of the next level-d bucket span ahead
 	aStop                  // Stop, once the trace is stopAfter long
+	aRan                   // callback: Ran(arg), counting arg more events
 	nActs
 )
 
@@ -87,6 +88,7 @@ type machine interface {
 	afterCoalesced(d time.Duration, fn func())
 	repeat(d time.Duration, o *looker)
 	stop()
+	ran(n int)
 	spawn(pid int)
 	wake(pid int)
 	resume(pid int)
@@ -279,6 +281,8 @@ func (r *run) exec(a act, pid int) {
 		if len(r.trace) >= r.s.stopAfter {
 			r.m.stop()
 		}
+	case aRan:
+		r.m.ran(a.arg)
 	}
 }
 
@@ -356,6 +360,7 @@ type real struct {
 
 func (m *real) now() time.Duration { return m.k.Now() }
 func (m *real) stop()              { m.k.Stop() }
+func (m *real) ran(n int)          { m.k.Ran(n) }
 func (m *real) wake(pid int)       { m.procs[pid].Wake() }
 func (m *real) resume(pid int)     { m.procs[pid].Resume() }
 

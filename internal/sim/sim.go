@@ -327,6 +327,11 @@ func (b *batch) drain() {
 	k.freeBatch = b
 }
 
+// Ran counts n more events run by the calling callback: one that does the
+// work of n+1 adjacent same-instant callbacks, which AfterCoalesced would
+// have run as one batch, counts as they would have (Counters.Batched).
+func (k *Kernel) Ran(n int) { k.ctr.Batched += uint64(n) }
+
 // Stop makes Run return after the currently executing event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
@@ -489,17 +494,17 @@ func (k *Kernel) PendingEvents() int {
 // Dispatched returns the number of events executed so far, however each
 // came to run: popped as a kernel event of its own (a run's ending look
 // among them), run inside a coalesced event after its first
-// (AfterCoalesced), or skipped as a lost look in the lane. It is a pure
-// function of the simulation (virtual events, not wall time), so equal
-// seeds report equal counts; sweeps use it for events/sec throughput
-// records.
+// (AfterCoalesced) or by a callback that counts it (Ran), or skipped as a
+// lost look in the lane. It is a pure function of the simulation (virtual
+// events, not wall time), so equal seeds report equal counts; sweeps use
+// it for events/sec throughput records.
 func (k *Kernel) Dispatched() uint64 { return k.ctr.Pops + k.ctr.Batched + k.ctr.Skipped }
 
 // Counters are the kernel's own diagnostics, in no report; deterministic,
 // like Dispatched, which is Pops + Batched + Skipped.
 type Counters struct {
 	Pops    uint64 // kernel events popped, and lane looks that ended a run
-	Batched uint64 // callbacks run inside a coalesced event after its first
+	Batched uint64 // callbacks run inside a coalesced event after its first, or counted by Ran
 	Skipped uint64 // lane looks lost in bulk, in a window (lane.go)
 	// Resumes is the hand-offs through RunUntil's trampoline, two coroutine
 	// switches each; a process resuming itself, a callback and a host

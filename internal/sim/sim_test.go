@@ -144,6 +144,15 @@ var fixedScripts = []fixed{
 		"0s e1, 1ms e2", 2},
 	{"TestAfterCoalescedStopSuppressesRest", sc([][]act{{{aAwait, 0, 0}, {aStop, 0, 0}}}, [][]act{{{aResume, 0, 0}}}, until(forever, act{aSpawn, 0, 0}, act{aCoal, ms, 0}, act{aCoal, ms, 1})),
 		"1ms e1, 1ms p0.0, 1ms p0.1", 2},
+	// A callback that counts the work of four events (Ran) is counted when
+	// it runs: not when a Stop in an earlier callback at its instant, in
+	// its batch or an event of its own, leaves it unrun.
+	{"TestRanCountsWhatRuns", sc(nil, [][]act{nil, {{aStop, 0, 0}}, {{aRan, 0, 3}}}, until(forever, act{aCoal, ms, 0}, act{aCoal, ms, 2})),
+		"1ms e1, 1ms e2", 1},
+	{"TestRanCountsWhatRuns", sc(nil, [][]act{nil, {{aStop, 0, 0}}, {{aRan, 0, 3}}}, until(forever, act{aCoal, ms, 1}, act{aCoal, ms, 2})),
+		"1ms e1", 1},
+	{"TestRanCountsWhatRuns", sc(nil, [][]act{nil, {{aStop, 0, 0}}, {{aRan, 0, 3}}}, until(forever, act{aAfter, ms, 1}, act{aCoal, ms, 2})),
+		"1ms e1", 1},
 }
 
 // cascade files events just below, at and just above every level
@@ -235,6 +244,7 @@ func TestAfterCoalescedNoMergeAcrossSchedule(t *testing.T)  { playFixed(t) }
 func TestAfterCoalescedNoMergeAcrossDeadline(t *testing.T)  { playFixed(t) }
 func TestAfterCoalescedBatchClosesOnFire(t *testing.T)      { playFixed(t) }
 func TestAfterCoalescedStopSuppressesRest(t *testing.T)     { playFixed(t) }
+func TestRanCountsWhatRuns(t *testing.T)                    { playFixed(t) }
 
 func TestShutdownUnblocksParkedProcs(t *testing.T) {
 	k := New(1)

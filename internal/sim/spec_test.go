@@ -408,6 +408,9 @@ func (s *spec) repeat(d time.Duration, o *looker) {
 // Rule: Stop takes effect between callbacks, and for good.
 func (s *spec) stop() { s.stopped = true }
 
+// Rule: Ran(n) counts n more events run, by the callback that makes it.
+func (s *spec) ran(n int) { s.dispatched += uint64(n) }
+
 func (s *spec) spawn(pid int) {
 	s.procs[pid] = &specProc{state: procNew}
 	s.order = append(s.order, pid)
