@@ -8,7 +8,9 @@ import (
 
 // Example shows the paper's whole programming model in one session: a
 // writer updates the consistent copy and propagates it with PURGE, a
-// reader on another workstation blocks on the data-driven view.
+// reader on another workstation blocks on the data-driven view, and the
+// network's bill is three frames. examples/fabric runs the same session
+// over the point-to-point fabric.
 func Example() {
 	w := mether.NewWorld(mether.Config{Hosts: 2, Pages: 4, Seed: 1})
 	defer w.Shutdown()
@@ -31,10 +33,14 @@ func Example() {
 		a := m.Addr(0, 0).Short()
 		_ = m.Purge(a) // Deal Me In
 		v, _ := m.Load32(a.DataDriven())
-		fmt.Println("reader saw", v)
+		fmt.Println("reader saw", v, "at", env.Now())
 	})
 	w.Run()
-	// Output: reader saw 42
+	ns := w.NetStats()
+	fmt.Printf("network: %d frames, %d wire bytes\n", ns.Frames, ns.WireBytes)
+	// Output:
+	// reader saw 42 at 30.2132ms
+	// network: 3 frames, 252 wire bytes
 }
 
 // ExampleAddr demonstrates the Figure-2 address encoding: the four views

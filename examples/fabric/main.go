@@ -1,4 +1,4 @@
-// Fabric: the quickstart's two-host session moved off the shared
+// Fabric: the root package's Example session moved off the shared
 // Ethernet and onto the RDMA-like point-to-point fabric via
 // Config.Medium — one line of configuration, same programming model.
 // The interesting part is the bill: on the fabric a broadcast has no

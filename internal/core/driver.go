@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mether/internal/host"
@@ -801,52 +803,27 @@ func (d *Driver) redundantTargets(extra int) []byte {
 			return d.cfg.TrunkOf[h]
 		}
 		self := d.h.ID()
-		max := proto.MaxRedundantTargets
-		ids := make([]int16, 0, max)
-		// Selection sort of the first `max` peers by (hops, |Δid|, id):
-		// host counts reach 1024 but max is 8, so the scan is cheap and
-		// allocation-free beyond the cached slices.
-		better := func(a, b int) bool {
-			ha, hb := hops(trunkOf(self), trunkOf(a)), hops(trunkOf(self), trunkOf(b))
+		key := func(h int) (hop, dist int) { return hops(trunkOf(self), trunkOf(h)), max(h-self, self-h) }
+		peers := make([]int, 0, d.cfg.NumHosts-1)
+		for h := 0; h < d.cfg.NumHosts; h++ {
+			if h != self {
+				peers = append(peers, h)
+			}
+		}
+		slices.SortFunc(peers, func(a, b int) int {
+			ha, da := key(a)
+			hb, db := key(b)
 			if ha != hb {
-				return ha < hb
-			}
-			da, db := a-self, b-self
-			if da < 0 {
-				da = -da
-			}
-			if db < 0 {
-				db = -db
+				return cmp.Compare(ha, hb)
 			}
 			if da != db {
-				return da < db
+				return cmp.Compare(da, db)
 			}
-			return a < b
-		}
-		for len(ids) < max && len(ids) < d.cfg.NumHosts-1 {
-			best := -1
-			for h := 0; h < d.cfg.NumHosts; h++ {
-				if h == self {
-					continue
-				}
-				taken := false
-				for _, t := range ids {
-					if int(t) == h {
-						taken = true
-						break
-					}
-				}
-				if taken {
-					continue
-				}
-				if best < 0 || better(h, best) {
-					best = h
-				}
-			}
-			if best < 0 {
-				break
-			}
-			ids = append(ids, int16(best))
+			return cmp.Compare(a, b)
+		})
+		ids := make([]int16, 0, proto.MaxRedundantTargets)
+		for _, h := range peers[:min(len(peers), cap(ids))] {
+			ids = append(ids, int16(h))
 		}
 		d.redundant = ids
 		d.redundantEnc = proto.AppendTargets(make([]byte, 0, 2*len(ids)), ids)

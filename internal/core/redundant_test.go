@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"mether/internal/ethernet"
 	"mether/internal/host"
 	"mether/internal/medium"
+	"mether/internal/proto"
 	"mether/internal/sim"
 	"mether/internal/vm"
 )
@@ -19,6 +21,37 @@ func redundantConfig(pages, hosts, k int) Config {
 	cfg.NumHosts = hosts
 	cfg.Redundancy = k
 	return cfg
+}
+
+// TestRedundantTargetsOrder pins the nearest-first order of the extra
+// targets: a peer on this host's trunk before one a hop away before one
+// two hops away, then the nearer id, then the lower id; at most
+// proto.MaxRedundantTargets of them, in a list of that capacity.
+func TestRedundantTargetsOrder(t *testing.T) {
+	line := func(a, b int) int { return max(a-b, b-a) } // trunks in a line
+	for _, row := range []struct {
+		name    string
+		hosts   int
+		trunkOf []int
+		self    int
+		want    []int16
+	}{
+		{"one trunk: nearer id, then lower", 12, nil, 5, []int16{4, 6, 3, 7, 2, 8, 1, 9}},
+		{"same trunk, one hop, two hops", 6, []int{2, 0, 1, 0, 2, 1}, 1, []int16{3, 2, 5, 0, 4}},
+		{"hops before distance, ties by id", 9, []int{1, 0, 0, 1, 1, 0, 2, 2, 2}, 4, []int16{3, 0, 5, 2, 6, 1, 7, 8}},
+	} {
+		cfg := Config{NumHosts: row.hosts, TrunkOf: row.trunkOf}
+		if row.trunkOf != nil {
+			cfg.TrunkHops = line
+		}
+		d := &Driver{cfg: cfg, h: host.New(sim.New(1), row.self, "h", fastHostParams())}
+		if enc := d.redundantTargets(proto.MaxRedundantTargets); len(enc) != 2*len(row.want) {
+			t.Errorf("%s: %d target bytes, want %d", row.name, len(enc), 2*len(row.want))
+		}
+		if !slices.Equal(d.redundant, row.want) || cap(d.redundant) != proto.MaxRedundantTargets {
+			t.Errorf("%s: targets %v (cap %d), want %v (cap %d)", row.name, d.redundant, cap(d.redundant), row.want, proto.MaxRedundantTargets)
+		}
+	}
 }
 
 func TestRedundantFetchReplicaAnswersWhenOwnerDown(t *testing.T) {

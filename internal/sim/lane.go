@@ -192,9 +192,9 @@ func (k *Kernel) window(bAt time.Duration, bSeq uint64) *Proc {
 		return nil
 	}
 	// The cut runs as a popped event would: the wheel's events of its
-	// instant, due after it, are staged ahead of what it files there.
-	if k.dueHead == len(k.due) {
-		k.due, k.dueHead = k.due[:0], 0
+	// instant, which come after it, are staged ahead of what it files
+	// there. A queue that is not empty already holds that instant.
+	if k.runqHead == len(k.runq) {
 		k.advance(int64(end))
 	}
 	k.now = end

@@ -23,7 +23,6 @@ type script struct {
 	// that a script stops late rather than at its first callback.
 	stopAfter int
 	budget    int // callback events filed at most; 0 for no limit
-	reserve   int // ReserveRunq first; the spec has no run queue
 }
 
 // runDef is a run of looks (Kernel.Repeat): a look every period that
@@ -424,7 +423,6 @@ func (m *real) state() outcome {
 func play(s *script, check bool, c *cover) (*real, error) {
 	k := New(1)
 	defer k.Shutdown()
-	k.ReserveRunq(s.reserve)
 	km := &real{k: k, check: check, procs: make([]*Proc, len(s.progs))}
 	km.r = newRun(s, km, c)
 	ref := &spec{handback: -1, procs: make([]*specProc, len(s.progs))}

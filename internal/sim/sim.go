@@ -32,9 +32,10 @@
 // O(1) schedule and cancel where a binary heap pays O(log n) sift work
 // per event; the cursor jumps straight to the earliest pending
 // timestamp, found in two bit scans, so an event is usually filed once.
-// Same-instant events — the After(0) wakeup/interrupt/handoff
-// shape that dominates protocol-heavy runs — bypass the wheel entirely
-// through a FIFO run queue, the wheel's de facto level zero. Fired
+// The current instant has one queue, the wheel's de facto level zero:
+// the wheel stages an instant's events into it, and same-instant events —
+// the After(0) wakeup/interrupt/handoff shape that dominates
+// protocol-heavy runs — join it behind them, never touching the wheel. Fired
 // events are recycled through a freelist and cancellation unlinks the
 // event from its bucket immediately instead of letting it ride the
 // queue until its timestamp comes up. None of this is observable:
@@ -77,17 +78,12 @@ type Kernel struct {
 	now   time.Duration
 	seq   uint64
 	wheel wheel
-	// due stages the events of the instant the wheel cursor last advanced
-	// to, in (time, seq) order; dispatch drains it before consulting runq
-	// (everything in due was scheduled before anything now entering runq,
-	// so due seqs are strictly lower).
-	due     []*Event
-	dueHead int
-	// runq is the same-instant FIFO fast path: events scheduled for the
-	// current time in strictly increasing seq order, so FIFO order is
-	// (time, seq) order. The clock cannot advance while runq is
-	// non-empty, which keeps the invariant trivially true.
-	runq fifo
+	// runq is the queue of the current instant, in (time, seq) order: the
+	// events advance staged from the wheel, then those filed for now behind
+	// them. The clock moves only once it is empty, so a slice popped from
+	// runqHead and cut back to length zero when drained never wraps.
+	runq     []*Event
+	runqHead int
 	// free recycles fired and cancelled events. Events are reset before
 	// reuse; holding a *Event after its callback has run (or after
 	// cancelling it) is a caller bug.
@@ -144,12 +140,6 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// ReserveRunq pre-sizes the same-instant run queue to hold at least n
-// events without growing (rounded up to a power of two). World builders
-// call it with a multiple of the host count so steady-state dispatch
-// never pays the ring-doubling copy.
-func (k *Kernel) ReserveRunq(n int) { k.runq.reserve(n) }
-
 // slabSizes are the event counts of a kernel's successive slabs, the last
 // one repeating. A two-host world keeps eight to twelve events in flight,
 // hence the small start; each count of 80-byte events (plus the
@@ -199,7 +189,7 @@ func (k *Kernel) at(t time.Duration, name string, fn func()) *Event {
 	ev.cancelled = false
 	if t == k.now {
 		ev.pos = posNone
-		k.runq.push(ev)
+		k.runq = append(k.runq, ev)
 	} else {
 		k.wheel.schedule(ev)
 	}
@@ -381,38 +371,13 @@ func (k *Kernel) dispatch() *Proc {
 		}
 	}
 	for !k.stopped {
-		var ev *Event
-		switch {
-		case k.dueHead < len(k.due):
-			if ev = k.due[k.dueHead]; ev.at > k.limit {
-				if p, pop := k.beyond(ev.at, ev.seq); !pop {
-					if p != nil {
-						return p
-					}
-					continue
-				}
-			}
-			k.due[k.dueHead] = nil
-			k.dueHead++
-		case k.runq.n > 0:
-			if ev = k.runq.first(); ev.at > k.limit {
-				if p, pop := k.beyond(ev.at, ev.seq); !pop {
-					if p != nil {
-						return p
-					}
-					continue
-				}
-			}
-			k.runq.pop()
-		default:
-			k.due = k.due[:0]
-			k.dueHead = 0
-			adv := k.advance(int64(k.limit))
-			if adv == advStaged {
+		if k.runqHead == len(k.runq) {
+			k.advance(int64(k.limit))
+			if k.runqHead < len(k.runq) {
 				continue
 			}
 			if len(k.lane) == 0 {
-				if adv == advEmpty {
+				if k.wheel.cnt == 0 {
 					return &k.root
 				}
 				return k.expire()
@@ -420,7 +385,7 @@ func (k *Kernel) dispatch() *Proc {
 			// The lane's head or the deadline stopped the cursor: the wheel's
 			// earliest event, if any, decides with the lane.
 			at, seq := never, ^uint64(0)
-			if adv == advDeadline {
+			if k.wheel.cnt > 0 {
 				at, seq = k.wheel.peek()
 			}
 			p, pop := k.beyond(at, seq)
@@ -430,6 +395,19 @@ func (k *Kernel) dispatch() *Proc {
 				return p
 			}
 			continue
+		}
+		ev := k.runq[k.runqHead]
+		if ev.at > k.limit {
+			if p, pop := k.beyond(ev.at, ev.seq); !pop {
+				if p != nil {
+					return p
+				}
+				continue
+			}
+		}
+		k.runq[k.runqHead] = nil
+		if k.runqHead++; k.runqHead == len(k.runq) {
+			k.runq, k.runqHead = k.runq[:0], 0
 		}
 		if ev.cancelled {
 			k.release(ev)
@@ -488,7 +466,7 @@ func (k *Kernel) Idle() []string {
 // counting) immediately, except for the bounded few already staged for
 // the current instant.
 func (k *Kernel) PendingEvents() int {
-	return k.wheel.cnt + (len(k.due) - k.dueHead) + k.runq.n + len(k.lane)
+	return k.wheel.cnt + len(k.runq) - k.runqHead + len(k.lane)
 }
 
 // Dispatched returns the number of events executed so far, however each
@@ -571,56 +549,4 @@ func (e *Event) String() string {
 		name += " " + e.proc.name
 	}
 	return fmt.Sprintf("event %q @%v", name, e.at)
-}
-
-// fifo is a growable power-of-two ring buffer of events, indexed with
-// mask arithmetic. Push order equals seq order for same-instant events,
-// so pop order is dispatch order.
-type fifo struct {
-	buf  []*Event
-	head int
-	n    int
-}
-
-func (f *fifo) push(ev *Event) {
-	if f.n == len(f.buf) {
-		f.grow(f.n + 1)
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = ev
-	f.n++
-}
-
-// reserve pre-sizes the ring to hold at least min events.
-func (f *fifo) reserve(min int) {
-	if min > len(f.buf) {
-		f.grow(min)
-	}
-}
-
-// grow replaces the ring with one of power-of-two capacity >= min
-// (at least 64, at least double the current), preserving order.
-func (f *fifo) grow(min int) {
-	size := len(f.buf) * 2
-	if size < 64 {
-		size = 64
-	}
-	for size < min {
-		size *= 2
-	}
-	buf := make([]*Event, size)
-	for i := 0; i < f.n; i++ {
-		buf[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
-	}
-	f.buf = buf
-	f.head = 0
-}
-
-func (f *fifo) first() *Event { return f.buf[f.head] }
-
-func (f *fifo) pop() *Event {
-	ev := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return ev
 }

@@ -171,15 +171,14 @@ func cascade() fixed {
 	return fixed{"TestCascadeBoundaryTimes", sc(nil, nil, until(forever, acts...)), strings.Join(want, ", "), 21}
 }
 
-// reserved fills a run queue reserved too small with a same-instant
-// burst that grows it while it wraps: 60 events, each filing two more.
+// reserved grows the queue of one instant while it is popped from: 60
+// events, each filing two more behind it.
 func reserved() fixed {
 	var want []string
 	for id := 1; id <= 180; id++ {
 		want = append(want, fmt.Sprint("0s e", id))
 	}
 	s := sc(nil, [][]act{{{aAfter, 0, 1}, {aAfter, 0, 1}}}, until(forever, repeat(60, act{aAfter, 0, 0})...))
-	s.reserve = 4
 	return fixed{"TestReserveRunqGrowsInOrder", s, strings.Join(want, ", "), 180}
 }
 
@@ -268,6 +267,23 @@ func TestDeterministicRand(t *testing.T) {
 		if k.Rand().Int63() != want.Int63() {
 			t.Fatal("the kernel's random source is not the seed's")
 		}
+	}
+}
+
+// TestRunqResetsWhenDrained runs 10 000 instants of three events each:
+// the queue is cut back whenever it is drained, so it never holds more
+// than one instant.
+func TestRunqResetsWhenDrained(t *testing.T) {
+	k := New(1)
+	for i := 1; i <= 3*10000; i++ {
+		k.After(time.Duration((i+2)/3), "e", func() {})
+	}
+	k.Run()
+	if got := k.Dispatched(); got != 30000 {
+		t.Fatalf("dispatched %d events, want 30000", got)
+	}
+	if c := cap(k.runq); c > 4 {
+		t.Errorf("the queue grew to %d slots for instants of three events", c)
 	}
 }
 

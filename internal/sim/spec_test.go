@@ -23,7 +23,9 @@ import (
 // listed at the first seed given, whose tape (bytes drawn, its profile's
 // ahead) shrinks as shown, and the fixed or kept tests named. The lane
 // profile replaced one that held Kernel.Continue, which is gone, with its
-// four rows; the older rows' counts are for the other three profiles:
+// four rows; the older rows' counts are for the other three profiles,
+// but for the rows that name the queue, made again on the one queue of
+// the current instant over all four:
 //
 //	RunUntil behind the clock moves it back      baton 4, wheel 1, coalesce 1               252→7    TestRunUntilNeverMovesClockBack
 //	Resume goes through a fresh After(0) event   baton 1, coalesce 1                        382→10   TestResumeFromCoalescedCallback, 5 more
@@ -34,7 +36,7 @@ import (
 //	batch: no rest, it runs on past a Resume     coalesce 1, baton 17 (a panic)             137→27   TestResumeFromCoalescedCallback
 //	batch: coalB kept when a new event is filed  coalesce 1, baton 17                       137→16   TestCoalescedBatchNotReusedAfterResume
 //	batch: a merge into a started event          coalesce 5                                 95→9     TestAfterCoalescedBatchClosesOnFire
-//	batch: the rest runs behind runq             coalesce 1, baton 17                       137→27   TestResumeFromCoalescedCallback
+//	batch: the rest runs behind runq             coalesce 1, baton 17, lane 155             137→27   TestResumeFromCoalescedCallback
 //	batch: Stop ignored in a batch               coalesce 6                                 242→127  TestAfterCoalescedStopSuppressesRest
 //	batch: Stop ignored in a batch's rest        coalesce 101                               267→67   TestAfterCoalescedStopSuppressesRest
 //	batch: the rest's chunk cursor lost          —                                          —        TestAfterCoalescedChunks (panics)
@@ -50,11 +52,14 @@ import (
 //	lane: Repeat takes no seq, so AfterCoalesced lane 46                                    186→50
 //	  merges across it
 //	lane: first: the shorter slice filed first   lane 33                                    230→126
-//	lane: the ending look runs before the        lane 153                                   232→103
+//	lane: the ending look runs before the        lane 355                                   249→100
 //	  wheel's events of its instant are staged
 //	lane: first: the shorter period filed first  lane 77                                    182→105
 //	lane: first: the run that started earlier    lane 40                                    237→66
 //	  filed first
+//	queue: popped from its back                  baton 1, wheel 2, coalesce 1, lane 2       382→1    TestSameTimeEventsRunInInsertionOrder, 10 more
+//	queue: reset on every pop                    baton 1, wheel 2, coalesce 1, lane 2       382→1    TestSameTimeEventsRunInInsertionOrder, 17 more
+//	queue: not cut back when drained             —                                          —        TestRunqResetsWhenDrained
 func TestKernelMatchesSpec(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := range profiles {

@@ -66,7 +66,7 @@ const (
 )
 
 // posNone marks an event that is not linked into a wheel bucket (it is
-// running, staged in due/runq, free, or cancelled).
+// running, in runq, free, or cancelled).
 const posNone = -1
 
 // wbucket is one doubly-linked, seq-sorted event list.
@@ -109,7 +109,7 @@ func (w *wheel) clearOcc(level, idx int) {
 
 // schedule links ev into the bucket given by the placement rule.
 // The caller guarantees ev.at > w.cur (same-instant events go to the
-// kernel's run queue, never the wheel).
+// kernel's runq, never the wheel).
 func (w *wheel) schedule(ev *Event) {
 	d := uint64(ev.at) ^ uint64(w.cur)
 	level := (bits.Len64(d) - 1) >> 3
@@ -175,27 +175,21 @@ func (w *wheel) peek() (at time.Duration, seq uint64) {
 	return at, seq
 }
 
-// advance outcomes.
-const (
-	advEmpty    = iota // no pending events; cursor and clock untouched
-	advDeadline        // next event lies beyond the deadline
-	advStaged          // k.due now holds the next instant's events
-)
-
 // advance moves the cursor to the earliest pending event time m, if no
-// later than deadline, and stages that instant's events onto k.due in
+// later than deadline, and appends that instant's events to k.runq in
 // (time, seq) order; the rest of their bucket is filed again relative
 // to m. Beyond the deadline the cursor moves up to the deadline instead
 // (never backward): a deadline before the first bucket's start moves
 // nothing else, one inside its span refiles the bucket relative to the
 // deadline, because a cursor left inside an occupied bucket's span
 // would place later inserts below the bucket and let them overtake it.
-// advance assigns no seq and counts no dispatch; the clock itself is
-// the caller's to set.
-func (k *Kernel) advance(deadline int64) int {
+// The caller calls it with runq empty and reads the outcome from runq
+// and the wheel. advance assigns no seq and counts no dispatch; the
+// clock itself is the caller's to set.
+func (k *Kernel) advance(deadline int64) {
 	w := &k.wheel
 	if w.words == 0 {
-		return advEmpty
+		return
 	}
 	level, idx := w.first()
 	b := &w.lvl[level].slot[idx]
@@ -211,11 +205,11 @@ func (k *Kernel) advance(deadline int64) int {
 	c := m
 	if m > deadline {
 		if deadline <= w.cur {
-			return advDeadline
+			return
 		}
 		if start := m &^ (1<<(level*wheelBits) - 1); deadline < start {
 			w.cur = deadline
-			return advDeadline
+			return
 		}
 		c = deadline
 	}
@@ -228,15 +222,11 @@ func (k *Kernel) advance(deadline int64) int {
 		w.cnt--
 		if int64(ev.at) == c {
 			ev.pos = posNone
-			k.due = append(k.due, ev)
+			k.runq = append(k.runq, ev)
 		} else {
 			w.schedule(ev)
 			k.ctr.Refiles++
 		}
 		ev = next
 	}
-	if c < m {
-		return advDeadline
-	}
-	return advStaged
 }

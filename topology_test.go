@@ -195,6 +195,9 @@ func TestConfigValidate(t *testing.T) {
 		{"a page past the wire's", mether.Config{Pages: 1<<16 + 1}, false, false},
 		{"negative pages", mether.Config{Pages: -1}, false, false},
 		{"a negative quantum", mether.Config{HostParams: host.Params{Quantum: -time.Millisecond}}, false, false},
+		{"a fabric with no TxQueue", mether.Config{Medium: mether.MediumConfig{Kind: mether.MediumFabric, Fabric: mether.FabricParams{BandwidthBps: 1e9}}}, false, false},
+		{"an unknown topology shape", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{Shape: 7}}}, false, false},
+		{"a negative Ethernet bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: -1}}}, false, false},
 	} {
 		err := row.cfg.Validate()
 		switch {

@@ -186,10 +186,11 @@ func (c Config) withDefaults() Config {
 
 // Validate reports a configuration NewWorld cannot build: more hosts than
 // the wire format can name, a page count outside 1..proto.MaxPages, a
-// quantum that is not positive, an unknown medium kind, a trunk count
-// outside 1..Hosts, trunks on a fabric, or a TrunkOf placement naming a
-// trunk that does not exist. Zero-valued fields are judged after
-// defaulting, so the zero Config is valid.
+// quantum that is not positive, an unknown medium kind, a medium whose
+// bandwidth (or, on a fabric, TxQueue) is not positive, a trunk count
+// outside 1..Hosts, trunks on a fabric, an unknown topology shape, or a
+// TrunkOf placement naming a trunk that does not exist. Zero-valued
+// fields are judged after defaulting, so the zero Config is valid.
 // NewWorld panics with the same message; callers holding configuration
 // from outside the program (sweep cells, flags) call Validate first.
 func (c Config) Validate() error {
@@ -207,11 +208,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mether: unknown medium kind %q (want %q or %q)",
 			c.Medium.Kind, MediumEthernet, MediumFabric)
 	}
+	if f := c.Medium.Fabric; c.Medium.Kind == MediumFabric && (f.BandwidthBps <= 0 || f.TxQueue <= 0) {
+		return fmt.Errorf("mether: fabric bandwidth %d b/s and TxQueue %d must be positive", f.BandwidthBps, f.TxQueue)
+	}
+	if bw := c.Medium.Ethernet.BandwidthBps; c.Medium.Kind == MediumEthernet && bw <= 0 {
+		return fmt.Errorf("mether: Ethernet bandwidth %d b/s is not positive", bw)
+	}
 	if c.Trunks < 1 || c.Trunks > c.Hosts {
 		return fmt.Errorf("mether: %d trunks for %d hosts", c.Trunks, c.Hosts)
 	}
 	if c.Medium.Kind == MediumFabric && c.Trunks > 1 {
 		return errors.New("mether: trunks are an Ethernet concept; a fabric has no broadcast domains to bridge")
+	}
+	if sh := c.Medium.Topology.Shape; c.Trunks > 1 && sh != ethernet.Star && sh != ethernet.Linear {
+		return fmt.Errorf("mether: unknown topology shape %d", sh)
 	}
 	if c.Trunks > 1 && c.TrunkOf != nil {
 		for i := 0; i < c.Hosts; i++ {
@@ -251,15 +261,6 @@ func NewWorld(cfg Config) *World {
 		k:    sim.New(cfg.Seed),
 		segs: make(map[string]*Segment),
 	}
-	// Size the kernel's same-instant run queue from the fan-in model:
-	// the widest same-instant burst is a broadcast delivery, which wakes
-	// at most one interrupt-coalesced server per host, plus a small
-	// constant for timers and the handful of client wakeups any single
-	// event can produce. Invariant: reserve >= Hosts + O(1); anything
-	// more is dead capacity (the old blanket 8× over-reserved every
-	// world), anything less only costs a doubling copy, never
-	// correctness.
-	w.k.ReserveRunq(cfg.Hosts + 16)
 	coreCfg := cfg.Core
 	// The drivers learn the cluster size for redundant-fetch target
 	// selection (a no-op at the default Redundancy of 0/1).
