@@ -57,10 +57,13 @@
 #                        which plays kernel scripts drawn from its input
 #                        against the reference kernel, medium's
 #                        FuzzMedium, which plays Ethernet and fabric
-#                        scripts against the reference medium, and host's
+#                        scripts against the reference medium, host's
 #                        FuzzHost, which plays scheduler worlds against
-#                        the reference scheduler; the last three read
-#                        their input as an internal/choice tape) for
+#                        the reference scheduler, and sweep's
+#                        FuzzScenario, which runs the small sweep cell
+#                        its input draws and fails on a panic or a
+#                        wrapped op count; the last four read their
+#                        input as an internal/choice tape) for
 #                        FUZZTIME. Not a ci stage: `go test` already runs
 #                        every target's seed corpus, this mutates it. A
 #                        failure leaves its input under the package's
@@ -148,6 +151,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernel -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMedium -fuzztime $(FUZZTIME) ./internal/medium
 	$(GO) test -run '^$$' -fuzz FuzzHost -fuzztime $(FUZZTIME) ./internal/host
+	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/sweep
 
 smoke:
 	$(GO) run ./cmd/methersweep -grid smoke -format summary

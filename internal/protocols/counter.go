@@ -12,7 +12,7 @@ import (
 // two clients count to Target under the protocol (both on host 0 for
 // the local pair), or one counts alone for BaselineSingle. Its ops are
 // the increments won (the figures' additions), its tally the looks
-// lost; with TraceLimit the layout attaches the protocol analyzer.
+// lost.
 func Counter(c Config) (workload.Workload, error) {
 	c = c.withDefaults()
 	if c.Protocol < BaselineSingle || c.Protocol > P5Final {
@@ -34,9 +34,6 @@ func Counter(c Config) (workload.Workload, error) {
 				return err
 			}
 			capRW = seg.CapRW()
-			if c.TraceLimit > 0 {
-				t.Trace = w.AttachTap(c.TraceLimit)
-			}
 			return nil
 		},
 		Clients: []workload.Client{{Host: 0, Name: "client0"}, {Host: 1, Name: "client1"}},
@@ -72,29 +69,29 @@ func countAlone(env *mether.Env, cfg Config, cap mether.Capability, t *workload.
 
 // runClient dispatches to the per-protocol client loop.
 func runClient(env *mether.Env, cfg Config, cap mether.Capability, id uint32, t *workload.Tally) error {
-	seg, err := env.Attach(cap, mether.RW)
+	rw, err := env.Attach(cap, mether.RW)
 	if err != nil {
 		return err
 	}
+	a := rw.Addr(0, 0)
 	switch cfg.Protocol {
 	case P2ShortPage:
-		return sharedPageLoop(env, seg, cfg, id, t, true)
-	case P3DisjointRO:
-		// The degenerate base protocol: spin on the read-only copy with
-		// no active update at all, trusting snoopy refresh — which the
-		// spin itself starves. (HysteresisN = 1..N gives the flood and
-		// hysteresis variants via P3Hysteresis.)
-		cfg.HysteresisN = 1 << 30
-		return disjointDemandLoop(env, seg, cfg, cap, id, t)
-	case P3Hysteresis:
-		return disjointDemandLoop(env, seg, cfg, cap, id, t)
+		return onePageLoop(env, cfg, id, t, rw, a.Short(), rw, a.Short(), false)
 	case P4DataDriven:
-		return onePageDataLoop(env, seg, cfg, cap, id, t)
-	case P5Final:
-		return disjointDataLoop(env, seg, cfg, cap, id, t)
+		// Writers demand-fetch the consistent short view, waiters sample
+		// the data-driven view. That view is resident whenever this host
+		// holds the consistent copy, so sampling degenerates to a spin —
+		// the paper's observed pathology.
+		ro, err := env.Attach(cap.ReadOnly(), mether.RO)
+		if err != nil {
+			return err
+		}
+		return onePageLoop(env, cfg, id, t, ro, ro.Addr(0, 0).Short().DataDriven(), rw, a.Short(), true)
+	case P3DisjointRO, P3Hysteresis, P5Final:
+		return disjointLoop(env, rw, cfg, cap, id, t)
 	}
 	// BaselineLocalPair and P1FullPage.
-	return sharedPageLoop(env, seg, cfg, id, t, false)
+	return onePageLoop(env, cfg, id, t, rw, a, rw, a, false)
 }
 
 // The client loops spin with Mapping.Spin32, a look every checkCost until
@@ -102,26 +99,15 @@ func runClient(env *mether.Env, cfg Config, cap mether.Capability, id uint32, t 
 // a sleep) or the losses reach the loop's limit. The predicate, built
 // once, is pure: Spin32 counts the losses into the tally.
 
-// noLimit is the loss limit of a spin that only a won look ends.
-const noLimit = math.MaxInt
-
-// yours is the predicate of the one-page protocols: a look wins when the
-// word is this process's to increment, or the target is reached.
-func yours(cfg Config, id uint32) func(uint32) bool {
-	return func(v uint32) bool { return v >= cfg.Target || v%2 == id }
-}
-
-// sharedPageLoop implements protocols 1 and 2 (and the local pair): both
-// processes increment one word on a single shared consistent page (the
-// spin is through that view: it ends, in a fault, when the peer takes it).
-func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, t *workload.Tally, short bool) error {
-	a := m.Addr(0, 0)
-	if short {
-		a = a.Short()
-	}
-	done := yours(cfg, id)
+// onePageLoop implements the one-page protocols 1, 2 and 4 (and the
+// local pair): both processes increment one word of a single shared
+// page. Each looks at the word through look at la until it is its turn
+// (the look ends in a fault when the peer takes the page), stores the
+// increment through rw at wa and, if purge is set, propagates it.
+func onePageLoop(env *mether.Env, cfg Config, id uint32, t *workload.Tally, look *mether.Mapping, la mether.Addr, rw *mether.Mapping, wa mether.Addr, purge bool) error {
+	done := func(v uint32) bool { return v >= cfg.Target || v%2 == id }
 	for {
-		v, err := m.Spin32(a, checkCost, done, noLimit, &t.Losses)
+		v, err := look.Spin32(la, checkCost, done, math.MaxInt, &t.Losses)
 		if err != nil {
 			return err
 		}
@@ -129,94 +115,14 @@ func sharedPageLoop(env *mether.Env, m *mether.Mapping, cfg Config, id uint32, t
 			return nil
 		}
 		env.Compute(incCost)
-		if err := m.Store32(a, v+1); err != nil {
+		if err := rw.Store32(wa, v+1); err != nil {
 			return err
 		}
 		t.Ops++
-		if v+1 >= cfg.Target {
-			return nil
-		}
-	}
-}
-
-// disjointDemandLoop implements protocols 3 (HysteresisN == 1) and 3h:
-// each process writes its own page and spins on a read-only copy of the
-// peer's, purging it every HysteresisN losses to force a fresh fetch.
-func disjointDemandLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap mether.Capability, id uint32, t *workload.Tally) error {
-	peerMap, ownAddr, peerAddr, err := disjointViews(env, cap, own, id)
-	if err != nil {
-		return err
-	}
-	sincePurge := 0
-	myVal := uint32(0)
-	done := func(v uint32) bool { return v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal }
-	for {
-		// The loss that purges ends the spin; under the ablation, every loss.
-		limit := cfg.HysteresisN - sincePurge
-		if cfg.SleepHysteresis > 0 {
-			limit = 1
-		}
-		from := t.Losses
-		v, err := peerMap.Spin32(peerAddr, checkCost, done, limit, &t.Losses)
-		if sincePurge += int(t.Losses - from); err != nil {
-			return err
-		}
-		switch {
-		case v >= cfg.Target || myVal >= cfg.Target:
-			return nil
-		case v%2 == id && v+1 > myVal:
-			env.Compute(incCost)
-			myVal = v + 1
-			if err := own.Store32(ownAddr, myVal); err != nil {
+		if purge {
+			if err := rw.Purge(wa); err != nil {
 				return err
 			}
-			t.Ops++
-			if err := own.Purge(ownAddr); err != nil {
-				return err
-			}
-			if myVal >= cfg.Target {
-				return nil
-			}
-			sincePurge = 0
-		case cfg.SleepHysteresis > 0:
-			// Ablation: the paper's first fix — a fixed delay.
-			env.SleepFor(cfg.SleepHysteresis)
-		default:
-			sincePurge = 0
-			if err := peerMap.Purge(peerAddr); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// onePageDataLoop implements protocol 4: one page, writers demand-fetch
-// the consistent short view, waiters sample the data-driven view. The
-// data view is resident whenever this host holds the consistent copy, so
-// sampling degenerates to a spin — the paper's observed pathology.
-func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether.Capability, id uint32, t *workload.Tally) error {
-	ro, err := env.Attach(cap.ReadOnly(), mether.RO)
-	if err != nil {
-		return err
-	}
-	aW := rw.Addr(0, 0).Short()
-	aD := ro.Addr(0, 0).Short().DataDriven()
-	done := yours(cfg, id)
-	for {
-		v, err := ro.Spin32(aD, checkCost, done, noLimit, &t.Losses)
-		if err != nil {
-			return err
-		}
-		if v >= cfg.Target {
-			return nil
-		}
-		env.Compute(incCost)
-		if err := rw.Store32(aW, v+1); err != nil {
-			return err
-		}
-		t.Ops++
-		if err := rw.Purge(aW); err != nil {
-			return err
 		}
 		if v+1 >= cfg.Target {
 			return nil
@@ -224,64 +130,68 @@ func onePageDataLoop(env *mether.Env, rw *mether.Mapping, cfg Config, cap mether
 	}
 }
 
-// disjointDataLoop implements the final protocol: disjoint stationary
-// pages; after a couple of losses on the resident copy the waiter purges
-// it and blocks on the data-driven view until the peer's purge broadcast
-// transits.
-func disjointDataLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap mether.Capability, id uint32, t *workload.Tally) error {
-	peerMap, ownAddr, peerAddr, err := disjointViews(env, cap, own, id)
+// disjointLoop implements the disjoint-page protocols 3, 3h and 5: each
+// process writes its own stationary page and propagates every increment,
+// and spins on a read-only copy of the peer's. After limit losses it
+// purges that copy to force a fresh fetch — P3 all but never, P3h every
+// HysteresisN losses, P5 after spinBeforeBlock, then blocking on the
+// data-driven view until the peer's purge broadcast transits. Under
+// SleepHysteresis the P3 pair sleeps after every loss instead.
+func disjointLoop(env *mether.Env, own *mether.Mapping, cfg Config, cap mether.Capability, id uint32, t *workload.Tally) error {
+	peer, err := env.Attach(cap.ReadOnly(), mether.RO)
 	if err != nil {
 		return err
-	}
-	peerData := peerAddr.DataDriven()
-	spins := 0
-	myVal := uint32(0)
-	done := func(v uint32) bool { return v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal }
-	for {
-		// The spin ends on the loss after which the waiter blocks.
-		from := t.Losses
-		v, err := peerMap.Spin32(peerAddr, checkCost, done, spinBeforeBlock-spins, &t.Losses)
-		if spins += int(t.Losses - from); err != nil {
-			return err
-		}
-		switch {
-		case v >= cfg.Target || myVal >= cfg.Target:
-			return nil
-		case v%2 == id && v+1 > myVal:
-			env.Compute(incCost)
-			myVal = v + 1
-			if err := own.Store32(ownAddr, myVal); err != nil {
-				return err
-			}
-			t.Ops++
-			if err := own.Purge(ownAddr); err != nil {
-				return err
-			}
-			if myVal >= cfg.Target {
-				return nil
-			}
-			spins = 0
-		default:
-			spins = 0
-			if err := peerMap.Purge(peerAddr); err != nil {
-				return err
-			}
-			// Touch the data-driven view: sleeps until a transit.
-			if _, err := peerMap.Load32(peerData); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// disjointViews attaches the read-only peer view and computes the short
-// addresses for the disjoint-page protocols (own page = id, peer = 1-id).
-func disjointViews(env *mether.Env, cap mether.Capability, own *mether.Mapping, id uint32) (*mether.Mapping, mether.Addr, mether.Addr, error) {
-	peerMap, err := env.Attach(cap.ReadOnly(), mether.RO)
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	ownAddr := own.Addr(int(id), 0).Short()
-	peerAddr := peerMap.Addr(1-int(id), 0).Short()
-	return peerMap, ownAddr, peerAddr, nil
+	peerAddr := peer.Addr(1-int(id), 0).Short()
+	limit, sleep := cfg.HysteresisN, cfg.SleepHysteresis
+	switch {
+	case cfg.Protocol == P5Final:
+		limit, sleep = spinBeforeBlock, 0
+	case sleep > 0:
+		// Ablation: the paper's first fix — a fixed delay.
+		limit = 1
+	case cfg.Protocol == P3DisjointRO:
+		// The degenerate base protocol: no active update at all, trusting
+		// snoopy refresh — which the spin itself starves.
+		limit = 1 << 30
+	}
+	myVal := uint32(0)
+	done := func(v uint32) bool { return v >= cfg.Target || myVal >= cfg.Target || v%2 == id && v+1 > myVal }
+	for {
+		// A spin ends on a won look or on the loss that purges (or sleeps).
+		v, err := peer.Spin32(peerAddr, checkCost, done, limit, &t.Losses)
+		if err != nil {
+			return err
+		}
+		switch {
+		case v >= cfg.Target || myVal >= cfg.Target:
+			return nil
+		case v%2 == id && v+1 > myVal:
+			env.Compute(incCost)
+			myVal = v + 1
+			if err := own.Store32(ownAddr, myVal); err != nil {
+				return err
+			}
+			t.Ops++
+			if err := own.Purge(ownAddr); err != nil {
+				return err
+			}
+			if myVal >= cfg.Target {
+				return nil
+			}
+		case sleep > 0:
+			env.SleepFor(sleep)
+		default:
+			if err := peer.Purge(peerAddr); err != nil {
+				return err
+			}
+			if cfg.Protocol == P5Final {
+				// Touch the data-driven view: sleeps until a transit.
+				if _, err := peer.Load32(peerAddr.DataDriven()); err != nil {
+					return err
+				}
+			}
+		}
+	}
 }

@@ -115,10 +115,6 @@ type Config struct {
 	// shared axes. With Trunks 2 the counting peers sit on opposite
 	// trunks, so every packet pays the bridge's store-and-forward hop.
 	workload.Options
-
-	// TraceLimit, when positive, records the first N datagrams of the
-	// run with the protocol analyzer, into the report's Trace.
-	TraceLimit int
 }
 
 // Target checks a counter target given on a command line, before anything
@@ -130,10 +126,10 @@ func Target(v uint) (uint32, error) {
 	return uint32(v), nil
 }
 
-// Positive checks a seed, count or duration given on a command line as
-// -name, before anything runs: a zero value runs as its default, so such
-// a flag takes only positive values.
-func Positive[T ~int | ~int64](name string, v T) error {
+// Positive checks a seed given on a command line as -name, before
+// anything runs: a zero seed runs as the default, so such a flag takes
+// only positive values.
+func Positive(name string, v int64) error {
 	if v <= 0 {
 		return fmt.Errorf("-%s %v must be positive", name, v)
 	}

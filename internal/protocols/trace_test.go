@@ -4,19 +4,41 @@ import (
 	"strings"
 	"testing"
 
+	"mether"
+	"mether/internal/trace"
 	"mether/internal/workload"
 )
+
+// traced runs a counter with the protocol analyzer attached by its
+// layout and returns the report and the first 64 datagrams, decoded.
+func traced(t *testing.T, cfg Config) (workload.Report, string) {
+	t.Helper()
+	wl, err := Counter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tap *trace.Log
+	layout := wl.Layout
+	wl.Layout = func(w *mether.World) error {
+		tap = w.AttachTap(64)
+		return layout(w)
+	}
+	r, err := cfg.Run(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, tap.String()
+}
 
 // TestFinalProtocolWireSignature pins the final protocol's on-wire
 // behaviour: after the two startup demand fetches, every increment is
 // exactly one short DATA broadcast — "Only one packet was ever sent per
 // increment: the PURGE packet from the host with the writeable page."
 func TestFinalProtocolWireSignature(t *testing.T) {
-	r := count(t, Config{Protocol: P5Final, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
+	r, trace := traced(t, Config{Protocol: P5Final, Target: 8, Options: workload.Options{Seed: 1}})
 	if r.DNF {
 		t.Fatal("did not finish")
 	}
-	trace := r.Trace.String()
 	lines := strings.Split(strings.TrimSpace(trace), "\n")
 	var kinds []string
 	for _, l := range lines {
@@ -67,8 +89,7 @@ func TestFinalProtocolWireSignature(t *testing.T) {
 // TestFullPageProtocolWireSignature pins protocol 1's pattern: each
 // addition is a request plus one full 8 KiB transfer.
 func TestFullPageProtocolWireSignature(t *testing.T) {
-	r := count(t, Config{Protocol: P1FullPage, Target: 8, TraceLimit: 64, Options: workload.Options{Seed: 1}})
-	trace := r.Trace.String()
+	r, trace := traced(t, Config{Protocol: P1FullPage, Target: 8, Options: workload.Options{Seed: 1}})
 	full := strings.Count(trace, " full")
 	if full < int(r.Ops)-2 {
 		t.Errorf("full-page transfers = %d, want ~%d (one per addition)\n%s", full, r.Ops, trace)

@@ -15,6 +15,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -415,7 +416,16 @@ func (s Scenario) run() (Result, sim.Counters) {
 	if !ok {
 		return res.failed(fmt.Errorf("sweep: unknown scenario kind %q", s.Kind)), sim.Counters{}
 	}
-	opts, err := s.cluster()
+	// A negative count or duration would panic a kind, wrap its op count
+	// or end the run before it starts; zero is the default.
+	err := errors.Join(nonNegative("Iters", s.Iters), nonNegative("Phases", s.Phases),
+		nonNegative("Messages", s.Messages), nonNegative("MsgSize", s.MsgSize),
+		nonNegative("Updates", s.Updates), nonNegative("HysteresisN", s.HysteresisN),
+		nonNegative("Cap", s.Cap), nonNegative("SleepHyst", s.SleepHyst), nonNegative("Stagger", s.Stagger))
+	var opts workload.Options
+	if err == nil {
+		opts, err = s.cluster()
+	}
 	var wl workload.Workload
 	if err == nil {
 		wl, err = k.workload(s, opts)
@@ -429,6 +439,14 @@ func (s Scenario) run() (Result, sim.Counters) {
 	}
 	res.fill(rep, s, k.row)
 	return res, rep.Engine
+}
+
+// nonNegative is the error of a scenario field that is negative.
+func nonNegative[T ~int | ~int64](field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("sweep: %s %v is negative", field, v)
+	}
+	return nil
 }
 
 // failed is the result of a cell that could not run: identity plus Err.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mether/internal/analysis"
+	"mether/internal/choice"
 	"mether/internal/protocols"
 	"mether/internal/workload"
 )
@@ -113,6 +114,109 @@ func TestRunnerFoldsScenarioErrors(t *testing.T) {
 	}
 	if rep.Scenarios[good].Err != "" {
 		t.Errorf("good scenario failed: %s", rep.Scenarios[good].Err)
+	}
+}
+
+// TestScenarioRejectsNegatives holds every count and duration a kind
+// reads to zero or more: zero runs the default, and a negative value is
+// the cell's error, naming the field, where it used to panic the sweep
+// (a slice made or cut to a negative length), wrap the op count, or run
+// nothing and report success.
+func TestScenarioRejectsNegatives(t *testing.T) {
+	p5, p3h := protocols.P5Final, protocols.P3Hysteresis
+	for _, row := range []struct {
+		name  string
+		s     Scenario
+		field string // in the error; "" for a cell that runs
+	}{
+		{"barrier", Scenario{Kind: KindBarrier, Hosts: 2, Phases: 2}, ""},
+		{"pipe", Scenario{Kind: KindPipe, Dist: workload.Fixed{Size: 8}, Messages: 2}, ""},
+		{"pipeline defaults", Scenario{Kind: KindPipeline, Stages: 2}, ""},
+		{"empty messages", Scenario{Kind: KindPipe, Dist: workload.Fixed{}, Messages: 1}, ""},
+		{"default cap", Scenario{Kind: KindCounter, Protocol: p5, Target: 4}, ""},
+		{"one-nanosecond cap", Scenario{Kind: KindCounter, Protocol: p5, Target: 4, Cap: 1}, ""},
+		{"negative Phases", Scenario{Kind: KindBarrier, Hosts: 2, Phases: -1}, "Phases"},
+		{"negative barrier HysteresisN", Scenario{Kind: KindBarrier, Hosts: 2, HysteresisN: -1}, "HysteresisN"},
+		{"negative Messages", Scenario{Kind: KindPipeline, Stages: 2, Messages: -2}, "Messages"},
+		{"negative MsgSize", Scenario{Kind: KindPipeline, Stages: 2, MsgSize: -2}, "MsgSize"},
+		{"negative Dist", Scenario{Kind: KindPipe, Dist: workload.Fixed{Size: -2}, Messages: 1}, "Dist"},
+		{"negative Updates", Scenario{Kind: KindFanout, FanoutMode: protocols.FanoutDataDriven, Readers: 1, Updates: -2}, "Updates"},
+		{"negative hotspot Iters", Scenario{Kind: KindHotspot, Hosts: 2, Iters: -1}, "Iters"},
+		{"negative stationary Iters", Scenario{Kind: KindStationary, Hosts: 2, Iters: -1}, "Iters"},
+		{"negative Stagger", Scenario{Kind: KindStationary, Hosts: 2, Iters: 1, Stagger: -time.Millisecond}, "Stagger"},
+		{"negative counter HysteresisN", Scenario{Kind: KindCounter, Protocol: p3h, Target: 4, HysteresisN: -1}, "HysteresisN"},
+		{"negative SleepHyst", Scenario{Kind: KindCounter, Protocol: p3h, Target: 4, SleepHyst: -time.Millisecond}, "SleepHyst"},
+		{"negative Cap", Scenario{Kind: KindCounter, Protocol: p5, Target: 4, Cap: -time.Second}, "Cap"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			row.s.Name, row.s.Seed = row.name, 1
+			r := row.s.Run()
+			switch {
+			case row.field == "" && r.Err != "":
+				t.Errorf("failed: %s", r.Err)
+			case row.field == "" && r.Ops == 0 && !r.DNF:
+				t.Errorf("ran nothing and finished: %+v", r)
+			case row.field != "" && !strings.Contains(r.Err, row.field):
+				t.Errorf("error %q does not name %s (ops %d, dnf %v)", r.Err, row.field, r.Ops, r.DNF)
+			}
+		})
+	}
+}
+
+// FuzzScenario runs the small scenario its input draws as a choice tape
+// (internal/choice): a cell may fail with an error, but never panic or
+// count more ops than a run can make. The seeds are the error rows of
+// TestScenarioRejectsNegatives and a loss row like TestConfigValidate's.
+func FuzzScenario(f *testing.F) {
+	for _, in := range []string{
+		"\x04\x00\x00\x00\x02\x00\x0a",                                             // barrier Phases -1
+		"\x04\x00\x00\x00\x02\x00\x00\x00\x00\x00\x0a",                             // barrier HysteresisN -1
+		"\x05\x00\x00\x00\x00\x00\x00\x09\x00\x00\x00\x00\x02",                     // pipeline Messages -2
+		"\x05\x00\x00\x00\x00\x00\x00\x00\x09\x00\x00\x00\x02",                     // pipeline MsgSize -2
+		"\x02\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x09",             // pipe Dist Fixed{-2}
+		"\x01\x00\x00\x00\x00\x00\x00\x00\x00\x09\x00\x01",                         // fanout Updates -2
+		"\x03\x00\x00\x00\x02\x0a",                                                 // hotspot Iters -1
+		"\x06\x00\x00\x00\x02\x0a",                                                 // stationary Iters -1
+		"\x06\x00\x00\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x33", // stationary Stagger -1ms
+		"\x00\x00\x05\x03\x00\x00\x00\x00\x00\x00\x0a",                             // P3h HysteresisN -1
+		"\x00\x00\x05\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x33",     // P3h SleepHyst -1ms
+		"\x00\x03\x07\x03", // P5 Cap -1s
+		"\x00\x00\x07\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x06", // P5 LossRate 1.5
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := drawScenario(choice.New(in))
+		if r := s.Run(); r.Err == "" && r.Ops >= 1<<32 {
+			t.Fatalf("%+v: %d ops", s, r.Ops)
+		}
+	})
+}
+
+// drawScenario reads a scenario off the tape, a byte a field in the
+// order below (a zero byte draws 0, or the first value listed): any kind
+// and protocol, Target 1..16, 0..4 hosts, counts -2..8, durations
+// -1..50 ms, loss -0.5..1.5, 0..2 trunks, 3 media, a cap of at most 2 s.
+func drawScenario(tp *choice.Tape) Scenario {
+	kinds := []Kind{KindCounter, KindFanout, KindPipe, KindHotspot, KindBarrier, KindPipeline, KindStationary}
+	caps := []time.Duration{2 * time.Second, 200 * time.Millisecond, time.Millisecond, -time.Second}
+	count := func() int { return (tp.Choose(11)+2)%11 - 2 }
+	dur := func() time.Duration { return time.Duration((tp.Choose(52)+1)%52-1) * time.Millisecond }
+	loss := func() float64 { return float64((tp.Choose(9)+2)%9-2) / 4 }
+	return Scenario{Name: "fuzz", Seed: 1,
+		Kind:     kinds[tp.Choose(len(kinds))],
+		Cap:      caps[tp.Choose(len(caps))],
+		Protocol: protocols.Protocol(tp.Choose(8) + 1),
+		Target:   uint32(tp.Choose(16) + 1),
+		Hosts:    tp.Choose(5),
+		Iters:    count(), Phases: count(), Messages: count(), MsgSize: count(), Updates: count(), HysteresisN: count(),
+		Readers: count(), Stages: count(), Writers: count(),
+		Dist:       workload.Fixed{Size: count()},
+		FanoutMode: protocols.FanoutMode(tp.Choose(2) + 1),
+		SleepHyst:  dur(), Stagger: dur(), CheckEvery: dur(),
+		LossRate: loss(), PortLoss: loss(),
+		Trunks: tp.Choose(3),
+		Medium: []string{"ethernet", "fabric", "token-ring"}[tp.Choose(3)],
 	}
 }
 

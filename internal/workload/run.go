@@ -5,7 +5,6 @@ import (
 
 	"mether"
 	"mether/internal/stats"
-	"mether/internal/trace"
 )
 
 // A Workload is one kind of run, ready for Options.Run: the world it
@@ -47,8 +46,6 @@ type Tally struct {
 	// waits, pipeline deliveries), which the report carries instead of
 	// the drivers' fault latency.
 	Latency *stats.Histogram
-	// Trace, when set, is the protocol analyzer's log of the run.
-	Trace *trace.Log
 }
 
 // Report is what one run measured: the world's harvest, the clients'

@@ -5,11 +5,10 @@
 // the cap and reports through World.Harvest plus the host load every
 // kind shares. The kinds defined here are the single pipe (over the
 // Mether pipe library, with the message-size mixes the paper's
-// applications exhibit: fixed control messages, uniformly sized
-// records, the bimodal control-plus-bulk pattern), hot-page contention,
-// barrier phases, the producer-consumer pipeline and the
-// stationary-owner counter; internal/protocols defines the paper's
-// counter and the fanout.
+// applications exhibit: fixed control messages and the bimodal
+// control-plus-bulk pattern), hot-page contention, barrier phases, the
+// producer-consumer pipeline and the stationary-owner counter;
+// internal/protocols defines the paper's counter and the fanout.
 package workload
 
 import (
@@ -36,20 +35,6 @@ func (f Fixed) Next(*rand.Rand) int { return f.Size }
 
 // Name implements SizeDist.
 func (f Fixed) Name() string { return fmt.Sprintf("fixed-%dB", f.Size) }
-
-// Uniform draws uniformly from [Min, Max].
-type Uniform struct{ Min, Max int }
-
-// Next implements SizeDist.
-func (u Uniform) Next(rng *rand.Rand) int {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + rng.Intn(u.Max-u.Min+1)
-}
-
-// Name implements SizeDist.
-func (u Uniform) Name() string { return fmt.Sprintf("uniform-%d..%dB", u.Min, u.Max) }
 
 // Bimodal models the control+bulk mix: mostly small control messages
 // (short-page fast path) with occasional bulk transfers.
@@ -90,7 +75,9 @@ func Pipe(c PipeConfig) (Workload, error) {
 	rng := rand.New(rand.NewSource(c.Seed))
 	sizes := make([]int, c.Messages)
 	for i := range sizes {
-		sizes[i] = min(c.Dist.Next(rng), pipe.MaxPayload)
+		if sizes[i] = min(c.Dist.Next(rng), pipe.MaxPayload); sizes[i] < 0 {
+			return Workload{}, fmt.Errorf("workload: Dist %s drew %d bytes", c.Dist.Name(), sizes[i])
+		}
 	}
 	var cap mether.Capability
 	return Workload{Hosts: 2, Pages: 8, Tally: &Tally{Ops: uint64(c.Messages)},

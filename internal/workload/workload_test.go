@@ -13,12 +13,6 @@ func TestDistributions(t *testing.T) {
 	if s := (Fixed{Size: 24}).Next(rng); s != 24 {
 		t.Errorf("Fixed.Next = %d", s)
 	}
-	u := Uniform{Min: 10, Max: 20}
-	for i := 0; i < 100; i++ {
-		if s := u.Next(rng); s < 10 || s > 20 {
-			t.Fatalf("Uniform.Next = %d outside [10,20]", s)
-		}
-	}
 	b := Bimodal{Small: 8, Large: 4000, LargeEvery: 4}
 	small, large := 0, 0
 	for i := 0; i < 1000; i++ {
@@ -34,18 +28,10 @@ func TestDistributions(t *testing.T) {
 	if large == 0 || small < large {
 		t.Errorf("Bimodal mix off: %d small, %d large", small, large)
 	}
-	for _, d := range []SizeDist{Fixed{1}, Uniform{1, 2}, b} {
+	for _, d := range []SizeDist{Fixed{1}, b} {
 		if d.Name() == "" {
 			t.Error("empty distribution name")
 		}
-	}
-}
-
-func TestUniformDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	u := Uniform{Min: 5, Max: 5}
-	if s := u.Next(rng); s != 5 {
-		t.Errorf("degenerate uniform = %d", s)
 	}
 }
 

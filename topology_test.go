@@ -198,6 +198,11 @@ func TestConfigValidate(t *testing.T) {
 		{"a fabric with no TxQueue", mether.Config{Medium: mether.MediumConfig{Kind: mether.MediumFabric, Fabric: mether.FabricParams{BandwidthBps: 1e9}}}, false, false},
 		{"an unknown topology shape", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{Shape: 7}}}, false, false},
 		{"a negative Ethernet bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: -1}}}, false, false},
+		{"certain Ethernet loss", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: 1e7, LossRate: 1}}}, true, false},
+		{"an Ethernet loss rate of 2", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: 1e7, LossRate: 2}}}, false, false},
+		{"a negative Ethernet loss rate", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: 1e7, LossRate: -0.1}}}, false, false},
+		{"a fabric loss rate of 1.5", mether.Config{Medium: mether.MediumConfig{Kind: mether.MediumFabric, Fabric: mether.FabricParams{BandwidthBps: 1e9, TxQueue: 64, LossRate: 1.5}}}, false, false},
+		{"a bridge port loss of 5", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{PortLoss: 5}}}, false, false},
 	} {
 		err := row.cfg.Validate()
 		switch {

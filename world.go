@@ -188,8 +188,9 @@ func (c Config) withDefaults() Config {
 // the wire format can name, a page count outside 1..proto.MaxPages, a
 // quantum that is not positive, an unknown medium kind, a medium whose
 // bandwidth (or, on a fabric, TxQueue) is not positive, a trunk count
-// outside 1..Hosts, trunks on a fabric, an unknown topology shape, or a
-// TrunkOf placement naming a trunk that does not exist. Zero-valued
+// outside 1..Hosts, trunks on a fabric, an unknown topology shape, a
+// TrunkOf placement naming a trunk that does not exist, or a loss
+// probability (Ethernet, fabric or bridge port) outside [0, 1]. Zero-valued
 // fields are judged after defaulting, so the zero Config is valid.
 // NewWorld panics with the same message; callers holding configuration
 // from outside the program (sweep cells, flags) call Validate first.
@@ -213,6 +214,11 @@ func (c Config) Validate() error {
 	}
 	if bw := c.Medium.Ethernet.BandwidthBps; c.Medium.Kind == MediumEthernet && bw <= 0 {
 		return fmt.Errorf("mether: Ethernet bandwidth %d b/s is not positive", bw)
+	}
+	for _, p := range []float64{c.Medium.Ethernet.LossRate, c.Medium.Fabric.LossRate, c.Medium.Topology.PortLoss} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("mether: loss probability %v outside [0, 1]", p)
+		}
 	}
 	if c.Trunks < 1 || c.Trunks > c.Hosts {
 		return fmt.Errorf("mether: %d trunks for %d hosts", c.Trunks, c.Hosts)
