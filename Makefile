@@ -50,7 +50,8 @@
 #                        through the driver, bus broadcast, a 96-port
 #                        fabric broadcast landed and drained, the
 #                        server's snoop of one broadcast, full counter
-#                        runs)
+#                        runs, building the 1024-host windowed world,
+#                        per host)
 #                        plus the figure benchmarks at reduced scale
 #   make fuzz          - [FUZZTIME=10s] run each native fuzz target (proto's
 #                        FuzzDecode, fault's FuzzParse, sim's FuzzKernel,
@@ -107,7 +108,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkFabricFanout|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkFabricFanout|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun|BenchmarkWorldBuild
 
 .PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports loc profile
 
@@ -211,11 +212,11 @@ cluster:
 	$(GO) run ./cmd/methersweep -grid cluster -format summary
 
 bench:
-	$(GO) test -run - -bench '$(MICROBENCH)' ./internal/sim ./internal/host ./internal/ethernet ./internal/fabric ./internal/core ./internal/protocols
+	$(GO) test -run - -bench '$(MICROBENCH)' ./internal/sim ./internal/host ./internal/ethernet ./internal/fabric ./internal/core ./internal/protocols .
 	$(GO) test -run - -bench BenchmarkFigures -benchtime 1x .
 
 bench-smoke:
-	$(GO) test -run - -bench '$(MICROBENCH)' -benchtime 1x ./internal/sim ./internal/host ./internal/ethernet ./internal/fabric ./internal/core ./internal/protocols
+	$(GO) test -run - -bench '$(MICROBENCH)' -benchtime 1x ./internal/sim ./internal/host ./internal/ethernet ./internal/fabric ./internal/core ./internal/protocols .
 
 # SEED0 empty lets the script take its first seed from the clock.
 PAIRS ?= 10

@@ -30,10 +30,29 @@ var (
 	ErrNotPresent = errors.New("core: page not present")
 )
 
-// Config carries the Mether driver/server cost model and limits.
+// Config carries the Mether driver/server cost model and limits. The
+// fields every received frame reads come first, NumPages through
+// ByteCost, so that within Driver they share a cache line.
 type Config struct {
 	// NumPages bounds the global Mether page space for this world.
 	NumPages int
+	// KernelServer runs protocol processing at interrupt level instead
+	// of in a user-level server process — the paper's proposed fix for
+	// the context-switch bottleneck. See kernel.go.
+	KernelServer bool
+	// LazyReplicas keeps the receive path from materializing page state
+	// for pages this host has never touched: snooped broadcasts that are
+	// not addressed here are noted in a transit bitmap and skipped
+	// (handling cost is still charged — the skip is memory-only). The
+	// trade is that an untouched seeded replica no longer tracks refresh
+	// broadcasts, so its first materialized read sees the seed-time zeros
+	// rather than the latest transit (pinned by
+	// TestLazyReplicasUntouchedSeedSeesZeros), and redundant-fetch targets
+	// without state never answer. The classic grids leave this off (their warm
+	// multi-trunk and k>1 cells measure exactly those refresh effects);
+	// the 4096/10000-host tiers turn it on, where hosts touch O(1) of the
+	// page space and per-host state must track the working set.
+	LazyReplicas bool
 	// RetryTimeout is how long the server waits for a demand request to
 	// be satisfied before retransmitting. Mether runs over unreliable
 	// datagrams; requests must be retried.
@@ -50,10 +69,6 @@ type Config struct {
 	// the page at least once. Without it two writers ping-pong a page
 	// endlessly with neither making progress.
 	MinResidency time.Duration
-	// KernelServer runs protocol processing at interrupt level instead
-	// of in a user-level server process — the paper's proposed fix for
-	// the context-switch bottleneck. See kernel.go.
-	KernelServer bool
 	// TrunkOf maps every host id to its Ethernet trunk (nil = the
 	// classic single-trunk world). The driver uses it only for
 	// diagnostics: bridge queues reorder broadcasts between trunks, so a
@@ -87,19 +102,6 @@ type Config struct {
 	// distinguish a crashed owner from an unreachable one, and claiming
 	// across a partition would mint a second owner that the heal exposes.
 	ClaimRetries int
-	// LazyReplicas keeps the receive path from materializing page state
-	// for pages this host has never touched: snooped broadcasts that are
-	// not addressed here are noted in a transit bitmap and skipped
-	// (handling cost is still charged — the skip is memory-only). The
-	// trade is that an untouched seeded replica no longer tracks refresh
-	// broadcasts, so its first materialized read sees the seed-time zeros
-	// rather than the latest transit (pinned by
-	// TestLazyReplicasUntouchedSeedSeesZeros), and redundant-fetch targets
-	// without state never answer. The classic grids leave this off (their warm
-	// multi-trunk and k>1 cells measure exactly those refresh effects);
-	// the 4096/10000-host tiers turn it on, where hosts touch O(1) of the
-	// page space and per-host state must track the working set.
-	LazyReplicas bool
 }
 
 // DefaultConfig returns the calibrated Sun-3/50-class server cost model.
@@ -118,20 +120,26 @@ func DefaultConfig(numPages int) Config {
 // coroutine process on the same host (they may block the caller); the
 // server runs as its own process, a host task started by StartServer.
 type Driver struct {
-	h     *host.Host
-	nic   medium.Port
-	cfg   Config
-	id    int16
-	trunk int // this host's trunk (0 when Config.TrunkOf is nil)
-
+	// The fields a received frame reads come first, in its order: the
+	// interrupt wakes the server, the server drains the port, looks the
+	// page up and picks its work, all within three cache lines.
+	h *host.Host
+	// rx is nic's receive side, which the server drains with direct calls.
+	rx *medium.Station
+	// server is the server loop's continuation and task, for either
+	// server: a pointer, so that they cost Driver nothing.
+	server *Server
+	// serverQ is where the user-level server sleeps between frames, and
+	// intrFn the prebuilt closure of the frame-arrival interrupt that
+	// wakes it.
+	serverQ host.WaitQ
+	intrFn  func()
+	nic     medium.Port
 	// shards is the two-level page directory (directory.go): a dense
 	// slice of shard pointers indexed by PageID>>shardBits, with leaf
 	// shards materialized on first touch so footprint tracks the working
 	// set. The hot-path lookup stays a branch plus two indexes.
 	shards []*pageShard
-	// seedRanges records warm-replica seeding (SeedReplicaRange) applied
-	// lazily as directory entries materialize.
-	seedRanges []pageRange
 	// transits marks pages whose TypeData broadcasts were snooped while
 	// unmaterialized (LazyReplicas mode); nil until first needed.
 	transits []uint64
@@ -139,35 +147,37 @@ type Driver struct {
 	// array is reused once the queue empties.
 	workq    []workItem
 	workHead int
-	stopped  bool
-	// server is the server loop's continuation, for either server: a
-	// pointer, so that what the loop remembers costs Driver nothing.
-	server *server
+	// The host's wire id and the flags share a word. down mirrors the
+	// NIC; everCrashed stays set forever after the first crash and gates
+	// the ghost fence (a host that never crashed keeps the plain
+	// want-qualified adopt-or-drop rule); rejoinPending marks a recovery
+	// whose rejoin is still to be measured.
+	id            int16
+	stopped       bool
+	kDraining     bool
+	down          bool
+	everCrashed   bool
+	rejoinPending bool
+	cfg           Config
+
+	// stepFn is the prebuilt closure of the kernel server's drain step.
+	stepFn func()
+	trunk  int // this host's trunk (0 when Config.TrunkOf is nil)
+	// seedRanges records warm-replica seeding (SeedReplicaRange) applied
+	// lazily as directory entries materialize.
+	seedRanges []pageRange
 	// retryFree is the freelist of retry timers (armRetry): a timer is
 	// allocated once and reused, so arming a retry allocates nothing.
 	retryFree *retryTimer
-	kDraining bool
 	m         Metrics
 	// txBuf is the reusable packet-encode scratch buffer: transmit
 	// encodes into it and the NIC copies it onto the (pooled) wire
 	// buffer, so steady-state sends do not allocate.
 	txBuf []byte
-	// serverQ is where the user-level server sleeps between frames;
-	// intrFn and stepFn are the prebuilt closures for the frame-arrival
-	// and kernel-server drain paths.
-	serverQ host.WaitQ
-	intrFn  func()
-	stepFn  func()
-	// Fault-plane state (world.CrashHost / RecoverHost). down mirrors the
-	// NIC; everCrashed stays set forever after the first crash and gates
-	// the ghost fence (a host that never crashed keeps PR 6's exact
-	// adopt-or-drop behaviour). downSince/rejoinStart/rejoinPending drive
-	// the UnavailNS and RejoinNS measurements.
-	down          bool
-	everCrashed   bool
-	rejoinPending bool
-	downSince     time.Duration
-	rejoinStart   time.Duration
+	// Fault-plane state (world.CrashHost / RecoverHost): downSince and
+	// rejoinStart drive the UnavailNS and RejoinNS measurements.
+	downSince   time.Duration
+	rejoinStart time.Duration
 	// redundant is the cached nearest-first extra-target list for
 	// redundant fetches (page-independent, built lazily once); its wire
 	// encoding is cached alongside so request sends do not re-encode it.
@@ -203,20 +213,24 @@ type workItem struct {
 // medium the world was built over). The port's interrupt callback must
 // be wired (by the caller) to d.FrameArrived.
 func New(h *host.Host, n medium.Port, cfg Config) *Driver {
+	d := new(Driver)
+	d.Init(h, n, cfg, new(Server))
+	return d
+}
+
+// Init is New in place: it makes d, which must be the zero Driver, the
+// driver for host h on port n, keeping its server in s, the zero Server.
+// A world keeps its drivers in one slice and their servers in another,
+// both in host order, and initializes each where it lies.
+func (d *Driver) Init(h *host.Host, n medium.Port, cfg Config, s *Server) {
 	if cfg.NumPages <= 0 || cfg.NumPages > addrPageMax || cfg.NumPages > proto.MaxPages {
 		panic(fmt.Sprintf("core: NumPages %d out of range", cfg.NumPages))
 	}
 	if h.ID() > proto.MaxHostID {
 		panic(fmt.Sprintf("core: host id %d beyond the wire format's %d", h.ID(), proto.MaxHostID))
 	}
-	d := &Driver{
-		h:      h,
-		nic:    n,
-		cfg:    cfg,
-		id:     int16(h.ID()),
-		shards: make([]*pageShard, (cfg.NumPages+shardSize-1)>>shardBits),
-		server: new(server),
-	}
+	d.h, d.nic, d.rx, d.cfg, d.id, d.server = h, n, n.Rx(), cfg, int16(h.ID()), s
+	d.shards = make([]*pageShard, (cfg.NumPages+shardSize-1)>>shardBits)
 	if cfg.TrunkOf != nil {
 		d.trunk = cfg.TrunkOf[h.ID()]
 	}
@@ -226,7 +240,6 @@ func New(h *host.Host, n medium.Port, cfg Config) *Driver {
 		// server worlds never call it, so don't box a closure per driver.
 		d.stepFn = func() { d.kernelStep() }
 	}
-	return d
 }
 
 // Metrics returns the driver's counters; the pointer stays valid for the

@@ -9,14 +9,16 @@ import (
 	"mether/internal/sim"
 )
 
-// server is the continuation of the one server loop (advance): where the
-// loop stands between two charge points, the item in hand and the send
-// it queued. It lives behind Driver.server rather than in Driver, whose
-// size is a report byte (MemFootprint).
-type server struct {
-	// proc is the user-level server, a host task; nil in kernel-server
-	// mode and before StartServer.
-	proc  *host.Proc
+// Server is one host's Mether server: the user-level server's host task
+// and the continuation of the one server loop (advance), where the loop
+// stands between two charge points, the item in hand and the send it
+// queued. It lives behind Driver.server rather than in Driver, whose size
+// is a report byte (MemFootprint), and a world keeps its servers in one
+// slice in host order (Driver.Init).
+type Server struct {
+	// proc is the user-level server, a host task; unstarted in
+	// kernel-server mode and before StartServer.
+	proc  host.Proc
 	phase phase
 	// The received frame in hand, if the item is one: its buffer, held
 	// until the item ends, because pkt and everything installed from it
@@ -74,20 +76,36 @@ func (d *Driver) StartServer() {
 	if d.cfg.KernelServer {
 		return
 	}
-	d.server.proc = d.h.SpawnTask("metherd", func() host.Want {
-		if cost, ok := d.advance(); ok {
+	d.h.StartTask(&d.server.proc, "metherd", d.step)
+}
+
+// step is the user-level server's body: the loop runs on to its next
+// charge point, passing the transitions that charge nothing, which the
+// scheduler would serve at once.
+func (d *Driver) step() host.Want {
+	for {
+		cost, ok := d.advance()
+		if !ok {
+			break
+		}
+		if cost > 0 {
 			return host.UseCPU(cost, host.CPUSys)
 		}
-		if d.stopped {
-			return host.Want{}
-		}
-		return host.WaitOn(&d.serverQ)
-	})
+	}
+	if d.stopped {
+		return host.Want{}
+	}
+	return host.WaitOn(&d.serverQ)
 }
 
 // Server returns the server process (nil before StartServer, and in
 // kernel-server mode).
-func (d *Driver) Server() *host.Proc { return d.server.proc }
+func (d *Driver) Server() *host.Proc {
+	if d.server.proc.Host() == nil {
+		return nil
+	}
+	return &d.server.proc
+}
 
 // advance is the server loop, one transition per call: it runs the
 // server to its next charge point and returns the CPU to charge there;
@@ -112,7 +130,7 @@ func (d *Driver) advance() (cost time.Duration, ok bool) {
 		if d.stopped {
 			return 0, false
 		}
-		if f, ok := d.nic.Recv(); ok {
+		if f, ok := d.rx.Recv(); ok {
 			// The parse goes through the buffer's decode-once view (view.go):
 			// for a broadcast, only the first of the N receiving servers
 			// actually parses the header, but every receiver still pays its
@@ -612,12 +630,12 @@ func (d *Driver) lazyLookup(pkt *proto.Packet) *pageState {
 			return d.page(pkt.Page)
 		}
 	case proto.TypeData:
-		if int(pkt.OwnerTo) == d.h.ID() {
+		if pkt.OwnerTo == d.id {
 			return d.page(pkt.Page)
 		}
 		d.noteTransit(pkt.Page)
 	case proto.TypeRestData:
-		if int(pkt.OwnerTo) == d.h.ID() {
+		if pkt.OwnerTo == d.id {
 			return d.page(pkt.Page)
 		}
 	}
@@ -628,7 +646,7 @@ func (d *Driver) lazyLookup(pkt *proto.Packet) *pageState {
 func (d *Driver) handleData(st *pageState, pkt *proto.Packet) {
 	st.transitSeq++
 	gen := uint64(pkt.Gen)
-	toMe := int(pkt.OwnerTo) == d.h.ID()
+	toMe := pkt.OwnerTo == d.id
 	// A claim is a self-grant (Consistent with OwnerTo == From): the
 	// sender re-minted an orphaned page's authority. No ordinary serve
 	// produces this shape, so it only appears in fault worlds with
@@ -690,7 +708,7 @@ func (d *Driver) handleData(st *pageState, pkt *proto.Packet) {
 		// host id — so of any racing pair, one side yields on receiving
 		// the other's claim and the other side drops the loser's claim as
 		// stale below.
-		if gen > st.frame.Gen() || (gen == st.frame.Gen() && int(pkt.From) < d.h.ID()) {
+		if gen > st.frame.Gen() || (gen == st.frame.Gen() && pkt.From < d.id) {
 			if st.frame.Install(pkt.Data, gen) != nil {
 				return
 			}
@@ -789,7 +807,7 @@ func (d *Driver) sendRestData(st *pageState, to int16, then afterSend) {
 
 // handleRestData installs or refreshes the superset remainder.
 func (d *Driver) handleRestData(st *pageState, pkt *proto.Packet) {
-	if int(pkt.OwnerTo) == d.h.ID() {
+	if pkt.OwnerTo == d.id {
 		if d.everCrashed && !st.wantRest {
 			// Ghost fence, rest flavour: a crashed host adopts no rest
 			// grant it is not currently asking for — it is pre-crash

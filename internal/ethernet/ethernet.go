@@ -202,9 +202,16 @@ func (b *Bus) Attach(name string, intr func()) *NIC {
 // role keeps a world's ring memory proportional to its real fan-in
 // instead of hosts × uniform-worst-case.
 func (b *Bus) AttachWithRing(name string, intr func(), ringCap int) *NIC {
-	n := &NIC{bus: b, Station: medium.NewStation(len(b.nics), name, intr, ringCap)}
-	b.nics = append(b.nics, n)
+	n := new(NIC)
+	b.join(n, name, intr, ringCap)
 	return n
+}
+
+// join is AttachWithRing in place: it makes n, which must be the zero
+// NIC, the segment's next NIC (Topology.Join).
+func (b *Bus) join(n *NIC, name string, intr func(), ringCap int) {
+	n.bus, n.Station = b, medium.NewStation(len(b.nics), name, intr, ringCap)
+	b.nics = append(b.nics, n)
 }
 
 // AttachPort and AttachPortWithRing are the medium-contract attach

@@ -145,12 +145,21 @@ func (t *Topology) AttachPort(name string, intr func()) medium.Port {
 // AttachPortWithRing adds the next station, on its placed trunk, with an
 // explicit receive-ring bound.
 func (t *Topology) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
+	n := new(NIC)
+	t.Join(n, name, intr, ringCap)
+	return n
+}
+
+// Join is AttachPortWithRing in place: n, which must be the zero NIC,
+// joins its placed trunk as the next station. A world keeps its hosts'
+// NICs in one slice, in host order, and joins each where it lies.
+func (t *Topology) Join(n *NIC, name string, intr func(), ringCap int) {
 	trunk := 0
 	if t.attached < len(t.place) {
 		trunk = t.place[t.attached]
 	}
 	t.attached++
-	return t.buses[trunk].AttachWithRing(name, intr, ringCap)
+	t.buses[trunk].join(n, name, intr, ringCap)
 }
 
 // Trunks returns the number of buses.

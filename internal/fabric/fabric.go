@@ -178,10 +178,18 @@ func (fb *Fabric) AttachPort(name string, intr func()) medium.Port {
 
 // AttachPortWithRing adds a port with an explicit receive-ring bound.
 func (fb *Fabric) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
-	p := &Port{fab: fb, Station: medium.NewStation(len(fb.ports), name, intr, ringCap)}
+	p := new(Port)
+	fb.Join(p, name, intr, ringCap)
+	return p
+}
+
+// Join is AttachPortWithRing in place: it makes p, which must be the
+// zero Port, the fabric's next port. A world keeps its hosts' ports in
+// one slice, in host order, and joins each where it lies.
+func (fb *Fabric) Join(p *Port, name string, intr func(), ringCap int) {
+	p.fab, p.Station = fb, medium.NewStation(len(fb.ports), name, intr, ringCap)
 	fb.ports = append(fb.ports, p)
 	fb.links = append(fb.links, nil)
-	return p
 }
 
 // linkTo returns (materializing if needed) the src→dst link.

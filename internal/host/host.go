@@ -140,12 +140,20 @@ type Host struct {
 
 // New creates a host scheduled by kernel k.
 func New(k *sim.Kernel, id int, name string, pr Params) *Host {
+	h := new(Host)
+	h.Init(k, id, name, pr)
+	return h
+}
+
+// Init is New in place: it makes h, which must be the zero Host, a host
+// scheduled by kernel k. A world keeps its hosts in one slice, in id
+// order, and initializes each where it lies.
+func (h *Host) Init(k *sim.Kernel, id int, name string, pr Params) {
 	if pr.Quantum <= 0 {
 		panic("host: Quantum must be positive")
 	}
-	h := &Host{k: k, id: id, name: name, pr: pr}
+	h.k, h.id, h.name, h.pr = k, id, name, pr
 	h.dispatchFn = h.finishDispatch
-	return h
 }
 
 // Kernel returns the simulation kernel driving this host.

@@ -37,11 +37,19 @@ func WaitOn(q *WaitQ) Want {
 // resume costs a callback instead of two coroutine switches. step must
 // not block: the Proc's own Use and Sleep methods are not for tasks.
 func (h *Host) SpawnTask(name string, step func() Want) *Proc {
-	p := &Proc{h: h, name: name, state: stateRunnable, step: step}
+	p := new(Proc)
+	h.StartTask(p, name, step)
+	return p
+}
+
+// StartTask is SpawnTask in place: p, which must be the zero Proc,
+// becomes the task. A world keeps its servers' tasks in one slice, in
+// host order.
+func (h *Host) StartTask(p *Proc, name string, step func() Want) {
+	p.h, p.name, p.state, p.step = h, name, stateRunnable, step
 	p.resumeFn = p.resume
 	h.procs = append(h.procs, p)
 	h.k.AfterCoalesced(0, "spawn", p.resumeFn)
 	h.enqueue(p)
 	h.maybeDispatch()
-	return p
 }

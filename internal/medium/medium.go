@@ -87,6 +87,10 @@ type Port interface {
 	// Recv dequeues the oldest received frame, reporting false when the
 	// ring is empty. The frame's payload stays valid until Release.
 	Recv() (Frame, bool)
+	// Rx returns the port's receive side, the Station it embeds: a
+	// receiver that drains every frame (the Mether server) keeps it and
+	// reads its ring with direct calls.
+	Rx() *Station
 	// Release hands a received frame's buffer back to the medium's pool.
 	// Optional — non-releasing receivers (taps) merely opt out of
 	// recycling — and at most once per received frame.

@@ -281,6 +281,11 @@ func (p *specPort) TxSuppressed() uint64         { return p.suppressed }
 func (p *specPort) RingHighWater() int           { return p.high }
 func (p *specPort) RingCap() int                 { return p.bound }
 func (p *specPort) MemFootprint() uint64         { return 0 }
+
+// Rx: the reference keeps its ring in a slice, not a Station, and the
+// runner drains every port through Recv.
+func (p *specPort) Rx() *medium.Station { return nil }
+
 func (p *specPort) Recv() (f medium.Frame, ok bool) {
 	if len(p.ring) == 0 {
 		return f, false

@@ -34,6 +34,10 @@ func NewStation(id int, name string, intr func(), ringCap int) Station {
 // ID returns the station's dense address on its medium (attach order).
 func (s *Station) ID() int { return s.id }
 
+// Rx returns the station itself: what a Port's holder calls to reach its
+// receive side without an interface call per frame.
+func (s *Station) Rx() *Station { return s }
+
 // Name returns the diagnostic name given at attach.
 func (s *Station) Name() string { return s.name }
 

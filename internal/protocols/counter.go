@@ -1,7 +1,6 @@
 package protocols
 
 import (
-	"fmt"
 	"math"
 
 	"mether"
@@ -14,9 +13,9 @@ import (
 // the increments won (the figures' additions), its tally the looks
 // lost.
 func Counter(c Config) (workload.Workload, error) {
-	c = c.withDefaults()
-	if c.Protocol < BaselineSingle || c.Protocol > P5Final {
-		return workload.Workload{}, fmt.Errorf("protocols: unknown protocol %d", c.Protocol)
+	c, err := c.withDefaults()
+	if err != nil {
+		return workload.Workload{}, err
 	}
 	t := new(workload.Tally)
 	var capRW mether.Capability

@@ -45,18 +45,29 @@ type FanoutConfig struct {
 	workload.Options
 }
 
+func (c FanoutConfig) withDefaults() (FanoutConfig, error) {
+	if err := workload.NonNegative("Updates", c.Updates); err != nil {
+		return c, fmt.Errorf("protocols: fanout %w", err)
+	}
+	if c.Readers <= 0 {
+		return c, fmt.Errorf("protocols: need at least one reader")
+	}
+	if c.Mode != FanoutDataDriven && c.Mode != FanoutDemand {
+		return c, fmt.Errorf("protocols: unknown fanout mode %d", c.Mode)
+	}
+	if c.Updates == 0 {
+		c.Updates = 32
+	}
+	return c, nil
+}
+
 // Fanout is one writer publishing paced updates to Readers reader
 // hosts: client 0 writes on host 0, client r reads on host r. Its ops
 // are the updates, and its tally counts the updates readers skipped.
 func Fanout(c FanoutConfig) (workload.Workload, error) {
-	if c.Readers <= 0 {
-		return workload.Workload{}, fmt.Errorf("protocols: need at least one reader")
-	}
-	if c.Mode != FanoutDataDriven && c.Mode != FanoutDemand {
-		return workload.Workload{}, fmt.Errorf("protocols: unknown fanout mode %d", c.Mode)
-	}
-	if c.Updates == 0 {
-		c.Updates = 32
+	c, err := c.withDefaults()
+	if err != nil {
+		return workload.Workload{}, err
 	}
 	t := &workload.Tally{Ops: uint64(c.Updates)}
 	var capRW mether.Capability

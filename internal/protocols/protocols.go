@@ -11,6 +11,7 @@
 package protocols
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -136,12 +137,19 @@ func Positive(name string, v int64) error {
 	return nil
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults() (Config, error) {
+	if err := errors.Join(workload.NonNegative("HysteresisN", c.HysteresisN),
+		workload.NonNegative("SleepHysteresis", c.SleepHysteresis)); err != nil {
+		return c, fmt.Errorf("protocols: counter %w", err)
+	}
+	if c.Protocol < BaselineSingle || c.Protocol > P5Final {
+		return c, fmt.Errorf("protocols: unknown protocol %d", c.Protocol)
+	}
 	if c.Target == 0 {
 		c.Target = 1024
 	}
 	if c.HysteresisN == 0 {
 		c.HysteresisN = 100
 	}
-	return c
+	return c, nil
 }

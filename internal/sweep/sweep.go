@@ -418,10 +418,11 @@ func (s Scenario) run() (Result, sim.Counters) {
 	}
 	// A negative count or duration would panic a kind, wrap its op count
 	// or end the run before it starts; zero is the default.
-	err := errors.Join(nonNegative("Iters", s.Iters), nonNegative("Phases", s.Phases),
-		nonNegative("Messages", s.Messages), nonNegative("MsgSize", s.MsgSize),
-		nonNegative("Updates", s.Updates), nonNegative("HysteresisN", s.HysteresisN),
-		nonNegative("Cap", s.Cap), nonNegative("SleepHyst", s.SleepHyst), nonNegative("Stagger", s.Stagger))
+	err := errors.Join(workload.NonNegative("Iters", s.Iters), workload.NonNegative("Phases", s.Phases),
+		workload.NonNegative("Messages", s.Messages), workload.NonNegative("MsgSize", s.MsgSize),
+		workload.NonNegative("Updates", s.Updates), workload.NonNegative("HysteresisN", s.HysteresisN),
+		workload.NonNegative("Cap", s.Cap), workload.NonNegative("SleepHyst", s.SleepHyst),
+		workload.NonNegative("Stagger", s.Stagger))
 	var opts workload.Options
 	if err == nil {
 		opts, err = s.cluster()
@@ -439,14 +440,6 @@ func (s Scenario) run() (Result, sim.Counters) {
 	}
 	res.fill(rep, s, k.row)
 	return res, rep.Engine
-}
-
-// nonNegative is the error of a scenario field that is negative.
-func nonNegative[T ~int | ~int64](field string, v T) error {
-	if v < 0 {
-		return fmt.Errorf("sweep: %s %v is negative", field, v)
-	}
-	return nil
 }
 
 // failed is the result of a cell that could not run: identity plus Err.

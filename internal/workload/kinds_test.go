@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,6 +36,62 @@ var kinds = map[string]func(workload.Options) (workload.Workload, error){
 	"stationary": func(o workload.Options) (workload.Workload, error) {
 		return workload.Stationary(workload.StationaryConfig{Hosts: 8, Iters: 16, Options: o})
 	},
+}
+
+// TestKindsRejectNegatives calls every kind's constructor directly with
+// one count or duration negative: each must refuse it with an error that
+// names the field, where a kind used to panic making a slice of that
+// length, wrap its op count or run nothing and report success.
+func TestKindsRejectNegatives(t *testing.T) {
+	p3h := protocols.P3Hysteresis
+	for _, row := range []struct {
+		field string
+		build func() (workload.Workload, error)
+	}{
+		{"HysteresisN", func() (workload.Workload, error) {
+			return protocols.Counter(protocols.Config{Protocol: p3h, Target: 4, HysteresisN: -1})
+		}},
+		{"SleepHysteresis", func() (workload.Workload, error) {
+			return protocols.Counter(protocols.Config{Protocol: p3h, Target: 4, SleepHysteresis: -time.Millisecond})
+		}},
+		{"Updates", func() (workload.Workload, error) {
+			return protocols.Fanout(protocols.FanoutConfig{Mode: protocols.FanoutDataDriven, Readers: 1, Updates: -2})
+		}},
+		{"Messages", func() (workload.Workload, error) {
+			return workload.Pipe(workload.PipeConfig{Dist: workload.Fixed{Size: 8}, Messages: -1})
+		}},
+		{"Hosts", func() (workload.Workload, error) { return workload.Hotspot(workload.HotspotConfig{Hosts: -1}) }},
+		{"Iters", func() (workload.Workload, error) { return workload.Hotspot(workload.HotspotConfig{Iters: -1}) }},
+		{"Writers", func() (workload.Workload, error) { return workload.Hotspot(workload.HotspotConfig{Writers: -1}) }},
+		{"Phases", func() (workload.Workload, error) { return workload.Barrier(workload.BarrierConfig{Phases: -1}) }},
+		{"Work", func() (workload.Workload, error) {
+			return workload.Barrier(workload.BarrierConfig{Work: -time.Millisecond})
+		}},
+		{"HysteresisPurge", func() (workload.Workload, error) {
+			return workload.Barrier(workload.BarrierConfig{HysteresisPurge: -1})
+		}},
+		{"CheckEvery", func() (workload.Workload, error) {
+			return workload.Barrier(workload.BarrierConfig{CheckEvery: -time.Microsecond})
+		}},
+		{"Stages", func() (workload.Workload, error) { return workload.Pipeline(workload.PipelineConfig{Stages: -1}) }},
+		{"Messages", func() (workload.Workload, error) { return workload.Pipeline(workload.PipelineConfig{Messages: -2}) }},
+		{"Size", func() (workload.Workload, error) { return workload.Pipeline(workload.PipelineConfig{Size: -2}) }},
+		{"Iters", func() (workload.Workload, error) { return workload.Stationary(workload.StationaryConfig{Iters: -1}) }},
+		{"StaggerStart", func() (workload.Workload, error) {
+			return workload.Stationary(workload.StationaryConfig{StaggerStart: -time.Millisecond})
+		}},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("negative %s panicked: %v", row.field, p)
+				}
+			}()
+			if _, err := row.build(); err == nil || !strings.Contains(err.Error(), row.field) {
+				t.Errorf("negative %s: error %v does not name it", row.field, err)
+			}
+		}()
+	}
 }
 
 // bridgedLossy is a world with every hazard the harvest counts: wire

@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -55,6 +56,10 @@ type HotspotConfig struct {
 }
 
 func (c HotspotConfig) withDefaults() (HotspotConfig, error) {
+	if err := errors.Join(NonNegative("Hosts", c.Hosts), NonNegative("Iters", c.Iters),
+		NonNegative("Writers", c.Writers), NonNegative("OwnerTrunk", c.OwnerTrunk)); err != nil {
+		return c, fmt.Errorf("workload: hotspot %w", err)
+	}
 	if c.Hosts == 0 {
 		c.Hosts = 4
 	}
@@ -154,6 +159,10 @@ type BarrierConfig struct {
 }
 
 func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
+	if err := errors.Join(NonNegative("Hosts", c.Hosts), NonNegative("Phases", c.Phases), NonNegative("Work", c.Work),
+		NonNegative("HysteresisPurge", c.HysteresisPurge), NonNegative("CheckEvery", c.CheckEvery)); err != nil {
+		return c, fmt.Errorf("workload: barrier %w", err)
+	}
 	if c.Hosts == 0 {
 		c.Hosts = 4
 	}
@@ -278,6 +287,10 @@ type PipelineConfig struct {
 }
 
 func (c PipelineConfig) withDefaults() (PipelineConfig, error) {
+	if err := errors.Join(NonNegative("Stages", c.Stages), NonNegative("Messages", c.Messages),
+		NonNegative("Size", c.Size)); err != nil {
+		return c, fmt.Errorf("workload: pipeline %w", err)
+	}
 	if c.Stages == 0 {
 		c.Stages = 3
 	}

@@ -10,6 +10,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -52,6 +53,10 @@ type StationaryConfig struct {
 }
 
 func (c StationaryConfig) withDefaults() (StationaryConfig, error) {
+	if err := errors.Join(NonNegative("Hosts", c.Hosts), NonNegative("Iters", c.Iters),
+		NonNegative("StaggerStart", c.StaggerStart)); err != nil {
+		return c, fmt.Errorf("workload: stationary %w", err)
+	}
 	if c.Hosts == 0 {
 		c.Hosts = 4
 	}

@@ -19,6 +19,18 @@ import (
 	"mether/pipe"
 )
 
+// NonNegative is the error of a count or duration that is negative,
+// naming its field: zero runs the default, and a negative value would
+// panic a slice made to its length, wrap an op count or end a run before
+// it starts. Every kind's config checks its own with it, and a sweep
+// cell its fields under their names.
+func NonNegative[T ~int | ~int64](field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s %v is negative", field, v)
+	}
+	return nil
+}
+
 // SizeDist draws message sizes.
 type SizeDist interface {
 	// Next returns the next message size in bytes.
@@ -69,7 +81,10 @@ type PipeConfig struct {
 // pipe's payload) from host 0 to host 1 through one pipe; the receiver
 // checks every size. Its ops are the messages.
 func Pipe(c PipeConfig) (Workload, error) {
-	if c.Dist == nil || c.Messages <= 0 {
+	if err := NonNegative("Messages", c.Messages); err != nil {
+		return Workload{}, fmt.Errorf("workload: pipe %w", err)
+	}
+	if c.Dist == nil || c.Messages == 0 {
 		return Workload{}, fmt.Errorf("workload: need a distribution and messages")
 	}
 	rng := rand.New(rand.NewSource(c.Seed))

@@ -202,6 +202,9 @@ func TestConfigValidate(t *testing.T) {
 		{"an Ethernet loss rate of 2", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: 1e7, LossRate: 2}}}, false, false},
 		{"a negative Ethernet loss rate", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: 1e7, LossRate: -0.1}}}, false, false},
 		{"a fabric loss rate of 1.5", mether.Config{Medium: mether.MediumConfig{Kind: mether.MediumFabric, Fabric: mether.FabricParams{BandwidthBps: 1e9, TxQueue: 64, LossRate: 1.5}}}, false, false},
+		{"an Ethernet loss rate and no bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{LossRate: 0.5}}}, false, false},
+		{"an Ethernet loss rate of 2 and no bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{LossRate: 2}}}, false, false},
+		{"a host cost model without a quantum", mether.Config{HostParams: host.Params{CtxSwitch: time.Millisecond}}, false, false},
 		{"a bridge port loss of 5", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{PortLoss: 5}}}, false, false},
 	} {
 		err := row.cfg.Validate()

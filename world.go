@@ -33,6 +33,7 @@ package mether
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"mether/internal/core"
@@ -100,12 +101,12 @@ type MediumConfig struct {
 	// Kind selects the backend: MediumEthernet ("" defaults to it) or
 	// MediumFabric.
 	Kind string
-	// Ethernet is the shared-bus model (default ethernet.DefaultParams);
-	// with Config.Trunks > 1 it parameterizes every trunk. Used only
-	// when Kind is MediumEthernet.
+	// Ethernet is the shared-bus model (default ethernet.DefaultParams
+	// when wholly zero); with Config.Trunks > 1 it parameterizes every
+	// trunk. Used only when Kind is MediumEthernet.
 	Ethernet ethernet.Params
-	// Fabric is the point-to-point model (default fabric.DefaultParams).
-	// Used only when Kind is MediumFabric.
+	// Fabric is the point-to-point model (default fabric.DefaultParams
+	// when wholly zero). Used only when Kind is MediumFabric.
 	Fabric FabricParams
 	// Topology parameterizes the bridges of a multi-trunk Ethernet
 	// (shape, store-and-forward delay, backlogs, per-port loss); ignored
@@ -128,7 +129,8 @@ type Config struct {
 	Pages int
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// HostParams is the workstation cost model (default host.DefaultParams).
+	// HostParams is the workstation cost model (default host.DefaultParams
+	// when wholly zero).
 	HostParams host.Params
 	// Medium scopes the interconnect: kind, parameters, topology and
 	// ring sizing. The zero value is the classic shared Ethernet.
@@ -162,16 +164,19 @@ func (c Config) withDefaults() Config {
 	if c.Pages == 0 {
 		c.Pages = 64
 	}
-	if c.HostParams.Quantum == 0 {
+	// A parameter block is defaulted whole only when none of it is set:
+	// one that sets a loss rate and no bandwidth is kept, for Validate to
+	// refuse, rather than swapped for a lossless default.
+	if c.HostParams == (host.Params{}) {
 		c.HostParams = host.DefaultParams()
 	}
 	if c.Medium.Kind == "" {
 		c.Medium.Kind = MediumEthernet
 	}
-	if c.Medium.Ethernet.BandwidthBps == 0 {
+	if c.Medium.Ethernet == (ethernet.Params{}) {
 		c.Medium.Ethernet = ethernet.DefaultParams()
 	}
-	if c.Medium.Fabric.BandwidthBps == 0 {
+	if c.Medium.Fabric == (fabric.Params{}) {
 		c.Medium.Fabric = fabric.DefaultParams()
 	}
 	if c.Core.NumPages == 0 {
@@ -191,7 +196,9 @@ func (c Config) withDefaults() Config {
 // outside 1..Hosts, trunks on a fabric, an unknown topology shape, a
 // TrunkOf placement naming a trunk that does not exist, or a loss
 // probability (Ethernet, fabric or bridge port) outside [0, 1]. Zero-valued
-// fields are judged after defaulting, so the zero Config is valid.
+// fields are judged after defaulting, so the zero Config is valid; a
+// HostParams, Ethernet or Fabric block is defaulted only when wholly
+// zero, so one set in part is judged as given.
 // NewWorld panics with the same message; callers holding configuration
 // from outside the program (sweep cells, flags) call Validate first.
 func (c Config) Validate() error {
@@ -278,8 +285,10 @@ func NewWorld(cfg Config) *World {
 	coreCfg.TrunkOf = nil
 	coreCfg.TrunkHops = nil
 	defaultRing := cfg.Medium.Ethernet.RxRing
+	var fab *fabric.Fabric
 	if cfg.Medium.Kind == MediumFabric {
-		w.med = fabric.New(w.k, cfg.Medium.Fabric)
+		fab = fabric.New(w.k, cfg.Medium.Fabric)
+		w.med = fab
 		defaultRing = cfg.Medium.Fabric.RxRing
 	} else {
 		w.topo = ethernet.NewTopology(w.k, cfg.Trunks, cfg.Medium.Ethernet, cfg.Medium.Topology)
@@ -303,20 +312,59 @@ func NewWorld(cfg Config) *World {
 		// target ordering (same trunk beats one hop beats two).
 		coreCfg.TrunkHops = w.topo.Hops
 	}
-	for i := 0; i < cfg.Hosts; i++ {
-		h := host.New(w.k, i, fmt.Sprintf("host%d", i), cfg.HostParams)
-		var d *core.Driver
+	// Each kind of per-host record is one slice in host order, so a
+	// broadcast's walk over its receivers — port, driver, host, server —
+	// goes through memory in order rather than across the heap.
+	n := cfg.Hosts
+	hosts := make([]host.Host, n)
+	drivers := make([]core.Driver, n)
+	servers := make([]core.Server, n)
+	var nics []ethernet.NIC
+	var ports []fabric.Port
+	if fab != nil {
+		ports = make([]fabric.Port, n)
+	} else {
+		nics = make([]ethernet.NIC, n)
+	}
+	names := hostNames(n)
+	w.hosts = make([]*host.Host, n)
+	w.drivers = make([]*core.Driver, n)
+	for i := 0; i < n; i++ {
+		h, d := &hosts[i], &drivers[i]
+		h.Init(w.k, i, names[i], cfg.HostParams)
 		ring := defaultRing
 		if cfg.Medium.RingOf != nil {
 			ring = cfg.Medium.RingOf(i)
 		}
-		port := w.med.AttachPortWithRing(h.Name(), func() { d.FrameArrived() }, ring)
-		d = core.New(h, port, coreCfg)
+		var port medium.Port
+		if fab != nil {
+			fab.Join(&ports[i], h.Name(), d.FrameArrived, ring)
+			port = &ports[i]
+		} else {
+			w.topo.Join(&nics[i], h.Name(), d.FrameArrived, ring)
+			port = &nics[i]
+		}
+		d.Init(h, port, coreCfg, &servers[i])
 		d.StartServer()
-		w.hosts = append(w.hosts, h)
-		w.drivers = append(w.drivers, d)
+		w.hosts[i], w.drivers[i] = h, d
 	}
 	return w
+}
+
+// hostNames returns "host0" … "host<n-1>", all slices of one string.
+func hostNames(n int) []string {
+	var b []byte
+	ends := make([]int, n)
+	for i := range ends {
+		b = strconv.AppendInt(append(b, "host"...), int64(i), 10)
+		ends[i] = len(b)
+	}
+	all, names := string(b), make([]string, n)
+	start := 0
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
 }
 
 // NumHosts returns the cluster size.
