@@ -4,8 +4,9 @@
 #                        tests, race tests, smoke sweep, a bench smoke pass,
 #                        a 16-host cluster smoke sweep (which also gates
 #                        the engine on an allocs/event ceiling of 0.1),
-#                        the nested bench/ module's own vet and short tests
-#                        and the committed-report comparison (golden).
+#                        the nested bench/ module's own vet and short tests,
+#                        the committed-report comparison (golden) and the
+#                        32-bit smoke run against it (wordsize).
 #                        Each stage ends with a machine-readable
 #                        "CI-STAGE <name>: PASS|FAIL" line so the GitHub
 #                        Actions log is scannable at a glance.
@@ -35,6 +36,11 @@
 #                        file committed under testdata/golden/
 #                        (EXPERIMENTS.md for the last)
 #   make golden-update - regenerate those files after an intended change
+#   make wordsize      - methersweep built for a 32-bit target (GOARCH=386)
+#                        must print the smoke grid's golden CSV, less the
+#                        mem_bytes and bytes_per_host columns, which count
+#                        pointers: a report may not depend on the width
+#                        of int
 #   make bench         - the hot-path microbenchmarks (kernel dispatch incl.
 #                        the 4096-deep timer population, three timers far
 #                        apart and a 96-timer burst, 95 coalesced
@@ -110,11 +116,11 @@ GO ?= go
 
 MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkFabricFanout|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun|BenchmarkWorldBuild
 
-.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports loc profile
+.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update wordsize cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
-CI_STAGES = fmt-check vet test race smoke bench-smoke cluster-smoke bench-module golden
+CI_STAGES = fmt-check vet test race smoke bench-smoke cluster-smoke bench-module golden wordsize
 
 ci:
 	@for s in $(CI_STAGES); do \
@@ -191,6 +197,20 @@ golden:
 golden-update:
 	$(MAKE) --no-print-directory golden-write OUT=$(GOLDEN_DIR)
 	mv $(GOLDEN_DIR)/EXPERIMENTS.md EXPERIMENTS.md
+
+# Both CSVs are cut to the golden header's columns other than the two
+# pointer-counting ones. The cut splits on every comma, so a quoted
+# comma before those columns would fail the stage, never pass it.
+WORDSIZE_OUT ?= .wordsize-out
+
+wordsize:
+	@rm -rf $(WORDSIZE_OUT) && mkdir -p $(WORDSIZE_OUT) && trap 'rm -rf $(WORDSIZE_OUT)' EXIT && \
+	GOARCH=386 $(GO) build -o $(WORDSIZE_OUT)/methersweep ./cmd/methersweep && \
+	$(WORDSIZE_OUT)/methersweep -q -grid smoke -format csv -o $(WORDSIZE_OUT)/smoke.csv && \
+	cols=$$(head -1 $(GOLDEN_DIR)/smoke.csv | tr , '\n' | grep -nvxE 'mem_bytes|bytes_per_host' | cut -d: -f1 | paste -sd, -) && \
+	cut -d, -f$$cols $(GOLDEN_DIR)/smoke.csv > $(WORDSIZE_OUT)/want.csv && \
+	cut -d, -f$$cols $(WORDSIZE_OUT)/smoke.csv > $(WORDSIZE_OUT)/got.csv && \
+	cmp $(WORDSIZE_OUT)/want.csv $(WORDSIZE_OUT)/got.csv
 
 cluster-large:
 	$(GO) run ./cmd/methersweep -grid cluster -hosts 1024 -format summary

@@ -9,8 +9,8 @@ import (
 )
 
 // This file executes internal/fault schedules against a World: host
-// crash and recovery, bridge partition and heal, and owner migration
-// become first-class kernel events installed before the run starts.
+// crash and recovery and bridge partition and heal become first-class
+// kernel events installed before the run starts.
 // The schedule is pure data and every event runs at its virtual time
 // under the seeded kernel, so a faulted run is byte-identical across
 // runs and sweep worker counts — and an empty schedule is a provable
@@ -54,8 +54,6 @@ func (w *World) applyFault(e fault.Event) {
 		_ = w.PartitionBridge(e.Bridge)
 	case fault.Heal:
 		_ = w.HealBridge(e.Bridge)
-	case fault.Migrate:
-		w.MigrateHost(e.Host, e.Dest)
 	}
 }
 
@@ -93,13 +91,6 @@ func (w *World) setPartitioned(bridge int, down bool) error {
 	}
 	brs[bridge].SetPartitioned(down)
 	return nil
-}
-
-// MigrateHost re-homes every page authority resident on src to dst,
-// shipping the resident working set MOSIX-style (core.Driver.MigrateTo).
-// Returns the number of authorities moved (0 if either end is down).
-func (w *World) MigrateHost(src, dst int) int {
-	return w.drivers[src].MigrateTo(w.drivers[dst])
 }
 
 // OrphanedPages counts created pages that currently have no consistent

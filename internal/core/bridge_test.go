@@ -32,7 +32,7 @@ func newBridgedCluster(t *testing.T, n, splitAt int) *testCluster {
 		}
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
-		nic := bus.Attach(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
+		nic := bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
 		d = New(h, nic, cfg)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
@@ -119,7 +119,7 @@ func TestCrossTrunkStaleCounted(t *testing.T) {
 		}
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
-		nic := bus.Attach(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
+		nic := bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
 		d = New(h, nic, cfg)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
@@ -156,7 +156,7 @@ func TestCrossTrunkStaleCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spoof := busB.Attach(fmt.Sprintf("spoof%d", from), nil)
+		spoof := busB.AttachPort(fmt.Sprintf("spoof%d", from), nil)
 		c.k.After(at-c.k.Now(), "inject stale", func() { spoof.Send(medium.Broadcast, pkt) })
 	}
 	// A stale generation-0 copy arrives late, "sent" by trunk-B host 2.

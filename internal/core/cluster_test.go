@@ -46,7 +46,7 @@ func newTestCluster(t testing.TB, n int, ep ethernet.Params, cfg Config) *testCl
 	for i := 0; i < n; i++ {
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
-		nic := c.bus.Attach(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
+		nic := c.bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
 		d = New(h, nic, cfg)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)

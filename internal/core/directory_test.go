@@ -191,7 +191,7 @@ func lazyDiffState(t *testing.T, c *testCluster, pages int) string {
 	for pg := 0; pg < pages; pg++ {
 		d := c.drivers[pg%len(c.drivers)]
 		st := d.page(vm.PageID(pg))
-		out += fmt.Sprintf("page%d gen=%d data=%x\n", pg, st.frame.Gen(), st.frame.Snapshot(true))
+		out += fmt.Sprintf("page%d gen=%d data=%x\n", pg, st.frame.Gen(), st.frame.Region(true))
 	}
 	return out
 }

@@ -183,6 +183,7 @@ type Driver struct {
 	// encoding is cached alongside so request sends do not re-encode it.
 	redundant    []int16
 	redundantEnc []byte
+	pad          [8]byte // holds Driver at 1152 B: 18 whole 64-byte lines per slab element
 }
 
 type workKind uint8

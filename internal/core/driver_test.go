@@ -709,7 +709,7 @@ func TestOutOfRangePageFrameIsDropped(t *testing.T) {
 			cfg := fastConfig(4)
 			cfg.LazyReplicas = row.lazy
 			c := newTestCluster(t, 2, ethernet.DefaultParams(), cfg)
-			c.bus.Attach("tx", nil).Send(medium.Broadcast, row.frame(t))
+			c.bus.AttachPort("tx", nil).Send(medium.Broadcast, row.frame(t))
 			c.run(t, time.Second)
 			if minimal == 0 {
 				minimal = c.drivers[0].Server().Sys()

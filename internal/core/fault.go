@@ -8,12 +8,12 @@ import (
 )
 
 // This file is the driver's side of the fault-injection plane
-// (internal/fault schedules, executed by the world layer): crash,
-// recovery and owner migration. Crash models a power failure — the NIC
-// goes down and every byte of driver state is lost — while client
-// processes keep their mappings and simply re-fault. All of it runs at
-// virtual time under the simulation kernel, so a faulted run is exactly
-// as deterministic as a healthy one.
+// (internal/fault schedules, executed by the world layer): crash and
+// recovery. Crash models a power failure — the NIC goes down and every
+// byte of driver state is lost — while client processes keep their
+// mappings and simply re-fault. All of it runs at virtual time under
+// the simulation kernel, so a faulted run is exactly as deterministic
+// as a healthy one.
 
 // Crash takes the host off the wire and wipes the driver's protocol
 // state in place. "In place" matters: client processes sleep holding
@@ -142,58 +142,4 @@ func (d *Driver) SettleFaults(end time.Duration) {
 		d.rejoinPending = false
 		d.m.RejoinNS += end - d.rejoinStart
 	}
-}
-
-// MigrateTo re-homes every authority resident on this host to dst,
-// shipping the owner's resident working set with it MOSIX-style: the
-// page bytes and their generation move together, so the authority stays
-// generation-fenced through the move. The transfer is modeled as an
-// out-of-band bulk copy (no per-page broadcasts — a real migration
-// ships the working set in one stream, not through the coherence
-// protocol); requesters find the new owner naturally because requests
-// are broadcast. The source keeps non-authoritative replicas, and pages
-// mid-lock or mid-purge stay put (their authority migrates on a later
-// event, if any). Returns the number of authorities moved.
-func (d *Driver) MigrateTo(dst *Driver) int {
-	if d.down || dst.down || d == dst {
-		return 0
-	}
-	now := d.h.Kernel().Now()
-	moved := 0
-	for _, s := range d.shards {
-		if s == nil {
-			continue
-		}
-		for i := range s {
-			st := &s[i]
-			if !st.inited || (!st.owner && !st.restOwner) || st.locked || st.purgePending {
-				continue
-			}
-			dstSt := dst.page(st.page)
-			if err := dstSt.frame.Install(st.frame.Snapshot(false), st.frame.Gen()); err != nil {
-				continue
-			}
-			dstSt.shortPresent, dstSt.restPresent = true, true
-			dstSt.wantShort, dstSt.wantRest = false, false
-			if st.owner {
-				st.owner = false
-				st.grantedTo = dst.id
-				dstSt.owner = true
-				dstSt.grantedTo = proto.NoOwner
-				dstSt.installedAt = now
-				dstSt.wantConsistent = false
-			}
-			if st.restOwner {
-				st.restOwner = false
-				st.grantedRestTo = dst.id
-				dstSt.restOwner = true
-				dstSt.grantedRestTo = proto.NoOwner
-			}
-			dst.m.MigratedPages++
-			dst.clearRetryIfDone(dstSt)
-			dst.h.WakeupQ(&dstSt.waitQ)
-			moved++
-		}
-	}
-	return moved
 }

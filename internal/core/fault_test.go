@@ -172,7 +172,7 @@ func TestGhostFenceRefusesUnwantedGrant(t *testing.T) {
 
 	// A pre-crash ownership grant arrives for the recovered host, which
 	// wants nothing: the fence must drop it without installing.
-	raw := c.bus.Attach("ghost-granter", nil)
+	raw := c.bus.AttachPort("ghost-granter", nil)
 	payload := make([]byte, 32)
 	payload[0] = 99
 	b, err := proto.Encode(proto.Packet{

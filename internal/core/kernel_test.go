@@ -21,7 +21,7 @@ func newKernelCluster(t *testing.T, n int) *testCluster {
 	for i := 0; i < n; i++ {
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
-		nic := c.bus.Attach(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
+		nic := c.bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
 		d = New(h, nic, cfg)
 		d.StartServer() // no-op in kernel mode
 		c.hosts = append(c.hosts, h)

@@ -129,7 +129,7 @@ func TestRedundantLoserSuppressedAndBuffersReleased(t *testing.T) {
 		}
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), params)
 		var d *Driver
-		nic := c.bus.Attach(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
+		nic := c.bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
 		d = New(h, nic, cfg)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
@@ -308,7 +308,7 @@ func TestLateReplyPastRetryWindowAdoptOrDrop(t *testing.T) {
 		}
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
-		nic := bus.Attach(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
+		nic := bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
 		d = New(h, nic, cfg)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)

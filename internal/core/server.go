@@ -245,7 +245,7 @@ func (d *Driver) handleWork(w workItem) {
 // the wire (Consistent with OwnerTo == From — a self-grant no ordinary
 // serve ever produces), which is what lets two racing claimants
 // arbitrate deterministically in handleData. Everything is re-checked
-// first: data or a migration may have landed between the retry timer
+// first: data or a grant may have landed between the retry timer
 // and this work item.
 func (d *Driver) serveClaim(st *pageState) {
 	st.claimTries = 0

@@ -181,11 +181,9 @@ type Metrics struct {
 	// claim path after a crashed owner stopped answering; GhostDrops
 	// counts stale authority grants refused by the post-crash want fence
 	// (a recovered ghost must not re-mint authority from a pre-crash
-	// grant); MigratedPages counts authorities shipped here by an owner
-	// migration.
+	// grant).
 	OrphanRecoveries uint64
 	GhostDrops       uint64
-	MigratedPages    uint64
 	// UnavailNS totals this host's NIC-down windows; RejoinNS totals
 	// recovery-to-first-reinstall latencies (cold re-join time through
 	// the lazy directory attach path).
@@ -223,7 +221,6 @@ func (m *Metrics) Add(o *Metrics) {
 	m.KernelTime += o.KernelTime
 	m.OrphanRecoveries += o.OrphanRecoveries
 	m.GhostDrops += o.GhostDrops
-	m.MigratedPages += o.MigratedPages
 	m.UnavailNS += o.UnavailNS
 	m.RejoinNS += o.RejoinNS
 	m.FaultLatency.Merge(&o.FaultLatency)

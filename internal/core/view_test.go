@@ -17,17 +17,17 @@ import (
 type viewFixture struct {
 	k   *sim.Kernel
 	bus *ethernet.Bus
-	tx  *ethernet.NIC
-	rx  [2]*ethernet.NIC
+	tx  medium.Port
+	rx  [2]medium.Port
 }
 
 func newViewFixture(t *testing.T) *viewFixture {
 	t.Helper()
 	f := &viewFixture{k: sim.New(1)}
 	f.bus = ethernet.NewBus(f.k, ethernet.DefaultParams())
-	f.tx = f.bus.Attach("tx", nil)
+	f.tx = f.bus.AttachPort("tx", nil)
 	for i := range f.rx {
-		f.rx[i] = f.bus.Attach(fmt.Sprintf("h%d", i), nil)
+		f.rx[i] = f.bus.AttachPort(fmt.Sprintf("h%d", i), nil)
 	}
 	t.Cleanup(f.k.Shutdown)
 	return f

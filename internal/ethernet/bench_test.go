@@ -14,11 +14,11 @@ func benchBroadcast(b *testing.B, nics, payload int) {
 	b.Helper()
 	k := sim.New(1)
 	bus := NewBus(k, DefaultParams())
-	rx := make([]*NIC, nics)
+	rx := make([]medium.Port, nics)
 	for i := 0; i < nics; i++ {
 		i := i
-		var n *NIC
-		n = bus.Attach("rx", func() {
+		var n medium.Port
+		n = bus.AttachPort("rx", func() {
 			for {
 				f, ok := n.Recv()
 				if !ok {
@@ -29,7 +29,7 @@ func benchBroadcast(b *testing.B, nics, payload int) {
 		})
 		rx[i] = n
 	}
-	tx := bus.Attach("tx", nil)
+	tx := bus.AttachPort("tx", nil)
 	buf := make([]byte, payload)
 	// Pace sends at the wire's drain rate so in-flight frames stay
 	// bounded and the pool reaches steady state (a faster pump would

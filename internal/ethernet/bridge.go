@@ -85,9 +85,9 @@ func (s *BridgeStats) add(o BridgeStats) {
 // NewBridge joins segments a and b with the given store-and-forward
 // delay. The bridge occupies one NIC address on each segment.
 func NewBridge(k *sim.Kernel, a, b *Bus, delay time.Duration) *Bridge {
-	br := &Bridge{k: k, a: a, b: b, delay: delay}
-	br.aPort = a.Attach("bridge", func() { br.pump(br.aPort, br.bPort, &br.bBacklog, &br.bLoss) })
-	br.bPort = b.Attach("bridge", func() { br.pump(br.bPort, br.aPort, &br.aBacklog, &br.aLoss) })
+	br := &Bridge{k: k, a: a, b: b, delay: delay, aPort: new(NIC), bPort: new(NIC)}
+	a.join(br.aPort, "bridge", func() { br.pump(br.aPort, br.bPort, &br.bBacklog, &br.bLoss) }, a.p.RxRing)
+	b.join(br.bPort, "bridge", func() { br.pump(br.bPort, br.aPort, &br.aBacklog, &br.aLoss) }, b.p.RxRing)
 	return br
 }
 

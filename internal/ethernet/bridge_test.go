@@ -18,7 +18,7 @@ func bridged(delay time.Duration) (*sim.Kernel, *Bus, *Bus, *Bridge) {
 
 func TestBridgeForwardsBothWays(t *testing.T) {
 	k, a, b, br := bridged(time.Millisecond)
-	hostA, hostB := a.Attach("hostA", nil), b.Attach("hostB", nil)
+	hostA, hostB := a.AttachPort("hostA", nil), b.AttachPort("hostB", nil)
 	hostA.Send(medium.Broadcast, []byte("from-a"))
 	hostB.Send(medium.Broadcast, []byte("from-b"))
 	k.Run()
@@ -27,10 +27,10 @@ func TestBridgeForwardsBothWays(t *testing.T) {
 
 func TestBridgeAddsDelay(t *testing.T) {
 	k, a, b, _ := bridged(5 * time.Millisecond)
-	local := a.Attach("local", nil)
+	local := a.AttachPort("local", nil)
 	var localAt, remoteAt time.Duration
-	a.Attach("sameTrunk", func() { localAt = k.Now() })
-	b.Attach("otherTrunk", func() { remoteAt = k.Now() })
+	a.AttachPort("sameTrunk", func() { localAt = k.Now() })
+	b.AttachPort("otherTrunk", func() { remoteAt = k.Now() })
 	local.Send(medium.Broadcast, []byte("x"))
 	k.Run()
 	if remoteAt-localAt < 5*time.Millisecond {
@@ -48,8 +48,8 @@ func TestBridgeAddsDelay(t *testing.T) {
 func TestPurgeOrderingDiffersAcrossTrunks(t *testing.T) {
 	k, a, b, br := bridged(time.Millisecond)
 	br.SetBacklog(4*time.Millisecond, 0) // background traffic piles up toward trunk A
-	hostA, hostB := a.Attach("hostA", nil), b.Attach("hostB", nil)
-	observerA, observerB := a.Attach("observerA", nil), b.Attach("observerB", nil)
+	hostA, hostB := a.AttachPort("hostA", nil), b.AttachPort("hostB", nil)
+	observerA, observerB := a.AttachPort("observerA", nil), b.AttachPort("observerB", nil)
 	k.After(time.Millisecond, "purgeA", func() { hostA.Send(medium.Broadcast, []byte("purge-A")) })
 	k.After(time.Millisecond+time.Microsecond, "purgeB", func() { hostB.Send(medium.Broadcast, []byte("purge-B")) })
 	k.Run()
@@ -62,9 +62,9 @@ func TestBridgeLoopFreeTopology(t *testing.T) {
 	a, b, c := NewBus(k, DefaultParams()), NewBus(k, DefaultParams()), NewBus(k, DefaultParams())
 	NewBridge(k, a, b, time.Millisecond)
 	NewBridge(k, b, c, time.Millisecond)
-	src := a.Attach("src", nil)
+	src := a.AttachPort("src", nil)
 	got := 0
-	c.Attach("dst", func() { got++ })
+	c.AttachPort("dst", func() { got++ })
 	src.Send(medium.Broadcast, []byte("end-to-end"))
 	k.Run()
 	want(t, "end-to-end deliveries", got, 1)
@@ -78,9 +78,9 @@ func TestBridgeForwardingUnderOverflow(t *testing.T) {
 	k := sim.New(1)
 	a, b := NewBus(k, p), NewBus(k, p)
 	br := NewBridge(k, a, b, 100*time.Microsecond)
-	sink := b.Attach("sink", nil)
+	sink := b.AttachPort("sink", nil)
 	for i := 0; i < 6; i++ {
-		a.Attach("tx", nil).Send(medium.Broadcast, []byte{'0' + byte(i)})
+		a.AttachPort("tx", nil).Send(medium.Broadcast, []byte{'0' + byte(i)})
 	}
 	k.Run()
 	want(t, "forwarded, sink frames, sink drops", fmt.Sprint(br.Forwarded(), recv(sink), sink.Drops()), "6 [0 1] 4")
@@ -91,7 +91,7 @@ func TestBridgeForwardingUnderOverflow(t *testing.T) {
 // again after the heal.
 func TestBridgePartitionDrainsQueuedFrames(t *testing.T) {
 	k, a, b, br := bridged(10 * time.Millisecond)
-	hostA, hostB := a.Attach("hostA", nil), b.Attach("hostB", nil)
+	hostA, hostB := a.AttachPort("hostA", nil), b.AttachPort("hostB", nil)
 	for i := 0; i < 4; i++ {
 		hostA.Send(medium.Broadcast, []byte{byte(i)})
 	}

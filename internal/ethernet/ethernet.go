@@ -188,43 +188,30 @@ func (b *Bus) PoolStats() (allocated, free int) {
 	return b.pool.Stats()
 }
 
-// Attach adds a NIC to the segment with the segment-default ring
+// AttachPort adds a NIC to the segment with the segment-default ring
 // capacity (Params.RxRing). intr is invoked in kernel event context
 // whenever a frame is queued into the NIC's receive ring; it is
 // typically wired to a host interrupt that wakes the Mether server.
-func (b *Bus) Attach(name string, intr func()) *NIC {
-	return b.AttachWithRing(name, intr, b.p.RxRing)
+func (b *Bus) AttachPort(name string, intr func()) medium.Port {
+	return b.AttachPortWithRing(name, intr, b.p.RxRing)
 }
 
-// AttachWithRing adds a NIC with an explicit receive-ring capacity,
+// AttachPortWithRing adds a NIC with an explicit receive-ring capacity,
 // overriding the segment default. Only hosts that see fan-in bursts
 // (owners and servers at the large tiers) need deep rings; sizing by
 // role keeps a world's ring memory proportional to its real fan-in
 // instead of hosts × uniform-worst-case.
-func (b *Bus) AttachWithRing(name string, intr func(), ringCap int) *NIC {
+func (b *Bus) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
 	n := new(NIC)
 	b.join(n, name, intr, ringCap)
 	return n
 }
 
-// join is AttachWithRing in place: it makes n, which must be the zero
-// NIC, the segment's next NIC (Topology.Join).
+// join is AttachPortWithRing in place: it makes n, which must be the
+// zero NIC, the segment's next NIC (Topology.Join, NewBridge).
 func (b *Bus) join(n *NIC, name string, intr func(), ringCap int) {
 	n.bus, n.Station = b, medium.NewStation(len(b.nics), name, intr, ringCap)
 	b.nics = append(b.nics, n)
-}
-
-// AttachPort and AttachPortWithRing are the medium-contract attach
-// surface: identical to Attach/AttachWithRing, returning the NIC as a
-// medium.Port. (Separate methods only because the concrete returns
-// above predate the contract and the bridge/topology layers use them.)
-func (b *Bus) AttachPort(name string, intr func()) medium.Port {
-	return b.Attach(name, intr)
-}
-
-// AttachPortWithRing attaches with an explicit ring bound; see AttachPort.
-func (b *Bus) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
-	return b.AttachWithRing(name, intr, ringCap)
 }
 
 // NIC is one station on the segment; it implements medium.Port. The

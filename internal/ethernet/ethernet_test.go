@@ -17,19 +17,19 @@ import (
 
 // segment attaches n NICs to a bus with p; at[i] records the instants
 // NIC i's interrupt fired.
-func segment(p Params, n int) (k *sim.Kernel, b *Bus, nics []*NIC, at [][]time.Duration) {
+func segment(p Params, n int) (k *sim.Kernel, b *Bus, nics []medium.Port, at [][]time.Duration) {
 	k = sim.New(1)
 	b = NewBus(k, p)
 	at = make([][]time.Duration, n)
 	for i := 0; i < n; i++ {
 		i := i
-		nics = append(nics, b.Attach(fmt.Sprint("n", i), func() { at[i] = append(at[i], k.Now()) }))
+		nics = append(nics, b.AttachPort(fmt.Sprint("n", i), func() { at[i] = append(at[i], k.Now()) }))
 	}
 	return k, b, nics, at
 }
 
 // recv drains a NIC, releasing every frame, and returns the payloads.
-func recv(n *NIC) (got []string) {
+func recv(n medium.Port) (got []string) {
 	for f, ok := n.Recv(); ok; f, ok = n.Recv() {
 		got = append(got, string(f.Payload))
 		n.Release(f)
@@ -122,8 +122,8 @@ func TestLossIsDeterministicPerSeed(t *testing.T) {
 		p.LossRate = 0.5
 		k := sim.New(seed)
 		b := NewBus(k, p)
-		tx := b.Attach("tx", nil)
-		b.Attach("rx", nil)
+		tx := b.AttachPort("tx", nil)
+		b.AttachPort("rx", nil)
 		for i := 0; i < 100; i++ {
 			tx.Send(medium.Broadcast, []byte{byte(i)})
 		}
@@ -336,8 +336,8 @@ func TestBroadcastBufferSharedUntilAllRelease(t *testing.T) {
 func TestLazyRingGrowsOnDemand(t *testing.T) {
 	k := sim.New(1)
 	b := NewBus(k, DefaultParams())
-	rx := b.AttachWithRing("rx", nil, 1024)
-	tx := b.Attach("tx", nil)
+	rx := b.AttachPortWithRing("rx", nil, 1024)
+	tx := b.AttachPort("tx", nil)
 	idle := rx.MemFootprint()
 	var sent []string
 	for i := 0; i < 100; i++ {
@@ -350,12 +350,12 @@ func TestLazyRingGrowsOnDemand(t *testing.T) {
 }
 
 // Per-NIC bounds coexist: a deep server ring absorbs what a default
-// client ring drops, and Attach is AttachWithRing(default).
+// client ring drops, and AttachPort is AttachPortWithRing(default).
 func TestAttachWithRingRoleAwareSizing(t *testing.T) {
 	p := DefaultParams()
 	p.RxRing = 4
 	k, b, n, _ := segment(p, 2)
-	server := b.AttachWithRing("server", nil, 64)
+	server := b.AttachPortWithRing("server", nil, 64)
 	for i := 0; i < 20; i++ {
 		n[0].Send(medium.Broadcast, []byte{byte(i)})
 	}

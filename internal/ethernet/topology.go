@@ -83,7 +83,7 @@ func (tc TopologyConfig) withDefaults() TopologyConfig {
 // Topology is a set of trunks (buses) joined by bridges into a loop-free
 // tree. It is the Ethernet world's medium.Medium: the n-th port attached
 // through it lands on the trunk Place assigned to station n. Tests that
-// want a NIC on a specific trunk use Bus(i).Attach.
+// want a NIC on a specific trunk use Bus(i).AttachPort.
 type Topology struct {
 	shape   Shape
 	buses   []*Bus

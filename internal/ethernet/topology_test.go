@@ -14,7 +14,7 @@ func countersOn(t *Topology) (got []int) {
 	got = make([]int, t.Trunks())
 	for i := range got {
 		i := i
-		t.Bus(i).Attach("counter", func() { got[i]++ })
+		t.Bus(i).AttachPort("counter", func() { got[i]++ })
 	}
 	return got
 }
@@ -23,7 +23,7 @@ func TestStarTopologyFloodsEveryTrunkOnce(t *testing.T) {
 	k := sim.New(1)
 	topo := NewTopology(k, 4, DefaultParams(), TopologyConfig{Shape: Star})
 	got := countersOn(topo)
-	topo.Bus(2).Attach("src", nil).Send(medium.Broadcast, []byte("hello"))
+	topo.Bus(2).AttachPort("src", nil).Send(medium.Broadcast, []byte("hello"))
 	k.Run()
 	// Across bridge 2-0 once, then 0-1 and 0-3.
 	want(t, "deliveries per trunk, forwards", fmt.Sprint(got, topo.BridgeStats().Forwarded), "[1 1 1 1] 3")
@@ -34,8 +34,8 @@ func TestLinearTopologyChainsEndToEnd(t *testing.T) {
 	topo := NewTopology(k, 4, DefaultParams(), TopologyConfig{Shape: Linear, BridgeDelay: time.Millisecond})
 	got := countersOn(topo)
 	var lastAt time.Duration
-	topo.Bus(3).Attach("far", func() { lastAt = k.Now() })
-	topo.Bus(0).Attach("src", nil).Send(medium.Broadcast, []byte("x"))
+	topo.Bus(3).AttachPort("far", func() { lastAt = k.Now() })
+	topo.Bus(0).AttachPort("src", nil).Send(medium.Broadcast, []byte("x"))
 	k.Run()
 	want(t, "deliveries per trunk, forwards, three 1ms hops paid", fmt.Sprint(got, topo.BridgeStats().Forwarded, lastAt >= 3*time.Millisecond), "[1 1 1 1] 3 true")
 }
@@ -44,8 +44,8 @@ func TestLinearTopologyChainsEndToEnd(t *testing.T) {
 func TestTopologyStatsCountCrossTrunkFramesPerWire(t *testing.T) {
 	k := sim.New(1)
 	topo := NewTopology(k, 2, DefaultParams(), TopologyConfig{})
-	topo.Bus(1).Attach("rx", nil)
-	topo.Bus(0).Attach("src", nil).Send(medium.Broadcast, []byte("cross"))
+	topo.Bus(1).AttachPort("rx", nil)
+	topo.Bus(0).AttachPort("src", nil).Send(medium.Broadcast, []byte("cross"))
 	k.Run()
 	want(t, "frames", topo.Stats().Frames, 2)
 }
@@ -53,9 +53,9 @@ func TestTopologyStatsCountCrossTrunkFramesPerWire(t *testing.T) {
 func TestBridgePortLossDropsAndCounts(t *testing.T) {
 	k, a, b, br := bridged(time.Millisecond)
 	br.SetPortLoss(0, 1) // everything toward B is lost
-	src := a.Attach("src", nil)
+	src := a.AttachPort("src", nil)
 	got := 0
-	b.Attach("rx", func() { got++ })
+	b.AttachPort("rx", func() { got++ })
 	for i := 0; i < 5; i++ {
 		src.Send(medium.Broadcast, []byte("doomed"))
 	}
@@ -69,8 +69,8 @@ func TestBridgePortLossDeterministicAcrossRuns(t *testing.T) {
 		k := sim.New(99)
 		topo := NewTopology(k, 2, DefaultParams(), TopologyConfig{PortLoss: 0.3})
 		got := 0
-		topo.Bus(1).Attach("rx", func() { got++ })
-		src := topo.Bus(0).Attach("src", nil)
+		topo.Bus(1).AttachPort("rx", func() { got++ })
+		src := topo.Bus(0).AttachPort("src", nil)
 		for i := 0; i < 64; i++ {
 			src.Send(medium.Broadcast, []byte{byte(i)})
 		}
@@ -88,8 +88,8 @@ func TestBridgePortLossDeterministicAcrossRuns(t *testing.T) {
 
 func TestBridgeOccupancyTracksStoreAndForwardQueue(t *testing.T) {
 	k, a, b, br := bridged(100 * time.Millisecond) // a long dwell
-	src := a.Attach("src", nil)
-	b.Attach("rx", nil)
+	src := a.AttachPort("src", nil)
+	b.AttachPort("rx", nil)
 	for i := 0; i < 4; i++ {
 		src.Send(medium.Broadcast, []byte("queued"))
 	}
@@ -103,7 +103,7 @@ func TestBridgeOccupancyTracksStoreAndForwardQueue(t *testing.T) {
 func TestTopologyStatsSumTxSuppressed(t *testing.T) {
 	k := sim.New(1)
 	topo := NewTopology(k, 2, DefaultParams(), TopologyConfig{})
-	n := topo.Bus(1).Attach("station", nil)
+	n := topo.Bus(1).AttachPort("station", nil)
 	n.SetDown(true)
 	n.Send(medium.Broadcast, []byte("swallowed"))
 	k.Run()

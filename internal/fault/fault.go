@@ -1,10 +1,10 @@
 // Package fault defines deterministic, virtual-time fault schedules
-// for a simulated Mether cluster: host crashes and recoveries, bridge
-// partitions and heals, and owner migration. A Schedule is pure data —
-// a sorted list of (time, kind, target) events — that the world layer
-// installs as first-class kernel events before a run starts, so a
-// faulted run is exactly as deterministic as a healthy one: same seed,
-// same schedule, byte-identical report across runs and worker counts.
+// for a simulated Mether cluster: host crashes and recoveries, and
+// bridge partitions and heals. A Schedule is pure data — a sorted list
+// of (time, kind, target) events — that the world layer installs as
+// first-class kernel events before a run starts, so a faulted run is
+// exactly as deterministic as a healthy one: same seed, same schedule,
+// byte-identical report across runs and worker counts.
 //
 // Randomized schedules (Churn) are pre-drawn at build time from a
 // seeded generator, never from the kernel's run-time stream, so adding
@@ -39,10 +39,6 @@ const (
 	Partition
 	// Heal brings a partitioned bridge's ports back up.
 	Heal
-	// Migrate re-homes every page authority resident on Host to Dest,
-	// shipping the owner's resident working set MOSIX-style. The
-	// source keeps non-authoritative replicas.
-	Migrate
 )
 
 var kindNames = map[Kind]string{
@@ -50,7 +46,6 @@ var kindNames = map[Kind]string{
 	Recover:   "recover",
 	Partition: "partition",
 	Heal:      "heal",
-	Migrate:   "migrate",
 }
 
 func (k Kind) String() string {
@@ -60,15 +55,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("fault.Kind(%d)", uint8(k))
 }
 
-// Event is one scheduled fault. Host/Dest index the world's hosts;
-// Bridge indexes Topology.Bridges(). Only the fields the Kind uses are
-// meaningful (Bridge for Partition/Heal, Host for the rest, Dest only
-// for Migrate).
+// Event is one scheduled fault. Host indexes the world's hosts; Bridge
+// indexes Topology.Bridges(). Only the field the Kind uses is
+// meaningful (Bridge for Partition/Heal, Host for the rest).
 type Event struct {
 	At     time.Duration
 	Kind   Kind
 	Host   int
-	Dest   int
 	Bridge int
 }
 
@@ -76,8 +69,6 @@ func (e Event) String() string {
 	switch e.Kind {
 	case Partition, Heal:
 		return fmt.Sprintf("%s@%v:b%d", e.Kind, e.At, e.Bridge)
-	case Migrate:
-		return fmt.Sprintf("%s@%v:h%d>h%d", e.Kind, e.At, e.Host, e.Dest)
 	default:
 		return fmt.Sprintf("%s@%v:h%d", e.Kind, e.At, e.Host)
 	}
@@ -117,13 +108,6 @@ func (s Schedule) Heal(at time.Duration, bridge int) Schedule {
 	return s
 }
 
-// Migrate appends an owner-migration event re-homing host's resident
-// authorities to dest.
-func (s Schedule) Migrate(at time.Duration, host, dest int) Schedule {
-	s.Events = append(s.Events, Event{At: at, Kind: Migrate, Host: host, Dest: dest})
-	return s
-}
-
 // Sorted returns the events in execution order (time, then insertion
 // order for ties — sort.SliceStable keeps same-time events in the
 // order the schedule listed them, which is part of the determinism
@@ -136,9 +120,9 @@ func (s Schedule) Sorted() []Event {
 }
 
 // Validate checks every event against the world's shape: host indexes
-// in [0, hosts), bridge indexes in [0, bridges), non-negative times,
-// migrate source != dest. It does not check semantic ordering (e.g. a
-// Recover without a prior Crash) — the world treats those as no-ops.
+// in [0, hosts), bridge indexes in [0, bridges), non-negative times.
+// It does not check semantic ordering (e.g. a Recover without a prior
+// Crash) — the world treats those as no-ops.
 func (s Schedule) Validate(hosts, bridges int) error {
 	for i, e := range s.Events {
 		if e.At < 0 {
@@ -152,16 +136,6 @@ func (s Schedule) Validate(hosts, bridges int) error {
 		case Partition, Heal:
 			if e.Bridge < 0 || e.Bridge >= bridges {
 				return fmt.Errorf("fault %d (%s): bridge %d out of range (%d bridges)", i, e, e.Bridge, bridges)
-			}
-		case Migrate:
-			if e.Host < 0 || e.Host >= hosts {
-				return fmt.Errorf("fault %d (%s): host %d out of range (0..%d)", i, e, e.Host, hosts-1)
-			}
-			if e.Dest < 0 || e.Dest >= hosts {
-				return fmt.Errorf("fault %d (%s): dest %d out of range (0..%d)", i, e, e.Dest, hosts-1)
-			}
-			if e.Host == e.Dest {
-				return fmt.Errorf("fault %d (%s): migrate source == dest", i, e)
 			}
 		default:
 			return fmt.Errorf("fault %d: unknown kind %d", i, e.Kind)
@@ -204,10 +178,10 @@ func Churn(seed int64, hosts int, fraction float64, start, every, downFor time.D
 // Parse decodes a textual fault spec: semicolon-separated events of
 // the form kind@time:target, e.g.
 //
-//	crash@150ms:h3;recover@400ms:h3;partition@200ms:b0;heal@350ms:b0;migrate@100ms:h3>h5
+//	crash@150ms:h3;recover@400ms:h3;partition@200ms:b0;heal@350ms:b0
 //
-// Times use Go duration syntax; targets are hN (host index), bN
-// (bridge index), or hN>hM for migrate.
+// Times use Go duration syntax; targets are hN (host index) or bN
+// (bridge index).
 func Parse(spec string) (Schedule, error) {
 	var s Schedule
 	for _, part := range strings.Split(spec, ";") {
@@ -246,20 +220,6 @@ func Parse(spec string) (Schedule, error) {
 			} else {
 				s = s.Heal(when, b)
 			}
-		case "migrate":
-			gt := strings.IndexByte(tgt, '>')
-			if gt < 0 {
-				return Schedule{}, fmt.Errorf("fault spec %q: migrate wants hN>hM", part)
-			}
-			src, err := parseTarget(tgt[:gt], 'h')
-			if err != nil {
-				return Schedule{}, fmt.Errorf("fault spec %q: %v", part, err)
-			}
-			dst, err := parseTarget(tgt[gt+1:], 'h')
-			if err != nil {
-				return Schedule{}, fmt.Errorf("fault spec %q: %v", part, err)
-			}
-			s = s.Migrate(when, src, dst)
 		default:
 			return Schedule{}, fmt.Errorf("fault spec %q: unknown kind %q", part, kindStr)
 		}

@@ -33,7 +33,7 @@ func fullReport() Report {
 			TrunkUtil:       []float64{0.5, 0.25, 0.125, 1e-9},
 			TrunkFrames:     []uint64{401, 402, 403, 404},
 			RedundantServes: 501, RedundantSuppressed: 502, LateDrops: 503,
-			OrphanRecoveries: 601, GhostDrops: 602, MigratedPages: 603,
+			OrphanRecoveries: 601, GhostDrops: 602,
 			UnavailNS: 604, RejoinNS: 605, PartitionDrops: 606, Orphaned: 607,
 			Deviations: []string{`wall 3.1s outside [1s, 2s]`, `unknown figure "F"`},
 		},

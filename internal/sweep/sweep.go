@@ -325,14 +325,12 @@ type Result struct {
 	// Fault-plane measurements, zero (and omitted, keeping healthy-world
 	// reports byte-identical) without a fault schedule: authorities
 	// re-claimed after a crash orphaned them, pre-crash grants refused by
-	// the recovered host's ghost fence, authorities shipped by owner
-	// migrations, total host-down time, total recovery-to-first-
-	// reinstall time, frames a partitioned bridge dropped, and pages
-	// still ownerless at end of run (a gate: fault cells must end with
-	// zero).
+	// the recovered host's ghost fence, total host-down time, total
+	// recovery-to-first-reinstall time, frames a partitioned bridge
+	// dropped, and pages still ownerless at end of run (a gate: fault
+	// cells must end with zero).
 	OrphanRecoveries uint64 `json:"orphan_recoveries,omitempty"`
 	GhostDrops       uint64 `json:"ghost_drops,omitempty"`
-	MigratedPages    uint64 `json:"migrated_pages,omitempty"`
 	UnavailNS        int64  `json:"unavail_ns,omitempty"`
 	RejoinNS         int64  `json:"rejoin_ns,omitempty"`
 	PartitionDrops   uint64 `json:"partition_drops,omitempty"`
@@ -512,7 +510,6 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	r.LateDrops = d.LateGrantDrops
 	r.OrphanRecoveries = d.OrphanRecoveries
 	r.GhostDrops = d.GhostDrops
-	r.MigratedPages = d.MigratedPages
 	r.UnavailNS = int64(d.UnavailNS)
 	r.RejoinNS = int64(d.RejoinNS)
 	r.OpsPerSec = stats.Rate(r.Ops, h.Wall)

@@ -11,7 +11,7 @@ import (
 	"mether/internal/vm"
 )
 
-func sendPacket(t *testing.T, nic *ethernet.NIC, pkt proto.Packet) {
+func sendPacket(t *testing.T, nic medium.Port, pkt proto.Packet) {
 	t.Helper()
 	buf, err := proto.Encode(pkt)
 	if err != nil {
@@ -23,8 +23,8 @@ func sendPacket(t *testing.T, nic *ethernet.NIC, pkt proto.Packet) {
 func TestTapDecodesProtocolExchange(t *testing.T) {
 	k := sim.New(1)
 	bus := ethernet.NewBus(k, ethernet.DefaultParams())
-	a := bus.Attach("a", nil)
-	b := bus.Attach("b", nil)
+	a := bus.AttachPort("a", nil)
+	b := bus.AttachPort("b", nil)
 	log := Tap(k, bus, 0)
 
 	sendPacket(t, a, proto.Packet{Type: proto.TypeRequest, Page: 3, Short: true, Consistent: true, From: 0, OwnerTo: proto.NoOwner})
@@ -53,7 +53,7 @@ func TestTapDecodesProtocolExchange(t *testing.T) {
 func TestTapRendering(t *testing.T) {
 	k := sim.New(1)
 	bus := ethernet.NewBus(k, ethernet.DefaultParams())
-	a := bus.Attach("a", nil)
+	a := bus.AttachPort("a", nil)
 	log := Tap(k, bus, 0)
 	sendPacket(t, a, proto.Packet{Type: proto.TypeData, Page: 7, Short: true, From: 0, OwnerTo: 1, Gen: 4, Data: make([]byte, vm.ShortSize)})
 	k.Run()
@@ -69,7 +69,7 @@ func TestTapRendering(t *testing.T) {
 func TestTapMalformedFrames(t *testing.T) {
 	k := sim.New(1)
 	bus := ethernet.NewBus(k, ethernet.DefaultParams())
-	a := bus.Attach("a", nil)
+	a := bus.AttachPort("a", nil)
 	log := Tap(k, bus, 0)
 	a.Send(medium.Broadcast, []byte{1, 2, 3})
 	k.Run()
@@ -85,7 +85,7 @@ func TestTapMalformedFrames(t *testing.T) {
 func TestTapBound(t *testing.T) {
 	k := sim.New(1)
 	bus := ethernet.NewBus(k, ethernet.DefaultParams())
-	a := bus.Attach("a", nil)
+	a := bus.AttachPort("a", nil)
 	log := Tap(k, bus, 3)
 	for i := 0; i < 10; i++ {
 		sendPacket(t, a, proto.Packet{Type: proto.TypeRequest, Page: vm.PageID(i), From: 0, OwnerTo: proto.NoOwner})
@@ -100,7 +100,7 @@ func TestTapBound(t *testing.T) {
 func TestPageHistory(t *testing.T) {
 	k := sim.New(1)
 	bus := ethernet.NewBus(k, ethernet.DefaultParams())
-	a := bus.Attach("a", nil)
+	a := bus.AttachPort("a", nil)
 	log := Tap(k, bus, 0)
 	for _, pg := range []vm.PageID{1, 2, 1, 3, 1} {
 		sendPacket(t, a, proto.Packet{Type: proto.TypeRequest, Page: pg, From: 0, OwnerTo: proto.NoOwner})

@@ -190,8 +190,8 @@ func (f *Frame) WriteBytes(off int, src []byte) error {
 // Region returns the frame contents without copying: the short region
 // if short is true, otherwise the whole page. The slice aliases the
 // frame's storage — callers must copy (or encode) it before the frame
-// can next be mutated, and must never write through it; use Snapshot
-// when a durable copy is needed. A frame without a full page whose
+// can next be mutated, and must never write through it; Install into
+// another frame makes a durable copy. A frame without a full page whose
 // short bytes are all zero aliases the canonical zero page for the
 // whole page, so sending a zero replica's contents costs no allocation.
 func (f *Frame) Region(short bool) []byte {
@@ -219,30 +219,9 @@ func (f *Frame) RestRegion() []byte {
 	return zeroPage[ShortSize:]
 }
 
-// Snapshot returns a copy of the frame contents: the short region if
-// short is true, otherwise the whole page.
-func (f *Frame) Snapshot(short bool) []byte {
-	n := PageSize
-	if short {
-		n = ShortSize
-	}
-	out := make([]byte, n)
-	copy(out, f.data())
-	return out
-}
-
-// SnapshotRest returns a copy of the superset remainder
-// [ShortSize, PageSize).
-func (f *Frame) SnapshotRest() []byte {
-	out := make([]byte, PageSize-ShortSize)
-	if f.full != nil {
-		copy(out, f.full[ShortSize:])
-	}
-	return out
-}
-
-// Install overwrites the region covered by data (ShortSize or PageSize
-// bytes, from Snapshot) and adopts generation gen.
+// Install copies data (ShortSize or PageSize bytes: a received short or
+// full page, or another frame's Region) over the region it covers and
+// adopts generation gen.
 func (f *Frame) Install(data []byte, gen uint64) error {
 	if len(data) != ShortSize && len(data) != PageSize {
 		return fmt.Errorf("%w: install length %d", ErrBadAccess, len(data))
@@ -255,8 +234,9 @@ func (f *Frame) Install(data []byte, gen uint64) error {
 	return nil
 }
 
-// InstallRest overwrites the superset remainder with data (from
-// SnapshotRest) without touching the short region or generation.
+// InstallRest copies data (PageSize-ShortSize bytes: a received rest, or
+// another frame's RestRegion) over the superset remainder without
+// touching the short region or generation.
 func (f *Frame) InstallRest(data []byte) error {
 	if len(data) != PageSize-ShortSize {
 		return fmt.Errorf("%w: rest length %d", ErrBadAccess, len(data))

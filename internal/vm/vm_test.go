@@ -101,18 +101,18 @@ func TestSnapshotInstallShort(t *testing.T) {
 	if err := dst.Store(ShortSize, 1, 0x55); err != nil {
 		t.Fatal(err)
 	}
-	snap := src.Snapshot(true)
+	snap := src.Region(true)
 	if len(snap) != ShortSize {
-		t.Fatalf("short snapshot length %d", len(snap))
+		t.Fatalf("short region length %d", len(snap))
 	}
 	if err := dst.Install(snap, src.Gen()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst.Snapshot(true), src.Snapshot(true)) {
+	if !bytes.Equal(dst.Region(true), src.Region(true)) {
 		t.Error("short region not installed")
 	}
 	if v, _ := dst.Load(ShortSize, 1); v != 0x55 {
-		t.Error("install of short snapshot touched superset remainder")
+		t.Error("install of short region touched superset remainder")
 	}
 	if dst.Gen() != 10 {
 		t.Errorf("gen = %d, want 10", dst.Gen())
@@ -128,7 +128,7 @@ func TestSnapshotInstallFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dst Frame
-	if err := dst.Install(src.Snapshot(false), src.Gen()); err != nil {
+	if err := dst.Install(src.Region(false), src.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := dst.Load(0, 1); v != 1 {
@@ -139,12 +139,21 @@ func TestSnapshotInstallFull(t *testing.T) {
 	}
 }
 
+// A frame installed from another's Region holds a copy: storing into
+// the source afterwards leaves the installed frame as it was.
 func TestSnapshotIsACopy(t *testing.T) {
-	var f Frame
-	snap := f.Snapshot(true)
-	snap[0] = 0xEE
-	if v, _ := f.Load(0, 1); v != 0 {
-		t.Error("snapshot aliases frame storage")
+	var src, dst Frame
+	if err := src.Store(0, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Install(src.Region(true), src.Gen()); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Store(0, 1, 0xEE); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := dst.Load(0, 1); v != 7 {
+		t.Error("installed frame aliases its source's storage")
 	}
 }
 
@@ -163,7 +172,7 @@ func TestRestSnapshotInstall(t *testing.T) {
 	if err := dst.Store(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.InstallRest(src.SnapshotRest()); err != nil {
+	if err := dst.InstallRest(src.RestRegion()); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := dst.Load(ShortSize, 1); v != 9 {
@@ -328,13 +337,13 @@ func TestSplitReassemblyProperty(t *testing.T) {
 			}
 		}
 		var dst Frame
-		if err := dst.Install(src.Snapshot(true), 1); err != nil {
+		if err := dst.Install(src.Region(true), 1); err != nil {
 			return false
 		}
-		if err := dst.InstallRest(src.SnapshotRest()); err != nil {
+		if err := dst.InstallRest(src.RestRegion()); err != nil {
 			return false
 		}
-		return bytes.Equal(dst.Snapshot(false), src.Snapshot(false))
+		return bytes.Equal(dst.Region(false), src.Region(false))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -95,8 +95,8 @@ type Options struct {
 	WarmStart bool
 	// Faults is the deterministic fault schedule to execute during the
 	// run (empty = healthy world, provably identical to a schedule-free
-	// run): host crashes and recoveries, bridge partitions, owner
-	// migrations — all fired at virtual times under the seeded kernel.
+	// run): host crashes and recoveries and bridge partitions, all fired
+	// at virtual times under the seeded kernel.
 	Faults fault.Schedule
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"time"
 
 	"mether"
@@ -96,8 +97,10 @@ func (r Report) CtxPerOp() float64 {
 
 // Run builds the workload's world (Options.World), spawns its clients,
 // runs to the cap and reports. A client's error fails the run: the
-// first in client order is returned. Otherwise a client that never
-// returned makes the run DNF.
+// first in client order is returned. So does a world that ends the run
+// breaking the DSM invariants (World.CheckInvariants: two consistent
+// copies of a page, an owner without its bytes). Otherwise a client that
+// never returned makes the run DNF.
 func (o Options) Run(wl Workload) (Report, error) {
 	r, w, err := o.RunOpen(wl)
 	if w != nil {
@@ -130,6 +133,9 @@ func (o Options) RunOpen(wl Workload) (r Report, w *mether.World, err error) {
 		if err != nil {
 			return r, w, err
 		}
+	}
+	if err := w.CheckInvariants(); err != nil {
+		return r, w, fmt.Errorf("invariants at end of run: %w", err)
 	}
 	if r.DNF = returned < len(wl.Clients); r.DNF {
 		last = quiet

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mether"
+	"mether/internal/core"
 	"mether/internal/ethernet"
 	"mether/internal/host"
 )
@@ -173,6 +174,8 @@ func TestCrossTrunkPurgeOrderingDisagrees(t *testing.T) {
 // the boundary rows, a world of 32 768 hosts among them, are only judged.
 func TestConfigValidate(t *testing.T) {
 	fabric := mether.MediumConfig{Kind: mether.MediumFabric}
+	kernelServer := core.DefaultConfig(0)
+	kernelServer.KernelServer = true
 	for _, row := range []struct {
 		name  string
 		cfg   mether.Config
@@ -206,6 +209,11 @@ func TestConfigValidate(t *testing.T) {
 		{"an Ethernet loss rate of 2 and no bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{LossRate: 2}}}, false, false},
 		{"a host cost model without a quantum", mether.Config{HostParams: host.Params{CtxSwitch: time.Millisecond}}, false, false},
 		{"a bridge port loss of 5", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{PortLoss: 5}}}, false, false},
+		{"a core block that sets only KernelServer", mether.Config{Core: core.Config{KernelServer: true}}, false, false},
+		{"a core block that sets only NumPages", mether.Config{Core: core.Config{NumPages: 8}}, true, true},
+		{"a kernel-server core block", mether.Config{Core: kernelServer}, true, true},
+		{"a negative core PacketCost", mether.Config{Core: core.Config{RetryTimeout: time.Second, PacketCost: -1}}, false, false},
+		{"a negative core ByteCost", mether.Config{Core: core.Config{RetryTimeout: time.Second, ByteCost: -1}}, false, false},
 	} {
 		err := row.cfg.Validate()
 		switch {

@@ -33,6 +33,7 @@ package mether
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -135,9 +136,10 @@ type Config struct {
 	// Medium scopes the interconnect: kind, parameters, topology and
 	// ring sizing. The zero value is the classic shared Ethernet.
 	Medium MediumConfig
-	// Core is the driver/server cost model (default core.DefaultConfig).
-	// Its TrunkOf/TrunkHops fields are derived by NewWorld from the
-	// world-level Trunks/TrunkOf placement — values set here are
+	// Core is the driver/server cost model (default core.DefaultConfig,
+	// when no field but the derived ones is set). Its NumPages, NumHosts,
+	// TrunkOf and TrunkHops are derived by NewWorld from Pages, Hosts and
+	// the world-level Trunks/TrunkOf placement — values set here are
 	// overwritten, so the two configs cannot disagree.
 	Core core.Config
 	// Trunks is the number of Ethernet trunks (default 1, the classic
@@ -179,7 +181,12 @@ func (c Config) withDefaults() Config {
 	if c.Medium.Fabric == (fabric.Params{}) {
 		c.Medium.Fabric = fabric.DefaultParams()
 	}
-	if c.Core.NumPages == 0 {
+	// The core block is unset when no field but those NewWorld derives
+	// (NumPages, NumHosts, TrunkOf, TrunkHops) is. Its slice and func
+	// make it incomparable, hence reflect.
+	set := c.Core
+	set.NumPages, set.NumHosts, set.TrunkOf, set.TrunkHops = 0, 0, nil, nil
+	if reflect.ValueOf(set).IsZero() {
 		c.Core = core.DefaultConfig(c.Pages)
 	}
 	c.Core.NumPages = c.Pages
@@ -194,11 +201,13 @@ func (c Config) withDefaults() Config {
 // quantum that is not positive, an unknown medium kind, a medium whose
 // bandwidth (or, on a fabric, TxQueue) is not positive, a trunk count
 // outside 1..Hosts, trunks on a fabric, an unknown topology shape, a
-// TrunkOf placement naming a trunk that does not exist, or a loss
-// probability (Ethernet, fabric or bridge port) outside [0, 1]. Zero-valued
-// fields are judged after defaulting, so the zero Config is valid; a
-// HostParams, Ethernet or Fabric block is defaulted only when wholly
-// zero, so one set in part is judged as given.
+// TrunkOf placement naming a trunk that does not exist, a loss
+// probability (Ethernet, fabric or bridge port) outside [0, 1], a core
+// RetryTimeout that is not positive or a negative core PacketCost or
+// ByteCost. Zero-valued fields are judged after defaulting, so the zero
+// Config is valid; a HostParams, Ethernet, Fabric or Core block is
+// defaulted only when wholly zero (Core: apart from the fields NewWorld
+// derives), so one set in part is judged as given.
 // NewWorld panics with the same message; callers holding configuration
 // from outside the program (sweep cells, flags) call Validate first.
 func (c Config) Validate() error {
@@ -226,6 +235,15 @@ func (c Config) Validate() error {
 		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("mether: loss probability %v outside [0, 1]", p)
 		}
+	}
+	if c.Core.RetryTimeout <= 0 {
+		return fmt.Errorf("mether: core RetryTimeout %v is not positive", c.Core.RetryTimeout)
+	}
+	if c.Core.PacketCost < 0 {
+		return fmt.Errorf("mether: core PacketCost %v is negative", c.Core.PacketCost)
+	}
+	if c.Core.ByteCost < 0 {
+		return fmt.Errorf("mether: core ByteCost %v is negative", c.Core.ByteCost)
 	}
 	if c.Trunks < 1 || c.Trunks > c.Hosts {
 		return fmt.Errorf("mether: %d trunks for %d hosts", c.Trunks, c.Hosts)

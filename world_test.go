@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mether/internal/core"
 )
 
 // fastWorld builds a small world with quick scheduler constants for tests.
@@ -357,9 +359,10 @@ func TestServerIsAHostTask(t *testing.T) {
 		}
 	}
 
-	cfg := Config{Hosts: 2, Pages: 16, Seed: 7}.withDefaults()
-	cfg.Core.KernelServer = true
-	kw := NewWorld(cfg)
+	// A core block set in part (NumPages left to NewWorld) is kept whole.
+	kc := core.DefaultConfig(0)
+	kc.KernelServer = true
+	kw := NewWorld(Config{Hosts: 2, Pages: 16, Seed: 7, Core: kc})
 	defer kw.Shutdown()
 	for i := 0; i < 2; i++ {
 		if srv := kw.Driver(i).Server(); srv != nil || len(kw.HostMachine(i).Procs()) != 0 {
