@@ -101,6 +101,17 @@
 #                        their CSV columns from the comparison; a listed
 #                        field that rose still fails. Not a ci stage: it
 #                        needs a parent checkout
+#   make gate-cover    - [FULL=1] [PARENT=<checkout of the parent commit>]:
+#                        what the report gate exercises. Builds methersweep
+#                        and metherbench with -cover -coverpkg=./..., runs
+#                        what `make golden` renders plus -grid cluster
+#                        -hosts 64 (and the full cluster grid with FULL=1,
+#                        about 90 s more) and prints the statement coverage
+#                        per package, the total and every non-test function
+#                        no run reaches; with PARENT, only the functions
+#                        with lines changed since the parent that no run
+#                        reaches, with how many changed statement lines
+#                        each leaves unrun. Not a ci stage
 #   make loc           - non-test Go lines outside bench/ (tracked files
 #                        only), per directory and in total: the one
 #                        number simplicity PRs report, computed one way
@@ -116,7 +127,7 @@ GO ?= go
 
 MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkFabricFanout|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun|BenchmarkWorldBuild
 
-.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update wordsize cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports loc profile
+.PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update wordsize cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports gate-cover loc profile
 
 # Each CI stage runs through ci-stage so the log carries exactly one
 # machine-readable verdict line per stage, pass or fail.
@@ -251,6 +262,9 @@ FALLS ?=
 
 same-reports:
 	@sh scripts/same-reports.sh '$(PARENT)' '$(FULL)' '$(FALLS)'
+
+gate-cover:
+	@sh scripts/gate-cover.sh '$(FULL)' '$(PARENT)'
 
 # Raw lines (comments and blanks included) of tracked Go files outside the
 # frozen bench/ module, summed per directory: non-test files, then tests.

@@ -15,14 +15,10 @@ import (
 // and must not be shared across processes.
 type Env struct {
 	w    *World
-	host int
 	p    *host.Proc
 	d    *core.Driver
 	poll core.Poll // Mapping.Spin32's state
 }
-
-// HostID returns the host this process runs on.
-func (e *Env) HostID() int { return e.host }
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.p.Now() }
@@ -93,12 +89,6 @@ type Mapping struct {
 	mode Mode
 }
 
-// Mode returns the mapping's access mode.
-func (m *Mapping) Mode() Mode { return m.mode }
-
-// Segment returns the mapped segment.
-func (m *Mapping) Segment() *Segment { return m.seg }
-
 // Addr builds a full-space demand-driven address for byte off of the
 // segment-relative page; apply Short/DataDriven to select other views.
 func (m *Mapping) Addr(page, off int) Addr {
@@ -136,16 +126,6 @@ func (m *Mapping) Spin32(a Addr, every time.Duration, done func(uint32) bool, li
 // Store32 writes a 32-bit word through the mapping.
 func (m *Mapping) Store32(a Addr, v uint32) error {
 	return m.env.d.Store(m.env.p, m.mode, a, 4, uint64(v))
-}
-
-// Load64 reads a 64-bit word through the mapping.
-func (m *Mapping) Load64(a Addr) (uint64, error) {
-	return m.env.d.Load(m.env.p, m.mode, a, 8)
-}
-
-// Store64 writes a 64-bit word through the mapping.
-func (m *Mapping) Store64(a Addr, v uint64) error {
-	return m.env.d.Store(m.env.p, m.mode, a, 8, v)
 }
 
 // Read copies len(buf) bytes from the segment into buf.

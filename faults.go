@@ -22,10 +22,6 @@ import (
 // an internal package.
 type FaultSchedule = fault.Schedule
 
-// ParseFaults parses the textual schedule syntax a sweep Scenario's
-// Faults string carries, e.g. "crash@8s:h17;recover@12s:h17;partition@20s:b0".
-func ParseFaults(spec string) (FaultSchedule, error) { return fault.Parse(spec) }
-
 // InjectFaults validates the schedule against this world's shape and
 // installs its events on the kernel. Call before Run; the events fire
 // at their virtual times in schedule order (ties keep listed order).

@@ -13,6 +13,12 @@ import (
 	"mether/internal/vm"
 )
 
+// hostHops is the bridge-hop function of hosts placed on trunks by
+// trunkOf, the trunks in a line: trunks a and b are |a-b| bridges apart.
+func hostHops(trunkOf []int) func(a, b int) int {
+	return func(a, b int) int { return max(trunkOf[a]-trunkOf[b], trunkOf[b]-trunkOf[a]) }
+}
+
 // newBridgedCluster builds a Mether cluster spanning two Ethernet trunks
 // joined by a bridge: hosts 0..splitAt-1 on trunk A, the rest on trunk B.
 // This is the paper's multi-bridge topology; Mether's protocol must keep
@@ -25,15 +31,19 @@ func newBridgedCluster(t *testing.T, n, splitAt int) *testCluster {
 	ethernet.NewBridge(c.k, busA, busB, 2*time.Millisecond)
 	c.bus = busA
 	cfg := fastConfig(4)
+	trunkOf := make([]int, n)
+	for i := splitAt; i < n; i++ {
+		trunkOf[i] = 1
+	}
 	for i := 0; i < n; i++ {
 		bus := busA
-		if i >= splitAt {
+		if trunkOf[i] == 1 {
 			bus = busB
 		}
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
 		nic := bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
-		d = New(h, nic, cfg)
+		d = New(h, nic, cfg, n, hostHops(trunkOf))
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
 		c.drivers = append(c.drivers, d)
@@ -111,16 +121,16 @@ func TestCrossTrunkStaleCounted(t *testing.T) {
 	ethernet.NewBridge(c.k, busA, busB, time.Millisecond)
 	c.bus = busA
 	cfg := fastConfig(4)
-	cfg.TrunkOf = []int{0, 0, 1}
+	trunkOf := []int{0, 0, 1}
 	for i := 0; i < 3; i++ {
 		bus := busA
-		if cfg.TrunkOf[i] == 1 {
+		if trunkOf[i] == 1 {
 			bus = busB
 		}
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
 		nic := bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
-		d = New(h, nic, cfg)
+		d = New(h, nic, cfg, 3, hostHops(trunkOf))
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
 		c.drivers = append(c.drivers, d)

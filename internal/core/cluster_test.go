@@ -47,7 +47,7 @@ func newTestCluster(t testing.TB, n int, ep ethernet.Params, cfg Config) *testCl
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
 		nic := c.bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
-		d = New(h, nic, cfg)
+		d = New(h, nic, cfg, n, nil)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
 		c.drivers = append(c.drivers, d)

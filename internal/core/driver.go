@@ -69,14 +69,6 @@ type Config struct {
 	// the page at least once. Without it two writers ping-pong a page
 	// endlessly with neither making progress.
 	MinResidency time.Duration
-	// TrunkOf maps every host id to its Ethernet trunk (nil = the
-	// classic single-trunk world). The driver uses it only for
-	// diagnostics: bridge queues reorder broadcasts between trunks, so a
-	// refresh can arrive after a newer one already landed — the paper's
-	// "which purge goes out first depends on the depth of the queues in
-	// the hosts and the bridges" hazard — and the trunk map lets
-	// Metrics.CrossTrunkStale count exactly those arrivals.
-	TrunkOf []int
 	// Redundancy is the redundant-fetch fan-out k for read faults: a
 	// non-consistent demand request additionally names the k-1 nearest
 	// peers (trunk-aware) as extra targets, any of which may answer from
@@ -84,13 +76,6 @@ type Config struct {
 	// is overtaken by a transit suppress it. 0 or 1 is the classic
 	// owner-only protocol and leaves the wire format byte-identical.
 	Redundancy int
-	// NumHosts is the world's host count, needed by the redundant-fetch
-	// target selection (0 disables redundancy regardless of Redundancy).
-	NumHosts int
-	// TrunkHops returns the bridge-hop distance between two trunks for
-	// nearest-first target ordering. Nil falls back to 0 (same trunk) /
-	// 1 (different trunk) derived from TrunkOf.
-	TrunkHops func(a, b int) int
 	// ClaimRetries arms orphaned-ownership recovery: after this many
 	// consecutive unanswered retries (the owner has stopped answering —
 	// it crashed and its authority is orphaned), the requester claims the
@@ -147,13 +132,12 @@ type Driver struct {
 	// array is reused once the queue empties.
 	workq    []workItem
 	workHead int
-	// The host's wire id and the flags share a word. down mirrors the
+	// The host's wire id and the four flags share a word. down mirrors the
 	// NIC; everCrashed stays set forever after the first crash and gates
 	// the ghost fence (a host that never crashed keeps the plain
 	// want-qualified adopt-or-drop rule); rejoinPending marks a recovery
 	// whose rejoin is still to be measured.
 	id            int16
-	stopped       bool
 	kDraining     bool
 	down          bool
 	everCrashed   bool
@@ -162,7 +146,6 @@ type Driver struct {
 
 	// stepFn is the prebuilt closure of the kernel server's drain step.
 	stepFn func()
-	trunk  int // this host's trunk (0 when Config.TrunkOf is nil)
 	// seedRanges records warm-replica seeding (SeedReplicaRange) applied
 	// lazily as directory entries materialize.
 	seedRanges []pageRange
@@ -183,7 +166,13 @@ type Driver struct {
 	// encoding is cached alongside so request sends do not re-encode it.
 	redundant    []int16
 	redundantEnc []byte
-	pad          [8]byte // holds Driver at 1152 B: 18 whole 64-byte lines per slab element
+	// hosts is the world's host count and hops the number of bridges
+	// between two hosts (nil when there are none): the redundant-fetch
+	// targets are ordered by them, and a stale refresh from a host
+	// bridges away is counted as CrossTrunkStale.
+	hosts int
+	hops  func(a, b int) int
+	pad   [40]byte // holds Driver at 1152 B: 18 whole 64-byte lines per slab element
 }
 
 type workKind uint8
@@ -211,11 +200,13 @@ type workItem struct {
 }
 
 // New creates the driver for host h using port n (a station on whatever
-// medium the world was built over). The port's interrupt callback must
-// be wired (by the caller) to d.FrameArrived.
-func New(h *host.Host, n medium.Port, cfg Config) *Driver {
+// medium the world was built over), in a world of the given number of
+// hosts with hops(a, b) bridges between hosts a and b (nil: none). The
+// port's interrupt callback must be wired (by the caller) to
+// d.FrameArrived.
+func New(h *host.Host, n medium.Port, cfg Config, hosts int, hops func(a, b int) int) *Driver {
 	d := new(Driver)
-	d.Init(h, n, cfg, new(Server))
+	d.Init(h, n, cfg, new(Server), hosts, hops)
 	return d
 }
 
@@ -223,7 +214,7 @@ func New(h *host.Host, n medium.Port, cfg Config) *Driver {
 // driver for host h on port n, keeping its server in s, the zero Server.
 // A world keeps its drivers in one slice and their servers in another,
 // both in host order, and initializes each where it lies.
-func (d *Driver) Init(h *host.Host, n medium.Port, cfg Config, s *Server) {
+func (d *Driver) Init(h *host.Host, n medium.Port, cfg Config, s *Server, hosts int, hops func(a, b int) int) {
 	if cfg.NumPages <= 0 || cfg.NumPages > addrPageMax || cfg.NumPages > proto.MaxPages {
 		panic(fmt.Sprintf("core: NumPages %d out of range", cfg.NumPages))
 	}
@@ -231,10 +222,8 @@ func (d *Driver) Init(h *host.Host, n medium.Port, cfg Config, s *Server) {
 		panic(fmt.Sprintf("core: host id %d beyond the wire format's %d", h.ID(), proto.MaxHostID))
 	}
 	d.h, d.nic, d.rx, d.cfg, d.id, d.server = h, n, n.Rx(), cfg, int16(h.ID()), s
+	d.hosts, d.hops = hosts, hops
 	d.shards = make([]*pageShard, (cfg.NumPages+shardSize-1)>>shardBits)
-	if cfg.TrunkOf != nil {
-		d.trunk = cfg.TrunkOf[h.ID()]
-	}
 	d.intrFn = func() { d.h.WakeupQ(&d.serverQ) }
 	if cfg.KernelServer {
 		// stepFn only drives the interrupt-level drain loop; user-level
@@ -789,37 +778,27 @@ func (d *Driver) Snapshot(id vm.PageID) PageSnapshot {
 
 // redundantTargets returns the wire-encoded extra-target list naming
 // the `extra` nearest peers for a redundant fetch. Nearest-first is
-// trunk-aware: peers are ordered by bridge-hop distance from this
-// host's trunk, then by host-id distance (replicas of a page cluster
-// around its numeric neighbourhood in the block-partitioned worlds),
-// then by id for determinism. The list is page-independent, so it is
+// trunk-aware: peers are ordered by bridge hops from this host, then by
+// host-id distance (replicas of a page cluster around its numeric
+// neighbourhood in the block-partitioned worlds), then by id for
+// determinism. The list is page-independent, so it is
 // built once and cached; a host that turns out to be the owner is
 // harmless as a target (the owner answers the broadcast anyway and a
 // targeted owner skips the extra serve).
 func (d *Driver) redundantTargets(extra int) []byte {
-	if extra <= 0 || d.cfg.NumHosts <= 1 {
+	if extra <= 0 || d.hosts <= 1 {
 		return nil
 	}
 	if d.redundantEnc == nil {
-		hops := d.cfg.TrunkHops
-		if hops == nil {
-			hops = func(a, b int) int {
-				if a == b {
-					return 0
-				}
-				return 1
-			}
-		}
-		trunkOf := func(h int) int {
-			if d.cfg.TrunkOf == nil || h >= len(d.cfg.TrunkOf) {
-				return 0
-			}
-			return d.cfg.TrunkOf[h]
-		}
 		self := d.h.ID()
-		key := func(h int) (hop, dist int) { return hops(trunkOf(self), trunkOf(h)), max(h-self, self-h) }
-		peers := make([]int, 0, d.cfg.NumHosts-1)
-		for h := 0; h < d.cfg.NumHosts; h++ {
+		key := func(h int) (hop, dist int) {
+			if d.hops != nil {
+				hop = d.hops(self, h)
+			}
+			return hop, max(h-self, self-h)
+		}
+		peers := make([]int, 0, d.hosts-1)
+		for h := 0; h < d.hosts; h++ {
 			if h != self {
 				peers = append(peers, h)
 			}

@@ -116,9 +116,6 @@ func (d *Driver) Recover() {
 	}
 }
 
-// CrashedDown reports whether the host is currently crashed.
-func (d *Driver) CrashedDown() bool { return d.down }
-
 // noteRejoin closes an open rejoin measurement: the first data that
 // lands after a recovery ends the cold window.
 func (d *Driver) noteRejoin() {

@@ -50,8 +50,8 @@ func TestCrashRecoverRefetchesOnDemand(t *testing.T) {
 	}
 
 	d1.Crash()
-	if !d1.CrashedDown() {
-		t.Fatal("CrashedDown false after Crash")
+	if !d1.down {
+		t.Fatal("down false after Crash")
 	}
 	snap := d1.Snapshot(0)
 	if snap.ShortPresent || snap.RestPresent || snap.Owner || snap.RestOwner {

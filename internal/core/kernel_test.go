@@ -22,7 +22,7 @@ func newKernelCluster(t *testing.T, n int) *testCluster {
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
 		nic := c.bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
-		d = New(h, nic, cfg)
+		d = New(h, nic, cfg, n, nil)
 		d.StartServer() // no-op in kernel mode
 		c.hosts = append(c.hosts, h)
 		c.drivers = append(c.drivers, d)

@@ -16,9 +16,8 @@ import (
 )
 
 // redundantConfig is fastConfig with the redundant-fetch axis enabled.
-func redundantConfig(pages, hosts, k int) Config {
+func redundantConfig(pages, k int) Config {
 	cfg := fastConfig(pages)
-	cfg.NumHosts = hosts
 	cfg.Redundancy = k
 	return cfg
 }
@@ -28,7 +27,6 @@ func redundantConfig(pages, hosts, k int) Config {
 // two hops away, then the nearer id, then the lower id; at most
 // proto.MaxRedundantTargets of them, in a list of that capacity.
 func TestRedundantTargetsOrder(t *testing.T) {
-	line := func(a, b int) int { return max(a-b, b-a) } // trunks in a line
 	for _, row := range []struct {
 		name    string
 		hosts   int
@@ -40,11 +38,10 @@ func TestRedundantTargetsOrder(t *testing.T) {
 		{"same trunk, one hop, two hops", 6, []int{2, 0, 1, 0, 2, 1}, 1, []int16{3, 2, 5, 0, 4}},
 		{"hops before distance, ties by id", 9, []int{1, 0, 0, 1, 1, 0, 2, 2, 2}, 4, []int16{3, 0, 5, 2, 6, 1, 7, 8}},
 	} {
-		cfg := Config{NumHosts: row.hosts, TrunkOf: row.trunkOf}
+		d := &Driver{hosts: row.hosts, h: host.New(sim.New(1), row.self, "h", fastHostParams())}
 		if row.trunkOf != nil {
-			cfg.TrunkHops = line
+			d.hops = hostHops(row.trunkOf) // trunks in a line
 		}
-		d := &Driver{cfg: cfg, h: host.New(sim.New(1), row.self, "h", fastHostParams())}
 		if enc := d.redundantTargets(proto.MaxRedundantTargets); len(enc) != 2*len(row.want) {
 			t.Errorf("%s: %d target bytes, want %d", row.name, len(enc), 2*len(row.want))
 		}
@@ -58,7 +55,7 @@ func TestRedundantFetchReplicaAnswersWhenOwnerDown(t *testing.T) {
 	// The tentpole scenario: the owner is unreachable, but a replica named
 	// as an extra target answers the read fault, so the requester does not
 	// have to wait out the owner's recovery (or a retry period).
-	c := newTestCluster(t, 3, ethernet.DefaultParams(), redundantConfig(4, 3, 3))
+	c := newTestCluster(t, 3, ethernet.DefaultParams(), redundantConfig(4, 3))
 	d0, d1, d2 := c.drivers[0], c.drivers[1], c.drivers[2]
 	d0.CreatePage(0)
 	addr := NewAddr(0, 0).Short()
@@ -119,7 +116,7 @@ func TestRedundantLoserSuppressedAndBuffersReleased(t *testing.T) {
 	// snapshot no longer matches).
 	c := &testCluster{k: sim.New(42)}
 	c.bus = ethernet.NewBus(c.k, ethernet.DefaultParams())
-	cfg := redundantConfig(4, 3, 2)
+	cfg := redundantConfig(4, 2)
 	for i := 0; i < 3; i++ {
 		params := fastHostParams()
 		if i == 1 {
@@ -130,7 +127,7 @@ func TestRedundantLoserSuppressedAndBuffersReleased(t *testing.T) {
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), params)
 		var d *Driver
 		nic := c.bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
-		d = New(h, nic, cfg)
+		d = New(h, nic, cfg, 3, nil)
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
 		c.drivers = append(c.drivers, d)
@@ -194,7 +191,7 @@ func TestRedundantFetchPoolBalancedAtK3(t *testing.T) {
 	// extra targets, several replicas may answer): whatever mix of served,
 	// suppressed and stale-dropped replies the run produces, the wire
 	// pool must balance at quiescence.
-	c := newTestCluster(t, 4, ethernet.DefaultParams(), redundantConfig(4, 4, 3))
+	c := newTestCluster(t, 4, ethernet.DefaultParams(), redundantConfig(4, 3))
 	d0 := c.drivers[0]
 	d0.CreatePage(0)
 	addr := NewAddr(0, 0).Short()
@@ -309,7 +306,7 @@ func TestLateReplyPastRetryWindowAdoptOrDrop(t *testing.T) {
 		h := host.New(c.k, i, fmt.Sprintf("h%d", i), fastHostParams())
 		var d *Driver
 		nic := bus.AttachPort(fmt.Sprintf("h%d", i), func() { d.FrameArrived() })
-		d = New(h, nic, cfg)
+		d = New(h, nic, cfg, 2, hostHops([]int{0, 1}))
 		d.StartServer()
 		c.hosts = append(c.hosts, h)
 		c.drivers = append(c.drivers, d)
@@ -363,7 +360,7 @@ func runRedundantDifferential(t *testing.T, k int, schedule [][]bool) ([]uint64,
 	hosts, iters := 4, len(schedule[0])
 	ep := ethernet.DefaultParams()
 	ep.LossRate = 0.1
-	c := newTestCluster(t, hosts, ep, redundantConfig(hosts, hosts, k))
+	c := newTestCluster(t, hosts, ep, redundantConfig(hosts, k))
 	for i := 0; i < hosts; i++ {
 		c.drivers[i].CreatePage(vm.PageID(i))
 	}

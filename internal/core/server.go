@@ -92,9 +92,6 @@ func (d *Driver) step() host.Want {
 			return host.UseCPU(cost, host.CPUSys)
 		}
 	}
-	if d.stopped {
-		return host.Want{}
-	}
 	return host.WaitOn(&d.serverQ)
 }
 
@@ -109,27 +106,23 @@ func (d *Driver) Server() *host.Proc {
 
 // advance is the server loop, one transition per call: it runs the
 // server to its next charge point and returns the CPU to charge there;
-// ok is false when there is none because both queues are empty or the
-// driver stopped. An item is one received frame if any, else one driver
-// work item, and passes through up to three phases: idle, the frame's
-// handling cost, the cost of the one send it may make. A transition that
-// ends an item returns a zero cost. The user-level server and the
-// kernel server are this loop under two charging policies: the task
-// hands each cost to the host scheduler and comes back when it has had
-// that much CPU; the kernel (kernelStep) sums one item's costs and
-// delays the next item by them. Either way each effect keeps its place
-// relative to the charges: the parse before the receive charge and the
-// page lookup after it, the encode before the send charge and the wire
-// and the handler's epilogue after it, the frame released last; stopped
-// is looked at between items only, and a Crash during a charge finds the
+// ok is false when there is none because both queues are empty. An item
+// is one received frame if any, else one driver work item, and passes
+// through up to three phases: idle, the frame's handling cost, the cost
+// of the one send it may make. A transition that ends an item returns a
+// zero cost. The user-level server and the kernel server are this loop
+// under two charging policies: the task hands each cost to the host
+// scheduler and comes back when it has had that much CPU; the kernel
+// (kernelStep) sums one item's costs and delays the next item by them.
+// Either way each effect keeps its place relative to the charges: the
+// parse before the receive charge and the page lookup after it, the
+// encode before the send charge and the wire and the handler's epilogue
+// after it, the frame released last; a Crash during a charge finds the
 // item in hand finished against the wiped state.
 func (d *Driver) advance() (cost time.Duration, ok bool) {
 	s := d.server
 	switch s.phase {
 	case phaseIdle:
-		if d.stopped {
-			return 0, false
-		}
 		if f, ok := d.rx.Recv(); ok {
 			// The parse goes through the buffer's decode-once view (view.go):
 			// for a broadcast, only the first of the N receiving servers
@@ -205,12 +198,6 @@ func (d *Driver) sent() {
 		st.grantedRestTo = s.to
 	}
 	s.then = thenNothing
-}
-
-// Stop makes the server exit at its next scheduling point.
-func (d *Driver) Stop() {
-	d.stopped = true
-	d.h.WakeupQ(&d.serverQ)
 }
 
 // handleWork processes one driver-originated work item.
@@ -767,10 +754,7 @@ func (d *Driver) handleData(st *pageState, pkt *proto.Packet) {
 // serialized medium makes such reordering impossible, so the counter
 // stays zero there by construction.
 func (d *Driver) noteCrossTrunkStale(from int16) {
-	if d.cfg.TrunkOf == nil || int(from) < 0 || int(from) >= len(d.cfg.TrunkOf) {
-		return
-	}
-	if d.cfg.TrunkOf[from] != d.trunk {
+	if d.hops != nil && from >= 0 && int(from) < d.hosts && d.hops(int(from), d.h.ID()) > 0 {
 		d.m.CrossTrunkStale++
 	}
 }

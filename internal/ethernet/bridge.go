@@ -26,8 +26,6 @@ type Bridge struct {
 	delay    time.Duration
 	aBacklog time.Duration // extra queueing toward segment A
 	bBacklog time.Duration // extra queueing toward segment B
-	aLoss    float64       // forwarding loss toward segment A
-	bLoss    float64       // forwarding loss toward segment B
 	// partitioned marks the bridge as down: both ports stop receiving,
 	// and any store-and-forward still in flight is dropped when its
 	// timer fires instead of delivering stale pre-partition traffic
@@ -56,8 +54,6 @@ type bridgeFwd struct {
 type BridgeStats struct {
 	// Forwarded counts frames relayed onto the other segment.
 	Forwarded uint64
-	// PortDrops counts frames lost at a bridge port (per-port loss).
-	PortDrops uint64
 	// Queued is the current store-and-forward occupancy: frames received
 	// but not yet re-transmitted.
 	Queued int
@@ -74,7 +70,6 @@ type BridgeStats struct {
 // add accumulates another bridge's counters (topology aggregation).
 func (s *BridgeStats) add(o BridgeStats) {
 	s.Forwarded += o.Forwarded
-	s.PortDrops += o.PortDrops
 	s.Queued += o.Queued
 	if o.MaxQueued > s.MaxQueued {
 		s.MaxQueued = o.MaxQueued
@@ -86,8 +81,8 @@ func (s *BridgeStats) add(o BridgeStats) {
 // delay. The bridge occupies one NIC address on each segment.
 func NewBridge(k *sim.Kernel, a, b *Bus, delay time.Duration) *Bridge {
 	br := &Bridge{k: k, a: a, b: b, delay: delay, aPort: new(NIC), bPort: new(NIC)}
-	a.join(br.aPort, "bridge", func() { br.pump(br.aPort, br.bPort, &br.bBacklog, &br.bLoss) }, a.p.RxRing)
-	b.join(br.bPort, "bridge", func() { br.pump(br.bPort, br.aPort, &br.aBacklog, &br.aLoss) }, b.p.RxRing)
+	a.join(br.aPort, "bridge", func() { br.pump(br.aPort, br.bPort, &br.bBacklog) }, a.p.RxRing)
+	b.join(br.bPort, "bridge", func() { br.pump(br.bPort, br.aPort, &br.aBacklog) }, b.p.RxRing)
 	return br
 }
 
@@ -98,16 +93,6 @@ func NewBridge(k *sim.Kernel, a, b *Bus, delay time.Duration) *Bridge {
 func (br *Bridge) SetBacklog(towardA, towardB time.Duration) {
 	br.aBacklog = towardA
 	br.bBacklog = towardB
-}
-
-// SetPortLoss models lossy bridge ports: a frame crossing toward
-// segment A (respectively B) is dropped at the port with the given
-// probability instead of being forwarded. Drops are counted in
-// Stats().PortDrops. Draws come from the simulation kernel's seeded
-// RNG, so lossy bridged runs stay deterministic.
-func (br *Bridge) SetPortLoss(towardA, towardB float64) {
-	br.aLoss = towardA
-	br.bLoss = towardB
 }
 
 // SetPartitioned takes the bridge down (or back up): both ports go
@@ -147,16 +132,11 @@ func (br *Bridge) Forwarded() uint64 { return br.stats.Forwarded }
 func (br *Bridge) Stats() BridgeStats { return br.stats }
 
 // pump drains one port's ring onto the other segment.
-func (br *Bridge) pump(from, to *NIC, backlog *time.Duration, loss *float64) {
+func (br *Bridge) pump(from, to *NIC, backlog *time.Duration) {
 	for {
 		f, ok := from.Recv()
 		if !ok {
 			return
-		}
-		if *loss > 0 && br.k.Rand().Float64() < *loss {
-			br.stats.PortDrops++
-			from.Release(f)
-			continue
 		}
 		br.stats.Forwarded++
 		br.stats.Queued++

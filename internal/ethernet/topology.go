@@ -55,8 +55,8 @@ func ShapeByName(name string) (Shape, error) {
 }
 
 // TopologyConfig parameterizes the bridges of a multi-trunk topology.
-// The zero value gets a 1 ms store-and-forward delay, symmetric empty
-// backlogs and loss-free ports.
+// The zero value gets a 1 ms store-and-forward delay and symmetric
+// empty backlogs.
 type TopologyConfig struct {
 	// Shape arranges the trunks (default Star).
 	Shape Shape
@@ -68,9 +68,6 @@ type TopologyConfig struct {
 	// (respectively higher) are additionally delayed by the given amount.
 	BacklogDown time.Duration
 	BacklogUp   time.Duration
-	// PortLoss is the probability that a frame is dropped at a bridge
-	// port instead of being forwarded (applied in both directions).
-	PortLoss float64
 }
 
 func (tc TopologyConfig) withDefaults() TopologyConfig {
@@ -113,7 +110,6 @@ func NewTopology(k *sim.Kernel, trunks int, p Params, tc TopologyConfig) *Topolo
 	link := func(lo, hi int) {
 		br := NewBridge(k, t.buses[lo], t.buses[hi], tc.BridgeDelay)
 		br.SetBacklog(tc.BacklogDown, tc.BacklogUp)
-		br.SetPortLoss(tc.PortLoss, tc.PortLoss)
 		t.bridges = append(t.bridges, br)
 	}
 	// One bridge per trunk beyond the first; a single trunk builds none
@@ -169,7 +165,7 @@ func (t *Topology) Trunks() int { return len(t.buses) }
 func (t *Topology) Bus(i int) *Bus { return t.buses[i] }
 
 // Bridges returns the bridges in construction order (advanced use:
-// per-bridge backlog or loss overrides before a run).
+// per-bridge backlog overrides before a run).
 func (t *Topology) Bridges() []*Bridge { return t.bridges }
 
 // Hops returns the number of bridges a frame crosses between trunks a

@@ -50,42 +50,6 @@ func TestTopologyStatsCountCrossTrunkFramesPerWire(t *testing.T) {
 	want(t, "frames", topo.Stats().Frames, 2)
 }
 
-func TestBridgePortLossDropsAndCounts(t *testing.T) {
-	k, a, b, br := bridged(time.Millisecond)
-	br.SetPortLoss(0, 1) // everything toward B is lost
-	src := a.AttachPort("src", nil)
-	got := 0
-	b.AttachPort("rx", func() { got++ })
-	for i := 0; i < 5; i++ {
-		src.Send(medium.Broadcast, []byte("doomed"))
-	}
-	k.Run()
-	s := br.Stats()
-	want(t, "delivered, port drops, forwarded", fmt.Sprint(got, s.PortDrops, s.Forwarded), "0 5 0")
-}
-
-func TestBridgePortLossDeterministicAcrossRuns(t *testing.T) {
-	run := func() string {
-		k := sim.New(99)
-		topo := NewTopology(k, 2, DefaultParams(), TopologyConfig{PortLoss: 0.3})
-		got := 0
-		topo.Bus(1).AttachPort("rx", func() { got++ })
-		src := topo.Bus(0).AttachPort("src", nil)
-		for i := 0; i < 64; i++ {
-			src.Send(medium.Broadcast, []byte{byte(i)})
-		}
-		k.Run()
-		s := topo.BridgeStats()
-		if s.PortDrops == 0 || got == 0 || s.Forwarded+s.PortDrops != 64 {
-			t.Errorf("port loss 0.3 over 64 frames: %+v, %d delivered; want both drops and forwards, summing to 64", s, got)
-		}
-		return fmt.Sprint(s, got)
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("seeded port loss diverged: %s vs %s", a, b)
-	}
-}
-
 func TestBridgeOccupancyTracksStoreAndForwardQueue(t *testing.T) {
 	k, a, b, br := bridged(100 * time.Millisecond) // a long dwell
 	src := a.AttachPort("src", nil)

@@ -45,7 +45,7 @@ func TestCounterAcrossBridgedTrunks(t *testing.T) {
 // read directly.
 func TestCounterReportsWhatTheWorldCounted(t *testing.T) {
 	for name, opts := range map[string]workload.Options{
-		"bridged-lossy": {Seed: 5, Trunks: 2, LossRate: 0.01, PortLoss: 0.01},
+		"bridged-lossy": {Seed: 5, Trunks: 2, LossRate: 0.01},
 		"fabric":        {Seed: 5, Medium: mether.MediumFabric},
 	} {
 		wl, err := Counter(Config{Protocol: P2ShortPage, Target: 64, Options: opts})

@@ -29,7 +29,7 @@ func fullReport() Report {
 			Events:   9_999_999,
 			MemBytes: 1 << 20, BytesPerHost: 16384.25, RingHighWater: 17,
 			FanoutFrames: 201, LinkOverflows: 202, LinkMaxQueued: 203,
-			BridgeForwarded: 301, BridgePortDrops: 302, BridgeMaxQueued: 303, CrossTrunkStale: 304,
+			BridgeForwarded: 301, BridgeMaxQueued: 303, CrossTrunkStale: 304,
 			TrunkUtil:       []float64{0.5, 0.25, 0.125, 1e-9},
 			TrunkFrames:     []uint64{401, 402, 403, 404},
 			RedundantServes: 501, RedundantSuppressed: 502, LateDrops: 503,

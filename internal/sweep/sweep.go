@@ -176,14 +176,12 @@ type Scenario struct {
 	// trunks (0/1 = the classic single bus; more trunks than hosts fails
 	// the cell); TrunkShape is "star" (default) or "linear";
 	// OwnerTrunk places the hotspot segment owner's trunk (hotspot
-	// only — the other kinds' page layouts are fixed by the workload);
-	// PortLoss is the per-port bridge forwarding loss probability.
+	// only — the other kinds' page layouts are fixed by the workload).
 	// Other bridge parameters stay at the model defaults (1 ms
 	// store-and-forward).
 	Trunks     int
 	TrunkShape string
 	OwnerTrunk int
-	PortLoss   float64
 	// MayDNF marks cells whose failure to finish is part of the
 	// measurement (the paper's "Never finished" rows: Figure 6, the
 	// hysteresis extremes, lossy passive protocols). methersweep treats
@@ -291,11 +289,10 @@ type Result struct {
 
 	// Topology measurements, all zero (and omitted, keeping single-trunk
 	// reports byte-identical to pre-topology baselines) on a single
-	// trunk: bridge forwarded/drop/occupancy counters and the
+	// trunk: bridge forwarded and occupancy counters and the
 	// cross-trunk staleness hazard (broadcasts reordered by bridge
 	// queues so an old copy arrived after a newer one).
 	BridgeForwarded uint64 `json:"bridge_forwarded,omitempty"`
-	BridgePortDrops uint64 `json:"bridge_port_drops,omitempty"`
 	BridgeMaxQueued int    `json:"bridge_max_queued,omitempty"`
 	CrossTrunkStale uint64 `json:"cross_trunk_stale,omitempty"`
 	// TrunkUtil and TrunkFrames are the per-trunk wire utilization and
@@ -376,8 +373,7 @@ func (s Scenario) cluster() (workload.Options, error) {
 	return workload.Options{
 		Seed: s.Seed, Cap: s.Cap,
 		Medium: s.Medium, LossRate: s.LossRate, RxRing: s.RxRing, RingSlots: s.RingSlots,
-		Trunks: s.Trunks, TrunkShape: shape, PortLoss: s.PortLoss,
-		BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown,
+		Trunks: s.Trunks, TrunkShape: shape, BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown,
 		KernelServer: s.KernelServer, Redundancy: s.Redundancy,
 		MinResidency: s.MinResidency, RetryTimeout: s.RetryTimeout,
 		ClaimRetries: s.ClaimRetries, LazyReplicas: s.Lazy,
@@ -497,7 +493,6 @@ func (r *Result) fill(rep workload.Report, s Scenario, form rowForm) {
 	r.LinkOverflows = h.Net.LinkOverflows
 	r.LinkMaxQueued = h.Net.LinkMaxQueued
 	r.BridgeForwarded = h.Bridge.Forwarded
-	r.BridgePortDrops = h.Bridge.PortDrops
 	r.BridgeMaxQueued = h.Bridge.MaxQueued
 	r.PartitionDrops = h.Bridge.PartitionDrops
 	r.TrunkUtil = h.TrunkUtil

@@ -214,9 +214,9 @@ func drawScenario(tp *choice.Tape) Scenario {
 		Dist:       workload.Fixed{Size: count()},
 		FanoutMode: protocols.FanoutMode(tp.Choose(2) + 1),
 		SleepHyst:  dur(), Stagger: dur(), CheckEvery: dur(),
-		LossRate: loss(), PortLoss: loss(),
-		Trunks: tp.Choose(3),
-		Medium: []string{"ethernet", "fabric", "token-ring"}[tp.Choose(3)],
+		LossRate: loss(),
+		Trunks:   tp.Choose(3),
+		Medium:   []string{"ethernet", "fabric", "token-ring"}[tp.Choose(3)],
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"time"
 
 	"mether"
@@ -43,14 +44,12 @@ type Options struct {
 
 	// Trunks partitions the hosts across bridged Ethernet trunks (0/1 =
 	// the classic single bus; incompatible with the fabric); TrunkShape
-	// arranges them (star by default). PortLoss is the per-port bridge
-	// forwarding loss probability; BacklogUp and BacklogDown model
+	// arranges them (star by default). BacklogUp and BacklogDown model
 	// asymmetric background traffic on every bridge as extra forwarding
 	// delay toward the higher- and lower-numbered trunk (see
 	// ethernet.TopologyConfig).
 	Trunks      int
 	TrunkShape  ethernet.Shape
-	PortLoss    float64
 	BacklogUp   time.Duration
 	BacklogDown time.Duration
 
@@ -105,9 +104,18 @@ type Options struct {
 // segments layout creates on it, warm replicas under WarmStart, and
 // the fault schedule installed. A configuration that cannot be built
 // (fabric with trunks, unknown medium, more trunks than hosts, a fault
-// naming a host the world lacks) is an error, never a panic. The
-// caller shuts the returned world down.
+// naming a host the world lacks, a negative count or duration) is an
+// error, never a panic. The caller shuts the returned world down.
 func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*mether.World, error) {
+	// Zero is the default; a negative value would run the default too,
+	// or, for a backlog, forward faster than the bridge's own delay.
+	if err := errors.Join(NonNegative("Cap", o.Cap), NonNegative("RxRing", o.RxRing),
+		NonNegative("RingSlots", o.RingSlots), NonNegative("BacklogUp", o.BacklogUp),
+		NonNegative("BacklogDown", o.BacklogDown), NonNegative("Redundancy", o.Redundancy),
+		NonNegative("MinResidency", o.MinResidency), NonNegative("RetryTimeout", o.RetryTimeout),
+		NonNegative("ClaimRetries", o.ClaimRetries)); err != nil {
+		return nil, err
+	}
 	np := mether.DefaultEthernetParams()
 	fp := mether.DefaultFabricParams()
 	np.LossRate, fp.LossRate = o.LossRate, o.LossRate
@@ -131,8 +139,7 @@ func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*met
 		Medium: mether.MediumConfig{
 			Kind: o.Medium, Ethernet: np, Fabric: fp,
 			Topology: ethernet.TopologyConfig{
-				Shape: o.TrunkShape, PortLoss: o.PortLoss,
-				BacklogUp: o.BacklogUp, BacklogDown: o.BacklogDown,
+				Shape: o.TrunkShape, BacklogUp: o.BacklogUp, BacklogDown: o.BacklogDown,
 			},
 		},
 	}

@@ -39,11 +39,21 @@ var kinds = map[string]func(workload.Options) (workload.Workload, error){
 }
 
 // TestKindsRejectNegatives calls every kind's constructor directly with
-// one count or duration negative: each must refuse it with an error that
-// names the field, where a kind used to panic making a slice of that
-// length, wrap its op count or run nothing and report success.
+// one count or duration negative, and Options.World with one of its
+// own: each must refuse it with an error that names the field, where a
+// kind used to panic making a slice of that length, wrap its op count
+// or run nothing and report success, and a world used to run the
+// default instead (or, for a backlog, forward faster than its bridge).
 func TestKindsRejectNegatives(t *testing.T) {
 	p3h := protocols.P3Hysteresis
+	world := func(o workload.Options) (workload.Workload, error) {
+		o.Trunks = 2
+		w, err := o.World(4, 8, func(*mether.World) error { return nil })
+		if err == nil {
+			w.Shutdown()
+		}
+		return workload.Workload{}, err
+	}
 	for _, row := range []struct {
 		field string
 		build func() (workload.Workload, error)
@@ -80,6 +90,15 @@ func TestKindsRejectNegatives(t *testing.T) {
 		{"StaggerStart", func() (workload.Workload, error) {
 			return workload.Stationary(workload.StationaryConfig{StaggerStart: -time.Millisecond})
 		}},
+		{"Cap", func() (workload.Workload, error) { return world(workload.Options{Cap: -time.Second}) }},
+		{"RxRing", func() (workload.Workload, error) { return world(workload.Options{RxRing: -5}) }},
+		{"RingSlots", func() (workload.Workload, error) { return world(workload.Options{RingSlots: -5}) }},
+		{"BacklogUp", func() (workload.Workload, error) { return world(workload.Options{BacklogUp: -5 * time.Millisecond}) }},
+		{"BacklogDown", func() (workload.Workload, error) { return world(workload.Options{BacklogDown: -time.Millisecond}) }},
+		{"Redundancy", func() (workload.Workload, error) { return world(workload.Options{Redundancy: -3}) }},
+		{"MinResidency", func() (workload.Workload, error) { return world(workload.Options{MinResidency: -time.Second}) }},
+		{"RetryTimeout", func() (workload.Workload, error) { return world(workload.Options{RetryTimeout: -time.Second}) }},
+		{"ClaimRetries", func() (workload.Workload, error) { return world(workload.Options{ClaimRetries: -2}) }},
 	} {
 		func() {
 			defer func() {
@@ -95,9 +114,9 @@ func TestKindsRejectNegatives(t *testing.T) {
 }
 
 // bridgedLossy is a world with every hazard the harvest counts: wire
-// and bridge-port loss, two trunks, redundant fetches, interrupt-level
-// servers and receive rings small enough to overflow.
-var bridgedLossy = workload.Options{Seed: 3, Trunks: 2, LossRate: 0.02, PortLoss: 0.02,
+// loss, two trunks, redundant fetches, interrupt-level servers and
+// receive rings small enough to overflow.
+var bridgedLossy = workload.Options{Seed: 3, Trunks: 2, LossRate: 0.02,
 	Redundancy: 2, KernelServer: true, RxRing: 4}
 
 // checkHarvest holds every field of a report's Harvest against the
@@ -173,7 +192,6 @@ func TestReportsWhatTheWorldCounted(t *testing.T) {
 				t.Errorf("%s on %s: report %+v, the world harvests %+v, its processes used %v", kind, world, r, h, cpu)
 			}
 			if !fabric {
-				hazards.Bridge.PortDrops += r.Bridge.PortDrops
 				hazards.Net.RingDrops += r.Net.RingDrops
 				hazards.Driver.StaleDrops += r.Driver.StaleDrops
 				hazards.Driver.KernelTime += r.Driver.KernelTime
@@ -182,7 +200,7 @@ func TestReportsWhatTheWorldCounted(t *testing.T) {
 			w.Shutdown()
 		}
 	}
-	if hazards.Bridge.PortDrops == 0 || hazards.Net.RingDrops == 0 || hazards.Driver.StaleDrops == 0 ||
+	if hazards.Net.RingDrops == 0 || hazards.Driver.StaleDrops == 0 ||
 		hazards.Driver.KernelTime == 0 || hazards.Driver.RedundantServes == 0 {
 		t.Errorf("the bridged lossy world left hazard counters at zero: %+v", hazards)
 	}
@@ -225,7 +243,7 @@ func TestStationaryReportsWhatTheWorldCounted(t *testing.T) {
 			if r.Net.FanoutFrames == 0 || r.Net.LinkMaxQueued == 0 {
 				t.Errorf("fabric world reports no fan-out: %+v", r.Harvest)
 			}
-		} else if r.Bridge.Forwarded == 0 || r.Bridge.PortDrops == 0 || len(r.TrunkUtil) != 2 ||
+		} else if r.Bridge.Forwarded == 0 || len(r.TrunkUtil) != 2 ||
 			r.Net.RingDrops == 0 || r.Driver.StaleDrops == 0 || r.Driver.KernelTime == 0 ||
 			r.Driver.RedundantServes == 0 || r.LatCount == 0 {
 			t.Errorf("bridged lossy world left the counters it exists to exercise at zero: %+v", r.Harvest)

@@ -38,18 +38,6 @@ func TestTrunkPartitionAndPlacement(t *testing.T) {
 	if _, err := w.CreateSegmentOnTrunk("bad", 1, 4); err == nil {
 		t.Error("CreateSegmentOnTrunk accepted an out-of-range trunk")
 	}
-
-	// Custom placement overrides the block partition.
-	w2 := mether.NewWorld(mether.Config{
-		Hosts: 4, Pages: 8, Seed: 3, Trunks: 2,
-		TrunkOf: func(host int) int { return host % 2 },
-	})
-	defer w2.Shutdown()
-	for i := 0; i < 4; i++ {
-		if got := w2.TrunkOf(i); got != i%2 {
-			t.Errorf("custom TrunkOf(%d) = %d, want %d", i, got, i%2)
-		}
-	}
 }
 
 // TestCrossTrunkPurgeOrderingDisagrees reproduces the paper's central
@@ -193,7 +181,6 @@ func TestConfigValidate(t *testing.T) {
 		{"trunks over hosts", mether.Config{Hosts: 2, Trunks: 3}, false, false},
 		{"negative trunks", mether.Config{Hosts: 2, Trunks: -1}, false, false},
 		{"trunks on a fabric", mether.Config{Hosts: 4, Trunks: 2, Medium: fabric}, false, false},
-		{"TrunkOf out of range", mether.Config{Hosts: 4, Trunks: 2, TrunkOf: func(int) int { return 2 }}, false, false},
 		{"a host id past the wire's", mether.Config{Hosts: 1<<15 + 1}, false, false},
 		{"a page past the wire's", mether.Config{Pages: 1<<16 + 1}, false, false},
 		{"negative pages", mether.Config{Pages: -1}, false, false},
@@ -208,12 +195,19 @@ func TestConfigValidate(t *testing.T) {
 		{"an Ethernet loss rate and no bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{LossRate: 0.5}}}, false, false},
 		{"an Ethernet loss rate of 2 and no bandwidth", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{LossRate: 2}}}, false, false},
 		{"a host cost model without a quantum", mether.Config{HostParams: host.Params{CtxSwitch: time.Millisecond}}, false, false},
-		{"a bridge port loss of 5", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{PortLoss: 5}}}, false, false},
+		{"a negative Ethernet ring", mether.Config{Medium: mether.MediumConfig{Ethernet: mether.EthernetParams{BandwidthBps: 1e7, RxRing: -1}}}, false, false},
+		{"a negative fabric ring", mether.Config{Medium: mether.MediumConfig{Kind: mether.MediumFabric, Fabric: mether.FabricParams{BandwidthBps: 1e9, TxQueue: 64, RxRing: -1}}}, false, false},
+		{"a negative bridge delay", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{BridgeDelay: -time.Millisecond}}}, false, false},
+		{"a negative backlog up", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{BacklogUp: -5 * time.Millisecond}}}, false, false},
+		{"a negative backlog down", mether.Config{Hosts: 4, Trunks: 2, Medium: mether.MediumConfig{Topology: ethernet.TopologyConfig{BacklogDown: -time.Millisecond}}}, false, false},
 		{"a core block that sets only KernelServer", mether.Config{Core: core.Config{KernelServer: true}}, false, false},
 		{"a core block that sets only NumPages", mether.Config{Core: core.Config{NumPages: 8}}, true, true},
 		{"a kernel-server core block", mether.Config{Core: kernelServer}, true, true},
 		{"a negative core PacketCost", mether.Config{Core: core.Config{RetryTimeout: time.Second, PacketCost: -1}}, false, false},
 		{"a negative core ByteCost", mether.Config{Core: core.Config{RetryTimeout: time.Second, ByteCost: -1}}, false, false},
+		{"a negative core MinResidency", mether.Config{Core: core.Config{RetryTimeout: time.Second, MinResidency: -time.Second}}, false, false},
+		{"a negative core Redundancy", mether.Config{Core: core.Config{RetryTimeout: time.Second, Redundancy: -3}}, false, false},
+		{"a negative core ClaimRetries", mether.Config{Core: core.Config{RetryTimeout: time.Second, ClaimRetries: -2}}, false, false},
 	} {
 		err := row.cfg.Validate()
 		switch {

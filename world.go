@@ -33,7 +33,6 @@ package mether
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strconv"
 	"time"
 
@@ -110,8 +109,8 @@ type MediumConfig struct {
 	// when wholly zero). Used only when Kind is MediumFabric.
 	Fabric FabricParams
 	// Topology parameterizes the bridges of a multi-trunk Ethernet
-	// (shape, store-and-forward delay, backlogs, per-port loss); ignored
-	// when Config.Trunks <= 1. A fabric has no trunks to bridge.
+	// (shape, store-and-forward delay, backlogs); ignored when
+	// Config.Trunks <= 1. A fabric has no trunks to bridge.
 	Topology ethernet.TopologyConfig
 	// RingOf sizes host i's receive ring, overriding the uniform
 	// per-medium RxRing when non-nil. Only hosts that see fan-in bursts
@@ -137,10 +136,8 @@ type Config struct {
 	// ring sizing. The zero value is the classic shared Ethernet.
 	Medium MediumConfig
 	// Core is the driver/server cost model (default core.DefaultConfig,
-	// when no field but the derived ones is set). Its NumPages, NumHosts,
-	// TrunkOf and TrunkHops are derived by NewWorld from Pages, Hosts and
-	// the world-level Trunks/TrunkOf placement — values set here are
-	// overwritten, so the two configs cannot disagree.
+	// when no field but NumPages is set). Its NumPages is Pages, whatever
+	// is set here, so the two configs cannot disagree.
 	Core core.Config
 	// Trunks is the number of Ethernet trunks (default 1, the classic
 	// single broadcast bus). With more than one, hosts are partitioned
@@ -149,14 +146,9 @@ type Config struct {
 	// broadcasts reach other trunks late and cross-trunk purge ordering
 	// is not globally consistent. Only meaningful on MediumEthernet: a
 	// point-to-point fabric has no trunks (NewWorld rejects the combination).
+	// Host i sits on trunk i*Trunks/Hosts, a contiguous block partition,
+	// like machines sharing the wing of a building.
 	Trunks int
-	// TrunkOf places host i on a trunk (must return 0..Trunks-1). Nil
-	// uses the default contiguous block partition: host i sits on trunk
-	// i*Trunks/Hosts, like machines sharing the wing of a building.
-	// NewWorld materializes this placement once and feeds it to the
-	// drivers (core.Config.TrunkOf); there is no second copy to keep in
-	// sync.
-	TrunkOf func(host int) int
 }
 
 func (c Config) withDefaults() Config {
@@ -181,12 +173,9 @@ func (c Config) withDefaults() Config {
 	if c.Medium.Fabric == (fabric.Params{}) {
 		c.Medium.Fabric = fabric.DefaultParams()
 	}
-	// The core block is unset when no field but those NewWorld derives
-	// (NumPages, NumHosts, TrunkOf, TrunkHops) is. Its slice and func
-	// make it incomparable, hence reflect.
-	set := c.Core
-	set.NumPages, set.NumHosts, set.TrunkOf, set.TrunkHops = 0, 0, nil, nil
-	if reflect.ValueOf(set).IsZero() {
+	// The core block is unset when no field but NumPages, which Pages
+	// decides, is.
+	if c.Core == (core.Config{NumPages: c.Core.NumPages}) {
 		c.Core = core.DefaultConfig(c.Pages)
 	}
 	c.Core.NumPages = c.Pages
@@ -201,13 +190,13 @@ func (c Config) withDefaults() Config {
 // quantum that is not positive, an unknown medium kind, a medium whose
 // bandwidth (or, on a fabric, TxQueue) is not positive, a trunk count
 // outside 1..Hosts, trunks on a fabric, an unknown topology shape, a
-// TrunkOf placement naming a trunk that does not exist, a loss
-// probability (Ethernet, fabric or bridge port) outside [0, 1], a core
-// RetryTimeout that is not positive or a negative core PacketCost or
-// ByteCost. Zero-valued fields are judged after defaulting, so the zero
-// Config is valid; a HostParams, Ethernet, Fabric or Core block is
-// defaulted only when wholly zero (Core: apart from the fields NewWorld
-// derives), so one set in part is judged as given.
+// loss probability (Ethernet or fabric) outside [0, 1], a negative
+// receive ring, bridge delay or backlog, a core RetryTimeout that is not
+// positive or a negative core PacketCost, ByteCost, MinResidency,
+// Redundancy or ClaimRetries. Zero-valued fields are judged after
+// defaulting, so the zero Config is valid; a HostParams, Ethernet,
+// Fabric or Core block is defaulted only when wholly zero (Core: apart
+// from NumPages), so one set in part is judged as given.
 // NewWorld panics with the same message; callers holding configuration
 // from outside the program (sweep cells, flags) call Validate first.
 func (c Config) Validate() error {
@@ -231,19 +220,26 @@ func (c Config) Validate() error {
 	if bw := c.Medium.Ethernet.BandwidthBps; c.Medium.Kind == MediumEthernet && bw <= 0 {
 		return fmt.Errorf("mether: Ethernet bandwidth %d b/s is not positive", bw)
 	}
-	for _, p := range []float64{c.Medium.Ethernet.LossRate, c.Medium.Fabric.LossRate, c.Medium.Topology.PortLoss} {
+	for _, p := range []float64{c.Medium.Ethernet.LossRate, c.Medium.Fabric.LossRate} {
 		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("mether: loss probability %v outside [0, 1]", p)
 		}
 	}
-	if c.Core.RetryTimeout <= 0 {
-		return fmt.Errorf("mether: core RetryTimeout %v is not positive", c.Core.RetryTimeout)
+	if e, f := c.Medium.Ethernet.RxRing, c.Medium.Fabric.RxRing; min(e, f) < 0 {
+		return fmt.Errorf("mether: receive ring %d (Ethernet) or %d (fabric) is negative", e, f)
 	}
-	if c.Core.PacketCost < 0 {
-		return fmt.Errorf("mether: core PacketCost %v is negative", c.Core.PacketCost)
+	if tc := c.Medium.Topology; min(tc.BridgeDelay, tc.BacklogDown, tc.BacklogUp) < 0 {
+		return fmt.Errorf("mether: bridge delay %v or backlog %v down, %v up is negative", tc.BridgeDelay, tc.BacklogDown, tc.BacklogUp)
 	}
-	if c.Core.ByteCost < 0 {
-		return fmt.Errorf("mether: core ByteCost %v is negative", c.Core.ByteCost)
+	cc := c.Core
+	if cc.RetryTimeout <= 0 {
+		return fmt.Errorf("mether: core RetryTimeout %v is not positive", cc.RetryTimeout)
+	}
+	if min(cc.PacketCost, cc.ByteCost, cc.MinResidency) < 0 {
+		return fmt.Errorf("mether: core PacketCost %v, ByteCost %v or MinResidency %v is negative", cc.PacketCost, cc.ByteCost, cc.MinResidency)
+	}
+	if min(cc.Redundancy, cc.ClaimRetries) < 0 {
+		return fmt.Errorf("mether: core Redundancy %d or ClaimRetries %d is negative", cc.Redundancy, cc.ClaimRetries)
 	}
 	if c.Trunks < 1 || c.Trunks > c.Hosts {
 		return fmt.Errorf("mether: %d trunks for %d hosts", c.Trunks, c.Hosts)
@@ -253,13 +249,6 @@ func (c Config) Validate() error {
 	}
 	if sh := c.Medium.Topology.Shape; c.Trunks > 1 && sh != ethernet.Star && sh != ethernet.Linear {
 		return fmt.Errorf("mether: unknown topology shape %d", sh)
-	}
-	if c.Trunks > 1 && c.TrunkOf != nil {
-		for i := 0; i < c.Hosts; i++ {
-			if t := c.TrunkOf(i); t < 0 || t >= c.Trunks {
-				return fmt.Errorf("mether: TrunkOf(%d) = %d outside 0..%d", i, t, c.Trunks-1)
-			}
-		}
 	}
 	return nil
 }
@@ -292,16 +281,6 @@ func NewWorld(cfg Config) *World {
 		k:    sim.New(cfg.Seed),
 		segs: make(map[string]*Segment),
 	}
-	coreCfg := cfg.Core
-	// The drivers learn the cluster size for redundant-fetch target
-	// selection (a no-op at the default Redundancy of 0/1).
-	coreCfg.NumHosts = cfg.Hosts
-	// NewWorld is the single place the trunk placement is materialized
-	// and handed to the drivers: coreCfg.TrunkOf/TrunkHops are
-	// unconditionally derived here (nil for a single-trunk or fabric
-	// world), so the world-level and core-level configs cannot disagree.
-	coreCfg.TrunkOf = nil
-	coreCfg.TrunkHops = nil
 	defaultRing := cfg.Medium.Ethernet.RxRing
 	var fab *fabric.Fabric
 	if cfg.Medium.Kind == MediumFabric {
@@ -312,23 +291,18 @@ func NewWorld(cfg Config) *World {
 		w.topo = ethernet.NewTopology(w.k, cfg.Trunks, cfg.Medium.Ethernet, cfg.Medium.Topology)
 		w.med = w.topo
 	}
+	// hops is the number of bridges between two hosts, nil when there
+	// are none: the drivers count stale refreshes from other trunks
+	// (reordered by bridge queues) and order redundant-fetch targets
+	// nearest first by it.
+	var hops func(a, b int) int
 	if cfg.Trunks > 1 {
 		w.trunkOf = make([]int, cfg.Hosts)
 		for i := range w.trunkOf {
-			t := i * cfg.Trunks / cfg.Hosts
-			if cfg.TrunkOf != nil {
-				t = cfg.TrunkOf(i)
-			}
-			w.trunkOf[i] = t
+			w.trunkOf[i] = i * cfg.Trunks / cfg.Hosts
 		}
 		w.topo.Place(w.trunkOf)
-		// The drivers learn the trunk map so cross-trunk protocol hazards
-		// (stale refreshes arriving after newer ones reordered by bridge
-		// queues) are counted, not just possible.
-		coreCfg.TrunkOf = w.trunkOf
-		// Bridge-hop distances feed the redundant-fetch nearest-first
-		// target ordering (same trunk beats one hop beats two).
-		coreCfg.TrunkHops = w.topo.Hops
+		hops = func(a, b int) int { return w.topo.Hops(w.trunkOf[a], w.trunkOf[b]) }
 	}
 	// Each kind of per-host record is one slice in host order, so a
 	// broadcast's walk over its receivers — port, driver, host, server —
@@ -362,7 +336,7 @@ func NewWorld(cfg Config) *World {
 			w.topo.Join(&nics[i], h.Name(), d.FrameArrived, ring)
 			port = &nics[i]
 		}
-		d.Init(h, port, coreCfg, &servers[i])
+		d.Init(h, port, cfg.Core, &servers[i], n, hops)
 		d.StartServer()
 		w.hosts[i], w.drivers[i] = h, d
 	}
@@ -448,7 +422,7 @@ func (w *World) Spawn(hostIdx int, name string, fn func(env *Env)) {
 	h := w.hosts[hostIdx]
 	d := w.drivers[hostIdx]
 	h.Spawn(name, func(p *host.Proc) {
-		fn(&Env{w: w, host: hostIdx, p: p, d: d})
+		fn(&Env{w: w, p: p, d: d})
 	})
 }
 
