@@ -92,10 +92,14 @@
 #                        [FALLS=f,...]: the report gate of a change meant to
 #                        move no report byte. Builds cmd/methersweep in both
 #                        trees, renders JSON and CSV of -grid smoke, -grid
-#                        all and -grid cluster -hosts 64 (and the full -grid
-#                        cluster with FULL=1, about 2 min more on two
-#                        workers), cmp's each pair and prints each grid's
-#                        event total; fails on any difference. FALLS (e.g.
+#                        all and -grid cluster -hosts 64 (and, with FULL=1,
+#                        the full -grid cluster, 879 483 901 events, and
+#                        its 1024-host rung, -grid cluster -hosts 1024,
+#                        49 307 441 events, the only rung where a ring
+#                        bound sizes bridge ports and fault.Churn runs:
+#                        about 4 min more on two workers), cmp's each pair
+#                        and prints each grid's event total; fails on any
+#                        difference. FALLS (e.g.
 #                        mem_bytes,bytes_per_host for a footprint change)
 #                        lets the listed fields fall or appear, and drops
 #                        their CSV columns from the comparison; a listed
@@ -105,11 +109,12 @@
 #                        what the report gate exercises. Builds methersweep
 #                        and metherbench with -cover -coverpkg=./..., runs
 #                        what `make golden` renders plus -grid cluster
-#                        -hosts 64 (and the full cluster grid with FULL=1,
-#                        about 90 s more) and prints the statement coverage
-#                        per package, the total and every non-test function
-#                        no run reaches; with PARENT, only the functions
-#                        with lines changed since the parent that no run
+#                        -hosts 64 (and the full cluster grid and its
+#                        1024-host rung with FULL=1, about 3 min in all)
+#                        and prints the statement coverage per package,
+#                        the total and every non-test function no run
+#                        reaches; with PARENT, only the functions with
+#                        lines changed since the parent that no run
 #                        reaches, with how many changed statement lines
 #                        each leaves unrun. Not a ci stage
 #   make loc           - non-test Go lines outside bench/ (tracked files

@@ -107,13 +107,13 @@ func DefaultConfig(numPages int) Config {
 type Driver struct {
 	// The fields a received frame reads come first, in its order: the
 	// interrupt wakes the server, the server drains the port, looks the
-	// page up and picks its work, all within three cache lines.
+	// page up and picks its work, all within the first 288 bytes.
 	h *host.Host
 	// rx is nic's receive side, which the server drains with direct calls.
 	rx *medium.Station
-	// server is the server loop's continuation and task, for either
-	// server: a pointer, so that they cost Driver nothing.
-	server *Server
+	// server is the server's task and its loop's continuation, for
+	// either server: every host runs one, so it is part of the record.
+	server server
 	// serverQ is where the user-level server sleeps between frames, and
 	// intrFn the prebuilt closure of the frame-arrival interrupt that
 	// wakes it.
@@ -172,7 +172,6 @@ type Driver struct {
 	// bridges away is counted as CrossTrunkStale.
 	hosts int
 	hops  func(a, b int) int
-	pad   [40]byte // holds Driver at 1152 B: 18 whole 64-byte lines per slab element
 }
 
 type workKind uint8
@@ -206,22 +205,21 @@ type workItem struct {
 // d.FrameArrived.
 func New(h *host.Host, n medium.Port, cfg Config, hosts int, hops func(a, b int) int) *Driver {
 	d := new(Driver)
-	d.Init(h, n, cfg, new(Server), hosts, hops)
+	d.Init(h, n, cfg, hosts, hops)
 	return d
 }
 
 // Init is New in place: it makes d, which must be the zero Driver, the
-// driver for host h on port n, keeping its server in s, the zero Server.
-// A world keeps its drivers in one slice and their servers in another,
-// both in host order, and initializes each where it lies.
-func (d *Driver) Init(h *host.Host, n medium.Port, cfg Config, s *Server, hosts int, hops func(a, b int) int) {
+// driver for host h on port n. A world keeps its drivers in one slice in
+// host order and initializes each where it lies.
+func (d *Driver) Init(h *host.Host, n medium.Port, cfg Config, hosts int, hops func(a, b int) int) {
 	if cfg.NumPages <= 0 || cfg.NumPages > addrPageMax || cfg.NumPages > proto.MaxPages {
 		panic(fmt.Sprintf("core: NumPages %d out of range", cfg.NumPages))
 	}
 	if h.ID() > proto.MaxHostID {
 		panic(fmt.Sprintf("core: host id %d beyond the wire format's %d", h.ID(), proto.MaxHostID))
 	}
-	d.h, d.nic, d.rx, d.cfg, d.id, d.server = h, n, n.Rx(), cfg, int16(h.ID()), s
+	d.h, d.nic, d.rx, d.cfg, d.id = h, n, n.Rx(), cfg, int16(h.ID())
 	d.hosts, d.hops = hosts, hops
 	d.shards = make([]*pageShard, (cfg.NumPages+shardSize-1)>>shardBits)
 	d.intrFn = func() { d.h.WakeupQ(&d.serverQ) }

@@ -849,23 +849,21 @@ func TestWriteBytesAcrossShortBoundaryNeedsFullView(t *testing.T) {
 	c.run(t, time.Second)
 }
 
-// TestDriverSizePinned keeps the server — its task and its loop's
-// continuation, a Server in its own slice — out of Driver, Driver's
-// fields packed (the wire id and the four flags in one word), and the wait
-// queues of a driver and a page at the two words each that the boxed wait
-// keys they replaced took. The structs' sizes are not an implementation
-// detail here: they are the terms of MemFootprint, which is mem_bytes in
-// every report.
+// TestDriverSizePinned keeps Driver's fields packed (the wire id and the
+// four flags in one word, the server's task and loop state inline), and
+// the wait queues of a driver and a page at the two words each that the
+// boxed wait keys they replaced took. The structs' sizes are not an
+// implementation detail here: they are the terms of MemFootprint, which
+// is mem_bytes in every report.
 func TestDriverSizePinned(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("pinned for 64-bit targets")
 	}
 	const moves = "this moves mem_bytes and bytes_per_host in every report and fails make golden " +
 		"(an intended change regenerates the goldens and this number together)"
-	if got := unsafe.Sizeof(Driver{}); got != 1152 {
-		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1152: Driver.MemFootprint starts from it, so %s; "+
-			"the server's task and loop state belong in the Server behind Driver.server, "+
-			"and a new flag joins the four that share a word with id", got, moves)
+	if got := unsafe.Sizeof(Driver{}); got != 1312 {
+		t.Errorf("unsafe.Sizeof(Driver{}) = %d, want 1312: Driver.MemFootprint starts from it, so %s; "+
+			"a new flag joins the four that share a word with id", got, moves)
 	}
 	if got := unsafe.Sizeof(pageState{}); got != 184 {
 		t.Errorf("unsafe.Sizeof(pageState{}) = %d, want 184: MemFootprint counts %d of them per shard, so %s",

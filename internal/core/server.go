@@ -9,13 +9,11 @@ import (
 	"mether/internal/sim"
 )
 
-// Server is one host's Mether server: the user-level server's host task
+// server is one host's Mether server: the user-level server's host task
 // and the continuation of the one server loop (advance), where the loop
 // stands between two charge points, the item in hand and the send it
-// queued. It lives behind Driver.server rather than in Driver, whose size
-// is a report byte (MemFootprint), and a world keeps its servers in one
-// slice in host order (Driver.Init).
-type Server struct {
+// queued.
+type server struct {
 	// proc is the user-level server, a host task; unstarted in
 	// kernel-server mode and before StartServer.
 	proc  host.Proc
@@ -120,7 +118,7 @@ func (d *Driver) Server() *host.Proc {
 // after it, the frame released last; a Crash during a charge finds the
 // item in hand finished against the wiped state.
 func (d *Driver) advance() (cost time.Duration, ok bool) {
-	s := d.server
+	s := &d.server
 	switch s.phase {
 	case phaseIdle:
 		if f, ok := d.rx.Recv(); ok {
@@ -171,7 +169,7 @@ func (d *Driver) advance() (cost time.Duration, ok bool) {
 
 // sent is the second half of the handler whose packet just went out.
 func (d *Driver) sent() {
-	s := d.server
+	s := &d.server
 	st := s.st
 	switch s.then {
 	case thenClaimed:
@@ -546,7 +544,7 @@ func (d *Driver) transmit(pkt proto.Packet, then afterSend) {
 		panic("core: internal packet encode failure: " + err.Error())
 	}
 	d.txBuf = buf[:0]
-	s := d.server
+	s := &d.server
 	s.sendLen, s.then, s.to, s.short = len(buf), then, pkt.OwnerTo, pkt.Short
 	s.sendCost = d.cfg.PacketCost + time.Duration(len(pkt.Data))*d.cfg.ByteCost
 }

@@ -81,8 +81,8 @@ func (s *BridgeStats) add(o BridgeStats) {
 // delay. The bridge occupies one NIC address on each segment.
 func NewBridge(k *sim.Kernel, a, b *Bus, delay time.Duration) *Bridge {
 	br := &Bridge{k: k, a: a, b: b, delay: delay, aPort: new(NIC), bPort: new(NIC)}
-	a.join(br.aPort, "bridge", func() { br.pump(br.aPort, br.bPort, &br.bBacklog) }, a.p.RxRing)
-	b.join(br.bPort, "bridge", func() { br.pump(br.bPort, br.aPort, &br.aBacklog) }, b.p.RxRing)
+	a.Join(br.aPort, "bridge", func() { br.pump(br.aPort, br.bPort, &br.bBacklog) }, a.p.RxRing)
+	b.Join(br.bPort, "bridge", func() { br.pump(br.bPort, br.aPort, &br.aBacklog) }, b.p.RxRing)
 	return br
 }
 

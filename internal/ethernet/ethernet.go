@@ -203,16 +203,21 @@ func (b *Bus) AttachPort(name string, intr func()) medium.Port {
 // instead of hosts × uniform-worst-case.
 func (b *Bus) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
 	n := new(NIC)
-	b.join(n, name, intr, ringCap)
+	b.Join(n, name, intr, ringCap)
 	return n
 }
 
-// join is AttachPortWithRing in place: it makes n, which must be the
-// zero NIC, the segment's next NIC (Topology.Join, NewBridge).
-func (b *Bus) join(n *NIC, name string, intr func(), ringCap int) {
+// Join is AttachPortWithRing in place: it makes n, which must be the
+// zero NIC, the segment's next NIC. A world keeps its hosts' NICs in one
+// slice, in host order, and joins each where it lies.
+func (b *Bus) Join(n *NIC, name string, intr func(), ringCap int) {
 	n.bus, n.Station = b, medium.NewStation(len(b.nics), name, intr, ringCap)
 	b.nics = append(b.nics, n)
 }
+
+// NICs returns the segment's stations in attach order (hosts, bridge
+// ports, taps), each at the index that is its id.
+func (b *Bus) NICs() []*NIC { return b.nics }
 
 // NIC is one station on the segment; it implements medium.Port. The
 // receive side is the embedded medium.Station; the NIC adds the wire it

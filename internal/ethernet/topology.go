@@ -78,19 +78,13 @@ func (tc TopologyConfig) withDefaults() TopologyConfig {
 }
 
 // Topology is a set of trunks (buses) joined by bridges into a loop-free
-// tree. It is the Ethernet world's medium.Medium: the n-th port attached
-// through it lands on the trunk Place assigned to station n. Tests that
-// want a NIC on a specific trunk use Bus(i).AttachPort.
+// tree. It is the Ethernet world's medium.Medium: a port attached
+// through it lands on trunk 0, the backbone, which is where a tap
+// should listen. A NIC for a specific trunk joins Bus(i).
 type Topology struct {
 	shape   Shape
 	buses   []*Bus
 	bridges []*Bridge
-	// place is the station→trunk placement for ports attached through
-	// the Medium surface, in attach order; stations beyond it (and all
-	// of them when it is nil) sit on trunk 0, the backbone — which is
-	// where a tap attached after the hosts should listen.
-	place    []int
-	attached int
 }
 
 var _ medium.Medium = (*Topology)(nil)
@@ -127,39 +121,17 @@ func NewTopology(k *sim.Kernel, trunks int, p Params, tc TopologyConfig) *Topolo
 	return t
 }
 
-// Place sets the station→trunk placement for AttachPort and
-// AttachPortWithRing: the n-th port attached through the topology joins
-// trunk trunkOf[n]. Call before attaching.
-func (t *Topology) Place(trunkOf []int) { t.place = trunkOf }
-
-// AttachPort adds the next station, on its placed trunk, with the
-// segment-default ring capacity.
+// AttachPort adds a station on the backbone with the segment-default
+// ring capacity.
 func (t *Topology) AttachPort(name string, intr func()) medium.Port {
-	return t.AttachPortWithRing(name, intr, t.buses[0].p.RxRing)
+	return t.buses[0].AttachPort(name, intr)
 }
 
-// AttachPortWithRing adds the next station, on its placed trunk, with an
-// explicit receive-ring bound.
+// AttachPortWithRing adds a station on the backbone with an explicit
+// receive-ring bound.
 func (t *Topology) AttachPortWithRing(name string, intr func(), ringCap int) medium.Port {
-	n := new(NIC)
-	t.Join(n, name, intr, ringCap)
-	return n
+	return t.buses[0].AttachPortWithRing(name, intr, ringCap)
 }
-
-// Join is AttachPortWithRing in place: n, which must be the zero NIC,
-// joins its placed trunk as the next station. A world keeps its hosts'
-// NICs in one slice, in host order, and joins each where it lies.
-func (t *Topology) Join(n *NIC, name string, intr func(), ringCap int) {
-	trunk := 0
-	if t.attached < len(t.place) {
-		trunk = t.place[t.attached]
-	}
-	t.attached++
-	t.buses[trunk].join(n, name, intr, ringCap)
-}
-
-// Trunks returns the number of buses.
-func (t *Topology) Trunks() int { return len(t.buses) }
 
 // Bus returns trunk i's segment.
 func (t *Topology) Bus(i int) *Bus { return t.buses[i] }

@@ -11,7 +11,7 @@ import (
 
 // countersOn attaches a NIC counting its interrupts to every trunk.
 func countersOn(t *Topology) (got []int) {
-	got = make([]int, t.Trunks())
+	got = make([]int, len(t.buses))
 	for i := range got {
 		i := i
 		t.Bus(i).AttachPort("counter", func() { got[i]++ })
@@ -85,20 +85,21 @@ func TestShapeByName(t *testing.T) {
 	}
 }
 
-// Ports attached through the Medium surface land on their placed trunk
-// in attach order, a station attached after the placed ones (a tap)
-// joins the backbone, and pool and busy time sum over trunks.
+// Ports attached through a trunk's Bus land on that trunk, stations
+// attached through the Medium surface (a host, a tap) join the backbone,
+// and pool and busy time sum over trunks.
 func TestTopologyIsAMediumWithPlacement(t *testing.T) {
 	k := sim.New(1)
 	topo := NewTopology(k, 3, DefaultParams(), TopologyConfig{})
-	topo.Place([]int{2, 0, 2, 1})
 	var m medium.Medium = topo
 	var ids []int
 	var ports []medium.Port
-	for i := 0; i < 5; i++ {
-		ports = append(ports, m.AttachPortWithRing("h", nil, 8))
+	for i, trunk := range []int{2, 0, 2, 1} {
+		ports = append(ports, topo.Bus(trunk).AttachPortWithRing("h", nil, 8))
 		ids = append(ids, ports[i].ID())
 	}
+	ports = append(ports, m.AttachPortWithRing("h", nil, 8))
+	ids = append(ids, ports[4].ID())
 	tap := m.AttachPort("tap", nil)
 	// Ids follow each trunk's bridge ports: two on the star's backbone,
 	// one on the others.
@@ -119,10 +120,9 @@ func TestTopologyIsAMediumWithPlacement(t *testing.T) {
 func TestTopologyPortIDsArePerTrunk(t *testing.T) {
 	k := sim.New(1)
 	topo := NewTopology(k, 2, DefaultParams(), TopologyConfig{})
-	topo.Place([]int{0, 0, 1, 1})
 	var ports []medium.Port
-	for i := 0; i < 4; i++ {
-		ports = append(ports, topo.AttachPort("h", nil))
+	for _, trunk := range []int{0, 0, 1, 1} {
+		ports = append(ports, topo.Bus(trunk).AttachPort("h", nil))
 	}
 	ports[0].Send(2, []byte("u"))
 	k.Run()

@@ -53,38 +53,30 @@ type Report struct {
 	LossWin   float64
 }
 
-// Config parameterizes a MemNet counter run.
+// Config parameterizes a MemNet counter run: two hosts of the
+// MemNet-prototype model (DefaultParams), for at most 60 s of virtual
+// time.
 type Config struct {
 	Shape  Shape
 	Target uint32
 	Seed   int64
-	Cap    time.Duration
-	Params Params
-	// WorkTime is computation performed after each increment. On
-	// microsecond-latency hardware two bare counter loops self-
-	// synchronize perfectly, so some think time is needed to expose the
-	// cost of polling — this mirrors the producer/consumer setting of
-	// the MemNet protocol analysis the paper cites. Default 100 µs.
-	WorkTime time.Duration
 }
+
+// workTime is computation performed after each increment. On
+// microsecond-latency hardware two bare counter loops self-synchronize
+// perfectly, so some think time is needed to expose the cost of polling
+// — this mirrors the producer/consumer setting of the MemNet protocol
+// analysis the paper cites.
+const workTime = 100 * time.Microsecond
 
 // RunCounter executes the cooperative counter on MemNet hardware.
 func RunCounter(cfg Config) (Report, error) {
 	if cfg.Target == 0 {
 		cfg.Target = 1024
 	}
-	if cfg.Cap == 0 {
-		cfg.Cap = 60 * time.Second
-	}
-	if cfg.Params.Hosts == 0 {
-		cfg.Params = DefaultParams(2)
-	}
-	if cfg.WorkTime == 0 {
-		cfg.WorkTime = 100 * time.Microsecond
-	}
 	k := sim.New(cfg.Seed)
 	defer k.Shutdown()
-	r := New(k, cfg.Params)
+	r := New(k, DefaultParams(2))
 
 	switch cfg.Shape {
 	case SharedChunk:
@@ -100,10 +92,10 @@ func RunCounter(cfg Config) (Report, error) {
 	for i := 0; i < 2; i++ {
 		i := i
 		r.Spawn(i, fmt.Sprintf("mn%d", i), func(p *Proc) {
-			runShape(p, cfg, uint32(i), sts[i])
+			runShape(p, cfg, r.p, uint32(i), sts[i])
 		})
 	}
-	k.RunUntil(cfg.Cap)
+	k.RunUntil(60 * time.Second)
 
 	rep := Report{Shape: cfg.Shape, Target: cfg.Target}
 	var wall time.Duration
@@ -138,19 +130,19 @@ type counterState struct {
 	finish       time.Duration
 }
 
-func runShape(p *Proc, cfg Config, id uint32, st *counterState) {
+func runShape(p *Proc, cfg Config, hw Params, id uint32, st *counterState) {
 	switch cfg.Shape {
 	case SharedChunk:
 		for {
-			p.Compute(cfg.Params.CheckCost)
+			p.Compute(hw.CheckCost)
 			v := p.Load32(0, 0)
 			if v >= cfg.Target {
 				break
 			}
 			if v%2 == id {
 				// Produce (think time), then publish the increment.
-				p.Compute(cfg.WorkTime)
-				p.Compute(cfg.Params.IncCost)
+				p.Compute(workTime)
+				p.Compute(hw.IncCost)
 				p.Store32(0, 0, v+1)
 				st.wins++
 				if v+1 >= cfg.Target {
@@ -164,14 +156,14 @@ func runShape(p *Proc, cfg Config, id uint32, st *counterState) {
 		own, peer := ChunkID(id), ChunkID(1-id)
 		myVal := uint32(0)
 		for {
-			p.Compute(cfg.Params.CheckCost)
+			p.Compute(hw.CheckCost)
 			v := p.Load32(peer, 0)
 			switch {
 			case v >= cfg.Target || myVal >= cfg.Target:
 			case v%2 == id && v+1 > myVal:
 				// Produce (think time), then publish the increment.
-				p.Compute(cfg.WorkTime)
-				p.Compute(cfg.Params.IncCost)
+				p.Compute(workTime)
+				p.Compute(hw.IncCost)
 				myVal = v + 1
 				p.Store32(own, 0, myVal)
 				st.wins++

@@ -20,10 +20,7 @@ type Config struct {
 	Hosts int
 	// Sweeps is the number of Jacobi iterations (default 25).
 	Sweeps int
-	// FlopCost is the CPU cost of one floating-point operation
-	// (Sun-3/50-class software floating point, default 3 µs).
-	FlopCost time.Duration
-	Seed     int64
+	Seed   int64
 	// Cap bounds the simulated run (default 30 minutes).
 	Cap time.Duration
 }
@@ -38,14 +35,15 @@ func (c Config) withDefaults() Config {
 	if c.Sweeps == 0 {
 		c.Sweeps = 25
 	}
-	if c.FlopCost == 0 {
-		c.FlopCost = 3 * time.Microsecond
-	}
 	if c.Cap == 0 {
 		c.Cap = 30 * time.Minute
 	}
 	return c
 }
+
+// flopCost is the CPU cost of one floating-point operation
+// (Sun-3/50-class software floating point).
+const flopCost = 3 * time.Microsecond
 
 // Report carries one distributed solve's measurements.
 type Report struct {
@@ -79,7 +77,7 @@ func RunDistributed(cfg Config) (Report, error) {
 
 	// Sequential reference: correctness baseline and speedup denominator.
 	seqX, _ := prob.SolveSequential(cfg.Sweeps)
-	seqWall := time.Duration(cfg.N) * FlopsPerRow * time.Duration(cfg.Sweeps) * cfg.FlopCost
+	seqWall := time.Duration(cfg.N) * FlopsPerRow * time.Duration(cfg.Sweeps) * flopCost
 
 	if cfg.Hosts == 1 {
 		// Degenerate case: one host, no communication.
@@ -211,7 +209,7 @@ func runRank(env *mether.Env, cfg Config, prob *Problem, caps []mether.Capabilit
 
 		// Local sweep: do the real arithmetic and charge its CPU cost.
 		prob.SweepSlice(next, x, lo, hi, haloL, haloR)
-		env.Compute(time.Duration(n) * FlopsPerRow * cfg.FlopCost)
+		env.Compute(time.Duration(n) * FlopsPerRow * flopCost)
 		x, next = next, x
 	}
 
@@ -245,7 +243,7 @@ func runRank(env *mether.Env, cfg Config, prob *Problem, caps []mether.Capabilit
 		haloR = bytesF64(data)
 	}
 	res := prob.ResidualSlice(x, lo, hi, haloL, haloR)
-	env.Compute(time.Duration(n) * 6 * cfg.FlopCost)
+	env.Compute(time.Duration(n) * 6 * flopCost)
 
 	// Ranks pass partial sums right-to-left.
 	if right != nil {

@@ -262,9 +262,9 @@ func FanoutGrid(o Options) []Scenario {
 // being measured. The rx ring widens to 4×hosts: a phase burst is one
 // broadcast per host arriving at wire speed and draining at server
 // speed, and the era 32-slot ring would drop nearly all of it. (The
-// ring also sizes the bridge ports' rings — a cross-trunk phase burst
-// lands on the bridge at wire speed and drains at the 1 ms
-// store-and-forward rate.)
+// bound reaches the bridge ports too, but a bridge empties its ring
+// inside the receive interrupt, so there it never binds: a cross-trunk
+// burst queues in the store-and-forward records instead.)
 func clusterRung(h int, seed int64) (stationary, barrier, hotspot Scenario) {
 	iters, phases := 16, 4
 	switch {
@@ -288,7 +288,7 @@ func clusterRung(h int, seed int64) (stationary, barrier, hotspot Scenario) {
 	hotspot.Iters, hotspot.MinResidency = iters, res
 	if h >= 1024 {
 		for _, s := range []*Scenario{&stationary, &barrier, &hotspot} {
-			s.WarmStart, s.RxRing = true, 4*h
+			s.WarmStart, s.RingSlots = true, 4*h
 		}
 		barrier.CheckEvery = time.Duration(h) * 2 * time.Microsecond
 		hotspot.Iters, hotspot.Writers = 4, 64

@@ -17,11 +17,13 @@ import (
 // against, recorded at the commit before the cluster grid's four
 // rewriting axes (trunks, redundancy, faults, medium) were deleted
 // (f93b242), over the same loop, and re-recorded when Scenario lost its
-// PortLoss field: the commit before, with " PortLoss:0" cut from each
-// %+v, hashes to the same value. It changes only when a cell's
-// definition is meant to change, or a Scenario field every cell leaves
-// zero goes; say which and why in the commit.
-const gridDefinitionsSHA256 = "7c693a00b83d6e298b05c1a2d54905a81a1c5b11599612faa77f76334e996572"
+// PortLoss field (the commit before, with " PortLoss:0" cut from each
+// %+v, hashes to the same value) and its RxRing field (the commit before,
+// with each cell's RxRing moved into RingSlots, which no cell set
+// beside it, and " RxRing:0" cut, hashes to the same value). It changes
+// only when a cell's definition is meant to change, or a Scenario field
+// goes; say which and why in the commit.
+const gridDefinitionsSHA256 = "bcb42aaa33ff69dd11f6f0c56c1a8b6eda4440405842c54414734e0f3c757b0a"
 
 // TestGridDefinitionsPinned hashes the %+v of every Scenario of every
 // named grid at every pinned host rung and seed, so a refactor of the

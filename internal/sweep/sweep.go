@@ -158,8 +158,9 @@ type Scenario struct {
 	// whole segment, and Stagger offsets host i's start by i×Stagger so
 	// first purges don't collide at t=0. Two are shared axes: Lazy
 	// enables the driver's memory-lazy receive path
-	// (core.Config.LazyReplicas), and RingSlots replaces the uniform rx
-	// ring with a small fan-in-derived constant per NIC.
+	// (core.Config.LazyReplicas), and RingSlots bounds every receive
+	// ring (workload.Options.RingSlots); the windowed tiers set it to a
+	// small fan-in-derived constant, the 1024-host tier to 4×hosts.
 	Windowed  bool
 	Stagger   time.Duration
 	Lazy      bool
@@ -187,12 +188,6 @@ type Scenario struct {
 	// hysteresis extremes, lossy passive protocols). methersweep treats
 	// a DNF on any cell *not* so marked as a gate failure.
 	MayDNF bool
-	// RxRing overrides the per-NIC receive ring capacity (zero = model
-	// default, 32 frames). A 1024-host broadcast burst arrives at wire
-	// speed but drains at server speed; the era-accurate 32-slot ring
-	// drops almost all of it, so the large tier scales the ring with
-	// cluster fan-in.
-	RxRing int
 	// Redundancy is the redundant-fetch fan-out k: read faults name the
 	// k-1 nearest replicas as extra targets and the first response wins.
 	// 0/1 is the classic owner-only protocol and leaves reports
@@ -372,7 +367,7 @@ func (s Scenario) cluster() (workload.Options, error) {
 	}
 	return workload.Options{
 		Seed: s.Seed, Cap: s.Cap,
-		Medium: s.Medium, LossRate: s.LossRate, RxRing: s.RxRing, RingSlots: s.RingSlots,
+		Medium: s.Medium, LossRate: s.LossRate, RingSlots: s.RingSlots,
 		Trunks: s.Trunks, TrunkShape: shape, BacklogUp: s.BacklogUp, BacklogDown: s.BacklogDown,
 		KernelServer: s.KernelServer, Redundancy: s.Redundancy,
 		MinResidency: s.MinResidency, RetryTimeout: s.RetryTimeout,

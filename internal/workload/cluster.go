@@ -27,19 +27,17 @@ type Options struct {
 	HostParams host.Params
 
 	// Medium selects the interconnect backend: mether.MediumEthernet
-	// (also when empty) or mether.MediumFabric. LossRate and RxRing (the
-	// per-NIC receive ring capacity; zero = the model's 32 frames) apply
-	// to whichever is selected, so an ethernet-vs-fabric comparison
-	// varies the wire and nothing else.
+	// (also when empty) or mether.MediumFabric. LossRate and RingSlots
+	// apply to whichever is selected, so an ethernet-vs-fabric
+	// comparison varies the wire and nothing else.
 	Medium   string
 	LossRate float64
-	RxRing   int
-	// RingSlots bounds every host's logical receive ring when positive,
-	// leaving the medium's own RxRing (which also sizes bridge ports)
-	// alone. The windowed tiers derive a small constant from the
-	// stationary fan-in model — one sampler per owner plus reply and
-	// snoop slack — instead of the 4×hosts worst case, and the reported
-	// ring high-water proves the bound out.
+	// RingSlots, when positive, is the medium's receive ring bound
+	// (zero = the model's 32 frames): every port's, bridge ports
+	// included. The 1024-host tier scales it with fan-in (4×hosts); the
+	// windowed tiers derive a small constant from the stationary fan-in
+	// model — one sampler per owner plus reply and snoop slack — and the
+	// reported ring high-water proves the bound out.
 	RingSlots int
 
 	// Trunks partitions the hosts across bridged Ethernet trunks (0/1 =
@@ -109,7 +107,7 @@ type Options struct {
 func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*mether.World, error) {
 	// Zero is the default; a negative value would run the default too,
 	// or, for a backlog, forward faster than the bridge's own delay.
-	if err := errors.Join(NonNegative("Cap", o.Cap), NonNegative("RxRing", o.RxRing),
+	if err := errors.Join(NonNegative("Cap", o.Cap),
 		NonNegative("RingSlots", o.RingSlots), NonNegative("BacklogUp", o.BacklogUp),
 		NonNegative("BacklogDown", o.BacklogDown), NonNegative("Redundancy", o.Redundancy),
 		NonNegative("MinResidency", o.MinResidency), NonNegative("RetryTimeout", o.RetryTimeout),
@@ -119,8 +117,8 @@ func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*met
 	np := mether.DefaultEthernetParams()
 	fp := mether.DefaultFabricParams()
 	np.LossRate, fp.LossRate = o.LossRate, o.LossRate
-	if o.RxRing > 0 {
-		np.RxRing, fp.RxRing = o.RxRing, o.RxRing
+	if o.RingSlots > 0 {
+		np.RxRing, fp.RxRing = o.RingSlots, o.RingSlots
 	}
 	cc := core.DefaultConfig(pages)
 	cc.KernelServer = o.KernelServer
@@ -142,9 +140,6 @@ func (o Options) World(hosts, pages int, layout func(*mether.World) error) (*met
 				Shape: o.TrunkShape, BacklogUp: o.BacklogUp, BacklogDown: o.BacklogDown,
 			},
 		},
-	}
-	if ring := o.RingSlots; ring > 0 {
-		cfg.Medium.RingOf = func(int) int { return ring }
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -74,9 +74,6 @@ func TestKindsRejectNegatives(t *testing.T) {
 		{"Iters", func() (workload.Workload, error) { return workload.Hotspot(workload.HotspotConfig{Iters: -1}) }},
 		{"Writers", func() (workload.Workload, error) { return workload.Hotspot(workload.HotspotConfig{Writers: -1}) }},
 		{"Phases", func() (workload.Workload, error) { return workload.Barrier(workload.BarrierConfig{Phases: -1}) }},
-		{"Work", func() (workload.Workload, error) {
-			return workload.Barrier(workload.BarrierConfig{Work: -time.Millisecond})
-		}},
 		{"HysteresisPurge", func() (workload.Workload, error) {
 			return workload.Barrier(workload.BarrierConfig{HysteresisPurge: -1})
 		}},
@@ -91,7 +88,6 @@ func TestKindsRejectNegatives(t *testing.T) {
 			return workload.Stationary(workload.StationaryConfig{StaggerStart: -time.Millisecond})
 		}},
 		{"Cap", func() (workload.Workload, error) { return world(workload.Options{Cap: -time.Second}) }},
-		{"RxRing", func() (workload.Workload, error) { return world(workload.Options{RxRing: -5}) }},
 		{"RingSlots", func() (workload.Workload, error) { return world(workload.Options{RingSlots: -5}) }},
 		{"BacklogUp", func() (workload.Workload, error) { return world(workload.Options{BacklogUp: -5 * time.Millisecond}) }},
 		{"BacklogDown", func() (workload.Workload, error) { return world(workload.Options{BacklogDown: -time.Millisecond}) }},
@@ -117,7 +113,7 @@ func TestKindsRejectNegatives(t *testing.T) {
 // loss, two trunks, redundant fetches, interrupt-level servers and
 // receive rings small enough to overflow.
 var bridgedLossy = workload.Options{Seed: 3, Trunks: 2, LossRate: 0.02,
-	Redundancy: 2, KernelServer: true, RxRing: 4}
+	Redundancy: 2, KernelServer: true, RingSlots: 4}
 
 // checkHarvest holds every field of a report's Harvest against the
 // world's own accessors, read directly: the network and bridge

@@ -138,10 +138,6 @@ type BarrierConfig struct {
 	Hosts int
 	// Phases is the number of barrier rounds (default 8).
 	Phases int
-	// Work is the mean local compute per phase (default 2 ms). Actual
-	// per-host, per-phase work is drawn uniformly from [Work/2, 3Work/2]
-	// with the run's seed, modelling skew.
-	Work time.Duration
 	// HysteresisPurge is how many stale reads a waiter tolerates before
 	// purging the peer copy to force a fresh fetch (default 4).
 	HysteresisPurge int
@@ -159,7 +155,7 @@ type BarrierConfig struct {
 }
 
 func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
-	if err := errors.Join(NonNegative("Hosts", c.Hosts), NonNegative("Phases", c.Phases), NonNegative("Work", c.Work),
+	if err := errors.Join(NonNegative("Hosts", c.Hosts), NonNegative("Phases", c.Phases),
 		NonNegative("HysteresisPurge", c.HysteresisPurge), NonNegative("CheckEvery", c.CheckEvery)); err != nil {
 		return c, fmt.Errorf("workload: barrier %w", err)
 	}
@@ -168,9 +164,6 @@ func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
 	}
 	if c.Phases == 0 {
 		c.Phases = 8
-	}
-	if c.Work == 0 {
-		c.Work = 2 * time.Millisecond
 	}
 	if c.HysteresisPurge == 0 {
 		c.HysteresisPurge = 4
@@ -183,6 +176,11 @@ func (c BarrierConfig) withDefaults() (BarrierConfig, error) {
 	}
 	return c, nil
 }
+
+// barrierWork is a barrier host's mean local compute per phase. Actual
+// per-host, per-phase work is drawn uniformly from [barrierWork/2,
+// 3*barrierWork/2] with the run's seed, modelling skew.
+const barrierWork = 2 * time.Millisecond
 
 // Barrier is Phases rounds of an N-host barrier built from stationary
 // per-host pages. Its ops are the phases; its latency is the
@@ -207,8 +205,7 @@ func Barrier(c BarrierConfig) (Workload, error) {
 		wl.Clients[i] = Client{i, fmt.Sprintf("bsp%d", i)}
 		work[i] = make([]time.Duration, c.Phases)
 		for p := range work[i] {
-			half := int64(c.Work) / 2
-			work[i][p] = c.Work/2 + time.Duration(rng.Int63n(2*half+1))
+			work[i][p] = barrierWork/2 + time.Duration(rng.Int63n(int64(barrierWork)+1))
 		}
 	}
 	wl.Body = func(env *mether.Env, i int) error {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"testing"
-	"time"
 
 	"mether/pipe"
 )
@@ -38,7 +37,7 @@ func TestHotspotRejectsBadConfig(t *testing.T) {
 }
 
 func TestBarrierCompletes(t *testing.T) {
-	r := runConfig(t, Barrier, BarrierConfig{Hosts: 3, Phases: 4, Work: time.Millisecond, Options: Options{Seed: 1}})
+	r := runConfig(t, Barrier, BarrierConfig{Hosts: 3, Phases: 4, Options: Options{Seed: 1}})
 	if r.DNF {
 		t.Fatal("barrier did not finish")
 	}
@@ -46,8 +45,8 @@ func TestBarrierCompletes(t *testing.T) {
 	if r.LatCount != 3*4 {
 		t.Errorf("barrier wait samples = %d, want 12", r.LatCount)
 	}
-	if r.Wall < 4*time.Millisecond/2 {
-		t.Errorf("wall %v implausibly short for 4 phases of ~1ms work", r.Wall)
+	if r.Wall < 4*barrierWork/2 {
+		t.Errorf("wall %v implausibly short for 4 phases of ~%v work", r.Wall, barrierWork)
 	}
 }
 

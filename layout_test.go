@@ -23,11 +23,11 @@ func windowedConfig(hosts int) mether.Config {
 }
 
 // worldAllocsPerHost bounds what building a world allocates, per host:
-// each kind of per-host record (Host, Driver, Server with its task, NIC or
-// fabric Port) is one slice per world and the hosts' names are one
-// string, so what is left per host is five prebuilt closures (dispatch,
-// the port's interrupt, the server's wake, step and resume), the
-// directory's shard table and the host's process list.
+// each kind of per-host record (Host, Driver with its server and task
+// inline, NIC or fabric Port) is one slice per world and the hosts' names
+// are one string, so what is left per host is five prebuilt closures
+// (dispatch, the port's interrupt, the server's wake, step and resume),
+// the directory's shard table and the host's process list.
 const worldAllocsPerHost = 9
 
 // TestWorldBuildAllocations pins worldAllocsPerHost on both media, at 64

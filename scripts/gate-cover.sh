@@ -4,9 +4,10 @@
 # renders (the smoke, all and 16-host cluster grids and metherbench)
 # plus the 64-host cluster grid, and prints the statement coverage per
 # package, the total, and every non-test function no run reached. FULL
-# adds the full cluster grid. PARENT, a checkout of the parent commit,
-# instead lists only the functions with lines changed since it that no
-# run reaches, each with the changed statement lines left unrun.
+# adds the full cluster grid and its 1024-host rung. PARENT, a checkout
+# of the parent commit, instead lists only the functions with lines
+# changed since it that no run reaches, each with the changed statement
+# lines left unrun.
 #
 # usage: gate-cover.sh [FULL] [PARENT]
 # (make gate-cover [FULL=1] [PARENT=...])
@@ -32,7 +33,10 @@ sweep -grid all
 sweep -grid cluster -hosts 16
 sweep -grid cluster -hosts 64
 "$out/metherbench" > "$out/EXPERIMENTS.md"
-if [ -n "$full" ]; then sweep -grid cluster; fi
+if [ -n "$full" ]; then
+	sweep -grid cluster
+	sweep -grid cluster -hosts 1024
+fi
 unset GOCOVERDIR
 
 go tool covdata textfmt -i="$out/cov" -o "$out/cover.out"

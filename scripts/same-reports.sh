@@ -2,7 +2,8 @@
 # The report gate of a change meant to move no report byte: builds
 # cmd/methersweep in this tree and in a checkout of its parent, renders
 # the JSON and CSV reports of -grid smoke, -grid all and -grid cluster
-# -hosts 64 with each (plus the full -grid cluster when FULL is set),
+# -hosts 64 with each (plus the full -grid cluster and its 1024-host
+# rung, -grid cluster -hosts 1024, when FULL is set),
 # cmp's every pair and prints each grid's event total and coroutine
 # resumes per side. Where a JSON pair differs it prints one line per
 # moved field: cell, field, parent -> change. Exits non-zero on any
@@ -93,9 +94,9 @@ without() {
 }
 
 bad=0
-for grid in smoke all cluster-h64 ${full:+cluster}; do
+for grid in smoke all cluster-h64 ${full:+cluster cluster-h1024}; do
 	case $grid in
-	cluster-h64) args="-grid cluster -hosts 64" ;;
+	cluster-h*) args="-grid cluster -hosts ${grid#cluster-h}" ;;
 	*) args="-grid $grid" ;;
 	esac
 	for side in parent change; do

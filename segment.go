@@ -54,11 +54,7 @@ func (w *World) CreateSegmentOnTrunk(name string, n, trunk int) (*Segment, error
 	if trunk < 0 || trunk >= w.Trunks() {
 		return nil, fmt.Errorf("mether: trunk %d out of range (world has %d)", trunk, w.Trunks())
 	}
-	owner := w.FirstHostOnTrunk(trunk)
-	if owner < 0 {
-		return nil, fmt.Errorf("mether: trunk %d has no hosts", trunk)
-	}
-	return w.CreateSegment(name, n, owner)
+	return w.CreateSegment(name, n, w.FirstHostOnTrunk(trunk))
 }
 
 // CreateSegmentOwners allocates a segment with one page per entry of

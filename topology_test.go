@@ -2,6 +2,8 @@ package mether_test
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,24 +11,16 @@ import (
 	"mether/internal/core"
 	"mether/internal/ethernet"
 	"mether/internal/host"
+	"mether/internal/workload"
 )
 
-// TestTrunkPartitionAndPlacement covers the public topology surface: the
-// default contiguous block partition, the trunk accessors, and
-// trunk-aware segment placement.
+// TestTrunkPartitionAndPlacement covers trunk-aware segment placement
+// (TestHostsSitOnTheBlockPartition covers the partition itself).
 func TestTrunkPartitionAndPlacement(t *testing.T) {
 	w := mether.NewWorld(mether.Config{Hosts: 8, Pages: 8, Seed: 3, Trunks: 4})
 	defer w.Shutdown()
 	if w.Trunks() != 4 {
 		t.Fatalf("Trunks() = %d, want 4", w.Trunks())
-	}
-	for i := 0; i < 8; i++ {
-		if got, want := w.TrunkOf(i), i/2; got != want {
-			t.Errorf("TrunkOf(%d) = %d, want %d (block partition)", i, got, want)
-		}
-	}
-	if h := w.FirstHostOnTrunk(2); h != 4 {
-		t.Errorf("FirstHostOnTrunk(2) = %d, want 4", h)
 	}
 	seg, err := w.CreateSegmentOnTrunk("far", 1, 3)
 	if err != nil {
@@ -37,6 +31,69 @@ func TestTrunkPartitionAndPlacement(t *testing.T) {
 	}
 	if _, err := w.CreateSegmentOnTrunk("bad", 1, 4); err == nil {
 		t.Error("CreateSegmentOnTrunk accepted an out-of-range trunk")
+	}
+}
+
+// TestHostsSitOnTheBlockPartition: on every world of up to 64 hosts and
+// every trunk count, host i's NIC is on the bus of trunk i*Trunks/Hosts,
+// TrunkOf says so, and FirstHostOnTrunk names the lowest host there.
+func TestHostsSitOnTheBlockPartition(t *testing.T) {
+	for hosts := 1; hosts <= 64; hosts++ {
+		for trunks := 1; trunks <= hosts; trunks++ {
+			w := mether.NewWorld(mether.Config{Hosts: hosts, Pages: 1, Trunks: trunks})
+			placed := 0
+			for trunk := 0; trunk < trunks; trunk++ {
+				first := -1
+				for _, n := range w.Topology().Bus(trunk).NICs() {
+					name, ok := strings.CutPrefix(n.Name(), "host")
+					if !ok {
+						continue
+					}
+					i, _ := strconv.Atoi(name)
+					if i*trunks/hosts != trunk || w.TrunkOf(i) != trunk {
+						t.Errorf("%d hosts, %d trunks: host %d is on trunk %d, TrunkOf says %d, want %d",
+							hosts, trunks, i, trunk, w.TrunkOf(i), i*trunks/hosts)
+					}
+					if first < 0 {
+						first = i
+					}
+					placed++
+				}
+				if got := w.FirstHostOnTrunk(trunk); got != first || first < 0 {
+					t.Errorf("%d hosts, %d trunks: FirstHostOnTrunk(%d) = %d, lowest host on its bus %d",
+						hosts, trunks, trunk, got, first)
+				}
+			}
+			if placed != hosts {
+				t.Errorf("%d hosts, %d trunks: %d host NICs on the buses", hosts, trunks, placed)
+			}
+			w.Shutdown()
+		}
+	}
+}
+
+// TestRingSlotsBoundEveryPort: workload.Options.RingSlots is the medium's
+// receive ring bound, so on a bridged world it bounds the bridge ports'
+// rings as well as the hosts'.
+func TestRingSlotsBoundEveryPort(t *testing.T) {
+	const slots = 5
+	w, err := workload.Options{Trunks: 2, RingSlots: slots}.World(6, 8, func(*mether.World) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Shutdown()
+	count := map[string]int{}
+	for trunk := 0; trunk < w.Trunks(); trunk++ {
+		for _, n := range w.Topology().Bus(trunk).NICs() {
+			kind := strings.TrimRight(n.Name(), "0123456789")
+			count[kind]++
+			if n.RingCap() != slots {
+				t.Errorf("trunk %d: %s's ring holds %d frames, want %d", trunk, n.Name(), n.RingCap(), slots)
+			}
+		}
+	}
+	if got := fmt.Sprint(count); got != "map[bridge:2 host:6]" {
+		t.Errorf("ports on the buses: %s, want both ends of one bridge and 6 hosts", got)
 	}
 }
 

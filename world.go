@@ -262,7 +262,6 @@ type World struct {
 	// and footprint come out of it, taps listen on it.
 	med      medium.Medium
 	topo     *ethernet.Topology // med's concrete type on Ethernet; nil on a fabric
-	trunkOf  []int              // host index -> trunk (nil for single trunk)
 	hosts    []*host.Host
 	drivers  []*core.Driver
 	segs     map[string]*Segment
@@ -297,20 +296,14 @@ func NewWorld(cfg Config) *World {
 	// nearest first by it.
 	var hops func(a, b int) int
 	if cfg.Trunks > 1 {
-		w.trunkOf = make([]int, cfg.Hosts)
-		for i := range w.trunkOf {
-			w.trunkOf[i] = i * cfg.Trunks / cfg.Hosts
-		}
-		w.topo.Place(w.trunkOf)
-		hops = func(a, b int) int { return w.topo.Hops(w.trunkOf[a], w.trunkOf[b]) }
+		hops = func(a, b int) int { return w.topo.Hops(w.TrunkOf(a), w.TrunkOf(b)) }
 	}
 	// Each kind of per-host record is one slice in host order, so a
-	// broadcast's walk over its receivers — port, driver, host, server —
-	// goes through memory in order rather than across the heap.
+	// broadcast's walk over its receivers — port, driver, host — goes
+	// through memory in order rather than across the heap.
 	n := cfg.Hosts
 	hosts := make([]host.Host, n)
 	drivers := make([]core.Driver, n)
-	servers := make([]core.Server, n)
 	var nics []ethernet.NIC
 	var ports []fabric.Port
 	if fab != nil {
@@ -333,10 +326,10 @@ func NewWorld(cfg Config) *World {
 			fab.Join(&ports[i], h.Name(), d.FrameArrived, ring)
 			port = &ports[i]
 		} else {
-			w.topo.Join(&nics[i], h.Name(), d.FrameArrived, ring)
+			w.topo.Bus(w.TrunkOf(i)).Join(&nics[i], h.Name(), d.FrameArrived, ring)
 			port = &nics[i]
 		}
-		d.Init(h, port, cfg.Core, &servers[i], n, hops)
+		d.Init(h, port, cfg.Core, n, hops)
 		d.StartServer()
 		w.hosts[i], w.drivers[i] = h, d
 	}
@@ -363,33 +356,23 @@ func hostNames(n int) []string {
 func (w *World) NumHosts() int { return len(w.hosts) }
 
 // Trunks returns the number of Ethernet trunks (1 for the classic
-// single-bus world).
-func (w *World) Trunks() int {
-	if w.topo == nil {
-		return 1
-	}
-	return w.topo.Trunks()
-}
+// single-bus world and for a fabric).
+func (w *World) Trunks() int { return w.cfg.Trunks }
 
-// TrunkOf returns the trunk host hostIdx is attached to.
-func (w *World) TrunkOf(hostIdx int) int {
-	if w.trunkOf == nil {
-		return 0
-	}
-	return w.trunkOf[hostIdx]
-}
+// TrunkOf returns the trunk host hostIdx is attached to: the block
+// partition i*Trunks/Hosts.
+func (w *World) TrunkOf(hostIdx int) int { return hostIdx * w.cfg.Trunks / w.cfg.Hosts }
 
 // FirstHostOnTrunk returns the lowest-numbered host attached to the
-// given trunk, or -1 if the trunk is empty. Workloads use it for
-// trunk-aware placement: putting a segment owner on a chosen trunk
-// decides which trunk serves that segment's demand requests.
+// given trunk, or -1 if there is no such trunk; since there are no more
+// trunks than hosts, none is empty. Workloads use it for trunk-aware
+// placement: putting a segment owner on a chosen trunk decides which
+// trunk serves that segment's demand requests.
 func (w *World) FirstHostOnTrunk(trunk int) int {
-	for i := range w.hosts {
-		if w.TrunkOf(i) == trunk {
-			return i
-		}
+	if trunk < 0 || trunk >= w.cfg.Trunks {
+		return -1
 	}
-	return -1
+	return (trunk*w.cfg.Hosts + w.cfg.Trunks - 1) / w.cfg.Trunks
 }
 
 // BridgeStats returns the aggregated store-and-forward counters of the
@@ -464,21 +447,21 @@ func (w *World) TrunkUtilization(wall time.Duration) ([]float64, []uint64) {
 }
 
 // MemFootprint returns the world's structural memory footprint in
-// bytes: every driver's directory/frame/queue walk plus the network's
-// rings and pools. It is a deterministic function of simulated
-// behaviour — identical across runs, GC timing and sweep worker counts
-// — which is why reports carry it instead of runtime heap statistics
-// (those are polluted by whatever else shares the process, including
-// parallel sweep workers). Monotone structures only: the walk counts
-// peak-shaped capacity (rings, pools, tiers never shrink), so it is a
-// resident-footprint measure, not an instantaneous live-byte count.
+// bytes: every driver (its server's task and loop state inline) with its
+// directory/frame/queue walk, plus the network's rings and pools. It is
+// a deterministic function of simulated behaviour — identical across
+// runs, GC timing and sweep worker counts — which is why reports carry
+// it instead of runtime heap statistics (those are polluted by whatever
+// else shares the process, including parallel sweep workers). Monotone
+// structures only: the walk counts peak-shaped capacity (rings, pools,
+// tiers never shrink), so it is a resident-footprint measure, not an
+// instantaneous live-byte count.
 func (w *World) MemFootprint() uint64 {
 	var b uint64
 	for _, d := range w.drivers {
 		b += d.MemFootprint()
 	}
 	b += w.med.MemFootprint()
-	b += uint64(len(w.trunkOf)) * 8
 	return b
 }
 
@@ -504,8 +487,8 @@ func (w *World) CheckInvariants() error { return core.CheckInvariants(w.drivers.
 // interconnect and returns its log (the simulation's tcpdump). max
 // bounds retained entries; 0 keeps everything. Attach taps before
 // running. On a multi-trunk world the tap listens on trunk 0 (the
-// backbone, where ethernet.Topology puts every station attached after
-// the placed hosts), like a real analyzer plugged into one segment. On
-// a fabric there is no promiscuous mode: the tap sees only broadcast
-// fan-out copies addressed to it, never host-to-host unicasts.
+// backbone, where ethernet.Topology puts every station attached through
+// it), like a real analyzer plugged into one segment. On a fabric there
+// is no promiscuous mode: the tap sees only broadcast fan-out copies
+// addressed to it, never host-to-host unicasts.
 func (w *World) AttachTap(max int) *trace.Log { return trace.Tap(w.k, w.med, max) }
