@@ -54,7 +54,9 @@
 #                        quantum rotation, sleep/wake and a charge for a
 #                        host task, a scheduler-run poll on a bare host and
 #                        through the driver, bus broadcast, a 96-port
-#                        fabric broadcast landed and drained, the
+#                        fabric broadcast landed and drained, every
+#                        port's first broadcast on a fresh 96-port
+#                        fabric, the
 #                        server's snoop of one broadcast, full counter
 #                        runs, building the 1024-host windowed world,
 #                        per host)
@@ -130,7 +132,7 @@
 
 GO ?= go
 
-MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkFabricFanout|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun|BenchmarkWorldBuild
+MICROBENCH = BenchmarkKernelDispatch|BenchmarkKernelDispatchImmediate|BenchmarkKernelDispatchDeep|BenchmarkKernelDispatchSpread|BenchmarkKernelDispatchBurst|BenchmarkKernelCoalescedFanout|BenchmarkKernelCoalescedMiss|BenchmarkKernelLaneSkip|BenchmarkKernelLaneWindow2|BenchmarkKernelLaneWindow64|BenchmarkKernelScheduleCancel|BenchmarkProcSleepSolo|BenchmarkProcPingPong|BenchmarkProcFanResume|BenchmarkProcParkWake|BenchmarkHostSleepWake|BenchmarkHostWakeupMiss|BenchmarkHostUseWhile|BenchmarkHostQuantumRotation|BenchmarkHostTaskSleepWake|BenchmarkHostTaskUse|BenchmarkBusBroadcast|BenchmarkFabricFanout|BenchmarkFabricFanoutCold|BenchmarkServerSnoop|BenchmarkSpin32|BenchmarkCounterRun|BenchmarkWorldBuild
 
 .PHONY: ci ci-stage fmt-check vet test race fuzz smoke bench-module golden golden-write golden-update wordsize cluster-smoke cluster-large cluster-xl sweep cluster bench bench-smoke bench-pair same-reports gate-cover loc profile
 

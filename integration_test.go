@@ -8,6 +8,7 @@ import (
 	"mether"
 	"mether/internal/ethernet"
 	"mether/internal/protocols"
+	"mether/internal/sweep"
 	"mether/internal/workload"
 	"mether/pipe"
 	"mether/registry"
@@ -293,5 +294,35 @@ func TestSpinWorldFilesEventsOnce(t *testing.T) {
 	t.Logf("%d events: %d popped, %d batched, %d skipped", rep.Events, c.Pops, c.Batched, c.Skipped)
 	if rep.Events < 1000000 || (c.Pops+c.Batched)*100 > rep.Events {
 		t.Errorf("%d events, %d popped and %d batched: want at most one in a hundred of at least a million run as a callback", rep.Events, c.Pops, c.Batched)
+	}
+}
+
+// TestFabricCellsOnlyBroadcast: every frame the fabric cells of the smoke
+// grid and of the 64-host cluster rung put on the wire is a broadcast's
+// copy (FanoutFrames == Frames). The fabric keeps one transmitter per
+// port; per-pair links would hold exactly its state while a port sends
+// nothing but broadcasts, and this pins that no program sends anything
+// else.
+func TestFabricCellsOnlyBroadcast(t *testing.T) {
+	smoke, err := sweep.Grid("smoke", sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := sweep.Grid("cluster", sweep.Options{Hosts: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, s := range append(smoke, cluster...) {
+		if s.Medium != mether.MediumFabric {
+			continue
+		}
+		cells++
+		if r := s.Run(); r.Err != "" || r.Packets == 0 || r.FanoutFrames != r.Packets {
+			t.Errorf("%s: %d frames, %d of them fan-out copies, err %q", s.Name, r.Packets, r.FanoutFrames, r.Err)
+		}
+	}
+	if cells != 4 {
+		t.Errorf("%d fabric cells, want 4", cells)
 	}
 }

@@ -126,6 +126,9 @@ type delivery struct {
 
 // NewBus creates a segment driven by kernel k.
 func NewBus(k *sim.Kernel, p Params) *Bus {
+	// Invariant: the wire serializes a frame in finite time.
+	// Config.Validate refuses a non-positive bandwidth before a world
+	// builds a bus, so only a direct caller can reach this.
 	if p.BandwidthBps <= 0 {
 		panic("ethernet: BandwidthBps must be positive")
 	}
@@ -137,8 +140,8 @@ func (b *Bus) Params() Params { return b.p }
 
 // Stats returns a snapshot of the segment counters. Ring drops and
 // suppressed transmissions are summed over all NICs; the ring high-water
-// mark is the max. The link-queue fields of medium.Stats are always
-// zero: a shared bus has no per-link queues and pays no fan-out.
+// mark is the max. The transmit-queue fields of medium.Stats are always
+// zero: a shared bus has no transmit queues and pays no fan-out.
 func (b *Bus) Stats() medium.Stats {
 	s := medium.Stats{
 		Frames:        b.stats.Frames,

@@ -1,46 +1,46 @@
 // Package fabric simulates an RDMA-like point-to-point interconnect: the
 // second implementation of the medium contract (internal/medium), next
-// to the paper's shared broadcast Ethernet. Every ordered pair of ports
-// is its own link with independent bandwidth and a fixed link latency;
-// frames on one link serialize FIFO behind each other but never contend
-// with traffic between other ports. There is no broadcast domain at all:
-// a Send to medium.Broadcast is expanded by the fabric into one unicast
-// copy per attached destination, each charged full wire cost on its own
-// link — the cost inversion modern interconnects impose on Mether's
-// broadcast-everything protocol. On the shared bus a broadcast costs one
-// transmission no matter how many stations listen; here it costs N-1,
-// paid by the sender, while unicasts stop interfering with each other.
-// Which of the paper's conclusions survive that inversion is exactly
-// what the ethernet-vs-fabric sweep axis measures.
+// to the paper's shared broadcast Ethernet. Every port has its own
+// transmitter with its own bandwidth and a fixed link latency: a port's
+// sends serialize FIFO behind each other, but never contend with other
+// ports' traffic. There is no broadcast domain at all: a Send to
+// medium.Broadcast leaves the transmitter as one unicast copy per
+// attached destination, each billed full wire cost — the cost inversion
+// modern interconnects impose on Mether's broadcast-everything protocol.
+// On the shared bus a broadcast costs one transmission no matter how
+// many stations listen; here it costs N-1, paid by the sender, while
+// senders stop interfering with each other. Which of the paper's
+// conclusions survive that inversion is exactly what the
+// ethernet-vs-fabric sweep axis measures.
 //
-// Each link also has a bounded transmit queue: at most Params.TxQueue
-// frames may be in flight (queued or serializing) per link, and sends
-// beyond the bound are dropped and counted (Stats.LinkOverflows) — the
+// The copies of one broadcast leave the transmitter together, one
+// serialization time after the send starts, as if on N-1 parallel links
+// fed from one queue: the counters bill N-1 frames and N-1 serialization
+// times, while the port's horizon advances by one. Each transmitter
+// also has a bounded queue: at most Params.TxQueue sends may be in
+// flight (queued or serializing) per port, and a send beyond the bound
+// is dropped whole, every copy counted (Stats.LinkOverflows) — the
 // fabric's analogue of receive-ring overrun, surfaced separately so a
-// sweep can tell sender-side from receiver-side loss. Peak per-link
+// sweep can tell sender-side from receiver-side loss. Peak per-port
 // occupancy is reported as Stats.LinkMaxQueued.
 //
-// This package owns only the transmit model — the link table, the
-// per-link serialization horizon and queue bound, the fan-out loop. The
-// receive side (ring, drop and suppression counters, down flag,
-// interrupt) is medium.Station, embedded by Port and shared with the
-// Ethernet NIC.
+// This package owns only the transmit model — the per-port
+// serialization horizon and queue bound, the fan-out. The receive side
+// (ring, drop and suppression counters, down flag, interrupt) is
+// medium.Station, embedded by Port and shared with the Ethernet NIC.
 //
 // The data path reuses the shared pooled machinery: refcounted payload
 // buffers, each with its decode-once view (a fan-out's copies share one
 // buffer and one decoded view), pooled delivery records with prebuilt
 // closures, and lazily grown bounded receive rings. Steady-state traffic
-// does not allocate, on either medium. The copies of one send that land
-// at one instant — every copy on an idle link, N-1 of them for a
-// broadcast over idle links — ride one delivery record, filed once with
-// sim.Kernel.AfterCoalesced as the first of them is sent: one callback
-// lands them in dst order, each with its own link, loss and stats work,
-// and counts them as the events they would have been (Kernel.Ran). One
-// event per copy would have run them adjacent in (time, seq) anyway, and
-// landing a copy can neither stop the kernel nor hand it to a process,
-// so the simulator pays one callback for them where the modelled sender
-// still pays N-1 transmissions. A copy behind a busy link lands later,
-// in a record of its own.
+// does not allocate, on either medium. All copies of one send land at
+// one instant, so they ride one delivery record, filed once with
+// sim.Kernel.AfterCoalesced: one callback lands them in destination
+// order and counts them as the events they would have been
+// (Kernel.Ran). One event per copy would have run them adjacent in
+// (time, seq) anyway, and landing a copy can neither stop the kernel nor
+// hand it to a process, so the simulator pays one callback for them
+// where the modelled sender still pays N-1 transmissions.
 package fabric
 
 import (
@@ -55,8 +55,8 @@ import (
 // Params configures the fabric. The zero value is not useful; start from
 // DefaultParams.
 type Params struct {
-	// BandwidthBps is each link's independent signalling rate in bits
-	// per second. Links do not share it: ten busy links move ten times
+	// BandwidthBps is each port's independent signalling rate in bits
+	// per second. Ports do not share it: ten busy ports move ten times
 	// the bytes of one.
 	BandwidthBps int64
 	// LinkLatency is the fixed propagation delay of every link, applied
@@ -70,20 +70,22 @@ type Params struct {
 	// are padded.
 	MinFrameBytes int
 	// LossRate is the probability that a transmitted frame is corrupted
-	// and delivered to no one. Rolled per fan-out copy: on a
-	// point-to-point medium each copy is its own transmission.
+	// and delivered to no one. Rolled per fan-out copy, in ascending
+	// destination order: on a point-to-point medium each copy is its own
+	// transmission.
 	LossRate float64
 	// RxRing is the per-port receive ring capacity; arrivals beyond it
 	// are dropped.
 	RxRing int
-	// TxQueue bounds the frames in flight (queued or serializing) on one
-	// link; sends beyond it are dropped and counted as link overflows.
+	// TxQueue bounds the sends in flight (queued or serializing) on one
+	// port's transmitter; a send beyond it is dropped, each of its copies
+	// counted as a link overflow.
 	TxQueue int
 }
 
-// DefaultParams returns a modest RDMA-like fabric: 1 Gb/s per link, 2µs
+// DefaultParams returns a modest RDMA-like fabric: 1 Gb/s per port, 2µs
 // link latency, 26 bytes of transport-header overhead, 64-byte minimum
-// frames, 32-frame receive rings and 64-frame link transmit queues. The
+// frames, 32-frame receive rings and 64-send transmit queues. The
 // receive-ring default matches the Ethernet model so medium comparisons
 // vary the wire, not the host's buffering.
 func DefaultParams() Params {
@@ -98,26 +100,12 @@ func DefaultParams() Params {
 	}
 }
 
-// link is the transmit side of one ordered (src,dst) pair: its own FIFO
-// serialization horizon and in-flight bound. Links materialize on first
-// use, so an N-port fabric allocates state proportional to the pairs
-// that actually talk, not N².
-type link struct {
-	busyUntil time.Duration
-	pending   int // frames queued or serializing, bounded by TxQueue
-}
-
 // Fabric is one point-to-point interconnect instance implementing
-// medium.Medium. Port ids are dense attach-order indexes, shared with
-// the link table.
+// medium.Medium. Port ids are dense attach-order indexes.
 type Fabric struct {
 	k     *sim.Kernel
 	p     Params
 	ports []*Port
-	// links[src][dst] is the (src,dst) transmit link, nil until first
-	// used. The per-src rows are also lazy: a port that never sends
-	// costs one nil slice.
-	links [][]*link
 
 	frames        uint64
 	wireBytes     uint64
@@ -137,28 +125,24 @@ var (
 	_ medium.Port   = (*Port)(nil)
 )
 
-// delivery is a pooled in-flight record: one payload buffer, its source,
-// the copies that land together, and a prebuilt completion closure, so
-// Send schedules without allocating. It holds one buffer reference,
-// dropped once its last copy has landed.
+// delivery is a pooled in-flight send: its payload buffer, its source,
+// its destination (a port id, or medium.Broadcast for every port below
+// n but the source), the loss fates of its copies and a prebuilt
+// completion closure, so Send schedules without allocating. It holds
+// the send's one buffer reference, dropped once every copy has landed.
 type delivery struct {
-	fb   *Fabric
-	buf  *medium.Buf
-	src  int
-	legs []leg
-	fn   func()
-}
-
-// leg is one copy in a delivery: its destination, the link whose queue it
-// leaves on landing, and its loss fate, rolled at send.
-type leg struct {
-	dst  int
-	l    *link
-	lost bool
+	fb          *Fabric
+	buf         *medium.Buf
+	src, dst, n int
+	lost        []bool // by destination id, rolled at send; empty on a lossless fabric
+	fn          func()
 }
 
 // New creates a fabric driven by kernel k.
 func New(k *sim.Kernel, p Params) *Fabric {
+	// Invariant: a transmitter serializes in finite time and holds at
+	// least one send. Config.Validate refuses both values before a world
+	// builds a fabric, so only a direct caller can reach these.
 	if p.BandwidthBps <= 0 {
 		panic("fabric: BandwidthBps must be positive")
 	}
@@ -189,33 +173,12 @@ func (fb *Fabric) AttachPortWithRing(name string, intr func(), ringCap int) medi
 func (fb *Fabric) Join(p *Port, name string, intr func(), ringCap int) {
 	p.fab, p.Station = fb, medium.NewStation(len(fb.ports), name, intr, ringCap)
 	fb.ports = append(fb.ports, p)
-	fb.links = append(fb.links, nil)
-}
-
-// linkTo returns (materializing if needed) the src→dst link.
-func (fb *Fabric) linkTo(src, dst int) *link {
-	row := fb.links[src]
-	if row == nil {
-		row = make([]*link, len(fb.ports))
-		fb.links[src] = row
-	} else if len(row) < len(fb.ports) {
-		grown := make([]*link, len(fb.ports))
-		copy(grown, row)
-		row = grown
-		fb.links[src] = row
-	}
-	l := row[dst]
-	if l == nil {
-		l = &link{}
-		row[dst] = l
-	}
-	return l
 }
 
 // Stats snapshots the fabric-wide counters. Ring drops and suppressed
 // transmissions are summed over ports, ring high water by max. BusyTime
-// sums serialization over all links, so on a busy fabric it exceeds wall
-// time — that surplus is the parallelism a shared bus doesn't have.
+// sums serialization over all copies, so on a busy fabric it exceeds
+// wall time — that surplus is the parallelism a shared bus doesn't have.
 func (fb *Fabric) Stats() medium.Stats {
 	s := medium.Stats{
 		Frames:        fb.frames,
@@ -234,8 +197,8 @@ func (fb *Fabric) Stats() medium.Stats {
 }
 
 // MemFootprint returns the fabric's structural memory footprint in
-// bytes: ports and their rings, the materialized link table, and the
-// pooled buffers and delivery records (with their leg arrays) on the
+// bytes: ports (with their transmitters) and their rings, and the
+// pooled buffers and delivery records (with their loss fates) on the
 // freelists. Deterministic by construction, like every footprint in the
 // tree.
 func (fb *Fabric) MemFootprint() uint64 {
@@ -243,18 +206,9 @@ func (fb *Fabric) MemFootprint() uint64 {
 	for _, p := range fb.ports {
 		m += uint64(unsafe.Sizeof(p)) + p.MemFootprint()
 	}
-	m += uint64(cap(fb.links)) * uint64(unsafe.Sizeof([]*link(nil)))
-	for _, row := range fb.links {
-		m += uint64(cap(row)) * uint64(unsafe.Sizeof((*link)(nil)))
-		for _, l := range row {
-			if l != nil {
-				m += uint64(unsafe.Sizeof(*l))
-			}
-		}
-	}
 	m += fb.pool.MemFootprint()
 	m += fb.freeDeliv.MemFootprint()
-	fb.freeDeliv.Each(func(d *delivery) { m += uint64(cap(d.legs)) * uint64(unsafe.Sizeof(leg{})) })
+	fb.freeDeliv.Each(func(d *delivery) { m += uint64(cap(d.lost)) })
 	return m
 }
 
@@ -262,10 +216,13 @@ func (fb *Fabric) MemFootprint() uint64 {
 func (fb *Fabric) PoolStats() (allocated, free int) { return fb.pool.Stats() }
 
 // Port is one station on the fabric; it implements medium.Port. The
-// receive side is the embedded medium.Station; the port adds the fabric
-// whose links it transmits on.
+// receive side is the embedded medium.Station; the port adds its
+// transmitter: the fabric it sends on, its serialization horizon and
+// its sends in flight.
 type Port struct {
-	fab *Fabric
+	fab       *Fabric
+	busyUntil time.Duration
+	pending   int // sends queued or serializing, bounded by TxQueue
 	medium.Station
 }
 
@@ -278,115 +235,100 @@ func (p *Port) MemFootprint() uint64 {
 func (p *Port) Release(f medium.Frame) { p.fab.pool.Release(f.Buf) }
 
 // Send transmits payload to dst (a port id or medium.Broadcast). A
-// unicast travels the single src→dst link. A Broadcast has no shared
-// wire to ride: the fabric expands it into one copy per attached
-// destination (ascending id, sender excluded), each serialized on its
-// own link and charged full wire cost — those copies are additionally
-// counted in Stats.FanoutFrames. All copies share one pooled payload
-// buffer and therefore one decode-once view. A send from a down port is
-// suppressed and counted; a unicast to an unattached id or to the
-// sender itself reaches no one and costs nothing, exactly as on the
-// shared bus.
+// unicast is one copy; a Broadcast has no shared wire to ride, so it is
+// one copy per port attached now (ascending id, sender excluded), each
+// charged full wire cost and additionally counted in
+// Stats.FanoutFrames. Either way the send takes one place in the port's
+// transmit queue, waits behind the port's earlier sends and holds the
+// transmitter for one serialization time; its copies land together the
+// link latency after. All copies share one pooled payload buffer and
+// therefore one decode-once view. A send from a down port is suppressed
+// and counted; a unicast to an unattached id or to the sender itself
+// reaches no one and costs nothing, exactly as on the shared bus.
 func (p *Port) Send(dst int, payload []byte) {
 	if p.Suppress() {
 		return
 	}
-	fb, src := p.fab, p.ID()
-	lo, hi := dst, dst+1
+	fb, src, n := p.fab, p.ID(), len(p.fab.ports)
+	copies := 1
 	if dst == medium.Broadcast {
-		if len(fb.ports) <= 1 {
-			return
-		}
-		lo, hi = 0, len(fb.ports)
-	} else if dst < 0 || dst >= len(fb.ports) || dst == src {
+		copies = n - 1
+	} else if dst < 0 || dst >= n || dst == src {
 		return
 	}
-	buf := fb.pool.Acquire(len(payload))
-	copy(buf.Data, payload)
-	// The sender's reference pins the buffer for the loop: without it, an
-	// overflow on the first link would recycle the buffer while later
-	// copies still transmit it. Each record takes one of its own.
-	buf.Refs = 1
+	if copies == 0 {
+		return
+	}
+	// A send past the bound is dropped on the spot: no wire cost, one
+	// overflow per copy.
+	if p.pending >= fb.p.TxQueue {
+		fb.linkOverflows += uint64(copies)
+		return
+	}
+	p.pending++
+	fb.linkMaxQueued = max(fb.linkMaxQueued, p.pending)
 	wire := medium.WireBytes(len(payload), fb.p.FrameOverhead, fb.p.MinFrameBytes)
 	dur := medium.TxTime(wire, fb.p.BandwidthBps)
 	now := fb.k.Now()
-	var idle *delivery // the record of the copies landing at now+dur+LinkLatency
-	for to := lo; to < hi; to++ {
-		if to == src {
-			continue
-		}
-		// An overflowed copy is dropped on the spot: no wire cost, one
-		// overflow count.
-		l := fb.linkTo(src, to)
-		if l.pending >= fb.p.TxQueue {
-			fb.linkOverflows++
-			continue
-		}
-		l.pending++
-		fb.linkMaxQueued = max(fb.linkMaxQueued, l.pending)
-		start := max(now, l.busyUntil)
-		l.busyUntil = start + dur
-		fb.frames++
-		fb.wireBytes += uint64(wire)
-		fb.payloadBytes += uint64(len(payload))
-		fb.busyTime += dur
-		if dst == medium.Broadcast {
-			fb.fanoutFrames++
-		}
-		lost := fb.p.LossRate > 0 && fb.k.Rand().Float64() < fb.p.LossRate
-		r := idle
-		if r == nil || start > now {
-			n := 1
-			if dst == medium.Broadcast && start == now {
-				n = hi - 1 // room for every copy
-			}
-			r = fb.record(src, buf, n)
-			fb.k.AfterCoalesced(start+dur+fb.p.LinkLatency-now, "fabric deliver", r.fn)
-			if start == now {
-				idle = r
-			}
-		}
-		r.legs = append(r.legs, leg{to, l, lost})
+	start := max(now, p.busyUntil)
+	p.busyUntil = start + dur
+	c := uint64(copies)
+	fb.frames += c
+	fb.wireBytes += c * uint64(wire)
+	fb.payloadBytes += c * uint64(len(payload))
+	fb.busyTime += time.Duration(copies) * dur
+	if dst == medium.Broadcast {
+		fb.fanoutFrames += c
 	}
-	fb.pool.Release(buf)
-}
 
-// record takes a delivery record, with its prebuilt closure and room for
-// n copies, from the pool, and gives it a reference on buf from src.
-func (fb *Fabric) record(src int, buf *medium.Buf, n int) *delivery {
 	r := fb.freeDeliv.Get()
 	if r == nil {
 		r = &delivery{fb: fb}
 		r.fn = func() { r.run() }
 	}
-	if cap(r.legs) < n {
-		r.legs = make([]leg, 0, n)
-	}
-	buf.Refs++
-	r.buf, r.src = buf, src
-	return r
-}
-
-// run lands the record's copies in order: each leaves its link's transmit
-// queue, then lands in its destination ring (or is lost, or dropped).
-// Unlike the broadcast bus, a copy arrives stamped with its actual
-// destination id, not medium.Broadcast — on a fabric every frame is
-// somebody's unicast. The copies after the first count as events of their
-// own, as the callbacks of a coalesced batch do.
-func (r *delivery) run() {
-	fb := r.fb
-	fb.k.Ran(len(r.legs) - 1)
-	for _, c := range r.legs {
-		c.l.pending--
-		if c.lost {
-			fb.wireLost++
-		} else {
-			fb.ports[c.dst].Deliver(medium.Frame{Src: r.src, Dst: c.dst, Payload: r.buf.Data, Buf: r.buf})
+	r.buf = fb.pool.Acquire(len(payload))
+	copy(r.buf.Data, payload)
+	r.buf.Refs = 1
+	r.src, r.dst, r.n = src, dst, n
+	if fb.p.LossRate > 0 {
+		for to := 0; to < n; to++ {
+			r.lost = append(r.lost, r.lands(to) && fb.k.Rand().Float64() < fb.p.LossRate)
 		}
 	}
-	// Drop the record's reference and recycle it.
+	fb.k.AfterCoalesced(start+dur+fb.p.LinkLatency-now, "fabric deliver", r.fn)
+}
+
+// lands reports whether the send lands a copy at port to.
+func (r *delivery) lands(to int) bool {
+	return to != r.src && (r.dst == medium.Broadcast || to == r.dst)
+}
+
+// run lands the send's copies in destination order once it has left the
+// transmit queue: each is lost, or lands in its destination's ring (or
+// is dropped there). Unlike the broadcast bus, a copy arrives stamped
+// with its actual destination id, not medium.Broadcast — on a fabric
+// every frame is somebody's unicast. The copies after the first count
+// as events of their own, as the callbacks of a coalesced batch do.
+func (r *delivery) run() {
+	fb := r.fb
+	fb.ports[r.src].pending--
+	lo, hi := r.dst, r.dst+1
+	if r.dst == medium.Broadcast {
+		lo, hi = 0, r.n
+		fb.k.Ran(r.n - 2)
+	}
+	for to := lo; to < hi; to++ {
+		switch {
+		case !r.lands(to):
+		case len(r.lost) > 0 && r.lost[to]:
+			fb.wireLost++
+		default:
+			fb.ports[to].Deliver(medium.Frame{Src: r.src, Dst: to, Payload: r.buf.Data, Buf: r.buf})
+		}
+	}
+	// Drop the send's reference and recycle the record.
 	fb.pool.Release(r.buf)
-	r.legs, r.buf = r.legs[:0], nil
+	r.lost, r.buf = r.lost[:0], nil
 	fb.freeDeliv.Put(r)
 }
 

@@ -9,7 +9,7 @@ import (
 	"mether/internal/sim"
 )
 
-// The medium contract, the fabric's link queues, per-copy loss and late
+// The medium contract, the transmit queues, per-copy loss and late
 // attaches among it, is held to the reference medium by
 // TestMediumMatchesSpec (internal/medium). The cases here are worked
 // examples: written instants, counters and buffer identities.
@@ -78,8 +78,8 @@ func TestBroadcastFanout(t *testing.T) {
 		"[3 3 true [] 0->2 hello, view shared true]")
 }
 
-// At most TxQueue frames are in flight on a link; the rest are dropped
-// unbilled and their references released.
+// At most TxQueue sends are in flight on a port's transmitter; the rest
+// are dropped unbilled and their references released.
 func TestLinkQueueOverflow(t *testing.T) {
 	p := DefaultParams()
 	p.TxQueue = 2
@@ -93,15 +93,19 @@ func TestLinkQueueOverflow(t *testing.T) {
 		"[3 2 2 [0->1 a 0->1 b]]")
 }
 
-// Frames on one link serialize (512ns each at 1 Gb/s, then 2µs); another
-// link's frame does not wait for them.
+// A port's sends serialize behind each other, whatever their kind: 512ns
+// each at 1 Gb/s, then 2µs. The broadcast's copies leave together, and
+// the unicast after it waits for it; another port's frame waits for
+// none of them.
 func TestLinkFIFOSerialization(t *testing.T) {
 	k, fb, ports, at := fabricOf(DefaultParams(), 3)
-	ports[0].Send(1, []byte{1})
-	ports[0].Send(1, []byte{2})
-	ports[2].Send(1, []byte{3})
+	ports[0].Send(1, []byte("a"))
+	ports[0].Send(medium.Broadcast, []byte("b"))
+	ports[0].Send(1, []byte("c"))
+	ports[2].Send(1, []byte("d"))
 	k.Run()
-	check(t, fb, "arrivals", []any{at[1], len(recv(ports[1]))}, "[[2.512µs 2.512µs 3.024µs] 3]")
+	check(t, fb, "arrivals at 1 and 2", []any{at[1], recv(ports[1]), at[2], recv(ports[2])},
+		"[[2.512µs 2.512µs 3.024µs 3.536µs] [0->1 a 2->1 d 0->1 b 0->1 c] [3.024µs] [0->2 b]]")
 }
 
 // Loss is rolled per copy, and a lost copy releases its reference.
@@ -131,8 +135,8 @@ func TestDownPortSuppression(t *testing.T) {
 		"[2 2 2 2 0 [] [0->2 3]]")
 }
 
-// A copy dropped at a full link early in a fan-out must not recycle the
-// buffer the later copies still carry.
+// A full transmitter overflows the whole broadcast: every copy is counted
+// and none is billed or sent, while the send ahead of it still lands.
 func TestBroadcastOverflowGuard(t *testing.T) {
 	p := DefaultParams()
 	p.TxQueue = 1
@@ -140,7 +144,9 @@ func TestBroadcastOverflowGuard(t *testing.T) {
 	ports[0].Send(1, []byte("fill"))
 	ports[0].Send(medium.Broadcast, []byte("fan"))
 	k.Run()
-	check(t, fb, "overflows, at 1 and 2", []any{fb.Stats().LinkOverflows, recv(ports[1]), recv(ports[2])}, "[1 [0->1 fill] [0->2 fan]]")
+	st := fb.Stats()
+	check(t, fb, "overflows, frames, fan-out, at 1 and 2", []any{st.LinkOverflows, st.Frames, st.FanoutFrames, recv(ports[1]), recv(ports[2])},
+		"[2 1 0 [0->1 fill] []]")
 }
 
 // The same seed gives the same counters, loss rolls included; another

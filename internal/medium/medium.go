@@ -7,8 +7,8 @@
 // Two implementations exist. internal/ethernet is the paper's shared
 // 10 Mb/s broadcast segment: one serialized wire, a broadcast reaches
 // every station for the price of one transmission. internal/fabric is
-// an RDMA-like point-to-point medium: independent per-link queues and
-// bandwidth, no broadcast domain at all — a "broadcast" is a sender-paid
+// an RDMA-like point-to-point medium: one transmitter per port, with
+// its own queue and bandwidth, and no broadcast domain at all — a "broadcast" is a sender-paid
 // unicast fan-out, charged once per destination. The protocol layers
 // (core.Driver and up) run unchanged over either; which 1990 conclusions
 // survive the modern medium is a sweep axis, not a rewrite.
@@ -32,8 +32,8 @@ import "time"
 
 // Broadcast is the destination address that delivers a frame to every
 // attached port except the sender. On a point-to-point medium there is
-// no broadcast domain; the medium fans the frame out link by link and
-// charges the sender for every copy.
+// no broadcast domain; the medium fans the frame out as one copy per
+// destination and charges the sender for every copy.
 const Broadcast = -1
 
 // Medium is one interconnect instance: ports attach to it, frames move
@@ -116,8 +116,8 @@ type Port interface {
 }
 
 // Stats aggregates medium-wide counters. The first block is meaningful
-// on every medium; the link-queue block is populated only by
-// point-to-point media (a shared bus has no per-link queues) and stays
+// on every medium; the transmit-queue block is populated only by
+// point-to-point media (a shared bus has no transmit queues) and stays
 // zero on ethernet, which keeps pre-fabric reports byte-identical.
 type Stats struct {
 	Frames       uint64 // frames transmitted (fan-out copies included)
@@ -130,18 +130,18 @@ type Stats struct {
 	// the medium. Aggregated by max, never summed.
 	RingHighWater int
 	// BusyTime is total serialization time. On a point-to-point medium
-	// independent links sum, so BusyTime may exceed wall time.
+	// every copy's transmission counts, so BusyTime may exceed wall time.
 	BusyTime time.Duration
 
 	// FanoutFrames counts the per-destination unicast copies a
 	// point-to-point medium transmitted on behalf of Broadcast sends —
 	// the sender-paid fan-out cost a shared bus never charges.
 	FanoutFrames uint64
-	// LinkOverflows counts frames dropped at a full per-link transmit
-	// queue (point-to-point media only).
+	// LinkOverflows counts frames dropped at a full transmit queue: every
+	// copy of a send the queue refused (point-to-point media only).
 	LinkOverflows uint64
-	// LinkMaxQueued is the peak per-link transmit-queue occupancy over
-	// all links (point-to-point media only; aggregated by max).
+	// LinkMaxQueued is the peak transmit-queue occupancy, in sends, over
+	// all ports (point-to-point media only; aggregated by max).
 	LinkMaxQueued int
 }
 

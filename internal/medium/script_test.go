@@ -68,11 +68,15 @@ func (w wire) medium(k *sim.Kernel) medium.Medium {
 }
 
 // cover is the ground a profile's scripts covered: counters read off the
-// real medium, frames the spec saw take each path, and rings the runner
-// saw grow while wrapped.
+// real medium, frames and sends the spec saw take each path, and rings
+// the runner saw grow while wrapped. Behind counts fabric sends that
+// found their transmitter busy, mixed those of them that followed a send
+// of the other kind (unicast after broadcast or the reverse), each on a
+// lossless and a lossy wire.
 type cover struct {
 	ringDrops, wireLost, suppressed, linkOverflows uint64
-	downSkips, midOverflows, lateLinks, wrapGrows  int
+	downSkips, lateAttaches, wrapGrows             int
+	behind, mixed                                  [2]int // by lossy
 }
 
 // player is one play of a script on one medium: the stream of interrupts
@@ -177,7 +181,7 @@ func check(w wire, s script, seed int64, c *cover) error {
 	defer k.Shutdown()
 	m := w.medium(k)
 	got, gotState := play(s, k, m, c)
-	ref := &spec{k: sim.New(seed), w: w, c: c, links: map[[2]int]*specLink{}, first: map[int]int{}}
+	ref := &spec{k: sim.New(seed), w: w, c: c}
 	defer ref.k.Shutdown()
 	want, wantState := play(s, ref.k, ref, &cover{})
 	if i := choice.Diverge(got, want); i >= 0 {

@@ -25,11 +25,13 @@ import (
 // Each mutation below, made to a copy of the media, fails the profiles
 // listed at the first seed given, whose tape (bytes drawn, its profile,
 // kernel seed and op count ahead) shrinks as shown, and the kept tests
-// named:
+// named. The fabric profile plays its even seeds lossless: the per-pair
+// row below passes every lossy seed, and with the lossless half taken
+// away it fails only the profile's floor, which asks for sends behind a
+// busy transmitter, and unicasts mixed with broadcasts, on both halves.
 //
-//	fabric fan-out without the sender's guard reference  fabric 3                     939→4   TestBroadcastOverflowGuard
 //	bus: no in-flight reference, recycled at Refs 1      ethernet 1, ethernet-deep 1  818→3   TestViewSharedAndRecycled, 5 more
-//	fabric: one loss roll per broadcast                  fabric 1                     929→4
+//	fabric: one loss roll per broadcast                  fabric 1                     929→15
 //	an interrupt raised for a dropped frame              all three 1                  818→7   TestStationDropsAtExactCapacity
 //	a down station still takes frames                    all three 1                  818→31  TestStationDown, 3 more
 //	a ring that grows without unwrapping                 ethernet-deep 1              823→20  TestStationFIFOAcrossWrappedGrow
@@ -40,15 +42,24 @@ import (
 //	bus: a unicast to the sender delivered               ethernet 1, ethernet-deep 1  818→13  TestUnicastEdgeAddresses
 //	bus: loss rolled for broadcasts only                 ethernet 1, ethernet-deep 1  818→13  TestWireLossDropsFrameEverywhere
 //	bus: receivers fixed at send, not at landing         ethernet 1, ethernet-deep 1  818→50
-//	fabric: a copy never leaves its link                 fabric 1                     929→23  TestSeededDeterminism
-//	fabric: a grown link row not kept                    fabric 2                     916→22
-//	fabric: an overflowed copy billed as fan-out         fabric 3                     939→3
-//	fabric: an overflowed copy keeps its reference       fabric 3                     939→3   TestLinkQueueOverflow, TestBroadcastOverflowGuard
+//	fabric: a send never leaves its transmitter          fabric 1                     929→23  TestSeededDeterminism
+//	fabric: an overflowed broadcast billed as fan-out    fabric 3                     939→3   TestBroadcastOverflowGuard, FuzzMedium
+//	fabric: a landed send keeps its reference            fabric 1                     929→3   TestFanoutAllocatesNothing, 6 more
 //	fabric: a unicast to the sender sent                 fabric 1                     929→15  TestBroadcastFanout
 //	ring: Pop swaps a slot's src and dst                 all three 1                  818→3   TestRingSlotContract, 14 more
 //	fabric: a fused record counted as one callback       fabric 1                     929→4
-//	fabric: a copy behind a busy link folded into the    fabric 8                     947→70
-//	  idle instant's record
+//	fabric: a unicast not serialized behind its port's   fabric 5                     912→18  TestLinkFIFOSerialization
+//	  broadcast
+//	fabric: one horizon shared by all ports              fabric 1                     929→11  TestLinkFIFOSerialization
+//	fabric: an overflowed broadcast counted once, not    fabric 3                     939→4   TestBroadcastOverflowGuard
+//	  per copy
+//	fabric: loss rolled for the sender's own slot too    fabric 1                     929→3   TestSeededDeterminism
+//	fabric: a broadcast lands ports attached after its   fabric 1 (a panic)           929→16
+//	  send
+//	fabric: lossless broadcasts on the port's            fabric 4                     950→26  TestLinkFIFOSerialization, TestBroadcastOverflowGuard
+//	  transmitter, unicasts on per-pair links
+//	fabric: a queued send's horizon counted from its     —                                    TestLinkFIFOSerialization
+//	  send time
 func TestMediumMatchesSpec(t *testing.T) {
 	for i := range profiles {
 		p := &profiles[i]
@@ -56,7 +67,9 @@ func TestMediumMatchesSpec(t *testing.T) {
 			var c cover
 			for seed := 1; seed <= p.seeds; seed++ {
 				tp := choice.Seeded(int64(seed))
-				seeded := func(tp *choice.Tape) error { return check(p.w, p.script(tp.Choose, p.ops), int64(seed), &c) }
+				seeded := func(tp *choice.Tape) error {
+					return check(p.wire(int64(seed)), p.script(tp.Choose, p.ops), int64(seed), &c)
+				}
 				if err := choice.Run(tp, seeded); err != nil {
 					drawn := choice.Put(choice.Put(choice.Put(nil, len(profiles), i), 256, seed), p.ops, p.ops-1)
 					t.Fatalf("seed %d: %v\n%s", seed, err, choice.Explain("FuzzMedium", append(drawn, tp.Bytes()...), fuzz))
@@ -88,7 +101,7 @@ func FuzzMedium(f *testing.F) {
 func fuzz(tp *choice.Tape) error {
 	p := &profiles[tp.Choose(len(profiles))]
 	seed := int64(tp.Choose(256))
-	return check(p.w, p.script(tp.Choose, 1+tp.Choose(p.ops)), seed, &cover{})
+	return check(p.wire(seed), p.script(tp.Choose, 1+tp.Choose(p.ops)), seed, &cover{})
 }
 
 // profile is a kind of randomized script: the medium it is played on,
@@ -104,7 +117,17 @@ type profile struct {
 	weights    [nOps]int // by op kind
 	eager      int       // one port in eager drains from its interrupt
 	drain      int       // a drain takes 1 to drain frames, or all half the time
+	lossless   bool      // even seeds play w without loss
 	floor      func(c *cover) bool
+}
+
+// wire is the medium a seed plays on.
+func (p *profile) wire(seed int64) wire {
+	w := p.w
+	if p.lossless && seed%2 == 0 {
+		w.loss = 0
+	}
+	return w
 }
 
 const maxPorts = 10
@@ -141,13 +164,17 @@ var profiles = [...]profile{{
 	weights: [nOps]int{oSend: 14, oDown: 1, oUp: 2, oDrain: 3, oAttach: 1}, drain: 5,
 	floor: func(c *cover) bool { return every(c) && c.wrapGrows > 0 },
 }, {
-	// Two-frame link queues under same-instant broadcasts, and
-	// ports attached after their senders' links exist.
+	// Two-send transmit queues under same-instant broadcasts, unicasts
+	// and broadcasts from one port inside one transmission time, ports
+	// attached while broadcasts are in flight, and half the seeds
+	// lossless, where no loss is rolled: each kind of send behind a busy
+	// transmitter, with loss and without.
 	name: "fabric", w: fabWire(4, 2), seeds: 25, ops: 150,
 	rings: []int{-1, 1, 2, 3, 5}, unit: 100 * time.Nanosecond, steps: 30, size: 300,
-	weights: [nOps]int{oSend: 12, oDown: 1, oUp: 2, oDrain: 4, oAttach: 2}, eager: 3, drain: 3,
+	weights: [nOps]int{oSend: 12, oDown: 1, oUp: 2, oDrain: 4, oAttach: 2}, eager: 3, drain: 3, lossless: true,
 	floor: func(c *cover) bool {
-		return every(c) && c.linkOverflows > 0 && c.midOverflows > 0 && c.lateLinks > 0
+		return every(c) && c.linkOverflows > 0 && c.lateAttaches > 0 &&
+			min(c.behind[0], c.behind[1], c.mixed[0], c.mixed[1]) > 0
 	},
 }}
 
@@ -215,7 +242,7 @@ func (p *profile) script(choose func(n int) int, ops int) script {
 // spec is the reference medium: the contract Ethernet and the fabric are
 // held to, written to be read rather than to be fast. A ring is a slice,
 // a payload a fresh copy, a delivery one plain kernel event per frame or
-// copy; there is no pool, refcount, freelist or link table row. Each
+// copy; there is no pool, refcount, freelist or delivery record. Each
 // rule is stated once, where it is marked.
 type spec struct {
 	k     *sim.Kernel
@@ -224,13 +251,6 @@ type spec struct {
 	ports []*specPort
 	st    medium.Stats // the wire's counters; Stats folds the ports' in
 	free  time.Duration
-	links map[[2]int]*specLink // by (src, dst)
-	first map[int]int          // ports attached when each sender first sent on a link
-}
-
-type specLink struct {
-	free     time.Duration
-	inFlight int
 }
 
 type specPort struct {
@@ -242,6 +262,11 @@ type specPort struct {
 	bound, high       int
 	drops, suppressed uint64
 	down              bool
+	// The fabric transmitter: when it is free, its sends in flight, and
+	// whether the last send it took was a broadcast.
+	txFree     time.Duration
+	txInFlight int
+	txBcast    bool
 }
 
 func (s *spec) AttachPort(name string, intr func()) medium.Port {
@@ -308,25 +333,8 @@ func (p *specPort) Send(dst int, payload []byte) {
 	switch {
 	case s.w.kind != kFabric:
 		s.bus(f)
-	case dst == medium.Broadcast:
-		overflowed := false
-		for _, q := range s.ports {
-			if q == p {
-				continue
-			}
-			f.Dst = q.id
-			if !s.link(f) {
-				overflowed = true
-				continue
-			}
-			if overflowed {
-				s.c.midOverflows++
-				overflowed = false
-			}
-			s.st.FanoutFrames++
-		}
-	case dst >= 0 && dst < len(s.ports) && dst != p.id:
-		s.link(f)
+	case dst == medium.Broadcast && len(s.ports) > 1, dst >= 0 && dst < len(s.ports) && dst != p.id:
+		p.fabric(f)
 	}
 }
 
@@ -353,42 +361,65 @@ func (s *spec) bus(f medium.Frame) {
 	})
 }
 
-// link: Rule: each ordered pair of ports is a link holding at most TxQueue
-// frames in flight. A copy past the bound is dropped on the spot, unbilled
-// and unrolled. One within it starts when its link is free, is rolled for
-// loss on its own, lands the link latency after its last bit, stamped
-// with its destination, and leaves the link then.
-func (s *spec) link(f medium.Frame) bool {
-	if n, ok := s.first[f.Src]; !ok {
-		s.first[f.Src] = len(s.ports)
-	} else if f.Dst >= n {
-		s.c.lateLinks++
-		s.first[f.Src] = len(s.ports)
-	}
-	l := s.links[[2]int{f.Src, f.Dst}]
-	if l == nil {
-		l = &specLink{}
-		s.links[[2]int{f.Src, f.Dst}] = l
-	}
-	if l.inFlight >= s.w.txq {
-		s.st.LinkOverflows++
-		return false
-	}
-	l.inFlight++
-	s.st.LinkMaxQueued = max(s.st.LinkMaxQueued, l.inFlight)
-	start := max(s.k.Now(), l.free)
-	dur := s.transmit(len(f.Payload))
-	l.free = start + dur
-	lost := s.roll()
-	s.k.After(start+dur+s.w.delay-s.k.Now(), "link", func() {
-		l.inFlight--
-		if lost {
-			s.st.WireLost++
-			return
+// fabric: Rule: each port has one transmitter holding at most TxQueue
+// sends in flight. A send past the bound is dropped on the spot, each of
+// its copies counted as an overflow, unbilled and unrolled. One within it
+// starts when the transmitter is free and holds it for one transmission
+// time. Its copies go to the port it names, or for a broadcast to every
+// other port attached now, ascending. Each is billed (a broadcast's as
+// fan-out too) and rolled for loss on its own, and lands the link latency
+// after the last bit, stamped with its destination. The send leaves the
+// transmitter as its copies land.
+func (p *specPort) fabric(f medium.Frame) {
+	s, c := p.s, p.s.c
+	var to []int
+	for _, q := range s.ports {
+		if q != p && (f.Dst == medium.Broadcast || f.Dst == q.id) {
+			to = append(to, q.id)
 		}
-		s.ports[f.Dst].deliver(f)
-	})
-	return true
+	}
+	if p.txInFlight >= s.w.txq {
+		s.st.LinkOverflows += uint64(len(to))
+		return
+	}
+	now, bcast := s.k.Now(), f.Dst == medium.Broadcast
+	half := 0 // the cover's lossless half; 1 is its lossy one
+	if s.w.loss > 0 {
+		half = 1
+	}
+	if now < p.txFree {
+		c.behind[half]++
+		if bcast != p.txBcast {
+			c.mixed[half]++
+		}
+	}
+	p.txInFlight++
+	p.txBcast = bcast
+	s.st.LinkMaxQueued = max(s.st.LinkMaxQueued, p.txInFlight)
+	start := max(now, p.txFree)
+	attached := len(s.ports)
+	for i, dst := range to {
+		f.Dst = dst
+		dur := s.transmit(len(f.Payload))
+		p.txFree = start + dur // every copy takes the same time
+		if bcast {
+			s.st.FanoutFrames++
+		}
+		first, lost, f := i == 0, s.roll(), f
+		s.k.After(start+dur+s.w.delay-now, "copy", func() {
+			if first {
+				p.txInFlight--
+				if bcast && len(s.ports) > attached {
+					c.lateAttaches++
+				}
+			}
+			if lost {
+				s.st.WireLost++
+				return
+			}
+			s.ports[f.Dst].deliver(f)
+		})
+	}
 }
 
 // transmit bills one frame of n payload bytes and returns its

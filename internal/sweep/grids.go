@@ -417,13 +417,13 @@ func ClusterGrid(o Options) []Scenario {
 				hot.variant("/t2-star", trunks(2), farOwner))
 			// The medium axis: the three base workloads over the
 			// point-to-point fabric, where every broadcast is a sender-paid
-			// unicast fan-out serialized per destination link instead of one
-			// shared-wire transmission every station snoops. The stationary
-			// cell measures the linear baseline's fan-out wire cost, the
-			// barrier cell makes each arrival broadcast pay h-1 link
-			// transmissions back to back, and the hotspot cell puts the
-			// grant broadcasts — the paper's invalidate traffic — on the
-			// per-link meter.
+			// unicast fan-out, h-1 copies from the sender's own transmitter,
+			// instead of one shared-wire transmission every station snoops.
+			// The stationary cell measures the linear baseline's fan-out wire
+			// cost, the barrier cell makes each arrival broadcast pay h-1
+			// copies queued behind the sender's earlier sends, and the
+			// hotspot cell puts the grant broadcasts — the paper's
+			// invalidate traffic — on the per-port meter.
 			out = append(out, st.variant("/fab", onFabric), ba.variant("/fab", onFabric), hot.variant("/fab", onFabric))
 		}
 		// The redundancy axis (k > 1 read faults ask the owner plus the
@@ -495,8 +495,8 @@ func SmokeGrid(o Options) []Scenario {
 		{Name: "smoke/pipeline", Kind: KindPipeline, Stages: 3, Messages: 8, MsgSize: 8, Seed: o.Seed},
 		{Name: "smoke/stationary-t2", Kind: KindStationary, Hosts: 4, Iters: 8, Trunks: 2, Seed: o.Seed},
 		// The fabric smoke cell: the stationary workload over the
-		// point-to-point fabric medium, proving the Medium seam (per-link
-		// FIFO serialization, sender-paid broadcast fan-out, link-queue
+		// point-to-point fabric medium, proving the Medium seam (per-port
+		// FIFO serialization, sender-paid broadcast fan-out, transmit-queue
 		// accounting) builds and runs on every push.
 		{Name: "smoke/stationary-fab", Kind: KindStationary, Hosts: 4, Iters: 8,
 			Medium: "fabric", Seed: o.Seed},

@@ -300,8 +300,8 @@ type Result struct {
 	// Fabric measurements, zero (and omitted, keeping Ethernet reports
 	// byte-identical to pre-fabric baselines) on the shared bus: the
 	// per-destination unicast copies transmitted on behalf of broadcasts
-	// (the sender-paid fan-out wire cost), frames dropped at full
-	// per-link transmit queues, and the peak per-link queue occupancy.
+	// (the sender-paid fan-out wire cost), copies dropped at full
+	// per-port transmit queues, and the peak transmit-queue occupancy.
 	FanoutFrames  uint64 `json:"fanout_frames,omitempty"`
 	LinkOverflows uint64 `json:"link_overflows,omitempty"`
 	LinkMaxQueued int    `json:"link_max_queued,omitempty"`

@@ -73,8 +73,9 @@ const (
 const (
 	// MediumEthernet is the paper's shared broadcast bus (the default).
 	MediumEthernet = "ethernet"
-	// MediumFabric is the RDMA-like point-to-point interconnect: per-link
-	// queues and bandwidth, broadcast as sender-paid unicast fan-out.
+	// MediumFabric is the RDMA-like point-to-point interconnect: one
+	// transmitter per port with its own queue and bandwidth, broadcast as
+	// sender-paid unicast fan-out.
 	MediumFabric = "fabric"
 )
 
@@ -89,7 +90,8 @@ type (
 // DefaultEthernetParams returns the default 10 Mb/s shared-bus model.
 func DefaultEthernetParams() EthernetParams { return ethernet.DefaultParams() }
 
-// DefaultFabricParams returns the default RDMA-like fabric model.
+// DefaultFabricParams returns the default RDMA-like fabric model: 1 Gb/s
+// per port, 2µs link latency and a 64-send transmit queue per port.
 func DefaultFabricParams() FabricParams { return fabric.DefaultParams() }
 
 // MediumConfig scopes everything about the interconnect in one block:
